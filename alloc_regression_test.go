@@ -71,24 +71,34 @@ func evalWorkloads(t testing.TB) map[string]core.Workload {
 // every workload's Evaluate. cc was the offender: before the scratch
 // arenas it allocated ~200k times per evaluation (edge-list partition,
 // FromEdges rebuilds, per-call label/union-find state); it now runs
-// out of a pooled runScratch. The pins leave a little headroom for
-// sync.Pool refills after a GC, nothing more.
+// out of a pooled split-index scratch. cc3 is the same runner at three
+// devices through EvaluatePartition, which rebuilt every device's
+// subgraph until the two runners merged. The pins leave a little
+// headroom for sync.Pool refills after a GC, nothing more.
 func TestEvaluateAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are not meaningful")
 	}
-	limits := map[string]float64{"cc": 4, "spmm": 1, "scale": 1}
-	for name, w := range evalWorkloads(t) {
-		if _, err := w.Evaluate(37); err != nil { // warm the scratch pools
+	limits := map[string]float64{"cc": 4, "cc3": 4, "spmm": 1, "scale": 1}
+	ws := evalWorkloads(t)
+	evals := map[string]func() error{}
+	for name, w := range ws {
+		evals[name] = func() error { _, err := w.Evaluate(37); return err }
+	}
+	g := ws["cc"].(*hetcc.Workload).Graph()
+	mw := hetcc.NewMultiWorkload("germany_osm", g, hetcc.NewMultiAlgorithm(hetsim.DefaultMulti(2)))
+	evals["cc3"] = func() error { _, err := mw.EvaluatePartition(core.Partition{40, 30, 30}); return err }
+	for name, eval := range evals {
+		if err := eval(); err != nil { // warm the scratch pools
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := w.Evaluate(37); err != nil {
+			if err := eval(); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs > limits[name] {
-			t.Errorf("%s: %v allocs per Evaluate, want <= %v", name, allocs, limits[name])
+			t.Errorf("%s: %v allocs per evaluation, want <= %v", name, allocs, limits[name])
 		}
 	}
 }

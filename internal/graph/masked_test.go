@@ -3,8 +3,8 @@ package graph
 // Equivalence tests for the masked (split-indexed) CC kernels. The
 // heterogeneous CC hot path never materializes the partition sub-CSRs:
 // DFSPrefixInto / ParallelCPUPrefixInto run on the first split[u] arcs
-// of each row, and ShiloachVishkinSuffixInto on the remainder with
-// renumbered ids. These tests pin each masked kernel to its unmasked
+// of each row, and ShiloachVishkinRangeInto on any vertex range with
+// renumbered ids (ShiloachVishkinSuffixInto is its hi = n case). These tests pin each masked kernel to its unmasked
 // counterpart running on the explicitly materialized subgraph — full
 // CCResult equality, work counters included, across every generator
 // family and a sweep of partition bounds.
@@ -164,6 +164,57 @@ func TestShiloachVishkinSuffixMatchesMaterialized(t *testing.T) {
 			}
 		})
 	}
+}
+
+// rangeSubgraph materializes vertices [lo, hi) with the edges among
+// them, renumbered from zero.
+func rangeSubgraph(g *Graph, lo, hi int) *Graph {
+	rowPtr := make([]int64, hi-lo+1)
+	var adj []int32
+	l, h := int32(lo), int32(hi)
+	for u := lo; u < hi; u++ {
+		for _, v := range g.Neighbors(u) {
+			if v >= l && v < h {
+				adj = append(adj, v-l)
+			}
+		}
+		rowPtr[u-lo+1] = int64(len(adj))
+	}
+	return &Graph{N: hi - lo, RowPtr: rowPtr, Adj: adj}
+}
+
+// TestShiloachVishkinRangeMatchesReference pins the range kernel to the
+// frozen reference kernel on the materialized range subgraph, across
+// interior ranges, empty ranges, lo = 0 and hi = n.
+func TestShiloachVishkinRangeMatchesReference(t *testing.T) {
+	for name, g := range maskedTestGraphs(t) {
+		t.Run(name, func(t *testing.T) {
+			n := g.N
+			ranges := [][2]int{
+				{0, 0}, {n / 2, n / 2}, {n, n}, // empty
+				{0, 1}, {0, n / 3}, {0, n}, // lo = 0
+				{n - 1, n}, {2 * n / 3, n}, // hi = n
+				{1, n - 1}, {n / 4, n / 2}, {n / 3, 2 * n / 3}, {n / 2, n/2 + 1},
+			}
+			for _, r := range ranges {
+				lo, hi := r[0], r[1]
+				sub := rangeSubgraph(g, lo, hi)
+				var got, want CCResult
+				ShiloachVishkinRangeInto(g.RowPtr, g.Adj, splitAt(g, lo), lo, hi, &got, new(CCScratch))
+				ShiloachVishkinRef(sub, &want, new(CCScratch))
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("range [%d, %d): ShiloachVishkinRangeInto = %+v counters, reference %+v",
+						lo, hi, countersOf(got), countersOf(want))
+				}
+			}
+		})
+	}
+}
+
+// countersOf strips the labels for a readable failure message.
+func countersOf(r CCResult) CCResult {
+	r.Labels = nil
+	return r
 }
 
 // TestDegreeCVMatchesMoments pins the closed-form-sum DegreeCV to the

@@ -434,27 +434,37 @@ func ShiloachVishkinInto(g *Graph, res *CCResult, s *CCScratch) {
 	shiloachVishkinRun(g.N, res, s)
 }
 
-// ShiloachVishkinSuffixInto is ShiloachVishkinInto on the suffix
-// subgraph with vertex set [bound, n) of a sorted-adjacency CSR,
-// renumbered from 0: row u contributes its arcs from position split[u]
-// on (the neighbors >= bound). It produces the identical CCResult as
-// materializing the suffix sub-CSR and running ShiloachVishkinInto on
-// it — the frontier is built in the same (u ascending, k ascending)
-// order — without copying a single arc. The heterogeneous CC runner's
-// per-threshold evaluations use this with a precomputed split index.
-func ShiloachVishkinSuffixInto(rowPtr []int64, adj []int32, split []int32, bound, n int, res *CCResult, s *CCScratch) {
+// ShiloachVishkinRangeInto is ShiloachVishkinInto on the subgraph
+// induced by the vertex range [lo, hi) of a sorted-adjacency CSR,
+// renumbered from 0: row u contributes its arcs from position lower[u]
+// (the first neighbor >= lo) up to the first neighbor >= hi. It
+// produces the identical CCResult as materializing the range sub-CSR
+// and running ShiloachVishkinInto on it — the frontier is built in the
+// same (u ascending, k ascending) order — without copying a single
+// arc. The heterogeneous CC runner evaluates every accelerator's range
+// this way with a precomputed split index.
+func ShiloachVishkinRangeInto(rowPtr []int64, adj []int32, lower []int32, lo, hi int, res *CCResult, s *CCScratch) {
 	active := s.active[:0]
-	b := int32(bound)
-	for u := bound; u < n; u++ {
-		uu := int32(u) - b
-		for k := rowPtr[u] + int64(split[u]); k < rowPtr[u+1]; k++ {
-			if v := adj[k] - b; uu < v {
-				active = append(active, Edge{U: uu, V: v})
+	b, h := int32(lo), int32(hi)
+	for u := lo; u < hi; u++ {
+		uu := int32(u)
+		for _, v := range adj[rowPtr[u]+int64(lower[u]) : rowPtr[u+1]] {
+			if v >= h {
+				break // sorted row: the rest lies past the range
+			}
+			if uu < v {
+				active = append(active, Edge{U: uu - b, V: v - b})
 			}
 		}
 	}
 	s.active = active
-	shiloachVishkinRun(n-bound, res, s)
+	shiloachVishkinRun(hi-lo, res, s)
+}
+
+// ShiloachVishkinSuffixInto is ShiloachVishkinRangeInto on the suffix
+// [bound, n), where split[u] is the first neighbor >= bound.
+func ShiloachVishkinSuffixInto(rowPtr []int64, adj []int32, split []int32, bound, n int, res *CCResult, s *CCScratch) {
+	ShiloachVishkinRangeInto(rowPtr, adj, split, bound, n, res, s)
 }
 
 // shiloachVishkinRun executes the hooking/jumping rounds over the

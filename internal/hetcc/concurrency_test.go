@@ -61,6 +61,71 @@ func TestEvaluateConcurrent(t *testing.T) {
 	}
 }
 
+// TestEvaluateConcurrentMulti is TestEvaluateConcurrent for the
+// N-device path: one shared MultiWorkload evaluated from 8 goroutines
+// across a 3-device share grid (empty ranges included), every result
+// checked against a sequential reference. Under -race it verifies that
+// the pooled scratch shared with Workload.Evaluate keeps runs apart.
+func TestEvaluateConcurrentMulti(t *testing.T) {
+	g := testGraph(t, graph.KindRMAT, 600, 2400, 9)
+	w := NewMultiWorkload("rmat", g, NewMultiAlgorithm(hetsim.DefaultMulti(2)))
+	scalar := NewWorkload("rmat", g, NewAlgorithm(hetsim.Default()))
+
+	var parts []core.Partition
+	for a := 0.0; a <= 100; a += 20 {
+		for b := 0.0; a+b <= 100; b += 25 {
+			parts = append(parts, core.Partition{a, b, 100 - a - b})
+		}
+	}
+	want := make([]time.Duration, len(parts))
+	for i, p := range parts {
+		d, err := w.EvaluatePartition(p)
+		if err != nil {
+			t.Fatalf("p=%v: %v", p, err)
+		}
+		want[i] = d
+	}
+	wantScalar, err := scalar.Evaluate(37)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for k := 0; k < goroutines; k++ {
+		wg.Add(1)
+		go func(off int) {
+			defer wg.Done()
+			for j := range parts {
+				i := (j + off) % len(parts)
+				d, err := w.EvaluatePartition(parts[i])
+				if err != nil {
+					errs <- err
+					return
+				}
+				if d != want[i] {
+					t.Errorf("p=%v: concurrent EvaluatePartition = %v, want %v", parts[i], d, want[i])
+					return
+				}
+				// Interleave the scalar path, which draws from the
+				// same scratch pool.
+				if j%4 == off%4 {
+					if d, err := scalar.Evaluate(37); err != nil || d != wantScalar {
+						t.Errorf("t=37: concurrent Evaluate = %v (%v), want %v", d, err, wantScalar)
+						return
+					}
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
 // TestParallelSearchMatchesSequential runs the real exhaustive search
 // on a real CC workload at Parallelism 1 and 8 and requires identical
 // SearchResults — the end-to-end determinism guarantee on a workload

@@ -66,84 +66,63 @@ type Result struct {
 // Run executes Algorithm 1 on g with threshold t (the percentage of
 // vertices assigned to the CPU). Each call uses its own working
 // memory, so the returned Result is independently owned; the sampling
-// adapter's Evaluate uses the pooled scratch path instead (runInto).
+// adapter's Evaluate runs the same runner on pooled scratch instead.
 func (a *Algorithm) Run(g *graph.Graph, t float64) (*Result, error) {
 	res := &Result{}
-	if err := a.runInto(g, t, res, new(runScratch)); err != nil {
+	if err := a.runInto(g, t, res, new(splitScratch)); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// cpuTime charges the partitioned multi-threaded DFS. The per-thread
-// parts are rebalanced dynamically (work stealing), so the DFS work is
-// charged as near-fully-parallel over the total arc count; the
-// cross-part label merge is a half-sequential union–find pass over
-// part-crossing arcs.
-func (a *Algorithm) cpuTime(gCPU *graph.Graph) time.Duration {
-	return ccCPUTime(a.Platform.CPU, a.threads(), gCPU)
+// runInto executes Algorithm 1 as the two-device case of the shared
+// runner, drawing every buffer from s; res is fully overwritten and
+// aliases s afterwards.
+func (a *Algorithm) runInto(g *graph.Graph, t float64, res *Result, s *splitScratch) error {
+	if g == nil {
+		return fmt.Errorf("hetcc: nil graph")
+	}
+	if t < 0 || t > 100 {
+		return fmt.Errorf("hetcc: threshold %v outside [0, 100]", t)
+	}
+	s.cuts = append(s.cuts[:0], 0, int(float64(g.N)*t/100), g.N)
+	d := ccDevices{
+		cpu:     a.Platform.CPU,
+		threads: a.threads(),
+		accs:    []*hetsim.Device{a.Platform.GPU},
+		names:   scalarNames,
+		link:    a.Platform.Link,
+	}
+	res.Labels, res.Components, res.Time = s.run(g, d)
+	res.Trace.Entries = s.trace
+	res.CPUTime, res.GPUTime = s.deviceTimes[0], s.deviceTimes[1]
+	res.CrossEdges = int64(len(s.cross))
+	return nil
 }
 
-// ccCPUTime is the device-parametric CPU cost of the partitioned
-// multi-threaded DFS; shared with the multi-accelerator variant.
-func ccCPUTime(dev *hetsim.Device, c int, gCPU *graph.Graph) time.Duration {
-	if gCPU.N == 0 {
+// ccCPUTimeSplit charges the partitioned multi-threaded DFS over the
+// CPU prefix [0, nCPU), whose row u is the first split[u] arcs of the
+// original row. The per-thread parts are rebalanced dynamically (work
+// stealing), so the DFS work is charged as near-fully-parallel over
+// the total arc count cpuArcs; the cross-part label merge is a
+// half-sequential union–find pass over the crossPart part-crossing
+// arcs, which graph.ParallelCPUPrefixInto returns from the boundary
+// searches its merge pass performs anyway. The duration is identical
+// to charging the materialized prefix subgraph (same arc count,
+// cross-part count and degree CV, with the CV computed in
+// stats.MomentsOf float order).
+func ccCPUTimeSplit(dev *hetsim.Device, c int, split []int32, nCPU int, cpuArcs, crossPart int64) time.Duration {
+	if nCPU == 0 {
 		return 0
-	}
-	// Arcs leaving a thread's part must be reconciled by the merge
-	// pass. Adjacency lists are sorted, so instead of testing every
-	// arc the in-part neighbors of u form one contiguous run:
-	// count them with two boundary searches and charge the rest.
-	var crossPart int64
-	for w := 0; w < c; w++ {
-		lo := w * gCPU.N / c
-		hi := (w + 1) * gCPU.N / c
-		for u := lo; u < hi; u++ {
-			adj := gCPU.Neighbors(u)
-			inPart := adjLowerBound(adj, int32(hi)) - adjLowerBound(adj, int32(lo))
-			crossPart += int64(len(adj) - inPart)
-		}
 	}
 	// A DFS edge visit is a dependent-load chain (fetch neighbor,
 	// check label, branch, push): ~40 cycle-equivalent ops per arc
 	// once cache misses are amortized in.
 	const dfsOpsPerArc = 40
-	arcs := int64(gCPU.Arcs())
-	dfs := hetsim.Kernel{
-		Name:             "cc-dfs",
-		Ops:              dfsOpsPerArc * arcs,
-		Bytes:            9 * arcs, // adjacency + label touches
-		Launches:         c,
-		IrregularityCV:   gCPU.DegreeCV(),
-		ParallelFraction: 0.98,
-	}
-	merge := hetsim.Kernel{
-		Name:             "cc-cpu-merge",
-		Ops:              12 * crossPart,
-		Bytes:            8 * crossPart,
-		Launches:         1,
-		ParallelFraction: 0.5,
-	}
-	return dev.TimeAll(dfs, merge)
-}
-
-// ccCPUTimeSplit is ccCPUTime reading G_CPU through the split index
-// instead of a materialized sub-CSR: row u of G_CPU is the first
-// split[u] arcs of g's row u, cpuArcs is their total, and crossPart is
-// the cross-part arc count under the same c-way decomposition —
-// returned by graph.ParallelCPUPrefixInto from the boundary searches
-// its merge pass performs anyway, so the model charges the identical
-// duration (same crossPart, arc count and degree CV, with the CV
-// computed in stats.MomentsOf float order) without re-scanning a row.
-func ccCPUTimeSplit(dev *hetsim.Device, c int, split []int32, nCPU int, cpuArcs, crossPart int64) time.Duration {
-	if nCPU == 0 {
-		return 0
-	}
-	const dfsOpsPerArc = 40
 	dfs := hetsim.Kernel{
 		Name:             "cc-dfs",
 		Ops:              dfsOpsPerArc * cpuArcs,
-		Bytes:            9 * cpuArcs,
+		Bytes:            9 * cpuArcs, // adjacency + label touches
 		Launches:         c,
 		IrregularityCV:   degreeCVPrefix(split, nCPU, cpuArcs),
 		ParallelFraction: 0.98,
@@ -183,12 +162,12 @@ func degreeCVPrefix(split []int32, n int, arcs int64) float64 {
 	return math.Sqrt(m2) / mean
 }
 
-// degreeCVSuffix is graph.DegreeCV over the suffix partition's degrees
-// (row length minus split[u] for u in [bound, n)), float op for float
-// op, with the sum pass replaced by the precomputed arc total (exact;
-// see degreeCVPrefix).
-func degreeCVSuffix(rowPtr []int64, split []int32, bound, n int, arcs int64) float64 {
-	cnt := n - bound
+// degreeCVRange is graph.DegreeCV over the degrees of the range
+// subgraph [lo, hi) (upper[u] - lower[u]), float op for float op, with
+// the sum pass replaced by the precomputed arc total (exact; see
+// degreeCVPrefix).
+func degreeCVRange(lower, upper []int32, lo, hi int, arcs int64) float64 {
+	cnt := hi - lo
 	if cnt < 2 {
 		return 0
 	}
@@ -197,12 +176,9 @@ func degreeCVSuffix(rowPtr []int64, split []int32, bound, n int, arcs int64) flo
 		return 0
 	}
 	var m2 float64
-	lo := rowPtr[bound]
-	for u := bound; u < n; u++ {
-		hi := rowPtr[u+1]
-		d := float64(hi-lo-int64(split[u])) - mean
+	for u := lo; u < hi; u++ {
+		d := float64(upper[u]-lower[u]) - mean
 		m2 += d * d
-		lo = hi
 	}
 	m2 /= float64(cnt)
 	if m2 <= 0 {
@@ -211,59 +187,36 @@ func degreeCVSuffix(rowPtr []int64, split []int32, bound, n int, arcs int64) flo
 	return math.Sqrt(m2) / mean
 }
 
-// ccGPUTimeSplit is ccGPUTime with the suffix partition's degree CV
-// computed through the split index.
-func ccGPUTimeSplit(dev *hetsim.Device, g *graph.Graph, split []int32, nCPU int, gpuArcs int64, r *graph.CCResult) time.Duration {
-	if g.N-nCPU == 0 {
-		return 0
-	}
-	k := hetsim.Kernel{
-		Name:             "cc-sv",
-		Ops:              2 * r.EdgesVisited,
-		Bytes:            10 * r.EdgesVisited,
-		Launches:         2 * r.Rounds,
-		ParallelFraction: 1, // per-kernel serialization is the launch latency
-
-		IrregularityCV: degreeCVSuffix(g.RowPtr, split, nCPU, g.N, gpuArcs),
-	}
-	return dev.Time(k)
-}
-
-// gpuTime charges Shiloach–Vishkin from its measured counters: every
+// svKernel charges Shiloach–Vishkin from its measured counters: every
 // round launches a hooking kernel over the arcs and a jump kernel over
-// the vertices; divergence grows with the degree irregularity.
-func (a *Algorithm) gpuTime(gGPU *graph.Graph, r *graph.CCResult) time.Duration {
-	return ccGPUTime(a.Platform.GPU, gGPU, r)
-}
-
-// ccGPUTime is the device-parametric GPU cost of Shiloach–Vishkin;
-// shared with the multi-accelerator variant.
-func ccGPUTime(dev *hetsim.Device, gGPU *graph.Graph, r *graph.CCResult) time.Duration {
-	if gGPU.N == 0 {
-		return 0
-	}
-	k := hetsim.Kernel{
+// the vertices; divergence grows with the degree irregularity cv.
+func svKernel(r *graph.CCResult, cv float64) hetsim.Kernel {
+	return hetsim.Kernel{
 		Name:             "cc-sv",
 		Ops:              2 * r.EdgesVisited,
 		Bytes:            10 * r.EdgesVisited,
 		Launches:         2 * r.Rounds,
 		ParallelFraction: 1, // per-kernel serialization is the launch latency
-
-		IrregularityCV: gGPU.DegreeCV(),
+		IrregularityCV:   cv,
 	}
-	return dev.Time(k)
 }
 
-// partition splits g at vertex nCPU into G_CPU (vertices [0, nCPU)),
-// G_GPU (vertices [nCPU, n), renumbered from 0) and the cross-edge
-// list (in original vertex ids, u < nCPU <= v). The returned graphs
-// are freshly owned; the hot path uses partitionInto directly.
-func partition(g *graph.Graph, nCPU int) (gCPU, gGPU *graph.Graph, cross []graph.Edge, err error) {
-	var s runScratch
-	if err := partitionInto(g, nCPU, &s); err != nil {
-		return nil, nil, nil, err
+// ccGPUTime is the device-parametric GPU cost of Shiloach–Vishkin on
+// a whole graph.
+func ccGPUTime(dev *hetsim.Device, g *graph.Graph, r *graph.CCResult) time.Duration {
+	if g.N == 0 {
+		return 0
 	}
-	return &s.gCPU, &s.gGPU, s.cross, nil
+	return dev.Time(svKernel(r, g.DegreeCV()))
+}
+
+// ccGPUTimeRange is ccGPUTime on the range subgraph [lo, hi), with its
+// degree CV computed through the split indexes.
+func ccGPUTimeRange(dev *hetsim.Device, lower, upper []int32, lo, hi int, arcs int64, r *graph.CCResult) time.Duration {
+	if hi == lo {
+		return 0
+	}
+	return dev.Time(svKernel(r, degreeCVRange(lower, upper, lo, hi, arcs)))
 }
 
 // RunGPUOnly is the paper's "Naive" homogeneous baseline: the whole
@@ -276,7 +229,7 @@ func (a *Algorithm) RunGPUOnly(g *graph.Graph) (*Result, error) {
 	res := &Result{}
 	svRes := graph.ShiloachVishkin(g)
 	transferIn := a.Platform.Link.Transfer(int64(4 * g.Arcs()))
-	gpuTime := a.gpuTime(g, svRes)
+	gpuTime := ccGPUTime(a.Platform.GPU, g, svRes)
 	transferOut := a.Platform.Link.Transfer(4 * int64(g.N))
 	res.Trace.Add(hetsim.PhaseTransfer, "link", transferIn+transferOut)
 	res.Trace.Add(hetsim.PhaseCompute, "gpu", gpuTime)

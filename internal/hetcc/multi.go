@@ -67,162 +67,45 @@ func (a *MultiAlgorithm) checkPartition(p core.Partition) error {
 
 // Run executes multi-device CC with the given partition: share i of p
 // is the percentage of vertices assigned to platform device i (device
-// 0 is the CPU).
+// 0 is the CPU). Each call uses its own working memory, so the
+// returned MultiResult is independently owned.
 func (a *MultiAlgorithm) Run(g *graph.Graph, p core.Partition) (*MultiResult, error) {
-	if g == nil {
-		return nil, fmt.Errorf("hetcc: nil graph")
-	}
-	if err := a.checkPartition(p); err != nil {
+	res := &MultiResult{}
+	if err := a.runInto(g, p, res, new(splitScratch)); err != nil {
 		return nil, err
 	}
-	// Cut points in vertex space.
-	nDev := len(p)
-	cuts := make([]int, nDev+1)
-	acc := 0.0
-	for i, s := range p {
-		acc += s
-		cuts[i+1] = int(float64(g.N) * acc / 100)
-		if cuts[i+1] > g.N {
-			cuts[i+1] = g.N
-		}
-	}
-	cuts[nDev] = g.N
-
-	res := &MultiResult{DeviceTimes: make([]time.Duration, nDev)}
-
-	// Partition pass on the CPU.
-	partKernel := hetsim.Kernel{
-		Name:             "partition",
-		Ops:              int64(g.N) + int64(g.Arcs()),
-		Bytes:            8 * int64(g.Arcs()),
-		Launches:         1,
-		ParallelFraction: 0.9,
-	}
-	partTime := a.Platform.CPU.Time(partKernel)
-	res.Trace.Add(hetsim.PhasePartition, "cpu", partTime)
-
-	// Build per-device subgraphs and the global cross-edge list.
-	parts, cross, err := partitionMulti(g, cuts)
-	if err != nil {
-		return nil, err
-	}
-	res.CrossEdges = int64(len(cross))
-
-	// Per-device computation, overlapped.
-	results := make([]*graph.CCResult, nDev)
-	var wall time.Duration
-	for i, part := range parts {
-		var dt time.Duration
-		if i == 0 {
-			results[i] = graph.ParallelCPU(part, a.threads())
-			dt = ccCPUTime(a.Platform.CPU, a.threads(), part)
-			res.Trace.Add(hetsim.PhaseCompute, "cpu", dt)
-		} else {
-			results[i] = graph.ShiloachVishkin(part)
-			transferIn := a.Platform.Link.Transfer(int64(4 * part.Arcs()))
-			dt = transferIn + ccGPUTime(a.Platform.GPUs[i-1], part, results[i])
-			res.Trace.Add(hetsim.PhaseTransfer, "link", transferIn)
-			res.Trace.Add(hetsim.PhaseCompute, fmt.Sprintf("gpu%d", i-1), dt-transferIn)
-		}
-		res.DeviceTimes[i] = dt
-		wall = hetsim.Overlap(wall, dt)
-	}
-
-	// Merge all partial labelings over the cross edges (on the first
-	// accelerator, per Algorithm 1 line 9).
-	labels := mergeMulti(g, cuts, results, cross)
-	mergeDev := a.Platform.CPU
-	mergeTarget := "cpu"
-	if len(a.Platform.GPUs) > 0 {
-		mergeDev = a.Platform.GPUs[0]
-		mergeTarget = "gpu0"
-	}
-	mergeTime := mergeDev.Time(hetsim.Kernel{
-		Name:             "merge",
-		Ops:              12 * int64(len(cross)),
-		Bytes:            8 * int64(len(cross)),
-		Launches:         1,
-		ParallelFraction: 1,
-		IrregularityCV:   1.0,
-	})
-	res.Trace.Add(hetsim.PhaseMerge, mergeTarget, mergeTime)
-	transferOut := a.Platform.Link.Transfer(4 * int64(g.N))
-	res.Trace.Add(hetsim.PhaseTransfer, "link", transferOut)
-
-	res.Labels = labels
-	res.Components = graph.NumComponents(labels)
-	res.Time = partTime + wall + mergeTime + transferOut
 	return res, nil
 }
 
-// partitionMulti splits g into len(cuts)-1 contiguous vertex ranges
-// (each renumbered from 0) and returns the edges crossing any boundary
-// in original ids.
-func partitionMulti(g *graph.Graph, cuts []int) ([]*graph.Graph, []graph.Edge, error) {
-	nDev := len(cuts) - 1
-	partOf := func(v int) int {
-		for i := 1; i <= nDev; i++ {
-			if v < cuts[i] {
-				return i - 1
-			}
-		}
-		return nDev - 1
+// runInto executes multi-device CC on the shared runner, drawing every
+// buffer from s; res is fully overwritten and aliases s afterwards.
+func (a *MultiAlgorithm) runInto(g *graph.Graph, p core.Partition, res *MultiResult, s *splitScratch) error {
+	if g == nil {
+		return fmt.Errorf("hetcc: nil graph")
 	}
-	edgeLists := make([][]graph.Edge, nDev)
-	var cross []graph.Edge
-	for u := 0; u < g.N; u++ {
-		pu := partOf(u)
-		for _, v := range g.Neighbors(u) {
-			if int32(u) > v {
-				continue
-			}
-			pv := partOf(int(v))
-			if pu == pv {
-				edgeLists[pu] = append(edgeLists[pu], graph.Edge{
-					U: int32(u - cuts[pu]), V: v - int32(cuts[pu]),
-				})
-			} else {
-				cross = append(cross, graph.Edge{U: int32(u), V: v})
-			}
-		}
+	if err := a.checkPartition(p); err != nil {
+		return err
 	}
-	parts := make([]*graph.Graph, nDev)
-	for i := range parts {
-		var err error
-		parts[i], err = graph.FromEdges(cuts[i+1]-cuts[i], edgeLists[i])
-		if err != nil {
-			return nil, nil, err
-		}
+	// Cut points in vertex space: device i owns [cuts[i], cuts[i+1]).
+	s.cuts = append(s.cuts[:0], 0)
+	acc := 0.0
+	for _, share := range p[:len(p)-1] {
+		acc += share
+		s.cuts = append(s.cuts, min(int(float64(g.N)*acc/100), g.N))
 	}
-	return parts, cross, nil
-}
-
-// mergeMulti combines the per-part labelings into a global one.
-func mergeMulti(g *graph.Graph, cuts []int, results []*graph.CCResult, cross []graph.Edge) []int32 {
-	labels := make([]int32, g.N)
-	for i, r := range results {
-		base := int32(cuts[i])
-		for v, l := range r.Labels {
-			labels[cuts[i]+v] = l + base
-		}
+	s.cuts = append(s.cuts, g.N)
+	d := ccDevices{
+		cpu:     a.Platform.CPU,
+		threads: a.threads(),
+		accs:    a.Platform.GPUs,
+		names:   accelNames(len(a.Platform.GPUs)),
+		link:    a.Platform.Link,
 	}
-	uf := graph.NewUnionFind(g.N)
-	for _, e := range cross {
-		uf.Union(int(labels[e.U]), int(labels[e.V]))
-	}
-	for v := range labels {
-		labels[v] = int32(uf.Find(int(labels[v])))
-	}
-	minOf := make(map[int32]int32)
-	for v, l := range labels {
-		if cur, ok := minOf[l]; !ok || int32(v) < cur {
-			minOf[l] = int32(v)
-		}
-	}
-	for v := range labels {
-		labels[v] = minOf[labels[v]]
-	}
-	return labels
+	res.Labels, res.Components, res.Time = s.run(g, d)
+	res.Trace.Entries = s.trace
+	res.DeviceTimes = s.deviceTimes
+	res.CrossEdges = int64(len(s.cross))
+	return nil
 }
 
 // MultiWorkload adapts multi-device CC to the partition framework
@@ -251,9 +134,13 @@ func (w *MultiWorkload) Name() string { return "cc-multi/" + w.name }
 func (w *MultiWorkload) Devices() int { return w.alg.Platform.Devices() }
 
 // EvaluatePartition implements core.PartitionWorkload.
+// Like Workload.Evaluate it is safe for concurrent use and runs out of
+// the same pool of run scratch, allocation-free in the steady state.
 func (w *MultiWorkload) EvaluatePartition(p core.Partition) (time.Duration, error) {
-	res, err := w.alg.Run(w.g, p)
-	if err != nil {
+	s := scratchPool.Get().(*splitScratch)
+	defer scratchPool.Put(s)
+	var res MultiResult
+	if err := w.alg.runInto(w.g, p, &res, s); err != nil {
 		return 0, err
 	}
 	return res.Time, nil

@@ -3,60 +3,95 @@ package hetcc
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/hetsim"
 )
 
-// runScratch is the reusable working memory of one heterogeneous CC
-// run: the split CSR structures, the cross-edge list, per-device
-// component state and the merge buffers. A parallel Identify sweep
-// evaluates the same graph at dozens of thresholds; pooling one scratch
-// per search worker makes each evaluation allocation-free after the
-// first, which is where the sweep's time goes (see BENCH_search.json).
+// splitScratch is the reusable working memory of one heterogeneous CC
+// run on any number of devices: the cut vector, the per-row split
+// indexes, the cross-edge list, one kernel scratch shared by every
+// device phase, and the merge buffers. An Identify sweep or a simplex
+// search evaluates the same graph at dozens of partitions; pooling one
+// scratch per search worker makes each evaluation allocation-free after
+// the first.
 //
-// A scratch serves one run at a time; the Result it produced aliases it
-// and stays valid only until its next use.
-type runScratch struct {
-	gCPU, gGPU graph.Graph
-	cpuRowPtr  []int64
-	gpuRowPtr  []int64
-	cpuAdj     []int32
-	gpuAdj     []int32
-	cross      []graph.Edge
+// A scratch serves one run at a time; the labels, device times and
+// trace a run produced alias it and stay valid only until its next use.
+type splitScratch struct {
+	// cuts[i] and cuts[i+1] bound device i's vertex range; device 0 is
+	// the CPU prefix.
+	cuts []int
+	// lower[u] and upper[u] delimit row u's arcs inside its own
+	// device's range: positions [lower[u], upper[u]) of the row hold
+	// exactly the neighbors in that range (adjacency lists are
+	// sorted). Arcs past upper[u] are cross edges to a later range.
+	// The kernels and cost models read the original CSR through these
+	// indexes, so no per-device sub-CSR is ever built. CPU rows always
+	// have lower[u] == 0, so upper doubles as the prefix kernel's
+	// split index.
+	lower, upper []int32
+	// arcs[i] is the arc count of device i's range subgraph.
+	arcs  []int64
+	cross []graph.Edge
 
-	// split[u] is the index of the first neighbor of u that is >= the
-	// partition bound — the per-row split index of the current
-	// threshold. The hot path (runInto) never materializes the
-	// sub-CSRs: the masked graph kernels and the cost models read the
-	// original adjacency through this index instead. cpuArcs/gpuArcs
-	// are the arc counts of the implied G_CPU and G_GPU.
-	split            []int32
-	cpuArcs, gpuArcs int64
+	res graph.CCResult
+	cc  graph.CCScratch
 
-	cpuRes, gpuRes graph.CCResult
-	ccCPU, ccGPU   graph.CCScratch
-
-	labels []int32
-	uf     graph.UnionFind
-	minOf  []int32
-	trace  []hetsim.TraceEntry
+	labels      []int32
+	uf          graph.UnionFind
+	minOf       []int32
+	deviceTimes []time.Duration
+	trace       []hetsim.TraceEntry
 }
 
-// runScratchPool recycles run scratches across Workload.Evaluate calls;
-// each concurrent evaluation checks one out for the duration of a run.
-var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+// scratchPool recycles run scratches across Workload.Evaluate and
+// MultiWorkload.EvaluatePartition calls; each concurrent evaluation
+// checks one out for the duration of a run.
+var scratchPool = sync.Pool{New: func() any { return new(splitScratch) }}
+
+// ccDevices is the platform view the runner executes on: the CPU that
+// runs the prefix and the partition pass, and one accelerator per
+// further range (at least one: a partition has two or more shares).
+// The cross-edge merge runs on the first accelerator (Algorithm 1
+// line 9).
+type ccDevices struct {
+	cpu     *hetsim.Device
+	threads int
+	accs    []*hetsim.Device
+	// names[i] is accelerator i's trace device name.
+	names []string
+	link  *hetsim.Link
+}
+
+// scalarNames names the single accelerator of the two-device platform.
+var scalarNames = []string{"gpu"}
+
+// multiNames caches the trace names "gpu0", "gpu1", ... so the
+// N-device path does not format them on every evaluation.
+var multiNames = func() []string {
+	out := make([]string, 16)
+	for i := range out {
+		out[i] = fmt.Sprintf("gpu%d", i)
+	}
+	return out
+}()
+
+func accelNames(n int) []string {
+	if n <= len(multiNames) {
+		return multiNames[:n]
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("gpu%d", i)
+	}
+	return out
+}
 
 func growInt32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growInt64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
 	}
 	return s[:n]
 }
@@ -85,117 +120,57 @@ func adjLowerBound(adj []int32, bound int32) int {
 	return lo
 }
 
-// partitionInto splits g at vertex nCPU directly on the CSR structure
-// into s: G_CPU (vertices [0, nCPU)), G_GPU (vertices [nCPU, n),
-// renumbered from 0) and the cross-edge list (original ids,
-// u < nCPU <= v). Because adjacency lists are sorted, each row splits
-// at a single boundary — the sub-CSR rows are copied prefixes and
-// suffixes, with no edge-list materialization, no re-sort and no
-// dedup. The result is arc-for-arc identical to rebuilding the
-// subgraphs through graph.FromEdges.
-func partitionInto(g *graph.Graph, nCPU int, s *runScratch) error {
-	if nCPU < 0 || nCPU > g.N {
-		return fmt.Errorf("hetcc: split %d outside [0, %d]", nCPU, g.N)
+// splitRanges computes the per-row split indexes of g under s.cuts,
+// each range's arc count, and the cross edges in (u ascending, v
+// ascending) order with u < v.
+func (s *splitScratch) splitRanges(g *graph.Graph) {
+	nDev := len(s.cuts) - 1
+	s.lower = growInt32(s.lower, g.N)
+	s.upper = growInt32(s.upper, g.N)
+	if cap(s.arcs) < nDev {
+		s.arcs = make([]int64, nDev)
 	}
-	nGPU := g.N - nCPU
-	s.cpuRowPtr = growInt64(s.cpuRowPtr, nCPU+1)
-	s.gpuRowPtr = growInt64(s.gpuRowPtr, nGPU+1)
-	s.cpuAdj = s.cpuAdj[:0]
-	s.gpuAdj = s.gpuAdj[:0]
+	s.arcs = s.arcs[:nDev]
 	s.cross = s.cross[:0]
-	bound := int32(nCPU)
-	s.cpuRowPtr[0] = 0
-	for u := 0; u < nCPU; u++ {
-		adj := g.Neighbors(u)
-		k := adjLowerBound(adj, bound)
-		s.cpuAdj = append(s.cpuAdj, adj[:k]...)
-		s.cpuRowPtr[u+1] = int64(len(s.cpuAdj))
-		for _, v := range adj[k:] {
-			s.cross = append(s.cross, graph.Edge{U: int32(u), V: v})
-		}
-	}
-	s.gpuRowPtr[0] = 0
-	for u := nCPU; u < g.N; u++ {
-		adj := g.Neighbors(u)
-		k := adjLowerBound(adj, bound)
-		// Bulk-copy the kept suffix, then renumber in place: one
-		// memmove plus a vectorizable subtract instead of a
-		// per-neighbor append.
-		base := len(s.gpuAdj)
-		s.gpuAdj = append(s.gpuAdj, adj[k:]...)
-		for i := base; i < len(s.gpuAdj); i++ {
-			s.gpuAdj[i] -= bound
-		}
-		s.gpuRowPtr[u-nCPU+1] = int64(len(s.gpuAdj))
-	}
-	s.gCPU = graph.Graph{N: nCPU, RowPtr: s.cpuRowPtr, Adj: s.cpuAdj}
-	s.gGPU = graph.Graph{N: nGPU, RowPtr: s.gpuRowPtr, Adj: s.gpuAdj}
-	return nil
-}
-
-// splitRowsInto computes the per-row split index of g at vertex nCPU
-// (split[u] = first position in row u with neighbor >= nCPU) together
-// with the cross-edge list and the arc counts of the implied
-// partitions. This replaces partitionInto on the evaluation hot path:
-// the sub-CSRs are never materialized — the masked kernels
-// (graph.ParallelCPUPrefixInto, graph.ShiloachVishkinSuffixInto) and
-// the split-indexed cost models consume the original adjacency through
-// split, with results and charged work identical arc for arc.
-func splitRowsInto(g *graph.Graph, nCPU int, s *runScratch) error {
-	if nCPU < 0 || nCPU > g.N {
-		return fmt.Errorf("hetcc: split %d outside [0, %d]", nCPU, g.N)
-	}
-	s.split = growInt32(s.split, g.N)
-	s.cross = s.cross[:0]
-	bound := int32(nCPU)
-	var cpuArcs, gpuArcs int64
 	rp, adj := g.RowPtr, g.Adj
-	for u := 0; u < nCPU; u++ {
-		row := adj[rp[u]:rp[u+1]]
-		// Sorted rows: if the last neighbor is already below the bound
-		// the whole row is CPU-side — the common case well inside the
-		// prefix on locality-ordered graphs.
-		if len(row) == 0 || row[len(row)-1] < bound {
-			s.split[u] = int32(len(row))
-			cpuArcs += int64(len(row))
-			continue
+	for i := 0; i < nDev; i++ {
+		lo, hi := int32(s.cuts[i]), int32(s.cuts[i+1])
+		var arcs int64
+		for u := s.cuts[i]; u < s.cuts[i+1]; u++ {
+			row := adj[rp[u]:rp[u+1]]
+			// Sorted rows: an end neighbor already inside the range
+			// settles that side without a search — the common case
+			// away from the cuts on locality-ordered graphs.
+			a, b := 0, len(row)
+			if b > 0 && row[0] < lo {
+				a = adjLowerBound(row, lo)
+			}
+			if b > 0 && row[b-1] >= hi {
+				b = a + adjLowerBound(row[a:], hi)
+				for _, v := range row[b:] {
+					s.cross = append(s.cross, graph.Edge{U: int32(u), V: v})
+				}
+			}
+			s.lower[u], s.upper[u] = int32(a), int32(b)
+			arcs += int64(b - a)
 		}
-		k := adjLowerBound(row, bound)
-		s.split[u] = int32(k)
-		cpuArcs += int64(k)
-		for _, v := range row[k:] {
-			s.cross = append(s.cross, graph.Edge{U: int32(u), V: v})
-		}
+		s.arcs[i] = arcs
 	}
-	for u := nCPU; u < g.N; u++ {
-		row := adj[rp[u]:rp[u+1]]
-		// Mirror case: a first neighbor at or past the bound puts the
-		// whole row GPU-side.
-		if len(row) == 0 || row[0] >= bound {
-			s.split[u] = 0
-			gpuArcs += int64(len(row))
-			continue
-		}
-		k := adjLowerBound(row, bound)
-		s.split[u] = int32(k)
-		gpuArcs += int64(len(row) - k)
-	}
-	s.cpuArcs, s.gpuArcs = cpuArcs, gpuArcs
-	return nil
 }
 
-// mergeLabelsInto combines the partition-local labelings into a global
-// one (buffered in s) using a union–find over the cross edges, then
-// canonicalizes to minimum-vertex-id labels. The second return is the
-// component count, picked up for free during canonicalization.
-func mergeLabelsInto(g *graph.Graph, nCPU int, cpuRes, gpuRes *graph.CCResult, cross []graph.Edge, s *runScratch) ([]int32, int) {
-	s.labels = growInt32(s.labels, g.N)
-	labels := s.labels
-	copy(labels[:nCPU], cpuRes.Labels)
-	for v := nCPU; v < g.N; v++ {
-		labels[v] = gpuRes.Labels[v-nCPU] + int32(nCPU)
-	}
-	s.uf.Reset(g.N)
+// addTrace records one phase of the run. The trace is private to the
+// run until the caller publishes it, so it is appended without the
+// hetsim.Trace lock.
+func (s *splitScratch) addTrace(phase, device string, d time.Duration) {
+	s.trace = append(s.trace, hetsim.TraceEntry{Phase: phase, Device: device, Duration: d})
+}
+
+// mergeLabelsInto unifies the range-local labelings already placed in
+// labels (global ids) over the cross edges with a union–find, then
+// canonicalizes to minimum-vertex-id labels. It returns the component
+// count, picked up for free during canonicalization.
+func mergeLabelsInto(labels []int32, cross []graph.Edge, s *splitScratch) int {
+	s.uf.Reset(len(labels))
 	for _, e := range cross {
 		s.uf.Union(int(labels[e.U]), int(labels[e.V]))
 	}
@@ -203,7 +178,7 @@ func mergeLabelsInto(g *graph.Graph, nCPU int, cpuRes, gpuRes *graph.CCResult, c
 	// to reach a union-find root is its component's minimum id) —
 	// identical labels to a find pass followed by
 	// graph.CanonicalizeMinLabelsCountInto.
-	s.minOf = growInt32(s.minOf, g.N)
+	s.minOf = growInt32(s.minOf, len(labels))
 	minOf := s.minOf
 	for i := range minOf {
 		minOf[i] = -1
@@ -217,81 +192,84 @@ func mergeLabelsInto(g *graph.Graph, nCPU int, cpuRes, gpuRes *graph.CCResult, c
 		}
 		labels[v] = minOf[r]
 	}
-	return labels, components
+	return components
 }
 
-// runInto executes Algorithm 1 drawing every buffer from s; res is
-// fully overwritten and aliases s afterwards. Run wraps this with a
-// fresh scratch (so its Results are independently owned); the sampling
-// adapter's Evaluate wraps it with a pooled scratch.
-func (a *Algorithm) runInto(g *graph.Graph, t float64, res *Result, s *runScratch) error {
-	if g == nil {
-		return fmt.Errorf("hetcc: nil graph")
-	}
-	if t < 0 || t > 100 {
-		return fmt.Errorf("hetcc: threshold %v outside [0, 100]", t)
-	}
-	nCPU := int(float64(g.N) * t / 100)
-	res.Labels = nil
-	res.Components = 0
-	res.Time, res.CPUTime, res.GPUTime = 0, 0, 0
-	res.CrossEdges = 0
-	res.Trace.Entries = s.trace[:0]
+// run executes heterogeneous CC on g with the vertex ranges in s.cuts,
+// one per device of d, and returns the global labels, the component
+// count and the simulated wall-clock time. The per-device phase
+// durations are left in s.deviceTimes, the cross edges in s.cross and
+// the phase timeline in s.trace.
+//
+// Every device reads the original CSR through the split indexes: the
+// CPU runs its prefix with graph.ParallelCPUPrefixInto, each
+// accelerator its range with graph.ShiloachVishkinRangeInto, and the
+// cost models charge the work those kernels actually performed —
+// durations identical to materializing every range subgraph.
+func (s *splitScratch) run(g *graph.Graph, d ccDevices) (labels []int32, components int, total time.Duration) {
+	nDev := len(s.cuts) - 1
+	s.trace = s.trace[:0]
 
 	// --- Phase I: partition -------------------------------------------
 	// Splitting the CSR structure scans every vertex and arc once on
-	// the CPU (memory-bound streaming pass). The implementation only
-	// computes the per-row split index (sorted adjacency: one boundary
-	// per row) and the cross edges; the kernels below consume the
-	// original adjacency through the index, so no sub-CSR is built.
-	// The simulated partition charge is unchanged — it models the
-	// device's full split pass, not this host shortcut.
-	if err := splitRowsInto(g, nCPU, s); err != nil {
-		return err
-	}
-	res.CrossEdges = int64(len(s.cross))
-	partKernel := hetsim.Kernel{
+	// the CPU (memory-bound streaming pass). The host only computes
+	// the split indexes and cross edges; the simulated charge models
+	// the device's full split pass.
+	s.splitRanges(g)
+	partTime := d.cpu.Time(hetsim.Kernel{
 		Name:             "partition",
 		Ops:              int64(g.N) + int64(g.Arcs()),
 		Bytes:            8 * int64(g.Arcs()),
 		Launches:         1,
 		ParallelFraction: 0.9,
+	})
+	s.addTrace(hetsim.PhasePartition, "cpu", partTime)
+
+	// --- Phase II: overlapped per-device compute -----------------------
+	if cap(s.deviceTimes) < nDev {
+		s.deviceTimes = make([]time.Duration, nDev)
 	}
-	partTime := a.Platform.CPU.Time(partKernel)
-	res.Trace.Add(hetsim.PhasePartition, "cpu", partTime)
+	s.deviceTimes = s.deviceTimes[:nDev]
+	s.labels = growInt32(s.labels, g.N)
+	labels = s.labels
+	rp, adj := g.RowPtr, g.Adj
 
-	// --- Phase II: overlapped heterogeneous compute -------------------
-	crossArcs := graph.ParallelCPUPrefixInto(g.RowPtr, g.Adj, s.split, nCPU, a.threads(), &s.cpuRes, &s.ccCPU)
-	cpuTime := ccCPUTimeSplit(a.Platform.CPU, a.threads(), s.split, nCPU, s.cpuArcs, crossArcs)
-	res.Trace.Add(hetsim.PhaseCompute, "cpu", cpuTime)
+	nCPU := s.cuts[1]
+	crossArcs := graph.ParallelCPUPrefixInto(rp, adj, s.upper, nCPU, d.threads, &s.res, &s.cc)
+	cpuTime := ccCPUTimeSplit(d.cpu, d.threads, s.upper, nCPU, s.arcs[0], crossArcs)
+	s.addTrace(hetsim.PhaseCompute, "cpu", cpuTime)
+	copy(labels, s.res.Labels)
+	s.deviceTimes[0] = cpuTime
+	wall := hetsim.Overlap(0, cpuTime)
 
-	graph.ShiloachVishkinSuffixInto(g.RowPtr, g.Adj, s.split, nCPU, g.N, &s.gpuRes, &s.ccGPU)
-	transferIn := a.Platform.Link.Transfer(4 * s.gpuArcs)
-	gpuTime := transferIn + ccGPUTimeSplit(a.Platform.GPU, g, s.split, nCPU, s.gpuArcs, &s.gpuRes)
-	res.Trace.Add(hetsim.PhaseTransfer, "link", transferIn)
-	res.Trace.Add(hetsim.PhaseCompute, "gpu", gpuTime-transferIn)
+	for i, dev := range d.accs {
+		lo, hi := s.cuts[i+1], s.cuts[i+2]
+		graph.ShiloachVishkinRangeInto(rp, adj, s.lower, lo, hi, &s.res, &s.cc)
+		transferIn := d.link.Transfer(4 * s.arcs[i+1])
+		compute := ccGPUTimeRange(dev, s.lower, s.upper, lo, hi, s.arcs[i+1], &s.res)
+		s.addTrace(hetsim.PhaseTransfer, "link", transferIn)
+		s.addTrace(hetsim.PhaseCompute, d.names[i], compute)
+		base := int32(lo)
+		for v, l := range s.res.Labels {
+			labels[lo+v] = l + base
+		}
+		s.deviceTimes[i+1] = transferIn + compute
+		wall = hetsim.Overlap(wall, transferIn+compute)
+	}
 
-	res.CPUTime, res.GPUTime = cpuTime, gpuTime
-
-	// --- Merge: cross edges unify the two labelings (on the GPU per
-	// the paper's line 9) -----------------------------------------------
-	labels, components := mergeLabelsInto(g, nCPU, &s.cpuRes, &s.gpuRes, s.cross, s)
-	mergeKernel := hetsim.Kernel{
+	// --- Merge: cross edges unify the labelings -------------------------
+	components = mergeLabelsInto(labels, s.cross, s)
+	mergeTime := d.accs[0].Time(hetsim.Kernel{
 		Name:             "merge",
 		Ops:              12 * int64(len(s.cross)), // finds + union per edge
 		Bytes:            8 * int64(len(s.cross)),
 		Launches:         1,
 		ParallelFraction: 1,   // lock-free parallel union-find
 		IrregularityCV:   1.0, // pointer chasing
-	}
-	mergeTime := a.Platform.GPU.Time(mergeKernel)
-	res.Trace.Add(hetsim.PhaseMerge, "gpu", mergeTime)
-	transferOut := a.Platform.Link.Transfer(4 * int64(g.N))
-	res.Trace.Add(hetsim.PhaseTransfer, "link", transferOut)
+	})
+	s.addTrace(hetsim.PhaseMerge, d.names[0], mergeTime)
+	transferOut := d.link.Transfer(4 * int64(g.N))
+	s.addTrace(hetsim.PhaseTransfer, "link", transferOut)
 
-	res.Labels = labels
-	res.Components = components
-	res.Time = partTime + hetsim.Overlap(cpuTime, gpuTime) + mergeTime + transferOut
-	s.trace = res.Trace.Entries // keep the grown trace buffer
-	return nil
+	return labels, components, partTime + wall + mergeTime + transferOut
 }

@@ -55,14 +55,15 @@ func (w *Workload) Graph() *graph.Graph { return w.g }
 // Evaluate implements core.Workload: one full heterogeneous CC run at
 // threshold t, returning its simulated duration. It is safe for
 // concurrent use — the graph is treated as immutable and each call
-// checks a private run scratch (split CSRs, frontiers, labels,
-// union-find state) out of a pool — so parallel searches
+// checks a private run scratch (split indexes, frontiers, labels,
+// union-find state) out of a pool shared with
+// MultiWorkload.EvaluatePartition — so parallel searches
 // (core.WithParallelism) may call it from many goroutines on one
 // Workload. Reusing pooled scratch across grid points is what makes
 // the evaluation loop allocation-free in the steady state.
 func (w *Workload) Evaluate(t float64) (time.Duration, error) {
-	s := runScratchPool.Get().(*runScratch)
-	defer runScratchPool.Put(s)
+	s := scratchPool.Get().(*splitScratch)
+	defer scratchPool.Put(s)
 	var res Result
 	if err := w.alg.runInto(w.g, t, &res, s); err != nil {
 		return 0, err

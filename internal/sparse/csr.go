@@ -8,6 +8,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -213,14 +214,10 @@ func fromTripletsUnchecked(rows, cols int, rowIdx, colIdx []int32, vals []float6
 	// Sort each row by column and merge duplicates in place.
 	outPtr := make([]int64, rows+1)
 	w := int64(0)
+	var sorter rowSorter
 	for i := 0; i < rows; i++ {
 		lo, hi := rowPtr[i], rowPtr[i+1]
-		seg := ci[lo:hi]
-		if vals != nil {
-			sortRowWithVals(seg, vv[lo:hi])
-		} else {
-			sort.Slice(seg, func(a, b int) bool { return seg[a] < seg[b] })
-		}
+		sorter.sortRow(ci, vv, lo, hi)
 		rowStart := w
 		for k := lo; k < hi; k++ {
 			if w > rowStart && ci[w-1] == ci[k] {
@@ -244,14 +241,41 @@ func fromTripletsUnchecked(rows, cols int, rowIdx, colIdx []int32, vals []float6
 	return m
 }
 
-// sortRowWithVals sorts the (cols, vals) pair of one row by column.
-func sortRowWithVals(cols []int32, vals []float64) {
-	sort.Sort(&rowSorter{cols, vals})
-}
-
+// rowSorter sorts CSR row segments by column. Each function that
+// assembles a matrix declares one and reuses it for every row, so
+// sorting allocates nothing per row.
 type rowSorter struct {
 	c []int32
 	v []float64
+}
+
+// sortRow sorts the row segment [lo, hi) of cols by column, permuting
+// vals alongside when it is non-nil. A row whose columns already
+// strictly increase is left as it is: distinct keys have exactly one
+// sorted order, so skipping cannot change the result. Otherwise pattern
+// rows use slices.Sort, and valued rows sort.Sort through the reused
+// sorter — the same algorithm as always, so the order in which
+// duplicate columns are later summed cannot change.
+func (s *rowSorter) sortRow(cols []int32, vals []float64, lo, hi int64) {
+	seg := cols[lo:hi]
+	if strictlyIncreasing(seg) {
+		return
+	}
+	if vals == nil {
+		slices.Sort(seg)
+		return
+	}
+	s.c, s.v = seg, vals[lo:hi]
+	sort.Sort(s)
+}
+
+func strictlyIncreasing(a []int32) bool {
+	for i := 1; i < len(a); i++ {
+		if a[i-1] >= a[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *rowSorter) Len() int           { return len(s.c) }

@@ -81,6 +81,7 @@ func extractRows(a *CSR, rows []int, colMap []int32, outCols int) *CSR {
 		RowPtr: make([]int64, len(rows)+1),
 	}
 	hasVals := a.Vals != nil
+	var sorter rowSorter
 	for outRow, i := range rows {
 		aCols, aVals := a.Row(i)
 		for k, c := range aCols {
@@ -94,15 +95,12 @@ func extractRows(a *CSR, rows []int, colMap []int32, outCols int) *CSR {
 			}
 		}
 		// Entries within a row keep their relative order, but the
-		// mapped column ids need not be monotone; sort the segment.
+		// mapped column ids need not be monotone; sort the segment
+		// (a no-op scan when colMap is monotone, as UniformSubmatrix's
+		// and BlockSubmatrix's are).
 		lo := out.RowPtr[outRow]
 		hi := int64(len(out.ColIdx))
-		seg := out.ColIdx[lo:hi]
-		if hasVals {
-			sortRowWithVals(seg, out.Vals[lo:hi])
-		} else {
-			insertionSortInt32(seg)
-		}
+		sorter.sortRow(out.ColIdx, out.Vals, lo, hi)
 		out.RowPtr[outRow+1] = hi
 	}
 	return out
@@ -150,6 +148,7 @@ func ScaleFreeRowSample(r *xrand.Rand, a *CSR, cfg ScaleFreeSampleConfig) (*CSR,
 	out := &CSR{Rows: sr, Cols: sr, RowPtr: make([]int64, sr+1)}
 	hasVals := a.Vals != nil
 	seen := make(map[int32]struct{}, 64)
+	var sorter rowSorter
 	for outRow, i := range rows {
 		aCols, aVals := a.Row(i)
 		d := len(aCols)
@@ -191,12 +190,7 @@ func ScaleFreeRowSample(r *xrand.Rand, a *CSR, cfg ScaleFreeSampleConfig) (*CSR,
 		}
 		lo := out.RowPtr[outRow]
 		hi := int64(len(out.ColIdx))
-		seg := out.ColIdx[lo:hi]
-		if hasVals {
-			sortRowWithVals(seg, out.Vals[lo:hi])
-		} else {
-			insertionSortInt32(seg)
-		}
+		sorter.sortRow(out.ColIdx, out.Vals, lo, hi)
 		out.RowPtr[outRow+1] = hi
 	}
 	return out, nil

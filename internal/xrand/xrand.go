@@ -11,7 +11,11 @@
 // cryptographically secure, which is fine for workload sampling.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // SplitMix64 is a tiny 64-bit generator used mainly to expand a single
 // seed word into the larger state of other generators. The zero value is
@@ -162,7 +166,9 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 //
 // For small k relative to n it uses Floyd's algorithm (O(k) expected
 // memory, no O(n) allocation); otherwise it uses a partial
-// Fisher-Yates over an explicit index slice.
+// Fisher-Yates over an explicit index slice, whose chosen prefix is
+// marked in a bitset and emitted by one ascending scan instead of
+// being sorted.
 func (r *Rand) SampleInts(n, k int) []int {
 	if k < 0 || n < 0 || k > n {
 		panic("xrand: SampleInts with invalid n, k")
@@ -182,7 +188,7 @@ func (r *Rand) SampleInts(n, k int) []int {
 			chosen[t] = struct{}{}
 			out = append(out, t)
 		}
-		insertionSortInts(out)
+		slices.Sort(out)
 		return out
 	}
 	idx := make([]int, n)
@@ -193,37 +199,16 @@ func (r *Rand) SampleInts(n, k int) []int {
 		j := i + r.Intn(n-i)
 		idx[i], idx[j] = idx[j], idx[i]
 	}
-	out := idx[:k]
-	insertionSortInts(out)
+	marked := make([]uint64, (n+63)/64)
+	for _, v := range idx[:k] {
+		marked[v>>6] |= 1 << (uint(v) & 63)
+	}
+	out := idx[:0]
+	for w, word := range marked {
+		for word != 0 {
+			out = append(out, w<<6+bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
 	return out
-}
-
-// insertionSortInts sorts small-to-medium int slices in place. It avoids
-// pulling package sort into the hot sampling path; samples here are at
-// most a few thousand elements (k ~ sqrt(n)).
-func insertionSortInts(a []int) {
-	if len(a) > 64 {
-		// Shell-style gap pass keeps worst case tolerable for larger k.
-		for gap := len(a) / 2; gap > 0; gap /= 2 {
-			for i := gap; i < len(a); i++ {
-				v := a[i]
-				j := i
-				for j >= gap && a[j-gap] > v {
-					a[j] = a[j-gap]
-					j -= gap
-				}
-				a[j] = v
-			}
-		}
-		return
-	}
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
 }

@@ -396,3 +396,98 @@ func BenchmarkSampleIntsSqrtN(b *testing.B) {
 		_ = r.SampleInts(n, k)
 	}
 }
+
+// sampleIntsRef is SampleInts as it was before the bitset scan and
+// slices.Sort: the same draws, sorted by insertionSortInts.
+func sampleIntsRef(r *Rand, n, k int) []int {
+	if k == 0 {
+		return nil
+	}
+	if k*8 < n {
+		chosen := make(map[int]struct{}, k)
+		out := make([]int, 0, k)
+		for j := n - k; j < n; j++ {
+			t := r.Intn(j + 1)
+			if _, dup := chosen[t]; dup {
+				t = j
+			}
+			chosen[t] = struct{}{}
+			out = append(out, t)
+		}
+		insertionSortInts(out)
+		return out
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	for i := 0; i < k; i++ {
+		j := i + r.Intn(n-i)
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+	out := idx[:k]
+	insertionSortInts(out)
+	return out
+}
+
+// TestSampleIntsMatchesReference pins SampleInts to the pre-bitset
+// implementation: the same sorted set for the same seed, and the same
+// generator state afterwards, over both paths, k = 0, k = n and the
+// k*8 < n boundary.
+func TestSampleIntsMatchesReference(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 8, 9, 63, 64, 65, 100, 129, 1000, 4099, 20000} {
+		ks := map[int]bool{0: true, n: true, n / 2: true}
+		for _, k := range []int{1, n - 1, n/8 - 1, n / 8, n/8 + 1, (n + 7) / 8} { // k*8 < n boundary
+			if k >= 0 && k <= n {
+				ks[k] = true
+			}
+		}
+		for k := range ks {
+			for seed := uint64(1); seed <= 16; seed++ {
+				a, b := New(seed), New(seed)
+				got, want := a.SampleInts(n, k), sampleIntsRef(b, n, k)
+				if len(got) != len(want) {
+					t.Fatalf("n=%d k=%d seed=%d: %d values, reference %d", n, k, seed, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d k=%d seed=%d: value %d = %d, reference %d", n, k, seed, i, got[i], want[i])
+					}
+				}
+				if a.Uint64() != b.Uint64() {
+					t.Fatalf("n=%d k=%d seed=%d: generator state diverged", n, k, seed)
+				}
+			}
+		}
+	}
+}
+
+// insertionSortInts is the hand-rolled sort SampleInts used before
+// slices.Sort, kept as sampleIntsRef's sort (TestInsertionSortInts
+// checks it).
+func insertionSortInts(a []int) {
+	if len(a) > 64 {
+		// Shell-style gap pass keeps worst case tolerable for larger k.
+		for gap := len(a) / 2; gap > 0; gap /= 2 {
+			for i := gap; i < len(a); i++ {
+				v := a[i]
+				j := i
+				for j >= gap && a[j-gap] > v {
+					a[j] = a[j-gap]
+					j -= gap
+				}
+				a[j] = v
+			}
+		}
+		return
+	}
+	for i := 1; i < len(a); i++ {
+		v := a[i]
+		j := i - 1
+		for j >= 0 && a[j] > v {
+			a[j+1] = a[j]
+			j--
+		}
+		a[j+1] = v
+	}
+}
