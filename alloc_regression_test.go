@@ -9,15 +9,21 @@ package repro
 // shows up as a test failure, not as a silently flat speedup curve.
 
 import (
+	"bytes"
 	"context"
+	"runtime"
+	"strconv"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/hetcc"
 	"repro/internal/hetscale"
 	"repro/internal/hetsim"
 	"repro/internal/hetspmm"
+	"repro/internal/mmio"
+	"repro/internal/sparse"
 )
 
 // evalWorkloads builds one workload per case study on a full Table II
@@ -139,5 +145,77 @@ func TestSearchEngineAllocsPinned(t *testing.T) {
 		if allocs > c.limit {
 			t.Errorf("%s: %v allocs per search, want <= %v", c.name, allocs, c.limit)
 		}
+	}
+}
+
+// realGeneralBody serializes a synthetic power-law matrix with nnz
+// entries as a real-general MatrixMarket body, the shape uploads take.
+func realGeneralBody(t testing.TB, rows, nnz int, seed uint64) []byte {
+	t.Helper()
+	m, err := sparse.Generate(sparse.GenConfig{Class: sparse.ClassPowerLaw, Rows: rows, NNZ: nnz, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := mmio.Write(&buf, m.ToCOO()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestMMIOReadAllocsPinned pins upload parsing to a constant number of
+// allocations whatever the entry count: the line reader and coordinate
+// scanner work in place, so only the reader, header, size line and the
+// three entry slices allocate. The string-line parser it replaced made
+// two allocations per entry (ReadString and strings.Fields).
+func TestMMIOReadAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are not meaningful")
+	}
+	const limit = 24
+	var counts []float64
+	for _, nnz := range []int{2000, 20000} {
+		body := realGeneralBody(t, nnz/10, nnz, 5)
+		allocs := testing.AllocsPerRun(10, func() {
+			c, err := mmio.ReadLimited(bytes.NewReader(body), 64<<20)
+			if err != nil || c.NNZ() == 0 {
+				t.Fatal(c, err)
+			}
+		})
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] || counts[0] > limit {
+		t.Errorf("ReadLimited allocs at 2k / 20k entries = %v, want the same count <= %d", counts, limit)
+	}
+}
+
+// TestEncodeRequestAllocBytesPinned pins the batch request encoder to
+// about one copy of its upload bodies: the multipart buffer is sized
+// from the parts up front and returned without a final copy. The
+// strings.Builder it replaced grew by doubling and then copied the
+// whole body once more.
+func TestEncodeRequestAllocBytesPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are not meaningful")
+	}
+	items := make([]batch.Item, 8)
+	total := 0
+	for k := range items {
+		b := realGeneralBody(t, 400, 4000+500*k, uint64(k))
+		items[k] = batch.Item{Name: "i" + strconv.Itoa(k), Workload: "spmm", Body: b}
+		total += len(b)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, _, err := batch.EncodeRequest(items); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if limit := 1.05*float64(total) + 16<<10; perRun > limit {
+		t.Errorf("EncodeRequest allocated %.0f bytes for %d body bytes, want <= %.0f", perRun, total, limit)
 	}
 }

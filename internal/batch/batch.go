@@ -18,6 +18,7 @@
 package batch
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -201,7 +202,8 @@ func parseMultipart(body io.Reader, boundary string, maxItems int, maxBytes int6
 	mr := multipart.NewReader(rd, boundary)
 	job := &Job{}
 	bodies := make(map[string][]byte)
-	var order []string // part arrival order, so item order is stable
+	var order []string    // part arrival order, so item order is stable
+	var part bytes.Buffer // every part is read through this one buffer
 	for {
 		p, err := mr.NextPart()
 		if err == io.EOF {
@@ -214,8 +216,8 @@ func parseMultipart(body io.Reader, boundary string, maxItems int, maxBytes int6
 			return nil, readErr(err, "reading multipart body")
 		}
 		name := p.FormName()
-		b, err := io.ReadAll(p)
-		if err != nil {
+		part.Reset()
+		if _, err := part.ReadFrom(p); err != nil {
 			if overLimit() {
 				return nil, tooLarge("too_large", "batch body exceeds %d bytes", maxBytes)
 			}
@@ -223,7 +225,7 @@ func parseMultipart(body io.Reader, boundary string, maxItems int, maxBytes int6
 		}
 		if name == ManifestPart {
 			var m manifest
-			if err := json.Unmarshal(b, &m); err != nil {
+			if err := json.Unmarshal(part.Bytes(), &m); err != nil {
 				return nil, badJob("bad_manifest", "parsing manifest part: %v", err)
 			}
 			if job.Items != nil {
@@ -241,6 +243,10 @@ func parseMultipart(body io.Reader, boundary string, maxItems int, maxBytes int6
 		if len(bodies) >= maxItems {
 			return nil, tooLarge("too_many_items", "batch exceeds %d items", maxItems)
 		}
+		// An exact-size copy, never nil: an empty part is still an
+		// upload.
+		b := make([]byte, part.Len())
+		copy(b, part.Bytes())
 		bodies[name] = b
 		order = append(order, name)
 	}
@@ -319,21 +325,25 @@ func EncodeRequest(items []Item) (body []byte, contentType string, err error) {
 			break
 		}
 	}
-	if !uploads {
-		b, err := json.Marshal(manifest{Items: items})
-		if err != nil {
-			return nil, "", err
-		}
-		return b, "application/json", nil
-	}
-	var buf strings.Builder
-	mw := multipart.NewWriter(&buf)
 	// The manifest rides along even for pure uploads: it carries the
 	// per-item parameters (workload, seed, searcher, features hint).
 	mb, err := json.Marshal(manifest{Items: items})
 	if err != nil {
 		return nil, "", err
 	}
+	if !uploads {
+		return mb, "application/json", nil
+	}
+	// Sized up front from the parts, so the body is written once with
+	// no re-growth and returned without a copy.
+	size := len(mb) + 2*partFramingBytes
+	for _, it := range items {
+		if it.Body != nil {
+			size += len(it.Body) + partFramingBytes + 2*len(it.Name)
+		}
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	mw := multipart.NewWriter(buf)
 	mp, err := mw.CreateFormField(ManifestPart)
 	if err != nil {
 		return nil, "", err
@@ -356,5 +366,10 @@ func EncodeRequest(items []Item) (body []byte, contentType string, err error) {
 	if err := mw.Close(); err != nil {
 		return nil, "", err
 	}
-	return []byte(buf.String()), mw.FormDataContentType(), nil
+	return buf.Bytes(), mw.FormDataContentType(), nil
 }
+
+// partFramingBytes bounds one multipart part's framing besides its
+// name: the boundary line and the Content-Disposition and Content-Type
+// headers.
+const partFramingBytes = 192

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"mime/multipart"
 	"net/http"
@@ -322,5 +323,37 @@ func TestFingerprintStable(t *testing.T) {
 	}
 	if len(Fingerprint(b)) != 16 {
 		t.Fatalf("fingerprint = %q", Fingerprint(b))
+	}
+}
+
+// TestMultipartPartsKeepOwnBodies: every part is read through one
+// reused buffer, so each item must keep an exact-size copy of its own
+// bytes — a later, shorter or empty part may not show through an
+// earlier item's body, and an empty part is still an upload.
+func TestMultipartPartsKeepOwnBodies(t *testing.T) {
+	sizes := []int{70 << 10, 0, 3, 20 << 10, 1, 150 << 10, 5 << 10, 0}
+	items := make([]Item, len(sizes))
+	for k, n := range sizes {
+		b := bytes.Repeat([]byte{byte('a' + k)}, n)
+		items[k] = Item{Name: fmt.Sprintf("u%d", k), Workload: "spmm", Body: b}
+	}
+	body, ct, err := EncodeRequest(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := ParseRequest(postReq(t, ct, body), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(job.Items) != len(items) {
+		t.Fatalf("items = %d, want %d", len(job.Items), len(items))
+	}
+	for k, it := range job.Items {
+		if it.Name != items[k].Name || !bytes.Equal(it.Body, items[k].Body) || it.Body == nil {
+			t.Errorf("item %d: %q with %d bytes (nil %v), want %q with %d", k, it.Name, len(it.Body), it.Body == nil, items[k].Name, len(items[k].Body))
+		}
+		if cap(it.Body) != len(it.Body) {
+			t.Errorf("item %d: cap %d for %d bytes, want an exact-size copy", k, cap(it.Body), len(it.Body))
+		}
 	}
 }

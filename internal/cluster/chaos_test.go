@@ -158,15 +158,18 @@ func TestChaosDeadlinePropagation(t *testing.T) {
 	e, _, ts := startChaosCluster(t, 3, serve.Config{Workers: 4, CacheSize: 64},
 		func(c *Config) { c.UpstreamTimeout = budget })
 
-	// Expensive enough that the full estimation cannot fit the budget —
-	// sized for the zero-allocation profile construction, which handles
-	// the old 4000×80k input inside 250ms. Under the race detector that
-	// size stays: instrumentation already makes the estimation slow, and
-	// the larger input's upload would eat the whole budget during body
-	// parsing, before the estimation (and its deadline counter) begins.
-	n, nnz := 6000, 180000
+	// Expensive enough that the estimation cannot fit the budget, yet
+	// cheap enough to ingest that the budget is spent estimating: the
+	// estimation's work grows with row degree while the upload's parsing
+	// and hashing grow only with its bytes, so the input is narrow and
+	// dense. On a 2-CPU Xeon, 1000×300k (300 entries a row, 8.3 MB)
+	// parses in 50–75 ms, and the six full estimations take 0.7–0.95 s.
+	// Under the race detector, parsing runs at about 15 MB/s, so the body
+	// shrinks to 1000×40k (1.1 MB, ~70 ms): its six estimations still
+	// take 0.6–0.8 s.
+	n, nnz := 1000, 300000
 	if raceEnabled {
-		n, nnz = 4000, 80000
+		n, nnz = 1000, 40000
 	}
 	mtx := genMTX(t, n, nnz, 31)
 	const requests = 6

@@ -408,8 +408,7 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	var body []byte
 	if r.Method == http.MethodPost {
-		limited := http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
-		b, err := io.ReadAll(limited)
+		b, err := serve.ReadBody(w, r, g.cfg.MaxBodyBytes)
 		if err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {

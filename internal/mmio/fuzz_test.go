@@ -1,0 +1,149 @@
+package mmio
+
+// FuzzReadParity holds the byte-slice parser to the frozen reference
+// (reference_test.go) on arbitrary bodies and byte limits. `go test`
+// runs the seed corpus below on every CI pass; `go test -run '^$'
+// -fuzz FuzzReadParity ./internal/mmio` explores further.
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+)
+
+const paritySeedHeader = "%%MatrixMarket matrix coordinate real general\n"
+
+// paritySeeds covers every line shape the scanner hands to the
+// strings.Fields path and the ones it parses in place.
+var paritySeeds = []string{
+	// comments, blank lines, CRLF, tabs
+	paritySeedHeader + "% a comment\n3 4 3\n%another\n1 1 1.5\n\n   \n2 3 -2.0\n% mid\n3 4 7\n",
+	"%%MatrixMarket matrix coordinate real general\r\n3 3 2\r\n1 1 1\r\n2 2 2\r\n",
+	paritySeedHeader + "2\t2\t2\n1\t1\t1.5\n 2 \t 2\t\t-3e-7 \n",
+	// signs and leading zeros
+	paritySeedHeader + "3 3 3\n+1 1 2\n2 +2 +2.5\n3 3 -2.5\n",
+	paritySeedHeader + "3 3 1\n-1 1 2\n",
+	paritySeedHeader + "3 3 1\n1 -0 2\n",
+	paritySeedHeader + "9 9 2\n001 0009 3e0\n0000000000000000001 1 1\n",
+	// indexes of 19 or more digits
+	paritySeedHeader + "2 2 1\n12345678901234567890 1 1\n",
+	paritySeedHeader + "2 2 1\n1 9223372036854775807 1\n",
+	paritySeedHeader + "2 2 1\n1 9223372036854775808 1\n",
+	// NBSP and U+0085 separators, other non-ASCII bytes
+	paritySeedHeader + "2 2 2\n1\u00a01\u00a01.5\n2\u00852 2\n",
+	paritySeedHeader + "2 2 1\n\u00a01 1 1.5\u00a0\n",
+	paritySeedHeader + "2 2 1\n1 1 1.5\u00a0\u00a0x\n",
+	paritySeedHeader + "2 2 1\n1 1 1\xff\n",
+	paritySeedHeader + "2 2 1\n1\xc2 1 2\n",
+	paritySeedHeader + "2 2 1\n1 1 1.5 x\u0085y\n",
+	"%%MatrixMarket matrix array real general\n1 1\n2\u00a0x\n",
+	paritySeedHeader + "2 2 1\n1\u20001 2\n",
+	// extra tokens, values of every spelling, long values
+	paritySeedHeader + "2 2 2\n1 1 1.5 extra tokens\n2 2 2 3 4\n",
+	paritySeedHeader + "3 3 5\n1 1 nan\n1 2 -Inf\n1 3 0x1p-2\n2 1 1e400\n2 2 4.9e-324\n",
+	paritySeedHeader + "1 1 1\n1 1 1.00000000000000000000000000000000000001\n",
+	paritySeedHeader + "2 2 1\n1 1 1_0\n",
+	// no trailing newline
+	paritySeedHeader + "1 1 1\n1 1 3.5",
+	"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n2 1",
+	// pattern, integer, symmetric
+	"%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n1 1\n2 1\n3 2 ignored\n",
+	"%%MatrixMarket matrix coordinate integer general\n2 2 2\n2 2 42\n1 2 -7\n",
+	"%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 5\n2 1 1\n3 2 2\n",
+	"%%MatrixMarket MATRIX Coordinate REAL General\n1 1 1\n1 1 2\n",
+	// array, general and symmetric, with zeros
+	"%%MatrixMarket matrix array real general\n2 2\n1.0\n0.0\n3.0\n4.0\n",
+	"%%MatrixMarket matrix array real symmetric\n3 3\n1\n0\n2\n 5\n0\n6\n",
+	"%%MatrixMarket matrix array integer general\n2 1\n7 extra\n-0\n",
+	"%%MatrixMarket matrix array real general\n0 9223372036854775807\n",
+	"%%MatrixMarket matrix array real symmetric\n2 9223372036854775807\n1\n2\n3\n",
+	// malformed bodies
+	"",
+	"hello\n1 1 1\n",
+	paritySeedHeader,
+	paritySeedHeader + "x y z\n",
+	paritySeedHeader + "2 2\n",
+	paritySeedHeader + "-1 2 1\n",
+	paritySeedHeader + "2 2 1\n3 1 1.0\n",
+	paritySeedHeader + "2 2 1\n0 1 zzz\n",
+	paritySeedHeader + "2 2 2\n1 1 1.0\n",
+	paritySeedHeader + "2 2 1\n1 1\n",
+	paritySeedHeader + "2 2 1\n1\n",
+	paritySeedHeader + "2 2 1\n1 1 zzz\n",
+	paritySeedHeader + "2 2 1\n1 1.5 1\n",
+	"%%MatrixMarket matrix array pattern general\n1 1\n",
+	"%%MatrixMarket matrix coordinate complex general\n1 1 1\n",
+	// a header declaring far more entries than the body holds
+	paritySeedHeader + "10 10 100000000\n1 1 1\n",
+	"%%MatrixMarket matrix coordinate real symmetric\n10 10 4611686018427387904\n1 1 1\n",
+}
+
+func FuzzReadParity(f *testing.F) {
+	for _, s := range paritySeeds {
+		f.Add([]byte(s), int64(0))
+		f.Add([]byte(s), int64(len(s)))
+	}
+	// over-limit bodies
+	f.Add([]byte(paritySeedHeader+"2 2 2\n1 1 1.5\n2 2 2.5\n"), int64(60))
+	f.Add([]byte(paritySeedHeader+"2 2 2\n1 1 1.5\n2 2 2.5\n"), int64(10))
+	f.Fuzz(func(t *testing.T, body []byte, limit int64) {
+		// Map the limit onto "none" or 1..len+16 so limits at, just
+		// under and just over the body length all come up.
+		if limit > 0 {
+			limit = 1 + (limit-1)%(int64(len(body))+16)
+		}
+		got, gerr := ReadLimited(bytes.NewReader(body), limit)
+		want, werr := refReadLimited(bytes.NewReader(body), limit)
+		if msg := parityDiff(got, gerr, want, werr); msg != "" {
+			t.Fatalf("limit %d, body %q: %s", limit, body, msg)
+		}
+	})
+}
+
+// parityDiff describes how a parse result differs from the
+// reference's, or returns "" when they match: the same failure (error
+// text and ErrTooLarge-ness) or the same COO, values compared bitwise.
+func parityDiff(got *COO, gerr error, want *COO, werr error) string {
+	if (gerr == nil) != (werr == nil) {
+		return fmt.Sprintf("error %v, reference %v", gerr, werr)
+	}
+	if gerr != nil {
+		if gerr.Error() != werr.Error() {
+			return fmt.Sprintf("error %q, reference %q", gerr, werr)
+		}
+		if errors.Is(gerr, ErrTooLarge) != errors.Is(werr, ErrTooLarge) {
+			return fmt.Sprintf("errors.Is(ErrTooLarge) %v, reference %v", errors.Is(gerr, ErrTooLarge), errors.Is(werr, ErrTooLarge))
+		}
+		return ""
+	}
+	if got.Rows != want.Rows || got.Cols != want.Cols || got.Field != want.Field || got.Symmetry != want.Symmetry {
+		return fmt.Sprintf("shape %dx%d %v/%v, reference %dx%d %v/%v",
+			got.Rows, got.Cols, got.Field, got.Symmetry, want.Rows, want.Cols, want.Field, want.Symmetry)
+	}
+	if !equalInt32s(got.RowIdx, want.RowIdx) || !equalInt32s(got.ColIdx, want.ColIdx) {
+		return fmt.Sprintf("indexes %v/%v, reference %v/%v", got.RowIdx, got.ColIdx, want.RowIdx, want.ColIdx)
+	}
+	if (got.Vals == nil) != (want.Vals == nil) || len(got.Vals) != len(want.Vals) {
+		return fmt.Sprintf("values %v, reference %v", got.Vals, want.Vals)
+	}
+	for k := range got.Vals {
+		if math.Float64bits(got.Vals[k]) != math.Float64bits(want.Vals[k]) {
+			return fmt.Sprintf("value %d = %x, reference %x", k, math.Float64bits(got.Vals[k]), math.Float64bits(want.Vals[k]))
+		}
+	}
+	return ""
+}
+
+func equalInt32s(a, b []int32) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k] != b[k] {
+			return false
+		}
+	}
+	return true
+}

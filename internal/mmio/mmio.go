@@ -17,6 +17,7 @@ package mmio
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -74,6 +75,43 @@ func ReadLimited(r io.Reader, maxBytes int64) (*COO, error) {
 	return Read(&limitedReader{r: r, max: maxBytes})
 }
 
+// minEntryBytes is the fewest bytes a coordinate entry occupies ("1 1"
+// and its newline), so b bytes of input hold at most b/minEntryBytes
+// entries whatever the size line declares.
+const minEntryBytes = 4
+
+// unknownSizeEntryCap bounds the entry pre-allocation when the input
+// size is unknown; bigger matrices grow by append.
+const unknownSizeEntryCap = 1 << 16
+
+// knownSize returns how many bytes r holds when it can tell
+// (bytes.Reader, strings.Reader, also under ReadLimited), else 0.
+func knownSize(r io.Reader) int64 {
+	if l, ok := r.(*limitedReader); ok {
+		r = l.r
+	}
+	if s, ok := r.(interface{ Len() int }); ok {
+		return int64(s.Len())
+	}
+	return 0
+}
+
+// entryCap is the capacity to pre-allocate for nnz declared entries
+// (twice that for symmetric expansion) from input of size bytes (0 when
+// unknown). A header is untrusted: a 70-byte body may declare 10^9
+// entries, so the cap is what the bytes can hold, never nnz itself.
+func entryCap(nnz int, sym Symmetry, size int64) int {
+	limit := int64(unknownSizeEntryCap)
+	if size > 0 {
+		limit = size / minEntryBytes
+	}
+	n := min(int64(nnz), limit)
+	if sym == Symmetric {
+		n *= 2 // n <= MaxInt64/4: no overflow
+	}
+	return int(n)
+}
+
 // Field describes the value type of a Matrix Market file.
 type Field int
 
@@ -129,6 +167,7 @@ func (c *COO) NNZ() int { return len(c.RowIdx) }
 
 // Read parses a Matrix Market stream.
 func Read(r io.Reader) (*COO, error) {
+	size := knownSize(r)
 	br := bufio.NewReaderSize(r, 1<<16)
 
 	header, err := br.ReadString('\n')
@@ -161,45 +200,65 @@ func Read(r io.Reader) (*COO, error) {
 		return nil, fmt.Errorf("mmio: unsupported symmetry %q", fields[4])
 	}
 
-	line, err := nextDataLine(br)
+	lines := &lineReader{br: br}
+	line, err := lines.next()
 	if err != nil {
 		return nil, fmt.Errorf("mmio: reading size line: %w", err)
 	}
+	sizeLine := string(line)
 
 	switch format {
 	case "coordinate":
-		return readCoordinate(br, line, field, sym)
+		return readCoordinate(lines, sizeLine, field, sym, size)
 	case "array":
 		if field == Pattern {
 			return nil, fmt.Errorf("mmio: array format cannot be pattern")
 		}
-		return readArray(br, line, field, sym)
+		return readArray(lines, sizeLine, field, sym)
 	default:
 		return nil, fmt.Errorf("mmio: unsupported format %q", format)
 	}
 }
 
-// nextDataLine returns the next non-comment, non-blank line. A partial
-// final line is accepted only at io.EOF (files without a trailing
-// newline); any other error — e.g. ErrTooLarge from a limited reader —
-// must not let a truncated token parse as a shorter valid one.
-func nextDataLine(br *bufio.Reader) (string, error) {
+// lineReader yields the data lines of a Matrix Market body — comments
+// and blank lines skipped, surrounding white space trimmed as
+// strings.TrimSpace does — as slices of the bufio.Reader's buffer, so
+// reading a line allocates nothing. A line stays valid until the next
+// call.
+type lineReader struct {
+	br   *bufio.Reader
+	long []byte // reassembles lines longer than br's buffer
+}
+
+// next returns the next data line. A partial final line is accepted
+// only at io.EOF (files without a trailing newline); any other error —
+// e.g. ErrTooLarge from a limited reader — must not let a truncated
+// token parse as a shorter valid one.
+func (lr *lineReader) next() ([]byte, error) {
 	for {
-		line, err := br.ReadString('\n')
-		if err != nil && err != io.EOF {
-			return "", err
+		line, err := lr.br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			lr.long = append(lr.long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = lr.br.ReadSlice('\n')
+				lr.long = append(lr.long, line...)
+			}
+			line = lr.long
 		}
-		trimmed := strings.TrimSpace(line)
-		if trimmed != "" && !strings.HasPrefix(trimmed, "%") {
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+		trimmed := bytes.TrimSpace(line)
+		if len(trimmed) > 0 && trimmed[0] != '%' {
 			return trimmed, nil
 		}
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 	}
 }
 
-func readCoordinate(br *bufio.Reader, sizeLine string, field Field, sym Symmetry) (*COO, error) {
+func readCoordinate(lines *lineReader, sizeLine string, field Field, sym Symmetry, size int64) (*COO, error) {
 	var rows, cols, nnz int
 	if _, err := fmt.Sscan(sizeLine, &rows, &cols, &nnz); err != nil {
 		return nil, fmt.Errorf("mmio: bad size line %q: %w", sizeLine, err)
@@ -208,10 +267,7 @@ func readCoordinate(br *bufio.Reader, sizeLine string, field Field, sym Symmetry
 		return nil, fmt.Errorf("mmio: negative dimension in size line %q", sizeLine)
 	}
 	c := &COO{Rows: rows, Cols: cols, Field: field, Symmetry: sym}
-	capHint := nnz
-	if sym == Symmetric {
-		capHint = 2 * nnz
-	}
+	capHint := entryCap(nnz, sym, size)
 	c.RowIdx = make([]int32, 0, capHint)
 	c.ColIdx = make([]int32, 0, capHint)
 	if field != Pattern {
@@ -219,34 +275,14 @@ func readCoordinate(br *bufio.Reader, sizeLine string, field Field, sym Symmetry
 	}
 
 	for k := 0; k < nnz; k++ {
-		line, err := nextDataLine(br)
+		line, err := lines.next()
 		if err != nil {
 			return nil, fmt.Errorf("mmio: entry %d of %d: %w", k+1, nnz, err)
 		}
-		toks := strings.Fields(line)
-		wantToks := 3
-		if field == Pattern {
-			wantToks = 2
-		}
-		if len(toks) < wantToks {
-			return nil, fmt.Errorf("mmio: entry %d: short line %q", k+1, line)
-		}
-		i, err := strconv.Atoi(toks[0])
-		if err != nil {
-			return nil, fmt.Errorf("mmio: entry %d: bad row index %q", k+1, toks[0])
-		}
-		j, err := strconv.Atoi(toks[1])
-		if err != nil {
-			return nil, fmt.Errorf("mmio: entry %d: bad col index %q", k+1, toks[1])
-		}
-		if i < 1 || i > rows || j < 1 || j > cols {
-			return nil, fmt.Errorf("mmio: entry %d: index (%d,%d) out of %dx%d", k+1, i, j, rows, cols)
-		}
-		var v float64
-		if field != Pattern {
-			v, err = strconv.ParseFloat(toks[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("mmio: entry %d: bad value %q", k+1, toks[2])
+		i, j, v, ok := scanEntry(line, field != Pattern)
+		if !ok || i < 1 || i > rows || j < 1 || j > cols {
+			if i, j, v, err = parseEntry(string(line), k, field, rows, cols); err != nil {
+				return nil, err
 			}
 		}
 		appendEntry(c, int32(i-1), int32(j-1), v, field)
@@ -257,6 +293,96 @@ func readCoordinate(br *bufio.Reader, sizeLine string, field Field, sym Symmetry
 	return c, nil
 }
 
+// scanEntry parses a coordinate entry in place when it has the plain
+// shape "row col [value]": unsigned decimal indexes of at most 18
+// digits (so they cannot overflow) and ASCII-only tokens and
+// separators. Anything else — a sign, a longer index, a byte >= 0x80
+// (Unicode white space separates tokens too), a short line, a bad
+// value — reports !ok and goes to parseEntry, which accepts or rejects
+// it exactly as strings.Fields and strconv.Atoi always have.
+func scanEntry(line []byte, valued bool) (i, j int, v float64, ok bool) {
+	i, rest, ok := scanIndex(line)
+	if !ok || len(rest) == 0 {
+		return 0, 0, 0, false
+	}
+	j, rest, ok = scanIndex(rest)
+	if !ok || !valued {
+		return i, j, 0, ok
+	}
+	tok, ok := asciiToken(rest)
+	if !ok || len(tok) == 0 {
+		return 0, 0, 0, false
+	}
+	// string(tok) does not escape ParseFloat, so for tokens of up to 32
+	// bytes the conversion uses a stack buffer.
+	v, err := strconv.ParseFloat(string(tok), 64)
+	return i, j, v, err == nil
+}
+
+// scanIndex parses the unsigned decimal index at the start of b and
+// returns the input after it and its trailing separators.
+func scanIndex(b []byte) (n int, rest []byte, ok bool) {
+	k := 0
+	for ; k < len(b) && '0' <= b[k] && b[k] <= '9'; k++ {
+		n = n*10 + int(b[k]-'0')
+	}
+	if k == 0 || k > 18 || (k < len(b) && !asciiSpace[b[k]]) {
+		return 0, nil, false
+	}
+	for k < len(b) && asciiSpace[b[k]] {
+		k++
+	}
+	return n, b[k:], true
+}
+
+// asciiToken returns the token at the start of b, up to the first
+// ASCII separator; !ok if it holds a non-ASCII byte.
+func asciiToken(b []byte) (tok []byte, ok bool) {
+	for k, c := range b {
+		if asciiSpace[c] {
+			return b[:k], true
+		}
+		if c >= 0x80 {
+			return nil, false
+		}
+	}
+	return b, true
+}
+
+// asciiSpace marks the ASCII bytes strings.Fields separates on.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// parseEntry is the general entry parser, and the source of every
+// entry error: 1-based indexes, bounds-checked before the value.
+func parseEntry(line string, k int, field Field, rows, cols int) (i, j int, v float64, err error) {
+	toks := strings.Fields(line)
+	wantToks := 3
+	if field == Pattern {
+		wantToks = 2
+	}
+	if len(toks) < wantToks {
+		return 0, 0, 0, fmt.Errorf("mmio: entry %d: short line %q", k+1, line)
+	}
+	i, err = strconv.Atoi(toks[0])
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("mmio: entry %d: bad row index %q", k+1, toks[0])
+	}
+	j, err = strconv.Atoi(toks[1])
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("mmio: entry %d: bad col index %q", k+1, toks[1])
+	}
+	if i < 1 || i > rows || j < 1 || j > cols {
+		return 0, 0, 0, fmt.Errorf("mmio: entry %d: index (%d,%d) out of %dx%d", k+1, i, j, rows, cols)
+	}
+	if field != Pattern {
+		v, err = strconv.ParseFloat(toks[2], 64)
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("mmio: entry %d: bad value %q", k+1, toks[2])
+		}
+	}
+	return i, j, v, nil
+}
+
 func appendEntry(c *COO, i, j int32, v float64, field Field) {
 	c.RowIdx = append(c.RowIdx, i)
 	c.ColIdx = append(c.ColIdx, j)
@@ -265,7 +391,7 @@ func appendEntry(c *COO, i, j int32, v float64, field Field) {
 	}
 }
 
-func readArray(br *bufio.Reader, sizeLine string, field Field, sym Symmetry) (*COO, error) {
+func readArray(lines *lineReader, sizeLine string, field Field, sym Symmetry) (*COO, error) {
 	var rows, cols int
 	if _, err := fmt.Sscan(sizeLine, &rows, &cols); err != nil {
 		return nil, fmt.Errorf("mmio: bad array size line %q: %w", sizeLine, err)
@@ -277,12 +403,15 @@ func readArray(br *bufio.Reader, sizeLine string, field Field, sym Symmetry) (*C
 		if sym == Symmetric {
 			iStart = j
 		}
+		if iStart >= rows {
+			break // this and every later column is empty
+		}
 		for i := iStart; i < rows; i++ {
-			line, err := nextDataLine(br)
+			line, err := lines.next()
 			if err != nil {
 				return nil, fmt.Errorf("mmio: array entry (%d,%d): %w", i+1, j+1, err)
 			}
-			v, err := strconv.ParseFloat(strings.Fields(line)[0], 64)
+			v, err := strconv.ParseFloat(strings.Fields(string(line))[0], 64)
 			if err != nil {
 				return nil, fmt.Errorf("mmio: array entry (%d,%d): bad value %q", i+1, j+1, line)
 			}

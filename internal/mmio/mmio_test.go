@@ -3,8 +3,12 @@ package mmio
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -262,5 +266,126 @@ func TestReadLimitedNoTrailingNewline(t *testing.T) {
 	}
 	if c.Vals[0] != 3.5 {
 		t.Fatalf("value = %v", c.Vals[0])
+	}
+}
+
+// lenHidden hides a reader's Len method, so the parser cannot tell the
+// body size.
+type lenHidden struct{ r io.Reader }
+
+func (h lenHidden) Read(p []byte) (int, error) { return h.r.Read(p) }
+
+// TestHugeDeclaredNNZBoundedAllocation is the regression test for
+// sizing the entry slices from an untrusted header: a 70-byte body
+// declaring 10^8 entries used to allocate 3 GiB before reading the
+// first one, 4·10^9 entries killed the process, and a symmetric 2^62
+// overflowed 2*nnz into a makeslice panic. The pre-allocation is now
+// what the body can hold when the reader knows its length, and a fixed
+// 2^16 entries when it does not; the error is the same truncation.
+func TestHugeDeclaredNNZBoundedAllocation(t *testing.T) {
+	const limit = 1 << 20
+	cases := []struct {
+		name, body, err string
+	}{
+		{"1e8", "%%MatrixMarket matrix coordinate real general\n10 10 100000000\n1 1 1\n",
+			"mmio: entry 2 of 100000000: EOF"},
+		{"4e9", "%%MatrixMarket matrix coordinate real general\n10 10 4000000000\n1 1 1\n",
+			"mmio: entry 2 of 4000000000: EOF"},
+		{"2^62 symmetric", "%%MatrixMarket matrix coordinate real symmetric\n10 10 4611686018427387904\n1 1 1\n",
+			"mmio: entry 2 of 4611686018427387904: EOF"},
+	}
+	readers := []struct {
+		name     string
+		wrap     func(string) io.Reader
+		maxAlloc uint64
+	}{
+		// 2^16 entries of 16 bytes, twice over when symmetric: 2 MiB,
+		// plus the 64 KiB line buffer.
+		{"unknown length", func(s string) io.Reader { return lenHidden{strings.NewReader(s)} }, 3 << 20},
+		{"known length", func(s string) io.Reader { return strings.NewReader(s) }, 256 << 10},
+	}
+	for _, c := range cases {
+		for _, rd := range readers {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadLimited(rd.wrap(c.body), limit)
+			runtime.ReadMemStats(&after)
+			if err == nil || err.Error() != c.err {
+				t.Errorf("%s/%s: error %v, want %q", c.name, rd.name, err, c.err)
+			}
+			if _, werr := refReadLimited(rd.wrap(c.body), limit); werr == nil || werr.Error() != c.err {
+				t.Errorf("%s/%s: reference error %v, want %q", c.name, rd.name, werr, c.err)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d > rd.maxAlloc {
+				t.Errorf("%s/%s: allocated %d bytes, want <= %d", c.name, rd.name, d, rd.maxAlloc)
+			}
+		}
+	}
+}
+
+// TestArrayDeclaredHugeColumnsTerminates: an array body declaring zero
+// rows (or, symmetric, fewer rows than columns) and 2^63-1 columns has
+// no entries to read past the first empty column. The column loop
+// used to spin through all of them.
+func TestArrayDeclaredHugeColumnsTerminates(t *testing.T) {
+	for _, src := range []string{
+		"%%MatrixMarket matrix array real general\n0 9223372036854775807\n",
+		"%%MatrixMarket matrix array real symmetric\n2 9223372036854775807\n1\n2\n3\n",
+	} {
+		c, err := Read(strings.NewReader(src))
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if c.Cols != math.MaxInt64 {
+			t.Fatalf("%q: cols = %d", src, c.Cols)
+		}
+	}
+}
+
+// TestReadLongLines drives lines longer than the 64 KiB read buffer,
+// which the line reader reassembles, against the reference.
+func TestReadLongLines(t *testing.T) {
+	pad := strings.Repeat(" ", 70<<10)
+	long := strings.Repeat("7", 70<<10)
+	for _, src := range []string{
+		"%%MatrixMarket matrix coordinate real general\n%" + pad + "x\n2 2 2\n" + pad + "1 1 1.5\n2" + pad + "2\t" + pad + "-2.5" + pad + "\n",
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 0." + long + "\n",
+		"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 " + long + "\n",
+		"%%MatrixMarket matrix array real general\n1 1\n" + pad + "3" + pad,
+	} {
+		for _, limit := range []int64{0, int64(len(src)), int64(len(src)) - 1, 100 << 10} {
+			got, gerr := ReadLimited(strings.NewReader(src), limit)
+			want, werr := refReadLimited(strings.NewReader(src), limit)
+			if msg := parityDiff(got, gerr, want, werr); msg != "" {
+				t.Errorf("limit %d, %d-byte body: %s", limit, len(src), msg)
+			}
+		}
+	}
+}
+
+// BenchmarkRead parses a ~6 MB real-general body (250k entries) with
+// the in-place scanner and with the frozen string-line reference.
+func BenchmarkRead(b *testing.B) {
+	var buf bytes.Buffer
+	buf.WriteString("%%MatrixMarket matrix coordinate real general\n20000 20000 250000\n")
+	x := uint64(1)
+	for k := 0; k < 250000; k++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		fmt.Fprintf(&buf, "%d %d %.17g\n", x>>48%20000+1, x>>32%20000+1, float64(x>>11)/(1<<53)-0.5)
+	}
+	body := buf.Bytes()
+	for _, p := range []struct {
+		name  string
+		parse func(io.Reader, int64) (*COO, error)
+	}{{"scanner", ReadLimited}, {"reference", refReadLimited}} {
+		b.Run(p.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := p.parse(bytes.NewReader(body), 64<<20); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -219,8 +218,7 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, workload strin
 		body  []byte
 	)
 	if r.Method == http.MethodPost {
-		limited := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-		body, err = io.ReadAll(limited)
+		body, err = ReadBody(w, r, s.cfg.MaxUploadBytes)
 		if err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {

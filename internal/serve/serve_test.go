@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -200,6 +202,25 @@ func TestEstimateUploadTooLarge(t *testing.T) {
 	postMTX(t, ts.URL+"/estimate?workload=spmm", mtx, http.StatusRequestEntityTooLarge)
 }
 
+// TestEstimateHugeDeclaredSizesAre400s: a few dozen bytes declaring
+// billions of entries (or 2^63-1 array columns) are malformed uploads.
+// The first used to allocate straight from the header and kill the
+// process with a fatal out-of-memory error no handler can recover; the
+// second spun a worker forever. Both now answer 400, and the daemon
+// keeps serving.
+func TestEstimateHugeDeclaredSizesAre400s(t *testing.T) {
+	ts := newTestServer(t, Config{Workers: 1, CacheSize: 4})
+	for _, body := range []string{
+		"%%MatrixMarket matrix coordinate real general\n10 10 4000000000\n1 1 1\n",
+		"%%MatrixMarket matrix coordinate real symmetric\n10 10 4611686018427387904\n1 1 1\n",
+		"%%MatrixMarket matrix array real general\n0 9223372036854775807\n",
+	} {
+		out := postMTX(t, ts.URL+"/estimate?workload=spmm", []byte(body), http.StatusBadRequest)
+		t.Logf("%q: %v", body, out["error"])
+	}
+	postMTX(t, ts.URL+"/estimate?workload=spmm&repeats=1", genMTX(t, 200, 2000, 9), http.StatusOK)
+}
+
 func TestEstimateTimeoutCancelsCleanly(t *testing.T) {
 	srv := New(Config{Workers: 2, CacheSize: 4, Logger: testLogger(t)})
 	ts := httptest.NewServer(srv.Handler())
@@ -347,5 +368,76 @@ func TestEstimateScaleFreeUpload(t *testing.T) {
 	out := postMTX(t, ts.URL+"/estimate?workload=scalefree&repeats=1", mtx, 200)
 	if out["searcher"].(string) != "gradient-descent" {
 		t.Errorf("scalefree default searcher = %v", out["searcher"])
+	}
+}
+
+// TestReadBody pins the shared body reader: one buffer at the declared
+// size when Content-Length is within the limit, io.ReadAll's behavior
+// otherwise, and the MaxBytesReader 413 trip whatever the header says.
+func TestReadBody(t *testing.T) {
+	const limit = 100
+	body := strings.Repeat("x", 60)
+	cases := []struct {
+		name     string
+		body     string
+		declared int64 // Content-Length; -1 unknown
+		want     string
+		tooLarge bool
+	}{
+		{"declared", body, 60, body, false},
+		{"unknown length", body, -1, body, false},
+		{"empty", "", 0, "", false},
+		{"header under-states the body", body, 10, body, false},
+		{"header over-states the body", body, 90, body, false},
+		{"header beyond the limit", strings.Repeat("x", 150), 150, "", true},
+		{"body beyond a small header", strings.Repeat("x", 150), 10, "", true},
+		{"exactly the limit", strings.Repeat("x", limit), limit, strings.Repeat("x", limit), false},
+	}
+	for _, c := range cases {
+		r := httptest.NewRequest(http.MethodPost, "/estimate", strings.NewReader(c.body))
+		r.ContentLength = c.declared
+		got, err := ReadBody(httptest.NewRecorder(), r, limit)
+		var mbe *http.MaxBytesError
+		if c.tooLarge {
+			if !errors.As(err, &mbe) {
+				t.Errorf("%s: error %v, want *http.MaxBytesError", c.name, err)
+			}
+			continue
+		}
+		if err != nil || string(got) != c.want || got == nil {
+			t.Errorf("%s: got %d bytes (nil %v), %v; want %d bytes", c.name, len(got), got == nil, err, len(c.want))
+		}
+		if c.declared == int64(len(c.body)) && c.declared > 0 && cap(got) != len(got)+1 {
+			t.Errorf("%s: cap %d for a %d-byte body: the declared size did not size the buffer", c.name, cap(got), len(got))
+		}
+	}
+
+	// Past the first 1 MiB the buffer doubles, and still ends at the
+	// declared size.
+	big := strings.Repeat("y", 3<<20+5)
+	r := httptest.NewRequest(http.MethodPost, "/estimate", strings.NewReader(big))
+	got, err := ReadBody(httptest.NewRecorder(), r, 64<<20)
+	if err != nil || string(got) != big || cap(got) != len(big)+1 {
+		t.Errorf("3 MiB body: got %d bytes (cap %d), %v", len(got), cap(got), err)
+	}
+}
+
+// TestReadBodyDeclaredSizeNotReserved: a client that declares the
+// whole limit in Content-Length and sends a few bytes (or stalls) must
+// not make the daemon reserve the limit up front; the buffer stays in
+// proportion to the bytes received.
+func TestReadBodyDeclaredSizeNotReserved(t *testing.T) {
+	const limit = 64 << 20
+	r := httptest.NewRequest(http.MethodPost, "/estimate", strings.NewReader("%%MatrixMarket"))
+	r.ContentLength = limit
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := ReadBody(httptest.NewRecorder(), r, limit)
+	runtime.ReadMemStats(&after)
+	if err != nil || string(got) != "%%MatrixMarket" {
+		t.Fatalf("got %q, %v", got, err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 2<<20 {
+		t.Errorf("a 14-byte body declaring %d bytes allocated %d bytes, want <= 2 MiB", limit, d)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -322,3 +323,44 @@ const StatusClientClosedRequest = 499
 // pay off. The canonical definition lives in internal/batch so single
 // and batched traffic can never disagree on input identity.
 func Fingerprint(b []byte) string { return batch.Fingerprint(b) }
+
+// bodyChunk is the most ReadBody reserves before a body's bytes have
+// arrived.
+const bodyChunk = 1 << 20
+
+// ReadBody reads a POST body of at most limit bytes through
+// http.MaxBytesReader, so an oversized body fails with
+// *http.MaxBytesError exactly as under io.ReadAll. A Content-Length
+// within the limit steers the buffer's growth without being trusted:
+// it starts at min(Content-Length, 1 MiB) and doubles as it fills, but
+// never past the declared size, so an honest body ends in a buffer of
+// its final size while a client that declares much and sends little
+// holds memory only in proportion to what it sent. A missing header,
+// or one beyond the limit, leaves the growth to io.ReadAll.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	rd := http.MaxBytesReader(w, r.Body, limit)
+	n := r.ContentLength
+	if n <= 0 || n > limit {
+		return io.ReadAll(rd)
+	}
+	// One spare byte: the read that reports EOF needs room.
+	final := int(n) + 1
+	buf := make([]byte, 0, min(final, bodyChunk))
+	for {
+		if len(buf) == cap(buf) {
+			next := 2 * cap(buf)
+			if cap(buf) < final {
+				next = min(next, final)
+			}
+			buf = append(make([]byte, 0, next), buf...)
+		}
+		m, err := rd.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
