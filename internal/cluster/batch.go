@@ -136,7 +136,7 @@ func (g *Gateway) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	for _, it := range unplaced {
-		g.metrics.FanoutDegraded()
+		g.metrics.FanoutDegraded.Inc()
 		merge.emit(batch.Event{Type: batch.EventError, Item: it.Name,
 			Code: batch.CodeBackendFailed, Error: errNoBackendAvailable.Error()})
 	}
@@ -176,7 +176,7 @@ func (g *Gateway) placeItem(it batch.Item) (string, bool) {
 // stream into the merge, hedges stragglers item-by-item, and rescues
 // whatever the shard left unterminated when its stream dies.
 func (g *Gateway) runSubBatch(ctx context.Context, backend string, items []batch.Item, rawQuery string, budgetAt time.Time, merge *batchMerge) {
-	g.metrics.FanoutSubBatch(backend)
+	g.metrics.FanoutSubBatches.With(backend).Inc()
 	ctx, sp := obs.StartSpan(ctx, "upstream")
 	sp.SetAttr("backend", backend)
 	sp.SetAttr("http.path", "/estimate-batch")
@@ -221,7 +221,7 @@ func (g *Gateway) runSubBatch(ctx context.Context, backend string, items []batch
 		// event per item wins; the merge drops the loser.
 		for _, it := range items {
 			if !merge.settled(it.Name) && merge.markHedged(it.Name) {
-				g.metrics.FanoutHedge()
+				g.metrics.FanoutHedges.Inc()
 				rescue(it, true)
 				return
 			}
@@ -345,13 +345,13 @@ func (g *Gateway) rescueItem(ctx context.Context, it batch.Item, hedged bool, me
 		err = fmt.Errorf("backend %s: HTTP %d: %s", res.backend, res.status, firstLine(res.body))
 	}
 	if coarse, ok := merge.coarseOf(it.Name); ok {
-		g.metrics.FanoutDegraded()
+		g.metrics.FanoutDegraded.Inc()
 		merge.emit(batch.Event{Type: batch.EventRefined, Item: it.Name,
 			Estimate: coarse.Estimate, Backend: coarse.Backend,
 			Degraded: true, Hedged: hedged, Code: batch.CodeBackendFailed})
 		return
 	}
-	g.metrics.FanoutDegraded()
+	g.metrics.FanoutDegraded.Inc()
 	merge.emit(batch.Event{Type: batch.EventError, Item: it.Name,
 		Code: batch.CodeBackendFailed, Error: err.Error(), Hedged: hedged})
 }

@@ -146,7 +146,8 @@ func TestBatchFanoutScatterGather(t *testing.T) {
 		t.Errorf("summary admissions = %d, want %d (one per sub-batch)", sum.Admissions, len(shards))
 	}
 
-	jobs, itemsN, _, degraded := g.Metrics().FanoutCounts()
+	m := g.Metrics()
+	jobs, itemsN, degraded := m.FanoutJobs.Value(), m.FanoutItems.Value(), m.FanoutDegraded.Value()
 	if jobs != 1 || itemsN != uint64(len(items)) {
 		t.Errorf("fanout counts = %d jobs / %d items, want 1 / %d", jobs, itemsN, len(items))
 	}
@@ -443,7 +444,7 @@ func TestBatchStragglerHedgeRescuesItem(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("job took %v; the straggler hedge should answer in well under a second", elapsed)
 	}
-	if _, _, hedges, _ := g.Metrics().FanoutCounts(); hedges == 0 {
+	if g.Metrics().FanoutHedges.Value() == 0 {
 		t.Error("hetgate_fanout_hedges_total did not move")
 	}
 }

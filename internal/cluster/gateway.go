@@ -158,13 +158,14 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = DefaultSeed
 	}
+	metrics := NewMetrics()
 	g := &Gateway{
 		cfg:      cfg,
 		ring:     NewRing(cfg.VNodes),
 		client:   cfg.Client,
 		breakers: make(map[string]*Breaker),
-		metrics:  NewMetrics(),
-		sink:     obs.NewSink(cfg.SpanCapacity),
+		metrics:  metrics,
+		sink:     obs.NewSink(cfg.SpanCapacity, metrics.stages),
 		logger:   cfg.Logger,
 		mux:      http.NewServeMux(),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
@@ -274,7 +275,11 @@ func (g *Gateway) probeAll(ctx context.Context) {
 			defer wg.Done()
 			ok := g.probe(ctx, backend)
 			br.Record(ok)
-			g.metrics.Probe(backend, ok)
+			outcome := "ok"
+			if !ok {
+				outcome = "fail"
+			}
+			g.metrics.Probes.With(backend, outcome).Inc()
 			if !ok {
 				g.logger.Warn("health probe failed",
 					slog.String("backend", backend),
@@ -322,12 +327,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if _, err := g.metrics.WriteTo(w); err != nil {
 		g.logger.Error("writing metrics", slog.Any("err", err))
-		return
-	}
-	// Stage profiles come from the span sink: every finished span feeds
-	// a histogram keyed by its name (forward/upstream/http.estimate).
-	if _, err := g.sink.WriteProm(w, "hetgate_stage_seconds"); err != nil {
-		g.logger.Error("writing stage metrics", slog.Any("err", err))
 	}
 }
 
@@ -468,14 +467,14 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return res, err
 	})
 	if !leader {
-		g.metrics.Coalesced()
+		g.metrics.Coalesced.Inc()
 		obs.SpanFromContext(r.Context()).SetAttr("coalesced", "true")
 	}
 	if err != nil {
 		code := http.StatusBadGateway
 		if errors.Is(err, context.DeadlineExceeded) {
 			code = http.StatusGatewayTimeout
-			g.metrics.DeadlineExceeded()
+			g.metrics.DeadlineExceeded.Inc()
 		}
 		g.logger.ErrorContext(r.Context(), "estimate failed",
 			slog.String("method", r.Method),
@@ -540,7 +539,7 @@ func (g *Gateway) forward(ctx context.Context, method, rawQuery string, body []b
 	var lastErr error = errNoBackendAvailable
 	for attempt := 0; attempt < g.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			g.metrics.Retry()
+			g.metrics.Retries.Inc()
 			obs.SpanFromContext(ctx).SetAttr("retries", strconv.Itoa(attempt))
 			if err := sleepCtx(ctx, g.backoff(attempt)); err != nil {
 				return nil, fmt.Errorf("%w (last error: %v)", err, lastErr)
@@ -638,7 +637,7 @@ func (g *Gateway) tryHedged(ctx context.Context, primary string, pick func() (st
 		case <-hedgeC:
 			hedgeC = nil
 			if b, ok := pick(); ok {
-				g.metrics.Hedge()
+				g.metrics.Hedges.Inc()
 				obs.SpanFromContext(ctx).SetAttr("hedged", "true")
 				launch(b)
 				inFlight++
@@ -745,7 +744,7 @@ func (g *Gateway) do(ctx context.Context, backend, method, path, rawQuery string
 		// skip or a warm-started search — so the gateway can report
 		// per-backend transfer rates without parsing bodies.
 		res.storeMode = mode
-		g.metrics.StoreTransfer(backend, mode)
+		g.metrics.StoreTransfers.With(backend, mode).Inc()
 		sp.SetAttr("store", mode)
 	}
 	sp.Finish()

@@ -1,12 +1,8 @@
 package cluster
 
 import (
-	"fmt"
 	"io"
-	"sort"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -17,49 +13,93 @@ import (
 // cache hits (~ms over loopback) to full estimation runs (seconds).
 var upstreamBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-// Metrics is the gateway's observability surface, exposed at /metrics
-// in the Prometheus text exposition format using only the standard
-// library — the same style as internal/serve. Labels are backend URLs
-// and status codes, both bounded by cluster size.
+// Metrics is the gateway's observability surface, one obs.Registry
+// exposed at /metrics in the same style as internal/serve. Labels are
+// backend URLs, status codes, probe outcomes, store modes and stage
+// names, all bounded by cluster size. Call sites record events on the
+// exported counters directly.
 type Metrics struct {
-	mu        sync.Mutex
-	upstream  map[string]uint64         // key: backend + "\x00" + code ("err" for transport failures)
-	latencies map[string]*obs.Histogram // key: backend
-	retries   uint64
-	hedges    uint64
-	coalesced uint64
-	probes    map[string]uint64 // key: backend + "\x00" + "ok"|"fail"
-	shed      map[string]uint64 // key: backend (429 answers from it)
-	degraded  map[string]uint64 // key: backend (degraded-but-usable answers)
-	transfers map[string]uint64 // key: backend + "\x00" + store mode ("skip"|"warm")
-	deadlines uint64            // requests that ran out of budget end to end
-	started   time.Time
+	reg     *obs.Registry
+	started time.Time
 
-	// Scatter-gather batch fan-out counters.
-	fanoutJobs       uint64            // batch jobs fanned out
-	fanoutItems      uint64            // items across all fanned-out jobs
-	fanoutSubBatches map[string]uint64 // key: backend (sub-batches forwarded to it)
-	fanoutHedges     uint64            // straggler items hedged via the single-item path
-	fanoutDegraded   uint64            // items answered degraded after their shard failed
+	upstream *obs.Vec[obs.Counter]   // backend, code ("err" for transport failures)
+	latency  *obs.Vec[obs.Histogram] // backend
+
+	// Retries counts retry rounds (attempts after the first), Hedges
+	// hedged requests fired at a fallback replica, and Coalesced client
+	// requests answered by another in-flight identical request.
+	Retries, Hedges, Coalesced *obs.Counter
+
+	// Backend backpressure: 429 answers and degraded-but-usable answers
+	// (stale cache entry or static-fallback threshold served under
+	// shed), in total and by backend.
+	shed, degraded                   *obs.Counter
+	shedByBackend, degradedByBackend *obs.Vec[obs.Counter]
+
+	// DeadlineExceeded counts client requests that exhausted their
+	// deadline budget across all retries and hedges.
+	DeadlineExceeded *obs.Counter
+
+	// Scatter-gather batch fan-out: jobs and their items, sub-batches
+	// forwarded by backend, straggler items hedged through the
+	// single-item path, and items answered degraded (their coarse event,
+	// or an error marker) after their shard failed.
+	FanoutJobs, FanoutItems      *obs.Counter
+	FanoutHedges, FanoutDegraded *obs.Counter
+	FanoutSubBatches             *obs.Vec[obs.Counter] // backend
+
+	// StoreTransfers counts answers whose threshold came through the
+	// hetstore transfer path, by backend and mode: "skip" for a
+	// probe-verified transfer, "warm" for a warm-started search.
+	StoreTransfers *obs.Vec[obs.Counter]
+	// Probes counts /healthz probe outcomes by backend and "ok"|"fail".
+	Probes *obs.Vec[obs.Counter]
+
+	// stages is the span sink's per-stage histogram family.
+	stages *obs.Vec[obs.Histogram]
 
 	// breakerStates reports live breaker positions at scrape time; set
-	// by the Gateway that owns the breakers.
+	// by the Gateway that owns the breakers, before it serves.
 	breakerStates func() map[string]BreakerState
 }
 
-// NewMetrics returns an empty gateway metrics registry.
+// NewMetrics returns a registry with every hetgate family registered,
+// in exposition order.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		upstream:  make(map[string]uint64),
-		latencies: make(map[string]*obs.Histogram),
-		probes:    make(map[string]uint64),
-		shed:      make(map[string]uint64),
-		degraded:  make(map[string]uint64),
-		transfers: make(map[string]uint64),
-		started:   time.Now(),
-
-		fanoutSubBatches: make(map[string]uint64),
-	}
+	r := obs.NewRegistry()
+	m := &Metrics{reg: r, started: time.Now()}
+	m.upstream = r.CounterVec("hetgate_upstream_requests_total", "Requests proxied to backends.", "backend", "code")
+	m.Retries = r.Counter("hetgate_retries_total", "Retry rounds after a failed attempt.")
+	m.Hedges = r.Counter("hetgate_hedges_total", "Hedged requests fired at fallback replicas.")
+	m.Coalesced = r.Counter("hetgate_coalesced_total", "Requests coalesced into an identical in-flight upstream call.")
+	m.shed = r.Counter("hetgate_shed_total", "Requests shed (HTTP 429) by backends.")
+	m.degraded = r.Counter("hetgate_degraded_total", "Degraded-but-usable answers (stale or fallback) from backends.")
+	m.DeadlineExceeded = r.Counter("hetgate_deadline_exceeded_total", "Client requests that exhausted their deadline budget.")
+	m.shedByBackend = r.CounterVec("hetgate_shed_by_backend_total", "Requests shed (HTTP 429), by backend.", "backend")
+	m.degradedByBackend = r.CounterVec("hetgate_degraded_by_backend_total", "Degraded answers, by backend.", "backend")
+	m.FanoutJobs = r.Counter("hetgate_fanout_batches_total", "Batch jobs scattered across the ring.")
+	m.FanoutItems = r.Counter("hetgate_fanout_items_total", "Items across all fanned-out batch jobs.")
+	m.FanoutHedges = r.Counter("hetgate_fanout_hedges_total", "Straggler batch items hedged individually through the single-item path.")
+	m.FanoutDegraded = r.Counter("hetgate_fanout_degraded_total", "Batch items answered degraded after their shard failed.")
+	m.FanoutSubBatches = r.CounterVec("hetgate_fanout_subbatches_total", "Sub-batches forwarded, by backend.", "backend")
+	m.StoreTransfers = r.CounterVec("hetgate_store_transfers_total", "Threshold-store transfers observed on backend answers, by mode (skip = probe-verified, warm = warm-started search).", "backend", "mode")
+	m.Probes = r.CounterVec("hetgate_health_probes_total", "Health-prober outcomes by backend.", "backend", "outcome")
+	r.GaugeFunc("hetgate_breaker_state", "Circuit breaker position by backend (0 closed, 1 open, 2 half-open).", []string{"backend", "state"}, func(emit obs.Emit) {
+		if m.breakerStates == nil {
+			return
+		}
+		for backend, s := range m.breakerStates() {
+			emit(float64(s), backend, s.String())
+		}
+	})
+	r.GaugeFunc("hetgate_uptime_seconds", "Seconds since the gateway started.", nil, func(emit obs.Emit) {
+		emit(time.Since(m.started).Seconds())
+	})
+	m.latency = r.HistogramVec("hetgate_upstream_duration_seconds", "Upstream latency by backend.", upstreamBuckets, "backend")
+	// Stage profiles come from the span sink: every finished span feeds
+	// a histogram keyed by its name (forward/upstream/http.estimate).
+	m.stages = r.Stages("hetgate_stage_seconds")
+	return m
 }
 
 // Upstream records one proxied request to backend with the given
@@ -70,297 +110,40 @@ func (m *Metrics) Upstream(backend string, code int, elapsed time.Duration) {
 	if code > 0 {
 		label = strconv.Itoa(code)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.upstream[backend+"\x00"+label]++
-	h, ok := m.latencies[backend]
-	if !ok {
-		h = obs.NewHistogram(upstreamBuckets)
-		m.latencies[backend] = h
-	}
-	h.Observe(elapsed.Seconds())
-}
-
-// Retry records one retry round (an attempt after the first).
-func (m *Metrics) Retry() {
-	m.mu.Lock()
-	m.retries++
-	m.mu.Unlock()
-}
-
-// Hedge records one hedged request fired at a fallback replica.
-func (m *Metrics) Hedge() {
-	m.mu.Lock()
-	m.hedges++
-	m.mu.Unlock()
-}
-
-// Coalesced records a client request answered by another in-flight
-// identical request instead of its own upstream call.
-func (m *Metrics) Coalesced() {
-	m.mu.Lock()
-	m.coalesced++
-	m.mu.Unlock()
-}
-
-// Probe records one /healthz probe outcome for backend.
-func (m *Metrics) Probe(backend string, ok bool) {
-	label := "fail"
-	if ok {
-		label = "ok"
-	}
-	m.mu.Lock()
-	m.probes[backend+"\x00"+label]++
-	m.mu.Unlock()
+	m.upstream.With(backend, label).Inc()
+	m.latency.With(backend).Observe(elapsed.Seconds())
 }
 
 // Shed records one 429 answer from backend — its admission controller
 // refused the request.
 func (m *Metrics) Shed(backend string) {
-	m.mu.Lock()
-	m.shed[backend]++
-	m.mu.Unlock()
+	m.shed.Inc()
+	m.shedByBackend.With(backend).Inc()
 }
 
-// Degraded records one degraded-but-usable answer from backend (stale
-// cache entry or static-fallback threshold served under shed).
+// Degraded records one degraded-but-usable answer from backend.
 func (m *Metrics) Degraded(backend string) {
-	m.mu.Lock()
-	m.degraded[backend]++
-	m.mu.Unlock()
-}
-
-// StoreTransfer records one answer from backend whose threshold came
-// through the hetstore transfer path: mode "skip" for a probe-verified
-// transfer, "warm" for a warm-started search.
-func (m *Metrics) StoreTransfer(backend, mode string) {
-	m.mu.Lock()
-	m.transfers[backend+"\x00"+mode]++
-	m.mu.Unlock()
-}
-
-// StoreTransferCounts returns the transfer totals summed over backends
-// (tests, bench).
-func (m *Metrics) StoreTransferCounts() (skips, warms uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k, v := range m.transfers {
-		if strings.HasSuffix(k, "\x00skip") {
-			skips += v
-		} else if strings.HasSuffix(k, "\x00warm") {
-			warms += v
-		}
-	}
-	return skips, warms
+	m.degraded.Inc()
+	m.degradedByBackend.With(backend).Inc()
 }
 
 // FanoutJob records one batch job split across the ring, with its item
 // count.
 func (m *Metrics) FanoutJob(items int) {
-	m.mu.Lock()
-	m.fanoutJobs++
-	m.fanoutItems += uint64(items)
-	m.mu.Unlock()
+	m.FanoutJobs.Inc()
+	m.FanoutItems.Add(uint64(items))
 }
 
-// FanoutSubBatch records one sub-batch forwarded to backend.
-func (m *Metrics) FanoutSubBatch(backend string) {
-	m.mu.Lock()
-	m.fanoutSubBatches[backend]++
-	m.mu.Unlock()
-}
-
-// FanoutHedge records one straggler item hedged individually through
-// the single-item path while its sub-batch was still outstanding.
-func (m *Metrics) FanoutHedge() {
-	m.mu.Lock()
-	m.fanoutHedges++
-	m.mu.Unlock()
-}
-
-// FanoutDegraded records one item answered with a degraded fallback
-// (its coarse event, or an error marker) after its shard failed.
-func (m *Metrics) FanoutDegraded() {
-	m.mu.Lock()
-	m.fanoutDegraded++
-	m.mu.Unlock()
-}
-
-// FanoutCounts returns the batch fan-out totals (tests, bench).
-func (m *Metrics) FanoutCounts() (jobs, items, hedges, degraded uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.fanoutJobs, m.fanoutItems, m.fanoutHedges, m.fanoutDegraded
-}
-
-// DeadlineExceeded records one client request that exhausted its
-// deadline budget across all retries and hedges.
-func (m *Metrics) DeadlineExceeded() {
-	m.mu.Lock()
-	m.deadlines++
-	m.mu.Unlock()
-}
-
-// Counts returns the retry/hedge/coalesce totals (tests, bench).
+// Counts returns the retry/hedge/coalesce totals.
 func (m *Metrics) Counts() (retries, hedges, coalesced uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.retries, m.hedges, m.coalesced
+	return m.Retries.Value(), m.Hedges.Value(), m.Coalesced.Value()
 }
 
 // ResilienceCounts returns the shed/degraded/deadline totals summed
-// over backends (tests, bench).
+// over backends.
 func (m *Metrics) ResilienceCounts() (shed, degraded, deadlines uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, v := range m.shed {
-		shed += v
-	}
-	for _, v := range m.degraded {
-		degraded += v
-	}
-	return shed, degraded, m.deadlines
+	return m.shed.Value(), m.degraded.Value(), m.DeadlineExceeded.Value()
 }
 
 // WriteTo renders the registry in the Prometheus text format.
-func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	p := func(format string, args ...any) error {
-		c, err := fmt.Fprintf(w, format, args...)
-		n += int64(c)
-		return err
-	}
-
-	if err := p("# HELP hetgate_upstream_requests_total Requests proxied to backends.\n# TYPE hetgate_upstream_requests_total counter\n"); err != nil {
-		return n, err
-	}
-	for _, k := range sortedKeys(m.upstream) {
-		backend, code, _ := strings.Cut(k, "\x00")
-		if err := p("hetgate_upstream_requests_total{backend=%q,code=%q} %d\n", backend, code, m.upstream[k]); err != nil {
-			return n, err
-		}
-	}
-
-	if err := p("# HELP hetgate_retries_total Retry rounds after a failed attempt.\n# TYPE hetgate_retries_total counter\nhetgate_retries_total %d\n", m.retries); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetgate_hedges_total Hedged requests fired at fallback replicas.\n# TYPE hetgate_hedges_total counter\nhetgate_hedges_total %d\n", m.hedges); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetgate_coalesced_total Requests coalesced into an identical in-flight upstream call.\n# TYPE hetgate_coalesced_total counter\nhetgate_coalesced_total %d\n", m.coalesced); err != nil {
-		return n, err
-	}
-
-	var shedTotal, degradedTotal uint64
-	for _, v := range m.shed {
-		shedTotal += v
-	}
-	for _, v := range m.degraded {
-		degradedTotal += v
-	}
-	if err := p("# HELP hetgate_shed_total Requests shed (HTTP 429) by backends.\n# TYPE hetgate_shed_total counter\nhetgate_shed_total %d\n", shedTotal); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetgate_degraded_total Degraded-but-usable answers (stale or fallback) from backends.\n# TYPE hetgate_degraded_total counter\nhetgate_degraded_total %d\n", degradedTotal); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetgate_deadline_exceeded_total Client requests that exhausted their deadline budget.\n# TYPE hetgate_deadline_exceeded_total counter\nhetgate_deadline_exceeded_total %d\n", m.deadlines); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetgate_shed_by_backend_total Requests shed (HTTP 429), by backend.\n# TYPE hetgate_shed_by_backend_total counter\n"); err != nil {
-		return n, err
-	}
-	for _, k := range sortedKeys(m.shed) {
-		if err := p("hetgate_shed_by_backend_total{backend=%q} %d\n", k, m.shed[k]); err != nil {
-			return n, err
-		}
-	}
-	if err := p("# HELP hetgate_degraded_by_backend_total Degraded answers, by backend.\n# TYPE hetgate_degraded_by_backend_total counter\n"); err != nil {
-		return n, err
-	}
-	for _, k := range sortedKeys(m.degraded) {
-		if err := p("hetgate_degraded_by_backend_total{backend=%q} %d\n", k, m.degraded[k]); err != nil {
-			return n, err
-		}
-	}
-
-	if err := p("# HELP hetgate_fanout_batches_total Batch jobs scattered across the ring.\n# TYPE hetgate_fanout_batches_total counter\nhetgate_fanout_batches_total %d\n", m.fanoutJobs); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetgate_fanout_items_total Items across all fanned-out batch jobs.\n# TYPE hetgate_fanout_items_total counter\nhetgate_fanout_items_total %d\n", m.fanoutItems); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetgate_fanout_hedges_total Straggler batch items hedged individually through the single-item path.\n# TYPE hetgate_fanout_hedges_total counter\nhetgate_fanout_hedges_total %d\n", m.fanoutHedges); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetgate_fanout_degraded_total Batch items answered degraded after their shard failed.\n# TYPE hetgate_fanout_degraded_total counter\nhetgate_fanout_degraded_total %d\n", m.fanoutDegraded); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetgate_fanout_subbatches_total Sub-batches forwarded, by backend.\n# TYPE hetgate_fanout_subbatches_total counter\n"); err != nil {
-		return n, err
-	}
-	for _, k := range sortedKeys(m.fanoutSubBatches) {
-		if err := p("hetgate_fanout_subbatches_total{backend=%q} %d\n", k, m.fanoutSubBatches[k]); err != nil {
-			return n, err
-		}
-	}
-
-	if err := p("# HELP hetgate_store_transfers_total Threshold-store transfers observed on backend answers, by mode (skip = probe-verified, warm = warm-started search).\n# TYPE hetgate_store_transfers_total counter\n"); err != nil {
-		return n, err
-	}
-	for _, k := range sortedKeys(m.transfers) {
-		backend, mode, _ := strings.Cut(k, "\x00")
-		if err := p("hetgate_store_transfers_total{backend=%q,mode=%q} %d\n", backend, mode, m.transfers[k]); err != nil {
-			return n, err
-		}
-	}
-
-	if err := p("# HELP hetgate_health_probes_total Health-prober outcomes by backend.\n# TYPE hetgate_health_probes_total counter\n"); err != nil {
-		return n, err
-	}
-	for _, k := range sortedKeys(m.probes) {
-		backend, outcome, _ := strings.Cut(k, "\x00")
-		if err := p("hetgate_health_probes_total{backend=%q,outcome=%q} %d\n", backend, outcome, m.probes[k]); err != nil {
-			return n, err
-		}
-	}
-
-	if m.breakerStates != nil {
-		if err := p("# HELP hetgate_breaker_state Circuit breaker position by backend (0 closed, 1 open, 2 half-open).\n# TYPE hetgate_breaker_state gauge\n"); err != nil {
-			return n, err
-		}
-		states := m.breakerStates()
-		for _, b := range sortedKeys(states) {
-			if err := p("hetgate_breaker_state{backend=%q,state=%q} %d\n", b, states[b], int(states[b])); err != nil {
-				return n, err
-			}
-		}
-	}
-
-	if err := p("# HELP hetgate_uptime_seconds Seconds since the gateway started.\n# TYPE hetgate_uptime_seconds gauge\nhetgate_uptime_seconds %g\n", time.Since(m.started).Seconds()); err != nil {
-		return n, err
-	}
-
-	if err := p("# HELP hetgate_upstream_duration_seconds Upstream latency by backend.\n# TYPE hetgate_upstream_duration_seconds histogram\n"); err != nil {
-		return n, err
-	}
-	for _, backend := range sortedKeys(m.latencies) {
-		c, err := m.latencies[backend].WriteProm(w, "hetgate_upstream_duration_seconds", fmt.Sprintf("backend=%q", backend))
-		n += c
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func (m *Metrics) WriteTo(w io.Writer) (int64, error) { return m.reg.WriteTo(w) }

@@ -5,24 +5,31 @@ import (
 	"testing"
 )
 
+// scrapeHistogram registers one histogram family m over bounds with the
+// given labels, lets observe feed it, and returns the registry's
+// exposition.
+func scrapeHistogram(t *testing.T, bounds []float64, labels []string, observe func(*Vec[Histogram])) string {
+	t.Helper()
+	r := NewRegistry()
+	observe(r.HistogramVec("m", "help", bounds, labels...))
+	var sb strings.Builder
+	if _, err := r.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
 // TestHistogramBucketing is the shared histogram's contract test: it
 // used to live in internal/serve before the implementation was
 // deduplicated into this package.
 func TestHistogramBucketing(t *testing.T) {
-	h := NewHistogram([]float64{0.001, 0.01, 0.1})
-	h.Observe(0.0001) // below the first bound
-	h.Observe(0.001)  // exactly on a bound counts in that bucket
-	h.Observe(0.05)
-	h.Observe(99) // beyond every bound lands in +Inf only
-	if h.Total() != 4 {
-		t.Errorf("total = %d, want 4", h.Total())
-	}
-
-	var sb strings.Builder
-	if _, err := h.WriteProm(&sb, "m", `k="v"`); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := scrapeHistogram(t, []float64{0.001, 0.01, 0.1}, []string{"k"}, func(v *Vec[Histogram]) {
+		h := v.With("v")
+		h.Observe(0.0001) // below the first bound
+		h.Observe(0.001)  // exactly on a bound counts in that bucket
+		h.Observe(0.05)
+		h.Observe(99) // beyond every bound lands in +Inf only
+	})
 	for _, want := range []string{
 		`m_bucket{k="v",le="0.001"} 2`, // cumulative: 0.0001 and 0.001
 		`m_bucket{k="v",le="0.01"} 2`,
@@ -37,13 +44,7 @@ func TestHistogramBucketing(t *testing.T) {
 }
 
 func TestHistogramBareLabels(t *testing.T) {
-	h := NewHistogram([]float64{1})
-	h.Observe(0.5)
-	var sb strings.Builder
-	if _, err := h.WriteProm(&sb, "m", ""); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := scrapeHistogram(t, []float64{1}, nil, func(v *Vec[Histogram]) { v.With().Observe(0.5) })
 	for _, want := range []string{
 		`m_bucket{le="1"} 1`,
 		`m_bucket{le="+Inf"} 1`,
@@ -61,14 +62,11 @@ func TestHistogramBareLabels(t *testing.T) {
 
 func TestHistogramCopiesBounds(t *testing.T) {
 	bounds := []float64{1, 2}
-	h := NewHistogram(bounds)
-	bounds[0] = 100 // caller mutating its slice must not skew bucketing
-	h.Observe(1.5)
-	var sb strings.Builder
-	if _, err := h.WriteProm(&sb, "m", ""); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `m_bucket{le="1"} 0`) {
-		t.Errorf("bounds not copied:\n%s", sb.String())
+	out := scrapeHistogram(t, bounds, nil, func(v *Vec[Histogram]) {
+		bounds[0] = 100 // caller mutating its slice must not skew bucketing
+		v.With().Observe(1.5)
+	})
+	if !strings.Contains(out, `m_bucket{le="1"} 0`) {
+		t.Errorf("bounds not copied:\n%s", out)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestHandlerGeneratesAndEchoesRequestID(t *testing.T) {
-	sink := NewSink(8)
+	sink := NewSink(8, nil)
 	h := Handler(HTTPOptions{Service: "test", Sink: sink}, "http.test",
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if RequestID(r.Context()) == "" {
@@ -48,7 +48,7 @@ func TestHandlerGeneratesAndEchoesRequestID(t *testing.T) {
 }
 
 func TestHandlerContinuesRemoteTrace(t *testing.T) {
-	sink := NewSink(8)
+	sink := NewSink(8, nil)
 	h := Handler(HTTPOptions{Service: "test", Sink: sink}, "http.test",
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 
@@ -74,7 +74,7 @@ func TestHandlerContinuesRemoteTrace(t *testing.T) {
 }
 
 func TestHandlerLogsWithTraceIDs(t *testing.T) {
-	sink := NewSink(8)
+	sink := NewSink(8, nil)
 	var buf bytes.Buffer
 	logger := NewLogger(&buf, "test", slog.LevelInfo, false)
 	h := Handler(HTTPOptions{Service: "test", Sink: sink, Logger: logger}, "http.test",

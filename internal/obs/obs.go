@@ -1,11 +1,11 @@
 // Package obs is the repo's observability subsystem: request-scoped
-// tracing, structured logging, and pipeline-stage profiling — all
-// standard library.
+// tracing, structured logging, pipeline-stage profiling and metrics —
+// all standard library.
 //
 // The paper's framework is a three-stage pipeline (Sample → Identify →
 // Extrapolate); debugging partitioning decisions requires seeing where
 // an estimate's time goes, not just whole-request latency. This
-// package provides the three pieces the serving stack (hetgate →
+// package provides the four pieces the serving stack (hetgate →
 // hetserve → internal/core) shares:
 //
 //   - Tracing: a context-carried span tree. StartSpan opens a child of
@@ -22,12 +22,20 @@
 //
 //   - Profiling: the Sink doubles as a stage profiler — every finished
 //     span feeds a fixed-bucket latency histogram keyed by span name,
-//     rendered in the Prometheus text format as
-//     <service>_stage_seconds. Recent traces are browsable as JSON at
-//     /debug/spans (Sink.Handler), and RegisterPprof wires
-//     net/http/pprof into a mux behind an opt-in flag.
+//     the <service>_stage_seconds family of the daemon's Registry.
+//     Recent traces are browsable as JSON at /debug/spans
+//     (Sink.Handler), and RegisterPprof wires net/http/pprof into a
+//     mux behind an opt-in flag.
+//
+//   - Metrics: a Registry holds every family a daemon exposes —
+//     atomic Counters and Gauges, Vec families whose label names are
+//     fixed at registration, Histograms, and func families read at
+//     scrape time — and Registry.WriteTo is the one writer of the
+//     Prometheus text format 0.0.4. A scrape snapshots every value
+//     before it writes, so no lock is held while the scraper reads.
 //
 // Everything is low-cardinality by construction: span names are
 // static stage labels ("sample", "identify", "extrapolate", ...), so
-// the stage histograms stay bounded.
+// the stage histograms stay bounded, and callers map outside input to
+// a fixed set of label values before recording it.
 package obs

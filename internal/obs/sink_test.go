@@ -18,7 +18,8 @@ func finishSpan(sink *Sink, name string) *Span {
 }
 
 func TestSinkRingEvictsOldest(t *testing.T) {
-	sink := NewSink(3)
+	r := NewRegistry()
+	sink := NewSink(3, r.Stages("test_stage_seconds"))
 	for i := 0; i < 5; i++ {
 		finishSpan(sink, fmt.Sprintf("s%d", i))
 	}
@@ -35,11 +36,11 @@ func TestSinkRingEvictsOldest(t *testing.T) {
 		t.Errorf("stored spans %s, want s2,s3,s4 (oldest evicted first)", got)
 	}
 	// Histograms survive eviction: they profile every span ever seen.
+	var sb strings.Builder
+	if _, err := r.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 5; i++ {
-		var sb strings.Builder
-		if _, err := sink.WriteProm(&sb, "test_stage_seconds"); err != nil {
-			t.Fatal(err)
-		}
 		if !strings.Contains(sb.String(), fmt.Sprintf(`stage="s%d"`, i)) {
 			t.Errorf("stage histogram for s%d missing after eviction", i)
 		}
@@ -49,7 +50,7 @@ func TestSinkRingEvictsOldest(t *testing.T) {
 // TestSinkConcurrentObserve hammers one sink from many goroutines; run
 // with -race this is the eviction data-race regression test.
 func TestSinkConcurrentObserve(t *testing.T) {
-	sink := NewSink(64)
+	sink := NewSink(64, nil)
 	const workers, perWorker = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -76,7 +77,7 @@ func TestSinkConcurrentObserve(t *testing.T) {
 }
 
 func TestSinkHandlerJSON(t *testing.T) {
-	sink := NewSink(16)
+	sink := NewSink(16, nil)
 	ctx := WithScope(context.Background(), Scope{Service: "test", Sink: sink})
 	ctx, root := StartSpan(ctx, "http.estimate")
 	_, child := StartSpan(ctx, "pipeline")

@@ -45,7 +45,7 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 }
 
 func TestStartSpanNesting(t *testing.T) {
-	sink := NewSink(16)
+	sink := NewSink(16, nil)
 	ctx := WithScope(context.Background(), Scope{Service: "test", Sink: sink})
 
 	ctx, root := StartSpan(ctx, "root")
@@ -89,7 +89,7 @@ func TestStartSpanContinuesRemoteTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := NewSink(4)
+	sink := NewSink(4, nil)
 	ctx := WithScope(context.Background(), Scope{
 		Service: "test", Sink: sink, RemoteTrace: remote, RemoteParent: parent,
 	})
@@ -120,7 +120,7 @@ func TestStartSpanNoScopeIsFree(t *testing.T) {
 }
 
 func TestDetachPreservesObservability(t *testing.T) {
-	sink := NewSink(4)
+	sink := NewSink(4, nil)
 	ctx := WithScope(context.Background(), Scope{Service: "test", Sink: sink})
 	ctx = WithRequestID(ctx, "req-1")
 	ctx, sp := StartSpan(ctx, "server")
@@ -145,7 +145,7 @@ func TestDetachPreservesObservability(t *testing.T) {
 }
 
 func TestInjectWritesHeaders(t *testing.T) {
-	sink := NewSink(4)
+	sink := NewSink(4, nil)
 	ctx := WithScope(context.Background(), Scope{Service: "test", Sink: sink})
 	ctx = WithRequestID(ctx, "req-7")
 	ctx, sp := StartSpan(ctx, "client")

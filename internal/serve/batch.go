@@ -125,7 +125,7 @@ func (s *Server) estimateBatch(w http.ResponseWriter, r *http.Request, start tim
 		if errors.As(err, &tooBig) {
 			status, codeStr = http.StatusRequestEntityTooLarge, "too_large"
 		}
-		s.metrics.BatchRejected()
+		s.metrics.BatchRejected.Inc()
 		body := errorBody(ctx, err)
 		body["code"] = codeStr
 		s.logger.ErrorContext(ctx, "estimate-batch rejected",
@@ -145,7 +145,7 @@ func (s *Server) estimateBatch(w http.ResponseWriter, r *http.Request, start tim
 			status = he.code
 		}
 		if status == http.StatusGatewayTimeout {
-			s.metrics.DeadlineExceeded()
+			s.metrics.DeadlineExceeded.Inc()
 		}
 		writeJSON(w, status, errorBody(ctx, terr))
 		return status
@@ -188,7 +188,7 @@ func (s *Server) runBatch(jobCtx context.Context, bw *batch.Writer, items []*bat
 	for _, it := range items {
 		if it.err != nil {
 			summary.Failed++
-			s.metrics.BatchItem("invalid")
+			s.metrics.BatchOutcomes.With("invalid").Inc()
 			emit(batch.Event{Type: batch.EventError, Item: it.src.Name, Code: batch.CodeInvalid, Error: it.err.Error()})
 			continue
 		}
@@ -197,13 +197,13 @@ func (s *Server) runBatch(jobCtx context.Context, bw *batch.Writer, items []*bat
 			resp := e.resp
 			resp.Cached = true
 			resp.Stale = s.stale(e.at)
-			s.metrics.CacheHit()
+			s.metrics.CacheHits.Inc()
 			if resp.Stale {
-				s.metrics.StaleServed()
+				s.metrics.StaleServed.Inc()
 				s.revalidate(it.cacheKey, it.workload, it.input, it.src.Body, it.searcher, it.seed, it.repeats, 0, nil)
 			}
 			summary.Completed++
-			s.metrics.BatchItem("cached")
+			s.metrics.BatchOutcomes.With("cached").Inc()
 			emit(batch.Event{Type: batch.EventRefined, Item: it.src.Name, Estimate: marshalEstimate(resp)})
 			continue
 		}
@@ -231,7 +231,7 @@ func (s *Server) runBatch(jobCtx context.Context, bw *batch.Writer, items []*bat
 			summary.Admissions = 1
 		}
 		if err != nil && errors.Is(err, resilience.ErrOverloaded) {
-			s.metrics.Shed()
+			s.metrics.Shed.Inc()
 		}
 	}
 
@@ -239,7 +239,7 @@ func (s *Server) runBatch(jobCtx context.Context, bw *batch.Writer, items []*bat
 	// item, never 429 the whole job.
 	for _, it := range pending[admitted:] {
 		summary.Shed++
-		s.metrics.BatchItem("shed")
+		s.metrics.BatchOutcomes.With("shed").Inc()
 		emit(s.batchShedEvent(it, &summary))
 	}
 
@@ -253,7 +253,7 @@ func (s *Server) runBatch(jobCtx context.Context, bw *batch.Writer, items []*bat
 	if err := s.acquireWorker(jobCtx); err != nil {
 		for _, it := range run {
 			summary.Failed++
-			s.metrics.BatchItem("deadline")
+			s.metrics.BatchOutcomes.With("deadline").Inc()
 			emit(batch.Event{Type: batch.EventError, Item: it.src.Name,
 				Code: batch.CodeDeadline, Error: err.Error()})
 		}
@@ -309,7 +309,7 @@ func (s *Server) batchShedEvent(it *batchItem, sum *batch.Summary) batch.Event {
 		}
 	}
 	resp.Degraded = true
-	s.metrics.Degraded()
+	s.metrics.Degraded.Inc()
 	sum.Degraded++
 	return batch.Event{Type: batch.EventRefined, Item: it.src.Name, Degraded: true,
 		Code: batch.CodeShed, Estimate: marshalEstimate(resp)}
@@ -327,8 +327,8 @@ func (s *Server) runBatchItem(jobCtx context.Context, it *batchItem, itemsLeft i
 		per := remaining / time.Duration(itemsLeft)
 		if per < resilience.MinBudget {
 			sum.Failed++
-			s.metrics.DeadlineExceeded()
-			s.metrics.BatchItem("deadline")
+			s.metrics.DeadlineExceeded.Inc()
+			s.metrics.BatchOutcomes.With("deadline").Inc()
 			emit(batch.Event{Type: batch.EventError, Item: it.src.Name, Code: batch.CodeDeadline,
 				Error: fmt.Sprintf("carved budget %v below minimum %v", per, resilience.MinBudget)})
 			return
@@ -346,16 +346,16 @@ func (s *Server) runBatchItem(jobCtx context.Context, it *batchItem, itemsLeft i
 		span.Finish()
 		code, outcome := classifyItemError(err)
 		if code == batch.CodeDeadline {
-			s.metrics.DeadlineExceeded()
+			s.metrics.DeadlineExceeded.Inc()
 		}
 		sum.Failed++
-		s.metrics.BatchItem(outcome)
+		s.metrics.BatchOutcomes.With(outcome).Inc()
 		emit(batch.Event{Type: batch.EventError, Item: it.src.Name, Code: code, Error: err.Error()})
 		return
 	}
 	span.Finish()
 	sum.Completed++
-	s.metrics.BatchItem("refined")
+	s.metrics.BatchOutcomes.With("refined").Inc()
 	emit(batch.Event{Type: batch.EventRefined, Item: it.src.Name, Estimate: marshalEstimate(*resp)})
 }
 

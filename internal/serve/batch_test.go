@@ -134,12 +134,12 @@ func TestBatchOnePoolAdmissionSharedBuilds(t *testing.T) {
 	if got := s.Pool().Acquires(); got != 1 {
 		t.Errorf("pool acquisitions after replay = %d, want still 1", got)
 	}
-	jobs, itemsTotal, _, outcomes := s.Metrics().BatchCounts()
-	if jobs != 2 || itemsTotal != 8 {
+	m := s.Metrics()
+	if jobs, itemsTotal := m.BatchJobs.Value(), m.BatchItems.Value(); jobs != 2 || itemsTotal != 8 {
 		t.Errorf("batch counts = %d jobs / %d items, want 2/8", jobs, itemsTotal)
 	}
-	if outcomes["refined"] != 4 || outcomes["cached"] != 4 {
-		t.Errorf("outcomes = %v", outcomes)
+	if refined, cached := m.BatchOutcomes.With("refined").Value(), m.BatchOutcomes.With("cached").Value(); refined != 4 || cached != 4 {
+		t.Errorf("outcomes = %d refined / %d cached, want 4/4", refined, cached)
 	}
 }
 

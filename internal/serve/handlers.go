@@ -135,7 +135,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			code = statusFor(err)
 		}
 		if code == http.StatusGatewayTimeout && errors.Is(err, context.DeadlineExceeded) {
-			s.metrics.DeadlineExceeded()
+			s.metrics.DeadlineExceeded.Inc()
 		}
 		s.logger.ErrorContext(r.Context(), "estimate failed",
 			slog.String("method", r.Method),
@@ -269,7 +269,7 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, workload strin
 		e := v.(cacheEntry)
 		resp := e.resp // copy; Cached/Stale/WallMS are per-request
 		resp.Cached = true
-		s.metrics.CacheHit()
+		s.metrics.CacheHits.Inc()
 		s.stampStoreHeaders(w, &resp)
 		if !s.stale(e.at) {
 			return &resp, nil
@@ -279,7 +279,7 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, workload strin
 		// same singleflight and admission gates as a foreground miss,
 		// so a thundering herd of stale hits buys exactly one pipeline
 		// run — and none at all under overload.
-		s.metrics.StaleServed()
+		s.metrics.StaleServed.Inc()
 		resp.Stale = true
 		s.revalidate(cacheKey, workload, input, body, searcher, seed, repeats, devices, mp)
 		return &resp, nil
@@ -307,7 +307,7 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, workload strin
 	}
 
 	v, err, leader := s.flight.Do(cacheKey, func() (any, error) {
-		s.metrics.CacheMiss()
+		s.metrics.CacheMisses.Inc()
 		// Anchored at arrival, not here: with a propagated budget this
 		// server must give up strictly before its caller does, even when
 		// reading the upload ate a slice of the budget already.
@@ -332,7 +332,7 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, workload strin
 	}
 	resp := *(v.(*EstimateResponse)) // copy; Coalesced/WallMS are per-request
 	if !leader {
-		s.metrics.Coalesced()
+		s.metrics.Coalesced.Inc()
 		resp.Coalesced = true
 		// The pipeline spans live in the leader's trace; mark the
 		// follower's server span so the coalescing is visible there too.
@@ -398,7 +398,7 @@ func (s *Server) shedFallback(w http.ResponseWriter, cacheKey, workload, input s
 		}
 	}
 	resp.Degraded = true
-	s.metrics.Degraded()
+	s.metrics.Degraded.Inc()
 	w.Header().Set(DegradedHeader, "true")
 	return &resp, true
 }
@@ -412,7 +412,7 @@ func (s *Server) revalidate(cacheKey, workload, input string, body []byte, searc
 		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaxTimeout)
 		defer cancel()
 		_, err, _ := s.flight.Do(cacheKey, func() (any, error) {
-			s.metrics.CacheMiss()
+			s.metrics.CacheMisses.Inc()
 			if devices > 0 {
 				return s.runPartitionPipeline(ctx, cacheKey, workload, input, body, mp, devices, searcher, seed, repeats)
 			}
@@ -526,7 +526,7 @@ func (s *Server) buildPartitionWorkload(ctx context.Context, workload, input str
 		if err != nil {
 			return fail(badRequest("%v", err))
 		}
-		s.metrics.BuildMiss()
+		s.metrics.BuildMisses.Inc()
 		span.SetAttr("cache", "bypass")
 		return pw, nil
 	}
@@ -537,10 +537,10 @@ func (s *Server) buildPartitionWorkload(ctx context.Context, workload, input str
 		return fail(badRequest("%v", err))
 	}
 	if hit {
-		s.metrics.BuildHit()
+		s.metrics.BuildHits.Inc()
 		span.SetAttr("cache", "hit")
 	} else {
-		s.metrics.BuildMiss()
+		s.metrics.BuildMisses.Inc()
 		span.SetAttr("cache", "miss")
 	}
 	return pw, nil
@@ -669,7 +669,7 @@ func (s *Server) admit(ctx context.Context, cost int64) (release func(), err err
 	aspan.Finish()
 	if err != nil {
 		if errors.Is(err, resilience.ErrOverloaded) {
-			s.metrics.Shed()
+			s.metrics.Shed.Inc()
 			return nil, err
 		}
 		return nil, fmt.Errorf("waiting for admission: %w", err)
@@ -696,7 +696,7 @@ func (s *Server) acquireWorker(ctx context.Context) error {
 // caches the response. The caller holds admission and a worker slot.
 func (s *Server) searchAndRespond(ctx context.Context, cacheKey, workload, input string, cw core.Sampled, searcher core.Searcher, seed uint64, repeats int, meta storeMeta, n store.Neighbor) (*EstimateResponse, error) {
 	if meta.warm != nil {
-		s.metrics.StoreWarmStart()
+		s.metrics.StoreWarmStarts.Inc()
 	}
 	// The metrics registry observes every Evaluate call the pipeline
 	// makes — sequential or fanned out — for the in-flight gauge.
@@ -811,7 +811,7 @@ func (s *Server) buildWorkload(ctx context.Context, workload, input string, body
 		// Uploads bypass the build cache (one-shot bodies are not worth
 		// keying), but they are still real constructions: count them so
 		// batch summaries report build work for upload items too.
-		s.metrics.BuildMiss()
+		s.metrics.BuildMisses.Inc()
 		span.SetAttr("cache", "bypass")
 		return cw, nil
 	}
@@ -826,10 +826,10 @@ func (s *Server) buildWorkload(ctx context.Context, workload, input string, body
 		return fail(badRequest("%v", err))
 	}
 	if hit {
-		s.metrics.BuildHit()
+		s.metrics.BuildHits.Inc()
 		span.SetAttr("cache", "hit")
 	} else {
-		s.metrics.BuildMiss()
+		s.metrics.BuildMisses.Inc()
 		span.SetAttr("cache", "miss")
 	}
 	return cw, nil

@@ -1,13 +1,8 @@
 package serve
 
 import (
-	"fmt"
 	"io"
-	"sort"
 	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -18,66 +13,58 @@ import (
 // estimation runs on Table II replicas (~ms to seconds).
 var latencyBuckets = []float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-// Metrics is the daemon's observability surface, exposed at /metrics
-// in the Prometheus text exposition format using only the standard
-// library. Everything is low-cardinality by construction: labels are
-// the three workload names and HTTP status codes.
+// Metrics is the daemon's observability surface, one obs.Registry
+// exposed at /metrics. Everything is low-cardinality by construction:
+// labels are the known workload names, HTTP status codes, batch-item
+// outcomes and pipeline stage names. Call sites record events on the
+// exported counters directly.
 type Metrics struct {
-	inFlight atomic.Int64
+	reg     *obs.Registry
+	started time.Time
 
-	// Threshold-evaluation accounting, fed by the estimation core via
-	// core.EvalObserver: evaluations currently executing (across all
-	// pipelines and their parallel workers) and the lifetime total.
-	evalsInFlight atomic.Int64
-	evalsTotal    atomic.Uint64
+	requests *obs.Vec[obs.Counter]   // workload, code
+	latency  *obs.Vec[obs.Histogram] // workload
+	inFlight *obs.Gauge
 
-	mu          sync.Mutex
-	requests    map[string]uint64 // key: workload + "\x00" + code
-	hits        uint64
-	misses      uint64
-	coalesced   uint64
-	buildHits   uint64
-	buildMisses uint64
-	latencies   map[string]*obs.Histogram // key: workload
-	started     time.Time
+	// Result-cache and build-cache accounting; Coalesced counts
+	// estimations answered by an identical in-flight pipeline run.
+	CacheHits, CacheMisses, Coalesced *obs.Counter
+	BuildHits, BuildMisses            *obs.Counter
 
 	// Overload-protection accounting (internal/resilience): requests
 	// shed by admission control, degraded fallback answers, stale
 	// cache entries served while revalidating, and requests that
 	// exceeded their (propagated) deadline.
-	shed             uint64
-	degraded         uint64
-	staleServed      uint64
-	deadlineExceeded uint64
+	Shed, Degraded, StaleServed, DeadlineExceeded *obs.Counter
+
+	// Batch (/estimate-batch) accounting: jobs started, items carried
+	// by those jobs, jobs rejected before any work (bad manifest or
+	// over the size limits), and per-item outcomes (refined, cached,
+	// shed, deadline, invalid, error).
+	BatchJobs, BatchItems, BatchRejected *obs.Counter
+	BatchOutcomes                        *obs.Vec[obs.Counter] // outcome
 
 	// Threshold-store (hetstore) accounting: lookups that found a
 	// transferable neighbor, warm-started searches, probe-verified
 	// skips of Identify, probes attempted, probes rejected, and
 	// background re-estimations triggered by drift or low confidence.
-	storeHits        uint64
-	storeWarmStarts  uint64
-	storeSkips       uint64
-	storeProbes      uint64
-	storeRejects     uint64
-	storeReestimates uint64
+	StoreHits, StoreWarmStarts, StoreSkips      *obs.Counter
+	StoreProbes, StoreRejects, StoreReestimates *obs.Counter
 
-	// Batch (/estimate-batch) accounting: jobs started, items carried
-	// by those jobs, jobs rejected before any work (bad manifest or
-	// over the size limits), and per-item outcomes keyed by label
-	// (refined, cached, shed, deadline, invalid, error).
-	batchJobs     uint64
-	batchItems    uint64
-	batchRejected uint64
-	batchOutcomes map[string]uint64
+	// Threshold-evaluation accounting, fed by the estimation core via
+	// core.EvalObserver: evaluations currently executing (across all
+	// pipelines and their parallel workers) and the lifetime total.
+	evalsInFlight *obs.Gauge
+	evalsTotal    *obs.Counter
 
-	// cacheStats reports live cache occupancy and evictions at scrape
-	// time; set by the Server that owns the LRU.
-	cacheStats func() CacheStats
-	// storeStats reports live threshold-store entry count at scrape
-	// time; nil when the store is disabled.
-	storeStats func() int
-	// admissionStats reports the admission controller's live queue
-	// depth and cost occupancy at scrape time.
+	// stages is the span sink's per-stage histogram family.
+	stages *obs.Vec[obs.Histogram]
+
+	// Scrape-time callbacks, set by the Server before it serves: live
+	// cache occupancy and evictions, threshold-store entry count (nil
+	// when the store is disabled), and admission-controller state.
+	cacheStats     func() CacheStats
+	storeStats     func() int
 	admissionStats func() AdmissionStats
 }
 
@@ -89,411 +76,142 @@ type AdmissionStats struct {
 	CostLimit  int64
 }
 
-// NewMetrics returns an empty metrics registry.
+// NewMetrics returns a registry with every hetserve family registered,
+// in exposition order.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		requests:      make(map[string]uint64),
-		latencies:     make(map[string]*obs.Histogram),
-		batchOutcomes: make(map[string]uint64),
-		started:       time.Now(),
+	r := obs.NewRegistry()
+	m := &Metrics{reg: r, started: time.Now()}
+	m.requests = r.CounterVec("hetserve_requests_total", "Completed estimation requests.", "workload", "code")
+	m.CacheHits = r.Counter("hetserve_cache_hits_total", "Estimations served from the result cache.")
+	m.CacheMisses = r.Counter("hetserve_cache_misses_total", "Estimations that ran the sampling pipeline.")
+	r.GaugeFunc("hetserve_cache_hit_ratio", "Cache hits over all lookups.", nil, func(emit obs.Emit) { emit(m.CacheHitRatio()) })
+	m.Coalesced = r.Counter("hetserve_coalesced_total", "Estimations coalesced into an identical in-flight pipeline run.")
+	r.GaugeFunc("hetserve_cache_entries", "Result-cache entries currently held.", nil,
+		fromCallback(&m.cacheStats, func(c CacheStats) float64 { return float64(c.Len) }))
+	r.CounterFunc("hetserve_cache_evictions_total", "Result-cache entries evicted under capacity pressure.", nil,
+		fromCallback(&m.cacheStats, func(c CacheStats) float64 { return float64(c.Evictions) }))
+	m.BuildHits = r.Counter("hetserve_workload_build_hits_total", "Workload constructions served from the build cache.")
+	m.BuildMisses = r.Counter("hetserve_workload_build_misses_total", "Workload constructions that parsed and profiled the input.")
+	m.Shed = r.Counter("hetserve_shed_total", "Requests shed by admission control (429 or degraded fallback).")
+	m.Degraded = r.Counter("hetserve_degraded_total", "Graceful-degradation answers served in place of shed requests.")
+	m.StaleServed = r.Counter("hetserve_stale_served_total", "Stale cache entries served while revalidating in the background.")
+	m.DeadlineExceeded = r.Counter("hetserve_deadline_exceeded_total", "Requests that ran out of their (propagated) deadline budget.")
+	m.BatchJobs = r.Counter("hetserve_batch_jobs_total", "Accepted /estimate-batch jobs.")
+	m.BatchItems = r.Counter("hetserve_batch_items_total", "Items carried by accepted batch jobs.")
+	m.BatchRejected = r.Counter("hetserve_batch_rejected_total", "Batch jobs rejected before any work (bad manifest or over limits).")
+	m.BatchOutcomes = r.CounterVec("hetserve_batch_item_outcomes_total", "Terminal batch-item outcomes.", "outcome")
+	m.StoreHits = r.Counter("hetserve_store_hits_total", "Store lookups that found a transferable neighbor.")
+	m.StoreWarmStarts = r.Counter("hetserve_store_warm_starts_total", "Searches warm-started from a store neighbor.")
+	m.StoreSkips = r.Counter("hetserve_store_skips_total", "Identify phases skipped via probe-verified transfer.")
+	m.StoreProbes = r.Counter("hetserve_store_probes_total", "Transfer-verification probes attempted.")
+	m.StoreRejects = r.Counter("hetserve_store_rejects_total", "Probes that rejected the transferred threshold.")
+	m.StoreReestimates = r.Counter("hetserve_store_reestimates_total", "Background re-estimations of store entries.")
+	r.GaugeFunc("hetserve_store_entries", "Threshold-store entries currently held.", nil,
+		fromCallback(&m.storeStats, func(n int) float64 { return float64(n) }))
+	r.GaugeFunc("hetserve_admission_queue_depth", "Requests waiting for admission.", nil,
+		fromCallback(&m.admissionStats, func(a AdmissionStats) float64 { return float64(a.QueueDepth) }))
+	r.GaugeFunc("hetserve_admission_cost_in_flight", "Estimated evaluation cost currently admitted.", nil,
+		fromCallback(&m.admissionStats, func(a AdmissionStats) float64 { return float64(a.CostInUse) }))
+	r.GaugeFunc("hetserve_admission_cost_limit", "Admission capacity in evaluation-cost units.", nil,
+		fromCallback(&m.admissionStats, func(a AdmissionStats) float64 { return float64(a.CostLimit) }))
+	m.inFlight = r.Gauge("hetserve_in_flight_requests", "Requests currently being handled.")
+	m.evalsInFlight = r.Gauge("hetserve_evaluations_in_flight", "Threshold evaluations currently executing across all pipelines.")
+	m.evalsTotal = r.Counter("hetserve_evaluations_total", "Threshold evaluations performed since start.")
+	r.GaugeFunc("hetserve_uptime_seconds", "Seconds since the daemon started.", nil, func(emit obs.Emit) {
+		emit(time.Since(m.started).Seconds())
+	})
+	m.latency = r.HistogramVec("hetserve_request_duration_seconds", "Request latency by workload.", latencyBuckets, "workload")
+	// Stage profiles come from the span sink: every finished span feeds
+	// a histogram keyed by its name (sample/identify/extrapolate/...).
+	m.stages = r.Stages("hetserve_stage_seconds")
+	return m
+}
+
+// fromCallback reads one value through a callback the Server sets after
+// construction; the family is left out of scrapes while it is unset.
+func fromCallback[T any](fn *func() T, read func(T) float64) func(obs.Emit) {
+	return func(emit obs.Emit) {
+		if *fn != nil {
+			emit(read((*fn)()))
+		}
 	}
 }
 
 // RequestStarted increments the in-flight gauge; the returned func
-// decrements it and records the terminal status and latency.
+// decrements it and records the terminal status and latency. A
+// workload outside cc, spmm, scalefree and batch is recorded as
+// "unknown", so no request can add a label value.
 func (m *Metrics) RequestStarted(workload string) func(code int, elapsed time.Duration) {
+	switch workload {
+	case WorkloadCC, WorkloadSpMM, WorkloadScaleFree, "batch":
+	default:
+		workload = "unknown"
+	}
 	m.inFlight.Add(1)
 	return func(code int, elapsed time.Duration) {
 		m.inFlight.Add(-1)
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		m.requests[workload+"\x00"+strconv.Itoa(code)]++
-		h, ok := m.latencies[workload]
-		if !ok {
-			h = obs.NewHistogram(latencyBuckets)
-			m.latencies[workload] = h
-		}
-		h.Observe(elapsed.Seconds())
+		m.requests.With(workload, strconv.Itoa(code)).Inc()
+		m.latency.With(workload).Observe(elapsed.Seconds())
 	}
-}
-
-// CacheHit records an estimation answered from the result cache.
-func (m *Metrics) CacheHit() {
-	m.mu.Lock()
-	m.hits++
-	m.mu.Unlock()
-}
-
-// CacheMiss records an estimation that had to run the pipeline.
-func (m *Metrics) CacheMiss() {
-	m.mu.Lock()
-	m.misses++
-	m.mu.Unlock()
-}
-
-// Coalesced records an estimation answered by an identical in-flight
-// request's pipeline run instead of its own.
-func (m *Metrics) Coalesced() {
-	m.mu.Lock()
-	m.coalesced++
-	m.mu.Unlock()
-}
-
-// BuildHit records a workload construction answered from the build
-// cache (including singleflight followers of an in-flight build).
-func (m *Metrics) BuildHit() {
-	m.mu.Lock()
-	m.buildHits++
-	m.mu.Unlock()
-}
-
-// BuildMiss records a workload construction that had to parse and
-// profile the input.
-func (m *Metrics) BuildMiss() {
-	m.mu.Lock()
-	m.buildMisses++
-	m.mu.Unlock()
-}
-
-// Shed records a request rejected by admission control.
-func (m *Metrics) Shed() {
-	m.mu.Lock()
-	m.shed++
-	m.mu.Unlock()
-}
-
-// Degraded records a graceful-degradation answer (stale cache entry or
-// NaiveStatic fallback served in place of a shed request).
-func (m *Metrics) Degraded() {
-	m.mu.Lock()
-	m.degraded++
-	m.mu.Unlock()
-}
-
-// StaleServed records a stale cache entry served while a background
-// revalidation refreshes it.
-func (m *Metrics) StaleServed() {
-	m.mu.Lock()
-	m.staleServed++
-	m.mu.Unlock()
-}
-
-// DeadlineExceeded records a request that ran out of its (propagated)
-// deadline budget.
-func (m *Metrics) DeadlineExceeded() {
-	m.mu.Lock()
-	m.deadlineExceeded++
-	m.mu.Unlock()
 }
 
 // BatchJob records one accepted /estimate-batch job carrying n items.
 func (m *Metrics) BatchJob(n int) {
-	m.mu.Lock()
-	m.batchJobs++
-	m.batchItems += uint64(n)
-	m.mu.Unlock()
-}
-
-// BatchRejected records a batch job rejected before any work ran (bad
-// manifest, duplicate names, or over the item/byte limits).
-func (m *Metrics) BatchRejected() {
-	m.mu.Lock()
-	m.batchRejected++
-	m.mu.Unlock()
-}
-
-// BatchItem records one batch item reaching a terminal outcome:
-// refined, cached, shed, deadline, invalid, or error.
-func (m *Metrics) BatchItem(outcome string) {
-	m.mu.Lock()
-	m.batchOutcomes[outcome]++
-	m.mu.Unlock()
-}
-
-// BatchCounts returns the batch totals and a copy of the per-outcome
-// item counts (tests).
-func (m *Metrics) BatchCounts() (jobs, items, rejected uint64, outcomes map[string]uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	outcomes = make(map[string]uint64, len(m.batchOutcomes))
-	for k, v := range m.batchOutcomes {
-		outcomes[k] = v
-	}
-	return m.batchJobs, m.batchItems, m.batchRejected, outcomes
-}
-
-// StoreHit records a store lookup that found a transferable neighbor.
-func (m *Metrics) StoreHit() {
-	m.mu.Lock()
-	m.storeHits++
-	m.mu.Unlock()
-}
-
-// StoreWarmStart records a search warm-started from a store neighbor.
-func (m *Metrics) StoreWarmStart() {
-	m.mu.Lock()
-	m.storeWarmStarts++
-	m.mu.Unlock()
-}
-
-// StoreSkip records an Identify skipped entirely: the transferred
-// threshold passed its verification probe.
-func (m *Metrics) StoreSkip() {
-	m.mu.Lock()
-	m.storeSkips++
-	m.mu.Unlock()
-}
-
-// StoreProbe records a transfer-verification probe attempt.
-func (m *Metrics) StoreProbe() {
-	m.mu.Lock()
-	m.storeProbes++
-	m.mu.Unlock()
-}
-
-// StoreReject records a probe that rejected the transferred threshold.
-func (m *Metrics) StoreReject() {
-	m.mu.Lock()
-	m.storeRejects++
-	m.mu.Unlock()
-}
-
-// StoreReestimate records a background re-estimation of a store entry.
-func (m *Metrics) StoreReestimate() {
-	m.mu.Lock()
-	m.storeReestimates++
-	m.mu.Unlock()
-}
-
-// StoreCounts returns the store counter totals (tests).
-func (m *Metrics) StoreCounts() (hits, warmStarts, skips, probes, rejects, reestimates uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.storeHits, m.storeWarmStarts, m.storeSkips, m.storeProbes, m.storeRejects, m.storeReestimates
-}
-
-// SetStoreStats registers a callback reporting live threshold-store
-// occupancy, rendered at /metrics.
-func (m *Metrics) SetStoreStats(fn func() int) {
-	m.mu.Lock()
-	m.storeStats = fn
-	m.mu.Unlock()
-}
-
-// ResilienceCounts returns the shed/degraded/stale/deadline totals
-// (tests).
-func (m *Metrics) ResilienceCounts() (shed, degraded, staleServed, deadlineExceeded uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.shed, m.degraded, m.staleServed, m.deadlineExceeded
-}
-
-// SetAdmissionStats registers a callback reporting the admission
-// controller's live state, rendered at /metrics.
-func (m *Metrics) SetAdmissionStats(fn func() AdmissionStats) {
-	m.mu.Lock()
-	m.admissionStats = fn
-	m.mu.Unlock()
-}
-
-// BuildCounts returns the build-cache hit/miss totals (tests).
-func (m *Metrics) BuildCounts() (hits, misses uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.buildHits, m.buildMisses
+	m.BatchJobs.Inc()
+	m.BatchItems.Add(uint64(n))
 }
 
 // EvalStarted implements core.EvalObserver.
 func (m *Metrics) EvalStarted() {
 	m.evalsInFlight.Add(1)
-	m.evalsTotal.Add(1)
+	m.evalsTotal.Inc()
 }
 
 // EvalDone implements core.EvalObserver.
 func (m *Metrics) EvalDone() { m.evalsInFlight.Add(-1) }
 
-// EvalsInFlight returns the number of threshold evaluations currently
-// executing (tests).
-func (m *Metrics) EvalsInFlight() int64 { return m.evalsInFlight.Load() }
+// EvalsTotal returns the lifetime threshold-evaluation count.
+func (m *Metrics) EvalsTotal() uint64 { return m.evalsTotal.Value() }
 
-// EvalsTotal returns the lifetime threshold-evaluation count (tests).
-func (m *Metrics) EvalsTotal() uint64 { return m.evalsTotal.Load() }
-
-// CacheCounts returns the hit/miss/coalesce totals (tests).
+// CacheCounts returns the hit/miss/coalesce totals.
 func (m *Metrics) CacheCounts() (hits, misses, coalesced uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.misses, m.coalesced
+	return m.CacheHits.Value(), m.CacheMisses.Value(), m.Coalesced.Value()
 }
 
-// SetCacheStats registers a callback reporting live cache occupancy,
-// rendered at /metrics.
-func (m *Metrics) SetCacheStats(fn func() CacheStats) {
-	m.mu.Lock()
-	m.cacheStats = fn
-	m.mu.Unlock()
+// BuildCounts returns the build-cache hit/miss totals.
+func (m *Metrics) BuildCounts() (hits, misses uint64) {
+	return m.BuildHits.Value(), m.BuildMisses.Value()
+}
+
+// ResilienceCounts returns the shed/degraded/stale/deadline totals.
+func (m *Metrics) ResilienceCounts() (shed, degraded, staleServed, deadlineExceeded uint64) {
+	return m.Shed.Value(), m.Degraded.Value(), m.StaleServed.Value(), m.DeadlineExceeded.Value()
+}
+
+// StoreCounts returns the store counter totals.
+func (m *Metrics) StoreCounts() (hits, warmStarts, skips, probes, rejects, reestimates uint64) {
+	return m.StoreHits.Value(), m.StoreWarmStarts.Value(), m.StoreSkips.Value(),
+		m.StoreProbes.Value(), m.StoreRejects.Value(), m.StoreReestimates.Value()
 }
 
 // CacheHitRatio returns hits / (hits + misses), or 0 before any lookup.
 func (m *Metrics) CacheHitRatio() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.hits+m.misses == 0 {
+	hits, misses := m.CacheHits.Value(), m.CacheMisses.Value()
+	if hits+misses == 0 {
 		return 0
 	}
-	return float64(m.hits) / float64(m.hits+m.misses)
+	return float64(hits) / float64(hits+misses)
 }
 
-// InFlight returns the current in-flight request count.
-func (m *Metrics) InFlight() int64 { return m.inFlight.Load() }
+// SetCacheStats registers the live cache-occupancy callback. Like the
+// other Set methods, call it before the first scrape.
+func (m *Metrics) SetCacheStats(fn func() CacheStats) { m.cacheStats = fn }
+
+// SetStoreStats registers the live threshold-store entry count.
+func (m *Metrics) SetStoreStats(fn func() int) { m.storeStats = fn }
+
+// SetAdmissionStats registers the admission controller's live state.
+func (m *Metrics) SetAdmissionStats(fn func() AdmissionStats) { m.admissionStats = fn }
 
 // WriteTo renders the registry in the Prometheus text format.
-func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	p := func(format string, args ...any) error {
-		c, err := fmt.Fprintf(w, format, args...)
-		n += int64(c)
-		return err
-	}
-
-	if err := p("# HELP hetserve_requests_total Completed estimation requests.\n# TYPE hetserve_requests_total counter\n"); err != nil {
-		return n, err
-	}
-	for _, k := range sortedKeys(m.requests) {
-		wl, code, _ := strings.Cut(k, "\x00")
-		if err := p("hetserve_requests_total{workload=%q,code=%q} %d\n", wl, code, m.requests[k]); err != nil {
-			return n, err
-		}
-	}
-
-	if err := p("# HELP hetserve_cache_hits_total Estimations served from the result cache.\n# TYPE hetserve_cache_hits_total counter\nhetserve_cache_hits_total %d\n", m.hits); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetserve_cache_misses_total Estimations that ran the sampling pipeline.\n# TYPE hetserve_cache_misses_total counter\nhetserve_cache_misses_total %d\n", m.misses); err != nil {
-		return n, err
-	}
-	ratio := 0.0
-	if m.hits+m.misses > 0 {
-		ratio = float64(m.hits) / float64(m.hits+m.misses)
-	}
-	if err := p("# HELP hetserve_cache_hit_ratio Cache hits over all lookups.\n# TYPE hetserve_cache_hit_ratio gauge\nhetserve_cache_hit_ratio %g\n", ratio); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetserve_coalesced_total Estimations coalesced into an identical in-flight pipeline run.\n# TYPE hetserve_coalesced_total counter\nhetserve_coalesced_total %d\n", m.coalesced); err != nil {
-		return n, err
-	}
-	if m.cacheStats != nil {
-		cs := m.cacheStats()
-		if err := p("# HELP hetserve_cache_entries Result-cache entries currently held.\n# TYPE hetserve_cache_entries gauge\nhetserve_cache_entries %d\n", cs.Len); err != nil {
-			return n, err
-		}
-		if err := p("# HELP hetserve_cache_evictions_total Result-cache entries evicted under capacity pressure.\n# TYPE hetserve_cache_evictions_total counter\nhetserve_cache_evictions_total %d\n", cs.Evictions); err != nil {
-			return n, err
-		}
-	}
-	if err := p("# HELP hetserve_workload_build_hits_total Workload constructions served from the build cache.\n# TYPE hetserve_workload_build_hits_total counter\nhetserve_workload_build_hits_total %d\n", m.buildHits); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetserve_workload_build_misses_total Workload constructions that parsed and profiled the input.\n# TYPE hetserve_workload_build_misses_total counter\nhetserve_workload_build_misses_total %d\n", m.buildMisses); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetserve_shed_total Requests shed by admission control (429 or degraded fallback).\n# TYPE hetserve_shed_total counter\nhetserve_shed_total %d\n", m.shed); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetserve_degraded_total Graceful-degradation answers served in place of shed requests.\n# TYPE hetserve_degraded_total counter\nhetserve_degraded_total %d\n", m.degraded); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetserve_stale_served_total Stale cache entries served while revalidating in the background.\n# TYPE hetserve_stale_served_total counter\nhetserve_stale_served_total %d\n", m.staleServed); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetserve_deadline_exceeded_total Requests that ran out of their (propagated) deadline budget.\n# TYPE hetserve_deadline_exceeded_total counter\nhetserve_deadline_exceeded_total %d\n", m.deadlineExceeded); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetserve_batch_jobs_total Accepted /estimate-batch jobs.\n# TYPE hetserve_batch_jobs_total counter\nhetserve_batch_jobs_total %d\n", m.batchJobs); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetserve_batch_items_total Items carried by accepted batch jobs.\n# TYPE hetserve_batch_items_total counter\nhetserve_batch_items_total %d\n", m.batchItems); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetserve_batch_rejected_total Batch jobs rejected before any work (bad manifest or over limits).\n# TYPE hetserve_batch_rejected_total counter\nhetserve_batch_rejected_total %d\n", m.batchRejected); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetserve_batch_item_outcomes_total Terminal batch-item outcomes.\n# TYPE hetserve_batch_item_outcomes_total counter\n"); err != nil {
-		return n, err
-	}
-	for _, k := range sortedKeys(m.batchOutcomes) {
-		if err := p("hetserve_batch_item_outcomes_total{outcome=%q} %d\n", k, m.batchOutcomes[k]); err != nil {
-			return n, err
-		}
-	}
-	storeLines := []struct {
-		name, help string
-		v          uint64
-	}{
-		{"hetserve_store_hits_total", "Store lookups that found a transferable neighbor.", m.storeHits},
-		{"hetserve_store_warm_starts_total", "Searches warm-started from a store neighbor.", m.storeWarmStarts},
-		{"hetserve_store_skips_total", "Identify phases skipped via probe-verified transfer.", m.storeSkips},
-		{"hetserve_store_probes_total", "Transfer-verification probes attempted.", m.storeProbes},
-		{"hetserve_store_rejects_total", "Probes that rejected the transferred threshold.", m.storeRejects},
-		{"hetserve_store_reestimates_total", "Background re-estimations of store entries.", m.storeReestimates},
-	}
-	for _, l := range storeLines {
-		if err := p("# HELP %s %s\n# TYPE %s counter\n%s %d\n", l.name, l.help, l.name, l.name, l.v); err != nil {
-			return n, err
-		}
-	}
-	if m.storeStats != nil {
-		if err := p("# HELP hetserve_store_entries Threshold-store entries currently held.\n# TYPE hetserve_store_entries gauge\nhetserve_store_entries %d\n", m.storeStats()); err != nil {
-			return n, err
-		}
-	}
-	if m.admissionStats != nil {
-		as := m.admissionStats()
-		if err := p("# HELP hetserve_admission_queue_depth Requests waiting for admission.\n# TYPE hetserve_admission_queue_depth gauge\nhetserve_admission_queue_depth %d\n", as.QueueDepth); err != nil {
-			return n, err
-		}
-		if err := p("# HELP hetserve_admission_cost_in_flight Estimated evaluation cost currently admitted.\n# TYPE hetserve_admission_cost_in_flight gauge\nhetserve_admission_cost_in_flight %d\n", as.CostInUse); err != nil {
-			return n, err
-		}
-		if err := p("# HELP hetserve_admission_cost_limit Admission capacity in evaluation-cost units.\n# TYPE hetserve_admission_cost_limit gauge\nhetserve_admission_cost_limit %d\n", as.CostLimit); err != nil {
-			return n, err
-		}
-	}
-	if err := p("# HELP hetserve_in_flight_requests Requests currently being handled.\n# TYPE hetserve_in_flight_requests gauge\nhetserve_in_flight_requests %d\n", m.inFlight.Load()); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetserve_evaluations_in_flight Threshold evaluations currently executing across all pipelines.\n# TYPE hetserve_evaluations_in_flight gauge\nhetserve_evaluations_in_flight %d\n", m.evalsInFlight.Load()); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetserve_evaluations_total Threshold evaluations performed since start.\n# TYPE hetserve_evaluations_total counter\nhetserve_evaluations_total %d\n", m.evalsTotal.Load()); err != nil {
-		return n, err
-	}
-	if err := p("# HELP hetserve_uptime_seconds Seconds since the daemon started.\n# TYPE hetserve_uptime_seconds gauge\nhetserve_uptime_seconds %g\n", time.Since(m.started).Seconds()); err != nil {
-		return n, err
-	}
-
-	if err := p("# HELP hetserve_request_duration_seconds Request latency by workload.\n# TYPE hetserve_request_duration_seconds histogram\n"); err != nil {
-		return n, err
-	}
-	for _, wl := range sortedKeys(m.latencies) {
-		c, err := m.latencies[wl].WriteProm(w, "hetserve_request_duration_seconds", fmt.Sprintf("workload=%q", wl))
-		n += c
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+func (m *Metrics) WriteTo(w io.Writer) (int64, error) { return m.reg.WriteTo(w) }

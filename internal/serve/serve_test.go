@@ -245,9 +245,9 @@ func TestEstimateTimeoutCancelsCleanly(t *testing.T) {
 	// No slot or gauge leak: everything is released once the handler
 	// returns.
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.Pool().InUse() != 0 || srv.Metrics().InFlight() != 0 {
+	for srv.Pool().InUse() != 0 || srv.Metrics().inFlight.Value() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("leak: %d slots, %d in flight", srv.Pool().InUse(), srv.Metrics().InFlight())
+			t.Fatalf("leak: %d slots, %d in flight", srv.Pool().InUse(), srv.Metrics().inFlight.Value())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

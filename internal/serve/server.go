@@ -165,6 +165,7 @@ func New(cfg Config) *Server {
 	} else if queue < 0 {
 		queue = 0
 	}
+	metrics := NewMetrics()
 	s := &Server{
 		cfg:       cfg,
 		platform:  cfg.Platform,
@@ -172,8 +173,8 @@ func New(cfg Config) *Server {
 		admission: resilience.NewAdmission(cfg.AdmissionLimit, queue),
 		cache:     NewLRU(cfg.CacheSize),
 		builds:    newBuildCache(),
-		metrics:   NewMetrics(),
-		sink:      obs.NewSink(cfg.SpanCapacity),
+		metrics:   metrics,
+		sink:      obs.NewSink(cfg.SpanCapacity, metrics.stages),
 		logger:    cfg.Logger,
 		mux:       http.NewServeMux(),
 	}
@@ -244,12 +245,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if _, err := s.metrics.WriteTo(w); err != nil {
 		s.logger.Error("writing metrics", slog.Any("err", err))
-		return
-	}
-	// Stage profiles come from the span sink: every finished span feeds
-	// a histogram keyed by its name (sample/identify/extrapolate/...).
-	if _, err := s.sink.WriteProm(w, "hetserve_stage_seconds"); err != nil {
-		s.logger.Error("writing stage metrics", slog.Any("err", err))
 	}
 }
 

@@ -89,7 +89,7 @@ func (s *Server) storeLookup(ctx context.Context, workload, storeKey string, cw 
 	if !hit {
 		return meta, n
 	}
-	s.metrics.StoreHit()
+	s.metrics.StoreHits.Inc()
 	span.SetAttr("neighbor", n.Entry.Key)
 	span.SetAttr("distance", fmt.Sprintf("%.4f", n.Distance))
 	span.SetAttr("drifted", strconv.FormatBool(n.Drifted))
@@ -142,7 +142,7 @@ func (s *Server) probeTransfer(ctx context.Context, cacheKey, workload, input, s
 		defer s.admission.Release(probeCost)
 	}
 
-	s.metrics.StoreProbe()
+	s.metrics.StoreProbes.Inc()
 	lo, hi := thresholdRange(cw)
 	t := n.Entry.Threshold
 	if t < lo {
@@ -184,14 +184,14 @@ func (s *Server) probeTransfer(ctx context.Context, cacheKey, workload, input, s
 	}
 	if !s.store.AcceptProbe(int64(costs[0]), others...) {
 		span.SetAttr("accepted", "false")
-		s.metrics.StoreReject()
+		s.metrics.StoreRejects.Inc()
 		if s.store.Observe(workload, n.Entry.Key, false) {
 			s.scheduleReestimate(workload, n.Entry.Key)
 		}
 		return nil, false, nil
 	}
 	span.SetAttr("accepted", "true")
-	s.metrics.StoreSkip()
+	s.metrics.StoreSkips.Inc()
 	s.store.Observe(workload, n.Entry.Key, true)
 	// The probe verified this threshold on *this* input at full
 	// scale: record it under the input's own key so future neighbors
@@ -261,7 +261,7 @@ func (s *Server) scheduleReestimate(workload, storeKey string) {
 	flightKey := "reestimate|" + workload + "|" + storeKey
 	go func() {
 		_, _, _ = s.reestimates.Do(flightKey, func() (any, error) {
-			s.metrics.StoreReestimate()
+			s.metrics.StoreReestimates.Inc()
 			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaxTimeout)
 			defer cancel()
 			err := s.reestimate(ctx, workload, name, storeKey)
@@ -287,7 +287,7 @@ func (s *Server) reestimate(ctx context.Context, workload, dataset, storeKey str
 	cost := searchCost(searcher, 1)
 	if err := s.admission.Acquire(ctx, cost); err != nil {
 		if errors.Is(err, resilience.ErrOverloaded) {
-			s.metrics.Shed()
+			s.metrics.Shed.Inc()
 		}
 		return err
 	}
