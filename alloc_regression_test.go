@@ -11,6 +11,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"io"
 	"runtime"
 	"strconv"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/graph"
 	"repro/internal/hetcc"
 	"repro/internal/hetscale"
 	"repro/internal/hetsim"
@@ -169,26 +171,70 @@ func realGeneralBody(t testing.TB, rows, nnz int, seed uint64) []byte {
 // TestMMIOReadAllocsPinned pins upload parsing to a constant number of
 // allocations whatever the entry count: the line reader and coordinate
 // scanner work in place, so only the reader, header, size line and the
-// three entry slices allocate. The string-line parser it replaced made
-// two allocations per entry (ReadString and strings.Fields).
+// entry slices allocate — three for ReadLimited, two for ReadStructure,
+// which keeps no values. The string-line parser it replaced made two
+// allocations per entry (ReadString and strings.Fields).
 func TestMMIOReadAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are not meaningful")
 	}
 	const limit = 24
-	var counts []float64
-	for _, nnz := range []int{2000, 20000} {
-		body := realGeneralBody(t, nnz/10, nnz, 5)
-		allocs := testing.AllocsPerRun(10, func() {
-			c, err := mmio.ReadLimited(bytes.NewReader(body), 64<<20)
-			if err != nil || c.NNZ() == 0 {
-				t.Fatal(c, err)
-			}
-		})
-		counts = append(counts, allocs)
+	for _, read := range []struct {
+		name string
+		fn   func(io.Reader, int64) (*mmio.COO, error)
+	}{{"ReadLimited", mmio.ReadLimited}, {"ReadStructure", mmio.ReadStructure}} {
+		var counts []float64
+		for _, nnz := range []int{2000, 20000} {
+			body := realGeneralBody(t, nnz/10, nnz, 5)
+			allocs := testing.AllocsPerRun(10, func() {
+				c, err := read.fn(bytes.NewReader(body), 64<<20)
+				if err != nil || c.NNZ() == 0 {
+					t.Fatal(c, err)
+				}
+				if structure := read.name == "ReadStructure"; structure != (c.Vals == nil) {
+					t.Fatalf("%s: %d values kept", read.name, len(c.Vals))
+				}
+			})
+			counts = append(counts, allocs)
+		}
+		if counts[0] != counts[1] || counts[0] > limit {
+			t.Errorf("%s allocs at 2k / 20k entries = %v, want the same count <= %d", read.name, counts, limit)
+		}
 	}
-	if counts[0] != counts[1] || counts[0] > limit {
-		t.Errorf("ReadLimited allocs at 2k / 20k entries = %v, want the same count <= %d", counts, limit)
+}
+
+// TestStructureIngestAllocsPinned pins the bytes an uploaded CC graph
+// costs to build: structure read, CSR build and graph build of a fixed
+// 20k-entry body. The structure-only path allocates 656 kB; the
+// valued parse, valued CSR and edge-list graph build it replaced took
+// 1.39 MB. The bound leaves a little headroom over the former, so
+// neither value arrays nor an edge list can creep back in.
+func TestStructureIngestAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are not meaningful")
+	}
+	const limitBytes = 700_000
+	body := realGeneralBody(t, 2000, 20000, 5)
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		c, err := mmio.ReadStructure(bytes.NewReader(body), 64<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := sparse.FromCOO(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := graph.FromCSR(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perRun > limitBytes {
+		t.Errorf("structure ingest of 20k entries allocated %d bytes, want <= %d", perRun, limitBytes)
 	}
 }
 

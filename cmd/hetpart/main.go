@@ -61,7 +61,12 @@ func main() {
 
 func loadMatrix(dataset, mtxPath string) (*sparse.CSR, string, error) {
 	if mtxPath != "" {
-		coo, err := mmio.ReadFile(mtxPath)
+		f, err := os.Open(mtxPath)
+		if err != nil {
+			return nil, "", err
+		}
+		defer f.Close()
+		coo, err := mmio.ReadStructure(f, 0) // the estimates read no value
 		if err != nil {
 			return nil, "", err
 		}
@@ -75,7 +80,7 @@ func loadMatrix(dataset, mtxPath string) (*sparse.CSR, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	m, err := d.Matrix()
+	m, err := d.Pattern()
 	return m, d.Name, err
 }
 

@@ -128,7 +128,10 @@ type evalBatch struct {
 	pts   []float64
 	slots []evalSlot
 	chunk int64
-	limit int64
+	// limit is atomic, unlike the plain fields: join reads it before
+	// the CAS that would order it after the reset, so a stale join can
+	// read it while the next window's submitter stores it.
+	limit atomic.Int64
 	next  atomic.Int64
 	stop  atomic.Bool
 	// workers counts active participants (submitter + joined pool
@@ -143,7 +146,7 @@ type evalBatch struct {
 func (b *evalBatch) join() bool {
 	for {
 		n := b.workers.Load()
-		if n == 0 || n >= b.limit {
+		if n == 0 || n >= b.limit.Load() {
 			return false
 		}
 		if b.workers.CompareAndSwap(n, n+1) {
@@ -355,7 +358,7 @@ func (e *evalTracker) evalWindow(a *evalArena, pts []float64) error {
 	b.tr = e
 	b.pts = fresh
 	b.chunk = chunkFor(len(fresh), par)
-	b.limit = int64(par)
+	b.limit.Store(int64(par))
 	b.next.Store(0)
 	b.stop.Store(false)
 	if b.doneCh == nil {

@@ -108,9 +108,10 @@ func ScaleFreeSet() []Dataset {
 }
 
 var (
-	cacheMu     sync.Mutex
-	matrixCache = map[string]*sparse.CSR{}
-	graphCache  = map[string]*graph.Graph{}
+	cacheMu      sync.Mutex
+	matrixCache  = map[string]*sparse.CSR{}
+	patternCache = map[string]*sparse.CSR{}
+	graphCache   = map[string]*graph.Graph{}
 )
 
 // Matrix generates (and caches) the dataset's matrix replica.
@@ -131,6 +132,25 @@ func (d Dataset) Matrix() (*sparse.CSR, error) {
 	}
 	matrixCache[d.Name] = m
 	return m, nil
+}
+
+// Pattern returns the dataset's matrix replica without its values: one
+// cached view sharing Matrix's structure, for callers that read only
+// the sparsity pattern. Every caller shares the view, and with it the
+// structural index the kernels build on first use.
+func (d Dataset) Pattern() (*sparse.CSR, error) {
+	m, err := d.Matrix()
+	if err != nil {
+		return nil, err
+	}
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	p, ok := patternCache[d.Name]
+	if !ok {
+		p = &sparse.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx}
+		patternCache[d.Name] = p
+	}
+	return p, nil
 }
 
 // Graph generates (and caches) the dataset's graph replica (the "when
@@ -159,5 +179,6 @@ func ResetCache() {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
 	matrixCache = map[string]*sparse.CSR{}
+	patternCache = map[string]*sparse.CSR{}
 	graphCache = map[string]*graph.Graph{}
 }

@@ -95,6 +95,18 @@ func TestMatrixGeneration(t *testing.T) {
 		if m2 != m {
 			t.Errorf("%s: cache miss on second call", name)
 		}
+		// The pattern shares the structure, keeps no values and is
+		// cached too.
+		p, err := d.Pattern()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Vals != nil || &p.RowPtr[0] != &m.RowPtr[0] || &p.ColIdx[0] != &m.ColIdx[0] || p.Rows != m.Rows || p.Cols != m.Cols {
+			t.Errorf("%s: pattern is not a value-free view of the matrix", name)
+		}
+		if p2, _ := d.Pattern(); p2 != p {
+			t.Errorf("%s: pattern cache miss on second call", name)
+		}
 	}
 }
 

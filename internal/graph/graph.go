@@ -127,23 +127,72 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 // each stored entry (i, j) becomes an arc, and the structure is
 // symmetrized if needed. Values are ignored. This is how the paper's
 // Table II matrices are "viewed as" graphs for the CC workload.
+//
+// The adjacency of vertex i is row i of pattern(A) ∪ pattern(Aᵀ): a
+// counting-sort transpose yields each column's rows in ascending order,
+// and a sorted merge of row i of A with row i of Aᵀ yields the union
+// once sized and once written, so Adj holds exactly the arcs.
 func FromCSR(m *sparse.CSR) (*Graph, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("graph: matrix %dx%d is not square", m.Rows, m.Cols)
 	}
-	edges := make([]Edge, 0, m.NNZ())
-	for i := 0; i < m.Rows; i++ {
+	n := m.Rows
+	tPtr := make([]int64, n+1)
+	for _, j := range m.ColIdx {
+		tPtr[j+1]++
+	}
+	for j := 0; j < n; j++ {
+		tPtr[j+1] += tPtr[j]
+	}
+	tAdj := make([]int32, len(m.ColIdx))
+	next := make([]int64, n)
+	copy(next, tPtr)
+	for i := 0; i < n; i++ {
 		cols, _ := m.Row(i)
 		for _, j := range cols {
-			if int32(i) <= j { // take each unordered pair once
-				edges = append(edges, Edge{int32(i), j})
-			} else if m.At(int(j), i) == 0 {
-				// Asymmetric entry below the diagonal: keep it.
-				edges = append(edges, Edge{j, int32(i)})
-			}
+			tAdj[next[j]] = int32(i)
+			next[j]++
 		}
 	}
-	return FromEdges(m.Rows, edges)
+	rowPtr := make([]int64, n+1)
+	for i := 0; i < n; i++ {
+		cols, _ := m.Row(i)
+		rowPtr[i+1] = rowPtr[i] + int64(mergeUnion(nil, cols, tAdj[tPtr[i]:tPtr[i+1]]))
+	}
+	adj := make([]int32, rowPtr[n])
+	for i := 0; i < n; i++ {
+		cols, _ := m.Row(i)
+		mergeUnion(adj[rowPtr[i]:rowPtr[i+1]], cols, tAdj[tPtr[i]:tPtr[i+1]])
+	}
+	return &Graph{N: n, RowPtr: rowPtr, Adj: adj}, nil
+}
+
+// mergeUnion writes the union of the strictly ascending lists a and b,
+// ascending, into dst and returns its length; a nil dst only counts.
+func mergeUnion(dst, a, b []int32) int {
+	w, x, y := 0, 0, 0
+	for x < len(a) && y < len(b) {
+		v := a[x]
+		switch {
+		case v < b[y]:
+			x++
+		case v > b[y]:
+			v = b[y]
+			y++
+		default:
+			x++
+			y++
+		}
+		if dst != nil {
+			dst[w] = v
+		}
+		w++
+	}
+	if dst != nil {
+		copy(dst[w:], a[x:])
+		copy(dst[w+len(a)-x:], b[y:])
+	}
+	return w + len(a) - x + len(b) - y
 }
 
 // InducedSubgraph returns G[S], the subgraph induced by the given

@@ -373,12 +373,14 @@ func (a *Algorithm) Run(p *Profile, t float64) (*Result, error) {
 }
 
 // splitRows returns (A_H, A_L): full-shape matrices holding only the
-// dense (resp. low-dense) rows of A.
+// dense (resp. low-dense) rows of A, patterns when A is one.
 func splitRows(a *sparse.CSR, isDense []bool) (h, l *sparse.CSR) {
 	h = &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1)}
 	l = &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1)}
-	h.Vals = make([]float64, 0)
-	l.Vals = make([]float64, 0)
+	if a.Vals != nil {
+		h.Vals = make([]float64, 0)
+		l.Vals = make([]float64, 0)
+	}
 	for i := 0; i < a.Rows; i++ {
 		cols, vals := a.Row(i)
 		if isDense[i] {

@@ -48,29 +48,35 @@ func scaleFree(t *testing.T, n, nnz int, seed uint64) *sparse.CSR {
 	return m
 }
 
+// TestRunProducesCorrectProduct runs HH-CPU on a valued matrix and on
+// its pattern (nil Vals, implicit ones), as a structure-only read of an
+// upload yields.
 func TestRunProducesCorrectProduct(t *testing.T) {
-	a := scaleFree(t, 300, 4000, 1)
-	want, _, err := sparse.SpMM(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alg := NewAlgorithm(hetsim.Default())
-	prof, err := NewProfile(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, th := range []float64{0, 1, 5, 20, float64(prof.MaxDegree())} {
-		res, err := alg.Run(prof, th)
+	valued := scaleFree(t, 300, 4000, 1)
+	pattern := &sparse.CSR{Rows: valued.Rows, Cols: valued.Cols, RowPtr: valued.RowPtr, ColIdx: valued.ColIdx}
+	for _, a := range []*sparse.CSR{valued, pattern} {
+		want, _, err := sparse.SpMM(a, a)
 		if err != nil {
-			t.Fatalf("t=%v: %v", th, err)
+			t.Fatal(err)
 		}
-		// The quadrant assembly sums partial products in a different
-		// order than plain Gustavson, so compare with a tolerance.
-		if err := approxEqual(res.C, want, 1e-9); err != nil {
-			t.Errorf("t=%v: HH-CPU product differs from plain SpMM: %v", th, err)
+		alg := NewAlgorithm(hetsim.Default())
+		prof, err := NewProfile(a)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if res.FlopsCPU+res.FlopsGPU != prof.TotalWork() {
-			t.Errorf("t=%v: flops %d+%d != %d", th, res.FlopsCPU, res.FlopsGPU, prof.TotalWork())
+		for _, th := range []float64{0, 1, 5, 20, float64(prof.MaxDegree())} {
+			res, err := alg.Run(prof, th)
+			if err != nil {
+				t.Fatalf("t=%v: %v", th, err)
+			}
+			// The quadrant assembly sums partial products in a different
+			// order than plain Gustavson, so compare with a tolerance.
+			if err := approxEqual(res.C, want, 1e-9); err != nil {
+				t.Errorf("t=%v: HH-CPU product differs from plain SpMM: %v", th, err)
+			}
+			if res.FlopsCPU+res.FlopsGPU != prof.TotalWork() {
+				t.Errorf("t=%v: flops %d+%d != %d", th, res.FlopsCPU, res.FlopsGPU, prof.TotalWork())
+			}
 		}
 	}
 }

@@ -1,15 +1,18 @@
 package mmio
 
 // FuzzReadParity holds the byte-slice parser to the frozen reference
-// (reference_test.go) on arbitrary bodies and byte limits. `go test`
-// runs the seed corpus below on every CI pass; `go test -run '^$'
-// -fuzz FuzzReadParity ./internal/mmio` explores further.
+// (reference_test.go) on arbitrary bodies and byte limits, and
+// FuzzReadStructureParity holds the structure read to the same
+// reference with its values dropped. `go test` runs the seed corpora
+// below on every CI pass; `go test -run '^$' -fuzz FuzzReadParity
+// ./internal/mmio` (or -fuzz FuzzReadStructureParity) explores further.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -96,6 +99,39 @@ func FuzzReadParity(f *testing.F) {
 		}
 		got, gerr := ReadLimited(bytes.NewReader(body), limit)
 		want, werr := refReadLimited(bytes.NewReader(body), limit)
+		if msg := parityDiff(got, gerr, want, werr); msg != "" {
+			t.Fatalf("limit %d, body %q: %s", limit, body, msg)
+		}
+	})
+}
+
+// valueSeeds are value tokens at and just past the edges of the plain
+// decimal shape the structure read checks without conversion.
+var valueSeeds = []string{
+	"1e400", "1_0", "0x1p3", "Inf", "+.5e-99", "7.", ".", "1e", "-",
+	"1" + strings.Repeat("0", 200), "1" + strings.Repeat("0", 199), "-1" + strings.Repeat("0", 199) + ".5e-99",
+	"1e99", "1E-05", "1e+", "1e+100", "1.2.3", "1e5x", "+", "-.e1", "00.00", "nan", "+Inf", "1_000.5",
+}
+
+func FuzzReadStructureParity(f *testing.F) {
+	for _, s := range paritySeeds {
+		f.Add([]byte(s), int64(0))
+	}
+	for _, v := range valueSeeds {
+		body := paritySeedHeader + "2 2 2\n1 1 " + v + "\n2 1 " + v + " x\n"
+		f.Add([]byte(body), int64(0))
+		f.Add([]byte(body), int64(len(body)-3))
+		f.Add([]byte("%%MatrixMarket matrix array real general\n1 2\n"+v+"\n0\n"), int64(0))
+	}
+	f.Fuzz(func(t *testing.T, body []byte, limit int64) {
+		if limit > 0 {
+			limit = 1 + (limit-1)%(int64(len(body))+16)
+		}
+		got, gerr := ReadStructure(bytes.NewReader(body), limit)
+		want, werr := refReadLimited(bytes.NewReader(body), limit)
+		if want != nil {
+			want.Vals = nil
+		}
 		if msg := parityDiff(got, gerr, want, werr); msg != "" {
 			t.Fatalf("limit %d, body %q: %s", limit, body, msg)
 		}

@@ -65,14 +65,28 @@ func (l *limitedReader) Read(p []byte) (int, error) {
 
 // ReadLimited parses a Matrix Market stream, failing with ErrTooLarge
 // if the stream holds more than maxBytes bytes. maxBytes <= 0 means no
-// limit. This is the entry point for untrusted uploads (the hetserve
-// daemon), where an unbounded Read would let one request exhaust
-// memory.
+// limit. Untrusted input must come through a limited entry point, where
+// an unbounded Read would let one request exhaust memory.
 func ReadLimited(r io.Reader, maxBytes int64) (*COO, error) {
+	return read(limit(r, maxBytes), true)
+}
+
+// ReadStructure is ReadLimited for callers that need only the sparsity
+// structure: every value is validated — the same inputs are accepted
+// and rejected, with the same errors — but none is kept, so the result
+// has nil Vals whatever its Field. Coordinate values of plain decimal
+// shape are checked without conversion. Array files still convert
+// their values, because their zeros decide the structure.
+func ReadStructure(r io.Reader, maxBytes int64) (*COO, error) {
+	return read(limit(r, maxBytes), false)
+}
+
+// limit wraps r in a limitedReader unless maxBytes <= 0 (no limit).
+func limit(r io.Reader, maxBytes int64) io.Reader {
 	if maxBytes <= 0 {
-		return Read(r)
+		return r
 	}
-	return Read(&limitedReader{r: r, max: maxBytes})
+	return &limitedReader{r: r, max: maxBytes}
 }
 
 // minEntryBytes is the fewest bytes a coordinate entry occupies ("1 1"
@@ -157,7 +171,7 @@ type COO struct {
 	Rows, Cols int
 	RowIdx     []int32
 	ColIdx     []int32
-	Vals       []float64 // len 0 for pattern matrices
+	Vals       []float64 // nil for pattern matrices and from ReadStructure
 	Field      Field
 	Symmetry   Symmetry // symmetry as declared in the file (pre-expansion)
 }
@@ -166,7 +180,11 @@ type COO struct {
 func (c *COO) NNZ() int { return len(c.RowIdx) }
 
 // Read parses a Matrix Market stream.
-func Read(r io.Reader) (*COO, error) {
+func Read(r io.Reader) (*COO, error) { return read(r, true) }
+
+// read parses a Matrix Market stream, storing the entry values only
+// when keepVals is set.
+func read(r io.Reader, keepVals bool) (*COO, error) {
 	size := knownSize(r)
 	br := bufio.NewReaderSize(r, 1<<16)
 
@@ -209,12 +227,12 @@ func Read(r io.Reader) (*COO, error) {
 
 	switch format {
 	case "coordinate":
-		return readCoordinate(lines, sizeLine, field, sym, size)
+		return readCoordinate(lines, sizeLine, field, sym, size, keepVals)
 	case "array":
 		if field == Pattern {
 			return nil, fmt.Errorf("mmio: array format cannot be pattern")
 		}
-		return readArray(lines, sizeLine, field, sym)
+		return readArray(lines, sizeLine, field, sym, keepVals)
 	default:
 		return nil, fmt.Errorf("mmio: unsupported format %q", format)
 	}
@@ -258,7 +276,7 @@ func (lr *lineReader) next() ([]byte, error) {
 	}
 }
 
-func readCoordinate(lines *lineReader, sizeLine string, field Field, sym Symmetry, size int64) (*COO, error) {
+func readCoordinate(lines *lineReader, sizeLine string, field Field, sym Symmetry, size int64, keepVals bool) (*COO, error) {
 	var rows, cols, nnz int
 	if _, err := fmt.Sscan(sizeLine, &rows, &cols, &nnz); err != nil {
 		return nil, fmt.Errorf("mmio: bad size line %q: %w", sizeLine, err)
@@ -270,7 +288,8 @@ func readCoordinate(lines *lineReader, sizeLine string, field Field, sym Symmetr
 	capHint := entryCap(nnz, sym, size)
 	c.RowIdx = make([]int32, 0, capHint)
 	c.ColIdx = make([]int32, 0, capHint)
-	if field != Pattern {
+	keep := keepVals && field != Pattern
+	if keep {
 		c.Vals = make([]float64, 0, capHint)
 	}
 
@@ -279,15 +298,15 @@ func readCoordinate(lines *lineReader, sizeLine string, field Field, sym Symmetr
 		if err != nil {
 			return nil, fmt.Errorf("mmio: entry %d of %d: %w", k+1, nnz, err)
 		}
-		i, j, v, ok := scanEntry(line, field != Pattern)
+		i, j, v, ok := scanEntry(line, field != Pattern, keepVals)
 		if !ok || i < 1 || i > rows || j < 1 || j > cols {
 			if i, j, v, err = parseEntry(string(line), k, field, rows, cols); err != nil {
 				return nil, err
 			}
 		}
-		appendEntry(c, int32(i-1), int32(j-1), v, field)
+		appendEntry(c, int32(i-1), int32(j-1), v, keep)
 		if sym == Symmetric && i != j {
-			appendEntry(c, int32(j-1), int32(i-1), v, field)
+			appendEntry(c, int32(j-1), int32(i-1), v, keep)
 		}
 	}
 	return c, nil
@@ -299,8 +318,10 @@ func readCoordinate(lines *lineReader, sizeLine string, field Field, sym Symmetr
 // separators. Anything else — a sign, a longer index, a byte >= 0x80
 // (Unicode white space separates tokens too), a short line, a bad
 // value — reports !ok and goes to parseEntry, which accepts or rejects
-// it exactly as strings.Fields and strconv.Atoi always have.
-func scanEntry(line []byte, valued bool) (i, j int, v float64, ok bool) {
+// it exactly as strings.Fields and strconv.Atoi always have. Unless
+// keepVals is set, a value of plain decimal shape is validated without
+// conversion and v is 0.
+func scanEntry(line []byte, valued, keepVals bool) (i, j int, v float64, ok bool) {
 	i, rest, ok := scanIndex(line)
 	if !ok || len(rest) == 0 {
 		return 0, 0, 0, false
@@ -313,10 +334,64 @@ func scanEntry(line []byte, valued bool) (i, j int, v float64, ok bool) {
 	if !ok || len(tok) == 0 {
 		return 0, 0, 0, false
 	}
+	if !keepVals && plainDecimal(tok) {
+		return i, j, 0, true
+	}
 	// string(tok) does not escape ParseFloat, so for tokens of up to 32
 	// bytes the conversion uses a stack buffer.
 	v, err := strconv.ParseFloat(string(tok), 64)
 	return i, j, v, err == nil
+}
+
+// maxPlainIntDigits bounds the integer digits plainDecimal accepts:
+// with a two-digit exponent the value stays below 10^299, so a plain
+// decimal can never overflow a float64 and ParseFloat would accept it.
+const maxPlainIntDigits = 200
+
+// plainDecimal reports whether tok has the shape
+// [+-]digits[.digits][(e|E)[+-]d[d]] with at least one mantissa digit
+// and at most maxPlainIntDigits integer digits — a subset of what
+// strconv.ParseFloat accepts without error. Every other token (inf,
+// nan, hex, underscores, longer exponents or integer parts) is for
+// ParseFloat to judge.
+func plainDecimal(tok []byte) bool {
+	k := 0
+	if tok[0] == '+' || tok[0] == '-' {
+		k++
+	}
+	intStart := k
+	for k < len(tok) && '0' <= tok[k] && tok[k] <= '9' {
+		k++
+	}
+	digits := k - intStart
+	if digits > maxPlainIntDigits {
+		return false
+	}
+	if k < len(tok) && tok[k] == '.' {
+		k++
+		fracStart := k
+		for k < len(tok) && '0' <= tok[k] && tok[k] <= '9' {
+			k++
+		}
+		digits += k - fracStart
+	}
+	if digits == 0 {
+		return false
+	}
+	if k < len(tok) && (tok[k] == 'e' || tok[k] == 'E') {
+		k++
+		if k < len(tok) && (tok[k] == '+' || tok[k] == '-') {
+			k++
+		}
+		expStart := k
+		for k < len(tok) && '0' <= tok[k] && tok[k] <= '9' {
+			k++
+		}
+		if n := k - expStart; n < 1 || n > 2 {
+			return false
+		}
+	}
+	return k == len(tok)
 }
 
 // scanIndex parses the unsigned decimal index at the start of b and
@@ -383,15 +458,16 @@ func parseEntry(line string, k int, field Field, rows, cols int) (i, j int, v fl
 	return i, j, v, nil
 }
 
-func appendEntry(c *COO, i, j int32, v float64, field Field) {
+// appendEntry stores one entry, and its value if keep is set.
+func appendEntry(c *COO, i, j int32, v float64, keep bool) {
 	c.RowIdx = append(c.RowIdx, i)
 	c.ColIdx = append(c.ColIdx, j)
-	if field != Pattern {
+	if keep {
 		c.Vals = append(c.Vals, v)
 	}
 }
 
-func readArray(lines *lineReader, sizeLine string, field Field, sym Symmetry) (*COO, error) {
+func readArray(lines *lineReader, sizeLine string, field Field, sym Symmetry, keepVals bool) (*COO, error) {
 	var rows, cols int
 	if _, err := fmt.Sscan(sizeLine, &rows, &cols); err != nil {
 		return nil, fmt.Errorf("mmio: bad array size line %q: %w", sizeLine, err)
@@ -418,9 +494,9 @@ func readArray(lines *lineReader, sizeLine string, field Field, sym Symmetry) (*
 			if v == 0 {
 				continue
 			}
-			appendEntry(c, int32(i), int32(j), v, field)
+			appendEntry(c, int32(i), int32(j), v, keepVals)
 			if sym == Symmetric && i != j {
-				appendEntry(c, int32(j), int32(i), v, field)
+				appendEntry(c, int32(j), int32(i), v, keepVals)
 			}
 		}
 	}

@@ -9,7 +9,8 @@ package mmio
 // once no column can hold another entry, which keeps a declared
 // "0 <huge>" array from spinning without changing any result.
 // FuzzReadParity holds Read and ReadLimited to it: the same success or
-// failure, error text and COO.
+// failure, error text and COO. FuzzReadStructureParity holds
+// ReadStructure to it the same way, values dropped.
 
 import (
 	"bufio"
@@ -146,9 +147,9 @@ func refReadCoordinate(br *bufio.Reader, sizeLine string, field Field, sym Symme
 				return nil, fmt.Errorf("mmio: entry %d: bad value %q", k+1, toks[2])
 			}
 		}
-		appendEntry(c, int32(i-1), int32(j-1), v, field)
+		refAppendEntry(c, int32(i-1), int32(j-1), v, field)
 		if sym == Symmetric && i != j {
-			appendEntry(c, int32(j-1), int32(i-1), v, field)
+			refAppendEntry(c, int32(j-1), int32(i-1), v, field)
 		}
 	}
 	return c, nil
@@ -181,11 +182,20 @@ func refReadArray(br *bufio.Reader, sizeLine string, field Field, sym Symmetry) 
 			if v == 0 {
 				continue
 			}
-			appendEntry(c, int32(i), int32(j), v, field)
+			refAppendEntry(c, int32(i), int32(j), v, field)
 			if sym == Symmetric && i != j {
-				appendEntry(c, int32(j), int32(i), v, field)
+				refAppendEntry(c, int32(j), int32(i), v, field)
 			}
 		}
 	}
 	return c, nil
+}
+
+// refAppendEntry is appendEntry as it was, keyed on the field.
+func refAppendEntry(c *COO, i, j int32, v float64, field Field) {
+	c.RowIdx = append(c.RowIdx, i)
+	c.ColIdx = append(c.ColIdx, j)
+	if field != Pattern {
+		c.Vals = append(c.Vals, v)
+	}
 }

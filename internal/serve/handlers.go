@@ -511,7 +511,7 @@ func (s *Server) buildPartitionWorkload(ctx context.Context, workload, input str
 		return nil, err
 	}
 	if body != nil {
-		coo, err := mmio.ReadLimited(bytes.NewReader(body), s.cfg.MaxUploadBytes)
+		coo, err := mmio.ReadStructure(bytes.NewReader(body), s.cfg.MaxUploadBytes)
 		if err != nil {
 			if errors.Is(err, mmio.ErrTooLarge) {
 				return fail(&httpError{code: http.StatusRequestEntityTooLarge, err: err})
@@ -793,7 +793,7 @@ func (s *Server) buildWorkload(ctx context.Context, workload, input string, body
 		return nil, err
 	}
 	if body != nil {
-		coo, err := mmio.ReadLimited(bytes.NewReader(body), s.cfg.MaxUploadBytes)
+		coo, err := mmio.ReadStructure(bytes.NewReader(body), s.cfg.MaxUploadBytes)
 		if err != nil {
 			if errors.Is(err, mmio.ErrTooLarge) {
 				return fail(&httpError{code: http.StatusRequestEntityTooLarge, err: err})

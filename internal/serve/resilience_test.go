@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -195,25 +197,41 @@ func TestDeadlineHeaderValidatedOnCacheHit(t *testing.T) {
 
 // TestDeadlineHeaderBoundsWork — a small but valid budget bounds the
 // pipeline: the request 504s promptly instead of running the full
-// estimation.
+// estimation. The budget is a quarter of what the same request takes
+// without one on this machine (never below MinBudget), so a faster
+// parser or search cannot finish inside a fixed budget and pass by
+// returning 200.
 func TestDeadlineHeaderBoundsWork(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	body := genMTX(t, 4000, 80000, 9)
-
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/estimate?workload=spmm&repeats=9&searcher=exhaustive", strings.NewReader(string(body)))
-	req.Header.Set(resilience.DeadlineHeader, "30")
-	start := time.Now()
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	post := func(seed int, budget time.Duration) (int, time.Duration) {
+		t.Helper()
+		url := fmt.Sprintf("%s/estimate?workload=spmm&repeats=9&searcher=exhaustive&seed=%d", ts.URL, seed)
+		req, _ := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+		if budget > 0 {
+			resilience.SetBudget(req.Header, budget)
+		}
+		start := time.Now()
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode, time.Since(start)
 	}
-	resp.Body.Close()
-	elapsed := time.Since(start)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504 (deadline should cut the search short)", resp.StatusCode)
+	// Calibrate under another seed, so the result cache cannot answer
+	// the timed request.
+	code, full := post(1, 0)
+	if code != http.StatusOK {
+		t.Fatalf("calibration status = %d, want 200", code)
 	}
-	// The budget is 30ms; the check between evaluations bounds overrun
-	// to one evaluation, so even a slow CI box finishes well under 5s.
+	budget := max(resilience.MinBudget, full/4)
+	code, elapsed := post(2, budget)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d with a %v budget (full run %v), want 504 (the deadline should cut the request short)", code, budget, full)
+	}
+	// The check between evaluations bounds overrun to one evaluation,
+	// so even a slow CI box finishes well under 5s.
 	if elapsed > 5*time.Second {
 		t.Errorf("504 took %v; deadline not honored by the pipeline", elapsed)
 	}

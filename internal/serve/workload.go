@@ -40,13 +40,13 @@ func buildFromDataset(platform *hetsim.Platform, workload, dataset string) (core
 		}
 		return hetcc.NewWorkload(d.Name, g, hetcc.NewAlgorithm(platform)), nil
 	case WorkloadSpMM:
-		m, err := d.Matrix()
+		m, err := d.Pattern() // no served cost model reads a value
 		if err != nil {
 			return nil, err
 		}
 		return hetspmm.NewWorkload(d.Name, m, hetspmm.NewAlgorithm(platform))
 	case WorkloadScaleFree:
-		m, err := d.Matrix()
+		m, err := d.Pattern() // no served cost model reads a value
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +93,7 @@ func buildMultiFromDataset(mp *hetsim.MultiPlatform, workload, dataset string) (
 		}
 		return hetcc.NewMultiWorkload(d.Name, g, hetcc.NewMultiAlgorithm(mp)), nil
 	case WorkloadSpMM:
-		m, err := d.Matrix()
+		m, err := d.Pattern() // no served cost model reads a value
 		if err != nil {
 			return nil, err
 		}
