@@ -149,32 +149,11 @@ func (w *MultiWorkload) EvaluatePartition(p core.Partition) (time.Duration, erro
 // SamplePartition implements core.SampledPartition using the same
 // contracted sampler as the two-device workload.
 func (w *MultiWorkload) SamplePartition(ctx context.Context, r *xrand.Rand) (core.PartitionWorkload, time.Duration, error) {
-	k := w.SampleSize
-	if k <= 0 {
-		k = DefaultSampleSize(w.g.N)
-	}
-	keep := w.KeepFrac
-	if keep == 0 {
-		keep = 0.5
-	}
-	sub, ids, err := w.g.ContractedSample(r, k, keep)
+	sub, cost, err := drawSample(nil, r, w.g, w.alg.Platform.CPU, w.name, w.SampleSize, keepOrDefault(w.KeepFrac), false, false)
 	if err != nil {
-		return nil, 0, fmt.Errorf("hetcc: sampling %s: %w", w.name, err)
+		return nil, 0, err
 	}
-	var scanned int64
-	for _, v := range ids {
-		scanned += int64(w.g.Degree(v))
-	}
-	cost := w.alg.Platform.CPU.Time(hetsim.Kernel{
-		Name:             "cc-sample",
-		Ops:              scanned + int64(k),
-		Bytes:            4 * (scanned + int64(k)),
-		Launches:         1,
-		ParallelFraction: 0.5,
-		IrregularityCV:   1.0,
-	})
-	inner := &MultiWorkload{name: w.name + "-sample", g: sub, alg: w.alg}
-	return inner, cost, nil
+	return &MultiWorkload{name: w.name + "-sample", g: sub, alg: w.alg}, cost, nil
 }
 
 // ExtrapolatePartition implements core.SampledPartition (identity, as

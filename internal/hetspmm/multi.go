@@ -3,7 +3,6 @@ package hetspmm
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -237,20 +236,9 @@ func (w *MultiWorkload) EvaluatePartition(p core.Partition) (time.Duration, erro
 func (w *MultiWorkload) SamplePartition(ctx context.Context, r *xrand.Rand) (core.PartitionWorkload, time.Duration, error) {
 	_, span := obs.StartSpan(ctx, "sample.spmm-multi")
 	defer span.Finish()
-	k := w.SampleDivisor
-	if k <= 0 {
-		k = DefaultSampleDivisor
-	}
-	n := w.prof.a.Rows
-	size := n / k
-	if size < 1 {
-		size = 1
-	}
-	span.SetAttr("rows", strconv.Itoa(n))
-	span.SetAttr("sample_rows", strconv.Itoa(size))
-	sub, err := sparse.UniformSubmatrix(r, w.prof.a, size, size)
+	p := w.alg.Platform
+	sub, cost, err := drawSample(span, r, w.prof.a, p.CPU, p.Link, int64(p.Devices()-1), w.name, w.SampleDivisor)
 	if err != nil {
-		err = fmt.Errorf("hetspmm: sampling %s: %w", w.name, err)
 		span.RecordError(err)
 		return nil, 0, err
 	}
@@ -259,22 +247,6 @@ func (w *MultiWorkload) SamplePartition(ctx context.Context, r *xrand.Rand) (cor
 		return nil, 0, err
 	}
 	inner.prof.Resident = true
-	accels := int64(w.alg.Platform.Devices() - 1)
-	cost := w.alg.Platform.Link.Transfer(accels * 2 * bytesPerNNZ * int64(sub.NNZ()))
-	cost += w.alg.Platform.CPU.Time(hetsim.Kernel{
-		Name:             "spmm-sample",
-		Ops:              int64(w.prof.a.NNZ()) + int64(n),
-		Bytes:            bytesPerNNZ * int64(w.prof.a.NNZ()),
-		Launches:         1,
-		ParallelFraction: 0.9,
-	})
-	cost += w.alg.Platform.CPU.Time(hetsim.Kernel{
-		Name:             "spmm-sample-profile",
-		Ops:              int64(sub.NNZ()) + int64(sub.Rows),
-		Bytes:            8 * int64(sub.NNZ()),
-		Launches:         1,
-		ParallelFraction: 0.9,
-	})
 	return inner, cost, nil
 }
 

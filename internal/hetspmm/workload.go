@@ -73,24 +73,11 @@ func (w *Workload) Evaluate(r float64) (time.Duration, error) {
 func (w *Workload) Sample(ctx context.Context, r *xrand.Rand) (core.Workload, time.Duration, error) {
 	_, span := obs.StartSpan(ctx, "sample.spmm")
 	defer span.Finish()
-	k := w.SampleDivisor
-	if k <= 0 {
-		k = DefaultSampleDivisor
-	}
-	n := w.prof.a.Rows
-	size := n / k
-	if size < 1 {
-		size = 1
-	}
-	span.SetAttr("rows", strconv.Itoa(n))
-	span.SetAttr("sample_rows", strconv.Itoa(size))
-	sub, err := sparse.UniformSubmatrix(r, w.prof.a, size, size)
+	sub, cost, err := drawSample(span, r, w.prof.a, w.alg.Platform.CPU, w.alg.Platform.Link, 1, w.name, w.SampleDivisor)
 	if err != nil {
-		err = fmt.Errorf("hetspmm: sampling %s: %w", w.name, err)
 		span.RecordError(err)
 		return nil, 0, err
 	}
-	span.SetAttr("sample_nnz", strconv.Itoa(sub.NNZ()))
 	inner, err := NewWorkload(w.name+"-sample", sub, w.alg)
 	if err != nil {
 		return nil, 0, err
@@ -98,24 +85,46 @@ func (w *Workload) Sample(ctx context.Context, r *xrand.Rand) (core.Workload, ti
 	// The sample is shipped to the GPU once and stays resident for
 	// the whole Identify search.
 	inner.prof.Resident = true
-	cost := w.alg.Platform.Link.Transfer(2 * bytesPerNNZ * int64(sub.NNZ()))
-	cost += w.alg.Platform.CPU.Time(hetsim.Kernel{
+	return inner, cost, nil
+}
+
+// drawSample is the sampler body Sample and SamplePartition share: it
+// draws an n/K × n/K uniform submatrix of a (K = divisor, default
+// DefaultSampleDivisor) and returns it with its simulated cost —
+// shipping the sample to each of accels accelerators, extracting and
+// compacting it on cpu, and one profile pass over it. span, which may
+// be nil, receives the sample's shape.
+func drawSample(span *obs.Span, r *xrand.Rand, a *sparse.CSR, cpu *hetsim.Device, link *hetsim.Link, accels int64, name string, divisor int) (*sparse.CSR, time.Duration, error) {
+	if divisor <= 0 {
+		divisor = DefaultSampleDivisor
+	}
+	n := a.Rows
+	size := max(n/divisor, 1)
+	span.SetAttr("rows", strconv.Itoa(n))
+	span.SetAttr("sample_rows", strconv.Itoa(size))
+	sub, err := sparse.UniformSubmatrix(r, a, size, size)
+	if err != nil {
+		return nil, 0, fmt.Errorf("hetspmm: sampling %s: %w", name, err)
+	}
+	span.SetAttr("sample_nnz", strconv.Itoa(sub.NNZ()))
+	cost := link.Transfer(accels * 2 * bytesPerNNZ * int64(sub.NNZ()))
+	cost += cpu.Time(hetsim.Kernel{
 		Name:             "spmm-sample",
-		Ops:              int64(w.prof.a.NNZ()) + int64(n),
-		Bytes:            bytesPerNNZ * int64(w.prof.a.NNZ()),
+		Ops:              int64(a.NNZ()) + int64(n),
+		Bytes:            bytesPerNNZ * int64(a.NNZ()),
 		Launches:         1,
 		ParallelFraction: 0.9,
 	})
 	// Building the sample's profile is part of estimation: one load-
 	// vector pass over A' on the CPU.
-	cost += w.alg.Platform.CPU.Time(hetsim.Kernel{
+	cost += cpu.Time(hetsim.Kernel{
 		Name:             "spmm-sample-profile",
 		Ops:              int64(sub.NNZ()) + int64(sub.Rows),
 		Bytes:            8 * int64(sub.NNZ()),
 		Launches:         1,
 		ParallelFraction: 0.9,
 	})
-	return inner, cost, nil
+	return sub, cost, nil
 }
 
 // Extrapolate implements core.Sampled: identity, per Section IV-A
