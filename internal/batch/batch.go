@@ -66,14 +66,19 @@ type Item struct {
 	Body []byte `json:"-"`
 }
 
-// Key returns the item's routing/caching input identity — the same
-// string hetserve keys its result cache by and hetgate shards on, so
+// Key returns the item's routing/caching input identity (InputKey).
+func (it Item) Key() string { return InputKey(it.Dataset, it.Body) }
+
+// InputKey is the input identity hetserve keys its result cache and
+// threshold store by and hetgate shards on: "upload:<fingerprint>" for
+// an uploaded body (any non-nil body), "dataset:<name>" otherwise.
+// Every single request and batch item derives its identity here, so
 // batched and single-request traffic agree on input placement.
-func (it Item) Key() string {
-	if it.Body != nil {
-		return "upload:" + Fingerprint(it.Body)
+func InputKey(dataset string, body []byte) string {
+	if body != nil {
+		return "upload:" + Fingerprint(body)
 	}
-	return "dataset:" + it.Dataset
+	return "dataset:" + dataset
 }
 
 // Job is a parsed batch request.

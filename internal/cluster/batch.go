@@ -160,11 +160,7 @@ func (g *Gateway) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 // placeItem picks the item's backend: the first replica on its key's
 // ring walk whose breaker is not open.
 func (g *Gateway) placeItem(it batch.Item) (string, bool) {
-	key := "dataset:" + it.Dataset
-	if it.Body != nil {
-		key = "upload:" + batch.Fingerprint(it.Body)
-	}
-	for _, b := range g.ring.Replicas(key, g.ring.Len()) {
+	for _, b := range g.ring.Replicas(it.Key(), g.ring.Len()) {
 		if g.breaker(b).State() != BreakerOpen {
 			return b, true
 		}
@@ -327,15 +323,11 @@ func (g *Gateway) rescueItem(ctx context.Context, it batch.Item, hedged bool, me
 		q.Set("repeats", strconv.Itoa(it.Repeats))
 	}
 	method := http.MethodPost
-	key := "upload:"
 	if it.Body == nil {
 		method = http.MethodGet
 		q.Set("dataset", it.Dataset)
-		key = "dataset:" + it.Dataset
-	} else {
-		key += batch.Fingerprint(it.Body)
 	}
-	res, err := g.forward(ctx, method, q.Encode(), it.Body, key, it.Features)
+	res, err := g.forward(ctx, method, q.Encode(), it.Body, it.Key(), it.Features)
 	if err == nil && res.status == http.StatusOK {
 		merge.emit(batch.Event{Type: batch.EventRefined, Item: it.Name,
 			Estimate: res.body, Backend: res.backend, Hedged: hedged, Degraded: res.degraded})

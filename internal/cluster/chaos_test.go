@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/resilience"
 	"repro/internal/serve"
 )
@@ -82,7 +83,7 @@ func TestChaosGatewaySurvivesFaultyBackend(t *testing.T) {
 	// two of the six must land on backend 1, or the chaos is a no-op.
 	faultyURL := e.URLs()[1]
 	ownedBy := func(b []byte) string {
-		owner, _ := g.ring.Pick("upload:" + serve.Fingerprint(b))
+		owner, _ := g.ring.Pick(batch.InputKey("", b))
 		return owner
 	}
 	const requests = 60

@@ -460,3 +460,53 @@ func newHTTPServer(t *testing.T, s *Server) *httptest.Server {
 	t.Cleanup(ts.Close)
 	return ts
 }
+
+// TestBatchAndSingleShareCacheEntries — a batch item and an /estimate
+// request with equal parameters resolve to one result-cache entry, in
+// either order: the second answer is a cache hit, and a batch whose
+// items all hit runs no admission.
+func TestBatchAndSingleShareCacheEntries(t *testing.T) {
+	ts := newTestServer(t, Config{CacheSize: 16})
+	batchOne := func(it batch.Item) (batch.Event, *batch.Summary) {
+		t.Helper()
+		body, ct, err := batch.EncodeRequest([]batch.Item{it})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, events := postBatch(t, ts.URL, ct, "", body)
+		byItem, sum := eventsByItem(events)
+		if code != http.StatusOK || sum == nil || len(byItem[it.Name]) == 0 {
+			t.Fatalf("batch %s: status %d, events %+v", it.Name, code, events)
+		}
+		evs := byItem[it.Name]
+		return evs[len(evs)-1], sum
+	}
+	cachedFlag := func(e batch.Event) any {
+		var out map[string]any
+		if err := json.Unmarshal(e.Estimate, &out); err != nil {
+			t.Fatalf("bad estimate payload: %v", err)
+		}
+		return out["cached"]
+	}
+
+	// /estimate first, then the same input as a batch item.
+	getJSON(t, ts.URL+"/estimate?workload=spmm&dataset=qcd5_4&repeats=1", http.StatusOK)
+	last, sum := batchOne(batch.Item{Name: "q", Workload: "spmm", Dataset: "qcd5_4", Repeats: 1})
+	if cachedFlag(last) != true || sum.Admissions != 0 {
+		t.Errorf("batch after /estimate: cached=%v admissions=%d, want a cache hit and no admission",
+			cachedFlag(last), sum.Admissions)
+	}
+
+	// A batch item first, then the same input through /estimate.
+	batchOne(batch.Item{Name: "c", Workload: "spmm", Dataset: "cant", Repeats: 1})
+	if out := getJSON(t, ts.URL+"/estimate?workload=spmm&dataset=cant&repeats=1", http.StatusOK); out["cached"] != true {
+		t.Errorf("/estimate after batch: cached=%v, want true", out["cached"])
+	}
+
+	// Uploads key by fingerprint on both endpoints alike.
+	mtx := genMTX(t, 800, 6000, 9)
+	batchOne(batch.Item{Name: "up", Workload: "spmm", Repeats: 1, Body: mtx})
+	if out := postMTX(t, ts.URL+"/estimate?workload=spmm&repeats=1", mtx, http.StatusOK); out["cached"] != true {
+		t.Errorf("upload /estimate after batch: cached=%v, want true", out["cached"])
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/hetsim"
 )
@@ -18,7 +17,7 @@ import (
 // live for the life of the server; uploads are never cached here —
 // their population is unbounded and their bytes are request-scoped.
 //
-// Sharing one core.Sampled across concurrent pipelines is safe: the
+// Sharing one workload across concurrent pipelines is safe: the
 // in-tree workloads treat their input and profile as immutable and
 // Sample builds a fresh inner workload per call (see the concurrency
 // notes on each Evaluate).
@@ -33,28 +32,27 @@ func newBuildCache() *buildCache {
 	return &buildCache{m: make(map[string]any)}
 }
 
-// buildKey identifies one constructed workload. The platform's device
-// names participate so servers sharing a cache could never conflate
-// calibrations (the algorithm wrappers embed the platform).
-func buildKey(platform *hetsim.Platform, workload, dataset string) string {
+// buildKey identifies one constructed dataset workload. A scalar
+// workload is keyed by the platform's device names, so servers sharing
+// a cache could never conflate calibrations (the algorithm wrappers
+// embed the platform). An N-device partition workload is keyed by the
+// inventory's signature, which embeds every device's calibration plus
+// the link, so inventories of different size or speed never collide —
+// and never collide with scalar entries, whose keys have no signature
+// braces.
+func buildKey(platform *hetsim.Platform, mp *hetsim.MultiPlatform, workload, dataset string) string {
+	if mp != nil {
+		return strings.Join([]string{mp.Signature(), workload, dataset}, "|")
+	}
 	return strings.Join([]string{platform.CPU.Spec.Name, platform.GPU.Spec.Name, workload, dataset}, "|")
 }
 
-// multiBuildKey identifies one constructed N-device partition workload.
-// The multi-platform signature embeds every device's calibration plus
-// the link, so inventories of different size or speed never collide —
-// and never collide with scalar buildKey entries, whose keys have no
-// signature braces.
-func multiBuildKey(mp *hetsim.MultiPlatform, workload, dataset string) string {
-	return strings.Join([]string{mp.Signature(), workload, dataset}, "|")
-}
-
-// do returns the cached value for key, or builds it. Concurrent misses
-// on one key coalesce into a single build (singleflight): the leader
-// builds, followers share the result and count as hits. Build errors
-// are returned to the whole herd and not cached, so a transient failure
-// does not poison the key.
-func (c *buildCache) do(key string, build func() (any, error)) (v any, hit bool, err error) {
+// get returns the cached workload for key, or builds it. Concurrent
+// misses on one key coalesce into a single build (singleflight): the
+// leader builds, followers share the result and count as hits. Build
+// errors are returned to the whole herd and not cached, so a transient
+// failure does not poison the key.
+func (c *buildCache) get(key string, build func() (any, error)) (v any, hit bool, err error) {
 	c.mu.Lock()
 	if v, ok := c.m[key]; ok {
 		c.mu.Unlock()
@@ -75,24 +73,6 @@ func (c *buildCache) do(key string, build func() (any, error)) (v any, hit bool,
 		return nil, false, err
 	}
 	return v, !leader, nil
-}
-
-// get is do typed for scalar threshold workloads.
-func (c *buildCache) get(key string, build func() (core.Sampled, error)) (w core.Sampled, hit bool, err error) {
-	v, hit, err := c.do(key, func() (any, error) { return build() })
-	if err != nil {
-		return nil, false, err
-	}
-	return v.(core.Sampled), hit, nil
-}
-
-// getPartition is do typed for N-device partition workloads.
-func (c *buildCache) getPartition(key string, build func() (core.SampledPartition, error)) (w core.SampledPartition, hit bool, err error) {
-	v, hit, err := c.do(key, func() (any, error) { return build() })
-	if err != nil {
-		return nil, false, err
-	}
-	return v.(core.SampledPartition), hit, nil
 }
 
 // len reports the current population (tests, metrics).

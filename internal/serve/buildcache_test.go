@@ -22,7 +22,7 @@ func (stubSampled) Name() string { return "stub" }
 func TestBuildCacheHitMiss(t *testing.T) {
 	c := newBuildCache()
 	var builds atomic.Int64
-	build := func() (core.Sampled, error) {
+	build := func() (any, error) {
 		builds.Add(1)
 		return stubSampled{}, nil
 	}
@@ -47,7 +47,7 @@ func TestBuildCacheSingleflight(t *testing.T) {
 	c := newBuildCache()
 	var builds atomic.Int64
 	release := make(chan struct{})
-	build := func() (core.Sampled, error) {
+	build := func() (any, error) {
 		builds.Add(1)
 		<-release // hold every concurrent getter in the same flight
 		return stubSampled{}, nil
@@ -86,12 +86,12 @@ func TestBuildCacheSingleflight(t *testing.T) {
 func TestBuildCacheErrorNotCached(t *testing.T) {
 	c := newBuildCache()
 	boom := errors.New("parse failed")
-	fail := func() (core.Sampled, error) { return nil, boom }
+	fail := func() (any, error) { return nil, boom }
 	if _, _, err := c.get("k", fail); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want build failure", err)
 	}
 	// The failed build must not poison the key.
-	if _, hit, err := c.get("k", func() (core.Sampled, error) { return stubSampled{}, nil }); err != nil || hit {
+	if _, hit, err := c.get("k", func() (any, error) { return stubSampled{}, nil }); err != nil || hit {
 		t.Fatalf("retry after failure: hit=%v err=%v, want fresh miss", hit, err)
 	}
 }

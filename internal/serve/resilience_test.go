@@ -109,7 +109,7 @@ func TestShedFallbackPrefersCache(t *testing.T) {
 	s.cache.Put("k", cacheEntry{resp: want, at: time.Now().Add(-time.Second)})
 
 	rec := httptest.NewRecorder()
-	resp, ok := s.shedFallback(rec, "k", "spmm", "cant", nil, 42, 0, nil)
+	resp, ok := s.shedFallback(rec.Header(), &request{cacheKey: "k", workload: "spmm", input: "cant", seed: 42})
 	if !ok {
 		t.Fatal("shedFallback declined with a cache entry present")
 	}

@@ -2,9 +2,15 @@
 //
 // The paper's Sample → Identify → Extrapolate framework makes
 // threshold selection cheap enough to run online, per input — so this
-// package wraps core.EstimateThreshold in an HTTP service: clients ask
-// "how should I split this matrix/graph across devices?" and get the
-// estimated threshold with overhead accounting as JSON.
+// package serves core.EstimateThreshold (and, for ?devices=N,
+// core.EstimatePartition) over HTTP: clients ask "how should I split
+// this matrix/graph across devices?" and get the estimated threshold
+// or partition with overhead accounting as JSON.
+//
+// Every request — /estimate or one /estimate-batch item — resolves to
+// one request value with one cache key, and every cache miss runs the
+// one miss path (run): build, store lookup, probe-verified transfer or
+// search, cache.
 //
 // Internals: a bounded worker Pool feeds the estimation pipeline, an
 // LRU result cache keyed by (input fingerprint, workload, seed,
@@ -28,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/flight"
 	"repro/internal/hetsim"
 	"repro/internal/obs"
@@ -293,9 +298,13 @@ func (s *Server) requestTimeout(r *http.Request) (time.Duration, error) {
 	return timeout, nil
 }
 
-// statusFor maps pipeline errors to HTTP status codes.
+// statusFor maps request and pipeline errors to HTTP status codes: an
+// *httpError carries its own.
 func statusFor(err error) int {
+	var he *httpError
 	switch {
+	case errors.As(err, &he):
+		return he.code
 	case errors.Is(err, resilience.ErrOverloaded):
 		return http.StatusTooManyRequests
 	case errors.Is(err, context.DeadlineExceeded):
@@ -310,14 +319,6 @@ func statusFor(err error) int {
 // StatusClientClosedRequest is nginx's conventional code for a request
 // abandoned by the client; no standard constant exists.
 const StatusClientClosedRequest = 499
-
-// Fingerprint hashes an uploaded body so identical uploads share a
-// cache entry without retaining the bytes. Exported so the hetgate
-// gateway shards requests by the exact key this cache uses — routing
-// and caching agreeing on input identity is what makes ring locality
-// pay off. The canonical definition lives in internal/batch so single
-// and batched traffic can never disagree on input identity.
-func Fingerprint(b []byte) string { return batch.Fingerprint(b) }
 
 // bodyChunk is the most ReadBody reserves before a body's bytes have
 // arrived.

@@ -44,12 +44,15 @@ type storeMeta struct {
 }
 
 // featuresOf returns the structural features of a built workload,
-// preferring the request's advisory hint. Dataset features are cached:
-// the replica population is fixed, so the O(nnz) scan runs once per
-// (workload, dataset).
-func (s *Server) featuresOf(workload, storeKey string, cw core.Sampled, hint *store.Features) (store.Features, bool) {
-	if hint != nil {
-		return *hint, true
+// preferring a well-formed advisory hint (store.Features wire form; a
+// malformed one is ignored). Dataset features are cached: the replica
+// population is fixed, so the O(nnz) scan runs once per (workload,
+// dataset).
+func (s *Server) featuresOf(workload, storeKey string, cw core.Sampled, hint string) (store.Features, bool) {
+	if hint != "" {
+		if f, err := store.ParseFeatures(hint); err == nil {
+			return f, true
+		}
 	}
 	cacheable := strings.HasPrefix(storeKey, "dataset:")
 	fkey := workload + "|" + storeKey
@@ -76,15 +79,15 @@ func (s *Server) featuresOf(workload, storeKey string, cw core.Sampled, hint *st
 // storeLookup consults the threshold store for a transferable
 // neighbor, under its own span. It returns the prepared transfer
 // state; a miss leaves meta.hit false.
-func (s *Server) storeLookup(ctx context.Context, workload, storeKey string, cw core.Sampled, hint *store.Features) (meta storeMeta, n store.Neighbor) {
-	f, ok := s.featuresOf(workload, storeKey, cw, hint)
+func (s *Server) storeLookup(ctx context.Context, req *request, cw core.Sampled) (meta storeMeta, n store.Neighbor) {
+	f, ok := s.featuresOf(req.workload, req.key, cw, req.features)
 	if !ok {
 		return meta, n
 	}
 	meta.features, meta.hasFeatures = f, true
 	_, span := obs.StartSpan(ctx, "store.lookup")
 	defer span.Finish()
-	n, hit := s.store.Lookup(workload, s.platformSig, storeKey, f)
+	n, hit := s.store.Lookup(req.workload, s.platformSig, req.key, f)
 	span.SetAttr("hit", strconv.FormatBool(hit))
 	if !hit {
 		return meta, n
@@ -123,7 +126,7 @@ func thresholdRange(cw core.Sampled) (lo, hi float64) {
 // Only context/evaluation failures surface as errors. admitted callers
 // (batch items, whose job already holds aggregate admission) skip the
 // probe's own admission so one item is never charged twice.
-func (s *Server) probeTransfer(ctx context.Context, cacheKey, workload, input, storeKey string, cw core.Sampled, n store.Neighbor, meta storeMeta, searcher core.Searcher, seed uint64, repeats int, admitted bool) (*EstimateResponse, bool, error) {
+func (s *Server) probeTransfer(ctx context.Context, req *request, cw core.Sampled, n store.Neighbor, meta storeMeta, admitted bool) (*EstimateResponse, bool, error) {
 	_, span := obs.StartSpan(ctx, "store.probe")
 	defer span.Finish()
 	if !admitted {
@@ -179,53 +182,35 @@ func (s *Server) probeTransfer(ctx context.Context, cacheKey, workload, input, s
 		costs[i] = d
 	}
 	others := make([]int64, 0, len(costs)-1)
+	var overhead time.Duration
 	for _, c := range costs[1:] {
 		others = append(others, int64(c))
+		overhead += c
 	}
 	if !s.store.AcceptProbe(int64(costs[0]), others...) {
 		span.SetAttr("accepted", "false")
 		s.metrics.StoreRejects.Inc()
-		if s.store.Observe(workload, n.Entry.Key, false) {
-			s.scheduleReestimate(workload, n.Entry.Key)
+		if s.store.Observe(req.workload, n.Entry.Key, false) {
+			s.scheduleReestimate(req.workload, n.Entry.Key)
 		}
 		return nil, false, nil
 	}
 	span.SetAttr("accepted", "true")
 	s.metrics.StoreSkips.Inc()
-	s.store.Observe(workload, n.Entry.Key, true)
+	s.store.Observe(req.workload, n.Entry.Key, true)
 	// The probe verified this threshold on *this* input at full
 	// scale: record it under the input's own key so future neighbors
 	// can transfer from it directly.
-	s.store.Put(workload, storeKey, s.platformSig, meta.features, t, int64(costs[0]))
+	s.store.Put(req.workload, req.key, s.platformSig, meta.features, t, int64(costs[0]))
 
-	runTime := costs[0]
-	var overhead time.Duration
-	for _, c := range costs[1:] {
-		overhead += c
-	}
-	resp := EstimateResponse{
-		Workload:      workload,
-		Input:         input,
-		Searcher:      searcher.Name(),
-		Seed:          seed,
-		Repeats:       repeats,
-		Threshold:     t,
-		Evals:         len(points),
-		RunTimeNS:     int64(runTime),
-		RunTime:       runTime.String(),
-		IdentifyNS:    int64(overhead),
-		OverheadNS:    int64(overhead),
-		Overhead:      overhead.String(),
-		StoreHit:      true,
-		Transferred:   true,
-		StoreNeighbor: meta.neighbor,
-		StoreDistance: meta.distance,
-		Features:      meta.features.String(),
-	}
-	if overhead+runTime > 0 {
-		resp.OverheadPct = 100 * float64(overhead) / float64(overhead+runTime)
-	}
-	s.cache.Put(cacheKey, cacheEntry{resp: resp, at: time.Now()})
+	resp := newResponse(req, req.repeats, len(points), 0, overhead, costs[0])
+	resp.Threshold = t
+	resp.StoreHit = true
+	resp.Transferred = true
+	resp.StoreNeighbor = meta.neighbor
+	resp.StoreDistance = meta.distance
+	resp.Features = meta.features.String()
+	s.cache.Put(req.cacheKey, cacheEntry{resp: resp, at: time.Now()})
 	return &resp, true, nil
 }
 
@@ -297,11 +282,12 @@ func (s *Server) reestimate(ctx context.Context, workload, dataset, storeKey str
 	}
 	defer s.pool.Release()
 
-	cw, err := s.buildWorkload(ctx, workload, dataset, nil)
+	w, err := s.buildWorkload(ctx, &request{workload: workload, input: dataset})
 	if err != nil {
 		return err
 	}
-	f, ok := s.featuresOf(workload, storeKey, cw, nil)
+	cw := w.(core.Sampled)
+	f, ok := s.featuresOf(workload, storeKey, cw, "")
 	if !ok {
 		return fmt.Errorf("workload %s exposes no features", workload)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/hetsim"
 	"repro/internal/sparse"
 	"repro/internal/store"
@@ -104,7 +105,7 @@ func TestStoreWarmTransferCutsEvals(t *testing.T) {
 	if got := hdr.Get(StoreHeader); got != "warm" {
 		t.Errorf("%s = %q, want \"warm\"", StoreHeader, got)
 	}
-	if respB["store_neighbor"] != "upload:"+Fingerprint(a) {
+	if respB["store_neighbor"] != batch.InputKey("", a) {
 		t.Errorf("store_neighbor = %v, want a's key", respB["store_neighbor"])
 	}
 	if coldEvals < 5*warmEvals {
@@ -117,7 +118,7 @@ func TestStoreWarmTransferCutsEvals(t *testing.T) {
 
 	// The warm search settled in the window's interior, which counts as
 	// a successful transfer for a's entry.
-	e, ok := st.Get(WorkloadSpMM, "upload:"+Fingerprint(a))
+	e, ok := st.Get(WorkloadSpMM, batch.InputKey("", a))
 	if !ok {
 		t.Fatal("a's entry vanished")
 	}
