@@ -1,41 +1,18 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/benchfmt"
 )
 
-func goodCase() benchCase {
-	return benchCase{
-		Searcher:                "exhaustive(step=1)",
-		Workload:                "cc",
-		Dataset:                 "germany_osm",
-		Evals:                   101,
-		SequentialMS:            2700,
-		ParallelMS:              600,
-		Speedup:                 4.5,
-		SequentialAllocsPerEval: 1,
-		ParallelAllocsPerEval:   1,
-		Identical:               true,
-	}
-}
-
-func goodReport() benchReport {
-	return benchReport{GOMAXPROCS: 4, NumCPU: 4, Parallelism: 8, Cases: []benchCase{goodCase()}}
-}
-
-func defaultCfg() gateConfig {
-	return gateConfig{SpeedupTolerance: 0.30, AllocSlack: 8, MinSpeedup: 1.5, MinSpeedupFloorMS: 5}
-}
-
-// expectProblem runs diff and asserts exactly one problem mentioning
-// want; expectClean asserts no problems.
-func expectProblem(t *testing.T, baseline, current benchReport, want string) {
+// expectProblem asserts that compare reports a problem mentioning want;
+// expectClean asserts that it reports none.
+func expectProblem(t *testing.T, baseline, current benchfmt.Report, want string) {
 	t.Helper()
-	problems := diff(baseline, current, defaultCfg())
-	if len(problems) == 0 {
-		t.Fatalf("expected a problem mentioning %q, got none", want)
-	}
+	problems := compare(baseline, current)
 	for _, p := range problems {
 		if strings.Contains(p, want) {
 			return
@@ -44,11 +21,126 @@ func expectProblem(t *testing.T, baseline, current benchReport, want string) {
 	t.Fatalf("no problem mentions %q; got %v", want, problems)
 }
 
-func expectClean(t *testing.T, baseline, current benchReport) {
+func expectClean(t *testing.T, baseline, current benchfmt.Report) {
 	t.Helper()
-	if problems := diff(baseline, current, defaultCfg()); len(problems) > 0 {
-		t.Fatalf("expected clean diff, got %v", problems)
+	if problems := compare(baseline, current); len(problems) > 0 {
+		t.Fatalf("expected a clean comparison, got %v", problems)
 	}
+}
+
+// expectNone asserts that no problem mentions unwanted.
+func expectNone(t *testing.T, baseline, current benchfmt.Report, unwanted string) {
+	t.Helper()
+	for _, p := range compare(baseline, current) {
+		if strings.Contains(p, unwanted) {
+			t.Fatalf("unexpected problem %q", p)
+		}
+	}
+}
+
+// set changes the value of the row with the given key.
+func set(rep benchfmt.Report, key string, v float64) benchfmt.Report {
+	for i := range rep.Rows {
+		if rep.Rows[i].Key() == key {
+			rep.Rows[i].Value = v
+			return rep
+		}
+	}
+	panic("no row " + key)
+}
+
+// drop removes the row with the given key.
+func drop(rep benchfmt.Report, key string) benchfmt.Report {
+	for i := range rep.Rows {
+		if rep.Rows[i].Key() == key {
+			rep.Rows = append(rep.Rows[:i], rep.Rows[i+1:]...)
+			return rep
+		}
+	}
+	panic("no row " + key)
+}
+
+func TestCompare(t *testing.T) {
+	host := func(gomaxprocs, numCPU int, rows ...benchfmt.Row) benchfmt.Report {
+		return benchfmt.Report{GOMAXPROCS: gomaxprocs, NumCPU: numCPU, Rows: rows}
+	}
+	higher := func(v float64) benchfmt.Row {
+		return benchfmt.Row{Layer: "l", Case: "c", Metric: "speedup", Value: v, Unit: "x", Better: "higher"}
+	}
+	lower := func(v float64) benchfmt.Row {
+		return benchfmt.Row{Layer: "l", Case: "c", Metric: "gap", Value: v, Unit: "%", Better: "lower"}
+	}
+	par := func(v float64, cores int) benchfmt.Row {
+		return benchfmt.Row{Layer: "l", Case: "c", Metric: benchfmt.ParallelSpeedup, Value: v, Unit: "x", Better: "higher", Cores: cores}
+	}
+	bounded := func(r benchfmt.Row, lo, hi *float64) benchfmt.Row {
+		r.Min, r.Max = lo, hi
+		return r
+	}
+	other := higher(1)
+	other.Case = "other"
+
+	cases := []struct {
+		name              string
+		baseline, current benchfmt.Report
+		want              string // "" means clean
+	}{
+		{"higher regresses beyond tolerance", host(4, 4, higher(10)), host(4, 4, higher(6.9)), "regressed"},
+		{"higher within tolerance", host(4, 4, higher(10)), host(4, 4, higher(7.1)), ""},
+		{"lower regresses beyond tolerance", host(4, 4, lower(10)), host(4, 4, lower(13.1)), "regressed"},
+		{"lower within tolerance", host(4, 4, lower(10)), host(4, 4, lower(12.9)), ""},
+		{"negative lower-better value unchanged", host(4, 4, lower(-0.7)), host(4, 4, lower(-0.7)), ""},
+		{"missing row", host(4, 4, higher(1), other), host(4, 4, higher(1)), "missing"},
+		{"new row", host(4, 4, higher(1)), host(4, 4, higher(1), other), ""},
+		{"current min", host(4, 4, higher(1)), host(4, 4, bounded(higher(1), benchfmt.Bound(1.3), nil)), "below the floor 1.3"},
+		{"baseline max", host(4, 4, bounded(lower(1), nil, benchfmt.Bound(1.2))), host(4, 4, lower(1.25)), "above the ceiling 1.2"},
+		{"min and max hold", host(4, 4, higher(1)), host(4, 4, bounded(higher(1), benchfmt.Bound(1), benchfmt.Bound(1))), ""},
+		{"e mismatch", host(2, 2, par(1.8, 8)), host(4, 4, par(1.8, 8)), "not comparable"},
+		{"e mismatch from num_cpu", host(4, 4, par(1.8, 8)), host(4, 2, par(1.8, 8)), "not comparable"},
+		{"same e on different hosts", host(2, 2, par(1.8, 2)), host(8, 16, par(1.8, 2)), ""},
+		{"rows without cores compare anywhere", host(4, 4, higher(1)), host(1, 1, higher(1)), ""},
+		{"parallel speedup above e", host(2, 2, par(2.3, 8)), host(2, 2, par(2.3, 8)), "exceeds the 2 effective core(s)"},
+		{"parallel speedup at e", host(2, 2, par(2, 8)), host(2, 2, par(2, 8)), ""},
+		{"other speedups may exceed e", host(1, 1, higher(40)), host(1, 1, higher(40)), ""},
+		{"non-positive ratio", host(4, 4, higher(1)), host(4, 4, higher(0)), "non-positive"},
+		{"non-positive timing", host(4, 4, higher(1)), host(4, 4, benchfmt.Row{Layer: "l", Case: "t", Metric: "wall", Unit: "ms", Better: "lower"}), "non-positive"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.want == "" {
+				expectClean(t, c.baseline, c.current)
+			} else {
+				expectProblem(t, c.baseline, c.current, c.want)
+			}
+		})
+	}
+}
+
+// The fixtures below have the shape the four benchmarks write.
+
+const (
+	exhaustive = "search/exhaustive(step=1)/cc/germany_osm/"
+	rtf        = "search/race-then-fine/spmm/cant/"
+)
+
+func goodReport() benchfmt.Report {
+	return benchfmt.Report{GOMAXPROCS: 4, NumCPU: 4, Rows: []benchfmt.Row{
+		{Layer: "search", Case: "exhaustive(step=1)/cc/germany_osm", Metric: benchfmt.ParallelSpeedup, Value: 3.5,
+			Unit: "x", Better: "higher", Cores: 8, Min: benchfmt.Bound(1.5)},
+		{Layer: "search", Case: "exhaustive(step=1)/cc/germany_osm", Metric: "identical", Value: 1,
+			Unit: "bool", Better: "higher", Cores: 8, Min: benchfmt.Bound(1)},
+	}}
+}
+
+// withCheapCase adds the microsecond race-then-fine case, which has no
+// speedup floor.
+func withCheapCase(rep benchfmt.Report, speedup float64) benchfmt.Report {
+	rep.Rows = append(rep.Rows,
+		benchfmt.Row{Layer: "search", Case: "race-then-fine/spmm/cant", Metric: benchfmt.ParallelSpeedup, Value: speedup,
+			Unit: "x", Better: "higher", Cores: 8},
+		benchfmt.Row{Layer: "search", Case: "race-then-fine/spmm/cant", Metric: "identical", Value: 1,
+			Unit: "bool", Better: "higher", Cores: 8, Min: benchfmt.Bound(1)})
+	return rep
 }
 
 func TestCleanDiffPasses(t *testing.T) {
@@ -56,463 +148,307 @@ func TestCleanDiffPasses(t *testing.T) {
 }
 
 func TestSingleCoreBaselineIsHardFailure(t *testing.T) {
-	baseline := goodReport()
-	baseline.GOMAXPROCS = 1
-	// Even a flawless current report must not pass against a
-	// single-core baseline — this is the exact bug the gate had.
-	current := goodReport()
-	current.GOMAXPROCS = 1 // matching, so only the single-core check can save us
-	expectProblem(t, baseline, current, "single-core")
+	// Two single-core recordings are comparable (e = 1 on both), but
+	// neither can pass: a parallel speedup above 1 is an artifact, and
+	// an honest ~1x misses the floor.
+	single := func(speedup float64) benchfmt.Report {
+		r := set(goodReport(), exhaustive+benchfmt.ParallelSpeedup, speedup)
+		r.GOMAXPROCS = 1
+		return r
+	}
+	expectProblem(t, single(3.5), single(3.5), "measurement artifact")
+	expectProblem(t, single(0.95), single(0.95), "below the floor 1.5")
 }
 
 func TestGomaxprocsMismatchIsHardFailure(t *testing.T) {
 	current := goodReport()
-	current.GOMAXPROCS = 8
-	expectProblem(t, goodReport(), current, "gomaxprocs mismatch")
+	current.GOMAXPROCS = 2
+	expectProblem(t, goodReport(), current, "not comparable")
 }
 
 func TestEnvironmentFailureSuppressesCaseChecks(t *testing.T) {
 	baseline := goodReport()
-	baseline.GOMAXPROCS = 1
-	current := goodReport()
-	current.Cases[0].Identical = false // would fail per-case, must not be reported
-	problems := diff(baseline, current, defaultCfg())
-	for _, p := range problems {
-		if strings.Contains(p, "identical") {
-			t.Fatalf("per-case problem reported despite environment failure: %v", problems)
-		}
-	}
+	baseline.GOMAXPROCS = 2
+	current := set(goodReport(), exhaustive+"identical", 0)
+	expectProblem(t, baseline, current, "not comparable")
+	expectNone(t, baseline, current, "floor")
 }
 
 func TestNonIdenticalResultFails(t *testing.T) {
-	current := goodReport()
-	current.Cases[0].Identical = false
-	expectProblem(t, goodReport(), current, "identical=false")
+	expectProblem(t, goodReport(), set(goodReport(), exhaustive+"identical", 0), "below the floor 1")
 }
 
 func TestSpeedupRegressionFails(t *testing.T) {
-	current := goodReport()
-	current.Cases[0].Speedup = 2.0 // below 4.5 * 0.7 = 3.15
-	expectProblem(t, goodReport(), current, "speedup regressed")
+	// Above the 1.5 floor but below 3.5 * 0.7 = 2.45.
+	expectProblem(t, goodReport(), set(goodReport(), exhaustive+benchfmt.ParallelSpeedup, 2.0), "regressed")
 }
 
 func TestSpeedupWithinTolerancePasses(t *testing.T) {
-	current := goodReport()
-	current.Cases[0].Speedup = 3.5 // above the 3.15 floor
-	expectClean(t, goodReport(), current)
-}
-
-func TestAllocRegressionFails(t *testing.T) {
-	current := goodReport()
-	current.Cases[0].ParallelAllocsPerEval = 50 // baseline 1 + slack 8 = 9
-	expectProblem(t, goodReport(), current, "allocs/eval regressed")
+	expectClean(t, goodReport(), set(goodReport(), exhaustive+benchfmt.ParallelSpeedup, 2.6))
 }
 
 func TestMissingBaselineCaseFails(t *testing.T) {
-	current := goodReport()
-	current.Cases = nil
-	extra := goodCase()
-	extra.Searcher = "coarse-to-fine(8→1)"
-	current.Cases = append(current.Cases, extra)
-	expectProblem(t, goodReport(), current, "missing from current")
+	current := withCheapCase(goodReport(), 1)
+	current = drop(drop(current, exhaustive+benchfmt.ParallelSpeedup), exhaustive+"identical")
+	expectProblem(t, goodReport(), current, "missing from the current report")
 }
 
 func TestNewCaseWithoutBaselinePasses(t *testing.T) {
-	current := goodReport()
-	extra := goodCase()
-	extra.Searcher = "race-then-fine"
-	current.Cases = append(current.Cases, extra)
-	expectClean(t, goodReport(), current)
+	expectClean(t, goodReport(), withCheapCase(goodReport(), 1))
 }
 
 func TestMinSpeedupRequiresAnExpensiveWinner(t *testing.T) {
-	baseline := goodReport()
-	baseline.Cases[0].Speedup = 1.1
-	current := goodReport()
-	current.Cases[0].Speedup = 1.1 // no regression vs baseline, but never fast
-	expectProblem(t, baseline, current, "not earning its keep")
+	// No regression against the baseline, but never fast.
+	slow := set(goodReport(), exhaustive+benchfmt.ParallelSpeedup, 1.1)
+	expectProblem(t, slow, slow, "below the floor 1.5")
 }
 
-func goodBatchReport() batchReport {
-	r := batchReport{GOMAXPROCS: 4, NumCPU: 4, Backends: 3, Items: 8, Rounds: 4, Speedup: 2.6}
-	r.Batch.ItemsPerSec = 200
-	r.Batch.TTFRMS = 20
-	r.Batch.TTLRMS = 60
-	r.Batch.Admissions = 10 // <= backends*rounds = 12
-	r.Batch.Builds = 32     // <= items*rounds = 32
-	r.Sequential.ItemsPerSec = 77
-	return r
-}
-
-func defaultBatchCfg() batchGateConfig {
-	return batchGateConfig{SpeedupTolerance: 0.30, MinSpeedup: 2.0, TTFRFrac: 0.9}
-}
-
-func expectBatchProblem(t *testing.T, baseline, current batchReport, want string) {
-	t.Helper()
-	problems := diffBatch(baseline, current, defaultBatchCfg())
-	if len(problems) == 0 {
-		t.Fatalf("expected a problem mentioning %q, got none", want)
-	}
-	for _, p := range problems {
-		if strings.Contains(p, want) {
-			return
-		}
-	}
-	t.Fatalf("no problem mentions %q; got %v", want, problems)
-}
-
-func TestBatchCleanDiffPasses(t *testing.T) {
-	if problems := diffBatch(goodBatchReport(), goodBatchReport(), defaultBatchCfg()); len(problems) > 0 {
-		t.Fatalf("expected clean diff, got %v", problems)
-	}
-}
-
-func TestBatchSingleCoreRecordingIsHardFailure(t *testing.T) {
-	baseline := goodBatchReport()
-	baseline.GOMAXPROCS = 1
-	current := goodBatchReport()
-	current.GOMAXPROCS = 1
-	expectBatchProblem(t, baseline, current, "single-core")
-}
-
-func TestBatchGomaxprocsMismatchIsHardFailure(t *testing.T) {
-	current := goodBatchReport()
-	current.GOMAXPROCS = 8
-	expectBatchProblem(t, goodBatchReport(), current, "gomaxprocs mismatch")
-}
-
-func TestBatchJobShapeChangeIsHardFailure(t *testing.T) {
-	current := goodBatchReport()
-	current.Items = 16
-	expectBatchProblem(t, goodBatchReport(), current, "job shape changed")
-}
-
-func TestBatchErrorsFailTheGate(t *testing.T) {
-	current := goodBatchReport()
-	current.Batch.Errors = 1
-	expectBatchProblem(t, goodBatchReport(), current, "has errors")
-}
-
-func TestBatchAbsoluteMinSpeedupFails(t *testing.T) {
-	// No regression vs baseline, but the amortization contract itself
-	// is missed: batching must beat sequential by 2x at 8 items.
-	baseline := goodBatchReport()
-	baseline.Speedup = 1.4
-	current := goodBatchReport()
-	current.Speedup = 1.4
-	expectBatchProblem(t, baseline, current, "amortization contract")
-}
-
-func TestBatchSpeedupRegressionFails(t *testing.T) {
-	baseline := goodBatchReport()
-	baseline.Speedup = 4.0
-	current := goodBatchReport()
-	current.Speedup = 2.1 // above the 2.0 bar but below 4.0 * 0.7 = 2.8
-	expectBatchProblem(t, baseline, current, "speedup regressed")
-}
-
-func TestBatchBufferedStreamFails(t *testing.T) {
-	// TTFR == TTLR means nothing streamed before the job finished.
-	current := goodBatchReport()
-	current.Batch.TTFRMS = 60
-	expectBatchProblem(t, goodBatchReport(), current, "not streaming")
-}
-
-func TestBatchPerItemAdmissionsFail(t *testing.T) {
-	current := goodBatchReport()
-	current.Batch.Admissions = 32 // one per item: amortization lost
-	expectBatchProblem(t, goodBatchReport(), current, "admitted individually")
-}
-
-func TestBatchRebuildsFail(t *testing.T) {
-	current := goodBatchReport()
-	current.Batch.Builds = 64 // every item built twice
-	expectBatchProblem(t, goodBatchReport(), current, "rebuilding")
+func TestMinSpeedupIgnoresCheapCases(t *testing.T) {
+	// A microsecond-scale search cannot amortize fan-out overhead; it
+	// carries no floor, only the regression rule.
+	expectClean(t, withCheapCase(goodReport(), 0.9), withCheapCase(goodReport(), 0.9))
+	expectProblem(t, withCheapCase(goodReport(), 0.9), withCheapCase(goodReport(), 0.5), rtf+benchfmt.ParallelSpeedup+": regressed")
 }
 
 func TestLowCPUCountRecordingIsHardFailure(t *testing.T) {
-	// GOMAXPROCS=4 on a 1-CPU host time-slices instead of running in
-	// parallel; the recorded num_cpu must catch it on either side.
-	baseline := goodReport()
-	baseline.NumCPU = 1
-	expectProblem(t, baseline, goodReport(), "never serve as a baseline")
-
-	current := goodReport()
-	current.NumCPU = 2
-	expectProblem(t, goodReport(), current, ">=4 CPUs")
+	// Fewer CPUs than the parallel arm uses lower e; the recording then
+	// cannot gate, or be gated by, one with more.
+	low := goodReport()
+	low.NumCPU = 1
+	expectProblem(t, low, goodReport(), "not comparable")
+	low.NumCPU = 2
+	expectProblem(t, goodReport(), low, "not comparable")
 }
 
 func TestLowCPUCountSuppressesCaseChecks(t *testing.T) {
 	baseline := goodReport()
 	baseline.NumCPU = 1
-	current := goodReport()
-	current.Cases[0].Identical = false // would fail per-case, must not be reported
-	for _, p := range diff(baseline, current, defaultCfg()) {
-		if strings.Contains(p, "identical") {
-			t.Fatalf("per-case problem reported despite environment failure: %v",
-				diff(baseline, current, defaultCfg()))
-		}
-	}
+	current := set(goodReport(), exhaustive+benchfmt.ParallelSpeedup, 0.5)
+	expectNone(t, baseline, current, "regressed")
+	expectNone(t, baseline, current, "floor")
 }
 
-func TestMinSpeedupIgnoresCheapCases(t *testing.T) {
-	// A microsecond-scale search cannot amortize fan-out overhead;
-	// its low speedup must not satisfy or trip the -min-speedup bar.
-	baseline := goodReport()
-	cheap := goodCase()
-	cheap.Searcher = "race-then-fine"
-	cheap.SequentialMS = 0.05
-	cheap.ParallelMS = 0.05
-	cheap.Speedup = 1.0
-	baseline.Cases = append(baseline.Cases, cheap)
-	current := goodReport()
-	current.Cases = append(current.Cases, cheap)
-	expectClean(t, baseline, current)
+const batchCase = "batch/items=8/backends=3/"
+
+func goodBatchReport() benchfmt.Report {
+	row := func(metric string, v float64, unit, better string, cores int, lo, hi *float64) benchfmt.Row {
+		return benchfmt.Row{Layer: "batch", Case: "items=8/backends=3", Metric: metric, Value: v,
+			Unit: unit, Better: better, Cores: cores, Min: lo, Max: hi}
+	}
+	return benchfmt.Report{GOMAXPROCS: 4, NumCPU: 4, Rows: []benchfmt.Row{
+		row("speedup", 2.6, "x", "higher", 3, benchfmt.Bound(2), nil),
+		row("ttfr_frac", 0.33, "x", "lower", 3, nil, benchfmt.Bound(0.9)),
+		row("admissions_per_job", 2.5, "count", "lower", 0, nil, benchfmt.Bound(3)),
+		row("builds_per_job", 8, "count", "lower", 0, nil, benchfmt.Bound(8)),
+		row("errors", 0, "count", "lower", 0, nil, benchfmt.Bound(0)),
+	}}
 }
 
-func goodKernelReport() kernelReport {
-	r := kernelReport{GOMAXPROCS: 1, NumCPU: 1} // kernels mode permits any host
-	add := func(kernel, dataset string, speedup float64) {
-		r.Kernels = append(r.Kernels, kernelRow{
-			Kernel: kernel, Dataset: dataset, Class: "road",
-			RefNsOp: 1000 * speedup, TunedNsOp: 1000, Speedup: speedup,
-		})
+func TestBatchCleanDiffPasses(t *testing.T) {
+	expectClean(t, goodBatchReport(), goodBatchReport())
+}
+
+func TestBatchSingleCoreRecordingIsHardFailure(t *testing.T) {
+	single := goodBatchReport()
+	single.GOMAXPROCS = 1
+	expectProblem(t, single, goodBatchReport(), "not comparable")
+	expectProblem(t, goodBatchReport(), single, "not comparable")
+}
+
+func TestBatchGomaxprocsMismatchIsHardFailure(t *testing.T) {
+	current := goodBatchReport()
+	current.GOMAXPROCS = 2
+	expectProblem(t, goodBatchReport(), current, "not comparable")
+}
+
+func TestBatchJobShapeChangeIsHardFailure(t *testing.T) {
+	// The shape is part of the case name, so a different job shape
+	// leaves every baseline row unmatched.
+	current := goodBatchReport()
+	for i := range current.Rows {
+		current.Rows[i].Case = "items=16/backends=3"
 	}
-	add("spmv", "germany_osm", 1.6)
-	add("cc-dfs", "germany_osm", 1.2)
-	add("split-grid", "germany_osm", 40)
-	r.GeomeanSpeedup = r.geomean()
+	expectProblem(t, goodBatchReport(), current, batchCase+"speedup: present in the baseline but missing")
+}
+
+func TestBatchErrorsFailTheGate(t *testing.T) {
+	expectProblem(t, goodBatchReport(), set(goodBatchReport(), batchCase+"errors", 1), "above the ceiling 0")
+}
+
+func TestBatchAbsoluteMinSpeedupFails(t *testing.T) {
+	// No regression against the baseline, but the amortization
+	// contract itself is missed: batching must beat sequential by 2x.
+	slow := set(goodBatchReport(), batchCase+"speedup", 1.4)
+	expectProblem(t, slow, slow, "below the floor 2")
+}
+
+func TestBatchSpeedupRegressionFails(t *testing.T) {
+	// Above the 2.0 floor but below 4.0 * 0.7 = 2.8.
+	expectProblem(t, set(goodBatchReport(), batchCase+"speedup", 4), set(goodBatchReport(), batchCase+"speedup", 2.1), "regressed")
+}
+
+func TestBatchBufferedStreamFails(t *testing.T) {
+	// TTFR == TTLR means nothing streamed before the job finished.
+	expectProblem(t, goodBatchReport(), set(goodBatchReport(), batchCase+"ttfr_frac", 1), "above the ceiling 0.9")
+}
+
+func TestBatchPerItemAdmissionsFail(t *testing.T) {
+	// One admission per item: amortization lost.
+	expectProblem(t, goodBatchReport(), set(goodBatchReport(), batchCase+"admissions_per_job", 8), "above the ceiling 3")
+}
+
+func TestBatchRebuildsFail(t *testing.T) {
+	// Every item built twice.
+	expectProblem(t, goodBatchReport(), set(goodBatchReport(), batchCase+"builds_per_job", 16), "above the ceiling 8")
+}
+
+func goodKernelReport() benchfmt.Report {
+	r := benchfmt.Report{GOMAXPROCS: 1, NumCPU: 1}
+	logSum := 0.0
+	for _, k := range []struct {
+		name    string
+		speedup float64
+	}{{"spmv/germany_osm", 1.6}, {"cc-dfs/germany_osm", 1.2}, {"split-grid/germany_osm", 40}} {
+		r.Rows = append(r.Rows, benchfmt.Row{Layer: "kernels", Case: k.name, Metric: "speedup", Value: k.speedup, Unit: "x", Better: "higher"})
+		logSum += math.Log(k.speedup)
+	}
+	r.Rows = append(r.Rows, benchfmt.Row{Layer: "kernels", Case: "geomean", Metric: "speedup",
+		Value: math.Exp(logSum / 3), Unit: "x", Better: "higher", Min: benchfmt.Bound(1.3)})
 	return r
 }
 
-func defaultKernelCfg() kernelGateConfig {
-	return kernelGateConfig{SpeedupTolerance: 0.30, MinGeomean: 1.3}
-}
-
-func expectKernelProblem(t *testing.T, baseline, current kernelReport, want string) {
-	t.Helper()
-	problems := diffKernels(baseline, current, defaultKernelCfg())
-	if len(problems) == 0 {
-		t.Fatalf("expected a problem mentioning %q, got none", want)
-	}
-	for _, p := range problems {
-		if strings.Contains(p, want) {
-			return
-		}
-	}
-	t.Fatalf("no problem mentions %q; got %v", want, problems)
-}
-
 func TestKernelsCleanDiffPasses(t *testing.T) {
-	if problems := diffKernels(goodKernelReport(), goodKernelReport(), defaultKernelCfg()); len(problems) > 0 {
-		t.Fatalf("expected clean diff, got %v", problems)
-	}
+	expectClean(t, goodKernelReport(), goodKernelReport())
 }
 
 func TestKernelsSingleCoreRecordingIsAllowed(t *testing.T) {
-	// The whole point of kernels mode: tuned/ref ratios from one
-	// process are meaningful on any host, including 1-CPU CI runners.
-	r := goodKernelReport()
-	if r.GOMAXPROCS != 1 || r.NumCPU != 1 {
-		t.Fatal("fixture should model a single-core recording")
-	}
-	if problems := diffKernels(r, r, defaultKernelCfg()); len(problems) > 0 {
-		t.Fatalf("single-core kernel recording must pass, got %v", problems)
-	}
+	// Kernel rows time both arms on one core, so they carry no cores
+	// and compare across hosts, including single-core ones.
+	multi := goodKernelReport()
+	multi.GOMAXPROCS, multi.NumCPU = 4, 4
+	expectClean(t, goodKernelReport(), goodKernelReport())
+	expectClean(t, multi, goodKernelReport())
 }
 
 func TestKernelsGeomeanBelowContractFails(t *testing.T) {
-	current := goodKernelReport()
-	for i := range current.Kernels {
-		current.Kernels[i].Speedup = 1.05
-	}
-	current.GeomeanSpeedup = current.geomean()
-	expectKernelProblem(t, goodKernelReport(), current, "tuning contract")
-}
-
-func TestKernelsEditedGeomeanFails(t *testing.T) {
-	current := goodKernelReport()
-	current.GeomeanSpeedup = 99 // does not match the rows
-	expectKernelProblem(t, goodKernelReport(), current, "does not match the rows")
+	slow := set(goodKernelReport(), "kernels/geomean/speedup", 1.05)
+	expectProblem(t, slow, slow, "below the floor 1.3")
 }
 
 func TestKernelsPerKernelRegressionFails(t *testing.T) {
-	current := goodKernelReport()
-	current.Kernels[2].Speedup = 10 // below 40 * 0.7 = 28, geomean still fine
-	current.GeomeanSpeedup = current.geomean()
-	expectKernelProblem(t, goodKernelReport(), current, "speedup regressed")
+	// Below 40 * 0.7 = 28 while the geomean still clears its floor.
+	expectProblem(t, goodKernelReport(), set(goodKernelReport(), "kernels/split-grid/germany_osm/speedup", 10), "regressed")
 }
 
 func TestKernelsMissingRowFails(t *testing.T) {
-	current := goodKernelReport()
-	current.Kernels = current.Kernels[:2]
-	current.GeomeanSpeedup = current.geomean()
-	expectKernelProblem(t, goodKernelReport(), current, "missing from current")
+	expectProblem(t, goodKernelReport(), drop(goodKernelReport(), "kernels/cc-dfs/germany_osm/speedup"), "missing")
 }
 
 func TestKernelsNewRowWithoutBaselinePasses(t *testing.T) {
 	current := goodKernelReport()
-	current.Kernels = append(current.Kernels, kernelRow{
-		Kernel: "symbolic", Dataset: "cant", Class: "fem",
-		RefNsOp: 1000, TunedNsOp: 1000, Speedup: 1.0,
-	})
-	current.GeomeanSpeedup = current.geomean()
-	if problems := diffKernels(goodKernelReport(), current, defaultKernelCfg()); len(problems) > 0 {
-		t.Fatalf("new row must not need a baseline, got %v", problems)
-	}
+	current.Rows = append(current.Rows, benchfmt.Row{Layer: "kernels", Case: "symbolic/cant", Metric: "speedup", Value: 1, Unit: "x", Better: "higher"})
+	expectClean(t, goodKernelReport(), current)
 }
 
 func TestKernelsBrokenTimingFails(t *testing.T) {
-	current := goodKernelReport()
-	current.Kernels[0].TunedNsOp = 0
-	current.Kernels[0].Speedup = 0
-	expectKernelProblem(t, goodKernelReport(), current, "recording is broken")
+	expectProblem(t, goodKernelReport(), set(goodKernelReport(), "kernels/spmv/germany_osm/speedup", 0), "recording is broken")
 }
 
-func goodPartitionReport() partitionReport {
-	r := partitionReport{GOMAXPROCS: 4, NumCPU: 4, Parallelism: 8}
-	r.Parity = partitionParityRow{
-		Searcher: "coarse-to-fine(8→1)", Workload: "cc", Dataset: "germany_osm",
-		Evals: 28, ScalarMS: 260, VectorMS: 270, Overhead: 1.04, Identical: true,
-	}
-	r.Simplex = []partitionSimplexRow{
-		{Devices: 3, Workload: "scenario", Dataset: "synthetic", Evals: 155,
-			ExhaustiveEvals: 5151, ExhaustiveGapPct: 0},
-		{Devices: 4, Workload: "scenario", Dataset: "synthetic", Evals: 230},
-		{Devices: 3, Workload: "spmm", Dataset: "cant", Evals: 36,
-			ExhaustiveEvals: 231, ExhaustiveGapPct: -0.7},
-	}
-	return r
-}
+const (
+	parity = "partition/parity/coarse-to-fine(8→1)/cc/germany_osm/"
+	d3     = "partition/simplex/d=3/scenario/synthetic/"
+	d4     = "partition/simplex/d=4/scenario/synthetic/"
+	spmm3  = "partition/simplex/d=3/spmm/cant/"
+)
 
-func defaultPartitionCfg() partitionGateConfig {
-	return partitionGateConfig{OverheadTolerance: 0.30, MaxOverhead: 1.5, EvalBudget: 1000, MaxGapPct: 5}
-}
-
-func expectPartitionProblem(t *testing.T, baseline, current partitionReport, want string) {
-	t.Helper()
-	problems := diffPartition(baseline, current, defaultPartitionCfg())
-	if len(problems) == 0 {
-		t.Fatalf("expected a problem mentioning %q, got none", want)
+func goodPartitionReport() benchfmt.Report {
+	row := func(c, metric string, v float64, unit, better string, cores int, lo, hi *float64) benchfmt.Row {
+		return benchfmt.Row{Layer: "partition", Case: c, Metric: metric, Value: v,
+			Unit: unit, Better: better, Cores: cores, Min: lo, Max: hi}
 	}
-	for _, p := range problems {
-		if strings.Contains(p, want) {
-			return
-		}
-	}
-	t.Fatalf("no problem mentions %q; got %v", want, problems)
+	const par = "parity/coarse-to-fine(8→1)/cc/germany_osm"
+	return benchfmt.Report{GOMAXPROCS: 4, NumCPU: 4, Rows: []benchfmt.Row{
+		row(par, "identical", 1, "bool", "higher", 8, benchfmt.Bound(1), nil),
+		row(par, "overhead", 1.04, "x", "lower", 8, nil, benchfmt.Bound(1.5)),
+		row("simplex/d=3/scenario/synthetic", "evals", 155, "count", "lower", 0, nil, benchfmt.Bound(1000)),
+		row("simplex/d=3/scenario/synthetic", "gap_pct", 0, "%", "lower", 0, nil, benchfmt.Bound(5)),
+		row("simplex/d=4/scenario/synthetic", "evals", 230, "count", "lower", 0, nil, benchfmt.Bound(1000)),
+		row("simplex/d=3/spmm/cant", "evals", 36, "count", "lower", 0, nil, benchfmt.Bound(230)),
+		row("simplex/d=3/spmm/cant", "gap_pct", -0.7, "%", "lower", 0, nil, benchfmt.Bound(5)),
+	}}
 }
 
 func TestPartitionCleanDiffPasses(t *testing.T) {
-	if problems := diffPartition(goodPartitionReport(), goodPartitionReport(), defaultPartitionCfg()); len(problems) > 0 {
-		t.Fatalf("expected clean diff, got %v", problems)
-	}
+	expectClean(t, goodPartitionReport(), goodPartitionReport())
 }
 
 func TestPartitionSingleCoreRecordingIsHardFailure(t *testing.T) {
-	baseline := goodPartitionReport()
-	baseline.GOMAXPROCS = 1
-	current := goodPartitionReport()
-	current.GOMAXPROCS = 1
-	expectPartitionProblem(t, baseline, current, "single-core")
+	single := goodPartitionReport()
+	single.GOMAXPROCS = 1
+	expectProblem(t, single, goodPartitionReport(), parity+"overhead: not comparable")
 }
 
 func TestPartitionLowGomaxprocsIsHardFailure(t *testing.T) {
-	// Stricter than search mode: 2 or 3 schedulable cores is refused
-	// too, not only single-core.
-	baseline := goodPartitionReport()
-	baseline.GOMAXPROCS = 2
-	current := goodPartitionReport()
-	current.GOMAXPROCS = 2
-	expectPartitionProblem(t, baseline, current, "GOMAXPROCS>=4")
+	low := goodPartitionReport()
+	low.GOMAXPROCS = 2
+	expectProblem(t, goodPartitionReport(), low, parity+"overhead: not comparable")
 }
 
 func TestPartitionLowCPUCountIsHardFailure(t *testing.T) {
-	current := goodPartitionReport()
-	current.NumCPU = 1
-	expectPartitionProblem(t, goodPartitionReport(), current, ">=4 CPUs")
+	low := goodPartitionReport()
+	low.NumCPU = 1
+	expectProblem(t, goodPartitionReport(), low, parity+"overhead: not comparable")
 }
 
 func TestPartitionGomaxprocsMismatchIsHardFailure(t *testing.T) {
-	current := goodPartitionReport()
-	current.GOMAXPROCS = 8
-	expectPartitionProblem(t, goodPartitionReport(), current, "gomaxprocs mismatch")
+	wide := goodPartitionReport()
+	wide.GOMAXPROCS, wide.NumCPU = 8, 8
+	expectProblem(t, goodPartitionReport(), wide, parity+"overhead: not comparable")
 }
 
 func TestPartitionEnvironmentFailureSuppressesRowChecks(t *testing.T) {
 	baseline := goodPartitionReport()
 	baseline.GOMAXPROCS = 1
-	current := goodPartitionReport()
-	current.Parity.Identical = false // would fail per-row, must not be reported
-	for _, p := range diffPartition(baseline, current, defaultPartitionCfg()) {
-		if strings.Contains(p, "identical") {
-			t.Fatalf("per-row problem reported despite environment failure")
-		}
-	}
+	current := set(goodPartitionReport(), parity+"identical", 0)
+	expectProblem(t, baseline, current, parity+"identical: not comparable")
+	expectNone(t, baseline, current, "floor")
 }
 
 func TestPartitionNonIdenticalParityFails(t *testing.T) {
-	current := goodPartitionReport()
-	current.Parity.Identical = false
-	expectPartitionProblem(t, goodPartitionReport(), current, "identical=false")
+	expectProblem(t, goodPartitionReport(), set(goodPartitionReport(), parity+"identical", 0), "below the floor 1")
 }
 
 func TestPartitionOverheadCapFails(t *testing.T) {
-	baseline := goodPartitionReport()
-	baseline.Parity.Overhead = 1.9 // growth within tolerance, cap must still fire
-	current := goodPartitionReport()
-	current.Parity.Overhead = 1.9
-	expectPartitionProblem(t, baseline, current, "taxing the scalar search")
+	// Growth within tolerance; the cap must still fire.
+	taxed := set(goodPartitionReport(), parity+"overhead", 1.9)
+	expectProblem(t, taxed, taxed, "above the ceiling 1.5")
 }
 
 func TestPartitionOverheadGrowthFails(t *testing.T) {
-	current := goodPartitionReport()
-	current.Parity.Overhead = 1.45 // under the 1.5 cap but over 1.04 * 1.3 = 1.352
-	expectPartitionProblem(t, goodPartitionReport(), current, "overhead grew")
+	// Under the 1.5 cap but over 1.04 * 1.3 = 1.352.
+	expectProblem(t, goodPartitionReport(), set(goodPartitionReport(), parity+"overhead", 1.45), "regressed")
 }
 
 func TestPartitionEvalBudgetFails(t *testing.T) {
-	current := goodPartitionReport()
-	current.Simplex[1].Evals = 1500
-	expectPartitionProblem(t, goodPartitionReport(), current, "over the 1000 budget")
+	expectProblem(t, goodPartitionReport(), set(goodPartitionReport(), d4+"evals", 1500), "above the ceiling 1000")
 }
 
 func TestPartitionDescentCostlierThanSweepFails(t *testing.T) {
-	current := goodPartitionReport()
-	current.Simplex[2].Evals = 231 // equals the sweep: no saving
-	expectPartitionProblem(t, goodPartitionReport(), current, "no saving")
+	// As many evaluations as the 231-point sweep: no saving.
+	expectProblem(t, goodPartitionReport(), set(goodPartitionReport(), spmm3+"evals", 231), "above the ceiling 230")
 }
 
 func TestPartitionGapOverAcceptanceBarFails(t *testing.T) {
-	current := goodPartitionReport()
-	current.Simplex[0].ExhaustiveGapPct = 7.2
-	expectPartitionProblem(t, goodPartitionReport(), current, "acceptance bar")
-}
-
-func TestPartitionGapIgnoredWithoutSweep(t *testing.T) {
-	// A row that never ran the exhaustive sweep carries no gap
-	// information; a stale non-zero value must not trip the gate.
-	current := goodPartitionReport()
-	current.Simplex[1].ExhaustiveEvals = 0
-	current.Simplex[1].ExhaustiveGapPct = 99
-	if problems := diffPartition(goodPartitionReport(), current, defaultPartitionCfg()); len(problems) > 0 {
-		t.Fatalf("gap without a sweep must not gate, got %v", problems)
-	}
+	expectProblem(t, goodPartitionReport(), set(goodPartitionReport(), d3+"gap_pct", 7.2), "above the ceiling 5")
 }
 
 func TestPartitionMissingSimplexRowFails(t *testing.T) {
-	current := goodPartitionReport()
-	current.Simplex = current.Simplex[:2]
-	expectPartitionProblem(t, goodPartitionReport(), current, "missing from current")
+	expectProblem(t, goodPartitionReport(), drop(goodPartitionReport(), spmm3+"evals"), "missing")
 }
 
 func TestPartitionNewRowWithoutBaselinePasses(t *testing.T) {
 	current := goodPartitionReport()
-	current.Simplex = append(current.Simplex, partitionSimplexRow{
-		Devices: 5, Workload: "scenario", Dataset: "synthetic", Evals: 400,
-	})
-	if problems := diffPartition(goodPartitionReport(), current, defaultPartitionCfg()); len(problems) > 0 {
-		t.Fatalf("new row must not need a baseline, got %v", problems)
-	}
+	current.Rows = append(current.Rows, benchfmt.Row{Layer: "partition", Case: "simplex/d=5/scenario/synthetic",
+		Metric: "evals", Value: 400, Unit: "count", Better: "lower", Max: benchfmt.Bound(1000)})
+	expectClean(t, goodPartitionReport(), current)
 }
