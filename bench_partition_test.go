@@ -1,118 +1,43 @@
 package repro
 
 // BenchmarkPartition measures the N-device partition-vector search and
-// writes BENCH_partition.json — the simplex counterpart of
-// BENCH_search.json.
+// writes BENCH_partition.json.
 //
-//	go test -bench=BenchmarkPartition -benchtime=1x
+//	go test -run '^$' -bench=BenchmarkPartition -benchtime=1x .
 //
-// The report has two sections:
+// The report has two kinds of rows:
 //
-//   - parity: the same scalar searcher run twice over the same
-//     2-device workload, once through Searcher.Search and once through
-//     SimplexSearch over the AsPartition adapter. The vector path must
-//     produce the bit-identical result (Best share, BestTime, Evals,
-//     Cost and Curve) — that is the core contract of the
-//     generalization — and the report records its wall-clock overhead
-//     ratio so the adapter cannot quietly grow a tax.
+//   - parity: the same scalar searcher run over the same 2-device
+//     workload through Searcher.Search and through SimplexSearch over
+//     the AsPartition adapter, in alternating rounds. The vector path
+//     must produce the bit-identical result (identical, floor 1), and
+//     its wall-clock overhead (vector/scalar) stays under 1.5× so the
+//     adapter cannot quietly grow a tax.
 //
 //   - simplex: coordinate-descent searches at 3 and 4 devices on the
 //     analytic hetsim scenario (whose optimum is input-dependent by
-//     construction) plus a real 3-device SpMM prefix-split, recording
-//     wall-clock, evaluation counts, and — where an exhaustive
-//     step-1 sweep is affordable — the quality gap of the descent
-//     against the true simplex optimum. The gap on the 3-device
-//     scenario is the paper-level acceptance number: the identified
-//     vector must land within 5% of exhaustive.
-//
-// Like BenchmarkSearch, the harness refuses to record at GOMAXPROCS=1:
-// wall-clock from a single-core run would poison the committed
-// regression baseline (benchdiff -mode partition additionally refuses
-// any report recorded with gomaxprocs or num_cpu below 4).
+//     construction) plus a real 3-device SpMM prefix-split. Each
+//     records its evaluations, capped at 1000 and, where an exhaustive
+//     sweep is affordable, below the sweep's count; and the sweep's
+//     gap_pct, how far the descent's best partition runs above the
+//     sweep's optimum, capped at the paper-level 5%.
 
 import (
 	"context"
 	"encoding/json"
-	"os"
-	"runtime"
+	"fmt"
 	"testing"
-	"time"
 
+	"repro/internal/benchfmt"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/hetsim"
 	"repro/internal/hetspmm"
 )
 
-// partitionParity is the N=2 scalar-vs-vector section of the report.
-type partitionParity struct {
-	Searcher string `json:"searcher"`
-	Workload string `json:"workload"`
-	Dataset  string `json:"dataset"`
-	Evals    int    `json:"evals"`
-	// Wall-clock milliseconds of the scalar search and of the same
-	// search driven through the partition adapter, both at
-	// Parallelism=benchParallelism, and their ratio (vector/scalar).
-	ScalarMS float64 `json:"scalar_ms"`
-	VectorMS float64 `json:"vector_ms"`
-	Overhead float64 `json:"overhead"`
-	// Identical is true when the SimplexResult carries exactly the
-	// scalar SearchResult's fields: Best[0], BestTime, Evals, Cost and
-	// the whole Curve point for point.
-	Identical bool `json:"identical"`
-}
-
-// partitionSimplexCase is one N>=3 coordinate-descent search.
-type partitionSimplexCase struct {
-	Devices  int     `json:"devices"`
-	Workload string  `json:"workload"`
-	Dataset  string  `json:"dataset"`
-	Searcher string  `json:"searcher"`
-	WallMS   float64 `json:"wall_ms"`
-	Evals    int     `json:"evals"`
-	// ExhaustiveEvals and ExhaustiveGapPct are recorded when a step-1
-	// exhaustive simplex sweep was affordable on the same workload:
-	// the gap is how far (percent) the descent's best partition runs
-	// above the true optimum. Zero ExhaustiveEvals means no sweep ran
-	// and the gap carries no information.
-	ExhaustiveEvals  int     `json:"exhaustive_evals,omitempty"`
-	ExhaustiveGapPct float64 `json:"exhaustive_gap_pct"`
-}
-
-type partitionBenchReport struct {
-	GOMAXPROCS  int                    `json:"gomaxprocs"`
-	NumCPU      int                    `json:"num_cpu"`
-	Parallelism int                    `json:"parallelism"`
-	Parity      partitionParity        `json:"parity"`
-	Simplex     []partitionSimplexCase `json:"simplex"`
-}
-
-// timeSimplex runs the partition searcher as a sub-benchmark pinned to
-// the given parallelism and returns the result and per-iteration
-// wall-clock.
-func timeSimplex(b *testing.B, name string, s core.SimplexSearcher, w core.PartitionWorkload, par int) (core.SimplexResult, time.Duration) {
-	var res core.SimplexResult
-	var perIter time.Duration
-	b.Run(name, func(b *testing.B) {
-		ctx := core.WithParallelism(context.Background(), par)
-		// One untimed run to warm scratch pools and spawn pool
-		// workers, so the measurement sees the steady state.
-		if _, err := s.SearchPartition(ctx, w, 0, 100); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r, err := s.SearchPartition(ctx, w, 0, 100)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res = r
-		}
-		b.StopTimer()
-		perIter = b.Elapsed() / time.Duration(b.N)
-	})
-	return res, perIter
-}
+// simplexEvalBudget is the evaluation ceiling of one descent: a descent
+// that approaches sweep-sized counts has lost its reason to exist.
+const simplexEvalBudget = 1000
 
 // parityIdentical checks that a 2-device SimplexResult carries exactly
 // the scalar SearchResult: the free axis is device 0, so Best[0] and
@@ -164,105 +89,77 @@ func benchScenario(devices int) *hetsim.Scenario {
 // BenchmarkPartition drives the parity pair and the simplex cases and
 // writes the BENCH_partition.json report.
 func BenchmarkPartition(b *testing.B) {
-	if runtime.GOMAXPROCS(0) == 1 {
-		b.Fatal("refusing to record BENCH_partition.json at GOMAXPROCS=1: " +
-			"a single-core run cannot measure the parallel simplex search and would " +
-			"poison the regression baseline; re-run with GOMAXPROCS>=4")
-	}
-	report := partitionBenchReport{
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		Parallelism: benchParallelism,
-	}
+	rep := benchfmt.New()
 	ctx := core.WithParallelism(context.Background(), benchParallelism)
 
-	// Parity: the expensive CC sweep from BenchmarkSearch, run as a
+	// Parity: the expensive CC search from BenchmarkSearch, run as a
 	// scalar search and as a 2-device partition search. germany_osm
 	// keeps per-evaluation cost high enough that the adapter's
 	// per-call overhead (share assembly, pool round-trip) is measured
 	// against realistic work, not against a no-op.
 	scalarW := ccWorkload(b, hetsim.Default(), "germany_osm")
+	vectorW := core.AsPartition(scalarW)
 	axis := core.CoarseToFine{}
-	scalarRes, scalarTime, _ := timeSearch(b, "parity/scalar/p=8", axis, scalarW, benchParallelism)
-	vectorRes, vectorTime := timeSimplex(b, "parity/vector/p=8",
-		core.SimplexSearch{Axis: axis}, core.AsPartition(scalarW), benchParallelism)
+	vector := core.SimplexSearch{Axis: axis}
+	var scalarRes core.SearchResult
+	var vectorRes core.SimplexResult
+	overhead := pairRatio(loop(func() {
+		r, err := vector.SearchPartition(ctx, vectorW, 0, 100)
+		if err != nil {
+			b.Fatal(err)
+		}
+		vectorRes = r
+	}), searchArm(b, axis, scalarW, benchParallelism, &scalarRes), parallelArmTime)
 	identical := parityIdentical(scalarRes, vectorRes)
 	if !identical {
 		sj, _ := json.Marshal(scalarRes)
 		vj, _ := json.Marshal(vectorRes)
 		b.Errorf("2-device vector search differs from scalar:\n  scalar %s\n  vector %s", sj, vj)
 	}
-	overhead := 0.0
-	if scalarTime > 0 {
-		overhead = float64(vectorTime) / float64(scalarTime)
-	}
-	report.Parity = partitionParity{
-		Searcher:  axis.Name(),
-		Workload:  "cc",
-		Dataset:   "germany_osm",
-		Evals:     scalarRes.Evals,
-		ScalarMS:  float64(scalarTime) / float64(time.Millisecond),
-		VectorMS:  float64(vectorTime) / float64(time.Millisecond),
-		Overhead:  overhead,
-		Identical: identical,
-	}
+	parity := "parity/" + axis.Name() + "/cc/germany_osm"
+	rep.Rows = append(rep.Rows,
+		benchfmt.Row{Layer: "partition", Case: parity, Metric: "identical", Value: boolValue(identical),
+			Unit: "bool", Better: "higher", Cores: benchParallelism, Min: benchfmt.Bound(1)},
+		benchfmt.Row{Layer: "partition", Case: parity, Metric: "overhead", Value: overhead,
+			Unit: "x", Better: "lower", Cores: benchParallelism, Max: benchfmt.Bound(1.5)})
 
 	// Simplex: coordinate descent at 3 and 4 devices on the analytic
 	// scenario, and on a real SpMM prefix-split. The scenario's
-	// evaluations are closed-form, so a step-1 exhaustive sweep
-	// (~5k evaluations at 3 devices) is affordable and the recorded
-	// gap is exact.
-	for _, devices := range []int{3, 4} {
-		s := benchScenario(devices)
-		name := "scenario/d=" + string(rune('0'+devices))
-		res, wall := timeSimplex(b, name, core.SimplexSearch{}, s, benchParallelism)
-		c := partitionSimplexCase{
-			Devices:  devices,
-			Workload: "scenario",
-			Dataset:  "synthetic",
-			Searcher: core.SimplexSearch{}.Name(),
-			WallMS:   float64(wall) / float64(time.Millisecond),
-			Evals:    res.Evals,
+	// evaluations are closed-form, so a step-1 exhaustive sweep (~5k
+	// evaluations at 3 devices) is affordable and the recorded gap is
+	// exact; step 5 keeps the SpMM sweep at ~200 cheap profile lookups,
+	// and its gap is against that grid's optimum.
+	cases := []struct {
+		w         core.PartitionWorkload
+		workload  string
+		dataset   string
+		search    core.SimplexSearch
+		sweepStep float64 // 0: no sweep
+	}{
+		{benchScenario(3), "scenario", "synthetic", core.SimplexSearch{}, 1},
+		{benchScenario(4), "scenario", "synthetic", core.SimplexSearch{}, 0},
+		{spmmMultiWorkload(b, 2, "cant"), "spmm", "cant", core.SimplexSearch{Axis: core.RaceThenFine{Window: 4}}, 5},
+	}
+	for _, c := range cases {
+		res, err := c.search.SearchPartition(ctx, c.w, 0, 100)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if devices == 3 {
-			best, err := core.ExhaustiveSimplex{Step: 1}.SearchPartition(ctx, s, 0, 100)
-			if err != nil {
-				b.Fatal(err)
-			}
-			c.ExhaustiveEvals = best.Evals
-			c.ExhaustiveGapPct = 100 * (float64(res.BestTime)/float64(best.BestTime) - 1)
+		name := fmt.Sprintf("simplex/d=%d/%s/%s", c.w.Devices(), c.workload, c.dataset)
+		evals := benchfmt.Row{Layer: "partition", Case: name, Metric: "evals", Value: float64(res.Evals),
+			Unit: "count", Better: "lower", Max: benchfmt.Bound(simplexEvalBudget)}
+		if c.sweepStep == 0 {
+			rep.Rows = append(rep.Rows, evals)
+			continue
 		}
-		report.Simplex = append(report.Simplex, c)
+		best, err := core.ExhaustiveSimplex{Step: c.sweepStep}.SearchPartition(ctx, c.w, 0, 100)
+		if err != nil {
+			b.Fatal(err)
+		}
+		evals.Max = benchfmt.Bound(float64(min(simplexEvalBudget, best.Evals-1)))
+		gap := 100 * (float64(res.BestTime)/float64(best.BestTime) - 1)
+		rep.Rows = append(rep.Rows, evals, benchfmt.Row{Layer: "partition", Case: name, Metric: "gap_pct",
+			Value: gap, Unit: "%", Better: "lower", Max: benchfmt.Bound(5)})
 	}
-
-	spmmW := spmmMultiWorkload(b, 2, "cant")
-	spmmSearch := core.SimplexSearch{Axis: core.RaceThenFine{Window: 4}}
-	spmmRes, spmmWall := timeSimplex(b, "spmm/d=3", spmmSearch, spmmW, benchParallelism)
-	spmmCase := partitionSimplexCase{
-		Devices:  3,
-		Workload: "spmm",
-		Dataset:  "cant",
-		Searcher: spmmSearch.Name(),
-		WallMS:   float64(spmmWall) / float64(time.Millisecond),
-		Evals:    spmmRes.Evals,
-	}
-	// Step-5 keeps the sweep at ~200 evaluations of a cheap profile
-	// lookup; the recorded gap is against that grid's optimum.
-	spmmBest, err := core.ExhaustiveSimplex{Step: 5}.SearchPartition(ctx, spmmW, 0, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spmmCase.ExhaustiveEvals = spmmBest.Evals
-	spmmCase.ExhaustiveGapPct = 100 * (float64(spmmRes.BestTime)/float64(spmmBest.BestTime) - 1)
-	report.Simplex = append(report.Simplex, spmmCase)
-
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_partition.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("wrote BENCH_partition.json (parity overhead %.2fx, %d simplex cases, gomaxprocs=%d, numcpu=%d)",
-		report.Parity.Overhead, len(report.Simplex), report.GOMAXPROCS, report.NumCPU)
+	writeReport(b, rep, "BENCH_partition.json")
 }
