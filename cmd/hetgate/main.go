@@ -5,10 +5,11 @@
 //
 // Endpoints mirror hetserve:
 //
-//	GET/POST /estimate   sharded, retried, hedged, coalesced
-//	GET      /datasets   proxied from any live replica
-//	GET      /healthz    gateway health (503 when every breaker is open)
-//	GET      /metrics    gateway Prometheus metrics
+//	GET/POST /estimate        sharded, retried, hedged, coalesced
+//	POST     /estimate-batch  items split by ring placement, streamed back merged
+//	GET      /datasets        proxied from any live replica
+//	GET      /healthz         gateway health (503 when every breaker is open)
+//	GET      /metrics         gateway Prometheus metrics
 //
 // Backends come from -backends (comma-separated base URLs) or
 // -embedded K, which starts K in-process hetserve replicas on loopback
@@ -19,37 +20,30 @@
 //	hetserve -addr :8081 & hetserve -addr :8082 &
 //	hetgate -addr :8080 -backends http://localhost:8081,http://localhost:8082
 //	hetgate -addr :8080 -embedded 3
-//	hetgate -embedded 3 -bench 300 -bench-out BENCH_gate.json
+//
+// hetgate only serves. Its performance is measured end to end by the
+// bench/ ledger (BENCHMARK.json), and the batch path's amortization by
+// BenchmarkBatch in the repository root.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/cluster"
-	"repro/internal/mmio"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/serve"
-	"repro/internal/sparse"
 )
 
 func main() {
@@ -81,16 +75,6 @@ func main() {
 		staleAfter = flag.Duration("stale-after", 0, "embedded backends: cache age after which entries are served stale while revalidating (0 = never)")
 		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 		pprofFlag  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		benchN     = flag.Int("bench", 0, "run N requests against an embedded cluster, write a latency report, and exit")
-		benchConc  = flag.Int("bench-concurrency", 8, "concurrent clients in bench mode")
-		benchOut   = flag.String("bench-out", "BENCH_gate.json", "bench report path")
-		benchInput = flag.Int("bench-inputs", 6, "distinct inputs in the bench request mix")
-		benchTmo   = flag.Duration("timeout", 0, "bench mode: per-request client timeout, propagated upstream as the deadline budget (0 = none)")
-
-		batchBench  = flag.Bool("batch", false, "benchmark batched vs sequential estimation against an embedded cluster, write the report, and exit")
-		batchItems  = flag.Int("batch-items", 8, "items per batch in -batch mode")
-		batchRounds = flag.Int("batch-rounds", 4, "measured rounds per arm in -batch mode (fresh inputs each round)")
-		batchOut    = flag.String("batch-out", "BENCH_batch.json", "-batch report path")
 	)
 	flag.Parse()
 
@@ -105,9 +89,6 @@ func main() {
 		admission: *admission, admissionQueue: *admissionQ,
 		degrade: *degrade, staleAfter: *staleAfter,
 		logJSON: *logJSON, pprof: *pprofFlag,
-		benchN: *benchN, benchConc: *benchConc, benchOut: *benchOut, benchInputs: *benchInput,
-		benchTimeout: *benchTmo,
-		batchBench:   *batchBench, batchItems: *batchItems, batchRounds: *batchRounds, batchOut: *batchOut,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "hetgate:", err)
 		os.Exit(1)
@@ -134,14 +115,6 @@ type config struct {
 	degrade             bool
 	staleAfter          time.Duration
 	logJSON, pprof      bool
-	benchN, benchConc   int
-	benchOut            string
-	benchInputs         int
-	benchTimeout        time.Duration
-	batchBench          bool
-	batchItems          int
-	batchRounds         int
-	batchOut            string
 }
 
 func run(c config) error {
@@ -168,11 +141,7 @@ func run(c config) error {
 	if len(urls) == 0 {
 		k := c.embedded
 		if k <= 0 {
-			if c.benchN > 0 || c.batchBench {
-				k = 3 // bench always has a cluster to exercise
-			} else {
-				return errors.New("no backends: pass -backends or -embedded K")
-			}
+			return errors.New("no backends: pass -backends or -embedded K")
 		}
 		e, err := cluster.StartEmbedded(k, serve.Config{
 			Workers:        c.workers,
@@ -221,13 +190,6 @@ func run(c config) error {
 	defer stop()
 	go g.Run(ctx)
 
-	if c.batchBench {
-		return runBatchBench(ctx, g, c, logger)
-	}
-	if c.benchN > 0 {
-		return runBench(ctx, g, c, logger)
-	}
-
 	srv := &http.Server{
 		Addr:    c.addr,
 		Handler: g.Handler(),
@@ -265,427 +227,6 @@ func run(c config) error {
 	}
 	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
 		return err
-	}
-	return nil
-}
-
-// benchReport is the JSON written by -bench: the gateway's latency
-// distribution and hit rates under a fixed request mix, the repo's
-// first point on a bench trajectory.
-type benchReport struct {
-	Requests    int     `json:"requests"`
-	Concurrency int     `json:"concurrency"`
-	Backends    int     `json:"backends"`
-	Inputs      int     `json:"distinct_inputs"`
-	Errors      int     `json:"errors"`
-	ElapsedMS   float64 `json:"elapsed_ms"`
-	ThroughputS float64 `json:"requests_per_second"`
-	P50MS       float64 `json:"p50_ms"`
-	P95MS       float64 `json:"p95_ms"`
-	P99MS       float64 `json:"p99_ms"`
-	CacheHit    float64 `json:"cache_hit_rate"`
-	GwCoalesce  float64 `json:"gateway_coalesce_rate"`
-	Retries     uint64  `json:"retries"`
-	Hedges      uint64  `json:"hedges"`
-	Shed        uint64  `json:"shed"`
-	Degraded    uint64  `json:"degraded"`
-	TimeoutMS   float64 `json:"client_timeout_ms,omitempty"`
-}
-
-// runBench drives the gateway handler over a real loopback listener
-// with a fixed mix of uploaded inputs and writes the latency report.
-func runBench(ctx context.Context, g *cluster.Gateway, c config, logger *slog.Logger) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: g.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	go srv.Serve(ln)
-	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-
-	if c.benchInputs <= 0 {
-		c.benchInputs = 1
-	}
-	bodies := make([][]byte, c.benchInputs)
-	for i := range bodies {
-		m, err := sparse.Generate(sparse.GenConfig{
-			Class: sparse.ClassPowerLaw, Rows: 600, NNZ: 6000, Seed: uint64(1000 + i),
-		})
-		if err != nil {
-			return err
-		}
-		var buf bytes.Buffer
-		if err := mmio.Write(&buf, m.ToCOO()); err != nil {
-			return err
-		}
-		bodies[i] = buf.Bytes()
-	}
-
-	// The bench client honors -timeout: a per-request deadline the
-	// gateway turns into an X-Deadline-Ms budget for its backends, so
-	// bench runs exercise the same deadline propagation as impatient
-	// production clients. Zero keeps the old unbounded behavior.
-	client := &http.Client{Timeout: c.benchTimeout}
-
-	logger.Info("bench starting",
-		slog.Int("requests", c.benchN),
-		slog.Int("clients", c.benchConc),
-		slog.Int("inputs", c.benchInputs),
-		slog.Duration("timeout", c.benchTimeout),
-		slog.Int("backends", len(g.Backends())))
-
-	var (
-		mu        sync.Mutex
-		latencies []float64 // milliseconds
-		cached    int
-		coalesced int
-		errs      atomic.Int64
-		next      atomic.Int64
-	)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < c.benchConc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= c.benchN || ctx.Err() != nil {
-					return
-				}
-				body := bodies[i%len(bodies)]
-				t0 := time.Now()
-				resp, err := client.Post(base+"/estimate?workload=spmm&repeats=1", "text/plain", bytes.NewReader(body))
-				ms := float64(time.Since(t0).Microseconds()) / 1e3
-				if err != nil {
-					errs.Add(1)
-					continue
-				}
-				raw, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					errs.Add(1)
-					continue
-				}
-				var out struct {
-					Cached bool `json:"cached"`
-				}
-				_ = json.Unmarshal(raw, &out)
-				mu.Lock()
-				latencies = append(latencies, ms)
-				if out.Cached {
-					cached++
-				}
-				if resp.Header.Get("X-Hetgate-Coalesced") == "true" {
-					coalesced++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	sort.Float64s(latencies)
-	pct := func(p float64) float64 {
-		if len(latencies) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(latencies)-1))
-		return latencies[i]
-	}
-	retries, hedges, _ := g.Metrics().Counts()
-	shed, degraded, _ := g.Metrics().ResilienceCounts()
-	rep := benchReport{
-		Requests:    c.benchN,
-		Concurrency: c.benchConc,
-		Backends:    len(g.Backends()),
-		Inputs:      c.benchInputs,
-		Errors:      int(errs.Load()),
-		ElapsedMS:   float64(elapsed.Microseconds()) / 1e3,
-		P50MS:       pct(0.50),
-		P95MS:       pct(0.95),
-		P99MS:       pct(0.99),
-		Retries:     retries,
-		Hedges:      hedges,
-		Shed:        shed,
-		Degraded:    degraded,
-		TimeoutMS:   float64(c.benchTimeout.Microseconds()) / 1e3,
-	}
-	if elapsed > 0 {
-		rep.ThroughputS = float64(len(latencies)) / elapsed.Seconds()
-	}
-	if n := len(latencies); n > 0 {
-		rep.CacheHit = float64(cached) / float64(n)
-		rep.GwCoalesce = float64(coalesced) / float64(n)
-	}
-
-	f, err := os.Create(c.benchOut)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	logger.Info("bench done",
-		slog.Duration("elapsed", elapsed.Round(time.Millisecond)),
-		slog.Float64("p50_ms", rep.P50MS),
-		slog.Float64("p95_ms", rep.P95MS),
-		slog.Float64("p99_ms", rep.P99MS),
-		slog.Float64("cache_hit", rep.CacheHit),
-		slog.Float64("coalesce", rep.GwCoalesce),
-		slog.Int("errors", rep.Errors),
-		slog.String("out", c.benchOut))
-	if rep.Errors > 0 {
-		return fmt.Errorf("bench finished with %d errors", rep.Errors)
-	}
-	return nil
-}
-
-// batchBenchReport is the JSON written by -batch: the amortization case
-// for the batched estimation path, measured as two arms over identical
-// work — N items in one /estimate-batch job versus the same N inputs as
-// sequential /estimate requests. Each arm gets fresh inputs every round
-// so neither rides the other's result cache.
-type batchBenchReport struct {
-	GOMAXPROCS int `json:"gomaxprocs"`
-	NumCPU     int `json:"num_cpu"`
-	Backends   int `json:"backends"`
-	Items      int `json:"items"`
-	Rounds     int `json:"rounds"`
-
-	Batch      batchArm `json:"batch"`
-	Sequential seqArm   `json:"sequential"`
-
-	// Speedup is batch items/sec over sequential items/sec — the
-	// number the CI gate holds at >= 2x for 8-item jobs.
-	Speedup float64 `json:"speedup"`
-}
-
-type batchArm struct {
-	WallMS      float64 `json:"wall_ms"` // total across rounds
-	ItemsPerSec float64 `json:"items_per_sec"`
-	// TTFRMS/TTLRMS are the mean per-round times from request start to
-	// the first and last refined item — the streaming dividend: the
-	// first answer lands long before the job finishes.
-	TTFRMS     float64 `json:"ttfr_ms"`
-	TTLRMS     float64 `json:"ttlr_ms"`
-	Admissions int     `json:"admissions"` // summed over job summaries
-	Builds     int     `json:"builds"`
-	Errors     int     `json:"errors"`
-}
-
-type seqArm struct {
-	WallMS      float64 `json:"wall_ms"`
-	ItemsPerSec float64 `json:"items_per_sec"`
-	Errors      int     `json:"errors"`
-}
-
-// benchMatrix renders one power-law upload body for the bench mix.
-func benchMatrix(seed uint64) ([]byte, error) {
-	m, err := sparse.Generate(sparse.GenConfig{
-		Class: sparse.ClassPowerLaw, Rows: 600, NNZ: 6000, Seed: seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := mmio.Write(&buf, m.ToCOO()); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// runBatchBench measures the batched path against the sequential
-// baseline over a real loopback listener and writes BENCH_batch.json.
-func runBatchBench(ctx context.Context, g *cluster.Gateway, c config, logger *slog.Logger) error {
-	if c.batchItems <= 0 {
-		c.batchItems = 8
-	}
-	if c.batchRounds <= 0 {
-		c.batchRounds = 1
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: g.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	go srv.Serve(ln)
-	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-
-	logger.Info("batch bench starting",
-		slog.Int("items", c.batchItems),
-		slog.Int("rounds", c.batchRounds),
-		slog.Int("backends", len(g.Backends())))
-
-	rep := batchBenchReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Backends:   len(g.Backends()),
-		Items:      c.batchItems,
-		Rounds:     c.batchRounds,
-	}
-	client := &http.Client{}
-
-	// Warm-up round per arm (not measured): first contact pays one-off
-	// costs — TCP setup, lazily built platform state — that belong to
-	// neither arm. Disjoint seed ranges keep every round, warm-up
-	// included, a cache miss.
-	seedBatch := uint64(10_000)
-	seedSeq := uint64(50_000)
-
-	runBatchRound := func(measured bool) error {
-		items := make([]batch.Item, c.batchItems)
-		for i := range items {
-			body, err := benchMatrix(seedBatch)
-			seedBatch++
-			if err != nil {
-				return err
-			}
-			items[i] = batch.Item{
-				Name: fmt.Sprintf("it%d", i), Workload: "spmm", Repeats: 1, Body: body,
-			}
-		}
-		body, contentType, err := batch.EncodeRequest(items)
-		if err != nil {
-			return err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/estimate-batch", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", contentType)
-		req.Header.Set("Accept", "application/x-ndjson")
-		t0 := time.Now()
-		resp, err := client.Do(req)
-		if err != nil {
-			rep.Batch.Errors++
-			return nil
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			rep.Batch.Errors++
-			return nil
-		}
-		var firstRefined, lastRefined time.Duration
-		var sum *batch.Summary
-		terminals := 0
-		err = batch.ReadEvents(resp.Body, func(e batch.Event) error {
-			if e.Type == batch.EventSummary {
-				sum = e.Summary
-				return nil
-			}
-			if e.Terminal() {
-				terminals++
-				at := time.Since(t0)
-				if firstRefined == 0 {
-					firstRefined = at
-				}
-				lastRefined = at
-			}
-			return nil
-		})
-		wall := time.Since(t0)
-		if err != nil || sum == nil || terminals != c.batchItems || sum.Completed != c.batchItems {
-			rep.Batch.Errors++
-			return nil
-		}
-		if measured {
-			rep.Batch.WallMS += float64(wall.Microseconds()) / 1e3
-			rep.Batch.TTFRMS += float64(firstRefined.Microseconds()) / 1e3
-			rep.Batch.TTLRMS += float64(lastRefined.Microseconds()) / 1e3
-			rep.Batch.Admissions += sum.Admissions
-			rep.Batch.Builds += sum.Builds
-		}
-		return nil
-	}
-
-	runSeqRound := func(measured bool) error {
-		t0 := time.Now()
-		for i := 0; i < c.batchItems; i++ {
-			body, err := benchMatrix(seedSeq)
-			seedSeq++
-			if err != nil {
-				return err
-			}
-			resp, err := client.Post(base+"/estimate?workload=spmm&repeats=1", "text/plain", bytes.NewReader(body))
-			if err != nil {
-				rep.Sequential.Errors++
-				continue
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				rep.Sequential.Errors++
-			}
-		}
-		if measured {
-			rep.Sequential.WallMS += float64(time.Since(t0).Microseconds()) / 1e3
-		}
-		return nil
-	}
-
-	if err := runBatchRound(false); err != nil {
-		return err
-	}
-	if err := runSeqRound(false); err != nil {
-		return err
-	}
-	for r := 0; r < c.batchRounds; r++ {
-		if err := runBatchRound(true); err != nil {
-			return err
-		}
-		if err := runSeqRound(true); err != nil {
-			return err
-		}
-	}
-
-	total := float64(c.batchItems * c.batchRounds)
-	if rep.Batch.WallMS > 0 {
-		rep.Batch.ItemsPerSec = total / (rep.Batch.WallMS / 1e3)
-	}
-	if rep.Sequential.WallMS > 0 {
-		rep.Sequential.ItemsPerSec = total / (rep.Sequential.WallMS / 1e3)
-	}
-	if rep.Sequential.ItemsPerSec > 0 {
-		rep.Speedup = rep.Batch.ItemsPerSec / rep.Sequential.ItemsPerSec
-	}
-	rep.Batch.TTFRMS /= float64(c.batchRounds)
-	rep.Batch.TTLRMS /= float64(c.batchRounds)
-
-	f, err := os.Create(c.batchOut)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	logger.Info("batch bench done",
-		slog.Float64("batch_items_per_sec", rep.Batch.ItemsPerSec),
-		slog.Float64("seq_items_per_sec", rep.Sequential.ItemsPerSec),
-		slog.Float64("speedup", rep.Speedup),
-		slog.Float64("ttfr_ms", rep.Batch.TTFRMS),
-		slog.Float64("ttlr_ms", rep.Batch.TTLRMS),
-		slog.Int("admissions", rep.Batch.Admissions),
-		slog.Int("builds", rep.Batch.Builds),
-		slog.String("out", c.batchOut))
-	if n := rep.Batch.Errors + rep.Sequential.Errors; n > 0 {
-		return fmt.Errorf("batch bench finished with %d errors", n)
 	}
 	return nil
 }

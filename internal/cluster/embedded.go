@@ -12,7 +12,7 @@ import (
 
 // Embedded runs K in-process hetserve backends on loopback listeners,
 // so a full gateway+cluster topology is exercised by `go test` (and
-// the hetgate bench mode) with no external processes. Each backend is
+// hetgate -embedded) with no external processes. Each backend is
 // a real serve.Server behind a real TCP listener — the gateway talks
 // to it over HTTP exactly as it would to a remote replica.
 type Embedded struct {
