@@ -298,3 +298,17 @@ func TestMetricsRecordAllocsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestInputKeyAllocsPinned pins an upload's input key to one
+// allocation, the key string itself: the digest and its hex are
+// written into a fixed buffer. The FNV-1a key it replaced took two,
+// one for fmt.Sprintf and one for the concatenation.
+func TestInputKeyAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are not meaningful")
+	}
+	body := realGeneralBody(t, 200, 2000, 5)
+	if allocs := testing.AllocsPerRun(100, func() { batch.InputKey("", body) }); allocs != 1 {
+		t.Errorf("InputKey on an upload: %v allocs, want 1", allocs)
+	}
+}
