@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -128,6 +132,45 @@ func TestStoreWarmTransferCutsEvals(t *testing.T) {
 	hits, warms, _, _, _, _ := s.Metrics().StoreCounts()
 	if hits != 1 || warms != 1 {
 		t.Errorf("store counters hits=%d warms=%d, want 1/1", hits, warms)
+	}
+}
+
+// TestStoreReplaysPreSHAKeys replays a threshold-store log written
+// when upload keys were FNV-1a hashes: one entry for the upload a,
+// keyed by FNV-1a over a's bytes. Keys changed to SHA-256, so the entry
+// no longer names any input, but lookup goes by features, and it must
+// still warm-start a structurally similar upload.
+func TestStoreReplaysPreSHAKeys(t *testing.T) {
+	raw, err := os.ReadFile("testdata/store_fnv_keys.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(store.Config{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	a := genMTX(t, 3000, 30000, 3)
+	h := fnv.New64a()
+	h.Write(a)
+	oldKey := fmt.Sprintf("upload:%016x", h.Sum64())
+	if _, ok := st.Get(WorkloadSpMM, oldKey); !ok || st.Len() != 1 {
+		t.Fatalf("log replayed %d entries, want the one keyed %s", st.Len(), oldKey)
+	}
+	if oldKey == batch.InputKey("", a) {
+		t.Fatalf("a's key %s did not change", oldKey)
+	}
+
+	_, ts := storeServer(t, st, Config{})
+	resp, hdr := postMTXResp(t, ts.URL+estimateURL, genMTX(t, 3000, 30000, 4))
+	if resp["store_neighbor"] != oldKey || hdr.Get(StoreHeader) != "warm" {
+		t.Errorf("store_neighbor = %v, %s = %q; want %s, \"warm\"",
+			resp["store_neighbor"], StoreHeader, hdr.Get(StoreHeader), oldKey)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -153,29 +154,22 @@ type Store struct {
 
 // Open loads (or creates) a store. A missing snapshot file is not an
 // error; a corrupt line is skipped rather than failing the boot.
+//
+// A crash can leave the log's last record torn, without its newline.
+// Open cuts such a tail off before the first append, so a new record
+// never joins the torn line and is never lost with it on a later
+// replay. A tail that is a whole record and lacks only its newline is
+// kept and terminated instead.
 func Open(cfg Config) (*Store, error) {
 	s := &Store{cfg: cfg.withDefaults(), entries: make(map[string]*Entry)}
 	if s.cfg.Path == "" {
 		return s, nil
 	}
-	f, err := os.OpenFile(s.cfg.Path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(s.cfg.Path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", s.cfg.Path, err)
 	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var r record
-		if err := json.Unmarshal(line, &r); err != nil || r.V != recordVersion || r.Entry == nil {
-			continue // tolerate corrupt tails and future formats
-		}
-		s.entries[entryID(r.Entry.Workload, r.Entry.Key)] = r.Entry
-	}
-	if err := sc.Err(); err != nil {
+	if err := s.replay(f); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: read %s: %w", s.cfg.Path, err)
 	}
@@ -183,6 +177,41 @@ func Open(cfg Config) (*Store, error) {
 	s.appendF = f
 	s.appendW = bufio.NewWriter(f)
 	return s, nil
+}
+
+// replay loads every record of the log in f and mends a torn tail.
+func (s *Store) replay(f *os.File) error {
+	r := bufio.NewReaderSize(f, 64<<10)
+	var whole int64 // bytes up to and including the last newline
+	for {
+		line, err := r.ReadBytes('\n')
+		if err == io.EOF {
+			if len(line) == 0 {
+				return nil
+			}
+			if s.load(line) {
+				_, err = f.Write([]byte{'\n'})
+				return err
+			}
+			return f.Truncate(whole)
+		}
+		if err != nil {
+			return err
+		}
+		whole += int64(len(line))
+		s.load(line)
+	}
+}
+
+// load replays one log line and reports whether it held a record.
+// Corrupt lines and future formats are skipped.
+func (s *Store) load(line []byte) bool {
+	var r record
+	if err := json.Unmarshal(line, &r); err != nil || r.V != recordVersion || r.Entry == nil {
+		return false
+	}
+	s.entries[entryID(r.Entry.Workload, r.Entry.Key)] = r.Entry
+	return true
 }
 
 func entryID(workload, key string) string { return workload + "|" + key }
@@ -405,6 +434,13 @@ func (s *Store) flushLocked() error {
 		w.WriteByte('\n')
 	}
 	if err := w.Flush(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("store: flush: %w", err)
+	}
+	// The snapshot must be on disk before the rename makes it the log:
+	// a crash in between must leave either the old log or a whole new
+	// one, never an empty file under the log's name.
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: flush: %w", err)
 	}
