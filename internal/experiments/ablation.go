@@ -40,12 +40,8 @@ type AblationSamplerResult struct {
 // DESIGN.md's sampler choice.
 func AblationSampler(opts Options) (*AblationSamplerResult, error) {
 	o := opts.withDefaults()
-	names := o.Names
-	if len(names) == 0 {
-		names = []string{"web-BerkStan", "netherlands_osm", "cant"}
-	}
 	alg := hetcc.NewAlgorithm(o.Platform)
-	rows, err := forEach(names, func(name string) (AblationSamplerRow, error) {
+	rows, err := forEach(o.namesOr("web-BerkStan", "netherlands_osm", "cant"), func(name string) (AblationSamplerRow, error) {
 		d, err := datasets.ByName(name)
 		if err != nil {
 			return AblationSamplerRow{}, err
@@ -54,43 +50,27 @@ func AblationSampler(opts Options) (*AblationSamplerResult, error) {
 		if err != nil {
 			return AblationSamplerRow{}, err
 		}
-		w := hetcc.NewWorkload(name, g, alg)
-		best, err := core.ExhaustiveBest(context.Background(), w, core.Config{Parallelism: o.Parallelism})
+		best, err := core.ExhaustiveBest(context.Background(), hetcc.NewWorkload(name, g, alg), core.Config{Parallelism: o.Parallelism})
 		if err != nil {
 			return AblationSamplerRow{}, err
 		}
 		row := AblationSamplerRow{Dataset: name, Exhaustive: best.Best, ExhaustiveTime: best.BestTime}
-
-		contracted := hetcc.NewWorkload(name, g, alg)
-		est, err := core.EstimateThreshold(context.Background(), contracted, core.Config{Seed: o.Seed ^ hashName(name), Repeats: o.Repeats, Parallelism: o.Parallelism})
-		if err != nil {
-			return AblationSamplerRow{}, err
-		}
-		row.Contracted = est.Threshold
-		if row.ContractedTime, err = w.Evaluate(est.Threshold); err != nil {
-			return AblationSamplerRow{}, err
-		}
-
-		induced := hetcc.NewWorkload(name, g, alg)
-		induced.Induced = true
-		est, err = core.EstimateThreshold(context.Background(), induced, core.Config{Seed: o.Seed ^ hashName(name), Repeats: o.Repeats, Parallelism: o.Parallelism})
-		if err != nil {
-			return AblationSamplerRow{}, err
-		}
-		row.Induced = est.Threshold
-		if row.InducedTime, err = w.Evaluate(est.Threshold); err != nil {
-			return AblationSamplerRow{}, err
-		}
-
-		importance := hetcc.NewWorkload(name, g, alg)
-		importance.Importance = true
-		est, err = core.EstimateThreshold(context.Background(), importance, core.Config{Seed: o.Seed ^ hashName(name), Repeats: o.Repeats, Parallelism: o.Parallelism})
-		if err != nil {
-			return AblationSamplerRow{}, err
-		}
-		row.Importance = est.Threshold
-		if row.ImportanceTime, err = w.Evaluate(est.Threshold); err != nil {
-			return AblationSamplerRow{}, err
+		for _, arm := range []struct {
+			induced, importance bool
+			threshold           *float64
+			time                *time.Duration
+		}{
+			{false, false, &row.Contracted, &row.ContractedTime},
+			{true, false, &row.Induced, &row.InducedTime},
+			{false, true, &row.Importance, &row.ImportanceTime},
+		} {
+			w := hetcc.NewWorkload(name, g, alg)
+			w.Induced, w.Importance = arm.induced, arm.importance
+			est, t, err := estimateAndRun(w, nil, o.Seed^hashName(name), o)
+			if err != nil {
+				return AblationSamplerRow{}, err
+			}
+			*arm.threshold, *arm.time = est.Threshold, t
 		}
 		return row, nil
 	})
@@ -141,13 +121,9 @@ type AblationSearcherResult struct {
 // count and result quality on full SpMM inputs.
 func AblationSearcher(opts Options) (*AblationSearcherResult, error) {
 	o := opts.withDefaults()
-	names := o.Names
-	if len(names) == 0 {
-		names = []string{"cant", "web-BerkStan"}
-	}
 	alg := hetspmm.NewAlgorithm(o.Platform)
 	res := &AblationSearcherResult{}
-	for _, name := range names {
+	for _, name := range o.namesOr("cant", "web-BerkStan") {
 		d, err := datasets.ByName(name)
 		if err != nil {
 			return nil, err

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
 	"io"
-	"math"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
@@ -25,83 +23,31 @@ type Fig3Result struct {
 func Fig3(opts Options) (*Fig3Result, error) {
 	o := opts.withDefaults()
 	alg := hetcc.NewAlgorithm(o.Platform)
-	var ds []datasets.Dataset
-	for _, d := range datasets.All() {
-		if o.wants(d.Name) {
-			ds = append(ds, d)
-		}
-	}
-	rows, err := forEach(ds, func(d datasets.Dataset) (CaseRow, error) {
+	rows, err := forEach(o.pick(datasets.All()), func(d datasets.Dataset) (CaseRow, error) {
 		g, err := d.Graph()
 		if err != nil {
 			return CaseRow{}, err
 		}
-		w := hetcc.NewWorkload(d.Name, g, alg)
-		return ccCase(d.Name, w, alg, o)
+		return ccCase(d.Name, hetcc.NewWorkload(d.Name, g, alg), alg, o)
 	})
 	if err != nil {
 		return nil, err
 	}
-	// NaiveAverage needs all exhaustive optima; fill it in and
-	// evaluate nothing further (its time column would coincide with a
-	// plain run at that threshold and is not plotted in the paper).
-	bests := make([]float64, len(rows))
-	for i, r := range rows {
-		bests[i] = r.Exhaustive
-	}
-	avg := core.NaiveAverage(bests)
-	for i := range rows {
-		rows[i].NaiveAverage = avg
-	}
-	return &Fig3Result{Rows: rows}, nil
+	return &Fig3Result{Rows: withNaiveAverage(rows)}, nil
 }
 
 func ccCase(name string, w *hetcc.Workload, alg *hetcc.Algorithm, o Options) (CaseRow, error) {
-	best, err := core.ExhaustiveBest(context.Background(), w, core.Config{Parallelism: o.Parallelism})
-	if err != nil {
-		return CaseRow{}, fmt.Errorf("fig3 %s exhaustive: %w", name, err)
-	}
-	est, err := core.EstimateThreshold(context.Background(), w, core.Config{
-		Seed:        o.Seed ^ hashName(name),
-		Repeats:     o.Repeats,
-		Parallelism: o.Parallelism,
+	return caseRow(name, w, o, study{
+		fig: "fig3",
+		naive: func() (time.Duration, error) {
+			r, err := alg.RunGPUOnly(w.Graph())
+			if err != nil {
+				return 0, err
+			}
+			return r.Time, nil
+		},
+		static: 100 * o.Platform.StaticCPUShare(),
 	})
-	if err != nil {
-		return CaseRow{}, fmt.Errorf("fig3 %s estimate: %w", name, err)
-	}
-	estTime, err := w.Evaluate(est.Threshold)
-	if err != nil {
-		return CaseRow{}, err
-	}
-	gpuOnly, err := alg.RunGPUOnly(w.Graph())
-	if err != nil {
-		return CaseRow{}, err
-	}
-	row := CaseRow{
-		Dataset:          name,
-		Exhaustive:       best.Best,
-		Estimated:        est.Threshold,
-		NaiveStatic:      100 * o.Platform.StaticCPUShare(),
-		ThresholdDiffPct: math.Abs(est.Threshold - best.Best),
-		ExhaustiveTime:   best.BestTime,
-		EstimatedTime:    estTime,
-		NaiveTime:        gpuOnly.Time,
-		TimeDiffPct:      100 * (float64(estTime)/float64(best.BestTime) - 1),
-		SearchCost:       best.Cost,
-	}
-	row.OverheadPct = 100 * float64(est.Overhead()) / float64(est.Overhead()+estTime)
-	return row, nil
-}
-
-// hashName mixes a dataset name into the seed so each dataset draws an
-// independent sample stream.
-func hashName(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // Render writes the figure as text.
@@ -121,12 +67,8 @@ type Fig4Result struct {
 // graph and one road network.
 func Fig4(opts Options) (*Fig4Result, error) {
 	o := opts.withDefaults()
-	names := o.Names
-	if len(names) == 0 {
-		names = []string{"web-BerkStan", "netherlands_osm"}
-	}
 	alg := hetcc.NewAlgorithm(o.Platform)
-	series, err := forEach(names, func(name string) (SensitivitySeries, error) {
+	series, err := forEach(o.namesOr("web-BerkStan", "netherlands_osm"), func(name string) (SensitivitySeries, error) {
 		d, err := datasets.ByName(name)
 		if err != nil {
 			return SensitivitySeries{}, err
@@ -157,36 +99,11 @@ var SampleSizeLadder = []struct {
 }
 
 func ccSensitivity(name string, g *graph.Graph, alg *hetcc.Algorithm, o Options) (SensitivitySeries, error) {
-	s := SensitivitySeries{Dataset: name}
-	root := math.Sqrt(float64(g.N))
-	for _, step := range SampleSizeLadder {
-		size := int(step.Factor * root)
-		if size < 2 {
-			size = 2
-		}
+	return sensitivity("fig4", name, o, nil, sqrtLadder(g.N, func(size int) core.Sampled {
 		w := hetcc.NewWorkload(name, g, alg)
 		w.SampleSize = size
-		est, err := core.EstimateThreshold(context.Background(), w, core.Config{
-			Seed:        o.Seed ^ hashName(name) ^ uint64(size),
-			Repeats:     o.Repeats,
-			Parallelism: o.Parallelism,
-		})
-		if err != nil {
-			return s, fmt.Errorf("fig4 %s size %d: %w", name, size, err)
-		}
-		runTime, err := w.Evaluate(est.Threshold)
-		if err != nil {
-			return s, err
-		}
-		s.Points = append(s.Points, SensitivityPoint{
-			Label:          step.Label,
-			SampleSize:     size,
-			EstimationTime: est.Overhead(),
-			TotalTime:      est.Overhead() + runTime,
-			Threshold:      est.Threshold,
-		})
-	}
-	return s, nil
+		return w
+	}))
 }
 
 // Render writes the figure as text.

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/datasets"
 	"repro/internal/hetsim"
 )
 
@@ -71,6 +72,26 @@ func (o Options) wants(name string) bool {
 		}
 	}
 	return false
+}
+
+// namesOr returns the requested dataset names, or defaults when none
+// were given.
+func (o Options) namesOr(defaults ...string) []string {
+	if len(o.Names) == 0 {
+		return defaults
+	}
+	return o.Names
+}
+
+// pick returns the datasets of set that the options ask for.
+func (o Options) pick(set []datasets.Dataset) []datasets.Dataset {
+	var ds []datasets.Dataset
+	for _, d := range set {
+		if o.wants(d.Name) {
+			ds = append(ds, d)
+		}
+	}
+	return ds
 }
 
 // CaseRow is one dataset's outcome in a threshold-estimation

@@ -51,15 +51,7 @@ func Fig1(opts Options) (*Fig1Result, error) {
 		if err != nil {
 			return Fig1Row{}, err
 		}
-		est, err := core.EstimateThreshold(context.Background(), w, core.Config{
-			Seed:        o.Seed ^ uint64(n),
-			Repeats:     o.Repeats,
-			Parallelism: o.Parallelism,
-		})
-		if err != nil {
-			return Fig1Row{}, err
-		}
-		estTime, err := w.Evaluate(est.Threshold)
+		est, estTime, err := estimateAndRun(w, nil, o.Seed^uint64(n), o)
 		if err != nil {
 			return Fig1Row{}, err
 		}

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/hetcc"
 	"repro/internal/hetsim"
@@ -40,12 +38,8 @@ type AblationPlatformResult struct {
 // wrong hardware.
 func AblationPlatform(opts Options) (*AblationPlatformResult, error) {
 	o := opts.withDefaults()
-	names := o.Names
-	if len(names) == 0 {
-		names = []string{"web-BerkStan"}
-	}
 	res := &AblationPlatformResult{}
-	for _, dn := range names {
+	for _, dn := range o.namesOr("web-BerkStan") {
 		d, err := datasets.ByName(dn)
 		if err != nil {
 			return nil, err
@@ -55,36 +49,25 @@ func AblationPlatform(opts Options) (*AblationPlatformResult, error) {
 			return nil, err
 		}
 		for _, pn := range hetsim.PresetNames() {
-			platform, err := hetsim.Preset(pn)
-			if err != nil {
+			po := o
+			if po.Platform, err = hetsim.Preset(pn); err != nil {
 				return nil, err
 			}
-			alg := hetcc.NewAlgorithm(platform)
-			w := hetcc.NewWorkload(dn, g, alg)
-			best, err := core.ExhaustiveBest(context.Background(), w, core.Config{Parallelism: o.Parallelism})
+			// Fig. 3's row on this platform; the preset's name is mixed
+			// into the seed so each platform draws its own samples.
+			alg := hetcc.NewAlgorithm(po.Platform)
+			r, err := ccCase(pn+dn, hetcc.NewWorkload(dn, g, alg), alg, po)
 			if err != nil {
 				return nil, fmt.Errorf("platform %s: %w", pn, err)
-			}
-			est, err := core.EstimateThreshold(context.Background(), w, core.Config{
-				Seed:        o.Seed ^ hashName(pn+dn),
-				Repeats:     o.Repeats,
-				Parallelism: o.Parallelism,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("platform %s estimate: %w", pn, err)
-			}
-			estTime, err := w.Evaluate(est.Threshold)
-			if err != nil {
-				return nil, err
 			}
 			res.Rows = append(res.Rows, PlatformRow{
 				Platform:       pn,
 				Dataset:        dn,
-				Exhaustive:     best.Best,
-				Estimated:      est.Threshold,
-				StaticShare:    100 * platform.StaticCPUShare(),
-				ExhaustiveTime: best.BestTime,
-				EstimatedTime:  estTime,
+				Exhaustive:     r.Exhaustive,
+				Estimated:      r.Estimated,
+				StaticShare:    r.NaiveStatic,
+				ExhaustiveTime: r.ExhaustiveTime,
+				EstimatedTime:  r.EstimatedTime,
 			})
 		}
 	}

@@ -12,110 +12,31 @@ type Runner func(opts Options, w io.Writer) error
 // Registry maps experiment ids to runners; used by cmd/hetexp.
 func Registry() map[string]Runner {
 	return map[string]Runner{
-		"fig1": func(o Options, w io.Writer) error {
-			r, err := Fig1(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		},
-		"table1": func(o Options, w io.Writer) error {
-			r, err := Table1(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		},
-		"table2": func(o Options, w io.Writer) error {
-			r, err := Table2(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		},
-		"fig3": func(o Options, w io.Writer) error {
-			r, err := Fig3(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		},
-		"fig4": func(o Options, w io.Writer) error {
-			r, err := Fig4(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		},
-		"fig5": func(o Options, w io.Writer) error {
-			r, err := Fig5(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		},
-		"fig6": func(o Options, w io.Writer) error {
-			r, err := Fig6(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		},
-		"fig7": func(o Options, w io.Writer) error {
-			r, err := Fig7(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		},
-		"fig8": func(o Options, w io.Writer) error {
-			r, err := Fig8(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		},
-		"fig9": func(o Options, w io.Writer) error {
-			r, err := Fig9(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		},
-		"ablate-sampler": func(o Options, w io.Writer) error {
-			r, err := AblationSampler(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		},
-		"ablate-searcher": func(o Options, w io.Writer) error {
-			r, err := AblationSearcher(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		},
-		"ablate-platform": func(o Options, w io.Writer) error {
-			r, err := AblationPlatform(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		},
+		"fig1":            runner(Fig1),
+		"table1":          runner(Table1),
+		"table2":          runner(Table2),
+		"fig3":            runner(Fig3),
+		"fig4":            runner(Fig4),
+		"fig5":            runner(Fig5),
+		"fig6":            runner(Fig6),
+		"fig7":            runner(Fig7),
+		"fig8":            runner(Fig8),
+		"fig9":            runner(Fig9),
+		"ablate-sampler":  runner(AblationSampler),
+		"ablate-searcher": runner(AblationSearcher),
+		"ablate-platform": runner(AblationPlatform),
+	}
+}
+
+// runner adapts an experiment that returns a renderable result.
+func runner[R interface{ Render(io.Writer) }](run func(Options) (R, error)) Runner {
+	return func(o Options, w io.Writer) error {
+		r, err := run(o)
+		if err != nil {
+			return err
+		}
+		r.Render(w)
+		return nil
 	}
 }
 

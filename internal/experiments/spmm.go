@@ -28,13 +28,7 @@ type Fig5Result struct {
 func Fig5(opts Options) (*Fig5Result, error) {
 	o := opts.withDefaults()
 	alg := hetspmm.NewAlgorithm(o.Platform)
-	var ds []datasets.Dataset
-	for _, d := range datasets.All() {
-		if o.wants(d.Name) {
-			ds = append(ds, d)
-		}
-	}
-	rows, err := forEach(ds, func(d datasets.Dataset) (CaseRow, error) {
+	rows, err := forEach(o.pick(datasets.All()), func(d datasets.Dataset) (CaseRow, error) {
 		m, err := d.Matrix()
 		if err != nil {
 			return CaseRow{}, err
@@ -48,53 +42,16 @@ func Fig5(opts Options) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	bests := make([]float64, len(rows))
-	for i, r := range rows {
-		bests[i] = r.Exhaustive
-	}
-	avg := core.NaiveAverage(bests)
-	for i := range rows {
-		rows[i].NaiveAverage = avg
-	}
-	return &Fig5Result{Rows: rows}, nil
+	return &Fig5Result{Rows: withNaiveAverage(rows)}, nil
 }
 
 func spmmCase(name string, w *hetspmm.Workload, o Options) (CaseRow, error) {
-	best, err := core.ExhaustiveBest(context.Background(), w, core.Config{Parallelism: o.Parallelism})
-	if err != nil {
-		return CaseRow{}, fmt.Errorf("fig5 %s exhaustive: %w", name, err)
-	}
-	est, err := core.EstimateThreshold(context.Background(), w, core.Config{
-		Searcher:    spmmSearcher(),
-		Seed:        o.Seed ^ hashName(name),
-		Repeats:     o.Repeats,
-		Parallelism: o.Parallelism,
+	return caseRow(name, w, o, study{
+		fig:      "fig5",
+		searcher: spmmSearcher(),
+		naive:    func() (time.Duration, error) { return w.Evaluate(0) },
+		static:   100 * o.Platform.StaticCPUShare(),
 	})
-	if err != nil {
-		return CaseRow{}, fmt.Errorf("fig5 %s estimate: %w", name, err)
-	}
-	estTime, err := w.Evaluate(est.Threshold)
-	if err != nil {
-		return CaseRow{}, err
-	}
-	gpuOnly, err := w.Evaluate(0)
-	if err != nil {
-		return CaseRow{}, err
-	}
-	row := CaseRow{
-		Dataset:          name,
-		Exhaustive:       best.Best,
-		Estimated:        est.Threshold,
-		NaiveStatic:      100 * o.Platform.StaticCPUShare(),
-		ThresholdDiffPct: math.Abs(est.Threshold - best.Best),
-		ExhaustiveTime:   best.BestTime,
-		EstimatedTime:    estTime,
-		NaiveTime:        gpuOnly,
-		TimeDiffPct:      100 * (float64(estTime)/float64(best.BestTime) - 1),
-		SearchCost:       best.Cost,
-	}
-	row.OverheadPct = 100 * float64(est.Overhead()) / float64(est.Overhead()+estTime)
-	return row, nil
 }
 
 // Render writes the figure as text.
@@ -112,12 +69,8 @@ type Fig6Result struct {
 // workable minimum around n/4 (the paper's chosen K).
 func Fig6(opts Options) (*Fig6Result, error) {
 	o := opts.withDefaults()
-	names := o.Names
-	if len(names) == 0 {
-		names = []string{"cant", "web-BerkStan"}
-	}
 	alg := hetspmm.NewAlgorithm(o.Platform)
-	series, err := forEach(names, func(name string) (SensitivitySeries, error) {
+	series, err := forEach(o.namesOr("cant", "web-BerkStan"), func(name string) (SensitivitySeries, error) {
 		d, err := datasets.ByName(name)
 		if err != nil {
 			return SensitivitySeries{}, err
@@ -135,54 +88,23 @@ func Fig6(opts Options) (*Fig6Result, error) {
 }
 
 func spmmSensitivity(name string, m *sparse.CSR, alg *hetspmm.Algorithm, o Options) (SensitivitySeries, error) {
-	s := SensitivitySeries{Dataset: name}
-	// The paper's Fig. 6 ladder: sample dimensions n/10 … 4n/10.
-	ladder := []struct {
-		label string
-		size  func(n int) int
-	}{
-		{"n/10", func(n int) int { return n / 10 }},
-		{"n/5", func(n int) int { return n / 5 }},
-		{"n/4", func(n int) int { return n / 4 }},
-		{"3n/10", func(n int) int { return 3 * n / 10 }},
-		{"4n/10", func(n int) int { return 4 * n / 10 }},
+	full, err := hetspmm.NewWorkload(name, m, alg)
+	if err != nil {
+		return SensitivitySeries{}, err
 	}
-	for _, step := range ladder {
-		size := step.size(m.Rows)
-		if size < 1 {
-			size = 1
-		}
-		w, err := hetspmm.NewWorkload(name, m, alg)
-		if err != nil {
-			return s, err
-		}
-		// Express the sample size through the divisor interface.
-		w.SampleDivisor = m.Rows / size
-		if w.SampleDivisor < 1 {
-			w.SampleDivisor = 1
-		}
-		est, err := core.EstimateThreshold(context.Background(), w, core.Config{
-			Searcher:    spmmSearcher(),
-			Seed:        o.Seed ^ hashName(name) ^ uint64(size),
-			Repeats:     o.Repeats,
-			Parallelism: o.Parallelism,
-		})
-		if err != nil {
-			return s, fmt.Errorf("fig6 %s size %d: %w", name, size, err)
-		}
-		runTime, err := w.Evaluate(est.Threshold)
-		if err != nil {
-			return s, err
-		}
-		s.Points = append(s.Points, SensitivityPoint{
-			Label:          step.label,
-			SampleSize:     size,
-			EstimationTime: est.Overhead(),
-			TotalTime:      est.Overhead() + runTime,
-			Threshold:      est.Threshold,
-		})
+	// The paper's Fig. 6 ladder: sample dimensions n/10 … 4n/10,
+	// expressed through the divisor interface.
+	var ladder []rung
+	for _, step := range []struct {
+		label    string
+		num, den int
+	}{{"n/10", 1, 10}, {"n/5", 1, 5}, {"n/4", 1, 4}, {"3n/10", 3, 10}, {"4n/10", 4, 10}} {
+		size := max(1, step.num*m.Rows/step.den)
+		w := *full
+		w.SampleDivisor = max(1, m.Rows/size)
+		ladder = append(ladder, rung{step.label, size, &w})
 	}
-	return s, nil
+	return sensitivity("fig6", name, o, spmmSearcher(), ladder)
 }
 
 // Render writes the figure as text.
@@ -214,15 +136,11 @@ type Fig7Result struct {
 // in estimating the work partition threshold").
 func Fig7(opts Options) (*Fig7Result, error) {
 	o := opts.withDefaults()
-	names := o.Names
-	// The paper shows cant and cop20k; web-BerkStan is added because
-	// its clustered hub rows make the predetermined-block bias vivid.
-	if len(names) == 0 {
-		names = []string{"cant", "cop20k_A", "web-BerkStan"}
-	}
 	alg := hetspmm.NewAlgorithm(o.Platform)
 	res := &Fig7Result{}
-	for _, name := range names {
+	// The paper shows cant and cop20k; web-BerkStan is added because
+	// its clustered hub rows make the predetermined-block bias vivid.
+	for _, name := range o.namesOr("cant", "cop20k_A", "web-BerkStan") {
 		d, err := datasets.ByName(name)
 		if err != nil {
 			return nil, err
@@ -239,36 +157,21 @@ func Fig7(opts Options) (*Fig7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		add := func(strategy string, estimate float64) error {
-			t, err := w.Evaluate(estimate)
-			if err != nil {
-				return err
-			}
+		add := func(strategy string, estimate float64, t time.Duration) {
 			res.Rows = append(res.Rows, Fig7Row{
 				Dataset: name, Strategy: strategy,
 				Estimated: estimate, Exhaustive: best.Best,
 				TimeAtEstimate: t,
 			})
-			return nil
 		}
 		// Random sample estimate (the framework's default).
-		est, err := core.EstimateThreshold(context.Background(), w, core.Config{
-			Searcher:    spmmSearcher(),
-			Seed:        o.Seed ^ hashName(name),
-			Repeats:     o.Repeats,
-			Parallelism: o.Parallelism,
-		})
+		est, t, err := estimateAndRun(w, spmmSearcher(), o.Seed^hashName(name), o)
 		if err != nil {
 			return nil, err
 		}
-		if err := add("random", est.Threshold); err != nil {
-			return nil, err
-		}
+		add("random", est.Threshold, t)
 		// Four predetermined blocks: the corners of A.
-		size := m.Rows / 4
-		if size < 1 {
-			size = 1
-		}
+		size := max(1, m.Rows/4)
 		half := m.Rows / 2
 		for k, off := range [][2]int{{0, 0}, {0, half}, {half, 0}, {half, half}} {
 			block, err := sparse.BlockSubmatrix(m, off[0], off[1], size)
@@ -283,9 +186,11 @@ func Fig7(opts Options) (*Fig7Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := add(fmt.Sprintf("block %d", k+1), sr.Best); err != nil {
+			t, err := w.Evaluate(sr.Best)
+			if err != nil {
 				return nil, err
 			}
+			add(fmt.Sprintf("block %d", k+1), sr.Best, t)
 		}
 	}
 	return res, nil

@@ -61,14 +61,7 @@ type Table2Result struct {
 // Table2 returns the Table II registry (paper sizes, replica sizes and
 // scale factors).
 func Table2(opts Options) (*Table2Result, error) {
-	o := opts.withDefaults()
-	var ds []datasets.Dataset
-	for _, d := range datasets.All() {
-		if o.wants(d.Name) {
-			ds = append(ds, d)
-		}
-	}
-	return &Table2Result{Datasets: ds}, nil
+	return &Table2Result{Datasets: opts.pick(datasets.All())}, nil
 }
 
 // Render writes the table as text.
