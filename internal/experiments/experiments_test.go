@@ -4,6 +4,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/datasets"
+	"repro/internal/hetscale"
+	"repro/internal/hetsim"
 )
 
 // fastOpts restricts experiments to a small dataset subset so the test
@@ -218,6 +222,43 @@ func TestFig8ExcludesNonScaleFree(t *testing.T) {
 	}
 	if len(r.Rows) != 9 {
 		t.Errorf("rows = %d, want 9", len(r.Rows))
+	}
+}
+
+// TestFig8NaiveIsGPUOnly pins Fig. 8's Naive column to the homogeneous
+// GPU-only run. HH-CPU sends the rows denser than t to the CPU, so the
+// top of the threshold range leaves the CPU no work and t = 0 none to
+// the GPU.
+func TestFig8NaiveIsGPUOnly(t *testing.T) {
+	r, err := Fig8(fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg := hetscale.NewAlgorithm(hetsim.Default())
+	for _, row := range r.Rows {
+		d, err := datasets.ByName(row.Dataset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := d.Matrix()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := hetscale.NewWorkload(row.Dataset, m, alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, hi := w.ThresholdRange()
+		if cpu := w.Profile().CPUWorkAt(hi); cpu != 0 {
+			t.Errorf("%s: CPUWorkAt(%v) = %d, want 0", row.Dataset, hi, cpu)
+		}
+		gpuOnly, err := w.Evaluate(hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.NaiveTime != gpuOnly {
+			t.Errorf("%s: NaiveTime = %v, GPU-only run = %v", row.Dataset, row.NaiveTime, gpuOnly)
+		}
 	}
 }
 
