@@ -1,19 +1,11 @@
-// Package stats provides the small set of descriptive statistics and
-// curve-fitting helpers used by the work-partitioning framework and its
-// experiment harness: means, coefficients of variation (the irregularity
-// statistic fed to the GPU cost model), percentiles, least-squares fits
-// (for the offline extrapolation study), and concavity checks (for the
-// sample-size sensitivity figures).
+// Package stats provides the descriptive statistics the
+// work-partitioning framework uses: the mean, variance and coefficient
+// of variation (the irregularity statistic fed to the GPU cost model)
+// of float values, and the Moments of integer work counts (mean, CV,
+// skewness and maximum in one pass).
 package stats
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
-
-// ErrEmpty is returned by functions that cannot operate on empty input.
-var ErrEmpty = errors.New("stats: empty input")
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for empty input.
 func Mean(xs []float64) float64 {
@@ -66,215 +58,4 @@ func CV(xs []float64) float64 {
 // float slice. It is the CV column of MomentsOfInts.
 func CVInts(xs []int) float64 {
 	return MomentsOfInts(xs).CV
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// linear interpolation between closest ranks. It returns ErrEmpty for
-// empty input and does not modify xs.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0], nil
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo], nil
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
-
-// Min returns the minimum of xs. It returns ErrEmpty for empty input.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the maximum of xs. It returns ErrEmpty for empty input.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// ArgMin returns the index of the smallest element of xs, breaking ties
-// toward the lowest index. It returns -1 for empty input.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs[1:] {
-		if x < xs[best] {
-			best = i + 1
-		}
-	}
-	return best
-}
-
-// AbsPctDiff returns |a-b| as a percentage of b. If b is zero it
-// returns |a-b| as a percentage of 1 (i.e. 100*|a-b|), avoiding
-// division by zero while keeping the result monotone in the gap.
-func AbsPctDiff(a, b float64) float64 {
-	d := math.Abs(a - b)
-	den := math.Abs(b)
-	if den == 0 {
-		den = 1
-	}
-	return 100 * d / den
-}
-
-// LinearFit fits y = a + b*x by ordinary least squares and returns
-// (a, b). It returns ErrEmpty for empty input and an error when xs and
-// ys differ in length or x has zero variance.
-func LinearFit(xs, ys []float64) (a, b float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	if len(xs) != len(ys) {
-		return 0, 0, errors.New("stats: LinearFit length mismatch")
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxx, sxy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxx += dx * dx
-		sxy += dx * (ys[i] - my)
-	}
-	if sxx == 0 {
-		return 0, 0, errors.New("stats: LinearFit with constant x")
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	return a, b, nil
-}
-
-// PowerFit fits y = c * x^p by least squares in log-log space and
-// returns (c, p). All inputs must be strictly positive.
-//
-// This is the "off-line best-fit strategy" from the paper's scale-free
-// case study: run the sampler over a training set, fit the relation
-// between the sample threshold t_s and the full-input threshold t_A,
-// and discover t_A ≈ t_s^2.
-func PowerFit(xs, ys []float64) (c, p float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	if len(xs) != len(ys) {
-		return 0, 0, errors.New("stats: PowerFit length mismatch")
-	}
-	lx := make([]float64, len(xs))
-	ly := make([]float64, len(ys))
-	for i := range xs {
-		if xs[i] <= 0 || ys[i] <= 0 {
-			return 0, 0, errors.New("stats: PowerFit requires positive data")
-		}
-		lx[i] = math.Log(xs[i])
-		ly[i] = math.Log(ys[i])
-	}
-	a, b, err := LinearFit(lx, ly)
-	if err != nil {
-		return 0, 0, err
-	}
-	return math.Exp(a), b, nil
-}
-
-// IsNearConcaveUp reports whether ys, viewed as samples of a function
-// over increasing x, is "near concave-up": it decreases to a single
-// global minimum and increases after it, allowing wiggles of up to tol
-// (relative). This is the qualitative property the paper's sensitivity
-// figures (Figs. 4, 6, 9) exhibit: total time has an interior minimum
-// at the chosen sample size.
-func IsNearConcaveUp(ys []float64, tol float64) bool {
-	if len(ys) < 3 {
-		return false
-	}
-	min := ArgMin(ys)
-	ok := func(prev, next float64) bool {
-		// Moving away from the minimum must not decrease by more
-		// than tol (relative to the smaller value).
-		return next >= prev*(1-tol)
-	}
-	for i := min; i > 0; i-- {
-		if !ok(ys[i], ys[i-1]) {
-			return false
-		}
-	}
-	for i := min; i < len(ys)-1; i++ {
-		if !ok(ys[i], ys[i+1]) {
-			return false
-		}
-	}
-	// An interior structure requires the endpoints to sit strictly
-	// above the minimum.
-	return ys[0] > ys[min] || ys[len(ys)-1] > ys[min]
-}
-
-// Histogram counts xs into n equal-width buckets over [min, max]. The
-// final bucket is closed on the right. It returns ErrEmpty for empty
-// input or n <= 0.
-func Histogram(xs []float64, n int) (counts []int, lo, hi float64, err error) {
-	if len(xs) == 0 || n <= 0 {
-		return nil, 0, 0, ErrEmpty
-	}
-	lo, _ = Min(xs)
-	hi, _ = Max(xs)
-	counts = make([]int, n)
-	if lo == hi {
-		counts[0] = len(xs)
-		return counts, lo, hi, nil
-	}
-	w := (hi - lo) / float64(n)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b >= n {
-			b = n - 1
-		}
-		counts[b]++
-	}
-	return counts, lo, hi, nil
-}
-
-// GeoMean returns the geometric mean of xs; all values must be
-// positive. Used to aggregate per-dataset ratios the way the paper's
-// "on average" claims do.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: GeoMean requires positive data")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs))), nil
 }

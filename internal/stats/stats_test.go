@@ -72,206 +72,3 @@ func TestCVIntsMatchesCV(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	for _, c := range []struct{ p, want float64 }{
-		{0, 10}, {100, 50}, {50, 30}, {25, 20}, {10, 14},
-	} {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEq(got, c.want, 1e-9) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Errorf("Percentile(nil) error = %v, want ErrEmpty", err)
-	}
-	// Out of range p clamps.
-	if got, _ := Percentile(xs, -5); got != 10 {
-		t.Errorf("Percentile(-5) = %v, want 10", got)
-	}
-	if got, _ := Percentile(xs, 200); got != 50 {
-		t.Errorf("Percentile(200) = %v, want 50", got)
-	}
-	// Input must not be mutated.
-	unsorted := []float64{3, 1, 2}
-	if _, err := Percentile(unsorted, 50); err != nil {
-		t.Fatal(err)
-	}
-	if unsorted[0] != 3 || unsorted[1] != 1 || unsorted[2] != 2 {
-		t.Errorf("Percentile mutated its input: %v", unsorted)
-	}
-}
-
-func TestMinMaxArgMin(t *testing.T) {
-	xs := []float64{4, 2, 9, 2.5}
-	if m, _ := Min(xs); m != 2 {
-		t.Errorf("Min = %v", m)
-	}
-	if m, _ := Max(xs); m != 9 {
-		t.Errorf("Max = %v", m)
-	}
-	if i := ArgMin(xs); i != 1 {
-		t.Errorf("ArgMin = %v", i)
-	}
-	if i := ArgMin(nil); i != -1 {
-		t.Errorf("ArgMin(nil) = %v", i)
-	}
-	if i := ArgMin([]float64{5, 1, 1, 3}); i != 1 {
-		t.Errorf("ArgMin tie-break = %v, want 1", i)
-	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Errorf("Min(nil) error = %v", err)
-	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Errorf("Max(nil) error = %v", err)
-	}
-}
-
-func TestAbsPctDiff(t *testing.T) {
-	if got := AbsPctDiff(110, 100); !almostEq(got, 10, 1e-9) {
-		t.Errorf("AbsPctDiff = %v, want 10", got)
-	}
-	if got := AbsPctDiff(90, 100); !almostEq(got, 10, 1e-9) {
-		t.Errorf("AbsPctDiff = %v, want 10", got)
-	}
-	if got := AbsPctDiff(0.5, 0); !almostEq(got, 50, 1e-9) {
-		t.Errorf("AbsPctDiff with zero base = %v, want 50", got)
-	}
-}
-
-func TestLinearFit(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
-	a, b, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(a, 1, 1e-9) || !almostEq(b, 2, 1e-9) {
-		t.Errorf("LinearFit = (%v, %v), want (1, 2)", a, b)
-	}
-	if _, _, err := LinearFit(nil, nil); err != ErrEmpty {
-		t.Errorf("LinearFit(nil) error = %v", err)
-	}
-	if _, _, err := LinearFit([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("LinearFit length mismatch: no error")
-	}
-	if _, _, err := LinearFit([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
-		t.Error("LinearFit constant x: no error")
-	}
-}
-
-func TestPowerFitRecoversSquare(t *testing.T) {
-	// This is exactly the offline fit the scale-free case study runs:
-	// t_A = t_s^2 must be recovered from (t_s, t_A) pairs.
-	xs := []float64{2, 3, 5, 8, 13}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = x * x
-	}
-	c, p, err := PowerFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(c, 1, 1e-9) || !almostEq(p, 2, 1e-9) {
-		t.Errorf("PowerFit = (%v, %v), want (1, 2)", c, p)
-	}
-	if _, _, err := PowerFit([]float64{1, -1}, []float64{1, 1}); err == nil {
-		t.Error("PowerFit with negative data: no error")
-	}
-	if _, _, err := PowerFit(nil, nil); err != ErrEmpty {
-		t.Errorf("PowerFit(nil) error = %v", err)
-	}
-}
-
-func TestIsNearConcaveUp(t *testing.T) {
-	cases := []struct {
-		ys   []float64
-		tol  float64
-		want bool
-	}{
-		{[]float64{5, 3, 2, 3, 6}, 0, true},            // clean valley
-		{[]float64{5, 3, 2, 1.9, 6}, 0.10, true},       // small wiggle within tol
-		{[]float64{5, 3, 2, 3.5, 2.2, 6}, 0.10, false}, // rebound then second dip
-		{[]float64{1, 2, 3, 4}, 0, true},               // min at left edge, right endpoint higher
-		{[]float64{4, 3, 2, 1}, 0, true},               // min at right edge
-		{[]float64{2, 2, 2}, 0, false},                 // flat: no interior structure
-		{[]float64{1, 2}, 0, false},                    // too short
-		{[]float64{5, 1, 4, 0.5, 6}, 0.05, false},      // double dip
-	}
-	for _, c := range cases {
-		if got := IsNearConcaveUp(c.ys, c.tol); got != c.want {
-			t.Errorf("IsNearConcaveUp(%v, %v) = %v, want %v", c.ys, c.tol, got, c.want)
-		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.1, 0.5, 0.9, 1.0}
-	counts, lo, hi, err := Histogram(xs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo != 0 || hi != 1 {
-		t.Errorf("bounds = (%v, %v)", lo, hi)
-	}
-	if counts[0] != 2 || counts[1] != 3 {
-		t.Errorf("counts = %v, want [2 3]", counts)
-	}
-	// Constant data goes in bucket 0.
-	counts, _, _, err = Histogram([]float64{7, 7, 7}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts[0] != 3 {
-		t.Errorf("constant counts = %v", counts)
-	}
-	if _, _, _, err := Histogram(nil, 3); err != ErrEmpty {
-		t.Errorf("Histogram(nil) error = %v", err)
-	}
-	if _, _, _, err := Histogram(xs, 0); err != ErrEmpty {
-		t.Errorf("Histogram(n=0) error = %v", err)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got, err := GeoMean([]float64{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(got, 2, 1e-9) {
-		t.Errorf("GeoMean = %v, want 2", got)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Error("GeoMean with zero: no error")
-	}
-	if _, err := GeoMean(nil); err != ErrEmpty {
-		t.Errorf("GeoMean(nil) error = %v", err)
-	}
-}
-
-func TestPercentileProperties(t *testing.T) {
-	f := func(raw []uint16, pRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		p := float64(pRaw) / 255 * 100
-		got, err := Percentile(xs, p)
-		if err != nil {
-			return false
-		}
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
-		return got >= mn && got <= mx
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}

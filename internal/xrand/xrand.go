@@ -89,11 +89,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Int63 returns a non-negative 63-bit value.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Uint64n returns a uniform value in [0, n) using Lemire's method with a
 // rejection step to remove modulo bias. It panics if n == 0.
 func (r *Rand) Uint64n(n uint64) uint64 {
