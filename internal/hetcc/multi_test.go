@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datasets"
 	"repro/internal/graph"
 	"repro/internal/hetsim"
+	"repro/internal/xrand"
 )
 
 func TestMultiRunCorrectness(t *testing.T) {
@@ -137,5 +139,66 @@ func TestMultiPartitionEstimate(t *testing.T) {
 	if est.Overhead() >= full.Cost/3 {
 		t.Errorf("estimation overhead %v not well below full search cost %v",
 			est.Overhead(), full.Cost)
+	}
+}
+
+// TestTwoDeviceParity — the N-device workload on one accelerator is the
+// CPU+GPU workload: the same simulated duration at every integer share
+// and a few fractional ones, on the full graph and on a sample, for a
+// FEM, a web and a road replica. The replicas run as parallel subtests;
+// the race detector would make the full-graph sweeps take minutes.
+func TestTwoDeviceParity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("evaluates three full replicas 212 times each; runs without -race")
+	}
+	shares := []float64{0.05, 12.5, 33.3, 66.67, 99.95}
+	for r := 0; r <= 100; r++ {
+		shares = append(shares, float64(r))
+	}
+	for _, name := range []string{"cant", "web-BerkStan", "netherlands_osm"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			d, err := datasets.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := d.Graph()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := NewWorkload(name, g, NewAlgorithm(hetsim.Default()))
+			mw := NewMultiWorkload(name, g, NewMultiAlgorithm(hetsim.DefaultMulti(1)))
+			ctx := context.Background()
+			sw, scost, err := w.Sample(ctx, xrand.New(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			smw, mcost, err := mw.SamplePartition(ctx, xrand.New(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if scost != mcost {
+				t.Errorf("sample cost %v, N-device %v", scost, mcost)
+			}
+			for _, c := range []struct {
+				graph string
+				w     core.Workload
+				mw    core.PartitionWorkload
+			}{{"full", w, mw}, {"sample", sw, smw}} {
+				for _, r := range shares {
+					want, err := c.w.Evaluate(r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := c.mw.EvaluatePartition(core.Partition{r, 100 - r})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Errorf("%s r=%v: N-device %v, CPU+GPU %v", c.graph, r, got, want)
+					}
+				}
+			}
+		})
 	}
 }
