@@ -132,15 +132,18 @@ func (p Partition) Validate() error {
 	return nil
 }
 
-// validFor checks that p is a valid partition over w's devices.
-func (p Partition) validFor(w PartitionWorkload) error {
+// ValidateFor checks that p is a valid partition (see Validate) with
+// exactly one share for each of the n devices owner spans. Every API
+// that evaluates a caller-supplied vector checks it here, so a
+// malformed or mis-sized vector is always a *PartitionError.
+func (p Partition) ValidateFor(n int, owner string) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if n := w.Devices(); len(p) != n {
+	if len(p) != n {
 		return &PartitionError{
 			Shares: p.Clone(), Index: -1, Sum: p.Sum(),
-			Reason: fmt.Sprintf("has %d shares, workload %s spans %d devices", len(p), w.Name(), n),
+			Reason: fmt.Sprintf("has %d shares, %s spans %d devices", len(p), owner, n),
 		}
 	}
 	return nil
@@ -373,7 +376,7 @@ func (s SimplexSearch) SearchPartition(ctx context.Context, w PartitionWorkload,
 	}
 	cur := EqualPartition(n)
 	if s.Start != nil {
-		if err := s.Start.validFor(w); err != nil {
+		if err := s.Start.ValidateFor(n, w.Name()); err != nil {
 			return SimplexResult{}, err
 		}
 		cur = s.Start.Clone()
@@ -596,7 +599,7 @@ func EstimatePartition(ctx context.Context, w SampledPartition, cfg Config) (*Pa
 		return nil, err
 	}
 	if c.Start != nil {
-		if err := c.Start.validFor(w); err != nil {
+		if err := c.Start.ValidateFor(n, w.Name()); err != nil {
 			return nil, err
 		}
 	}
@@ -713,11 +716,8 @@ func (s *scalarPartition) Devices() int { return 2 }
 // EvaluatePartition implements PartitionWorkload: the first share is
 // the scalar threshold.
 func (s *scalarPartition) EvaluatePartition(p Partition) (time.Duration, error) {
-	if len(p) != 2 {
-		return 0, &PartitionError{
-			Shares: p.Clone(), Index: -1, Sum: p.Sum(),
-			Reason: fmt.Sprintf("has %d shares, scalar workload %s spans 2 devices", len(p), s.w.Name()),
-		}
+	if err := p.ValidateFor(2, s.w.Name()); err != nil {
+		return 0, err
 	}
 	return s.w.Evaluate(p[0])
 }

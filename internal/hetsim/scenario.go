@@ -114,15 +114,9 @@ func (s *Scenario) segmentKernel(a, b float64) Kernel {
 // EvaluatePartition implements core.PartitionWorkload. Safe for
 // concurrent use: the model only reads the spec.
 func (s *Scenario) EvaluatePartition(p core.Partition) (time.Duration, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
 	n := s.Devices()
-	if len(p) != n {
-		return 0, &core.PartitionError{
-			Shares: p.Clone(), Index: -1, Sum: p.Sum(),
-			Reason: "does not match the platform's device count",
-		}
+	if err := p.ValidateFor(n, "the platform"); err != nil {
+		return 0, err
 	}
 	var (
 		cut      float64 // running cumulative fraction
