@@ -136,7 +136,7 @@ func TestRangeCV(t *testing.T) {
 	for b := 0; b+cvBucket <= a.Rows; b += cvBucket {
 		var s float64
 		for i := b; i < b+cvBucket; i++ {
-			s += float64(prof.load[i])
+			s += float64(prof.loadPrefix[i+1] - prof.loadPrefix[i])
 		}
 		buckets = append(buckets, s)
 	}
