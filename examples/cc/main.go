@@ -66,7 +66,7 @@ func main() {
 	tw.Flush()
 
 	// Drill into the run at the estimated threshold.
-	res, err := alg.Run(g, est.Threshold)
+	res, err := alg.Run(g, core.Partition{est.Threshold, 100 - est.Threshold})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,8 +44,9 @@ func main() {
 	fmt.Printf("estimation overhead: %v simulated (%d sample evaluations)\n",
 		est.Overhead(), est.Evals)
 
-	// 4. Run the heterogeneous algorithm with the estimated threshold.
-	res, err := alg.Run(g, est.Threshold)
+	// 4. Run the heterogeneous algorithm at the estimated threshold: the
+	// CPU takes t% of the vertices, the GPU the rest.
+	res, err := alg.Run(g, core.Partition{est.Threshold, 100 - est.Threshold})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,7 +7,10 @@
 // rest form G_GPU; edges with one endpoint on each side are cross
 // edges. Phase II finds components of G_CPU on the CPU (partitioned
 // multi-threaded DFS) and of G_GPU on the GPU (Shiloach–Vishkin),
-// overlapped; the cross edges then merge the two labelings.
+// overlapped; the cross edges then merge the two labelings. With more
+// accelerators (Section II) the threshold becomes a vector of shares,
+// one contiguous vertex range per device; the CPU+GPU run is the
+// two-device case of the same runner.
 //
 // All algorithms execute for real; the package charges simulated time
 // for each phase through the hetsim device models using the work the
@@ -21,20 +24,32 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hetsim"
 )
 
-// Algorithm holds the execution configuration for heterogeneous CC.
+// Algorithm holds the execution configuration for heterogeneous CC on
+// a CPU and one or more accelerators.
 type Algorithm struct {
-	Platform *hetsim.Platform
+	Platform *hetsim.MultiPlatform
 	// CPUThreads is c, the number of CPU worker threads Phase I
 	// divides G_CPU across. Defaults to the platform's core count.
 	CPUThreads int
 }
 
-// NewAlgorithm returns an Algorithm on the given platform.
+// NewAlgorithm returns an Algorithm on the given CPU+GPU platform: the
+// two-device case of NewMultiAlgorithm.
 func NewAlgorithm(p *hetsim.Platform) *Algorithm {
+	return NewMultiAlgorithm(&hetsim.MultiPlatform{CPU: p.CPU, GPUs: []*hetsim.Device{p.GPU}, Link: p.Link})
+}
+
+// NewMultiAlgorithm returns an Algorithm on a CPU plus several
+// accelerators — the paper's Section II extension: the vertex set is
+// split into one contiguous range per device by a vector of share
+// percentages, each device finds the components of its subgraph
+// concurrently, and all cross edges merge the labelings.
+func NewMultiAlgorithm(p *hetsim.MultiPlatform) *Algorithm {
 	return &Algorithm{Platform: p, CPUThreads: p.CPU.Spec.Cores}
 }
 
@@ -54,50 +69,69 @@ type Result struct {
 	// Time is the simulated wall-clock duration of the run
 	// (partition + overlapped compute + merge + transfers).
 	Time time.Duration
-	// CPUTime and GPUTime are the per-device phase durations that
-	// were overlapped.
+	// DeviceTimes[i] is device i's overlapped phase duration: index 0
+	// is the CPU, index i >= 1 accelerator i-1 including its input
+	// transfer. CPUTime and GPUTime repeat the CPU's and the first
+	// accelerator's.
+	DeviceTimes      []time.Duration
 	CPUTime, GPUTime time.Duration
-	// CrossEdges is the number of edges spanning the two partitions.
+	// CrossEdges is the number of edges spanning the partitions.
 	CrossEdges int64
 	// Trace is the per-phase timeline.
 	Trace hetsim.Trace
 }
 
-// Run executes Algorithm 1 on g with threshold t (the percentage of
-// vertices assigned to the CPU). Each call uses its own working
-// memory, so the returned Result is independently owned; the sampling
-// adapter's Evaluate runs the same runner on pooled scratch instead.
-func (a *Algorithm) Run(g *graph.Graph, t float64) (*Result, error) {
+// Run executes Algorithm 1 on g with partition p: share i is the
+// percentage of vertices assigned to platform device i (device 0 is
+// the CPU; on a CPU+GPU platform p is {t, 100 - t} for threshold t).
+// Malformed vectors are a *core.PartitionError, never renormalized.
+// Each call uses its own working memory, so the returned Result is
+// independently owned; the sampling adapters evaluate on pooled
+// scratch instead.
+func (a *Algorithm) Run(g *graph.Graph, p core.Partition) (*Result, error) {
 	res := &Result{}
-	if err := a.runInto(g, t, res, new(splitScratch)); err != nil {
+	if err := a.runInto(g, p, res, new(splitScratch)); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// runInto executes Algorithm 1 as the two-device case of the shared
-// runner, drawing every buffer from s; res is fully overwritten and
-// aliases s afterwards.
-func (a *Algorithm) runInto(g *graph.Graph, t float64, res *Result, s *splitScratch) error {
+// runInto executes Algorithm 1 on the shared runner, drawing every
+// buffer from s; res is fully overwritten and aliases s afterwards.
+func (a *Algorithm) runInto(g *graph.Graph, p core.Partition, res *Result, s *splitScratch) error {
 	if g == nil {
 		return fmt.Errorf("hetcc: nil graph")
 	}
-	if t < 0 || t > 100 {
-		return fmt.Errorf("hetcc: threshold %v outside [0, 100]", t)
+	if err := p.ValidateFor(a.Platform.Devices(), "the platform"); err != nil {
+		return err
 	}
-	s.cuts = append(s.cuts[:0], 0, int(float64(g.N)*t/100), g.N)
-	d := ccDevices{
-		cpu:     a.Platform.CPU,
-		threads: a.threads(),
-		accs:    []*hetsim.Device{a.Platform.GPU},
-		names:   scalarNames,
-		link:    a.Platform.Link,
+	// Cut points in vertex space: device i owns [cuts[i], cuts[i+1]).
+	s.cuts = append(s.cuts[:0], 0)
+	acc := 0.0
+	for _, share := range p[:len(p)-1] {
+		acc += share
+		s.cuts = append(s.cuts, min(int(float64(g.N)*acc/100), g.N))
 	}
-	res.Labels, res.Components, res.Time = s.run(g, d)
+	s.cuts = append(s.cuts, g.N)
+	res.Labels, res.Components, res.Time = s.run(g, a)
 	res.Trace.Entries = s.trace
+	res.DeviceTimes = s.deviceTimes
 	res.CPUTime, res.GPUTime = s.deviceTimes[0], s.deviceTimes[1]
 	res.CrossEdges = int64(len(s.cross))
 	return nil
+}
+
+// evaluate returns the simulated duration of a run at partition p,
+// checking a run scratch out of the shared pool — which is what makes
+// the evaluation loop allocation-free in the steady state.
+func (a *Algorithm) evaluate(g *graph.Graph, p core.Partition) (time.Duration, error) {
+	s := scratchPool.Get().(*splitScratch)
+	defer scratchPool.Put(s)
+	var res Result
+	if err := a.runInto(g, p, &res, s); err != nil {
+		return 0, err
+	}
+	return res.Time, nil
 }
 
 // ccCPUTimeSplit charges the partitioned multi-threaded DFS over the
@@ -220,8 +254,9 @@ func ccGPUTimeRange(dev *hetsim.Device, lower, upper []int32, lo, hi int, arcs i
 }
 
 // RunGPUOnly is the paper's "Naive" homogeneous baseline: the whole
-// graph is shipped to the GPU and processed by Shiloach–Vishkin, with
-// no partitioning.
+// graph is shipped to the first accelerator and processed by
+// Shiloach–Vishkin, with no partitioning. Of the device times it sets
+// GPUTime only.
 func (a *Algorithm) RunGPUOnly(g *graph.Graph) (*Result, error) {
 	if g == nil {
 		return nil, fmt.Errorf("hetcc: nil graph")
@@ -229,7 +264,7 @@ func (a *Algorithm) RunGPUOnly(g *graph.Graph) (*Result, error) {
 	res := &Result{}
 	svRes := graph.ShiloachVishkin(g)
 	transferIn := a.Platform.Link.Transfer(int64(4 * g.Arcs()))
-	gpuTime := ccGPUTime(a.Platform.GPU, g, svRes)
+	gpuTime := ccGPUTime(a.Platform.GPUs[0], g, svRes)
 	transferOut := a.Platform.Link.Transfer(4 * int64(g.N))
 	res.Trace.Add(hetsim.PhaseTransfer, "link", transferIn+transferOut)
 	res.Trace.Add(hetsim.PhaseCompute, "gpu", gpuTime)

@@ -20,12 +20,15 @@ func testGraph(t *testing.T, kind graph.GenKind, n, m int, seed uint64) *graph.G
 	return g
 }
 
+// split is the two-device partition of threshold t.
+func split(t float64) core.Partition { return core.Partition{t, 100 - t} }
+
 func TestRunCorrectAtAllThresholds(t *testing.T) {
 	g := testGraph(t, graph.KindGNM, 500, 900, 1)
 	ref := graph.DFS(g)
 	alg := NewAlgorithm(hetsim.Default())
 	for _, th := range []float64{0, 1, 10, 33.3, 50, 75, 99, 100} {
-		res, err := alg.Run(g, th)
+		res, err := alg.Run(g, split(th))
 		if err != nil {
 			t.Fatalf("t=%v: %v", th, err)
 		}
@@ -48,7 +51,7 @@ func TestRunCorrectAcrossKinds(t *testing.T) {
 	for _, kind := range []graph.GenKind{graph.KindGNM, graph.KindRMAT, graph.KindRoad, graph.KindMesh} {
 		g := testGraph(t, kind, 800, 2000, 3)
 		ref := graph.DFS(g)
-		res, err := alg.Run(g, 40)
+		res, err := alg.Run(g, split(40))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,13 +64,13 @@ func TestRunCorrectAcrossKinds(t *testing.T) {
 func TestRunThresholdValidation(t *testing.T) {
 	g := testGraph(t, graph.KindGNM, 10, 9, 1)
 	alg := NewAlgorithm(hetsim.Default())
-	if _, err := alg.Run(g, -1); err == nil {
+	if _, err := alg.Run(g, split(-1)); err == nil {
 		t.Error("negative threshold accepted")
 	}
-	if _, err := alg.Run(g, 101); err == nil {
+	if _, err := alg.Run(g, split(101)); err == nil {
 		t.Error("threshold > 100 accepted")
 	}
-	if _, err := alg.Run(nil, 50); err == nil {
+	if _, err := alg.Run(nil, split(50)); err == nil {
 		t.Error("nil graph accepted")
 	}
 }
@@ -76,7 +79,7 @@ func TestRunExtremesMatchSingleDevice(t *testing.T) {
 	g := testGraph(t, graph.KindGNM, 300, 600, 5)
 	alg := NewAlgorithm(hetsim.Default())
 	// t=0: all on GPU — CPU time must be zero.
-	res0, err := alg.Run(g, 0)
+	res0, err := alg.Run(g, split(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +91,7 @@ func TestRunExtremesMatchSingleDevice(t *testing.T) {
 	}
 	// t=100: all on CPU — GPU compute is zero (only the empty
 	// transfer remains).
-	res100, err := alg.Run(g, 100)
+	res100, err := alg.Run(g, split(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,7 @@ func TestCrossEdgesCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	alg := NewAlgorithm(hetsim.Default())
-	res, err := alg.Run(g, 50)
+	res, err := alg.Run(g, split(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +130,7 @@ func TestTimeLandscapeHasInteriorStructure(t *testing.T) {
 	var times []float64
 	best := math.Inf(1)
 	for th := 0.0; th <= 100; th += 10 {
-		res, err := alg.Run(g, th)
+		res, err := alg.Run(g, split(th))
 		if err != nil {
 			t.Fatal(err)
 		}

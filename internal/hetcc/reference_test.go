@@ -4,7 +4,7 @@ package hetcc
 // materializes a device's subgraph; these are the materializing forms
 // it replaced, kept only as correctness oracles:
 //
-//   - refMultiRun is the N-device MultiAlgorithm.Run as it was before
+//   - refMultiRun is the N-device Algorithm.Run as it was before
 //     the runners merged: every device's subgraph rebuilt through
 //     graph.FromEdges, the goroutine-parallel CPU kernel, the allocating
 //     Shiloach–Vishkin, and map-based label canonicalization;
@@ -144,11 +144,11 @@ func ccCPUTime(dev *hetsim.Device, c int, gCPU *graph.Graph) time.Duration {
 }
 
 // refMultiRun is the materializing N-device runner.
-func refMultiRun(a *MultiAlgorithm, g *graph.Graph, p core.Partition) (*MultiResult, error) {
+func refMultiRun(a *Algorithm, g *graph.Graph, p core.Partition) (*Result, error) {
 	if g == nil {
 		return nil, fmt.Errorf("hetcc: nil graph")
 	}
-	if err := a.checkPartition(p); err != nil {
+	if err := p.ValidateFor(a.Platform.Devices(), "the platform"); err != nil {
 		return nil, err
 	}
 	nDev := len(p)
@@ -163,7 +163,7 @@ func refMultiRun(a *MultiAlgorithm, g *graph.Graph, p core.Partition) (*MultiRes
 	}
 	cuts[nDev] = g.N
 
-	res := &MultiResult{DeviceTimes: make([]time.Duration, nDev)}
+	res := &Result{DeviceTimes: make([]time.Duration, nDev)}
 	partTime := a.Platform.CPU.Time(hetsim.Kernel{
 		Name:             "partition",
 		Ops:              int64(g.N) + int64(g.Arcs()),
@@ -192,7 +192,7 @@ func refMultiRun(a *MultiAlgorithm, g *graph.Graph, p core.Partition) (*MultiRes
 			transferIn := a.Platform.Link.Transfer(int64(4 * part.Arcs()))
 			dt = transferIn + ccGPUTime(a.Platform.GPUs[i-1], part, results[i])
 			res.Trace.Add(hetsim.PhaseTransfer, "link", transferIn)
-			res.Trace.Add(hetsim.PhaseCompute, fmt.Sprintf("gpu%d", i-1), dt-transferIn)
+			res.Trace.Add(hetsim.PhaseCompute, refAccelName(nDev-1, i-1), dt-transferIn)
 		}
 		res.DeviceTimes[i] = dt
 		wall = hetsim.Overlap(wall, dt)
@@ -203,7 +203,7 @@ func refMultiRun(a *MultiAlgorithm, g *graph.Graph, p core.Partition) (*MultiRes
 	mergeTarget := "cpu"
 	if len(a.Platform.GPUs) > 0 {
 		mergeDev = a.Platform.GPUs[0]
-		mergeTarget = "gpu0"
+		mergeTarget = refAccelName(nDev-1, 0)
 	}
 	mergeTime := mergeDev.Time(hetsim.Kernel{
 		Name:             "merge",
@@ -221,6 +221,15 @@ func refMultiRun(a *MultiAlgorithm, g *graph.Graph, p core.Partition) (*MultiRes
 	res.Components = graph.NumComponents(labels)
 	res.Time = partTime + wall + mergeTime + transferOut
 	return res, nil
+}
+
+// refAccelName names accelerator i of n in traces: "gpu" when it is
+// the only one.
+func refAccelName(n, i int) string {
+	if n == 1 {
+		return "gpu"
+	}
+	return fmt.Sprintf("gpu%d", i)
 }
 
 // refPartitionMulti splits g into len(cuts)-1 contiguous vertex ranges
@@ -293,8 +302,8 @@ func refMergeMulti(g *graph.Graph, cuts []int, results []*graph.CCResult, cross 
 	return labels
 }
 
-// sameMultiResult reports the first field in which two results differ.
-func sameMultiResult(got, want *MultiResult) string {
+// sameResult reports the first field in which two results differ.
+func sameResult(got, want *Result) string {
 	switch {
 	case !slices.Equal(got.Labels, want.Labels):
 		return "Labels"
@@ -312,7 +321,7 @@ func sameMultiResult(got, want *MultiResult) string {
 	return ""
 }
 
-// TestMultiRunMatchesReference pins MultiAlgorithm.Run to the frozen
+// TestMultiRunMatchesReference pins Algorithm.Run to the frozen
 // materializing runner — labels, component count, per-device times,
 // cross edges, total time and trace — on every generator family, for
 // 1 to 3 accelerators, over share vectors with empty and one-vertex
@@ -355,7 +364,7 @@ func TestMultiRunMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("graph %d %v: reference: %v", gi, p, err)
 				}
-				if diff := sameMultiResult(got, want); diff != "" {
+				if diff := sameResult(got, want); diff != "" {
 					t.Fatalf("graph %d, %d accelerators, %v: %s differs from the reference", gi, accs, p, diff)
 				}
 			}
