@@ -84,13 +84,15 @@ func evalWorkloads(t testing.TB) map[string]core.Workload {
 // FromEdges rebuilds, per-call label/union-find state); it now runs
 // out of a pooled split-index scratch. cc3 is the same runner at three
 // devices through EvaluatePartition, which rebuilt every device's
-// subgraph until the two runners merged. The pins leave a little
-// headroom for sync.Pool refills after a GC, nothing more.
+// subgraph until the two runners merged. spmm3 is the SpMM cost model
+// at three devices, which keeps its row cuts on the stack. The pins
+// leave a little headroom for sync.Pool refills after a GC, nothing
+// more.
 func TestEvaluateAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are not meaningful")
 	}
-	limits := map[string]float64{"cc": 4, "cc3": 4, "spmm": 1, "scale": 1}
+	limits := map[string]float64{"cc": 4, "cc3": 4, "spmm": 1, "spmm3": 1, "scale": 1}
 	ws := evalWorkloads(t)
 	evals := map[string]func() error{}
 	for name, w := range ws {
@@ -99,6 +101,12 @@ func TestEvaluateAllocsPinned(t *testing.T) {
 	g := ws["cc"].(*hetcc.Workload).Graph()
 	mw := hetcc.NewMultiWorkload("germany_osm", g, hetcc.NewMultiAlgorithm(hetsim.DefaultMulti(2)))
 	evals["cc3"] = func() error { _, err := mw.EvaluatePartition(core.Partition{40, 30, 30}); return err }
+	m := ws["spmm"].(*hetspmm.Workload).Matrix()
+	sw, err := hetspmm.NewMultiWorkload("cant", m, hetspmm.NewMultiAlgorithm(hetsim.DefaultMulti(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	evals["spmm3"] = func() error { _, err := sw.EvaluatePartition(core.Partition{40, 30, 30}); return err }
 	for name, eval := range evals {
 		if err := eval(); err != nil { // warm the scratch pools
 			t.Fatal(err)
