@@ -122,6 +122,27 @@ func TestEvaluateAllocsPinned(t *testing.T) {
 	}
 }
 
+// TestNewProfileAllocsPinned pins an SpMM profile build, which every
+// upload and every sample pays, to its three kept objects: the
+// profile and its two prefix arrays, each filled in place. The build
+// it replaced also allocated a load vector it dropped after the prefix
+// sum and grew the output counts into a second array.
+func TestNewProfileAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are not meaningful")
+	}
+	m := evalWorkloads(t)["spmm"].(*hetspmm.Workload).Matrix()
+	build := func() {
+		if _, err := hetspmm.NewProfile(m, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build() // B's row index and the accumulator pool
+	if allocs := testing.AllocsPerRun(20, build); allocs > 3 {
+		t.Errorf("NewProfile on cant: %v allocs, want <= 3", allocs)
+	}
+}
+
 // TestSearchEngineAllocsPinned pins the engine's own overhead: a whole
 // search — tracker, memo, grid, parallel fan-out, commit — on an
 // allocation-free workload must cost only a handful of allocations,
