@@ -75,8 +75,8 @@ func TestRunValidation(t *testing.T) {
 	if _, err := alg.Run(prof, 101); err == nil {
 		t.Error("split > 100 accepted")
 	}
-	if _, err := alg.SimTime(prof, 200); err == nil {
-		t.Error("SimTime with bad split accepted")
+	if _, err := alg.SimTimeMulti(prof, core.Partition{200, -100}); err == nil {
+		t.Error("SimTimeMulti with bad split accepted")
 	}
 }
 
@@ -91,7 +91,7 @@ func TestProfileTimeMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r := 0.0; r <= 100; r += 12.5 {
-			fast, err := alg.SimTime(prof, r)
+			fast, err := alg.SimTimeMulti(prof, core.Partition{r, 100 - r})
 			if err != nil {
 				t.Fatal(err)
 			}
