@@ -62,10 +62,11 @@ func TestEvaluateConcurrent(t *testing.T) {
 }
 
 // TestEvaluateConcurrentMulti is TestEvaluateConcurrent for the
-// N-device path: one shared MultiWorkload evaluated from 8 goroutines
+// N-device path: one shared Workload evaluated from 8 goroutines
 // across a 3-device share grid (empty ranges included), every result
 // checked against a sequential reference. Under -race it verifies that
-// the pooled scratch shared with Workload.Evaluate keeps runs apart.
+// the pooled scratch shared with two-device evaluations keeps runs
+// apart.
 func TestEvaluateConcurrentMulti(t *testing.T) {
 	g := testGraph(t, graph.KindRMAT, 600, 2400, 9)
 	w := NewMultiWorkload("rmat", g, NewMultiAlgorithm(hetsim.DefaultMulti(2)))

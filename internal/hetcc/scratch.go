@@ -46,9 +46,8 @@ type splitScratch struct {
 	trace       []hetsim.TraceEntry
 }
 
-// scratchPool recycles run scratches across Workload.Evaluate and
-// MultiWorkload.EvaluatePartition calls; each concurrent evaluation
-// checks one out for the duration of a run.
+// scratchPool recycles run scratches across Workload evaluations;
+// each concurrent evaluation checks one out for the duration of a run.
 var scratchPool = sync.Pool{New: func() any { return new(splitScratch) }}
 
 // multiNames caches the trace names "gpu0", "gpu1", ... so a run does

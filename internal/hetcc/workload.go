@@ -14,8 +14,12 @@ import (
 )
 
 // Workload adapts heterogeneous CC to the core partitioning framework
-// (it implements core.Sampled). The threshold is the percentage of
-// vertices processed on the CPU.
+// at any device count. It implements core.SampledPartition: share i of
+// a partition is the percentage of vertices device i processes. It
+// also implements core.Sampled, whose threshold t — the percentage of
+// vertices processed on the CPU — is the two-device partition
+// {t, 100 - t}; on more devices every Evaluate fails with a
+// *core.PartitionError.
 type Workload struct {
 	name string
 	g    *graph.Graph
@@ -39,60 +43,69 @@ type Workload struct {
 	KeepFrac float64
 }
 
-var _ core.Sampled = (*Workload)(nil)
+var (
+	_ core.Sampled          = (*Workload)(nil)
+	_ core.SampledPartition = (*Workload)(nil)
+)
 
-// NewWorkload wraps graph g for partition-threshold estimation. alg is
-// a two-device Algorithm (NewAlgorithm); on more devices every
-// Evaluate fails with a *core.PartitionError.
+// NewWorkload wraps graph g for partition estimation on alg's platform;
+// a CPU+GPU Algorithm (NewAlgorithm) gives the paper's threshold.
 func NewWorkload(name string, g *graph.Graph, alg *Algorithm) *Workload {
 	return &Workload{name: name, g: g, alg: alg}
 }
 
-// Name implements core.Workload.
+// NewMultiWorkload is NewWorkload, named for an N-device Algorithm
+// (NewMultiAlgorithm): one Workload serves every device count.
+func NewMultiWorkload(name string, g *graph.Graph, alg *Algorithm) *Workload {
+	return NewWorkload(name, g, alg)
+}
+
+// Name implements core.Workload and core.PartitionWorkload.
 func (w *Workload) Name() string { return "cc/" + w.name }
 
 // Graph returns the underlying input.
 func (w *Workload) Graph() *graph.Graph { return w.g }
 
-// Evaluate implements core.Workload: one full heterogeneous CC run at
-// threshold t — the two-device partition {t, 100 - t} — returning its
-// simulated duration. It is safe for
-// concurrent use — the graph is treated as immutable and each call
-// checks a private run scratch (split indexes, frontiers, labels,
-// union-find state) out of a pool shared with
-// MultiWorkload.EvaluatePartition — so parallel searches
-// (core.WithParallelism) may call it from many goroutines on one
-// Workload. Reusing pooled scratch across grid points is what makes
-// the evaluation loop allocation-free in the steady state.
-func (w *Workload) Evaluate(t float64) (time.Duration, error) {
-	return w.alg.evaluate(w.g, core.Partition{t, 100 - t})
+// Devices implements core.PartitionWorkload.
+func (w *Workload) Devices() int { return w.alg.Platform.Devices() }
+
+// EvaluatePartition implements core.PartitionWorkload: one full
+// heterogeneous CC run at partition p, returning its simulated
+// duration. It is safe for concurrent use — the graph is treated as
+// immutable and each call checks a private run scratch (split indexes,
+// frontiers, labels, union-find state) out of a shared pool — so
+// parallel searches (core.WithParallelism) may call it from many
+// goroutines on one Workload. Reusing pooled scratch across grid
+// points is what makes the evaluation loop allocation-free in the
+// steady state.
+func (w *Workload) EvaluatePartition(p core.Partition) (time.Duration, error) {
+	return w.alg.evaluate(w.g, p)
 }
 
-// Sample implements core.Sampled: G' is the contracted sample over a
-// uniform random vertex set S of √n vertices (Section III-A.1; see
-// graph.ContractedSample for why the contraction rather than the plain
-// induced subgraph is used as the miniature). The returned cost
-// charges the CPU for drawing S and extracting the sample (a scan of
-// the chosen vertices' adjacency lists with binary-search remapping).
-// Set Induced to use the plain induced subgraph instead (the ablation
-// of the sampler choice).
-func (w *Workload) Sample(ctx context.Context, r *xrand.Rand) (core.Workload, time.Duration, error) {
+// Evaluate implements core.Workload: EvaluatePartition at the
+// two-device partition {t, 100 - t}.
+func (w *Workload) Evaluate(t float64) (time.Duration, error) {
+	return w.EvaluatePartition(core.Partition{t, 100 - t})
+}
+
+// SamplePartition implements core.SampledPartition: G' is the
+// contracted sample over a uniform random vertex set S of √n vertices
+// (Section III-A.1; see graph.ContractedSample for why the contraction
+// rather than the plain induced subgraph is used as the miniature).
+// The returned cost charges the CPU for drawing S and extracting the
+// sample (a scan of the chosen vertices' adjacency lists with
+// binary-search remapping). Set Induced to use the plain induced
+// subgraph instead (the ablation of the sampler choice).
+func (w *Workload) SamplePartition(ctx context.Context, r *xrand.Rand) (core.PartitionWorkload, time.Duration, error) {
 	_, span := obs.StartSpan(ctx, "sample.cc")
 	defer span.Finish()
-	sub, cost, err := drawSample(span, r, w.g, w.alg.Platform.CPU, w.name, w.SampleSize, keepOrDefault(w.KeepFrac), w.Induced, w.Importance)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &Workload{name: w.name + "-sample", g: sub, alg: w.alg}, cost, nil
-}
-
-// drawSample is the sampler body Sample and SamplePartition share: it
-// draws the sampled graph (k vertices, √n when k <= 0) and charges cpu
-// for drawing the vertex set and scanning the chosen vertices'
-// adjacency lists. span, which may be nil, receives the sample's shape.
-func drawSample(span *obs.Span, r *xrand.Rand, g *graph.Graph, cpu *hetsim.Device, name string, k int, keep float64, induced, importance bool) (*graph.Graph, time.Duration, error) {
+	g, k := w.g, w.SampleSize
 	if k <= 0 {
 		k = DefaultSampleSize(g.N)
+	}
+	keep := w.KeepFrac
+	if keep == 0 {
+		keep = 0.5
 	}
 	span.SetAttr("vertices", strconv.Itoa(g.N))
 	span.SetAttr("sample_vertices", strconv.Itoa(k))
@@ -100,15 +113,15 @@ func drawSample(span *obs.Span, r *xrand.Rand, g *graph.Graph, cpu *hetsim.Devic
 	var ids []int
 	var err error
 	switch {
-	case induced:
+	case w.Induced:
 		sub, ids, err = g.InducedSubgraph(g.SampleVertices(r, k))
-	case importance:
+	case w.Importance:
 		sub, ids, err = g.ContractedSampleFrom(r, g.ImportanceSampleVertices(r, k), keep)
 	default:
 		sub, ids, err = g.ContractedSample(r, k, keep)
 	}
 	if err != nil {
-		err = fmt.Errorf("hetcc: sampling %s: %w", name, err)
+		err = fmt.Errorf("hetcc: sampling %s: %w", w.name, err)
 		span.RecordError(err)
 		return nil, 0, err
 	}
@@ -117,7 +130,7 @@ func drawSample(span *obs.Span, r *xrand.Rand, g *graph.Graph, cpu *hetsim.Devic
 	for _, v := range ids {
 		scanned += int64(g.Degree(v))
 	}
-	cost := cpu.Time(hetsim.Kernel{
+	cost := w.alg.Platform.CPU.Time(hetsim.Kernel{
 		Name:             "cc-sample",
 		Ops:              scanned + int64(k),
 		Bytes:            4 * (scanned + int64(k)),
@@ -125,18 +138,25 @@ func drawSample(span *obs.Span, r *xrand.Rand, g *graph.Graph, cpu *hetsim.Devic
 		ParallelFraction: 0.5,
 		IrregularityCV:   1.0, // hash-probe heavy
 	})
-	return sub, cost, nil
+	return &Workload{name: w.name + "-sample", g: sub, alg: w.alg}, cost, nil
 }
 
-// keepOrDefault resolves a KeepFrac field: 0 means 1/2.
-func keepOrDefault(f float64) float64 {
-	if f == 0 {
-		return 0.5
+// Sample implements core.Sampled: the sampled Workload of
+// SamplePartition.
+func (w *Workload) Sample(ctx context.Context, r *xrand.Rand) (core.Workload, time.Duration, error) {
+	sw, cost, err := w.SamplePartition(ctx, r)
+	if err != nil {
+		return nil, 0, err
 	}
-	return f
+	return sw.(*Workload), cost, nil
 }
 
-// Extrapolate implements core.Sampled. For CC the paper observes the
-// sample threshold transfers directly: "if G' preserves the properties
-// of G, then we expect that t should be identical to t'".
+// ExtrapolatePartition implements core.SampledPartition. For CC the
+// paper observes the sample threshold transfers directly: "if G'
+// preserves the properties of G, then we expect that t should be
+// identical to t'".
+func (w *Workload) ExtrapolatePartition(p core.Partition) core.Partition { return p }
+
+// Extrapolate implements core.Sampled: the identity, as
+// ExtrapolatePartition.
 func (w *Workload) Extrapolate(tSample float64) float64 { return tSample }
