@@ -84,6 +84,73 @@ func loadMatrix(dataset, mtxPath string) (*sparse.CSR, string, error) {
 	return m, d.Name, err
 }
 
+// loadGraph is loadMatrix for the cc workload: a dataset's graph or
+// the -mtx file's.
+func loadGraph(dataset, mtxPath string) (*graph.Graph, string, error) {
+	if mtxPath != "" {
+		m, name, err := loadMatrix(dataset, mtxPath)
+		if err != nil {
+			return nil, "", err
+		}
+		g, err := graph.FromCSR(m)
+		return g, name, err
+	}
+	d, err := datasets.ByName(dataset)
+	if err != nil {
+		return nil, "", err
+	}
+	g, err := d.Graph()
+	return g, d.Name, err
+}
+
+// load builds the named workload over the dataset or the -mtx file and
+// picks the searcher its estimates use (nil: the pipeline default). It
+// runs on the CPU+GPU platform, or with mp on mp's devices; cc and spmm
+// are then also partition workloads (core.SampledPartition).
+func load(workload, dataset, mtxPath string, mp *hetsim.MultiPlatform) (core.Sampled, core.Searcher, error) {
+	platform := hetsim.Default()
+	switch {
+	case workload == "cc":
+		g, name, err := loadGraph(dataset, mtxPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		alg := hetcc.NewAlgorithm(platform)
+		if mp != nil {
+			alg = hetcc.NewMultiAlgorithm(mp)
+		}
+		return hetcc.NewWorkload(name, g, alg), nil, nil
+	case workload == "spmm":
+		m, name, err := loadMatrix(dataset, mtxPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		alg := hetspmm.NewAlgorithm(platform)
+		if mp != nil {
+			alg = hetspmm.NewMultiAlgorithm(mp)
+		}
+		w, err := hetspmm.NewWorkload(name, m, alg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return w, core.RaceThenFine{Window: 4}, nil
+	case mp != nil:
+		return nil, nil, fmt.Errorf("workload %q does not support partition vectors (want cc or spmm)", workload)
+	case workload == "scalefree":
+		m, name, err := loadMatrix(dataset, mtxPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		w, err := hetscale.NewWorkload(name, m, hetscale.NewAlgorithm(platform))
+		if err != nil {
+			return nil, nil, err
+		}
+		return w, core.GradientDescent{}, nil
+	default:
+		return nil, nil, fmt.Errorf("unknown workload %q (want cc, spmm or scalefree)", workload)
+	}
+}
+
 // runPartition is the -devices path: N-device partition-vector
 // estimation over the simplex, compared against the NaiveStatic
 // FLOPS-ratio vector and the exhaustive simplex optimum.
@@ -92,44 +159,12 @@ func runPartition(workload, dataset, mtxPath string, devices int, seed uint64, r
 		return fmt.Errorf("-devices %d out of range (want 3..8; use the scalar path for two devices)", devices)
 	}
 	platform := hetsim.DefaultMulti(devices - 1)
-	cfg := core.Config{Seed: seed, Repeats: repeats, Parallelism: parallelism}
-
-	var w core.SampledPartition
-	switch workload {
-	case "cc":
-		var g *graph.Graph
-		var err error
-		if mtxPath != "" {
-			m, _, merr := loadMatrix(dataset, mtxPath)
-			if merr != nil {
-				return merr
-			}
-			g, err = graph.FromCSR(m)
-		} else {
-			d, derr := datasets.ByName(dataset)
-			if derr != nil {
-				return derr
-			}
-			dataset = d.Name
-			g, err = d.Graph()
-		}
-		if err != nil {
-			return err
-		}
-		w = hetcc.NewMultiWorkload(dataset, g, hetcc.NewMultiAlgorithm(platform))
-	case "spmm":
-		m, n, err := loadMatrix(dataset, mtxPath)
-		if err != nil {
-			return err
-		}
-		w, err = hetspmm.NewMultiWorkload(n, m, hetspmm.NewMultiAlgorithm(platform))
-		if err != nil {
-			return err
-		}
-		cfg.Searcher = core.RaceThenFine{Window: 4}
-	default:
-		return fmt.Errorf("workload %q does not support partition vectors (want cc or spmm)", workload)
+	sw, searcher, err := load(workload, dataset, mtxPath, platform)
+	if err != nil {
+		return err
 	}
+	w := sw.(core.SampledPartition)
+	cfg := core.Config{Searcher: searcher, Seed: seed, Repeats: repeats, Parallelism: parallelism}
 
 	start := time.Now()
 	est, err := core.EstimatePartition(context.Background(), w, cfg)
@@ -172,63 +207,11 @@ func runPartition(workload, dataset, mtxPath string, devices int, seed uint64, r
 }
 
 func run(workload, dataset, mtxPath string, seed uint64, repeats, parallelism int, skipExh bool) error {
-	platform := hetsim.Default()
-	cfg := core.Config{Seed: seed, Repeats: repeats, Parallelism: parallelism}
-
-	var w core.Sampled
-	var name string
-	switch workload {
-	case "cc":
-		var g *graph.Graph
-		if mtxPath != "" {
-			m, n, err := loadMatrix(dataset, mtxPath)
-			if err != nil {
-				return err
-			}
-			name = n
-			g, err = graph.FromCSR(m)
-			if err != nil {
-				return err
-			}
-		} else {
-			d, err := datasets.ByName(dataset)
-			if err != nil {
-				return err
-			}
-			name = d.Name
-			g, err = d.Graph()
-			if err != nil {
-				return err
-			}
-		}
-		w = hetcc.NewWorkload(name, g, hetcc.NewAlgorithm(platform))
-	case "spmm":
-		m, n, err := loadMatrix(dataset, mtxPath)
-		if err != nil {
-			return err
-		}
-		name = n
-		sw, err := hetspmm.NewWorkload(name, m, hetspmm.NewAlgorithm(platform))
-		if err != nil {
-			return err
-		}
-		cfg.Searcher = core.RaceThenFine{Window: 4}
-		w = sw
-	case "scalefree":
-		m, n, err := loadMatrix(dataset, mtxPath)
-		if err != nil {
-			return err
-		}
-		name = n
-		sw, err := hetscale.NewWorkload(name, m, hetscale.NewAlgorithm(platform))
-		if err != nil {
-			return err
-		}
-		cfg.Searcher = core.GradientDescent{}
-		w = sw
-	default:
-		return fmt.Errorf("unknown workload %q (want cc, spmm or scalefree)", workload)
+	w, searcher, err := load(workload, dataset, mtxPath, nil)
+	if err != nil {
+		return err
 	}
+	cfg := core.Config{Searcher: searcher, Seed: seed, Repeats: repeats, Parallelism: parallelism}
 
 	start := time.Now()
 	est, err := core.EstimateThreshold(context.Background(), w, cfg)
