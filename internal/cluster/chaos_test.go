@@ -289,7 +289,7 @@ func TestChaosShedsInsteadOfQueueing(t *testing.T) {
 // turns into degraded 200s (stale or static fallback), counted apart
 // from clean successes on the gateway.
 func TestChaosDegradedAnswersUnderOverload(t *testing.T) {
-	_, g, ts := startChaosCluster(t, 3,
+	e, g, ts := startChaosCluster(t, 3,
 		serve.Config{Workers: 1, CacheSize: 64, AdmissionLimit: 1, AdmissionQueue: -1, DegradeOnShed: true}, nil)
 
 	const requests = 12
@@ -298,26 +298,44 @@ func TestChaosDegradedAnswersUnderOverload(t *testing.T) {
 		bodies[i] = genMTX(t, 2000, 40000, uint64(800+i))
 	}
 	var ok, degraded atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < requests; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/estimate?workload=spmm&repeats=1", "text/plain", bytes.NewReader(bodies[i]))
-			if err != nil {
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				ok.Add(1)
-				if resp.Header.Get(serve.DegradedHeader) != "" {
-					degraded.Add(1)
+	post := func(bodies [][]byte) {
+		var wg sync.WaitGroup
+		for _, body := range bodies {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(ts.URL+"/estimate?workload=spmm&repeats=1", "text/plain", bytes.NewReader(body))
+				if err != nil {
+					return
 				}
-			}
-		}(i)
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					ok.Add(1)
+					if resp.Header.Get(serve.DegradedHeader) != "" {
+						degraded.Add(1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	// Saturate every backend before any upload is sent: the test holds
+	// each one's single admission slot, so the first half of the
+	// uploads is shed whatever the timing. Left to overlap on their
+	// own, the 11-90 ms uploads sometimes never met on a backend and
+	// nothing was shed. The slots are freed before the second half, so
+	// its first arrival on a backend runs a real estimate.
+	for i := range 3 {
+		if err := e.Server(i).Admission().Acquire(context.Background(), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	post(bodies[:requests/2])
+	for i := range 3 {
+		e.Server(i).Admission().Release(1)
+	}
+	post(bodies[requests/2:])
 
 	if ok.Load() != requests {
 		t.Errorf("successes = %d, want %d (degrade mode answers every shed)", ok.Load(), requests)
