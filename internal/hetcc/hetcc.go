@@ -16,7 +16,9 @@
 // for each phase through the hetsim device models using the work the
 // algorithms actually performed (arcs scanned, SV rounds, bytes
 // moved). The sampling adapter (Workload) plugs the whole thing into
-// the core partitioning framework.
+// the core partitioning framework at every device count: it is a
+// partition workload, and its scalar threshold t is the two-device
+// partition {t, 100 - t}.
 package hetcc
 
 import (
