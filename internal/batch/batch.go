@@ -29,6 +29,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"strings"
+	"sync"
 )
 
 // Limits bound one batch job so a single oversized request cannot
@@ -154,6 +155,46 @@ func readErr(err error, what string) *Error {
 	return badJob("bad_manifest", "%s: %v", what, err)
 }
 
+// bodyChunk is the size of the pooled chunks ReadAll reads through, and
+// so the most it holds beyond the bytes that have arrived.
+const bodyChunk = 1 << 20
+
+var chunkPool = sync.Pool{New: func() any { return new([bodyChunk]byte) }}
+
+// ReadAll reads r to EOF and returns its bytes in a fresh, non-nil
+// slice whose capacity equals its length, or nil and the first read
+// error. The bytes gather in pooled fixed-size chunks and are copied
+// out once, so a body costs one exact-size allocation on a warm pool,
+// and a sender that declares much and sends little holds memory only
+// in proportion to what it sent.
+func ReadAll(r io.Reader) ([]byte, error) {
+	held := make([]*[bodyChunk]byte, 0, 16) // on the stack up to 16 MiB
+	defer func() {
+		for _, c := range held {
+			chunkPool.Put(c)
+		}
+	}()
+	n := 0
+	for {
+		if n == len(held)*bodyChunk {
+			held = append(held, chunkPool.Get().(*[bodyChunk]byte))
+		}
+		m, err := r.Read(held[len(held)-1][n%bodyChunk:])
+		n += m
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	b := make([]byte, n)
+	for k, c := range held {
+		copy(b[k*bodyChunk:], c[:])
+	}
+	return b, nil
+}
+
 // manifest is the JSON wire form of a job: {"items":[...]}.
 type manifest struct {
 	Items []Item `json:"items"`
@@ -199,7 +240,7 @@ func parseManifest(body io.Reader, maxBytes int64) (*Job, error) {
 	if maxBytes > 0 {
 		rd = io.LimitReader(body, maxBytes+1)
 	}
-	raw, err := io.ReadAll(rd)
+	raw, err := ReadAll(rd)
 	if err != nil {
 		return nil, readErr(err, "reading manifest")
 	}
@@ -236,8 +277,7 @@ func parseMultipart(body io.Reader, boundary string, maxItems int, maxBytes int6
 	mr := multipart.NewReader(rd, boundary)
 	job := &Job{}
 	bodies := make(map[string][]byte)
-	var order []string    // part arrival order, so item order is stable
-	var part bytes.Buffer // every part is read through this one buffer
+	var order []string // part arrival order, so item order is stable
 	for {
 		p, err := mr.NextPart()
 		if err == io.EOF {
@@ -250,8 +290,8 @@ func parseMultipart(body io.Reader, boundary string, maxItems int, maxBytes int6
 			return nil, readErr(err, "reading multipart body")
 		}
 		name := p.FormName()
-		part.Reset()
-		if _, err := part.ReadFrom(p); err != nil {
+		part, err := ReadAll(p)
+		if err != nil {
 			if overLimit() {
 				return nil, tooLarge("too_large", "batch body exceeds %d bytes", maxBytes)
 			}
@@ -259,7 +299,7 @@ func parseMultipart(body io.Reader, boundary string, maxItems int, maxBytes int6
 		}
 		if name == ManifestPart {
 			var m manifest
-			if err := json.Unmarshal(part.Bytes(), &m); err != nil {
+			if err := json.Unmarshal(part, &m); err != nil {
 				return nil, badJob("bad_manifest", "parsing manifest part: %v", err)
 			}
 			if job.Items != nil {
@@ -277,11 +317,8 @@ func parseMultipart(body io.Reader, boundary string, maxItems int, maxBytes int6
 		if len(bodies) >= maxItems {
 			return nil, tooLarge("too_many_items", "batch exceeds %d items", maxItems)
 		}
-		// An exact-size copy, never nil: an empty part is still an
-		// upload.
-		b := make([]byte, part.Len())
-		copy(b, part.Bytes())
-		bodies[name] = b
+		// ReadAll never returns nil: an empty part is still an upload.
+		bodies[name] = part
 		order = append(order, name)
 	}
 	// Attach bodies to their manifest items; leftover parts become

@@ -12,7 +12,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"testing/iotest"
 )
 
 func postReq(t *testing.T, contentType string, body []byte) *http.Request {
@@ -398,6 +400,38 @@ func TestMultipartPartsKeepOwnBodies(t *testing.T) {
 		}
 		if cap(it.Body) != len(it.Body) {
 			t.Errorf("item %d: cap %d for %d bytes, want an exact-size copy", k, cap(it.Body), len(it.Body))
+		}
+	}
+}
+
+// TestReadAllConcurrent: concurrent readers share the chunk pool, so
+// each must get its own bytes in an exact-size buffer that no later
+// read overwrites, at and across chunk boundaries and with short reads.
+func TestReadAllConcurrent(t *testing.T) {
+	sizes := []int{0, 1, bodyChunk - 1, bodyChunk, bodyChunk + 1, 2*bodyChunk + 7}
+	const rounds = 3
+	got := make([][]byte, rounds*len(sizes))
+	var wg sync.WaitGroup
+	for k, n := range sizes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := bytes.Repeat([]byte{byte('a' + k)}, n)
+			for r := range rounds {
+				b, err := ReadAll(iotest.HalfReader(bytes.NewReader(body)))
+				if err != nil {
+					t.Error(err)
+				}
+				got[r*len(sizes)+k] = b
+			}
+		}()
+	}
+	wg.Wait()
+	for i, b := range got {
+		k := i % len(sizes)
+		want := bytes.Repeat([]byte{byte('a' + k)}, sizes[k])
+		if !bytes.Equal(b, want) || b == nil || cap(b) != len(b) {
+			t.Errorf("%d-byte body, round %d: got %d bytes (cap %d, nil %v)", sizes[k], i/len(sizes), len(b), cap(b), b == nil)
 		}
 	}
 }

@@ -371,9 +371,9 @@ func TestEstimateScaleFreeUpload(t *testing.T) {
 	}
 }
 
-// TestReadBody pins the shared body reader: one buffer at the declared
-// size when Content-Length is within the limit, io.ReadAll's behavior
-// otherwise, and the MaxBytesReader 413 trip whatever the header says.
+// TestReadBody pins the shared body reader: an exact-size buffer
+// whatever Content-Length says, and the MaxBytesReader 413 trip
+// whatever the header says.
 func TestReadBody(t *testing.T) {
 	const limit = 100
 	body := strings.Repeat("x", 60)
@@ -392,6 +392,7 @@ func TestReadBody(t *testing.T) {
 		{"header beyond the limit", strings.Repeat("x", 150), 150, "", true},
 		{"body beyond a small header", strings.Repeat("x", 150), 10, "", true},
 		{"exactly the limit", strings.Repeat("x", limit), limit, strings.Repeat("x", limit), false},
+		{"unknown length beyond the limit", strings.Repeat("x", 150), -1, "", true},
 	}
 	for _, c := range cases {
 		r := httptest.NewRequest(http.MethodPost, "/estimate", strings.NewReader(c.body))
@@ -407,18 +408,29 @@ func TestReadBody(t *testing.T) {
 		if err != nil || string(got) != c.want || got == nil {
 			t.Errorf("%s: got %d bytes (nil %v), %v; want %d bytes", c.name, len(got), got == nil, err, len(c.want))
 		}
-		if c.declared == int64(len(c.body)) && c.declared > 0 && cap(got) != len(got)+1 {
-			t.Errorf("%s: cap %d for a %d-byte body: the declared size did not size the buffer", c.name, cap(got), len(got))
+		if cap(got) != len(got) {
+			t.Errorf("%s: cap %d for a %d-byte body, want an exact-size buffer", c.name, cap(got), len(got))
 		}
 	}
 
-	// Past the first 1 MiB the buffer doubles, and still ends at the
-	// declared size.
+	// Bodies past one pooled chunk end in an exact-size buffer too,
+	// declared or not, and a header that over-states the body by 61 MiB
+	// changes nothing.
 	big := strings.Repeat("y", 3<<20+5)
-	r := httptest.NewRequest(http.MethodPost, "/estimate", strings.NewReader(big))
+	for _, declared := range []int64{int64(len(big)), -1} {
+		r := httptest.NewRequest(http.MethodPost, "/estimate", strings.NewReader(big))
+		r.ContentLength = declared
+		got, err := ReadBody(httptest.NewRecorder(), r, 64<<20)
+		if err != nil || string(got) != big || cap(got) != len(big) {
+			t.Errorf("3 MiB body declaring %d: got %d bytes (cap %d), %v", declared, len(got), cap(got), err)
+		}
+	}
+	three := strings.Repeat("z", 3<<20)
+	r := httptest.NewRequest(http.MethodPost, "/estimate", strings.NewReader(three))
+	r.ContentLength = 64 << 20
 	got, err := ReadBody(httptest.NewRecorder(), r, 64<<20)
-	if err != nil || string(got) != big || cap(got) != len(big)+1 {
-		t.Errorf("3 MiB body: got %d bytes (cap %d), %v", len(got), cap(got), err)
+	if err != nil || string(got) != three || cap(got) != len(three) {
+		t.Errorf("3 MiB body declaring 64 MiB: got %d bytes (cap %d), %v", len(got), cap(got), err)
 	}
 }
 
@@ -440,4 +452,33 @@ func TestReadBodyDeclaredSizeNotReserved(t *testing.T) {
 	if d := after.TotalAlloc - before.TotalAlloc; d > 2<<20 {
 		t.Errorf("a 14-byte body declaring %d bytes allocated %d bytes, want <= 2 MiB", limit, d)
 	}
+}
+
+// FuzzReadBody holds ReadBody to its contract for any body, declared
+// length and limit: the body itself, in an exact-size buffer, when it
+// fits the limit, and *http.MaxBytesError when it does not.
+func FuzzReadBody(f *testing.F) {
+	f.Add([]byte("%%MatrixMarket"), int64(14), int64(14))
+	f.Add([]byte("%%MatrixMarket"), int64(-1), int64(13))
+	f.Add([]byte(""), int64(0), int64(1))
+	f.Add([]byte("abc"), int64(64<<20), int64(64<<20))
+	f.Add(bytes.Repeat([]byte("x"), 300), int64(2), int64(299))
+	f.Fuzz(func(t *testing.T, body []byte, declared, limit int64) {
+		// Map the limit onto 1..len+16 so limits at, just under and
+		// just over the body length all come up.
+		limit = 1 + int64(uint64(limit)%uint64(len(body)+16))
+		r := httptest.NewRequest(http.MethodPost, "/estimate", bytes.NewReader(body))
+		r.ContentLength = declared
+		got, err := ReadBody(httptest.NewRecorder(), r, limit)
+		if int64(len(body)) > limit {
+			var mbe *http.MaxBytesError
+			if !errors.As(err, &mbe) {
+				t.Fatalf("%d-byte body, limit %d: error %v, want *http.MaxBytesError", len(body), limit, err)
+			}
+			return
+		}
+		if err != nil || !bytes.Equal(got, body) || got == nil || cap(got) != len(got) {
+			t.Fatalf("%d-byte body, limit %d: got %d bytes (cap %d, nil %v), %v", len(body), limit, len(got), cap(got), got == nil, err)
+		}
+	})
 }

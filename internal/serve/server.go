@@ -28,12 +28,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sync"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/flight"
 	"repro/internal/hetsim"
 	"repro/internal/obs"
@@ -320,43 +320,13 @@ func statusFor(err error) int {
 // abandoned by the client; no standard constant exists.
 const StatusClientClosedRequest = 499
 
-// bodyChunk is the most ReadBody reserves before a body's bytes have
-// arrived.
-const bodyChunk = 1 << 20
-
 // ReadBody reads a POST body of at most limit bytes through
 // http.MaxBytesReader, so an oversized body fails with
-// *http.MaxBytesError exactly as under io.ReadAll. A Content-Length
-// within the limit steers the buffer's growth without being trusted:
-// it starts at min(Content-Length, 1 MiB) and doubles as it fills, but
-// never past the declared size, so an honest body ends in a buffer of
-// its final size while a client that declares much and sends little
-// holds memory only in proportion to what it sent. A missing header,
-// or one beyond the limit, leaves the growth to io.ReadAll.
+// *http.MaxBytesError whatever its Content-Length says, and returns it
+// in an exact-size buffer (batch.ReadAll). The header is never
+// trusted: a client that declares the limit and sends a few bytes
+// holds only those bytes and one pooled chunk while its read is in
+// flight.
 func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	rd := http.MaxBytesReader(w, r.Body, limit)
-	n := r.ContentLength
-	if n <= 0 || n > limit {
-		return io.ReadAll(rd)
-	}
-	// One spare byte: the read that reports EOF needs room.
-	final := int(n) + 1
-	buf := make([]byte, 0, min(final, bodyChunk))
-	for {
-		if len(buf) == cap(buf) {
-			next := 2 * cap(buf)
-			if cap(buf) < final {
-				next = min(next, final)
-			}
-			buf = append(make([]byte, 0, next), buf...)
-		}
-		m, err := rd.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+m]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
+	return batch.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 }
