@@ -123,6 +123,18 @@ func FuzzReadStructureParity(f *testing.F) {
 		f.Add([]byte(body), int64(len(body)-3))
 		f.Add([]byte("%%MatrixMarket matrix array real general\n1 2\n"+v+"\n0\n"), int64(0))
 	}
+	// The value check ends at the first ASCII separator: values followed
+	// by each separator strings.Fields splits on and by non-ASCII
+	// bytes, a value at the end of the body, and sign-only and
+	// exponent-only tokens before a tab.
+	for _, end := range []string{"\v", "\f", "\r", "\r\n", "\xff", "\u00a0", "\u0085x", "\xc2"} {
+		f.Add([]byte(paritySeedHeader+"2 2 2\n1 1 1.5"+end+"\n2 1 -2e-07"+end+"9\n"), int64(0))
+	}
+	f.Add([]byte(paritySeedHeader+"2 2 1\n1 1 -2.5e+07"), int64(0))
+	f.Add([]byte(paritySeedHeader+"2 2 1\n1 1 7."), int64(0))
+	for _, v := range []string{"+", "-", "e5", "E-05", "+e1", ".e1", "e"} {
+		f.Add([]byte(paritySeedHeader+"2 2 1\n1 1 "+v+"\t1\n"), int64(0))
+	}
 	f.Fuzz(func(t *testing.T, body []byte, limit int64) {
 		if limit > 0 {
 			limit = 1 + (limit-1)%(int64(len(body))+16)

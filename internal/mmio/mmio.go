@@ -319,8 +319,9 @@ func readCoordinate(lines *lineReader, sizeLine string, field Field, sym Symmetr
 // (Unicode white space separates tokens too), a short line, a bad
 // value — reports !ok and goes to parseEntry, which accepts or rejects
 // it exactly as strings.Fields and strconv.Atoi always have. Unless
-// keepVals is set, a value of plain decimal shape is validated without
-// conversion and v is 0.
+// keepVals is set, a value of plain decimal shape is validated in one
+// pass without conversion and v is 0; only the values plainDecimal
+// rejects are tokenized and converted.
 func scanEntry(line []byte, valued, keepVals bool) (i, j int, v float64, ok bool) {
 	i, rest, ok := scanIndex(line)
 	if !ok || len(rest) == 0 {
@@ -330,12 +331,12 @@ func scanEntry(line []byte, valued, keepVals bool) (i, j int, v float64, ok bool
 	if !ok || !valued {
 		return i, j, 0, ok
 	}
+	if !keepVals && plainDecimal(rest) {
+		return i, j, 0, true
+	}
 	tok, ok := asciiToken(rest)
 	if !ok || len(tok) == 0 {
 		return 0, 0, 0, false
-	}
-	if !keepVals && plainDecimal(tok) {
-		return i, j, 0, true
 	}
 	// string(tok) does not escape ParseFloat, so for tokens of up to 32
 	// bytes the conversion uses a stack buffer.
@@ -348,29 +349,30 @@ func scanEntry(line []byte, valued, keepVals bool) (i, j int, v float64, ok bool
 // decimal can never overflow a float64 and ParseFloat would accept it.
 const maxPlainIntDigits = 200
 
-// plainDecimal reports whether tok has the shape
+// plainDecimal reports whether b starts with a token, ended by an
+// ASCII separator or by the end of b, of the shape
 // [+-]digits[.digits][(e|E)[+-]d[d]] with at least one mantissa digit
 // and at most maxPlainIntDigits integer digits — a subset of what
 // strconv.ParseFloat accepts without error. Every other token (inf,
-// nan, hex, underscores, longer exponents or integer parts) is for
-// ParseFloat to judge.
-func plainDecimal(tok []byte) bool {
+// nan, hex, underscores, longer exponents or integer parts, non-ASCII
+// bytes) is for ParseFloat to judge.
+func plainDecimal(b []byte) bool {
 	k := 0
-	if tok[0] == '+' || tok[0] == '-' {
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
 		k++
 	}
 	intStart := k
-	for k < len(tok) && '0' <= tok[k] && tok[k] <= '9' {
+	for k < len(b) && '0' <= b[k] && b[k] <= '9' {
 		k++
 	}
 	digits := k - intStart
 	if digits > maxPlainIntDigits {
 		return false
 	}
-	if k < len(tok) && tok[k] == '.' {
+	if k < len(b) && b[k] == '.' {
 		k++
 		fracStart := k
-		for k < len(tok) && '0' <= tok[k] && tok[k] <= '9' {
+		for k < len(b) && '0' <= b[k] && b[k] <= '9' {
 			k++
 		}
 		digits += k - fracStart
@@ -378,20 +380,20 @@ func plainDecimal(tok []byte) bool {
 	if digits == 0 {
 		return false
 	}
-	if k < len(tok) && (tok[k] == 'e' || tok[k] == 'E') {
+	if k < len(b) && (b[k] == 'e' || b[k] == 'E') {
 		k++
-		if k < len(tok) && (tok[k] == '+' || tok[k] == '-') {
+		if k < len(b) && (b[k] == '+' || b[k] == '-') {
 			k++
 		}
 		expStart := k
-		for k < len(tok) && '0' <= tok[k] && tok[k] <= '9' {
+		for k < len(b) && '0' <= b[k] && b[k] <= '9' {
 			k++
 		}
 		if n := k - expStart; n < 1 || n > 2 {
 			return false
 		}
 	}
-	return k == len(tok)
+	return k == len(b) || asciiSpace[b[k]]
 }
 
 // scanIndex parses the unsigned decimal index at the start of b and

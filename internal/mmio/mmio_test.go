@@ -364,7 +364,9 @@ func TestReadLongLines(t *testing.T) {
 }
 
 // BenchmarkRead parses a ~6 MB real-general body (250k entries) with
-// the in-place scanner and with the frozen string-line reference.
+// the in-place scanner, with the structure read hetserve runs on
+// uploads (values checked, not kept) and with the frozen string-line
+// reference.
 func BenchmarkRead(b *testing.B) {
 	var buf bytes.Buffer
 	buf.WriteString("%%MatrixMarket matrix coordinate real general\n20000 20000 250000\n")
@@ -377,7 +379,7 @@ func BenchmarkRead(b *testing.B) {
 	for _, p := range []struct {
 		name  string
 		parse func(io.Reader, int64) (*COO, error)
-	}{{"scanner", ReadLimited}, {"reference", refReadLimited}} {
+	}{{"scanner", ReadLimited}, {"structure", ReadStructure}, {"reference", refReadLimited}} {
 		b.Run(p.name, func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
