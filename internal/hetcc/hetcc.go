@@ -258,15 +258,17 @@ func ccGPUTimeRange(dev *hetsim.Device, lower, upper []int32, lo, hi int, arcs i
 // RunGPUOnly is the paper's "Naive" homogeneous baseline: the whole
 // graph is shipped to the first accelerator and processed by
 // Shiloach–Vishkin, with no partitioning. Of the device times it sets
-// GPUTime only.
+// GPUTime only. The kernel is the runner's range kernel over the whole
+// vertex range [0, n), where every row starts at its first arc.
 func (a *Algorithm) RunGPUOnly(g *graph.Graph) (*Result, error) {
 	if g == nil {
 		return nil, fmt.Errorf("hetcc: nil graph")
 	}
 	res := &Result{}
-	svRes := graph.ShiloachVishkin(g)
+	var svRes graph.CCResult
+	graph.ShiloachVishkinRangeInto(g.RowPtr, g.Adj, make([]int32, g.N), 0, g.N, &svRes, new(graph.CCScratch))
 	transferIn := a.Platform.Link.Transfer(int64(4 * g.Arcs()))
-	gpuTime := ccGPUTime(a.Platform.GPUs[0], g, svRes)
+	gpuTime := ccGPUTime(a.Platform.GPUs[0], g, &svRes)
 	transferOut := a.Platform.Link.Transfer(4 * int64(g.N))
 	res.Trace.Add(hetsim.PhaseTransfer, "link", transferIn+transferOut)
 	res.Trace.Add(hetsim.PhaseCompute, "gpu", gpuTime)
