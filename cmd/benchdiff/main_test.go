@@ -308,7 +308,7 @@ func goodKernelReport() benchfmt.Report {
 	for _, k := range []struct {
 		name    string
 		speedup float64
-	}{{"spmv/germany_osm", 1.6}, {"cc-dfs/germany_osm", 1.2}, {"split-grid/germany_osm", 40}} {
+	}{{"loadvec/germany_osm", 1.6}, {"cc-dfs-prefix/germany_osm", 1.2}, {"split-grid/germany_osm", 40}} {
 		r.Rows = append(r.Rows, benchfmt.Row{Layer: "kernels", Case: k.name, Metric: "speedup", Value: k.speedup, Unit: "x", Better: "higher"})
 		logSum += math.Log(k.speedup)
 	}
@@ -341,7 +341,7 @@ func TestKernelsPerKernelRegressionFails(t *testing.T) {
 }
 
 func TestKernelsMissingRowFails(t *testing.T) {
-	expectProblem(t, goodKernelReport(), drop(goodKernelReport(), "kernels/cc-dfs/germany_osm/speedup"), "missing")
+	expectProblem(t, goodKernelReport(), drop(goodKernelReport(), "kernels/cc-dfs-prefix/germany_osm/speedup"), "missing")
 }
 
 func TestKernelsNewRowWithoutBaselinePasses(t *testing.T) {
@@ -351,7 +351,7 @@ func TestKernelsNewRowWithoutBaselinePasses(t *testing.T) {
 }
 
 func TestKernelsBrokenTimingFails(t *testing.T) {
-	expectProblem(t, goodKernelReport(), set(goodKernelReport(), "kernels/spmv/germany_osm/speedup", 0), "recording is broken")
+	expectProblem(t, goodKernelReport(), set(goodKernelReport(), "kernels/loadvec/germany_osm/speedup", 0), "recording is broken")
 }
 
 const (

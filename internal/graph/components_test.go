@@ -1,21 +1,53 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
-// ccAlgos enumerates every components implementation under one name so
-// all correctness tests run against each.
+// ccAlgos enumerates every served components kernel, run over a whole
+// graph, under one name so all correctness tests run against each.
 var ccAlgos = []struct {
 	name string
 	run  func(*Graph) *CCResult
 }{
-	{"DFS", DFS},
-	{"ParallelCPU2", func(g *Graph) *CCResult { return ParallelCPU(g, 2) }},
-	{"ParallelCPU7", func(g *Graph) *CCResult { return ParallelCPU(g, 7) }},
-	{"ShiloachVishkin", ShiloachVishkin},
+	{"DFSPrefix", dfsWhole},
+	{"ParallelCPUPrefix2", func(g *Graph) *CCResult { return parallelCPUWhole(g, 2) }},
+	{"ParallelCPUPrefix7", func(g *Graph) *CCResult { return parallelCPUWhole(g, 7) }},
+	{"ShiloachVishkinRange", svWhole},
 }
+
+// dfsWhole, parallelCPUWhole and svWhole run the served kernels over a
+// whole graph: the prefix kernels see every arc of every row (the
+// prefix bound is n) and the range kernel the range [0, n).
+func dfsWhole(g *Graph) *CCResult {
+	res := new(CCResult)
+	DFSPrefixInto(g.RowPtr, g.Adj, splitAt(g, g.N), g.N, res, new(CCScratch))
+	return res
+}
+
+func parallelCPUWhole(g *Graph, workers int) *CCResult {
+	res := new(CCResult)
+	ParallelCPUPrefixInto(g.RowPtr, g.Adj, splitAt(g, g.N), g.N, workers, res, new(CCScratch))
+	return res
+}
+
+func svWhole(g *Graph) *CCResult {
+	res := new(CCResult)
+	ShiloachVishkinRangeInto(g.RowPtr, g.Adj, splitAt(g, 0), 0, g.N, res, new(CCScratch))
+	return res
+}
+
+// dfsRef runs the frozen reference DFS on g.
+func dfsRef(g *Graph) *CCResult {
+	res := new(CCResult)
+	DFSRef(g, res, new(CCScratch))
+	return res
+}
+
+// sameSet reports whether x and y are in one set of uf.
+func sameSet(uf *UnionFind, x, y int) bool { return uf.Find(x) == uf.Find(y) }
 
 func sameLabels(a, b []int32) bool {
 	if len(a) != len(b) {
@@ -83,14 +115,14 @@ func TestCCAllAlgorithmsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := DFS(g)
-		for _, algo := range ccAlgos[1:] {
+		ref := dfsRef(g)
+		for _, algo := range ccAlgos {
 			res := algo.run(g)
 			if res.Components != ref.Components {
-				t.Errorf("%v/%s: components %d, DFS says %d", kind, algo.name, res.Components, ref.Components)
+				t.Errorf("%v/%s: components %d, DFSRef says %d", kind, algo.name, res.Components, ref.Components)
 			}
 			if !sameLabels(res.Labels, ref.Labels) {
-				t.Errorf("%v/%s: labels differ from DFS", kind, algo.name)
+				t.Errorf("%v/%s: labels differ from DFSRef", kind, algo.name)
 			}
 		}
 	}
@@ -104,9 +136,9 @@ func TestCCAgreementProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ref := DFS(g)
-		sv := ShiloachVishkin(g)
-		par := ParallelCPU(g, 4)
+		ref := dfsRef(g)
+		sv := svWhole(g)
+		par := parallelCPUWhole(g, 4)
 		return sv.Components == ref.Components && par.Components == ref.Components &&
 			sameLabels(sv.Labels, ref.Labels) && sameLabels(par.Labels, ref.Labels)
 	}
@@ -117,7 +149,7 @@ func TestCCAgreementProperty(t *testing.T) {
 
 func TestDFSWorkCounters(t *testing.T) {
 	g := pathGraph(t, 10)
-	res := DFS(g)
+	res := dfsWhole(g)
 	if res.VerticesVisited != 10 {
 		t.Errorf("vertices visited = %d, want 10", res.VerticesVisited)
 	}
@@ -141,8 +173,8 @@ func TestSVRoundsGrowWithDiameter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rPath := ShiloachVishkin(path)
-	rStar := ShiloachVishkin(star)
+	rPath := svWhole(path)
+	rStar := svWhole(star)
 	if rPath.Rounds <= rStar.Rounds {
 		t.Errorf("path rounds %d should exceed star rounds %d", rPath.Rounds, rStar.Rounds)
 	}
@@ -158,7 +190,7 @@ func TestSVRoundsGrowWithDiameter(t *testing.T) {
 
 func TestSVEdgeWorkAdaptive(t *testing.T) {
 	g := pathGraph(t, 1000)
-	res := ShiloachVishkin(g)
+	res := svWhole(g)
 	m := int64(g.M())
 	// Each edge is scanned at least once, and the convergence filter
 	// must keep total scans well below the naive m × rounds.
@@ -177,7 +209,7 @@ func TestSVEdgeWorkAdaptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres := ShiloachVishkin(star)
+	sres := svWhole(star)
 	if float64(res.EdgesVisited)/float64(m) <= float64(sres.EdgesVisited)/float64(star.M()) {
 		t.Errorf("path visits/edge %.2f should exceed star %.2f",
 			float64(res.EdgesVisited)/float64(m), float64(sres.EdgesVisited)/float64(star.M()))
@@ -188,9 +220,12 @@ func TestParallelCPUFallsBackToDFS(t *testing.T) {
 	g := pathGraph(t, 5)
 	// With workers > n/2 the partitioned path degenerates; the
 	// implementation must fall back to sequential DFS.
-	res := ParallelCPU(g, 8)
+	res := parallelCPUWhole(g, 8)
 	if res.Components != 1 {
 		t.Errorf("fallback components = %d", res.Components)
+	}
+	if want := dfsWhole(g); !reflect.DeepEqual(res, want) {
+		t.Errorf("fallback %+v, DFSPrefixInto %+v", res, want)
 	}
 }
 
@@ -204,8 +239,9 @@ func TestNumComponents(t *testing.T) {
 }
 
 func TestUnionFindBasic(t *testing.T) {
-	uf := NewUnionFind(5)
-	if uf.Same(0, 1) {
+	var uf UnionFind
+	uf.Reset(5)
+	if sameSet(&uf, 0, 1) {
 		t.Error("fresh sets joined")
 	}
 	if !uf.Union(0, 1) {
@@ -216,10 +252,10 @@ func TestUnionFindBasic(t *testing.T) {
 	}
 	uf.Union(2, 3)
 	uf.Union(0, 3)
-	if !uf.Same(1, 2) {
+	if !sameSet(&uf, 1, 2) {
 		t.Error("transitive union broken")
 	}
-	if uf.Same(4, 0) {
+	if sameSet(&uf, 4, 0) {
 		t.Error("disjoint element joined")
 	}
 	if uf.Unions != 3 {
@@ -235,30 +271,37 @@ func TestUnionFindMatchesDFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uf := NewUnionFind(g.N)
+	var uf UnionFind
+	uf.Reset(g.N)
 	for u := 0; u < g.N; u++ {
 		for _, v := range g.Neighbors(u) {
 			uf.Union(u, int(v))
 		}
 	}
-	ref := DFS(g)
+	ref := dfsRef(g)
 	for u := 0; u < g.N; u++ {
 		for v := u + 1; v < g.N; v++ {
-			if uf.Same(u, v) != (ref.Labels[u] == ref.Labels[v]) {
-				t.Fatalf("union-find disagrees with DFS on (%d,%d)", u, v)
+			if sameSet(&uf, u, v) != (ref.Labels[u] == ref.Labels[v]) {
+				t.Fatalf("union-find disagrees with DFSRef on (%d,%d)", u, v)
 			}
 		}
 	}
 }
 
+// The kernel benchmarks time the served kernels over a whole graph,
+// with the split indexes built outside the timing as the runner builds
+// them once per partition.
 func BenchmarkDFS(b *testing.B) {
 	g, err := Generate(GenGraphConfig{Kind: KindGNM, N: 20000, M: 100000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	split := splitAt(g, g.N)
+	var res CCResult
+	var s CCScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DFS(g)
+		DFSPrefixInto(g.RowPtr, g.Adj, split, g.N, &res, &s)
 	}
 }
 
@@ -267,9 +310,12 @@ func BenchmarkShiloachVishkin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	lower := splitAt(g, 0)
+	var res CCResult
+	var s CCScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ShiloachVishkin(g)
+		ShiloachVishkinRangeInto(g.RowPtr, g.Adj, lower, 0, g.N, &res, &s)
 	}
 }
 
@@ -278,8 +324,11 @@ func BenchmarkParallelCPU(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	split := splitAt(g, g.N)
+	var res CCResult
+	var s CCScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ParallelCPU(g, 4)
+		ParallelCPUPrefixInto(g.RowPtr, g.Adj, split, g.N, 4, &res, &s)
 	}
 }

@@ -4,8 +4,8 @@ package graph
 // heterogeneous CC hot path never materializes the partition sub-CSRs:
 // DFSPrefixInto / ParallelCPUPrefixInto run on the first split[u] arcs
 // of each row, and ShiloachVishkinRangeInto on any vertex range with
-// renumbered ids (ShiloachVishkinSuffixInto is its hi = n case). These tests pin each masked kernel to its unmasked
-// counterpart running on the explicitly materialized subgraph — full
+// renumbered ids. These tests pin each masked kernel to its frozen
+// reference running on the explicitly materialized subgraph — full
 // CCResult equality, work counters included, across every generator
 // family and a sweep of partition bounds.
 
@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/sparse"
 	"repro/internal/stats"
 )
 
@@ -51,38 +52,21 @@ func splitAt(g *Graph, bound int) []int32 {
 	return split
 }
 
-// prefixSubgraph materializes vertices [0, bound) with the edges among
-// them; suffixSubgraph materializes vertices [bound, n) renumbered from
-// zero.
-func prefixSubgraph(g *Graph, bound int) *Graph {
-	rowPtr := make([]int64, bound+1)
+// rangeSubgraph materializes vertices [lo, hi) with the edges among
+// them, renumbered from zero.
+func rangeSubgraph(g *Graph, lo, hi int) *Graph {
+	rowPtr := make([]int64, hi-lo+1)
 	var adj []int32
-	b := int32(bound)
-	for u := 0; u < bound; u++ {
+	l, h := int32(lo), int32(hi)
+	for u := lo; u < hi; u++ {
 		for _, v := range g.Neighbors(u) {
-			if v < b {
-				adj = append(adj, v)
+			if v >= l && v < h {
+				adj = append(adj, v-l)
 			}
 		}
-		rowPtr[u+1] = int64(len(adj))
+		rowPtr[u-lo+1] = int64(len(adj))
 	}
-	return &Graph{N: bound, RowPtr: rowPtr, Adj: adj}
-}
-
-func suffixSubgraph(g *Graph, bound int) *Graph {
-	n := g.N - bound
-	rowPtr := make([]int64, n+1)
-	var adj []int32
-	b := int32(bound)
-	for u := bound; u < g.N; u++ {
-		for _, v := range g.Neighbors(u) {
-			if v >= b {
-				adj = append(adj, v-b)
-			}
-		}
-		rowPtr[u-bound+1] = int64(len(adj))
-	}
-	return &Graph{N: n, RowPtr: rowPtr, Adj: adj}
+	return &Graph{N: hi - lo, RowPtr: rowPtr, Adj: adj}
 }
 
 func boundsFor(n int) []int {
@@ -94,13 +78,13 @@ func TestDFSPrefixMatchesMaterialized(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, bound := range boundsFor(g.N) {
 				split := splitAt(g, bound)
-				sub := prefixSubgraph(g, bound)
+				sub := rangeSubgraph(g, 0, bound)
 
 				var got, want CCResult
 				DFSPrefixInto(g.RowPtr, g.Adj, split, bound, &got, new(CCScratch))
-				DFSInto(sub, &want, new(CCScratch))
+				DFSRef(sub, &want, new(CCScratch))
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("bound %d: DFSPrefixInto != DFSInto on materialized prefix", bound)
+					t.Fatalf("bound %d: DFSPrefixInto != DFSRef on materialized prefix", bound)
 				}
 			}
 		})
@@ -112,13 +96,13 @@ func TestParallelCPUPrefixMatchesMaterialized(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, bound := range boundsFor(g.N) {
 				split := splitAt(g, bound)
-				sub := prefixSubgraph(g, bound)
+				sub := rangeSubgraph(g, 0, bound)
 				for _, workers := range []int{1, 2, 4, 7} {
 					var got, want CCResult
 					crossArcs := ParallelCPUPrefixInto(g.RowPtr, g.Adj, split, bound, workers, &got, new(CCScratch))
-					ParallelCPUInto(sub, workers, &want, new(CCScratch))
+					ParallelCPURef(sub, workers, &want, new(CCScratch))
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("bound %d workers %d: ParallelCPUPrefixInto != ParallelCPUInto on materialized prefix",
+						t.Fatalf("bound %d workers %d: ParallelCPUPrefixInto != ParallelCPURef on materialized prefix",
 							bound, workers)
 					}
 					// The returned cross-part count must equal a brute
@@ -147,40 +131,26 @@ func TestParallelCPUPrefixMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// TestShiloachVishkinSuffixMatchesMaterialized pins the range kernel on
+// the suffix [bound, n), the accelerator's share in every two-device
+// run, to the frozen reference on the materialized suffix.
 func TestShiloachVishkinSuffixMatchesMaterialized(t *testing.T) {
 	for name, g := range maskedTestGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, bound := range boundsFor(g.N) {
 				split := splitAt(g, bound)
-				sub := suffixSubgraph(g, bound)
+				sub := rangeSubgraph(g, bound, g.N)
 
 				var got, want CCResult
-				ShiloachVishkinSuffixInto(g.RowPtr, g.Adj, split, bound, g.N, &got, new(CCScratch))
-				ShiloachVishkinInto(sub, &want, new(CCScratch))
+				ShiloachVishkinRangeInto(g.RowPtr, g.Adj, split, bound, g.N, &got, new(CCScratch))
+				ShiloachVishkinRef(sub, &want, new(CCScratch))
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("bound %d: ShiloachVishkinSuffixInto != ShiloachVishkinInto on materialized suffix",
+					t.Fatalf("bound %d: ShiloachVishkinRangeInto != ShiloachVishkinRef on materialized suffix",
 						bound)
 				}
 			}
 		})
 	}
-}
-
-// rangeSubgraph materializes vertices [lo, hi) with the edges among
-// them, renumbered from zero.
-func rangeSubgraph(g *Graph, lo, hi int) *Graph {
-	rowPtr := make([]int64, hi-lo+1)
-	var adj []int32
-	l, h := int32(lo), int32(hi)
-	for u := lo; u < hi; u++ {
-		for _, v := range g.Neighbors(u) {
-			if v >= l && v < h {
-				adj = append(adj, v-l)
-			}
-		}
-		rowPtr[u-lo+1] = int64(len(adj))
-	}
-	return &Graph{N: hi - lo, RowPtr: rowPtr, Adj: adj}
 }
 
 // TestShiloachVishkinRangeMatchesReference pins the range kernel to the
@@ -209,6 +179,64 @@ func TestShiloachVishkinRangeMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzMaskedCCMatchesReference holds each served kernel to its frozen
+// reference on the materialized prefix or range, for any prefix bound
+// and any range in [0, n] of a small graph decoded from the fuzz bytes:
+// data[0] picks n, data[1..3] the bound and the range ends, data[4]
+// the worker count, and the remaining byte pairs the edges. FromCSR
+// symmetrizes, sorts and deduplicates the adjacency, as for an upload.
+func FuzzMaskedCCMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 1, 0})
+	f.Add([]byte{8, 4, 2, 7, 3, 0, 1, 1, 2, 2, 3, 5, 6, 6, 7, 3, 3})
+	f.Add([]byte{40, 20, 10, 30, 4, 0, 39, 1, 38, 19, 21, 20, 20, 5, 9, 30, 31})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		n := int(data[0]) % 48
+		bound := int(data[1]) % (n + 1)
+		lo, hi := int(data[2])%(n+1), int(data[3])%(n+1)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		workers := int(data[4])%8 + 1
+		var rows, cols []int32
+		for k := 5; k+1 < len(data) && n > 0; k += 2 {
+			rows = append(rows, int32(int(data[k])%n))
+			cols = append(cols, int32(int(data[k+1])%n))
+		}
+		m, err := sparse.FromTriplets(n, n, rows, cols, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := FromCSR(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		split, prefix := splitAt(g, bound), rangeSubgraph(g, 0, bound)
+		var got, want CCResult
+		DFSPrefixInto(g.RowPtr, g.Adj, split, bound, &got, new(CCScratch))
+		DFSRef(prefix, &want, new(CCScratch))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n %d bound %d: DFSPrefixInto %+v, DFSRef %+v", n, bound, got, want)
+		}
+		ParallelCPUPrefixInto(g.RowPtr, g.Adj, split, bound, workers, &got, new(CCScratch))
+		ParallelCPURef(prefix, workers, &want, new(CCScratch))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n %d bound %d workers %d: ParallelCPUPrefixInto %+v, ParallelCPURef %+v",
+				n, bound, workers, got, want)
+		}
+		ShiloachVishkinRangeInto(g.RowPtr, g.Adj, splitAt(g, lo), lo, hi, &got, new(CCScratch))
+		ShiloachVishkinRef(rangeSubgraph(g, lo, hi), &want, new(CCScratch))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n %d range [%d, %d): ShiloachVishkinRangeInto %+v, ShiloachVishkinRef %+v",
+				n, lo, hi, got, want)
+		}
+	})
 }
 
 // countersOf strips the labels for a readable failure message.

@@ -95,7 +95,7 @@ func TestContractedSampleLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ShiloachVishkin(sub)
+	res := svWhole(sub)
 	if res.Rounds < 4 {
 		t.Errorf("road contraction converged in %d rounds; locality lost", res.Rounds)
 	}

@@ -5,20 +5,29 @@ import (
 	"testing"
 )
 
-// intoVariants pairs each scratch-based kernel with its allocating
-// original; the Into form must reproduce labels AND work counters
-// exactly, since the simulator charges device time from the counters.
+// intoVariants pairs each served kernel, run over a whole graph, with
+// its frozen reference; the served form must reproduce labels AND work
+// counters exactly, since the simulator charges device time from the
+// counters.
 var intoVariants = []struct {
 	name string
-	orig func(*Graph) *CCResult
+	ref  func(*Graph, *CCResult, *CCScratch)
 	into func(*Graph, *CCResult, *CCScratch)
 }{
-	{"DFS", DFS, DFSInto},
-	{"ParallelCPU4", func(g *Graph) *CCResult { return ParallelCPU(g, 4) },
-		func(g *Graph, res *CCResult, s *CCScratch) { ParallelCPUInto(g, 4, res, s) }},
-	{"ParallelCPU1", func(g *Graph) *CCResult { return ParallelCPU(g, 1) },
-		func(g *Graph, res *CCResult, s *CCScratch) { ParallelCPUInto(g, 1, res, s) }},
-	{"ShiloachVishkin", ShiloachVishkin, ShiloachVishkinInto},
+	{"DFSPrefix", DFSRef, func(g *Graph, res *CCResult, s *CCScratch) {
+		DFSPrefixInto(g.RowPtr, g.Adj, splitAt(g, g.N), g.N, res, s)
+	}},
+	{"ParallelCPUPrefix4", func(g *Graph, res *CCResult, s *CCScratch) { ParallelCPURef(g, 4, res, s) },
+		func(g *Graph, res *CCResult, s *CCScratch) {
+			ParallelCPUPrefixInto(g.RowPtr, g.Adj, splitAt(g, g.N), g.N, 4, res, s)
+		}},
+	{"ParallelCPUPrefix1", func(g *Graph, res *CCResult, s *CCScratch) { ParallelCPURef(g, 1, res, s) },
+		func(g *Graph, res *CCResult, s *CCScratch) {
+			ParallelCPUPrefixInto(g.RowPtr, g.Adj, splitAt(g, g.N), g.N, 1, res, s)
+		}},
+	{"ShiloachVishkinRange", ShiloachVishkinRef, func(g *Graph, res *CCResult, s *CCScratch) {
+		ShiloachVishkinRangeInto(g.RowPtr, g.Adj, splitAt(g, 0), 0, g.N, res, s)
+	}},
 }
 
 func TestIntoVariantsMatchOriginals(t *testing.T) {
@@ -28,19 +37,18 @@ func TestIntoVariantsMatchOriginals(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range intoVariants {
-			want := v.orig(g)
-			var got CCResult
-			var s CCScratch
-			v.into(g, &got, &s)
-			if !reflect.DeepEqual(&got, want) {
-				t.Errorf("%v/%s: Into result differs from original\n got %+v\nwant %+v",
-					kind, v.name, abbrev(&got), abbrev(want))
+			var got, want CCResult
+			v.ref(g, &want, new(CCScratch))
+			v.into(g, &got, new(CCScratch))
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v/%s: served kernel differs from reference\n got %+v\nwant %+v",
+					kind, v.name, abbrev(&got), abbrev(&want))
 			}
 		}
 	}
 }
 
-// TestIntoScratchReuse runs each Into variant repeatedly on graphs of
+// TestIntoScratchReuse runs each served kernel repeatedly on graphs of
 // shrinking and growing sizes through ONE scratch: stale state from a
 // previous (larger) graph must never leak into the next result.
 func TestIntoScratchReuse(t *testing.T) {
@@ -53,39 +61,58 @@ func TestIntoScratchReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := v.orig(g)
+			var want CCResult
+			v.ref(g, &want, new(CCScratch))
 			v.into(g, &res, &s)
-			if !reflect.DeepEqual(&res, want) {
-				t.Errorf("%s: n=%d reused scratch diverges from original", v.name, n)
+			if !reflect.DeepEqual(res, want) {
+				t.Errorf("%s: n=%d reused scratch diverges from reference", v.name, n)
 			}
 		}
 	}
 }
 
 // TestIntoVariantsAllocFree pins the steady-state allocation count of
-// every scratch kernel to zero: after a warm-up call sizes the
-// buffers, repeated evaluations on the same graph must not touch the
-// heap at all.
+// the three served kernels to zero, at a mid bound and over the full
+// range: after a warm-up call sizes the scratch, repeated evaluations
+// on the same graph must not touch the heap at all. The split indexes
+// are built once outside the measurement, as the runner builds them
+// once per partition.
 func TestIntoVariantsAllocFree(t *testing.T) {
 	g, err := Generate(GenGraphConfig{Kind: KindRMAT, N: 2048, M: 8192, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range intoVariants {
+	n, rp, adj := g.N, g.RowPtr, g.Adj
+	// splitAt(g, b) is both the prefix split for bound b and the lower
+	// index of the range [b, n).
+	zero, mid, full := splitAt(g, 0), splitAt(g, n/2), splitAt(g, n)
+	kernels := []struct {
+		name string
+		run  func(*CCResult, *CCScratch)
+	}{
+		{"DFSPrefix/mid", func(res *CCResult, s *CCScratch) { DFSPrefixInto(rp, adj, mid, n/2, res, s) }},
+		{"DFSPrefix/full", func(res *CCResult, s *CCScratch) { DFSPrefixInto(rp, adj, full, n, res, s) }},
+		{"ParallelCPUPrefix4/mid", func(res *CCResult, s *CCScratch) { ParallelCPUPrefixInto(rp, adj, mid, n/2, 4, res, s) }},
+		{"ParallelCPUPrefix4/full", func(res *CCResult, s *CCScratch) { ParallelCPUPrefixInto(rp, adj, full, n, 4, res, s) }},
+		{"ShiloachVishkinRange/mid", func(res *CCResult, s *CCScratch) { ShiloachVishkinRangeInto(rp, adj, mid, n/2, n, res, s) }},
+		{"ShiloachVishkinRange/full", func(res *CCResult, s *CCScratch) { ShiloachVishkinRangeInto(rp, adj, zero, 0, n, res, s) }},
+	}
+	for _, k := range kernels {
 		var s CCScratch
 		var res CCResult
-		v.into(g, &res, &s) // warm up: size the scratch
+		k.run(&res, &s) // warm up: size the scratch
 		allocs := testing.AllocsPerRun(10, func() {
-			v.into(g, &res, &s)
+			k.run(&res, &s)
 		})
 		if allocs != 0 {
-			t.Errorf("%s: %v allocs per warmed-up run, want 0", v.name, allocs)
+			t.Errorf("%s: %v allocs per warmed-up run, want 0", k.name, allocs)
 		}
 	}
 }
 
 func TestUnionFindReset(t *testing.T) {
-	uf := NewUnionFind(8)
+	var uf UnionFind
+	uf.Reset(8)
 	uf.Union(0, 1)
 	uf.Union(2, 3)
 	uf.Reset(8)
@@ -101,7 +128,7 @@ func TestUnionFindReset(t *testing.T) {
 	// a valid singleton forest.
 	uf.Reset(3)
 	uf.Union(0, 2)
-	if !uf.Same(0, 2) || uf.Same(0, 1) {
+	if !sameSet(&uf, 0, 2) || sameSet(&uf, 0, 1) {
 		t.Error("union-find broken after shrink Reset")
 	}
 	uf.Reset(16)
@@ -112,14 +139,14 @@ func TestUnionFindReset(t *testing.T) {
 	}
 }
 
-func TestCanonicalizeMinLabelsIntoMatchesMap(t *testing.T) {
+func TestCanonicalizeMinLabelsCountInto(t *testing.T) {
 	labels := []int32{4, 4, 2, 2, 4, 5, 2}
-	viaMap := append([]int32(nil), labels...)
-	canonicalizeMinLabels(viaMap)
-	viaSlice := append([]int32(nil), labels...)
-	CanonicalizeMinLabelsInto(viaSlice, make([]int32, len(labels)))
-	if !sameLabels(viaMap, viaSlice) {
-		t.Errorf("slice canonicalization %v differs from map %v", viaSlice, viaMap)
+	components := CanonicalizeMinLabelsCountInto(labels, make([]int32, len(labels)))
+	if want := []int32{0, 0, 2, 2, 0, 5, 2}; !sameLabels(labels, want) {
+		t.Errorf("canonical labels %v, want %v", labels, want)
+	}
+	if components != 3 {
+		t.Errorf("components = %d, want 3", components)
 	}
 }
 

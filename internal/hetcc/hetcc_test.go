@@ -20,12 +20,20 @@ func testGraph(t *testing.T, kind graph.GenKind, n, m int, seed uint64) *graph.G
 	return g
 }
 
+// dfsRef labels g with the frozen reference DFS, the label oracle of
+// the runner tests.
+func dfsRef(g *graph.Graph) *graph.CCResult {
+	res := new(graph.CCResult)
+	graph.DFSRef(g, res, new(graph.CCScratch))
+	return res
+}
+
 // split is the two-device partition of threshold t.
 func split(t float64) core.Partition { return core.Partition{t, 100 - t} }
 
 func TestRunCorrectAtAllThresholds(t *testing.T) {
 	g := testGraph(t, graph.KindGNM, 500, 900, 1)
-	ref := graph.DFS(g)
+	ref := dfsRef(g)
 	alg := NewAlgorithm(hetsim.Default())
 	for _, th := range []float64{0, 1, 10, 33.3, 50, 75, 99, 100} {
 		res, err := alg.Run(g, split(th))
@@ -50,7 +58,7 @@ func TestRunCorrectAcrossKinds(t *testing.T) {
 	alg := NewAlgorithm(hetsim.Default())
 	for _, kind := range []graph.GenKind{graph.KindGNM, graph.KindRMAT, graph.KindRoad, graph.KindMesh} {
 		g := testGraph(t, kind, 800, 2000, 3)
-		ref := graph.DFS(g)
+		ref := dfsRef(g)
 		res, err := alg.Run(g, split(40))
 		if err != nil {
 			t.Fatal(err)
@@ -154,7 +162,7 @@ func TestGPUOnlyBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := graph.DFS(g)
+	ref := dfsRef(g)
 	if res.Components != ref.Components {
 		t.Errorf("GPU-only components = %d, want %d", res.Components, ref.Components)
 	}

@@ -15,7 +15,7 @@ import (
 
 func TestMultiRunCorrectness(t *testing.T) {
 	g := testGraph(t, graph.KindGNM, 600, 1400, 31)
-	ref := graph.DFS(g)
+	ref := dfsRef(g)
 	alg := NewMultiAlgorithm(hetsim.DefaultMulti(2))
 	for _, p := range []core.Partition{
 		{0, 0, 100}, {100, 0, 0}, {0, 100, 0}, {30, 30, 40},
@@ -40,7 +40,7 @@ func TestMultiRunAcrossKinds(t *testing.T) {
 	alg := NewMultiAlgorithm(hetsim.DefaultMulti(3))
 	for _, kind := range []graph.GenKind{graph.KindRMAT, graph.KindRoad} {
 		g := testGraph(t, kind, 900, 2500, 33)
-		ref := graph.DFS(g)
+		ref := dfsRef(g)
 		res, err := alg.Run(g, core.Partition{20, 40, 20, 20})
 		if err != nil {
 			t.Fatal(err)

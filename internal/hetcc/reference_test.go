@@ -6,8 +6,8 @@ package hetcc
 //
 //   - refMultiRun is the N-device Algorithm.Run as it was before
 //     the runners merged: every device's subgraph rebuilt through
-//     graph.FromEdges, the goroutine-parallel CPU kernel, the allocating
-//     Shiloach–Vishkin, and map-based label canonicalization;
+//     graph.FromEdges, the frozen reference CPU and Shiloach–Vishkin
+//     kernels on each part, and map-based label canonicalization;
 //   - partitionInto and ccCPUTime are the materialized two-device
 //     partition and the graph-based CPU cost model;
 //   - runScratch, splitRowsInto, degreeCVSuffix and ccGPUTimeSplit
@@ -184,11 +184,13 @@ func refMultiRun(a *Algorithm, g *graph.Graph, p core.Partition) (*Result, error
 	for i, part := range parts {
 		var dt time.Duration
 		if i == 0 {
-			results[i] = graph.ParallelCPU(part, a.threads())
+			results[i] = new(graph.CCResult)
+			graph.ParallelCPURef(part, a.threads(), results[i], new(graph.CCScratch))
 			dt = ccCPUTime(a.Platform.CPU, a.threads(), part)
 			res.Trace.Add(hetsim.PhaseCompute, "cpu", dt)
 		} else {
-			results[i] = graph.ShiloachVishkin(part)
+			results[i] = new(graph.CCResult)
+			graph.ShiloachVishkinRef(part, results[i], new(graph.CCScratch))
 			transferIn := a.Platform.Link.Transfer(int64(4 * part.Arcs()))
 			dt = transferIn + ccGPUTime(a.Platform.GPUs[i-1], part, results[i])
 			res.Trace.Add(hetsim.PhaseTransfer, "link", transferIn)
@@ -283,7 +285,8 @@ func refMergeMulti(g *graph.Graph, cuts []int, results []*graph.CCResult, cross 
 			labels[cuts[i]+v] = l + base
 		}
 	}
-	uf := graph.NewUnionFind(g.N)
+	var uf graph.UnionFind
+	uf.Reset(g.N)
 	for _, e := range cross {
 		uf.Union(int(labels[e.U]), int(labels[e.V]))
 	}

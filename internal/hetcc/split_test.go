@@ -135,7 +135,7 @@ func TestCostModelSplitEquivalence(t *testing.T) {
 					}
 				}
 				var svRes graph.CCResult
-				graph.ShiloachVishkinSuffixInto(g.RowPtr, g.Adj, s.split, nCPU, g.N, &svRes, new(graph.CCScratch))
+				graph.ShiloachVishkinRangeInto(g.RowPtr, g.Adj, s.split, nCPU, g.N, &svRes, new(graph.CCScratch))
 				got := ccGPUTimeSplit(plat.GPU, g, s.split, nCPU, s.gpuArcs, &svRes)
 				want := ccGPUTime(plat.GPU, &s.gGPU, &svRes)
 				if got != want {

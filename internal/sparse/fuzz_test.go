@@ -37,51 +37,6 @@ func fuzzCSR(data []byte) *CSR {
 	return m
 }
 
-func FuzzSpMVMatchesReference(f *testing.F) {
-	f.Add([]byte{3, 4, 0, 1, 50, 2, 3, 200, 1, 1, 7})
-	f.Add([]byte{1, 1, 0, 0, 255})
-	f.Add([]byte{31, 31, 5, 5, 5, 9, 9, 9, 30, 30, 1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		a := fuzzCSR(data)
-		x := make([]float64, a.Cols)
-		for j := range x {
-			x[j] = float64(j%7) - 3
-		}
-		got, err := SpMV(a, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := SpMVRef(a, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("SpMV row %d = %x, reference %x",
-					i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-			}
-		}
-
-		// Pattern dispatch must agree with the implicit-ones reference.
-		pat := a.Clone()
-		pat.Vals = nil
-		got, err = SpMV(pat, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err = SpMVRef(pat, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("pattern SpMV row %d = %x, reference %x",
-					i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-			}
-		}
-	})
-}
-
 func FuzzSymbolicMatchesReference(f *testing.F) {
 	f.Add([]byte{4, 4, 0, 1, 9, 1, 2, 9, 2, 3, 9, 3, 0, 9})
 	f.Add([]byte{2, 31, 0, 30, 1, 1, 0, 1})
@@ -136,14 +91,7 @@ func FuzzSplitRowByWorkMatchesReference(f *testing.F) {
 		if want < 0 || want > len(load) {
 			t.Fatalf("reference split %d outside [0, %d]", want, len(load))
 		}
-		if got := SplitRowByWork(load, frac); got != want {
-			t.Fatalf("SplitRowByWork(%v, %v) = %d, reference %d", load, frac, got, want)
-		}
-		prefix := make([]int64, len(load)+1)
-		for i, v := range load {
-			prefix[i+1] = prefix[i] + v
-		}
-		if got := SplitRowByWorkPrefix(prefix, frac); got != want {
+		if got := SplitRowByWorkPrefix(prefixSums(load), frac); got != want {
 			t.Fatalf("SplitRowByWorkPrefix(%v, %v) = %d, reference %d", load, frac, got, want)
 		}
 	})

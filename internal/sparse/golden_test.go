@@ -7,7 +7,6 @@ package sparse
 // and the rounded split-target contract.
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -48,25 +47,6 @@ func TestRandomKernelsMatchReference(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		a := randomCSRTriplets(t, r, sh.rows, sh.cols, sh.nnz)
-		x := make([]float64, a.Cols)
-		for j := range x {
-			x[j] = r.Float64()*2 - 1
-		}
-		got, err := SpMV(a, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := SpMVRef(a, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%dx%d: SpMV row %d = %x, reference %x",
-					sh.rows, sh.cols, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-			}
-		}
-
 		b := randomCSRTriplets(t, r, a.Cols, sh.rows, sh.nnz)
 		load, err := LoadVector(a, b)
 		if err != nil {
@@ -92,17 +72,10 @@ func TestRandomKernelsMatchReference(t *testing.T) {
 			t.Fatalf("%dx%d: symbolic counts differ from reference", sh.rows, sh.cols)
 		}
 
-		prefix := make([]int64, len(load)+1)
-		for i, v := range load {
-			prefix[i+1] = prefix[i] + v
-		}
+		prefix := prefixSums(load)
 		for tt := 0; tt <= 100; tt++ {
 			frac := float64(tt) / 100
 			wantSplit := SplitRowByWorkRef(load, frac)
-			if gotSplit := SplitRowByWork(load, frac); gotSplit != wantSplit {
-				t.Fatalf("%dx%d: SplitRowByWork(%v) = %d, reference %d",
-					sh.rows, sh.cols, frac, gotSplit, wantSplit)
-			}
 			if gotSplit := SplitRowByWorkPrefix(prefix, frac); gotSplit != wantSplit {
 				t.Fatalf("%dx%d: SplitRowByWorkPrefix(%v) = %d, reference %d",
 					sh.rows, sh.cols, frac, gotSplit, wantSplit)
@@ -225,8 +198,19 @@ func TestAccumulatorOversizeDrop(t *testing.T) {
 	}
 }
 
-// TestSplitRowByWorkRounding pins the rounded-target contract on
-// boundary loads where truncation would pick a different row.
+// prefixSums returns the prefix-sum array SplitRowByWorkPrefix reads:
+// len(load)+1 entries, starting at 0.
+func prefixSums(load []int64) []int64 {
+	prefix := make([]int64, len(load)+1)
+	for i, v := range load {
+		prefix[i+1] = prefix[i] + v
+	}
+	return prefix
+}
+
+// TestSplitRowByWorkRounding pins the rounded-target contract of the
+// served prefix-sum split and its reference on boundary loads where
+// truncation would pick a different row.
 func TestSplitRowByWorkRounding(t *testing.T) {
 	cases := []struct {
 		load []int64
@@ -248,18 +232,11 @@ func TestSplitRowByWorkRounding(t *testing.T) {
 		{[]int64{7, 7}, 1, 2},           // frac 1 pins right
 	}
 	for _, c := range cases {
-		if got := SplitRowByWork(c.load, c.frac); got != c.want {
-			t.Errorf("SplitRowByWork(%v, %v) = %d, want %d", c.load, c.frac, got, c.want)
+		if got := SplitRowByWorkPrefix(prefixSums(c.load), c.frac); got != c.want {
+			t.Errorf("SplitRowByWorkPrefix(%v, %v) = %d, want %d", c.load, c.frac, got, c.want)
 		}
 		if got := SplitRowByWorkRef(c.load, c.frac); got != c.want {
 			t.Errorf("SplitRowByWorkRef(%v, %v) = %d, want %d", c.load, c.frac, got, c.want)
-		}
-		prefix := make([]int64, len(c.load)+1)
-		for i, v := range c.load {
-			prefix[i+1] = prefix[i] + v
-		}
-		if got := SplitRowByWorkPrefix(prefix, c.frac); got != c.want {
-			t.Errorf("SplitRowByWorkPrefix(%v, %v) = %d, want %d", c.load, c.frac, got, c.want)
 		}
 	}
 }

@@ -6,34 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestSpMV(t *testing.T) {
-	m := small3x4(t)
-	y, err := SpMV(m, []float64{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{3, 3, 9}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("SpMV = %v, want %v", y, want)
-		}
-	}
-	if _, err := SpMV(m, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-func TestSpMVPattern(t *testing.T) {
-	m, _ := FromTriplets(2, 3, []int32{0, 0, 1}, []int32{0, 2, 1}, nil)
-	y, err := SpMV(m, []float64{10, 20, 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 40 || y[1] != 20 {
-		t.Fatalf("pattern SpMV = %v", y)
-	}
-}
-
 func TestLoadVectorMatchesFlops(t *testing.T) {
 	a, err := Generate(GenConfig{Class: ClassUniform, Rows: 60, Cols: 60, NNZ: 500, Seed: 1})
 	if err != nil {
@@ -47,14 +19,8 @@ func TestLoadVectorMatchesFlops(t *testing.T) {
 	for _, v := range load {
 		total += v
 	}
-	want, err := TotalWork(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != want {
-		t.Fatalf("load sum %d != TotalWork %d", total, want)
-	}
-	// And both equal the multiply-adds the actual SpMM performs.
+	// The load sum (the profiles' total work) equals the multiply-adds
+	// the actual SpMM performs.
 	_, flops, err := SpMM(a, a)
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +35,6 @@ func TestLoadVectorDimsError(t *testing.T) {
 	if _, err := LoadVector(a, a); err == nil {
 		t.Error("incompatible dims accepted")
 	}
-	if _, err := TotalWork(a, a); err == nil {
-		t.Error("TotalWork incompatible dims accepted")
-	}
 }
 
 func TestSplitRowByWork(t *testing.T) {
@@ -83,14 +46,15 @@ func TestSplitRowByWork(t *testing.T) {
 		{0, 0}, {-1, 0}, {1, 4}, {2, 4},
 		{0.5, 2}, {0.25, 1}, {0.26, 1}, {0.49, 2},
 	}
+	prefix := prefixSums(load)
 	for _, c := range cases {
-		if got := SplitRowByWork(load, c.frac); got != c.want {
-			t.Errorf("SplitRowByWork(%v) = %d, want %d", c.frac, got, c.want)
+		if got := SplitRowByWorkPrefix(prefix, c.frac); got != c.want {
+			t.Errorf("SplitRowByWorkPrefix(%v) = %d, want %d", c.frac, got, c.want)
 		}
 	}
 	// Highly skewed load: one row dominates.
 	skew := []int64{1, 1, 96, 1, 1}
-	if got := SplitRowByWork(skew, 0.5); got != 2 && got != 3 {
+	if got := SplitRowByWorkPrefix(prefixSums(skew), 0.5); got != 2 && got != 3 {
 		t.Errorf("skewed split = %d, want boundary adjacent to heavy row", got)
 	}
 }
@@ -102,7 +66,7 @@ func TestSplitRowByWorkProperty(t *testing.T) {
 			load[i] = int64(v)
 		}
 		frac := float64(fracRaw) / 255
-		i := SplitRowByWork(load, frac)
+		i := SplitRowByWorkPrefix(prefixSums(load), frac)
 		return i >= 0 && i <= len(load)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -307,49 +271,6 @@ func TestSpMMSplitEquivalence(t *testing.T) {
 		if !glued.Equal(whole) {
 			t.Fatalf("split at %d: stacked product differs", split)
 		}
-	}
-}
-
-func TestSpMVIntoReusesDestination(t *testing.T) {
-	m := small3x4(t)
-	x := []float64{1, 2, 3, 4}
-	want, err := SpMV(m, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, 0, m.Rows)
-	got, err := SpMVInto(dst, m, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got[0] != &dst[:1][0] {
-		t.Error("SpMVInto reallocated despite sufficient capacity")
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SpMVInto = %v, want %v", got, want)
-		}
-	}
-	// Stale contents in a reused destination must be overwritten.
-	for i := range got {
-		got[i] = math.Inf(1)
-	}
-	again, err := SpMVInto(got, m, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if again[i] != want[i] {
-			t.Fatalf("reused SpMVInto = %v, want %v", again, want)
-		}
-	}
-	n := testing.AllocsPerRun(20, func() {
-		if _, err := SpMVInto(got, m, x); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if n != 0 {
-		t.Errorf("SpMVInto with reusable destination: %v allocs, want 0", n)
 	}
 }
 

@@ -4,28 +4,28 @@ package repro
 // kernel in internal/sparse and internal/graph has a frozen reference
 // implementation (reference.go in each package) carrying the pre-tuning
 // body; these tests pin the tuned kernels bit-identical to the
-// references on one Table II instance per structural class:
+// references on one Table II instance per structural class (the CC
+// kernels on a prefix or range of the graph, against the reference on
+// the materialized part):
 //
 //	cant          — FEM (banded, near-regular rows)
 //	webbase-1M    — power-law (skewed degrees, wide columns)
 //	germany_osm   — road (huge diameter, tiny degrees)
 //	delaunay_n22  — delaunay mesh (near-regular, planar-ish)
 //
-// "Bit-identical" is literal: float64 outputs are compared by bit
-// pattern (summation order is part of the contract — the simulator's
-// cost models and the Identify search results depend on it), and the
-// connected-components results are compared as whole structs including
-// the work counters that feed the device models.
+// "Bit-identical" is literal: integer outputs are compared exactly, and
+// the connected-components results are compared as whole structs
+// including the work counters that feed the device models.
 
 import (
-	"math"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/datasets"
 	"repro/internal/graph"
 	"repro/internal/sparse"
-	"repro/internal/xrand"
 )
 
 // goldenDatasets names one dataset per structural class.
@@ -55,64 +55,6 @@ func goldenGraph(t *testing.T, name string) *graph.Graph {
 		t.Fatalf("Graph(%q): %v", name, err)
 	}
 	return g
-}
-
-// equalBits reports the first index where two float vectors differ in
-// bit pattern, or -1.
-func equalBits(a, b []float64) int {
-	if len(a) != len(b) {
-		return 0
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return i
-		}
-	}
-	return -1
-}
-
-// TestGoldenSpMV pins the specialized SpMV (valued and pattern
-// dispatch, unrolled multi-accumulator) to the reference scalar loop,
-// bit for bit, on every dataset class.
-func TestGoldenSpMV(t *testing.T) {
-	for _, name := range goldenDatasets {
-		t.Run(name, func(t *testing.T) {
-			m := goldenMatrix(t, name)
-			r := xrand.New(0x5bd1e995)
-			x := make([]float64, m.Cols)
-			for j := range x {
-				x[j] = r.Float64()*2 - 1
-			}
-			got, err := sparse.SpMV(m, x)
-			if err != nil {
-				t.Fatalf("SpMV: %v", err)
-			}
-			want, err := sparse.SpMVRef(m, x)
-			if err != nil {
-				t.Fatalf("SpMVRef: %v", err)
-			}
-			if i := equalBits(got, want); i >= 0 {
-				t.Fatalf("valued SpMV diverges at row %d: got %x want %x",
-					i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-			}
-
-			// Pattern form: same structure, implicit unit values.
-			pat := m.Clone()
-			pat.Vals = nil
-			got, err = sparse.SpMV(pat, x)
-			if err != nil {
-				t.Fatalf("pattern SpMV: %v", err)
-			}
-			want, err = sparse.SpMVRef(pat, x)
-			if err != nil {
-				t.Fatalf("pattern SpMVRef: %v", err)
-			}
-			if i := equalBits(got, want); i >= 0 {
-				t.Fatalf("pattern SpMV diverges at row %d: got %x want %x",
-					i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-			}
-		})
-	}
 }
 
 // TestGoldenLoadVector pins the index-accelerated load-vector and
@@ -151,9 +93,9 @@ func TestGoldenLoadVector(t *testing.T) {
 	}
 }
 
-// TestGoldenSplitRowByWork pins the linear-scan split, the reference
-// split and the prefix-sum binary search to one another over the full
-// threshold grid the Identify stage sweeps.
+// TestGoldenSplitRowByWork pins the prefix-sum binary search the
+// profiles call to the reference linear scan over the full threshold
+// grid the Identify stage sweeps.
 func TestGoldenSplitRowByWork(t *testing.T) {
 	for _, name := range goldenDatasets {
 		t.Run(name, func(t *testing.T) {
@@ -169,9 +111,6 @@ func TestGoldenSplitRowByWork(t *testing.T) {
 			for tt := 0; tt <= 100; tt++ {
 				frac := float64(tt) / 100
 				want := sparse.SplitRowByWorkRef(load, frac)
-				if got := sparse.SplitRowByWork(load, frac); got != want {
-					t.Fatalf("SplitRowByWork(%v) = %d, reference %d", frac, got, want)
-				}
 				if got := sparse.SplitRowByWorkPrefix(prefix, frac); got != want {
 					t.Fatalf("SplitRowByWorkPrefix(%v) = %d, reference %d", frac, got, want)
 				}
@@ -180,41 +119,75 @@ func TestGoldenSplitRowByWork(t *testing.T) {
 	}
 }
 
-// TestGoldenConnectedComponents pins the tuned CC kernels (DFS,
-// partitioned parallel DFS, Shiloach–Vishkin) to the frozen references:
-// identical labels, component counts AND work counters. The counters
-// feed the hetsim cost models, so any drift would silently change
-// every simulated time and search result.
+// TestGoldenConnectedComponents pins the three CC kernels the runner
+// serves (DFSPrefixInto, ParallelCPUPrefixInto, ShiloachVishkinRangeInto)
+// to the frozen references on the materialized part: identical labels,
+// component counts AND work counters. The counters feed the hetsim cost
+// models, so any drift would silently change every simulated time and
+// search result.
 func TestGoldenConnectedComponents(t *testing.T) {
 	for _, name := range goldenDatasets {
 		t.Run(name, func(t *testing.T) {
 			g := goldenGraph(t, name)
-
-			var got, want graph.CCResult
-			graph.DFSInto(g, &got, new(graph.CCScratch))
-			graph.DFSRef(g, &want, new(graph.CCScratch))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("DFSInto diverges from DFSRef:\n got %+v\nwant %+v",
-					summarize(&got), summarize(&want))
-			}
-
-			for _, workers := range []int{1, 2, 4, 7} {
-				graph.ParallelCPUInto(g, workers, &got, new(graph.CCScratch))
-				graph.ParallelCPURef(g, workers, &want, new(graph.CCScratch))
+			n := g.N
+			check := func(kernel string, got, want *graph.CCResult) {
+				t.Helper()
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("ParallelCPUInto(workers=%d) diverges from reference:\n got %+v\nwant %+v",
-						workers, summarize(&got), summarize(&want))
+					t.Fatalf("%s diverges from reference:\n got %+v\nwant %+v",
+						kernel, summarize(got), summarize(want))
 				}
 			}
-
-			graph.ShiloachVishkinInto(g, &got, new(graph.CCScratch))
-			graph.ShiloachVishkinRef(g, &want, new(graph.CCScratch))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("ShiloachVishkinInto diverges from reference:\n got %+v\nwant %+v",
-					summarize(&got), summarize(&want))
+			var got, want graph.CCResult
+			for _, bound := range []int{0, n / 3, n / 2, n} {
+				split, part := splitIndex(g, bound), rangeGraph(g, 0, bound)
+				graph.DFSPrefixInto(g.RowPtr, g.Adj, split, bound, &got, new(graph.CCScratch))
+				graph.DFSRef(part, &want, new(graph.CCScratch))
+				check(fmt.Sprintf("DFSPrefixInto(bound=%d)", bound), &got, &want)
+				for _, workers := range []int{1, 4, 7} {
+					graph.ParallelCPUPrefixInto(g.RowPtr, g.Adj, split, bound, workers, &got, new(graph.CCScratch))
+					graph.ParallelCPURef(part, workers, &want, new(graph.CCScratch))
+					check(fmt.Sprintf("ParallelCPUPrefixInto(bound=%d, workers=%d)", bound, workers), &got, &want)
+				}
+			}
+			for _, r := range [][2]int{{0, n}, {n / 3, 2 * n / 3}, {n / 2, n}} {
+				lo, hi := r[0], r[1]
+				graph.ShiloachVishkinRangeInto(g.RowPtr, g.Adj, splitIndex(g, lo), lo, hi, &got, new(graph.CCScratch))
+				graph.ShiloachVishkinRef(rangeGraph(g, lo, hi), &want, new(graph.CCScratch))
+				check(fmt.Sprintf("ShiloachVishkinRangeInto[%d, %d)", lo, hi), &got, &want)
 			}
 		})
 	}
+}
+
+// splitIndex returns, for every row of g, the position of its first
+// neighbor >= bound: the prefix kernels' split index for the prefix
+// [0, bound), and the range kernel's lower index for a range starting
+// at bound.
+func splitIndex(g *graph.Graph, bound int) []int32 {
+	split := make([]int32, g.N)
+	for u := range split {
+		k, _ := slices.BinarySearch(g.Neighbors(u), int32(bound))
+		split[u] = int32(k)
+	}
+	return split
+}
+
+// rangeGraph materializes the subgraph induced by the vertex range
+// [lo, hi) of g, renumbered from zero: the part a reference kernel
+// runs on.
+func rangeGraph(g *graph.Graph, lo, hi int) *graph.Graph {
+	rowPtr := make([]int64, hi-lo+1)
+	var adj []int32
+	l, h := int32(lo), int32(hi)
+	for u := lo; u < hi; u++ {
+		for _, v := range g.Neighbors(u) {
+			if v >= l && v < h {
+				adj = append(adj, v-l)
+			}
+		}
+		rowPtr[u-lo+1] = int64(len(adj))
+	}
+	return &graph.Graph{N: hi - lo, RowPtr: rowPtr, Adj: adj}
 }
 
 // summarize renders a CCResult without the label vector for failure
