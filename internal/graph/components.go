@@ -1,9 +1,5 @@
 package graph
 
-import (
-	"sync"
-)
-
 // CCResult is the outcome of a connected-components computation,
 // together with the work counters the platform simulator charges
 // against the executing device.
@@ -34,244 +30,10 @@ func NumComponents(labels []int32) int {
 	return n
 }
 
-// DFS computes connected components with an iterative depth-first
-// search, the paper's sequential CPU kernel ("the sequential
-// depth-first search algorithm [8] is used on the CPU"). Labels are
-// the minimum vertex id of each component.
-func DFS(g *Graph) *CCResult {
-	labels := make([]int32, g.N)
-	for v := range labels {
-		labels[v] = -1
-	}
-	res := &CCResult{Labels: labels}
-	stack := make([]int32, 0, 1024)
-	for start := 0; start < g.N; start++ {
-		if labels[start] >= 0 {
-			continue
-		}
-		res.Components++
-		root := int32(start)
-		labels[start] = root
-		stack = append(stack[:0], root)
-		res.VerticesVisited++
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range g.Neighbors(int(u)) {
-				res.EdgesVisited++
-				if labels[w] < 0 {
-					labels[w] = root
-					res.VerticesVisited++
-					stack = append(stack, w)
-				}
-			}
-		}
-	}
-	return res
-}
-
-// ParallelCPU computes connected components with `workers` threads:
-// the vertex range is divided into equal parts, each worker runs a
-// restricted DFS inside its part (the paper's Phase I line 6: "Divide
-// G_CPU into equal parts ... when using c threads"), and the partial
-// labelings are then merged through a union–find pass over the part-
-// crossing edges. Work counters are summed over all workers; the
-// EdgesVisited counter therefore reflects total (not critical-path)
-// work, and the simulator divides by the worker count when charging
-// time.
-func ParallelCPU(g *Graph, workers int) *CCResult {
-	if workers <= 1 || g.N < 2*workers {
-		return DFS(g)
-	}
-	labels := make([]int32, g.N)
-	for v := range labels {
-		labels[v] = -1
-	}
-	type counters struct {
-		vertices, edges int64
-	}
-	parts := make([]counters, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * g.N / workers
-		hi := (w + 1) * g.N / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			cnt := &parts[w]
-			stack := make([]int32, 0, 256)
-			for start := lo; start < hi; start++ {
-				if labels[start] >= 0 {
-					continue
-				}
-				root := int32(start)
-				labels[start] = root
-				cnt.vertices++
-				stack = append(stack[:0], root)
-				for len(stack) > 0 {
-					u := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					for _, v := range g.Neighbors(int(u)) {
-						cnt.edges++
-						if int(v) < lo || int(v) >= hi {
-							continue // cross-part edge; merged later
-						}
-						if labels[v] < 0 {
-							labels[v] = root
-							cnt.vertices++
-							stack = append(stack, v)
-						}
-					}
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	res := &CCResult{Labels: labels}
-	for w := range parts {
-		res.VerticesVisited += parts[w].vertices
-		res.EdgesVisited += parts[w].edges
-	}
-
-	// Merge across part boundaries with union–find over the labels.
-	uf := NewUnionFind(g.N)
-	for u := 0; u < g.N; u++ {
-		for _, v := range g.Neighbors(u) {
-			if labels[u] != labels[v] {
-				uf.Union(int(labels[u]), int(labels[v]))
-				res.EdgesVisited++
-			}
-		}
-	}
-	for v := range labels {
-		labels[v] = int32(uf.Find(int(labels[v])))
-	}
-	canonicalizeMinLabels(labels)
-	res.Components = NumComponents(labels)
-	return res
-}
-
-// canonicalizeMinLabels rewrites labels so each component is labeled by
-// its minimum vertex id, making results comparable across algorithms.
-func canonicalizeMinLabels(labels []int32) {
-	minOf := make(map[int32]int32, 16)
-	for v, l := range labels {
-		if cur, ok := minOf[l]; !ok || int32(v) < cur {
-			minOf[l] = int32(v)
-		}
-	}
-	for v := range labels {
-		labels[v] = minOf[labels[v]]
-	}
-}
-
-// ShiloachVishkin computes connected components with the classic
-// hooking + pointer-jumping algorithm of Shiloach and Vishkin, the
-// paper's GPU kernel. The per-round structure is preserved (every
-// round scans all arcs for hooks and then jumps all pointers) so that
-// Rounds, VerticesVisited and EdgesVisited reflect exactly the work a
-// GPU implementation would perform; the simulator charges GPU time
-// from these counters.
-func ShiloachVishkin(g *Graph) *CCResult {
-	parent := make([]int32, g.N)
-	for v := range parent {
-		parent[v] = int32(v)
-	}
-	res := &CCResult{Labels: parent}
-	if g.N == 0 {
-		return res
-	}
-	// Build the active edge list: arcs whose endpoints still carry
-	// different labels. GPU implementations filter converged edges
-	// between rounds (as in Soman et al.), so later rounds scan less;
-	// EdgesVisited counts the edge slots each hooking kernel actually
-	// reads, which is what the simulator charges.
-	active := make([]Edge, 0, len(g.Adj)/2)
-	for u := 0; u < g.N; u++ {
-		for _, v := range g.Neighbors(u) {
-			if int32(u) < v {
-				active = append(active, Edge{U: int32(u), V: v})
-			}
-		}
-	}
-	// old holds the parent snapshot taken at the start of each round.
-	// Hooking decisions read only the snapshot, which reproduces the
-	// parallel semantics of one GPU kernel launch over the edge list:
-	// all threads observe the pre-round state, and conflicting hooks
-	// onto the same root resolve to the minimum (a deterministic
-	// stand-in for the arbitrary-winner races of real hardware).
-	old := make([]int32, g.N)
-	for len(active) > 0 {
-		res.Rounds++
-		changed := false
-		copy(old, parent)
-		keep := active[:0]
-		for _, e := range active {
-			res.EdgesVisited++
-			pu, pv := old[e.U], old[e.V]
-			if pu == pv {
-				continue // converged; filtered from later rounds
-			}
-			keep = append(keep, e)
-			// Hook the root of the larger label onto the smaller
-			// label; only roots (per the snapshot) may be hooked,
-			// which prevents cycles.
-			if pv < pu && old[pu] == pu {
-				if pv < parent[pu] {
-					parent[pu] = pv
-					changed = true
-				}
-			} else if pu < pv && old[pv] == pv {
-				if pu < parent[pv] {
-					parent[pv] = pu
-					changed = true
-				}
-			}
-		}
-		active = keep
-		// Pointer jumping: one synchronous shortcut pass per round
-		// (parent[v] ← parent[parent[v]] for all v simultaneously),
-		// exactly one kernel launch. High-diameter graphs therefore
-		// need many rounds and many edge re-scans — the structural
-		// property that makes GPUs slow on road networks and the
-		// simulator's cost model input.
-		copy(old, parent)
-		for v := 0; v < g.N; v++ {
-			res.VerticesVisited++
-			np := old[old[v]]
-			if np != parent[v] && np < parent[v] {
-				parent[v] = np
-				changed = true
-			}
-		}
-		if !changed && len(active) > 0 {
-			// All remaining active edges connect equal labels but
-			// were kept before the jump flattened them; one more
-			// filtering pass will drain the list.
-			filtered := active[:0]
-			for _, e := range active {
-				if parent[e.U] != parent[e.V] {
-					filtered = append(filtered, e)
-				}
-			}
-			active = filtered
-			if len(active) > 0 {
-				// No label changed yet differing labels remain:
-				// cannot happen (see hooking invariant), but
-				// guard against livelock.
-				break
-			}
-		}
-	}
-	canonicalizeMinLabels(parent)
-	res.Components = NumComponents(parent)
-	return res
-}
-
 // UnionFind is a disjoint-set forest with union by rank and path
 // compression, used to merge partial component labelings and to
-// process cross edges in the heterogeneous algorithm.
+// process cross edges in the heterogeneous algorithm. Reset sizes it
+// to n singleton sets; the zero value holds none.
 type UnionFind struct {
 	parent []int32
 	rank   []int8
@@ -280,15 +42,6 @@ type UnionFind struct {
 	Unions int64
 	// Finds counts find operations including those inside Union.
 	Finds int64
-}
-
-// NewUnionFind creates n singleton sets.
-func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int32, n), rank: make([]int8, n)}
-	for i := range uf.parent {
-		uf.parent[i] = int32(i)
-	}
-	return uf
 }
 
 // Find returns the representative of x's set.
@@ -324,6 +77,3 @@ func (uf *UnionFind) Union(x, y int) bool {
 	}
 	return true
 }
-
-// Same reports whether x and y are in the same set.
-func (uf *UnionFind) Same(x, y int) bool { return uf.Find(x) == uf.Find(y) }

@@ -1,16 +1,17 @@
 package graph
 
 // This file freezes the pre-tuning scratch-based CC kernels as
-// reference implementations. The tuned kernels in scratch.go must
-// reproduce them bit for bit — labels, component counts, and the
-// Rounds/VerticesVisited/EdgesVisited work counters the platform
-// simulator charges time from — which the golden equivalence suite
-// asserts per dataset class and the fuzz tests assert on random
-// graphs. BenchmarkKernels records tuned-vs-reference speedups into
-// BENCH_kernels.json. The references are frozen: tune scratch.go, not
-// this file.
+// reference implementations. The served kernels in scratch.go, run on
+// a prefix or range of the original CSR, must reproduce a reference
+// run on the materialized subgraph bit for bit — labels, component
+// counts, and the Rounds/VerticesVisited/EdgesVisited work counters
+// the platform simulator charges time from — which the golden
+// equivalence suite asserts per dataset class and the fuzz tests
+// assert on random graphs. BenchmarkKernels records served-vs-reference
+// speedups into BENCH_kernels.json. The references are frozen: tune
+// scratch.go, not this file.
 
-// DFSRef is the frozen reference for DFSInto.
+// DFSRef is the frozen reference for DFSPrefixInto.
 func DFSRef(g *Graph, res *CCResult, s *CCScratch) {
 	labels := s.labelsFor(g.N)
 	for v := range labels {
@@ -46,7 +47,7 @@ func DFSRef(g *Graph, res *CCResult, s *CCScratch) {
 	s.stack = stack[:0] // keep any growth for the next call
 }
 
-// ParallelCPURef is the frozen reference for ParallelCPUInto: the
+// ParallelCPURef is the frozen reference for ParallelCPUPrefixInto: the
 // sequentialized partitioned restricted-DFS plus union–find merge,
 // with per-arc counter increments and closure-based neighbor access.
 func ParallelCPURef(g *Graph, workers int, res *CCResult, s *CCScratch) {
@@ -106,11 +107,11 @@ func ParallelCPURef(g *Graph, workers int, res *CCResult, s *CCScratch) {
 	for v := range labels {
 		labels[v] = int32(s.uf.Find(int(labels[v])))
 	}
-	CanonicalizeMinLabelsInto(labels, s.minOfFor(g.N))
+	CanonicalizeMinLabelsCountInto(labels, s.minOfFor(g.N))
 	res.Components = NumComponents(labels)
 }
 
-// ShiloachVishkinRef is the frozen reference for ShiloachVishkinInto:
+// ShiloachVishkinRef is the frozen reference for ShiloachVishkinRangeInto:
 // two parent-array copies per round (hooking snapshot and jump
 // snapshot), per-arc and per-vertex counter increments, and a branchy
 // conditional jump write.
@@ -180,6 +181,6 @@ func ShiloachVishkinRef(g *Graph, res *CCResult, s *CCScratch) {
 		}
 	}
 	s.active = active[:0]
-	CanonicalizeMinLabelsInto(parent, s.minOfFor(g.N))
+	CanonicalizeMinLabelsCountInto(parent, s.minOfFor(g.N))
 	res.Components = NumComponents(parent)
 }

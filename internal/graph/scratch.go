@@ -1,11 +1,12 @@
 package graph
 
 // CCScratch is the reusable working memory of one in-flight connected-
-// components kernel. The Into kernel variants (DFSInto, ParallelCPUInto,
-// ShiloachVishkinInto) draw every buffer they need from a scratch
-// instead of the heap, which is what makes a threshold evaluation in a
-// parallel Identify sweep allocation-free: each search worker owns one
-// scratch and reuses it across grid points.
+// components kernel. The kernels (DFSPrefixInto, ParallelCPUPrefixInto,
+// ShiloachVishkinRangeInto and the frozen references) draw every
+// buffer they need from a scratch instead of the heap, which is what
+// makes a threshold evaluation in a parallel Identify sweep
+// allocation-free: each search worker owns one scratch and reuses it
+// across grid points.
 //
 // A scratch serves one kernel call at a time; the result's Labels alias
 // the scratch and stay valid only until its next use. The zero value is
@@ -15,7 +16,7 @@ type CCScratch struct {
 	stack  []int32
 	active []Edge
 	old    []int32
-	// jump is the third parent buffer of the tuned Shiloach–Vishkin:
+	// jump is the third parent buffer of the range Shiloach–Vishkin:
 	// the pointer-jumping pass writes into it and the roles swap each
 	// round, replacing one of the reference kernel's two O(n) parent
 	// copies per round.
@@ -71,53 +72,16 @@ func (s *CCScratch) minOfFor(n int) []int32 {
 	return s.minOf
 }
 
-// DFSInto is DFS drawing its buffers from s. The result is written
-// into res (fully overwritten); res.Labels alias s. The inner loop
-// walks the CSR arrays directly and charges EdgesVisited per popped
-// vertex (its full degree) instead of per arc — the counter totals
-// are identical to DFSRef's, pinned by the golden suite.
-func DFSInto(g *Graph, res *CCResult, s *CCScratch) {
-	labels := s.labelsFor(g.N)
-	for v := range labels {
-		labels[v] = -1
-	}
-	*res = CCResult{Labels: labels}
-	if cap(s.stack) == 0 {
-		s.stack = make([]int32, 0, 1024)
-	}
-	stack := s.stack
-	rp, adj := g.RowPtr, g.Adj
-	for start := 0; start < g.N; start++ {
-		if labels[start] >= 0 {
-			continue
-		}
-		res.Components++
-		root := int32(start)
-		labels[start] = root
-		stack = append(stack[:0], root)
-		res.VerticesVisited++
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			lo, hi := rp[u], rp[u+1]
-			res.EdgesVisited += hi - lo
-			for k := lo; k < hi; k++ {
-				if w := adj[k]; labels[w] < 0 {
-					labels[w] = root
-					res.VerticesVisited++
-					stack = append(stack, w)
-				}
-			}
-		}
-	}
-	s.stack = stack[:0] // keep any growth for the next call
-}
-
-// DFSPrefixInto is DFSInto on the prefix subgraph with vertex set
-// [0, n) of a sorted-adjacency CSR: row u contributes its first
-// split[u] arcs (the neighbors < n). It produces the identical
-// CCResult (labels and counters) as materializing the prefix sub-CSR
-// and running DFSInto on it, without copying a single arc.
+// DFSPrefixInto computes connected components with an iterative
+// depth-first search, the paper's sequential CPU kernel, on the prefix
+// subgraph with vertex set [0, n) of a sorted-adjacency CSR: row u
+// contributes its first split[u] arcs (the neighbors < n). Labels are
+// the minimum vertex id of each component. The result is written into
+// res (fully overwritten); res.Labels alias s. It produces the
+// identical CCResult (labels and counters) as materializing the prefix
+// sub-CSR and running DFSRef on it, without copying a single arc. The
+// inner loop charges EdgesVisited per popped vertex (its prefix
+// degree) instead of per arc — the same totals.
 func DFSPrefixInto(rowPtr []int64, adj []int32, split []int32, n int, res *CCResult, s *CCScratch) {
 	labels := s.labelsFor(n)
 	for v := range labels {
@@ -155,10 +119,23 @@ func DFSPrefixInto(rowPtr []int64, adj []int32, split []int32, n int, res *CCRes
 	s.stack = stack[:0]
 }
 
-// ParallelCPUPrefixInto is ParallelCPUInto on the prefix subgraph with
-// vertex set [0, n) whose row u is the first split[u] arcs of the
-// masked CSR row (see DFSPrefixInto). Identical CCResult to
-// materializing the prefix sub-CSR, with no arc copies.
+// ParallelCPUPrefixInto is the paper's multi-threaded CPU kernel
+// (Phase I line 6: "Divide G_CPU into equal parts") on the prefix
+// subgraph with vertex set [0, n) whose row u is the first split[u]
+// arcs of the masked CSR row (see DFSPrefixInto): the range is divided
+// into workers equal parts, a DFS restricted to each part labels it,
+// and a union–find pass over the part-crossing arcs merges the
+// labelings. Work counters are summed over all parts, so EdgesVisited
+// is total (not critical-path) work; the cost model divides by the
+// worker count. Identical CCResult to ParallelCPURef on the
+// materialized prefix sub-CSR, with no arc copies.
+//
+// The parts run one after another on the calling goroutine: each part
+// reads and writes labels only inside its own vertex range, so the
+// partial labelings are independent and sequential execution yields
+// the identical result. The search engine already saturates the
+// machine across grid points; nested per-evaluation goroutines would
+// only add scheduling overhead.
 //
 // It returns the number of cross-part arcs under the workers-way
 // contiguous decomposition — the quantity the heterogeneous cost model
@@ -317,132 +294,33 @@ func lowerBound32(row []int32, bound int32) int {
 	return lo
 }
 
-// ParallelCPUInto reproduces ParallelCPU's partitioned restricted-DFS
-// bit for bit while drawing all buffers from s. The parts are executed
-// one after another on the calling goroutine: each ParallelCPU worker
-// reads and writes labels only inside its own vertex range (cross-part
-// arcs are skipped and merged later), so the partial labelings are
-// independent and sequential execution yields the identical result.
-// Parallel Identify sweeps rely on this — the search engine already
-// saturates the machine across grid points, and nested per-evaluation
-// goroutine fan-out would only add scheduling overhead.
-func ParallelCPUInto(g *Graph, workers int, res *CCResult, s *CCScratch) {
-	if workers <= 1 || g.N < 2*workers {
-		DFSInto(g, res, s)
-		return
-	}
-	labels := s.labelsFor(g.N)
-	for v := range labels {
-		labels[v] = -1
-	}
-	*res = CCResult{Labels: labels}
-	if cap(s.stack) == 0 {
-		s.stack = make([]int32, 0, 1024)
-	}
-	stack := s.stack
-	rp, adj := g.RowPtr, g.Adj
-	for w := 0; w < workers; w++ {
-		lo := w * g.N / workers
-		hi := (w + 1) * g.N / workers
-		span := uint(hi - lo)
-		for start := lo; start < hi; start++ {
-			if labels[start] >= 0 {
-				continue
-			}
-			root := int32(start)
-			labels[start] = root
-			res.VerticesVisited++
-			stack = append(stack[:0], root)
-			for len(stack) > 0 {
-				u := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				alo, ahi := rp[u], rp[u+1]
-				res.EdgesVisited += ahi - alo
-				for k := alo; k < ahi; k++ {
-					v := adj[k]
-					if uint(int(v)-lo) >= span {
-						continue // cross-part edge; merged later
-					}
-					if labels[v] < 0 {
-						labels[v] = root
-						res.VerticesVisited++
-						stack = append(stack, v)
-					}
-				}
-			}
-		}
-	}
-	s.stack = stack[:0]
-
-	// Merge across part boundaries with union–find over the labels.
-	// Union never rewrites labels, so labels[u] is loop-invariant per
-	// row and hoisted out of the arc scan.
-	s.uf.Reset(g.N)
-	for u := 0; u < g.N; u++ {
-		lu := labels[u]
-		for k := rp[u]; k < rp[u+1]; k++ {
-			if lv := labels[adj[k]]; lu != lv {
-				s.uf.Union(int(lu), int(lv))
-				res.EdgesVisited++
-			}
-		}
-	}
-	for v := range labels {
-		labels[v] = int32(s.uf.Find(int(labels[v])))
-	}
-	res.Components = CanonicalizeMinLabelsCountInto(labels, s.minOfFor(g.N))
-}
-
-// ShiloachVishkinInto is ShiloachVishkin drawing its buffers from s.
+// ShiloachVishkinRangeInto computes connected components with the
+// hooking + pointer-jumping algorithm of Shiloach and Vishkin, the
+// paper's GPU kernel, on the subgraph induced by the vertex range
+// [lo, hi) of a sorted-adjacency CSR, renumbered from 0: row u
+// contributes its arcs from position lower[u] (the first neighbor
+// >= lo) up to the first neighbor >= hi. Labels are the minimum
+// (renumbered) vertex id of each component; res.Labels alias s.
 //
-// It is the tuned form of ShiloachVishkinRef, exploiting the kernel's
-// parent-monotonicity invariant: every write keeps parent[v] <= v
-// (initialization sets parent[v] = v, hooking writes a smaller root,
-// jumping writes old[old[v]] <= old[v]). Three consequences, each
-// preserving bit-identical labels and counters:
+// Every round scans the active arcs for hooks and then jumps every
+// pointer once, so Rounds, VerticesVisited and EdgesVisited are the
+// work a GPU implementation performs; the simulator charges GPU time
+// from them. Hooking reads a snapshot of the parent array taken at the
+// start of the round, as one GPU kernel launch over the arc list sees
+// the pre-round state; conflicting hooks onto one root resolve to the
+// minimum, a deterministic stand-in for the arbitrary winner of real
+// hardware. Arcs whose endpoints converged are dropped from later
+// rounds, as GPU implementations filter them (Soman et al.).
+// High-diameter graphs need many rounds and many arc re-scans, the
+// property that makes GPUs slow on road networks.
 //
-//   - the jump pass writes parent[parent[v]] into a separate buffer
-//     (s.jump) and into the snapshot buffer, then swaps roles, so both
-//     of the reference's O(n) parent copies per round disappear (reads
-//     all come from the untouched current buffer, and the snapshot for
-//     the next round is exactly this round's jump output);
-//   - round 1 runs against the identity forest, where the hooking rule
-//     provably reduces to a running min-scatter over the (u < v)
-//     frontier with no convergence filtering;
-//   - because old[old[v]] <= old[v] always holds, the reference's
-//     "did it shrink" comparison reduces to "did it change", tracked
-//     branch-free by OR-ing XOR deltas instead of a data-dependent
-//     conditional store;
-//   - EdgesVisited/VerticesVisited are charged per round (frontier
-//     length and vertex count) instead of per arc — same totals, no
-//     increment in the inner loops.
-//
-// The frontier compaction (active edges whose endpoints converged are
-// dropped each round) is inherited from the reference.
-func ShiloachVishkinInto(g *Graph, res *CCResult, s *CCScratch) {
-	active := s.active[:0]
-	rp, adj := g.RowPtr, g.Adj
-	for u := 0; u < g.N; u++ {
-		uu := int32(u)
-		for k := rp[u]; k < rp[u+1]; k++ {
-			if v := adj[k]; uu < v {
-				active = append(active, Edge{U: uu, V: v})
-			}
-		}
-	}
-	s.active = active
-	shiloachVishkinRun(g.N, res, s)
-}
-
-// ShiloachVishkinRangeInto is ShiloachVishkinInto on the subgraph
-// induced by the vertex range [lo, hi) of a sorted-adjacency CSR,
-// renumbered from 0: row u contributes its arcs from position lower[u]
-// (the first neighbor >= lo) up to the first neighbor >= hi. It
-// produces the identical CCResult as materializing the range sub-CSR
-// and running ShiloachVishkinInto on it — the frontier is built in the
-// same (u ascending, k ascending) order — without copying a single
-// arc. The heterogeneous CC runner evaluates every accelerator's range
-// this way with a precomputed split index.
+// It produces the identical CCResult as materializing the range
+// sub-CSR and running ShiloachVishkinRef on it — the frontier is built
+// in the same (u ascending, k ascending) order — without copying a
+// single arc. The heterogeneous CC runner evaluates every
+// accelerator's range this way with a precomputed split index, and
+// the GPU-only baseline runs the whole graph as the range [0, n) with
+// lower all zero.
 func ShiloachVishkinRangeInto(rowPtr []int64, adj []int32, lower []int32, lo, hi int, res *CCResult, s *CCScratch) {
 	active := s.active[:0]
 	b, h := int32(lo), int32(hi)
@@ -461,14 +339,30 @@ func ShiloachVishkinRangeInto(rowPtr []int64, adj []int32, lower []int32, lo, hi
 	shiloachVishkinRun(hi-lo, res, s)
 }
 
-// ShiloachVishkinSuffixInto is ShiloachVishkinRangeInto on the suffix
-// [bound, n), where split[u] is the first neighbor >= bound.
-func ShiloachVishkinSuffixInto(rowPtr []int64, adj []int32, split []int32, bound, n int, res *CCResult, s *CCScratch) {
-	ShiloachVishkinRangeInto(rowPtr, adj, split, bound, n, res, s)
-}
-
 // shiloachVishkinRun executes the hooking/jumping rounds over the
 // frontier staged in s.active for an n-vertex graph.
+//
+// It is the tuned form of ShiloachVishkinRef, exploiting the kernel's
+// parent-monotonicity invariant: every write keeps parent[v] <= v
+// (initialization sets parent[v] = v, hooking writes a smaller root,
+// jumping writes old[old[v]] <= old[v]). Each consequence preserves
+// bit-identical labels and counters:
+//
+//   - the jump pass writes parent[parent[v]] into a separate buffer
+//     (s.jump) and into the snapshot buffer, then swaps roles, so both
+//     of the reference's O(n) parent copies per round disappear (reads
+//     all come from the untouched current buffer, and the snapshot for
+//     the next round is exactly this round's jump output);
+//   - round 1 runs against the identity forest, where the hooking rule
+//     provably reduces to a running min-scatter over the (u < v)
+//     frontier with no convergence filtering;
+//   - because old[old[v]] <= old[v] always holds, the reference's
+//     "did it shrink" comparison reduces to "did it change", tracked
+//     branch-free by OR-ing XOR deltas instead of a data-dependent
+//     conditional store;
+//   - EdgesVisited/VerticesVisited are charged per round (frontier
+//     length and vertex count) instead of per arc — same totals, no
+//     increment in the inner loops.
 func shiloachVishkinRun(n int, res *CCResult, s *CCScratch) {
 	parent := s.labelsFor(n)
 	for v := range parent {
@@ -577,21 +471,11 @@ func shiloachVishkinRun(n int, res *CCResult, s *CCScratch) {
 	res.Components = CanonicalizeMinLabelsCountInto(parent, s.minOfFor(n))
 }
 
-// CanonicalizeMinLabelsInto rewrites labels so each component is
+// CanonicalizeMinLabelsCountInto rewrites labels so each component is
 // labeled by its minimum vertex id, using minOf (len(labels) entries)
-// as scratch. One ascending pass suffices: the first vertex to visit a
-// representative is the component's minimum. Exported for the
-// heterogeneous runners' merge phases, which canonicalize after their
-// own union–find pass.
-func CanonicalizeMinLabelsInto(labels, minOf []int32) {
-	CanonicalizeMinLabelsCountInto(labels, minOf)
-}
-
-// CanonicalizeMinLabelsCountInto is CanonicalizeMinLabelsInto
-// returning the component count as a byproduct: each first visit of a
-// representative is exactly one component, so the count equals
-// NumComponents of the canonicalized labels without the extra O(n)
-// pass. The tuned kernels and the heterogeneous merge use this form.
+// as scratch, and returns the component count. One ascending pass
+// suffices: the first vertex to visit a representative is the
+// component's minimum, and each first visit is exactly one component.
 func CanonicalizeMinLabelsCountInto(labels, minOf []int32) int {
 	for i := range minOf {
 		minOf[i] = -1

@@ -7,87 +7,6 @@ import (
 	"sync"
 )
 
-// SpMV computes y = A*x. x must have length A.Cols; the result has
-// length A.Rows. Pattern matrices use implicit 1 values.
-func SpMV(a *CSR, x []float64) ([]float64, error) {
-	return SpMVInto(nil, a, x)
-}
-
-// SpMVInto computes y = A*x into dst, growing it only when its capacity
-// is short of A.Rows, and returns the (possibly reallocated) result
-// slice. Evaluation loops that multiply repeatedly against the same
-// matrix pass the previous result back in and run allocation-free;
-// SpMVInto(nil, a, x) is equivalent to SpMV(a, x).
-//
-// The pattern/valued distinction is resolved once per call, not per
-// row, and each specialized inner loop folds row entries into four
-// independent accumulators for instruction-level parallelism. The
-// summation order is part of the kernel contract (entries by position
-// modulo 4, lanes combined as (s0+s1)+(s2+s3), tail left to right —
-// see SpMVRef), so results are deterministic and bit-identical to the
-// reference on any input; rows shorter than four entries reduce to the
-// plain left-to-right sum.
-func SpMVInto(dst []float64, a *CSR, x []float64) ([]float64, error) {
-	if len(x) != a.Cols {
-		return nil, fmt.Errorf("sparse: SpMV vector length %d, want %d", len(x), a.Cols)
-	}
-	if cap(dst) < a.Rows {
-		dst = make([]float64, a.Rows)
-	}
-	y := dst[:a.Rows]
-	if a.Vals != nil {
-		spmvValued(y, a.RowPtr, a.ColIdx, a.Vals, x)
-	} else {
-		spmvPattern(y, a.RowPtr, a.ColIdx, x)
-	}
-	return y, nil
-}
-
-// spmvValued is the valued-matrix inner loop of SpMVInto.
-func spmvValued(y []float64, rowPtr []int64, colIdx []int32, vals, x []float64) {
-	lo := rowPtr[0]
-	for i := range y {
-		hi := rowPtr[i+1]
-		var s0, s1, s2, s3 float64
-		k := lo
-		for ; k+4 <= hi; k += 4 {
-			s0 += vals[k] * x[colIdx[k]]
-			s1 += vals[k+1] * x[colIdx[k+1]]
-			s2 += vals[k+2] * x[colIdx[k+2]]
-			s3 += vals[k+3] * x[colIdx[k+3]]
-		}
-		s := (s0 + s1) + (s2 + s3)
-		for ; k < hi; k++ {
-			s += vals[k] * x[colIdx[k]]
-		}
-		y[i] = s
-		lo = hi
-	}
-}
-
-// spmvPattern is the pattern-matrix inner loop of SpMVInto (implicit
-// 1-valued entries: a pure gather-sum over x).
-func spmvPattern(y []float64, rowPtr []int64, colIdx []int32, x []float64) {
-	lo := rowPtr[0]
-	for i := range y {
-		hi := rowPtr[i+1]
-		var s0, s1, s2, s3 float64
-		k := lo
-		for ; k+4 <= hi; k += 4 {
-			s0 += x[colIdx[k]]
-			s1 += x[colIdx[k+1]]
-			s2 += x[colIdx[k+2]]
-			s3 += x[colIdx[k+3]]
-		}
-		s := (s0 + s1) + (s2 + s3)
-		for ; k < hi; k++ {
-			s += x[colIdx[k]]
-		}
-		y[i] = s
-		lo = hi
-	}
-}
-
 // LoadVector computes the per-row work volume of the product A×B: the
 // vector L_AB with L_AB[i] = Σ_{j : A[i][j] ≠ 0} nnz(B[j]). This is the
 // observation exploited by the paper's Algorithm 2 ("The product
@@ -139,57 +58,6 @@ func LoadVectorInto(dst []int64, a, b *CSR) ([]int64, error) {
 	return out, nil
 }
 
-// TotalWork returns the 1-norm of the load vector, i.e. the total
-// multiply-add count of A×B under Gustavson's algorithm.
-func TotalWork(a, b *CSR) (int64, error) {
-	l, err := LoadVector(a, b)
-	if err != nil {
-		return 0, err
-	}
-	var s int64
-	for _, v := range l {
-		s += v
-	}
-	return s, nil
-}
-
-// SplitRowByWork returns the row index whose prefix work sum is
-// closest to frac (in [0,1]) of the total work. This is how
-// Algorithm 2 translates a split percentage r into the split row
-// ("find out the split row index i where V_L[i] is closest to L_CPU").
-// The returned index is in [0, len(load)].
-//
-// The target is frac·total rounded to the nearest unit of work
-// (math.Round): truncating it instead biases the split row low by one
-// whenever frac·total lands just under an exact row boundary. Both
-// this linear scan and the O(log n) SplitRowByWorkPrefix implement the
-// rounded contract (pinned against SplitRowByWorkRef).
-func SplitRowByWork(load []int64, frac float64) int {
-	if frac <= 0 {
-		return 0
-	}
-	if frac >= 1 {
-		return len(load)
-	}
-	var total int64
-	for _, v := range load {
-		total += v
-	}
-	target := roundedTarget(frac, total)
-	var prefix int64
-	for i, v := range load {
-		// Choose the boundary whose prefix is closest to the target.
-		if prefix+v >= target {
-			if target-prefix <= prefix+v-target {
-				return i
-			}
-			return i + 1
-		}
-		prefix += v
-	}
-	return len(load)
-}
-
 // roundedTarget converts a work fraction into an absolute work target,
 // rounding to the nearest unit. Shared by every split-row variant so
 // their contracts cannot drift.
@@ -197,13 +65,22 @@ func roundedTarget(frac float64, total int64) int64 {
 	return int64(math.Round(frac * float64(total)))
 }
 
-// SplitRowByWorkPrefix is SplitRowByWork over a precomputed prefix-sum
-// array: prefix has length len(load)+1 with prefix[0] = 0 and
-// prefix[i] = load[0]+…+load[i-1]. It returns the same index as
-// SplitRowByWork(load, frac) in O(log n) instead of O(n) — the profile
-// builders cache the prefix once per dataset, and threshold sweeps
-// (101 grid points × repeats) locate each split with a binary search
+// SplitRowByWorkPrefix returns the row index whose prefix work sum is
+// closest to frac (in [0,1]) of the total work. This is how
+// Algorithm 2 translates a split percentage r into the split row
+// ("find out the split row index i where V_L[i] is closest to L_CPU").
+// The returned index is in [0, len(prefix)-1].
+//
+// prefix is the load vector's prefix-sum array: length len(load)+1
+// with prefix[0] = 0 and prefix[i] = load[0]+…+load[i-1]. The profile
+// builders cache it once per dataset, and threshold sweeps (101 grid
+// points × repeats) locate each split with an O(log n) binary search
 // instead of rescanning the load vector.
+//
+// The target is frac·total rounded to the nearest unit of work
+// (math.Round): truncating it instead biases the split row low by one
+// whenever frac·total lands just under an exact row boundary. The
+// contract is pinned against the linear scan SplitRowByWorkRef.
 func SplitRowByWorkPrefix(prefix []int64, frac float64) int {
 	n := len(prefix) - 1
 	if n <= 0 {
@@ -600,7 +477,7 @@ func RowOutputCounts(dst []int64, a, b *CSR) ([]int64, int64, error) {
 
 // SpMM computes C = A×B with Gustavson's sequential row-row algorithm.
 // It also returns the number of scalar multiply-adds performed, which
-// equals TotalWork(A, B).
+// equals the sum of LoadVector(A, B).
 func SpMM(a, b *CSR) (*CSR, int64, error) {
 	if a.Cols != b.Rows {
 		return nil, 0, fmt.Errorf("sparse: SpMM dims %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)

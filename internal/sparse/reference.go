@@ -11,46 +11,6 @@ import "fmt"
 // into BENCH_kernels.json. The references are frozen: tune ops.go,
 // not this file.
 
-// SpMVRef is the reference y = A*x. It spells out the summation-order
-// contract both implementations share (see SpMVInto): within a row,
-// entries are folded into four accumulators by position modulo 4, the
-// accumulators are combined as (s0+s1)+(s2+s3), and the remaining
-// tail entries are added left to right. The order is part of the
-// kernel contract because float addition is not associative; fixing
-// it is what lets the golden suite demand bit-identical output from
-// the unrolled kernel.
-func SpMVRef(a *CSR, x []float64) ([]float64, error) {
-	if len(x) != a.Cols {
-		return nil, fmt.Errorf("sparse: SpMV vector length %d, want %d", len(x), a.Cols)
-	}
-	y := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		var s [4]float64
-		n := hi - lo
-		n4 := n &^ 3
-		for k := int64(0); k < n4; k++ {
-			s[k&3] += a.entryAt(lo+k) * x[a.ColIdx[lo+k]]
-		}
-		sum := (s[0] + s[1]) + (s[2] + s[3])
-		for k := n4; k < n; k++ {
-			sum += a.entryAt(lo+k) * x[a.ColIdx[lo+k]]
-		}
-		y[i] = sum
-	}
-	return y, nil
-}
-
-// entryAt returns the stored value at position k, 1 for pattern
-// matrices. Reference-path helper; the tuned kernels hoist the
-// pattern/valued distinction out of the inner loop instead.
-func (m *CSR) entryAt(k int64) float64 {
-	if m.Vals == nil {
-		return 1
-	}
-	return m.Vals[k]
-}
-
 // LoadVectorRef is the reference load-vector computation: for each
 // row of A, sum the row lengths of B over A's stored columns, reading
 // the lengths as RowPtr differences. Integer arithmetic — the tuned
@@ -108,9 +68,8 @@ func RowOutputCountsRef(a, b *CSR) ([]int64, int64, error) {
 // SplitRowByWorkRef is the reference split-row scan: materialize the
 // total, round the target, and walk the load vector accumulating the
 // prefix until it brackets the target, choosing the closer boundary.
-// SplitRowByWork (the linear kernel) and SplitRowByWorkPrefix (the
-// binary search over cached prefix sums) must both agree with it on
-// every (load, frac) pair.
+// SplitRowByWorkPrefix (the binary search over cached prefix sums)
+// must agree with it on every (load, frac) pair.
 func SplitRowByWorkRef(load []int64, frac float64) int {
 	if frac <= 0 {
 		return 0
