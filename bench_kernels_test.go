@@ -24,6 +24,8 @@ import (
 	"repro/internal/benchfmt"
 	"repro/internal/datasets"
 	"repro/internal/graph"
+	"repro/internal/hetcc"
+	"repro/internal/hetsim"
 	"repro/internal/sparse"
 )
 
@@ -40,6 +42,9 @@ func BenchmarkKernels(b *testing.B) {
 			Metric: "speedup", Value: speedup, Unit: "x", Better: "higher"})
 	}
 
+	// threads is the worker count the CC runner passes its CPU kernel
+	// on the platform hetserve builds.
+	threads := hetcc.NewAlgorithm(hetsim.Default()).CPUThreads
 	for _, name := range goldenDatasets {
 		d, err := datasets.ByName(name)
 		if err != nil {
@@ -119,29 +124,34 @@ func BenchmarkKernels(b *testing.B) {
 
 		// --- connected-components kernels ------------------------------
 		// The served kernels run on the original CSR through a split
-		// index, as the heterogeneous runner evaluates a partition: the
-		// CPU kernels on the prefix [0, n/2), Shiloach–Vishkin on the
-		// range [n/2, n). Each reference runs on the materialized part.
-		// Parts and split indexes are built outside the timing, as the
-		// runner builds them once per partition.
+		// index, in the shapes the heterogeneous runner calls them on the
+		// platform the service builds: ParallelCPUPrefixInto with the
+		// CPU's core count as workers on the prefix [0, n/2),
+		// Shiloach–Vishkin on the range [n/2, n). The runner reaches
+		// DFSPrefixInto only through ParallelCPUPrefixInto's fallback,
+		// on a prefix of fewer than two vertices per worker, so the DFS
+		// row times the largest such prefix. Each reference runs on the
+		// materialized part. Parts and split indexes are built outside
+		// the timing, as the runner builds them once per partition.
 		n := g.N
-		half := splitIndex(g, n/2)
-		cpuPart, gpuPart := rangeGraph(g, 0, n/2), rangeGraph(g, n/2, n)
+		dfsN := 2*threads - 1
+		small, half := splitIndex(g, dfsN), splitIndex(g, n/2)
+		dfsPart, cpuPart, gpuPart := rangeGraph(g, 0, dfsN), rangeGraph(g, 0, n/2), rangeGraph(g, n/2, n)
 		var res graph.CCResult
 		refScratch, servedScratch := new(graph.CCScratch), new(graph.CCScratch)
 		ref = loop(func() {
-			graph.DFSRef(cpuPart, &res, refScratch)
+			graph.DFSRef(dfsPart, &res, refScratch)
 		})
 		tuned = loop(func() {
-			graph.DFSPrefixInto(g.RowPtr, g.Adj, half, n/2, &res, servedScratch)
+			graph.DFSPrefixInto(g.RowPtr, g.Adj, small, dfsN, &res, servedScratch)
 		})
 		add("cc-dfs-prefix", name, ref, tuned)
 
 		ref = loop(func() {
-			graph.ParallelCPURef(cpuPart, 4, &res, refScratch)
+			graph.ParallelCPURef(cpuPart, threads, &res, refScratch)
 		})
 		tuned = loop(func() {
-			graph.ParallelCPUPrefixInto(g.RowPtr, g.Adj, half, n/2, 4, &res, servedScratch)
+			graph.ParallelCPUPrefixInto(g.RowPtr, g.Adj, half, n/2, threads, &res, servedScratch)
 		})
 		add("cc-parallel-prefix", name, ref, tuned)
 
