@@ -46,9 +46,6 @@ func dfsRef(g *Graph) *CCResult {
 	return res
 }
 
-// sameSet reports whether x and y are in one set of uf.
-func sameSet(uf *UnionFind, x, y int) bool { return uf.Find(x) == uf.Find(y) }
-
 func sameLabels(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false
@@ -241,7 +238,7 @@ func TestNumComponents(t *testing.T) {
 func TestUnionFindBasic(t *testing.T) {
 	var uf UnionFind
 	uf.Reset(5)
-	if sameSet(&uf, 0, 1) {
+	if uf.Find(0) == uf.Find(1) {
 		t.Error("fresh sets joined")
 	}
 	if !uf.Union(0, 1) {
@@ -252,10 +249,10 @@ func TestUnionFindBasic(t *testing.T) {
 	}
 	uf.Union(2, 3)
 	uf.Union(0, 3)
-	if !sameSet(&uf, 1, 2) {
+	if uf.Find(1) != uf.Find(2) {
 		t.Error("transitive union broken")
 	}
-	if sameSet(&uf, 4, 0) {
+	if uf.Find(4) == uf.Find(0) {
 		t.Error("disjoint element joined")
 	}
 	if uf.Unions != 3 {
@@ -281,7 +278,7 @@ func TestUnionFindMatchesDFS(t *testing.T) {
 	ref := dfsRef(g)
 	for u := 0; u < g.N; u++ {
 		for v := u + 1; v < g.N; v++ {
-			if sameSet(&uf, u, v) != (ref.Labels[u] == ref.Labels[v]) {
+			if (uf.Find(u) == uf.Find(v)) != (ref.Labels[u] == ref.Labels[v]) {
 				t.Fatalf("union-find disagrees with DFSRef on (%d,%d)", u, v)
 			}
 		}

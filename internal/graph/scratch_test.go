@@ -128,7 +128,7 @@ func TestUnionFindReset(t *testing.T) {
 	// a valid singleton forest.
 	uf.Reset(3)
 	uf.Union(0, 2)
-	if !sameSet(&uf, 0, 2) || sameSet(&uf, 0, 1) {
+	if uf.Find(0) != uf.Find(2) || uf.Find(0) == uf.Find(1) {
 		t.Error("union-find broken after shrink Reset")
 	}
 	uf.Reset(16)
