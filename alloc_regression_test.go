@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -31,6 +32,7 @@ import (
 	"repro/internal/mmio"
 	"repro/internal/serve"
 	"repro/internal/sparse"
+	"repro/internal/xrand"
 )
 
 // evalWorkloads builds one workload per case study on a full Table II
@@ -413,5 +415,81 @@ func TestInputKeyAllocsPinned(t *testing.T) {
 	body := realGeneralBody(t, 200, 2000, 5)
 	if allocs := testing.AllocsPerRun(100, func() { batch.InputKey("", body) }); allocs != 1 {
 		t.Errorf("InputKey on an upload: %v allocs, want 1", allocs)
+	}
+}
+
+// csrBytes returns the bytes of m's three arrays.
+func csrBytes(m *sparse.CSR) float64 {
+	return float64(8*len(m.RowPtr) + 4*len(m.ColIdx) + 8*len(m.Vals))
+}
+
+// TestSampleAllocsPinned pins the Sample step of the SpMM and
+// scale-free workloads to the size of the sample. Every draw runs
+// through a pooled subset sampler and every sample CSR is built at
+// exact size, so a sample costs its own CSR, its profile and a few
+// small objects: at most 1.2 times the first two in bytes, and the
+// measured count of allocations (16 on cant, 23 on web-BerkStan). The
+// samplers this replaced allocated an 8n-byte identity permutation per
+// draw, a 4n-byte column map and a doubling output, and a fresh draw
+// for every scale-free row: 57 allocations and 648 kB per cant sample,
+// 389 allocations and 39 kB per web-BerkStan sample.
+func TestSampleAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are not meaningful")
+	}
+	ws := evalWorkloads(t)
+	spmm := ws["spmm"].(*hetspmm.Workload)
+	scale := ws["scale"].(*hetscale.Workload)
+	ctx := context.Background()
+	for _, c := range []struct {
+		name    string
+		allocs  float64
+		sample  func() (*sparse.CSR, error)
+		profile func(*sparse.CSR) error
+	}{
+		{"spmm/cant", 16, func() (*sparse.CSR, error) {
+			sw, _, err := spmm.SamplePartition(ctx, xrand.New(7))
+			if err != nil {
+				return nil, err
+			}
+			return sw.(*hetspmm.Workload).Matrix(), nil
+		}, func(m *sparse.CSR) error { _, err := hetspmm.NewProfile(m, m); return err }},
+		{"scale/web-BerkStan", 23, func() (*sparse.CSR, error) {
+			sw, _, err := scale.Sample(ctx, xrand.New(7))
+			if err != nil {
+				return nil, err
+			}
+			return sw.(*hetscale.Workload).Matrix(), nil
+		}, func(m *sparse.CSR) error { _, err := hetscale.NewProfile(m); return err }},
+	} {
+		sub, err := c.sample() // also warms the sample pool
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := c.sample(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The least of three rounds: a sync.Pool miss (after a GC, or
+		// when the goroutine moved to another P between Get and Put)
+		// refills the scratch now and then, while an allocation the
+		// sampler makes on every call shows in every round.
+		allocs, perRun := math.Inf(1), math.Inf(1)
+		for range 3 {
+			allocs = min(allocs, testing.AllocsPerRun(20, run))
+			perRun = min(perRun, bytesPerRun(t, 20, run))
+		}
+		if allocs > c.allocs {
+			t.Errorf("%s: %v allocs per sample, want <= %v", c.name, allocs, c.allocs)
+		}
+		profile := bytesPerRun(t, 20, func() {
+			if err := c.profile(sub); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := 1.2 * (csrBytes(sub) + profile); perRun > limit {
+			t.Errorf("%s: %.0f bytes per sample of %dx%d with %d entries, want <= %.0f", c.name, perRun, sub.Rows, sub.Cols, sub.NNZ(), limit)
+		}
 	}
 }

@@ -11,7 +11,9 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/sparse"
 	"repro/internal/xrand"
@@ -279,8 +281,14 @@ func (g *Graph) ContractedSample(r *xrand.Rand, k int, keepFrac float64) (*Graph
 	if keepFrac <= 0 || keepFrac > 1 {
 		return nil, nil, fmt.Errorf("graph: ContractedSample keepFrac %v outside (0, 1]", keepFrac)
 	}
-	return g.ContractedSampleFrom(r, r.SampleInts(g.N, k), keepFrac)
+	s := subsetPool.Get().(*xrand.Subset)
+	defer subsetPool.Put(s)
+	return g.ContractedSampleFrom(r, s.Draw(r, g.N, k), keepFrac)
 }
+
+// subsetPool recycles the vertex samplers' subset draws, so a sample
+// allocates only what it returns.
+var subsetPool = sync.Pool{New: func() any { return new(xrand.Subset) }}
 
 // ContractedSampleFrom builds the contracted miniature over a caller-
 // chosen vertex set (sorted, deduplicated internally) — e.g. one drawn
@@ -423,7 +431,9 @@ func (g *Graph) SampleVertices(r *xrand.Rand, k int) []int {
 	if k <= 0 {
 		return nil
 	}
-	return r.SampleInts(g.N, k)
+	s := subsetPool.Get().(*xrand.Subset)
+	defer subsetPool.Put(s)
+	return slices.Clone(s.Draw(r, g.N, k))
 }
 
 // DegreeCV returns the coefficient of variation of the degree

@@ -226,22 +226,7 @@ func ParallelCPUPrefixInto(rowPtr []int64, adj []int32, split []int32, n, worker
 			}
 		}
 	}
-	// Resolve and canonicalize in one ascending pass: the first vertex
-	// to reach a union-find root is its component's minimum id.
-	minOf := s.minOfFor(n)
-	for i := range minOf {
-		minOf[i] = -1
-	}
-	components := 0
-	for v := range labels {
-		r := s.uf.Find(int(labels[v]))
-		if minOf[r] < 0 {
-			minOf[r] = int32(v)
-			components++
-		}
-		labels[v] = minOf[r]
-	}
-	res.Components = components
+	res.Components = CanonicalizeRootsInto(labels, &s.uf, s.minOfFor(n))
 	return crossArcs
 }
 
@@ -487,6 +472,28 @@ func CanonicalizeMinLabelsCountInto(labels, minOf []int32) int {
 			components++
 		}
 		labels[v] = minOf[l]
+	}
+	return components
+}
+
+// CanonicalizeRootsInto resolves each label through uf, whose sets
+// are over label values, and rewrites it to its component's minimum
+// vertex id, using minOf (len(labels) entries) as scratch; it returns
+// the component count. Resolving and canonicalizing share one
+// ascending pass: the first vertex to reach a union-find root is its
+// component's minimum, and each first visit is exactly one component.
+func CanonicalizeRootsInto(labels []int32, uf *UnionFind, minOf []int32) int {
+	for i := range minOf {
+		minOf[i] = -1
+	}
+	components := 0
+	for v := range labels {
+		r := uf.Find(int(labels[v]))
+		if minOf[r] < 0 {
+			minOf[r] = int32(v)
+			components++
+		}
+		labels[v] = minOf[r]
 	}
 	return components
 }

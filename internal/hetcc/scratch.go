@@ -157,25 +157,8 @@ func mergeLabelsInto(labels []int32, cross []graph.Edge, s *splitScratch) int {
 	for _, e := range cross {
 		s.uf.Union(int(labels[e.U]), int(labels[e.V]))
 	}
-	// Resolve and canonicalize in one ascending pass (the first vertex
-	// to reach a union-find root is its component's minimum id) —
-	// identical labels to a find pass followed by
-	// graph.CanonicalizeMinLabelsCountInto.
 	s.minOf = growInt32(s.minOf, len(labels))
-	minOf := s.minOf
-	for i := range minOf {
-		minOf[i] = -1
-	}
-	components := 0
-	for v := range labels {
-		r := s.uf.Find(int(labels[v]))
-		if minOf[r] < 0 {
-			minOf[r] = int32(v)
-			components++
-		}
-		labels[v] = minOf[r]
-	}
-	return components
+	return graph.CanonicalizeRootsInto(labels, &s.uf, s.minOf)
 }
 
 // run executes heterogeneous CC on g with the vertex ranges in s.cuts,

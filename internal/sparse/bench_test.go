@@ -55,13 +55,16 @@ func BenchmarkLoadVector(b *testing.B) {
 }
 
 // BenchmarkUniformSubmatrix measures the Sample step of the SpMM
-// workload (n/4 × n/4 extraction).
+// workload at its served shape: an n/4 × n/4 extraction from a
+// replica of 100k rows, the size of the largest Table II replicas.
 func BenchmarkUniformSubmatrix(b *testing.B) {
-	a := benchMatrix(b, ClassFEM, 20000, 400000)
+	const n = 100_000
+	a := benchMatrix(b, ClassFEM, n, 10*n)
 	r := xrand.New(1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := UniformSubmatrix(r, a, 5000, 5000); err != nil {
+		if _, err := UniformSubmatrix(r, a, n/4, n/4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -111,14 +111,13 @@ func Generate(cfg GenConfig) (*CSR, error) {
 	return m, nil
 }
 
-// fillRowUnique draws k distinct columns for one row. For small k
-// relative to cols it rejects duplicates via a scratch map; for dense
-// rows it samples indices directly.
-func fillRowUnique(r *xrand.Rand, cols, k int, out []int32) []int32 {
+// fillRowUnique draws k distinct columns for one row through s, which
+// the generator reuses for every row.
+func fillRowUnique(r *xrand.Rand, s *xrand.Subset, cols, k int, out []int32) []int32 {
 	if k > cols {
 		k = cols
 	}
-	for _, c := range r.SampleInts(cols, k) {
+	for _, c := range s.Draw(r, cols, k) {
 		out = append(out, int32(c))
 	}
 	return out
@@ -131,13 +130,14 @@ func genUniform(r *xrand.Rand, c GenConfig) *CSR {
 	rem := c.NNZ - per*c.Rows
 	rowIdx := make([]int32, 0, c.NNZ)
 	colIdx := make([]int32, 0, c.NNZ)
+	var sub xrand.Subset
 	for i := 0; i < c.Rows; i++ {
 		k := per
 		if i < rem {
 			k++
 		}
 		start := len(colIdx)
-		colIdx = fillRowUnique(r, c.Cols, k, colIdx)
+		colIdx = fillRowUnique(r, &sub, c.Cols, k, colIdx)
 		for range colIdx[start:] {
 			rowIdx = append(rowIdx, int32(i))
 		}
@@ -232,10 +232,11 @@ func genPowerLaw(r *xrand.Rand, c GenConfig) *CSR {
 	}
 	rowIdx := make([]int32, 0, c.NNZ)
 	colIdx := make([]int32, 0, c.NNZ)
+	var sub xrand.Subset
 	for i, k := range deg {
 		row := int32(perm[i])
 		start := len(colIdx)
-		colIdx = fillRowUnique(r, c.Cols, k, colIdx)
+		colIdx = fillRowUnique(r, &sub, c.Cols, k, colIdx)
 		for range colIdx[start:] {
 			rowIdx = append(rowIdx, row)
 		}

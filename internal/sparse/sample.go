@@ -3,9 +3,72 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"repro/internal/xrand"
 )
+
+// sampleScratch is the reusable working memory of the samplers: the
+// subset sampler behind every draw, a copy of the sampled row ids
+// that outlives the next draw, the kept-column set, and the
+// scale-free sampler's per-row collision set and output buffers. A
+// sample's own size bounds everything a call allocates; the pooled
+// buffers grow to the largest input sampled and are then reused.
+type sampleScratch struct {
+	sub    xrand.Subset
+	rows   []int
+	cols   colSet
+	seen   map[int32]struct{}
+	colIdx []int32
+	vals   []float64
+}
+
+// samplePool recycles sample scratches; each concurrent sample checks
+// one out for the duration of the call.
+var samplePool = sync.Pool{New: func() any { return new(sampleScratch) }}
+
+// colSet is a set of kept columns with a constant-time rank: bit c of
+// bits marks column c, and below[w] counts the kept columns in the
+// words before w. A kept column's compacted id is its rank, so the
+// mapping is monotone.
+type colSet struct {
+	bits  []uint64
+	below []int32
+}
+
+// reset empties the set and sizes it for columns [0, n).
+func (cs *colSet) reset(n int) {
+	words := (n + 63) >> 6
+	if cap(cs.bits) < words {
+		cs.bits = make([]uint64, words)
+		cs.below = make([]int32, words)
+	}
+	cs.bits, cs.below = cs.bits[:words], cs.below[:words]
+	clear(cs.bits)
+}
+
+func (cs *colSet) add(c int) { cs.bits[c>>6] |= 1 << (uint(c) & 63) }
+
+// rank fills below; call it after the last add.
+func (cs *colSet) rank() {
+	var n int32
+	for w, word := range cs.bits {
+		cs.below[w] = n
+		n += int32(bits.OnesCount64(word))
+	}
+}
+
+// index returns the compacted id of column c, or -1 if c is not kept.
+func (cs *colSet) index(c int32) int32 {
+	w, bit := c>>6, uint64(1)<<(uint32(c)&63)
+	word := cs.bits[w]
+	if word&bit == 0 {
+		return -1
+	}
+	return cs.below[w] + int32(bits.OnesCount64(word&(bit-1)))
+}
 
 // UniformSubmatrix returns the sampleRows × sampleCols submatrix of A
 // induced by sampleRows row indices and sampleCols column indices drawn
@@ -24,16 +87,15 @@ func UniformSubmatrix(r *xrand.Rand, a *CSR, sampleRows, sampleCols int) (*CSR, 
 	if sampleCols > a.Cols {
 		sampleCols = a.Cols
 	}
-	rows := r.SampleInts(a.Rows, sampleRows)
-	cols := r.SampleInts(a.Cols, sampleCols)
-	colMap := make([]int32, a.Cols)
-	for i := range colMap {
-		colMap[i] = -1
+	s := samplePool.Get().(*sampleScratch)
+	defer samplePool.Put(s)
+	s.rows = append(s.rows[:0], s.sub.Draw(r, a.Rows, sampleRows)...)
+	s.cols.reset(a.Cols)
+	for _, c := range s.sub.Draw(r, a.Cols, sampleCols) {
+		s.cols.add(c)
 	}
-	for newIdx, c := range cols {
-		colMap[c] = int32(newIdx)
-	}
-	return extractRows(a, rows, colMap, sampleCols), nil
+	s.cols.rank()
+	return submatrix(a, s, sampleCols), nil
 }
 
 // BlockSubmatrix returns the predetermined size×size contiguous block
@@ -58,52 +120,66 @@ func BlockSubmatrix(a *CSR, rowOff, colOff, size int) (*CSR, error) {
 	if cHi > a.Cols {
 		cHi = a.Cols
 	}
-	rows := make([]int, 0, rHi-rowOff)
+	s := samplePool.Get().(*sampleScratch)
+	defer samplePool.Put(s)
+	s.rows = s.rows[:0]
 	for i := rowOff; i < rHi; i++ {
-		rows = append(rows, i)
+		s.rows = append(s.rows, i)
 	}
-	colMap := make([]int32, a.Cols)
-	for i := range colMap {
-		colMap[i] = -1
-	}
+	s.cols.reset(a.Cols)
 	for j := colOff; j < cHi; j++ {
-		colMap[j] = int32(j - colOff)
+		s.cols.add(j)
 	}
-	return extractRows(a, rows, colMap, cHi-colOff), nil
+	s.cols.rank()
+	return submatrix(a, s, cHi-colOff), nil
 }
 
-// extractRows builds the submatrix over the given (sorted) original row
-// indices, keeping entries whose colMap is >= 0 and remapping them.
-func extractRows(a *CSR, rows []int, colMap []int32, outCols int) *CSR {
+// submatrix builds the submatrix of a over the ascending row ids in
+// s.rows, keeping the entries whose column is in s.cols and compacting
+// each to its rank. a's rows are sorted (Validate requires it) and the
+// rank is monotone, so every output row comes out sorted without a
+// sort.
+func submatrix(a *CSR, s *sampleScratch, outCols int) *CSR {
 	out := &CSR{
-		Rows:   len(rows),
+		Rows:   len(s.rows),
 		Cols:   outCols,
-		RowPtr: make([]int64, len(rows)+1),
+		RowPtr: make([]int64, len(s.rows)+1),
 	}
 	hasVals := a.Vals != nil
-	var sorter rowSorter
-	for outRow, i := range rows {
-		aCols, aVals := a.Row(i)
-		for k, c := range aCols {
-			nc := colMap[c]
+	cols := s.cols // a local copy: the appends below cannot alias it
+	colIdx, vals := s.colIdx[:0], s.vals[:0]
+	for outRow, i := range s.rows {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		for k, c := range a.ColIdx[lo:hi] {
+			nc := cols.index(c)
 			if nc < 0 {
 				continue
 			}
-			out.ColIdx = append(out.ColIdx, nc)
+			colIdx = append(colIdx, nc)
 			if hasVals {
-				out.Vals = append(out.Vals, aVals[k])
+				vals = append(vals, a.Vals[lo+int64(k)])
 			}
 		}
-		// Entries within a row keep their relative order, but the
-		// mapped column ids need not be monotone; sort the segment
-		// (a no-op scan when colMap is monotone, as UniformSubmatrix's
-		// and BlockSubmatrix's are).
-		lo := out.RowPtr[outRow]
-		hi := int64(len(out.ColIdx))
-		sorter.sortRow(out.ColIdx, out.Vals, lo, hi)
-		out.RowPtr[outRow+1] = hi
+		out.RowPtr[outRow+1] = int64(len(colIdx))
 	}
+	s.emit(out, colIdx, vals, hasVals)
 	return out
+}
+
+// emit keeps the grown entry buffers in s for the next sample and
+// gives out exact-size copies of them, leaving ColIdx and Vals nil
+// when no entry survived.
+func (s *sampleScratch) emit(out *CSR, colIdx []int32, vals []float64, hasVals bool) {
+	s.colIdx = colIdx
+	if hasVals {
+		s.vals = vals
+	}
+	if len(colIdx) > 0 {
+		out.ColIdx = slices.Clone(colIdx)
+		if hasVals {
+			out.Vals = slices.Clone(vals)
+		}
+	}
 }
 
 // ScaleFreeSampleConfig controls ScaleFreeRowSample.
@@ -144,12 +220,22 @@ func ScaleFreeRowSample(r *xrand.Rand, a *CSR, cfg ScaleFreeSampleConfig) (*CSR,
 	if exp < 0 || exp > 1 {
 		return nil, fmt.Errorf("sparse: ScaleFreeRowSample degree exponent %v outside [0,1]", exp)
 	}
-	rows := r.SampleInts(a.Rows, sr)
-	out := &CSR{Rows: sr, Cols: sr, RowPtr: make([]int64, sr+1)}
+	s := samplePool.Get().(*sampleScratch)
+	defer samplePool.Put(s)
+	s.rows = append(s.rows[:0], s.sub.Draw(r, a.Rows, sr)...)
+	if s.seen == nil {
+		s.seen = make(map[int32]struct{}, 64)
+	}
+	seen := s.seen
 	hasVals := a.Vals != nil
-	seen := make(map[int32]struct{}, 64)
+	colIdx := s.colIdx[:0]
+	var vals []float64
+	if hasVals {
+		vals = s.vals[:0]
+	}
+	out := &CSR{Rows: sr, Cols: sr, RowPtr: make([]int64, sr+1)}
 	var sorter rowSorter
-	for outRow, i := range rows {
+	for outRow, i := range s.rows {
 		aCols, aVals := a.Row(i)
 		d := len(aCols)
 		keep := 0
@@ -165,13 +251,11 @@ func ScaleFreeRowSample(r *xrand.Rand, a *CSR, cfg ScaleFreeSampleConfig) (*CSR,
 				keep = d
 			}
 		}
-		for c := range seen {
-			delete(seen, c)
-		}
+		clear(seen)
 		// Choose `keep` source entries uniformly from the row, then
 		// map each kept column uniformly into [0, sr), resolving
 		// collisions by rehashing (collisions are rare for sr >> keep).
-		for _, k := range r.SampleInts(d, keep) {
+		for _, k := range s.sub.Draw(r, d, keep) {
 			nc := int32(r.Intn(sr))
 			for tries := 0; tries < 4; tries++ {
 				if _, dup := seen[nc]; !dup {
@@ -183,15 +267,16 @@ func ScaleFreeRowSample(r *xrand.Rand, a *CSR, cfg ScaleFreeSampleConfig) (*CSR,
 				continue
 			}
 			seen[nc] = struct{}{}
-			out.ColIdx = append(out.ColIdx, nc)
+			colIdx = append(colIdx, nc)
 			if hasVals {
-				out.Vals = append(out.Vals, aVals[k])
+				vals = append(vals, aVals[k])
 			}
 		}
 		lo := out.RowPtr[outRow]
-		hi := int64(len(out.ColIdx))
-		sorter.sortRow(out.ColIdx, out.Vals, lo, hi)
+		hi := int64(len(colIdx))
+		sorter.sortRow(colIdx, vals, lo, hi)
 		out.RowPtr[outRow+1] = hi
 	}
+	s.emit(out, colIdx, vals, hasVals)
 	return out, nil
 }

@@ -1,7 +1,10 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/stats"
@@ -289,5 +292,183 @@ func TestSamplersDeterministic(t *testing.T) {
 	}
 	if !f1.Equal(f2) {
 		t.Error("ScaleFreeRowSample not deterministic for fixed seed")
+	}
+}
+
+// uniformSubmatrixRef is UniformSubmatrix as it was before the pooled
+// subset sampler, frozen as the bit-identity oracle: fresh draws, a
+// dense column map, and an output grown by appending and sorted row
+// by row.
+func uniformSubmatrixRef(r *xrand.Rand, a *CSR, sampleRows, sampleCols int) *CSR {
+	sampleRows, sampleCols = min(sampleRows, a.Rows), min(sampleCols, a.Cols)
+	rows := r.SampleInts(a.Rows, sampleRows)
+	cols := r.SampleInts(a.Cols, sampleCols)
+	colMap := make([]int32, a.Cols)
+	for i := range colMap {
+		colMap[i] = -1
+	}
+	for newIdx, c := range cols {
+		colMap[c] = int32(newIdx)
+	}
+	out := &CSR{Rows: len(rows), Cols: sampleCols, RowPtr: make([]int64, len(rows)+1)}
+	var sorter rowSorter
+	for outRow, i := range rows {
+		aCols, aVals := a.Row(i)
+		for k, c := range aCols {
+			if nc := colMap[c]; nc >= 0 {
+				out.ColIdx = append(out.ColIdx, nc)
+				if a.Vals != nil {
+					out.Vals = append(out.Vals, aVals[k])
+				}
+			}
+		}
+		hi := int64(len(out.ColIdx))
+		sorter.sortRow(out.ColIdx, out.Vals, out.RowPtr[outRow], hi)
+		out.RowPtr[outRow+1] = hi
+	}
+	return out
+}
+
+// scaleFreeRowSampleRef is ScaleFreeRowSample as it was before the
+// pooled subset sampler (fresh draws per row, a map emptied by a
+// delete loop, an output grown by appending), for a valid exponent.
+func scaleFreeRowSampleRef(r *xrand.Rand, a *CSR, cfg ScaleFreeSampleConfig) *CSR {
+	sr := cfg.SampleRows
+	if sr <= 0 {
+		sr = int(math.Sqrt(float64(a.Rows)))
+	}
+	sr = max(1, min(sr, a.Rows))
+	exp := cfg.DegreeExponent
+	if exp == 0 {
+		exp = 0.5
+	}
+	rows := r.SampleInts(a.Rows, sr)
+	out := &CSR{Rows: sr, Cols: sr, RowPtr: make([]int64, sr+1)}
+	seen := make(map[int32]struct{}, 64)
+	var sorter rowSorter
+	for outRow, i := range rows {
+		aCols, aVals := a.Row(i)
+		d := len(aCols)
+		keep := 0
+		if d > 0 {
+			keep = min(max(int(math.Round(math.Pow(float64(d), exp))), 1), sr, d)
+		}
+		for c := range seen {
+			delete(seen, c)
+		}
+		for _, k := range r.SampleInts(d, keep) {
+			nc := int32(r.Intn(sr))
+			for tries := 0; tries < 4; tries++ {
+				if _, dup := seen[nc]; !dup {
+					break
+				}
+				nc = int32(r.Intn(sr))
+			}
+			if _, dup := seen[nc]; dup {
+				continue
+			}
+			seen[nc] = struct{}{}
+			out.ColIdx = append(out.ColIdx, nc)
+			if a.Vals != nil {
+				out.Vals = append(out.Vals, aVals[k])
+			}
+		}
+		hi := int64(len(out.ColIdx))
+		sorter.sortRow(out.ColIdx, out.Vals, out.RowPtr[outRow], hi)
+		out.RowPtr[outRow+1] = hi
+	}
+	return out
+}
+
+// sameCSR reports the first field in which got differs from want,
+// telling a nil slice from an empty one.
+func sameCSR(got, want *CSR) error {
+	switch {
+	case got.Rows != want.Rows || got.Cols != want.Cols:
+		return fmt.Errorf("dims %dx%d, reference %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
+	case !slices.Equal(got.RowPtr, want.RowPtr):
+		return fmt.Errorf("RowPtr differs")
+	case (got.ColIdx == nil) != (want.ColIdx == nil) || !slices.Equal(got.ColIdx, want.ColIdx):
+		return fmt.Errorf("ColIdx %v (nil %v), reference nil %v", len(got.ColIdx), got.ColIdx == nil, want.ColIdx == nil)
+	case (got.Vals == nil) != (want.Vals == nil) || !slices.Equal(got.Vals, want.Vals):
+		return fmt.Errorf("Vals %v (nil %v), reference nil %v", len(got.Vals), got.Vals == nil, want.Vals == nil)
+	}
+	return nil
+}
+
+// TestSamplersMatchReference holds both pooled samplers to their
+// frozen references, bit for bit, on valued and pattern matrices of
+// several classes and shapes, including samples in which no entry
+// survives (whose ColIdx and Vals stay nil). Four callers run at once
+// and share the scratch pool, so a buffer one sample leaves dirty, or
+// shares with another, changes a result (and -race sees the sharing).
+func TestSamplersMatchReference(t *testing.T) {
+	var inputs []*CSR
+	for i, c := range []GenConfig{
+		{Class: ClassFEM, Rows: 3000, Cols: 3000, NNZ: 40000},
+		{Class: ClassPowerLaw, Rows: 2500, Cols: 2500, NNZ: 30000},
+		{Class: ClassUniform, Rows: 700, Cols: 1900, NNZ: 9000},
+		{Class: ClassUniform, Rows: 1900, Cols: 300, NNZ: 2000},
+		{Class: ClassUniform, Rows: 400, Cols: 400, NNZ: 12},
+	} {
+		c.Seed = uint64(30 + i)
+		m, err := Generate(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pattern := m.Clone()
+		pattern.Vals = nil
+		inputs = append(inputs, m, pattern)
+	}
+	empty, err := FromTriplets(50, 60, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, empty, small3x4(t))
+
+	const callers = 4
+	errs := make(chan error, callers)
+	var wg sync.WaitGroup
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pick := xrand.New(uint64(500 + g))
+			for trial := 0; trial < 60; trial++ {
+				a := inputs[pick.Intn(len(inputs))]
+				seed := pick.Uint64()
+				rows, cols := 1+pick.Intn(a.Rows+10), 1+pick.Intn(a.Cols+10)
+				if pick.Intn(2) == 0 { // the served n/4 × n/4 shape
+					rows, cols = max(a.Rows/4, 1), max(a.Rows/4, 1)
+				}
+				got, err := UniformSubmatrix(xrand.New(seed), a, rows, cols)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if err := sameCSR(got, uniformSubmatrixRef(xrand.New(seed), a, rows, cols)); err != nil {
+					errs <- fmt.Errorf("UniformSubmatrix %dx%d of %dx%d, seed %d: %v", rows, cols, a.Rows, a.Cols, seed, err)
+					return
+				}
+				cfg := ScaleFreeSampleConfig{}
+				if pick.Intn(2) == 0 {
+					cfg = ScaleFreeSampleConfig{SampleRows: 1 + pick.Intn(a.Rows+5), DegreeExponent: pick.Float64()}
+				}
+				sf, err := ScaleFreeRowSample(xrand.New(seed), a, cfg)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if err := sameCSR(sf, scaleFreeRowSampleRef(xrand.New(seed), a, cfg)); err != nil {
+					errs <- fmt.Errorf("ScaleFreeRowSample %+v of %dx%d, seed %d: %v", cfg, a.Rows, a.Cols, seed, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -11,11 +11,7 @@
 // cryptographically secure, which is fine for workload sampling.
 package xrand
 
-import (
-	"math"
-	"math/bits"
-	"slices"
-)
+import "math"
 
 // SplitMix64 is a tiny 64-bit generator used mainly to expand a single
 // seed word into the larger state of other generators. The zero value is
@@ -154,56 +150,4 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// SampleInts returns k distinct integers drawn uniformly from [0, n),
-// in ascending order. It panics if k > n or either is negative.
-//
-// For small k relative to n it uses Floyd's algorithm (O(k) expected
-// memory, no O(n) allocation); otherwise it uses a partial
-// Fisher-Yates over an explicit index slice, whose chosen prefix is
-// marked in a bitset and emitted by one ascending scan instead of
-// being sorted.
-func (r *Rand) SampleInts(n, k int) []int {
-	if k < 0 || n < 0 || k > n {
-		panic("xrand: SampleInts with invalid n, k")
-	}
-	if k == 0 {
-		return nil
-	}
-	if k*8 < n {
-		// Floyd's subset sampling.
-		chosen := make(map[int]struct{}, k)
-		out := make([]int, 0, k)
-		for j := n - k; j < n; j++ {
-			t := r.Intn(j + 1)
-			if _, dup := chosen[t]; dup {
-				t = j
-			}
-			chosen[t] = struct{}{}
-			out = append(out, t)
-		}
-		slices.Sort(out)
-		return out
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 0; i < k; i++ {
-		j := i + r.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	marked := make([]uint64, (n+63)/64)
-	for _, v := range idx[:k] {
-		marked[v>>6] |= 1 << (uint(v) & 63)
-	}
-	out := idx[:0]
-	for w, word := range marked {
-		for word != 0 {
-			out = append(out, w<<6+bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -202,12 +203,16 @@ func TestSampleIntsEdges(t *testing.T) {
 			t.Fatalf("SampleInts(10,10) = %v, want identity", full)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SampleInts(3,4) did not panic")
-		}
-	}()
-	r.SampleInts(3, 4)
+	for _, c := range [][2]int{{3, 4}, {math.MaxInt32 + 1, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("SampleInts(%d,%d) did not panic", c[0], c[1])
+				}
+			}()
+			r.SampleInts(c[0], c[1])
+		}()
+	}
 }
 
 func TestSplitIndependence(t *testing.T) {
@@ -392,9 +397,33 @@ func BenchmarkSampleIntsSqrtN(b *testing.B) {
 	r := New(1)
 	const n = 1 << 20
 	k := 1024
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = r.SampleInts(n, k)
 	}
+}
+
+// BenchmarkSampleIntsQuarterN draws the SpMM sampler's n/4 rows out of
+// a served-size replica, the Fisher-Yates path: once through
+// SampleInts, which pays for a fresh identity buffer per draw, and
+// once through a reused Subset, which restores only what it touched.
+func BenchmarkSampleIntsQuarterN(b *testing.B) {
+	const n = 100_000
+	b.Run("fresh", func(b *testing.B) {
+		r := New(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = r.SampleInts(n, n/4)
+		}
+	})
+	b.Run("reused", func(b *testing.B) {
+		r := New(1)
+		var s Subset
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = s.Draw(r, n, n/4)
+		}
+	})
 }
 
 // sampleIntsRef is SampleInts as it was before the bitset scan and
@@ -460,6 +489,71 @@ func TestSampleIntsMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkSubsetDraw draws (n, k) from s and from sampleIntsRef on two
+// generators seeded alike and reports the first difference in the set
+// or in the generator state afterwards.
+func checkSubsetDraw(s *Subset, seed uint64, n, k int) error {
+	a, b := New(seed), New(seed)
+	got, want := s.Draw(a, n, k), sampleIntsRef(b, n, k)
+	if len(got) != len(want) {
+		return fmt.Errorf("n=%d k=%d seed=%d: %d values, reference %d", n, k, seed, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Errorf("n=%d k=%d seed=%d: value %d = %d, reference %d", n, k, seed, i, got[i], want[i])
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		return fmt.Errorf("n=%d k=%d seed=%d: generator state diverged", n, k, seed)
+	}
+	return nil
+}
+
+// TestSubsetMatchesReference holds one reused Subset to the reference
+// over a random sequence of (n, k) pairs on both sides of the k*8 < n
+// boundary, shrinking and growing n: a bitset word or an output value
+// left over from one draw would change a later one.
+func TestSubsetMatchesReference(t *testing.T) {
+	var s Subset
+	pick := New(404)
+	for step := 0; step < 3000; step++ {
+		n := pick.Intn(1 << (1 + pick.Intn(14)))
+		k := 0
+		switch pick.Intn(4) {
+		case 0:
+			k = pick.Intn(n/8 + 1) // Floyd
+		case 1:
+			k = n/8 + pick.Intn(3) - 1 // the boundary
+		case 2:
+			k = pick.Intn(n + 1)
+		default:
+			k = n
+		}
+		k = max(0, min(k, n))
+		if err := checkSubsetDraw(&s, uint64(step), n, k); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+}
+
+// FuzzSubsetMatchesReference drives one Subset through a fuzzed
+// sequence of draws, each pair of input bytes choosing n and k, and
+// holds every draw to the reference.
+func FuzzSubsetMatchesReference(f *testing.F) {
+	f.Add(uint64(1), []byte{200, 10, 16, 2, 255, 255, 3, 0})
+	f.Add(uint64(7), []byte{64, 8, 65, 8, 63, 8, 9, 1})
+	f.Fuzz(func(t *testing.T, seed uint64, plan []byte) {
+		var s Subset
+		for i := 0; i+1 < len(plan) && i < 64; i += 2 {
+			n := int(plan[i]) * (1 + int(plan[i+1])%8)
+			k := int(plan[i+1]) % (n + 1)
+			if err := checkSubsetDraw(&s, seed+uint64(i), n, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 // insertionSortInts is the hand-rolled sort SampleInts used before
