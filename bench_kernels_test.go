@@ -24,7 +24,6 @@ import (
 	"repro/internal/benchfmt"
 	"repro/internal/datasets"
 	"repro/internal/graph"
-	"repro/internal/hetcc"
 	"repro/internal/hetsim"
 	"repro/internal/sparse"
 )
@@ -44,7 +43,7 @@ func BenchmarkKernels(b *testing.B) {
 
 	// threads is the worker count the CC runner passes its CPU kernel
 	// on the platform hetserve builds.
-	threads := hetcc.NewAlgorithm(hetsim.Default()).CPUThreads
+	threads := hetsim.Default().CPU.Spec.Cores
 	for _, name := range goldenDatasets {
 		d, err := datasets.ByName(name)
 		if err != nil {

@@ -8,11 +8,12 @@ package repro
 // The report has two kinds of rows:
 //
 //   - parity: the same scalar searcher run over the same 2-device
-//     workload through Searcher.Search and through SimplexSearch over
-//     the AsPartition adapter, in alternating rounds. The vector path
-//     must produce the bit-identical result (identical, floor 1), and
-//     its wall-clock overhead (vector/scalar) stays under 1.5× so the
-//     adapter cannot quietly grow a tax.
+//     hetcc workload through Searcher.Search on its scalar interface
+//     and through SimplexSearch on its partition interface, in
+//     alternating rounds. The vector path must produce the
+//     bit-identical result (identical, floor 1), and its wall-clock
+//     overhead (vector/scalar) stays under 1.5× so the simplex
+//     machinery cannot quietly grow a tax.
 //
 //   - simplex: coordinate-descent searches at 3 and 4 devices on the
 //     analytic hetsim scenario (whose optimum is input-dependent by
@@ -94,11 +95,11 @@ func BenchmarkPartition(b *testing.B) {
 
 	// Parity: the expensive CC search from BenchmarkSearch, run as a
 	// scalar search and as a 2-device partition search. germany_osm
-	// keeps per-evaluation cost high enough that the adapter's
+	// keeps per-evaluation cost high enough that the axis view's
 	// per-call overhead (share assembly, pool round-trip) is measured
 	// against realistic work, not against a no-op.
 	scalarW := ccWorkload(b, hetsim.Default(), "germany_osm")
-	vectorW := core.AsPartition(scalarW)
+	vectorW := scalarW.(core.PartitionWorkload)
 	axis := core.CoarseToFine{}
 	vector := core.SimplexSearch{Axis: axis}
 	var scalarRes core.SearchResult

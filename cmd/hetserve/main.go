@@ -89,7 +89,6 @@ func main() {
 		faults     = flag.String("faults", "", "fault-injection rules, e.g. 'latency=200ms;errors=0.3' (chaos testing; empty disables)")
 		faultsSeed = flag.Int64("faults-seed", 1, "seed for the fault-injection RNG (same seed + traffic = same faults)")
 		faultIdx   = flag.Int("fault-backend", 0, "this replica's backend index for fault-rule matching")
-		verbose    = flag.Bool("v", false, "log per-request trace summaries")
 		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 		pprof      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	)
@@ -122,7 +121,6 @@ func main() {
 		StaleAfter:     *staleAfter,
 		Faults:         inject,
 		FaultBackend:   *faultIdx,
-		Verbose:        *verbose,
 		EnablePprof:    *pprof,
 		Store:          st,
 	}
@@ -140,11 +138,7 @@ func main() {
 }
 
 func run(addr string, cfg serve.Config, logJSON bool) error {
-	level := slog.LevelInfo
-	if cfg.Verbose {
-		level = slog.LevelDebug
-	}
-	logger := obs.NewLogger(os.Stderr, "hetserve", level, logJSON)
+	logger := obs.NewLogger(os.Stderr, "hetserve", slog.LevelInfo, logJSON)
 	cfg.Logger = logger
 	s := serve.New(cfg)
 

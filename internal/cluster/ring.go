@@ -93,24 +93,6 @@ func (r *Ring) Add(backend string) {
 	})
 }
 
-// Remove deletes a backend's virtual nodes; unknown backends are a
-// no-op. Keys it owned remap to their ring successors.
-func (r *Ring) Remove(backend string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[backend]; !ok {
-		return
-	}
-	delete(r.members, backend)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.backend != backend {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Members returns the backends currently on the ring, sorted.
 func (r *Ring) Members() []string {
 	r.mu.RLock()

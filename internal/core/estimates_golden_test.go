@@ -119,7 +119,7 @@ func TestEstimatesGolden(t *testing.T) {
 		} {
 			prefix := wl.name + " " + d.Name
 			scalarRows(&b, prefix, wl.scalar)
-			two := core.AsPartition(wl.scalar).(core.SampledPartition)
+			two := wl.scalar.(core.SampledPartition)
 			b.WriteString(partitionRow("d2     "+prefix+" "+wl.def.Name(), two, goldenConfig(wl.def)))
 			b.WriteString(partitionRow("d3     "+prefix+" "+wl.def.Name(), wl.multi, goldenConfig(wl.def)))
 		}

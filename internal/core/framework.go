@@ -296,96 +296,65 @@ func (s Exhaustive) Search(ctx context.Context, w Workload, lo, hi float64) (Sea
 	return e.result()
 }
 
-// CoarseToFine first sweeps [lo, hi] with stride Coarse (default 8,
-// the paper's choice: "we run with values of t' that differ by 8"),
-// then sweeps a ±Coarse window around the coarse winner with stride
-// Fine (default 1).
-type CoarseToFine struct {
-	Coarse float64
-	Fine   float64
-}
+// CoarseToFine first sweeps [lo, hi] with stride 8 (the paper's
+// choice: "we run with values of t' that differ by 8"), then sweeps a
+// ±8 window around the coarse winner with stride 1.
+type CoarseToFine struct{}
+
+// Coarse-to-fine strides.
+const (
+	coarseStride = 8
+	fineStride   = 1
+)
 
 // Name implements Searcher.
-func (s CoarseToFine) Name() string {
-	return fmt.Sprintf("coarse-to-fine(%g→%g)", s.coarse(), s.fine())
-}
-
-func (s CoarseToFine) coarse() float64 {
-	if s.Coarse <= 0 {
-		return 8
-	}
-	return s.Coarse
-}
-
-func (s CoarseToFine) fine() float64 {
-	if s.Fine <= 0 {
-		return 1
-	}
-	return s.Fine
-}
+func (CoarseToFine) Name() string { return "coarse-to-fine(8→1)" }
 
 // Search implements Searcher.
-func (s CoarseToFine) Search(ctx context.Context, w Workload, lo, hi float64) (SearchResult, error) {
+func (CoarseToFine) Search(ctx context.Context, w Workload, lo, hi float64) (SearchResult, error) {
 	e := newEvalTracker(ctx, w)
-	if err := sweep(e, lo, hi, s.coarse()); err != nil {
+	if err := sweep(e, lo, hi, coarseStride); err != nil {
 		return SearchResult{}, err
 	}
 	center := e.res.Best
-	fLo, fHi := center-s.coarse(), center+s.coarse()
+	fLo, fHi := center-coarseStride, center+coarseStride
 	if fLo < lo {
 		fLo = lo
 	}
 	if fHi > hi {
 		fHi = hi
 	}
-	if err := sweep(e, fLo, fHi, s.fine()); err != nil {
+	if err := sweep(e, fLo, fHi, fineStride); err != nil {
 		return SearchResult{}, err
 	}
 	return e.result()
 }
 
-// GradientDescent performs discrete hill descent: starting from Start
-// (default the midpoint), it probes ±step and moves toward the lower
-// time, halving the step when neither direction improves, until the
-// step falls below Fine (default 1). This is the Identify strategy the
-// scale-free case study uses ("we use a gradient descent based
-// approach to find the best threshold that works for A'").
-type GradientDescent struct {
-	Start float64 // initial threshold; <0 means midpoint of [lo,hi]
-	Step  float64 // initial step (default 16)
-	Fine  float64 // terminal step (default 1)
-}
+// GradientDescent performs discrete hill descent: starting from 0, or
+// from the midpoint when 0 lies outside [lo, hi], it probes ±step and
+// moves toward the lower time, halving the step (initially 16) when
+// neither direction improves, until the step falls below 1. This is
+// the Identify strategy the scale-free case study uses ("we use a
+// gradient descent based approach to find the best threshold that
+// works for A'").
+type GradientDescent struct{}
 
 // Name implements Searcher.
-func (s GradientDescent) Name() string { return "gradient-descent" }
-
-func (s GradientDescent) step() float64 {
-	if s.Step <= 0 {
-		return 16
-	}
-	return s.Step
-}
-
-func (s GradientDescent) fine() float64 {
-	if s.Fine <= 0 {
-		return 1
-	}
-	return s.Fine
-}
+func (GradientDescent) Name() string { return "gradient-descent" }
 
 // Search implements Searcher.
-func (s GradientDescent) Search(ctx context.Context, w Workload, lo, hi float64) (SearchResult, error) {
+func (GradientDescent) Search(ctx context.Context, w Workload, lo, hi float64) (SearchResult, error) {
 	e := newEvalTracker(ctx, w)
-	cur := s.Start
+	cur := 0.0
 	if cur < lo || cur > hi {
 		cur = (lo + hi) / 2
 	}
-	step := s.step()
+	step := 16.0
 	curTime, err := e.eval(cur)
 	if err != nil {
 		return SearchResult{}, err
 	}
-	for step >= s.fine() {
+	for step >= fineStride {
 		// Clamp to the range rather than skipping: on step-shaped
 		// landscapes the optimum often sits exactly at a range
 		// endpoint, which a skipping probe would never visit.
@@ -429,11 +398,10 @@ func (s GradientDescent) Search(ctx context.Context, w Workload, lo, hi float64)
 
 // RaceThenFine asks the workload for a race-based coarse estimate
 // (RaceEstimator), then sweeps a ±Window (default 10) neighborhood
-// with stride Fine (default 1). Workloads that do not implement
-// RaceEstimator fall back to CoarseToFine.
+// with stride 1. Workloads that do not implement RaceEstimator fall
+// back to CoarseToFine.
 type RaceThenFine struct {
 	Window float64
-	Fine   float64
 }
 
 // Name implements Searcher.
@@ -444,13 +412,6 @@ func (s RaceThenFine) window() float64 {
 		return 10
 	}
 	return s.Window
-}
-
-func (s RaceThenFine) fine() float64 {
-	if s.Fine <= 0 {
-		return 1
-	}
-	return s.Fine
 }
 
 // Search implements Searcher.
@@ -472,7 +433,7 @@ func (s RaceThenFine) Search(ctx context.Context, w Workload, lo, hi float64) (S
 	if fHi > hi {
 		fHi = hi
 	}
-	if err := sweep(e, fLo, fHi, s.fine()); err != nil {
+	if err := sweep(e, fLo, fHi, fineStride); err != nil {
 		return SearchResult{}, err
 	}
 	return e.result()

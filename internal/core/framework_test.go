@@ -142,14 +142,21 @@ func TestGradientDescentFindsMinimum(t *testing.T) {
 	}
 }
 
-func TestGradientDescentCustomStart(t *testing.T) {
+// TestGradientDescentStartPoint: the descent starts at 0 when 0 lies
+// in the range and at the midpoint otherwise.
+func TestGradientDescentStartPoint(t *testing.T) {
 	w := &vWorkload{name: "v", opt: 90, base: time.Second, slope: 10 * time.Millisecond}
-	res, err := GradientDescent{Start: 85}.Search(context.Background(), w, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Best-90) > 1.0 {
-		t.Errorf("best = %v", res.Best)
+	for _, tc := range []struct{ lo, hi, start float64 }{{0, 100, 0}, {3, 100, 51.5}, {-20, 100, 0}} {
+		res, err := GradientDescent{}.Search(context.Background(), w, tc.lo, tc.hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Curve[0].T != tc.start {
+			t.Errorf("[%g, %g]: first evaluation at %v, want %v", tc.lo, tc.hi, res.Curve[0].T, tc.start)
+		}
+		if math.Abs(res.Best-90) > 1.0 {
+			t.Errorf("[%g, %g]: best = %v", tc.lo, tc.hi, res.Best)
+		}
 	}
 }
 
@@ -279,11 +286,18 @@ func TestEstimateThresholdRepeats(t *testing.T) {
 	}
 }
 
+// emptyRangeV is a sampled workload whose own threshold range is
+// empty.
+type emptyRangeV struct{ sampledV }
+
+func (w *emptyRangeV) ThresholdRange() (lo, hi float64) { return 50, 50 }
+
 func TestEstimateThresholdErrors(t *testing.T) {
-	w := &sampledV{vWorkload: vWorkload{name: "toy", opt: 10}}
-	if _, err := EstimateThreshold(context.Background(), w, Config{Lo: 50, Hi: 50}); err == nil {
+	empty := &emptyRangeV{sampledV{vWorkload: vWorkload{name: "toy", opt: 10}}}
+	if _, err := EstimateThreshold(context.Background(), empty, Config{}); err == nil {
 		t.Error("empty range accepted")
 	}
+	w := &sampledV{vWorkload: vWorkload{name: "toy", opt: 10}}
 	w.sampleErr = errors.New("sample broke")
 	if _, err := EstimateThreshold(context.Background(), w, Config{}); err == nil {
 		t.Error("sample error swallowed")
@@ -380,24 +394,6 @@ func TestExhaustiveHiEndpointCoarseStep(t *testing.T) {
 	}
 	if res.Best != 100 {
 		t.Errorf("best = %v, want 100 (hi endpoint skipped)", res.Best)
-	}
-}
-
-// TestConfigDefaultsHiWhenLoSet: Config{Lo: 5} means "search [5, 100]",
-// not the empty range [5, 0].
-func TestConfigDefaultsHiWhenLoSet(t *testing.T) {
-	w := &sampledV{
-		vWorkload: vWorkload{name: "toy", opt: 50, base: time.Second, slope: 10 * time.Millisecond},
-	}
-	est, err := EstimateThreshold(context.Background(), w, Config{Lo: 5, Seed: 4})
-	if err != nil {
-		t.Fatalf("Config{Lo: 5} rejected: %v", err)
-	}
-	if est.Threshold < 5 || est.Threshold > 100 {
-		t.Errorf("threshold %v outside [5, 100]", est.Threshold)
-	}
-	if math.Abs(est.Threshold-50) > 1 {
-		t.Errorf("threshold = %v, want ~50", est.Threshold)
 	}
 }
 

@@ -97,11 +97,6 @@ func appendGridPoints(dst []float64, lo, hi, step float64) []float64 {
 	return pts
 }
 
-// gridPoints is appendGridPoints into a fresh slice.
-func gridPoints(lo, hi, step float64) []float64 {
-	return appendGridPoints(nil, lo, hi, step)
-}
-
 // evalSlot is one grid point's pending observation inside a batch.
 type evalSlot struct {
 	d    time.Duration

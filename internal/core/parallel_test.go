@@ -95,7 +95,7 @@ func TestParallelTieBreaking(t *testing.T) {
 	}
 }
 
-// TestSweepExactEvalCounts: gridPoints appends the hi endpoint exactly
+// TestSweepExactEvalCounts: appendGridPoints appends the hi endpoint exactly
 // once, guarded explicitly rather than by memoization, so the Evaluate
 // call count is exact for awkward (lo, hi, step) combinations.
 func TestSweepExactEvalCounts(t *testing.T) {

@@ -12,8 +12,6 @@ import (
 type Config struct {
 	// Searcher is the Identify strategy (default CoarseToFine{}).
 	Searcher Searcher
-	// Lo, Hi bound the threshold range; default [0, 100].
-	Lo, Hi float64
 	// Seed drives the sampling randomness.
 	Seed uint64
 	// Repeats re-runs the whole Sample+Identify pipeline this many
@@ -33,15 +31,6 @@ type Config struct {
 	// stays a real search — it just starts where a structurally
 	// similar input already found its balance.
 	WarmStart *WarmStart
-	// Start seeds the simplex descent of EstimatePartition with an
-	// explicit partition vector — typically the platform's
-	// NaiveStatic FLOPS-ratio shares. It must be a valid Partition
-	// (non-negative shares summing to 100 after rounding); invalid
-	// vectors are rejected with a structured *PartitionError,
-	// mirroring the Lo/Hi range check, never silently renormalized.
-	// nil lets the searcher start from the equal split. Ignored by
-	// the scalar EstimateThreshold pipeline.
-	Start Partition
 }
 
 // DefaultWarmWindow is the half-width of the warm-started Identify
@@ -100,13 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.Searcher == nil {
 		c.Searcher = CoarseToFine{}
 	}
-	// Hi is defaulted whenever it is unset, not only for the zero
-	// Config: Config{Lo: 5} means "search [5, 100]", not the empty
-	// range [5, 0]. A negative Lo with Hi == 0 is left alone — custom
-	// Ranger-style ranges may legitimately end at zero.
-	if c.Hi == 0 && c.Lo >= 0 {
-		c.Hi = 100
-	}
 	if c.Repeats <= 0 {
 		c.Repeats = 1
 	}
@@ -152,7 +134,7 @@ func (e *Estimate) Overhead() time.Duration { return e.SampleCost + e.IdentifyCo
 // full input and the workload's range clamps.
 func EstimateThreshold(ctx context.Context, w Sampled, cfg Config) (*Estimate, error) {
 	c := cfg.withDefaults()
-	fullLo, fullHi := rangeOf(w, c)
+	fullLo, fullHi := rangeOf(w)
 	est := &Estimate{Repeats: c.Repeats}
 	tot, err := runEstimate(ctx, c, pipeline[Workload, float64]{
 		workload: w.Name(),
@@ -161,7 +143,7 @@ func EstimateThreshold(ctx context.Context, w Sampled, cfg Config) (*Estimate, e
 		hi:       fullHi,
 		sample:   w.Sample,
 		identify: func(ctx context.Context, sw Workload) (float64, int, time.Duration, error) {
-			lo, hi := rangeOf(sw, c)
+			lo, hi := rangeOf(sw)
 			if c.WarmStart != nil {
 				lo, hi = warmWindow(w, c.WarmStart, lo, hi)
 			}
@@ -191,12 +173,12 @@ func EstimateThreshold(ctx context.Context, w Sampled, cfg Config) (*Estimate, e
 }
 
 // rangeOf returns a workload's threshold range: its own if it
-// implements Ranger, otherwise the Config's.
-func rangeOf(w Workload, c Config) (lo, hi float64) {
+// implements Ranger, otherwise the percentage range [0, 100].
+func rangeOf(w Workload) (lo, hi float64) {
 	if rg, ok := w.(Ranger); ok {
 		return rg.ThresholdRange()
 	}
-	return c.Lo, c.Hi
+	return 0, 100
 }
 
 func median(xs []float64) float64 {
@@ -227,7 +209,7 @@ func ExhaustiveBest(ctx context.Context, w Workload, cfg Config) (SearchResult, 
 	if c.Parallelism > 0 {
 		ctx = WithParallelism(ctx, c.Parallelism)
 	}
-	lo, hi := rangeOf(w, c)
+	lo, hi := rangeOf(w)
 	return Exhaustive{Step: 1}.Search(ctx, w, lo, hi)
 }
 

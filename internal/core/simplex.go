@@ -324,11 +324,12 @@ const DefaultSimplexRounds = 8
 // descent over the N-1 free axes (the last device is the remainder):
 // each pass searches one device's share over its feasible segment with
 // the scalar Axis searcher, holding the other devices fixed, and the
-// descent stops when a full round brings no improvement or MaxRounds
-// is reached.
+// descent, started from the equal split, stops when a full round brings
+// no improvement or DefaultSimplexRounds is reached. Convergence
+// detection costs one final no-improvement round of axis searches.
 //
 // With 2 devices there is a single free axis whose segment is the full
-// [lo, min(hi, 100)] range regardless of the start point, and a
+// [lo, min(hi, 100)] range regardless of the current point, and a
 // deterministic searcher cannot improve on a repeated pass over an
 // unchanged segment — so exactly one pass runs, and the search is
 // bit-identical to Axis.Search on the equivalent scalar workload:
@@ -336,14 +337,6 @@ const DefaultSimplexRounds = 8
 type SimplexSearch struct {
 	// Axis is the per-axis scalar strategy (default CoarseToFine{}).
 	Axis Searcher
-	// Start seeds the descent; nil means the equal split. Must be a
-	// valid Partition of the workload's device count. With 2 devices
-	// the start is irrelevant (see above).
-	Start Partition
-	// MaxRounds bounds the descent rounds (default
-	// DefaultSimplexRounds). Convergence detection costs one final
-	// no-improvement round of axis searches.
-	MaxRounds int
 }
 
 func (s SimplexSearch) axis() Searcher {
@@ -351,13 +344,6 @@ func (s SimplexSearch) axis() Searcher {
 		return CoarseToFine{}
 	}
 	return s.Axis
-}
-
-func (s SimplexSearch) maxRounds() int {
-	if s.MaxRounds <= 0 {
-		return DefaultSimplexRounds
-	}
-	return s.MaxRounds
 }
 
 // Name implements SimplexSearcher.
@@ -375,14 +361,7 @@ func (s SimplexSearch) SearchPartition(ctx context.Context, w PartitionWorkload,
 		lo = 0
 	}
 	cur := EqualPartition(n)
-	if s.Start != nil {
-		if err := s.Start.ValidateFor(n, w.Name()); err != nil {
-			return SimplexResult{}, err
-		}
-		cur = s.Start.Clone()
-	}
-
-	rounds := s.maxRounds()
+	rounds := DefaultSimplexRounds
 	if n == 2 {
 		// A single free axis converges in one pass: the segment is
 		// independent of the current point, so a second pass would
@@ -581,12 +560,12 @@ func (e *PartitionEstimate) Overhead() time.Duration { return e.SampleCost + e.I
 // EstimatePartition runs Sample → Identify → Extrapolate for a
 // partition workload. The Config is interpreted exactly as in
 // EstimateThreshold — Searcher becomes the per-axis strategy of a
-// SimplexSearch, Lo/Hi bound each share, Seed/Repeats/Parallelism
-// drive the same pre-split RNG streams and repeat pool — and
-// Config.Start (validated, never renormalized) seeds the descent. On
-// a 2-device workload the whole pipeline is bit-identical to
-// EstimateThreshold: same samples, same searches, and the CPU share
-// of the returned partition equals the scalar estimate exactly.
+// SimplexSearch, each share is bounded by [0, 100], and
+// Seed/Repeats/Parallelism drive the same pre-split RNG streams and
+// repeat pool. On a 2-device workload the whole pipeline is
+// bit-identical to EstimateThreshold: same samples, same searches, and
+// the CPU share of the returned partition equals the scalar estimate
+// exactly.
 //
 // Repeats are combined by componentwise median, which stays on the
 // simplex up to rounding noise; the result is projected back exactly
@@ -598,26 +577,17 @@ func EstimatePartition(ctx context.Context, w SampledPartition, cfg Config) (*Pa
 	if err != nil {
 		return nil, err
 	}
-	if c.Start != nil {
-		if err := c.Start.ValidateFor(n, w.Name()); err != nil {
-			return nil, err
-		}
-	}
-	searcher := SimplexSearch{Axis: c.Searcher, Start: c.Start}
-	lo := c.Lo
-	if lo < 0 {
-		lo = 0
-	}
+	searcher := SimplexSearch{Axis: c.Searcher}
 	est := &PartitionEstimate{Repeats: c.Repeats}
 	tot, err := runEstimate(ctx, c, pipeline[PartitionWorkload, Partition]{
 		workload: w.Name(),
 		searcher: searcher.Name(),
 		devices:  n,
-		lo:       lo,
-		hi:       c.Hi,
+		lo:       0,
+		hi:       100,
 		sample:   w.SamplePartition,
 		identify: func(ctx context.Context, sw PartitionWorkload) (Partition, int, time.Duration, error) {
-			res, err := searcher.SearchPartition(ctx, sw, lo, c.Hi)
+			res, err := searcher.SearchPartition(ctx, sw, 0, 100)
 			return res.Best, res.Evals, res.Cost, err
 		},
 		show: Partition.String,
@@ -681,84 +651,4 @@ func projectToSimplex(p Partition) (Partition, error) {
 		}
 	}
 	return out, nil
-}
-
-// AsPartition adapts a scalar threshold workload to the 2-device
-// partition interface: share vector [t, 100-t] ↔ threshold t. The
-// adapter forwards Sampled and RaceEstimator support when the
-// underlying workload provides them, so every scalar searcher behaves
-// identically through the partition path — the N=2 parity the simplex
-// machinery is verified against.
-func AsPartition(w Workload) PartitionWorkload {
-	base := scalarPartition{w: w}
-	_, sampled := w.(Sampled)
-	_, raced := w.(RaceEstimator)
-	switch {
-	case sampled && raced:
-		return &scalarPartitionFull{scalarPartitionSampled{base}}
-	case sampled:
-		return &scalarPartitionSampled{base}
-	case raced:
-		return &scalarPartitionRace{base}
-	default:
-		return &base
-	}
-}
-
-type scalarPartition struct{ w Workload }
-
-// Name implements PartitionWorkload.
-func (s *scalarPartition) Name() string { return s.w.Name() }
-
-// Devices implements PartitionWorkload.
-func (s *scalarPartition) Devices() int { return 2 }
-
-// EvaluatePartition implements PartitionWorkload: the first share is
-// the scalar threshold.
-func (s *scalarPartition) EvaluatePartition(p Partition) (time.Duration, error) {
-	if err := p.ValidateFor(2, s.w.Name()); err != nil {
-		return 0, err
-	}
-	return s.w.Evaluate(p[0])
-}
-
-type scalarPartitionSampled struct{ scalarPartition }
-
-// SamplePartition implements SampledPartition.
-func (s *scalarPartitionSampled) SamplePartition(ctx context.Context, r *xrand.Rand) (PartitionWorkload, time.Duration, error) {
-	sw, cost, err := s.w.(Sampled).Sample(ctx, r)
-	if err != nil {
-		return nil, 0, err
-	}
-	return AsPartition(sw), cost, nil
-}
-
-// ExtrapolatePartition implements SampledPartition.
-func (s *scalarPartitionSampled) ExtrapolatePartition(p Partition) Partition {
-	t := s.w.(Sampled).Extrapolate(p[0])
-	return Partition{t, 100 - t}
-}
-
-type scalarPartitionRace struct{ scalarPartition }
-
-// EstimatePartitionByRace implements PartitionRaceEstimator.
-func (s *scalarPartitionRace) EstimatePartitionByRace() (Partition, time.Duration, error) {
-	return raceAsPartition(s.w)
-}
-
-type scalarPartitionFull struct{ scalarPartitionSampled }
-
-// EstimatePartitionByRace implements PartitionRaceEstimator.
-func (s *scalarPartitionFull) EstimatePartitionByRace() (Partition, time.Duration, error) {
-	return raceAsPartition(s.w)
-}
-
-// raceAsPartition is w's scalar race guess g as the share vector
-// [g, 100-g].
-func raceAsPartition(w Workload) (Partition, time.Duration, error) {
-	g, cost, err := w.(RaceEstimator).EstimateByRace()
-	if err != nil {
-		return nil, 0, err
-	}
-	return Partition{g, 100 - g}, cost, nil
 }

@@ -12,9 +12,30 @@ import (
 	"repro/internal/xrand"
 )
 
-// fullV is a scalar V-landscape workload with both sampling and race
+// The synthetic V workloads are two-device partition workloads too,
+// as hetcc's and hetspmm's are: the threshold t is the partition
+// {t, 100 - t}, so the N=2 parity tests run the scalar and the vector
+// interface of one workload.
+
+func (w *vWorkload) Devices() int { return 2 }
+
+func (w *vWorkload) EvaluatePartition(p Partition) (time.Duration, error) { return w.Evaluate(p[0]) }
+
+func (w *sampledV) SamplePartition(ctx context.Context, r *xrand.Rand) (PartitionWorkload, time.Duration, error) {
+	sw, cost, err := w.Sample(ctx, r)
+	if err != nil {
+		return nil, 0, err
+	}
+	return sw.(*vWorkload), cost, nil
+}
+
+func (w *sampledV) ExtrapolatePartition(p Partition) Partition {
+	return Partition{p[0] + w.extraShift, p[1] - w.extraShift}
+}
+
+// fullV is a V-landscape workload with both sampling and race
 // support, so every searcher exercises its native path through the
-// partition adapter.
+// partition interface.
 type fullV struct {
 	sampledV
 	raceGuess float64
@@ -22,6 +43,10 @@ type fullV struct {
 
 func (w *fullV) EstimateByRace() (float64, time.Duration, error) {
 	return w.raceGuess, 5 * time.Millisecond, nil
+}
+
+func (w *fullV) EstimatePartitionByRace() (Partition, time.Duration, error) {
+	return Partition{w.raceGuess, 100 - w.raceGuess}, 5 * time.Millisecond, nil
 }
 
 // steppyV has plateaus (ties) so the parity tests exercise the
@@ -37,6 +62,10 @@ func (w *steppyV) Evaluate(t float64) (time.Duration, error) {
 	steps := math.Floor(math.Abs(t-w.opt) / 10)
 	return time.Second + time.Duration(steps)*time.Millisecond, nil
 }
+
+func (w *steppyV) Devices() int { return 2 }
+
+func (w *steppyV) EvaluatePartition(p Partition) (time.Duration, error) { return w.Evaluate(p[0]) }
 
 // bowlN is a quadratic bowl over the N-device simplex with its
 // minimum at opt, optionally failing at one injected partition.
@@ -167,7 +196,10 @@ type parityCase struct {
 	searcher Searcher
 }
 
-func parityWorkload(raced bool) Workload {
+func parityWorkload(raced bool) interface {
+	Workload
+	PartitionWorkload
+} {
 	base := sampledV{vWorkload: vWorkload{name: "parity-v", opt: 63, base: time.Second, slope: 7 * time.Millisecond}}
 	if raced {
 		return &fullV{sampledV: base, raceGuess: 58}
@@ -199,7 +231,7 @@ func TestSimplexN2BitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := SimplexSearch{Axis: tc.searcher}.SearchPartition(ctx, AsPartition(w), 0, 100)
+				got, err := SimplexSearch{Axis: tc.searcher}.SearchPartition(ctx, w, 0, 100)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -221,7 +253,7 @@ func TestSimplexN2BitIdentityPlateaus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := SimplexSearch{Axis: s}.SearchPartition(ctx, AsPartition(w), 0, 100)
+			got, err := SimplexSearch{Axis: s}.SearchPartition(ctx, w, 0, 100)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,7 +307,7 @@ func TestEstimatePartitionN2MatchesEstimateThreshold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := EstimatePartition(context.Background(), AsPartition(w).(SampledPartition), cfg)
+			got, err := EstimatePartition(context.Background(), w, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -386,7 +418,7 @@ func TestExhaustiveSimplexN2MatchesScalarExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ExhaustiveSimplex{}.SearchPartition(ctx, AsPartition(w), 0, 100)
+		got, err := ExhaustiveSimplex{}.SearchPartition(ctx, w, 0, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,45 +498,6 @@ func TestParallelSimplexFailureInjection(t *testing.T) {
 		if errs[0].Error() != errs[1].Error() {
 			t.Errorf("failAt %v: error blame differs: %q vs %q", at, errs[0], errs[1])
 		}
-	}
-}
-
-func TestSimplexSearchStartValidation(t *testing.T) {
-	w := &bowlN{name: "bowl3", opt: Partition{20, 50, 30}, base: time.Second}
-	var pe *PartitionError
-	// Shares that do not sum to 100 are rejected, not renormalized.
-	_, err := SimplexSearch{Start: Partition{30, 30, 30}}.SearchPartition(context.Background(), w, 0, 100)
-	if !errors.As(err, &pe) || pe.Index != -1 {
-		t.Fatalf("bad-sum start: err = %v, want *PartitionError{Index: -1}", err)
-	}
-	// Wrong dimensionality is rejected too.
-	_, err = SimplexSearch{Start: Partition{50, 50}}.SearchPartition(context.Background(), w, 0, 100)
-	if !errors.As(err, &pe) {
-		t.Fatalf("wrong-dim start: err = %v, want *PartitionError", err)
-	}
-	// A valid start works and biases nothing away from the optimum.
-	res, err := SimplexSearch{Start: Partition{80, 10, 10}}.SearchPartition(context.Background(), w, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Best[1]-50) > 2 {
-		t.Errorf("started at 80/10/10, best = %v", res.Best)
-	}
-}
-
-func TestEstimatePartitionConfigStartValidation(t *testing.T) {
-	w := &sampledBowlN{bowlN: bowlN{name: "bowl3", opt: Partition{20, 50, 30}, base: time.Second}, shift: 4}
-	var pe *PartitionError
-	_, err := EstimatePartition(context.Background(), w, Config{Start: Partition{60, 60, -20}})
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PartitionError", err)
-	}
-	if pe.Index != 2 {
-		t.Errorf("Index = %d, want 2 (the negative share)", pe.Index)
-	}
-	_, err = EstimatePartition(context.Background(), w, Config{Start: Partition{50, 50}})
-	if !errors.As(err, &pe) || pe.Index != -1 {
-		t.Fatalf("wrong-dim start: err = %v, want *PartitionError{Index: -1}", err)
 	}
 }
 

@@ -32,12 +32,10 @@ import (
 )
 
 // Algorithm holds the execution configuration for heterogeneous CC on
-// a CPU and one or more accelerators.
+// a CPU and one or more accelerators. Phase I divides G_CPU across
+// every CPU core (the paper's c threads).
 type Algorithm struct {
 	Platform *hetsim.MultiPlatform
-	// CPUThreads is c, the number of CPU worker threads Phase I
-	// divides G_CPU across. Defaults to the platform's core count.
-	CPUThreads int
 }
 
 // NewAlgorithm returns an Algorithm on the given CPU+GPU platform: the
@@ -52,14 +50,7 @@ func NewAlgorithm(p *hetsim.Platform) *Algorithm {
 // percentages, each device finds the components of its subgraph
 // concurrently, and all cross edges merge the labelings.
 func NewMultiAlgorithm(p *hetsim.MultiPlatform) *Algorithm {
-	return &Algorithm{Platform: p, CPUThreads: p.CPU.Spec.Cores}
-}
-
-func (a *Algorithm) threads() int {
-	if a.CPUThreads > 0 {
-		return a.CPUThreads
-	}
-	return a.Platform.CPU.Spec.Cores
+	return &Algorithm{Platform: p}
 }
 
 // Result is the outcome of one heterogeneous CC run.

@@ -185,8 +185,8 @@ func refMultiRun(a *Algorithm, g *graph.Graph, p core.Partition) (*Result, error
 		var dt time.Duration
 		if i == 0 {
 			results[i] = new(graph.CCResult)
-			graph.ParallelCPURef(part, a.threads(), results[i], new(graph.CCScratch))
-			dt = ccCPUTime(a.Platform.CPU, a.threads(), part)
+			graph.ParallelCPURef(part, a.Platform.CPU.Spec.Cores, results[i], new(graph.CCScratch))
+			dt = ccCPUTime(a.Platform.CPU, a.Platform.CPU.Spec.Cores, part)
 			res.Trace.Add(hetsim.PhaseCompute, "cpu", dt)
 		} else {
 			results[i] = new(graph.CCResult)

@@ -175,7 +175,7 @@ func mergeLabelsInto(labels []int32, cross []graph.Edge, s *splitScratch) int {
 // cross-edge merge runs on the first accelerator (Algorithm 1 line 9).
 func (s *splitScratch) run(g *graph.Graph, a *Algorithm) (labels []int32, components int, total time.Duration) {
 	nDev := len(s.cuts) - 1
-	cpu, accs, link, threads := a.Platform.CPU, a.Platform.GPUs, a.Platform.Link, a.threads()
+	cpu, accs, link, threads := a.Platform.CPU, a.Platform.GPUs, a.Platform.Link, a.Platform.CPU.Spec.Cores
 	s.trace = s.trace[:0]
 
 	// --- Phase I: partition -------------------------------------------

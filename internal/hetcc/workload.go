@@ -38,10 +38,10 @@ type Workload struct {
 	// the vertices that carry the work volume, at the cost of
 	// overrepresenting hubs in per-vertex statistics.
 	Importance bool
-	// KeepFrac is the contracted sampler's edge-thinning fraction;
-	// 0 means the default of 1/2.
-	KeepFrac float64
 }
+
+// keepFrac is the contracted sampler's edge-thinning fraction.
+const keepFrac = 0.5
 
 var (
 	_ core.Sampled          = (*Workload)(nil)
@@ -103,10 +103,6 @@ func (w *Workload) SamplePartition(ctx context.Context, r *xrand.Rand) (core.Par
 	if k <= 0 {
 		k = DefaultSampleSize(g.N)
 	}
-	keep := w.KeepFrac
-	if keep == 0 {
-		keep = 0.5
-	}
 	span.SetAttr("vertices", strconv.Itoa(g.N))
 	span.SetAttr("sample_vertices", strconv.Itoa(k))
 	var sub *graph.Graph
@@ -116,9 +112,9 @@ func (w *Workload) SamplePartition(ctx context.Context, r *xrand.Rand) (core.Par
 	case w.Induced:
 		sub, ids, err = g.InducedSubgraph(g.SampleVertices(r, k))
 	case w.Importance:
-		sub, ids, err = g.ContractedSampleFrom(r, g.ImportanceSampleVertices(r, k), keep)
+		sub, ids, err = g.ContractedSampleFrom(r, g.ImportanceSampleVertices(r, k), keepFrac)
 	default:
-		sub, ids, err = g.ContractedSample(r, k, keep)
+		sub, ids, err = g.ContractedSample(r, k, keepFrac)
 	}
 	if err != nil {
 		err = fmt.Errorf("hetcc: sampling %s: %w", w.name, err)

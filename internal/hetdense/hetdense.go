@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hetsim"
 	"repro/internal/obs"
-	"repro/internal/sparse"
 	"repro/internal/xrand"
 )
 
@@ -33,33 +32,18 @@ const (
 
 // Algorithm holds the execution configuration for heterogeneous GEMM.
 type Algorithm struct {
-	Platform   *hetsim.Platform
-	CPUThreads int
+	Platform *hetsim.Platform
 }
 
 // NewAlgorithm returns an Algorithm on the given platform.
 func NewAlgorithm(p *hetsim.Platform) *Algorithm {
-	return &Algorithm{Platform: p, CPUThreads: p.CPU.Spec.Cores}
-}
-
-// Result is the outcome of one heterogeneous GEMM run.
-type Result struct {
-	// C is the product.
-	C *sparse.Dense
-	// SplitRow separates CPU rows [0, SplitRow) from GPU rows.
-	SplitRow int
-	// Time is the simulated wall-clock duration.
-	Time time.Duration
-	// CPUTime and GPUTime are the overlapped device durations.
-	CPUTime, GPUTime time.Duration
-	// Trace is the per-phase timeline.
-	Trace hetsim.Trace
+	return &Algorithm{Platform: p}
 }
 
 // timeParts computes the phase durations for multiplying an n×m by an
 // m×k at CPU share t%.
-func (a *Algorithm) timeParts(n, m, k int, t float64) (cpuT, gpuT, transfer time.Duration, splitRow int) {
-	splitRow = int(float64(n) * t / 100)
+func (a *Algorithm) timeParts(n, m, k int, t float64) (cpuT, gpuT time.Duration) {
+	splitRow := int(float64(n) * t / 100)
 	cpuFlops := int64(splitRow) * int64(m) * int64(k)
 	gpuFlops := int64(n-splitRow) * int64(m) * int64(k)
 	if cpuFlops > 0 {
@@ -67,7 +51,7 @@ func (a *Algorithm) timeParts(n, m, k int, t float64) (cpuT, gpuT, transfer time
 			Name:             "gemm-cpu",
 			Ops:              opsPerFlop * cpuFlops,
 			Bytes:            bytesPerFlop * cpuFlops,
-			Launches:         a.CPUThreads,
+			Launches:         a.Platform.CPU.Spec.Cores,
 			ParallelFraction: 0.99,
 		})
 	}
@@ -77,7 +61,7 @@ func (a *Algorithm) timeParts(n, m, k int, t float64) (cpuT, gpuT, transfer time
 		// behind compute, so the GPU side is bound by the slower of
 		// the two rather than their sum.
 		moved := int64(n-splitRow)*int64(m) + int64(m)*int64(k) + int64(n-splitRow)*int64(k)
-		transfer = a.Platform.Link.Transfer(bytesPerElem * moved)
+		transfer := a.Platform.Link.Transfer(bytesPerElem * moved)
 		compute := a.Platform.GPU.Time(hetsim.Kernel{
 			Name:             "gemm-gpu",
 			Ops:              opsPerFlop * gpuFlops,
@@ -87,11 +71,11 @@ func (a *Algorithm) timeParts(n, m, k int, t float64) (cpuT, gpuT, transfer time
 		})
 		gpuT = hetsim.Overlap(compute, transfer)
 	}
-	return cpuT, gpuT, transfer, splitRow
+	return cpuT, gpuT
 }
 
 // SimTime returns the simulated duration of multiplying an n×m matrix
-// by an m×k matrix with CPU share t%, without executing it.
+// by an m×k matrix with CPU share t%.
 func (a *Algorithm) SimTime(n, m, k int, t float64) (time.Duration, error) {
 	if t < 0 || t > 100 {
 		return 0, fmt.Errorf("hetdense: threshold %v outside [0, 100]", t)
@@ -99,33 +83,8 @@ func (a *Algorithm) SimTime(n, m, k int, t float64) (time.Duration, error) {
 	if n <= 0 || m <= 0 || k <= 0 {
 		return 0, fmt.Errorf("hetdense: invalid dims %dx%d × %dx%d", n, m, m, k)
 	}
-	cpuT, gpuT, _, _ := a.timeParts(n, m, k, t)
+	cpuT, gpuT := a.timeParts(n, m, k, t)
 	return hetsim.Overlap(cpuT, gpuT), nil
-}
-
-// Run multiplies A×B for real with CPU share t% and charges simulated
-// time. The numerical result is identical to a single-device multiply.
-func (a *Algorithm) Run(A, B *sparse.Dense, t float64) (*Result, error) {
-	if A.Cols != B.Rows {
-		return nil, fmt.Errorf("hetdense: dims %dx%d × %dx%d", A.Rows, A.Cols, B.Rows, B.Cols)
-	}
-	if t < 0 || t > 100 {
-		return nil, fmt.Errorf("hetdense: threshold %v outside [0, 100]", t)
-	}
-	cpuT, gpuT, transfer, splitRow := a.timeParts(A.Rows, A.Cols, B.Cols, t)
-	c := sparse.NewDense(A.Rows, B.Cols)
-	if _, err := sparse.MatMul(A, B, c, 0, splitRow); err != nil {
-		return nil, err
-	}
-	if _, err := sparse.MatMul(A, B, c, splitRow, A.Rows); err != nil {
-		return nil, err
-	}
-	res := &Result{C: c, SplitRow: splitRow, CPUTime: cpuT, GPUTime: gpuT}
-	res.Trace.Add(hetsim.PhaseCompute, "cpu", cpuT)
-	res.Trace.Add(hetsim.PhaseCompute, "gpu", gpuT-transfer)
-	res.Trace.Add(hetsim.PhaseTransfer, "link", transfer)
-	res.Time = hetsim.Overlap(cpuT, gpuT)
-	return res, nil
 }
 
 // Workload adapts heterogeneous GEMM (square n×n matrices) to the core
@@ -148,9 +107,6 @@ func NewWorkload(name string, n int, alg *Algorithm) (*Workload, error) {
 
 // Name implements core.Workload.
 func (w *Workload) Name() string { return "densemm/" + w.name }
-
-// N returns the matrix dimension.
-func (w *Workload) N() int { return w.n }
 
 // Evaluate implements core.Workload.
 func (w *Workload) Evaluate(t float64) (time.Duration, error) {

@@ -7,44 +7,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hetsim"
-	"repro/internal/sparse"
 	"repro/internal/xrand"
 )
 
-func TestRunMatchesSingleDevice(t *testing.T) {
-	r := xrand.New(1)
-	a := sparse.RandomDense(r, 40, 30)
-	b := sparse.RandomDense(r, 30, 20)
-	want := sparse.NewDense(40, 20)
-	if _, err := sparse.MatMul(a, b, want, 0, 40); err != nil {
-		t.Fatal(err)
-	}
-	alg := NewAlgorithm(hetsim.Default())
-	for _, th := range []float64{0, 25, 50, 100} {
-		res, err := alg.Run(a, b, th)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Data {
-			if res.C.Data[i] != want.Data[i] {
-				t.Fatalf("t=%v: product differs at %d", th, i)
-			}
-		}
-		if res.Time <= 0 {
-			t.Errorf("t=%v: time %v", th, res.Time)
-		}
-	}
-}
-
 func TestRunValidation(t *testing.T) {
-	r := xrand.New(2)
-	a := sparse.RandomDense(r, 4, 4)
-	b := sparse.RandomDense(r, 5, 5)
 	alg := NewAlgorithm(hetsim.Default())
-	if _, err := alg.Run(a, b, 50); err == nil {
-		t.Error("dim mismatch accepted")
-	}
-	if _, err := alg.Run(a, a, -2); err == nil {
+	if _, err := alg.SimTime(4, 4, 4, -2); err == nil {
 		t.Error("negative threshold accepted")
 	}
 	if _, err := alg.SimTime(0, 4, 4, 50); err == nil {

@@ -54,20 +54,12 @@ const (
 
 // Algorithm holds the execution configuration for HH-CPU.
 type Algorithm struct {
-	Platform   *hetsim.Platform
-	CPUThreads int
+	Platform *hetsim.Platform
 }
 
 // NewAlgorithm returns an Algorithm on the given platform.
 func NewAlgorithm(p *hetsim.Platform) *Algorithm {
-	return &Algorithm{Platform: p, CPUThreads: p.CPU.Spec.Cores}
-}
-
-func (a *Algorithm) threads() int {
-	if a.CPUThreads > 0 {
-		return a.CPUThreads
-	}
-	return a.Platform.CPU.Spec.Cores
+	return &Algorithm{Platform: p}
 }
 
 // Result is the outcome of one HH-CPU run.
@@ -259,7 +251,7 @@ func (a *Algorithm) timeParts(p *Profile, t float64) (phase1, cpuT, gpuT, combin
 			Name:             "hh-cpu",
 			Ops:              cpuOpsPerFlopDense * cpuFlops,
 			Bytes:            cpuBytesPerFlop * cpuFlops,
-			Launches:         a.threads(),
+			Launches:         a.Platform.CPU.Spec.Cores,
 			ParallelFraction: 0.98,
 		})
 	}
@@ -330,7 +322,7 @@ func (a *Algorithm) Run(p *Profile, t float64) (*Result, error) {
 	bH, bL := filterCols(A, isDense)
 
 	// Phase II: A_H×B_H (CPU) and A_L×B_L (GPU).
-	cHH, fHH, err := sparse.SpMMParallel(aH, bH, a.threads())
+	cHH, fHH, err := sparse.SpMMParallel(aH, bH, a.Platform.CPU.Spec.Cores)
 	if err != nil {
 		return nil, fmt.Errorf("hetscale: A_H×B_H: %w", err)
 	}
@@ -339,7 +331,7 @@ func (a *Algorithm) Run(p *Profile, t float64) (*Result, error) {
 		return nil, fmt.Errorf("hetscale: A_L×B_L: %w", err)
 	}
 	// Phase III: A_H×B_L (CPU) and A_L×B_H (GPU).
-	cHL, fHL, err := sparse.SpMMParallel(aH, bL, a.threads())
+	cHL, fHL, err := sparse.SpMMParallel(aH, bL, a.Platform.CPU.Spec.Cores)
 	if err != nil {
 		return nil, fmt.Errorf("hetscale: A_H×B_L: %w", err)
 	}

@@ -247,10 +247,6 @@ func TestExtrapolateSquares(t *testing.T) {
 			t.Errorf("Extrapolate(%v) = %v outside [t², (t+1)²)", ts, got)
 		}
 	}
-	w.Exponent = 1 // no thinning → identity up to the half-step
-	if got := w.Extrapolate(7); got != 7.5 {
-		t.Errorf("identity Extrapolate(7) = %v, want 7.5", got)
-	}
 }
 
 func TestEndToEndEstimate(t *testing.T) {

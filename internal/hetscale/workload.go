@@ -24,11 +24,12 @@ type Workload struct {
 	// SampleRows is the number of rows in the miniature; 0 means the
 	// paper's √n.
 	SampleRows int
-	// Exponent is the degree-thinning exponent used when sampling
-	// (see sparse.ScaleFreeSampleConfig); 0 means 0.5, which pairs
-	// with the paper's extrapolation t_A = t_s².
-	Exponent float64
 }
+
+// degreeExponent is the degree-thinning exponent used when sampling
+// (see sparse.ScaleFreeSampleConfig); 0.5 pairs with the paper's
+// extrapolation t_A = t_s².
+const degreeExponent = 0.5
 
 var (
 	_ core.Sampled             = (*Workload)(nil)
@@ -69,15 +70,8 @@ func (w *Workload) Evaluate(t float64) (time.Duration, error) {
 	return w.alg.SimTime(w.prof, t)
 }
 
-func (w *Workload) exponent() float64 {
-	if w.Exponent == 0 {
-		return 0.5
-	}
-	return w.Exponent
-}
-
 // Sample implements core.Sampled with the paper's Section V sampler:
-// √n rows drawn uniformly, each thinned to ≈ d^exponent entries with
+// √n rows drawn uniformly, each thinned to ≈ √d entries with
 // column indices transformed into the sample's index space.
 func (w *Workload) Sample(ctx context.Context, r *xrand.Rand) (core.Workload, time.Duration, error) {
 	_, span := obs.StartSpan(ctx, "sample.scalefree")
@@ -85,7 +79,7 @@ func (w *Workload) Sample(ctx context.Context, r *xrand.Rand) (core.Workload, ti
 	span.SetAttr("rows", strconv.Itoa(w.prof.a.Rows))
 	sub, err := sparse.ScaleFreeRowSample(r, w.prof.a, sparse.ScaleFreeSampleConfig{
 		SampleRows:     w.SampleRows,
-		DegreeExponent: w.exponent(),
+		DegreeExponent: degreeExponent,
 	})
 	if err != nil {
 		err = fmt.Errorf("hetscale: sampling %s: %w", w.name, err)
@@ -125,7 +119,7 @@ func (w *Workload) Extrapolate(tSample float64) float64 {
 	if tSample < 0 {
 		return 0
 	}
-	inv := 1 / w.exponent()
+	inv := 1 / degreeExponent
 	lo := math.Pow(tSample, inv)
 	hi := math.Pow(tSample+1, inv)
 	return (lo + hi) / 2
@@ -140,7 +134,7 @@ func (w *Workload) InverseExtrapolate(full float64) float64 {
 	if full <= 0 {
 		return 0
 	}
-	return math.Pow(full, w.exponent())
+	return math.Pow(full, degreeExponent)
 }
 
 // FitExtrapolation reproduces the paper's offline study that discovers

@@ -70,23 +70,6 @@ type DeviceSpec struct {
 	RandomAccessPenalty float64
 }
 
-// Validate reports configuration errors.
-func (s *DeviceSpec) Validate() error {
-	if s.Cores <= 0 {
-		return fmt.Errorf("hetsim: device %q has %d cores", s.Name, s.Cores)
-	}
-	if s.CoreRate <= 0 {
-		return fmt.Errorf("hetsim: device %q has core rate %v", s.Name, s.CoreRate)
-	}
-	if s.MemBandwidth <= 0 {
-		return fmt.Errorf("hetsim: device %q has bandwidth %v", s.Name, s.MemBandwidth)
-	}
-	if s.DivergencePenalty < 0 || s.RandomAccessPenalty < 0 {
-		return fmt.Errorf("hetsim: device %q has negative penalties", s.Name)
-	}
-	return nil
-}
-
 // Kernel describes one unit of charged work: the operations a workload
 // actually performed, measured by its own counters.
 type Kernel struct {
@@ -113,14 +96,6 @@ type Kernel struct {
 // Device wraps a spec and charges time for kernels.
 type Device struct {
 	Spec DeviceSpec
-}
-
-// NewDevice validates the spec and returns a device.
-func NewDevice(spec DeviceSpec) (*Device, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return &Device{Spec: spec}, nil
 }
 
 // Time returns the simulated execution time of k on d. It is a pure

@@ -1,6 +1,7 @@
 package hetsim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -8,28 +9,19 @@ import (
 
 func testCPU(t *testing.T) *Device {
 	t.Helper()
-	d, err := NewDevice(DeviceSpec{
+	return &Device{Spec: DeviceSpec{
 		Name: "cpu", Kind: CPU, Cores: 4, CoreRate: 1e9,
 		MemBandwidth: 10e9, LaunchLatency: time.Microsecond,
 		DivergencePenalty: 0.1, RandomAccessPenalty: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
+	}}
 }
 
-func TestNewDeviceValidation(t *testing.T) {
-	bad := []DeviceSpec{
-		{Name: "no-cores", CoreRate: 1, MemBandwidth: 1},
-		{Name: "no-rate", Cores: 1, MemBandwidth: 1},
-		{Name: "no-bw", Cores: 1, CoreRate: 1},
-		{Name: "neg-pen", Cores: 1, CoreRate: 1, MemBandwidth: 1, DivergencePenalty: -1},
-	}
-	for _, spec := range bad {
-		if _, err := NewDevice(spec); err == nil {
-			t.Errorf("%s: invalid spec accepted", spec.Name)
-		}
+// checkSpec fails the test unless s has positive cores, core rate and
+// bandwidth and non-negative penalties.
+func checkSpec(t *testing.T, s DeviceSpec) {
+	t.Helper()
+	if s.Cores <= 0 || s.CoreRate <= 0 || s.MemBandwidth <= 0 || s.DivergencePenalty < 0 || s.RandomAccessPenalty < 0 {
+		t.Fatalf("device %q has an invalid spec: %+v", s.Name, s)
 	}
 }
 
@@ -142,12 +134,8 @@ func TestOverlap(t *testing.T) {
 
 func TestDefaultPlatform(t *testing.T) {
 	p := Default()
-	if err := p.CPU.Spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.GPU.Spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkSpec(t, p.CPU.Spec)
+	checkSpec(t, p.GPU.Spec)
 	ratio := p.FLOPSRatio()
 	// The paper's NaiveStatic gives the GPU ~88%, i.e. ratio ~7-8.
 	if ratio < 5 || ratio > 12 {
@@ -178,41 +166,24 @@ func TestDefaultPlatform(t *testing.T) {
 
 func TestTraceAccounting(t *testing.T) {
 	var tr Trace
-	tr.Add(PhaseSample, "host", time.Millisecond)
-	tr.Add(PhaseIdentify, "cpu", 2*time.Millisecond)
+	tr.Add(PhasePartition, "cpu", time.Millisecond)
+	tr.Add(PhaseCompute, "cpu", 2*time.Millisecond)
 	tr.Add(PhaseCompute, "gpu", 7*time.Millisecond)
-	if tr.Total() != 10*time.Millisecond {
-		t.Errorf("total = %v", tr.Total())
+	want := []TraceEntry{
+		{PhasePartition, "cpu", time.Millisecond},
+		{PhaseCompute, "cpu", 2 * time.Millisecond},
+		{PhaseCompute, "gpu", 7 * time.Millisecond},
 	}
-	if tr.PhaseTotal(PhaseIdentify) != 2*time.Millisecond {
-		t.Errorf("phase total = %v", tr.PhaseTotal(PhaseIdentify))
+	snap := tr.Snapshot()
+	if !reflect.DeepEqual(snap, want) {
+		t.Errorf("snapshot = %v, want %v", snap, want)
 	}
-	est, frac := tr.EstimationOverhead()
-	if est != 3*time.Millisecond {
-		t.Errorf("estimation = %v", est)
+	snap[0].Duration = 0
+	if tr.Entries[0].Duration != time.Millisecond {
+		t.Error("snapshot shares storage with the trace")
 	}
-	if frac < 0.29 || frac > 0.31 {
-		t.Errorf("overhead fraction = %v, want 0.3", frac)
-	}
-}
-
-func TestTraceEmptyOverhead(t *testing.T) {
-	var tr Trace
-	if _, frac := tr.EstimationOverhead(); frac != 0 {
-		t.Errorf("empty trace overhead = %v", frac)
-	}
-}
-
-func TestTraceMergeAndString(t *testing.T) {
-	var a, b Trace
-	a.Add(PhaseCompute, "cpu", time.Millisecond)
-	b.Add(PhaseCompute, "gpu", time.Millisecond)
-	a.Merge(&b)
-	if len(a.Entries) != 2 {
-		t.Errorf("merged entries = %d", len(a.Entries))
-	}
-	s := a.String()
-	if !strings.Contains(s, "total") || !strings.Contains(s, "compute/cpu") {
+	s := tr.String()
+	if !strings.Contains(s, "compute/gpu") || !strings.Contains(s, "total") || !strings.Contains(s, "10ms") {
 		t.Errorf("trace string missing content:\n%s", s)
 	}
 }
@@ -228,12 +199,8 @@ func TestPresets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.CPU.Spec.Validate(); err != nil {
-			t.Fatalf("%s: %v", n, err)
-		}
-		if err := p.GPU.Spec.Validate(); err != nil {
-			t.Fatalf("%s: %v", n, err)
-		}
+		checkSpec(t, p.CPU.Spec)
+		checkSpec(t, p.GPU.Spec)
 		shares[n] = p.StaticCPUShare()
 	}
 	// Platform ordering: the entry GPU leaves the CPU the largest
@@ -258,9 +225,7 @@ func TestDefaultMulti(t *testing.T) {
 		if p.GPUs[i].Spec.Cores >= p.GPUs[i-1].Spec.Cores {
 			t.Errorf("GPU %d not weaker than GPU %d", i, i-1)
 		}
-		if err := p.GPUs[i].Spec.Validate(); err != nil {
-			t.Fatal(err)
-		}
+		checkSpec(t, p.GPUs[i].Spec)
 	}
 	if DefaultMulti(0).Devices() != 1 {
 		t.Error("zero-GPU multi platform wrong")

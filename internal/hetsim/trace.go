@@ -11,32 +11,26 @@ import (
 // Phase names used by the workloads; free-form strings are allowed,
 // these are just the conventional ones.
 const (
-	PhaseSample      = "sample"
-	PhaseIdentify    = "identify"
-	PhaseExtrapolate = "extrapolate"
-	PhasePartition   = "partition"
-	PhaseCompute     = "compute"
-	PhaseMerge       = "merge"
-	PhaseTransfer    = "transfer"
+	PhasePartition = "partition"
+	PhaseCompute   = "compute"
+	PhaseMerge     = "merge"
+	PhaseTransfer  = "transfer"
 )
 
 // TraceEntry is one timed phase of a heterogeneous execution.
 type TraceEntry struct {
 	Phase    string
-	Device   string // "cpu", "gpu", "link", "host"
+	Device   string // "cpu", "gpu", "link", ...
 	Duration time.Duration
 }
 
-// Trace accumulates the simulated timeline of a run. The zero value is
-// ready to use. Traces are how the experiments separate estimation
-// overhead (sample+identify+extrapolate phases) from computation time,
-// the paper's "Overhead %" column.
+// Trace accumulates the simulated timeline of one heterogeneous run:
+// each workload's Run result carries its own, phase by phase and
+// device by device. The zero value is ready to use.
 //
-// All methods are safe for concurrent use, so one Trace can collect
-// entries from workloads evaluated in parallel (the serving layer's
-// worker pool does exactly that). Direct reads of Entries are only
-// safe once all writers have finished; concurrent readers should use
-// Snapshot.
+// All methods are safe for concurrent use. Direct reads of Entries are
+// only safe once all writers have finished; concurrent readers should
+// use Snapshot.
 type Trace struct {
 	mu      sync.Mutex
 	Entries []TraceEntry
@@ -54,69 +48,6 @@ func (t *Trace) Snapshot() []TraceEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]TraceEntry(nil), t.Entries...)
-}
-
-// Len returns the number of recorded entries.
-func (t *Trace) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.Entries)
-}
-
-func (t *Trace) totalLocked() time.Duration {
-	var sum time.Duration
-	for _, e := range t.Entries {
-		sum += e.Duration
-	}
-	return sum
-}
-
-// Total returns the sum of all entries.
-func (t *Trace) Total() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.totalLocked()
-}
-
-func (t *Trace) phaseTotalLocked(phase string) time.Duration {
-	var sum time.Duration
-	for _, e := range t.Entries {
-		if e.Phase == phase {
-			sum += e.Duration
-		}
-	}
-	return sum
-}
-
-// PhaseTotal returns the sum of entries with the given phase name.
-func (t *Trace) PhaseTotal(phase string) time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.phaseTotalLocked(phase)
-}
-
-// EstimationOverhead returns the time spent in the sampling pipeline
-// (sample, identify, extrapolate) and its fraction of the total.
-func (t *Trace) EstimationOverhead() (time.Duration, float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	est := t.phaseTotalLocked(PhaseSample) + t.phaseTotalLocked(PhaseIdentify) + t.phaseTotalLocked(PhaseExtrapolate)
-	total := t.totalLocked()
-	if total == 0 {
-		return est, 0
-	}
-	return est, float64(est) / float64(total)
-}
-
-// Merge appends all entries of other.
-func (t *Trace) Merge(other *Trace) {
-	if t == other {
-		return
-	}
-	entries := other.Snapshot()
-	t.mu.Lock()
-	t.Entries = append(t.Entries, entries...)
-	t.mu.Unlock()
 }
 
 // String renders the trace as an aligned per-phase summary.

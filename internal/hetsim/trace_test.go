@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// TestTraceConcurrentAdd hammers one Trace from many goroutines; run
-// under -race this is the regression test for the unsynchronized
-// append the serving layer's worker pool would otherwise trip over.
+// TestTraceConcurrentAdd hammers one Trace from many goroutines while
+// others read it; run under -race this is the regression test for an
+// unsynchronized append.
 func TestTraceConcurrentAdd(t *testing.T) {
 	const (
 		workers = 8
@@ -24,57 +24,25 @@ func TestTraceConcurrentAdd(t *testing.T) {
 				tr.Add(PhaseCompute, "cpu", time.Microsecond)
 			}
 		}()
-	}
-	wg.Wait()
-	if got := tr.Len(); got != workers*perG {
-		t.Errorf("entries = %d, want %d", got, workers*perG)
-	}
-	if got := tr.Total(); got != workers*perG*time.Microsecond {
-		t.Errorf("total = %v", got)
-	}
-}
-
-// TestTraceConcurrentMergeAndRead mixes writers with readers of the
-// aggregate views.
-func TestTraceConcurrentMergeAndRead(t *testing.T) {
-	var dst Trace
-	var src Trace
-	src.Add(PhaseSample, "cpu", time.Millisecond)
-	src.Add(PhaseCompute, "gpu", 2*time.Millisecond)
-
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				dst.Merge(&src)
-			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				_ = dst.Total()
-				_, _ = dst.EstimationOverhead()
-				_ = dst.String()
-				_ = dst.PhaseTotal(PhaseSample)
-				_ = dst.Snapshot()
+			for i := 0; i < perG/10; i++ {
+				_ = tr.Snapshot()
+				_ = tr.String()
 			}
 		}()
 	}
 	wg.Wait()
-	if got := dst.Len(); got != 4*200*2 {
-		t.Errorf("entries = %d, want %d", got, 4*200*2)
+	entries := tr.Snapshot()
+	if len(entries) != workers*perG {
+		t.Errorf("entries = %d, want %d", len(entries), workers*perG)
 	}
-}
-
-// TestTraceMergeSelf must not deadlock or duplicate entries.
-func TestTraceMergeSelf(t *testing.T) {
-	var tr Trace
-	tr.Add(PhaseCompute, "cpu", time.Millisecond)
-	tr.Merge(&tr)
-	if got := tr.Len(); got != 1 {
-		t.Errorf("self-merge entries = %d, want 1", got)
+	var total time.Duration
+	for _, e := range entries {
+		total += e.Duration
+	}
+	if total != workers*perG*time.Microsecond {
+		t.Errorf("total = %v", total)
 	}
 }

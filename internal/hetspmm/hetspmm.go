@@ -62,8 +62,6 @@ const (
 // on a CPU and one or more accelerators.
 type Algorithm struct {
 	Platform *hetsim.MultiPlatform
-	// CPUThreads is the Gustavson worker count on the CPU side.
-	CPUThreads int
 }
 
 // NewAlgorithm returns an Algorithm on the given CPU+GPU platform: the
@@ -78,14 +76,7 @@ func NewAlgorithm(p *hetsim.Platform) *Algorithm {
 // count), located by binary searches on the profile's prefix sums —
 // the machinery the two-device split uses, applied once per cut.
 func NewMultiAlgorithm(p *hetsim.MultiPlatform) *Algorithm {
-	return &Algorithm{Platform: p, CPUThreads: p.CPU.Spec.Cores}
-}
-
-func (a *Algorithm) threads() int {
-	if a.CPUThreads > 0 {
-		return a.CPUThreads
-	}
-	return a.Platform.CPU.Spec.Cores
+	return &Algorithm{Platform: p}
 }
 
 // Result is the outcome of one heterogeneous SpMM run.
@@ -227,7 +218,7 @@ func (a *Algorithm) cpuTime(seg segment) time.Duration {
 		Name:             "spmm-cpu",
 		Ops:              cpuOpsPerFlop * seg.flops,
 		Bytes:            cpuBytesPerFlop * seg.flops,
-		Launches:         a.threads(),
+		Launches:         a.Platform.CPU.Spec.Cores,
 		ParallelFraction: 0.98,
 	})
 }
@@ -357,7 +348,7 @@ func (a *Algorithm) Run(p *Profile, r float64) (*Result, error) {
 
 	a1 := p.a.RowSlice(0, splitRow)
 	a2 := p.a.RowSlice(splitRow, p.a.Rows)
-	c1, flops1, err := sparse.SpMMParallel(a1, p.b, a.threads())
+	c1, flops1, err := sparse.SpMMParallel(a1, p.b, a.Platform.CPU.Spec.Cores)
 	if err != nil {
 		return nil, fmt.Errorf("hetspmm: CPU part: %w", err)
 	}

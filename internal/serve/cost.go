@@ -26,19 +26,11 @@ func warmSearchCost(s core.Searcher, repeats int) int64 {
 	return warm
 }
 
-// searchCost estimates how many threshold evaluations an Identify
-// search will perform over the default [0, 100] range, times the
-// repeat count — the admission controller's cost unit. It mirrors each
-// searcher's grid arithmetic (including zero-value defaults) rather
-// than asking the searcher, because the estimate must be O(1) and
-// available before any workload is built. Precision is not the point:
-// admission only needs exhaustive(step=1)×9 to look ~30× dearer than
-// race-then-fine×1, which this delivers.
 // simplexCostRounds is the coordinate-descent round count the
 // admission estimate assumes for N ≥ 3 partition searches: one
 // improving pass plus a confirming pass is the common case, and a
 // third covers slow convergence. Deliberately below the searcher's
-// MaxRounds ceiling — admission is a congestion estimate, not a bound.
+// DefaultSimplexRounds ceiling — admission is a congestion estimate, not a bound.
 const simplexCostRounds = 3
 
 // partitionSearchCost estimates the evaluation cost of an N-device
@@ -55,6 +47,14 @@ func partitionSearchCost(s core.Searcher, repeats, devices int) int64 {
 	return cost * int64(devices-1) * simplexCostRounds
 }
 
+// searchCost estimates how many threshold evaluations an Identify
+// search will perform over the default [0, 100] range, times the
+// repeat count — the admission controller's cost unit. It mirrors each
+// searcher's grid arithmetic (including zero-value defaults) rather
+// than asking the searcher, because the estimate must be O(1) and
+// available before any workload is built. Precision is not the point:
+// admission only needs exhaustive(step=1)×9 to look ~30× dearer than
+// race-then-fine×1, which this delivers.
 func searchCost(s core.Searcher, repeats int) int64 {
 	if repeats < 1 {
 		repeats = 1
@@ -69,26 +69,17 @@ func searchCost(s core.Searcher, repeats int) int64 {
 		}
 		per = span/step + 1
 	case core.CoarseToFine:
-		coarse, fine := t.Coarse, t.Fine
-		if coarse <= 0 {
-			coarse = 8
-		}
-		if fine <= 0 {
-			fine = 1
-		}
-		per = (span/coarse + 1) + (2*coarse/fine + 1)
+		// Stride-8 sweep, then a ±8 window at stride 1.
+		per = (span/8 + 1) + (2*8 + 1)
 	case core.RaceThenFine:
-		window, fine := t.Window, t.Fine
+		window := t.Window
 		if window <= 0 {
 			window = 10
 		}
-		if fine <= 0 {
-			fine = 1
-		}
-		per = 2*window/fine + 2 // fine sweep + the race itself
+		per = 2*window + 2 // stride-1 sweep + the race itself
 	case core.GradientDescent:
 		// Two probes per step level plus a handful of moves; the
-		// descent halves its step until it reaches Fine, so the level
+		// descent halves its step until it falls below 1, so the level
 		// count is logarithmic and a small constant bound is honest.
 		per = 16
 	default:

@@ -14,7 +14,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/hetsim"
 	"repro/internal/mmio"
 	"repro/internal/obs"
 	"repro/internal/resilience"
@@ -539,18 +538,6 @@ func (s *Server) search(ctx context.Context, req *request, w any, meta storeMeta
 		if err != nil {
 			return nil, err
 		}
-		if s.cfg.Verbose {
-			var tr hetsim.Trace
-			tr.Add(hetsim.PhaseSample, "host", est.SampleCost)
-			tr.Add(hetsim.PhaseIdentify, "host", est.IdentifyCost)
-			tr.Add(hetsim.PhaseCompute, "het", runTime)
-			s.logger.InfoContext(ctx, "estimated",
-				slog.String("workload", cw.Name()),
-				slog.Float64("threshold", est.Threshold),
-				slog.Int("evals", est.Evals),
-				slog.Int("samples", est.Repeats),
-				slog.String("trace", tr.String()))
-		}
 		resp = newResponse(req, est.Repeats, est.Evals, est.SampleCost, est.IdentifyCost, runTime)
 		resp.Threshold = est.Threshold
 		resp.SampleThreshold = est.SampleThreshold
@@ -634,8 +621,8 @@ func (s *Server) naiveStaticPartition(req *request) core.Partition {
 // histogram hides). It returns a core.Sampled for a threshold request
 // and a core.SampledPartition for an N-device one (the cc and spmm
 // workloads are both; search picks the path from req.devices). Two
-// devices reuse the scalar build (and its cache entry) behind
-// core.AsPartition, which is bit-identical to the scalar search.
+// devices reuse the scalar build and its cache entry: the pair
+// platform's workload is the two-device partition workload.
 func (s *Server) buildWorkload(ctx context.Context, req *request) (any, error) {
 	_, span := obs.StartSpan(ctx, "workload.build")
 	defer span.Finish()
@@ -648,9 +635,6 @@ func (s *Server) buildWorkload(ctx context.Context, req *request) (any, error) {
 	if err != nil {
 		span.RecordError(err)
 		return nil, err
-	}
-	if req.devices == 2 {
-		return core.AsPartition(w.(core.Sampled)), nil
 	}
 	return w, nil
 }

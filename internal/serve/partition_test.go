@@ -57,34 +57,45 @@ func TestEstimatePartitionEndpoint(t *testing.T) {
 	}
 }
 
-// TestEstimatePartitionTwoDeviceParity — ?devices=2 runs the scalar
-// workload through the partition adapter and must agree exactly with
-// the scalar threshold answer: partition[0] == threshold, same evals.
+// TestEstimatePartitionTwoDeviceParity — ?devices=2 runs the pair
+// platform's workload through its partition interface and must agree
+// with the scalar threshold answer: partition[0] == threshold, same
+// evals and run time. The partition is the sample partition (identity
+// extrapolation): at an even repeat count share 1 is the median of the
+// samples' share 1, which can differ from 100 - threshold in the last
+// digit (the spmm case).
 func TestEstimatePartitionTwoDeviceParity(t *testing.T) {
 	ts := newTestServer(t, Config{CacheSize: 8})
-	const base = "/estimate?workload=cc&dataset=qcd5_4&repeats=2&seed=11"
-	scalar := getJSON(t, ts.URL+base, 200)
-	vector := getJSON(t, ts.URL+base+"&devices=2", 200)
-	p := asPartition(t, vector, "partition")
-	if len(p) != 2 {
-		t.Fatalf("partition = %v, want 2 shares", p)
-	}
-	if p[0] != scalar["threshold"].(float64) {
-		t.Errorf("partition[0] = %v, want scalar threshold %v", p[0], scalar["threshold"])
-	}
-	if p[1] != 100-p[0] {
-		t.Errorf("partition = %v, shares do not sum to 100", p)
-	}
-	if vector["evals"].(float64) != scalar["evals"].(float64) {
-		t.Errorf("evals = %v, want scalar %v", vector["evals"], scalar["evals"])
-	}
-	if vector["run_time_simulated_ns"].(float64) != scalar["run_time_simulated_ns"].(float64) {
-		t.Errorf("run time %v, want scalar %v", vector["run_time_simulated_ns"], scalar["run_time_simulated_ns"])
-	}
-	// The scalar request must not have been served from the vector
-	// request's cache entry or vice versa (distinct keys).
-	if scalar["cached"] == true || vector["cached"] == true {
-		t.Error("scalar and vector requests shared a cache entry")
+	for _, base := range []string{
+		"/estimate?workload=cc&dataset=qcd5_4&repeats=2&seed=11",
+		"/estimate?workload=spmm&dataset=web-BerkStan&repeats=2&seed=1",
+	} {
+		scalar := getJSON(t, ts.URL+base, 200)
+		vector := getJSON(t, ts.URL+base+"&devices=2", 200)
+		p := asPartition(t, vector, "partition")
+		if len(p) != 2 {
+			t.Fatalf("%s: partition = %v, want 2 shares", base, p)
+		}
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s: partition %v invalid: %v", base, p, err)
+		}
+		if sp := asPartition(t, vector, "sample_partition"); len(sp) != 2 || sp[0] != p[0] || sp[1] != p[1] {
+			t.Errorf("%s: partition = %v, want the sample partition %v", base, p, sp)
+		}
+		if p[0] != scalar["threshold"].(float64) {
+			t.Errorf("%s: partition[0] = %v, want scalar threshold %v", base, p[0], scalar["threshold"])
+		}
+		if vector["evals"].(float64) != scalar["evals"].(float64) {
+			t.Errorf("%s: evals = %v, want scalar %v", base, vector["evals"], scalar["evals"])
+		}
+		if vector["run_time_simulated_ns"].(float64) != scalar["run_time_simulated_ns"].(float64) {
+			t.Errorf("%s: run time %v, want scalar %v", base, vector["run_time_simulated_ns"], scalar["run_time_simulated_ns"])
+		}
+		// The scalar request must not have been served from the vector
+		// request's cache entry or vice versa (distinct keys).
+		if scalar["cached"] == true || vector["cached"] == true {
+			t.Errorf("%s: scalar and vector requests shared a cache entry", base)
+		}
 	}
 }
 
@@ -137,7 +148,7 @@ func TestEstimatePartitionConfiguredInventory(t *testing.T) {
 		t.Errorf("naive static = %v, want the configured inventory's %v", static, want)
 	}
 	getJSON(t, ts.URL+"/estimate?workload=cc&dataset=cant&devices=3&repeats=1", 400)
-	// devices=2 bypasses the inventory (scalar adapter) and still works.
+	// devices=2 bypasses the inventory (pair platform) and still works.
 	getJSON(t, ts.URL+"/estimate?workload=cc&dataset=cant&devices=2&repeats=1", 200)
 }
 
@@ -166,5 +177,31 @@ func TestPartitionQueryCanonical(t *testing.T) {
 	q2, _ := url.ParseQuery("workload=cc&dataset=cant")
 	if q1.Encode() == q2.Encode() {
 		t.Fatal("devices dropped from canonical query")
+	}
+}
+
+// TestAdmissionCosts pins the admission cost of each served searcher
+// cold, at three devices and warm-started.
+func TestAdmissionCosts(t *testing.T) {
+	for _, tc := range []struct {
+		searcher                  string
+		one, three, d3, warmThree int64
+	}{
+		{"exhaustive", 101, 303, 1818, 48},
+		{"coarse-to-fine", 30, 90, 540, 14},
+		{"race", 10, 30, 180, 4},
+		{"gradient", 16, 48, 288, 7},
+	} {
+		s, err := searcherFor(WorkloadSpMM, tc.searcher)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [4]int64{
+			partitionSearchCost(s, 1, 0), partitionSearchCost(s, 3, 0),
+			partitionSearchCost(s, 3, 3), warmSearchCost(s, 3),
+		}
+		if want := [4]int64{tc.one, tc.three, tc.d3, tc.warmThree}; got != want {
+			t.Errorf("%s: costs (repeats 1, repeats 3, devices=3, warm) = %v, want %v", tc.searcher, got, want)
+		}
 	}
 }

@@ -112,7 +112,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestEstimateUploadAndCache(t *testing.T) {
-	ts := newTestServer(t, Config{Workers: 2, CacheSize: 8, Verbose: true})
+	ts := newTestServer(t, Config{Workers: 2, CacheSize: 8})
 	mtx := genMTX(t, 400, 4000, 7)
 	url := ts.URL + "/estimate?workload=spmm&seed=5&repeats=2"
 

@@ -65,11 +65,9 @@ type Config struct {
 	// requests (?devices=N with N ≥ 3). When set, its device count is
 	// the only N ≥ 3 the server answers for; when nil, a default CPU +
 	// (N-1) GPU cascade (hetsim.DefaultMulti) is built per request.
-	// Two-device partition requests always run on Platform through the
-	// scalar adapter, bit-identical to the scalar search.
+	// Two-device partition requests always run on Platform, whose
+	// workloads are two-device partition workloads.
 	MultiPlatform *hetsim.MultiPlatform
-	// Verbose enables per-request hetsim.Trace summaries via Logger.
-	Verbose bool
 	// Logger receives structured log records (request lines, pipeline
 	// errors) with trace/request IDs attached from the context; nil
 	// discards them.

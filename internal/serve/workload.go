@@ -45,8 +45,7 @@ type request struct {
 	repeats  int
 	// devices is 0 for the scalar threshold, N >= 2 for an N-device
 	// partition, and picks the search path; mp is the inventory for
-	// N >= 3 (two devices run the scalar workload through
-	// core.AsPartition).
+	// N >= 3 (two devices run on the pair platform's workload).
 	devices int
 	mp      *hetsim.MultiPlatform
 	// input is the reported name; key the input identity the result
@@ -80,9 +79,9 @@ func (s *Server) resolve(req *request, searcher, dataset string) error {
 			return badRequest("workload %q does not support partition vectors (want %s or %s)",
 				req.workload, WorkloadCC, WorkloadSpMM)
 		}
-		// devices == 2 runs AsPartition over the scalar two-device
-		// workload — bit-identical to the scalar search by
-		// construction, so it needs no multi-platform inventory.
+		// devices == 2 runs the pair platform's workload, which is a
+		// two-device partition workload, so it needs no multi-platform
+		// inventory.
 		if req.devices >= 3 {
 			if req.mp, err = s.multiPlatform(req.devices); err != nil {
 				return err

@@ -311,36 +311,6 @@ func (m *CSR) ToCOO() *mmio.COO {
 	return out
 }
 
-// Transpose returns the transpose of m in CSR form.
-func (m *CSR) Transpose() *CSR {
-	nnz := m.NNZ()
-	tPtr := make([]int64, m.Cols+1)
-	for _, c := range m.ColIdx {
-		tPtr[c+1]++
-	}
-	for j := 0; j < m.Cols; j++ {
-		tPtr[j+1] += tPtr[j]
-	}
-	tCol := make([]int32, nnz)
-	var tVal []float64
-	if m.Vals != nil {
-		tVal = make([]float64, nnz)
-	}
-	next := append([]int64(nil), tPtr...)
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			j := m.ColIdx[k]
-			p := next[j]
-			tCol[p] = int32(i)
-			if m.Vals != nil {
-				tVal[p] = m.Vals[k]
-			}
-			next[j]++
-		}
-	}
-	return &CSR{Rows: m.Cols, Cols: m.Rows, RowPtr: tPtr, ColIdx: tCol, Vals: tVal}
-}
-
 // RowSlice returns the submatrix consisting of rows [lo, hi) of m,
 // sharing no storage with m. Column dimension is preserved. This is the
 // horizontal split A = [A1; A2] used by the heterogeneous SpMM.

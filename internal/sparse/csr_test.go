@@ -3,10 +3,8 @@ package sparse
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/mmio"
-	"repro/internal/xrand"
 )
 
 // small3x4 is a fixed matrix used across tests:
@@ -122,45 +120,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 	if !m.Equal(small3x4(t)) {
 		t.Error("original mutated")
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	m := small3x4(t)
-	tr := m.Transpose()
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Rows != 4 || tr.Cols != 3 {
-		t.Fatalf("transpose dims %dx%d", tr.Rows, tr.Cols)
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if m.At(i, j) != tr.At(j, i) {
-				t.Fatalf("transpose mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-	// Double transpose is identity.
-	if !tr.Transpose().Equal(m) {
-		t.Error("double transpose differs")
-	}
-}
-
-func TestTransposeProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		m, err := Generate(GenConfig{Class: ClassUniform, Rows: 40, Cols: 23, NNZ: 160, Seed: seed})
-		if err != nil {
-			return false
-		}
-		tr := m.Transpose()
-		if tr.Validate() != nil {
-			return false
-		}
-		return tr.Transpose().Equal(m)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -397,62 +356,5 @@ func TestDenseBasics(t *testing.T) {
 	d.Set(1, 2, 5)
 	if d.At(1, 2) != 5 || d.At(0, 0) != 0 {
 		t.Fatal("dense get/set broken")
-	}
-	r := xrand.New(1)
-	rd := RandomDense(r, 4, 4)
-	for _, v := range rd.Data {
-		if v < 0 || v >= 1 {
-			t.Fatalf("dense random value %v", v)
-		}
-	}
-}
-
-func TestMatMulAgainstNaive(t *testing.T) {
-	r := xrand.New(2)
-	a := RandomDense(r, 17, 9)
-	b := RandomDense(r, 9, 13)
-	c := NewDense(17, 13)
-	flops, err := MatMul(a, b, c, 0, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flops != 17*9*13 {
-		t.Fatalf("flops = %d", flops)
-	}
-	for i := 0; i < 17; i++ {
-		for j := 0; j < 13; j++ {
-			var want float64
-			for k := 0; k < 9; k++ {
-				want += a.At(i, k) * b.At(k, j)
-			}
-			if diff := c.At(i, j) - want; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("C(%d,%d) = %v, want %v", i, j, c.At(i, j), want)
-			}
-		}
-	}
-}
-
-func TestMatMulPartialRows(t *testing.T) {
-	r := xrand.New(3)
-	a := RandomDense(r, 10, 10)
-	b := RandomDense(r, 10, 10)
-	whole := NewDense(10, 10)
-	if _, err := MatMul(a, b, whole, 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	split := NewDense(10, 10)
-	if _, err := MatMul(a, b, split, 0, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MatMul(a, b, split, 4, 10); err != nil {
-		t.Fatal(err)
-	}
-	for i := range whole.Data {
-		if whole.Data[i] != split.Data[i] {
-			t.Fatal("split MatMul differs from whole")
-		}
-	}
-	if _, err := MatMul(a, RandomDense(r, 3, 3), whole, 0, 10); err == nil {
-		t.Error("dimension mismatch accepted")
 	}
 }

@@ -332,57 +332,3 @@ func (d *Dense) At(i, j int) float64 { return d.Data[i*d.Cols+j] }
 
 // Set assigns element (i, j).
 func (d *Dense) Set(i, j int, v float64) { d.Data[i*d.Cols+j] = v }
-
-// RandomDense fills a dense matrix with uniform values in [0, 1), per
-// the paper's Fig. 1 ("elements of the matrices are chosen uniformly at
-// random").
-func RandomDense(r *xrand.Rand, rows, cols int) *Dense {
-	d := NewDense(rows, cols)
-	for i := range d.Data {
-		d.Data[i] = r.Float64()
-	}
-	return d
-}
-
-// MatMul computes C = A×B for dense matrices with a simple blocked
-// kernel; rows [rowLo, rowHi) of C are produced. It returns the number
-// of multiply-adds.
-func MatMul(a, b, c *Dense, rowLo, rowHi int) (int64, error) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		return 0, fmt.Errorf("sparse: MatMul dims %dx%d × %dx%d -> %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols)
-	}
-	if rowLo < 0 {
-		rowLo = 0
-	}
-	if rowHi > a.Rows {
-		rowHi = a.Rows
-	}
-	const blk = 64
-	for i0 := rowLo; i0 < rowHi; i0 += blk {
-		i1 := i0 + blk
-		if i1 > rowHi {
-			i1 = rowHi
-		}
-		for k0 := 0; k0 < a.Cols; k0 += blk {
-			k1 := k0 + blk
-			if k1 > a.Cols {
-				k1 = a.Cols
-			}
-			for i := i0; i < i1; i++ {
-				for k := k0; k < k1; k++ {
-					av := a.Data[i*a.Cols+k]
-					if av == 0 {
-						continue
-					}
-					brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-					crow := c.Data[i*c.Cols : (i+1)*c.Cols]
-					for j := range brow {
-						crow[j] += av * brow[j]
-					}
-				}
-			}
-		}
-	}
-	return int64(rowHi-rowLo) * int64(a.Cols) * int64(b.Cols), nil
-}

@@ -11,8 +11,6 @@
 // cryptographically secure, which is fine for workload sampling.
 package xrand
 
-import "math"
-
 // SplitMix64 is a tiny 64-bit generator used mainly to expand a single
 // seed word into the larger state of other generators. The zero value is
 // a valid generator seeded with 0.
@@ -108,30 +106,6 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// NormFloat64 returns a standard normal variate using the polar
-// (Marsaglia) method.
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
-	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
 }
 
 // Perm returns a pseudo-random permutation of [0, n).
