@@ -356,8 +356,8 @@ func TestKernelsBrokenTimingFails(t *testing.T) {
 
 const (
 	parity = "partition/parity/coarse-to-fine(8→1)/cc/germany_osm/"
-	d3     = "partition/simplex/d=3/scenario/synthetic/"
-	d4     = "partition/simplex/d=4/scenario/synthetic/"
+	d3     = "partition/simplex/d=3/cc/cant/"
+	d4     = "partition/simplex/d=4/cc/cant/"
 	spmm3  = "partition/simplex/d=3/spmm/cant/"
 )
 
@@ -370,11 +370,13 @@ func goodPartitionReport() benchfmt.Report {
 	return benchfmt.Report{GOMAXPROCS: 4, NumCPU: 4, Rows: []benchfmt.Row{
 		row(par, "identical", 1, "bool", "higher", 8, benchfmt.Bound(1), nil),
 		row(par, "overhead", 1.04, "x", "lower", 8, nil, benchfmt.Bound(1.5)),
-		row("simplex/d=3/scenario/synthetic", "evals", 155, "count", "lower", 0, nil, benchfmt.Bound(1000)),
-		row("simplex/d=3/scenario/synthetic", "gap_pct", 0, "%", "lower", 0, nil, benchfmt.Bound(5)),
-		row("simplex/d=4/scenario/synthetic", "evals", 230, "count", "lower", 0, nil, benchfmt.Bound(1000)),
+		row("simplex/d=3/cc/cant", "evals", 149, "count", "lower", 0, nil, benchfmt.Bound(1000)),
+		row("simplex/d=3/cc/cant", "gap_pct", 0, "%", "lower", 0, nil, benchfmt.Bound(5)),
+		row("simplex/d=4/cc/cant", "evals", 374, "count", "lower", 0, nil, benchfmt.Bound(1000)),
+		row("simplex/d=4/cc/cant", "gap_pct", -5.9, "%", "lower", 0, nil, benchfmt.Bound(5)),
 		row("simplex/d=3/spmm/cant", "evals", 36, "count", "lower", 0, nil, benchfmt.Bound(230)),
 		row("simplex/d=3/spmm/cant", "gap_pct", -0.7, "%", "lower", 0, nil, benchfmt.Bound(5)),
+		row("estimate/d=4/spmm/webbase-1M", "gap_pct", 95.7, "%", "lower", 0, nil, nil),
 	}}
 }
 
@@ -448,7 +450,7 @@ func TestPartitionMissingSimplexRowFails(t *testing.T) {
 
 func TestPartitionNewRowWithoutBaselinePasses(t *testing.T) {
 	current := goodPartitionReport()
-	current.Rows = append(current.Rows, benchfmt.Row{Layer: "partition", Case: "simplex/d=5/scenario/synthetic",
+	current.Rows = append(current.Rows, benchfmt.Row{Layer: "partition", Case: "simplex/d=5/cc/cant",
 		Metric: "evals", Value: 400, Unit: "count", Better: "lower", Max: benchfmt.Bound(1000)})
 	expectClean(t, goodPartitionReport(), current)
 }

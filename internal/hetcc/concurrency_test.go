@@ -146,3 +146,26 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 		t.Errorf("parallel search differs:\nseq: %+v\npar: %+v", seq, par)
 	}
 }
+
+// TestParallelEstimatePartitionDeterminism runs the whole sampled
+// pipeline (Sample, simplex Identify, Extrapolate) on a 4-device CC
+// workload at Parallelism 1 and 8 and requires identical estimates.
+func TestParallelEstimatePartitionDeterminism(t *testing.T) {
+	g := testGraph(t, graph.KindRMAT, 2000, 12000, 5)
+	w := NewMultiWorkload("rmat", g, NewMultiAlgorithm(hetsim.DefaultMulti(3)))
+	cfg := func(par int) core.Config { return core.Config{Seed: 7, Repeats: 2, Parallelism: par} }
+	seq, err := core.EstimatePartition(context.Background(), w, cfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := core.EstimatePartition(context.Background(), w, cfg(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Errorf("P=1 %+v != P=8 %+v", seq, par)
+	}
+	if len(seq.Partition) != 4 {
+		t.Errorf("partition %v, want 4 shares", seq.Partition)
+	}
+}

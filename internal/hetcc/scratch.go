@@ -141,9 +141,8 @@ func (s *splitScratch) splitRanges(g *graph.Graph) {
 	}
 }
 
-// addTrace records one phase of the run. The trace is private to the
-// run until the caller publishes it, so it is appended without the
-// hetsim.Trace lock.
+// addTrace records one phase of the run in the scratch's entry slice;
+// runInto hands that slice to the result's Trace.
 func (s *splitScratch) addTrace(phase, device string, d time.Duration) {
 	s.trace = append(s.trace, hetsim.TraceEntry{Phase: phase, Device: device, Duration: d})
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func testCPU(t *testing.T) *Device {
@@ -174,13 +176,8 @@ func TestTraceAccounting(t *testing.T) {
 		{PhaseCompute, "cpu", 2 * time.Millisecond},
 		{PhaseCompute, "gpu", 7 * time.Millisecond},
 	}
-	snap := tr.Snapshot()
-	if !reflect.DeepEqual(snap, want) {
-		t.Errorf("snapshot = %v, want %v", snap, want)
-	}
-	snap[0].Duration = 0
-	if tr.Entries[0].Duration != time.Millisecond {
-		t.Error("snapshot shares storage with the trace")
+	if !reflect.DeepEqual(tr.Entries, want) {
+		t.Errorf("entries = %v, want %v", tr.Entries, want)
 	}
 	s := tr.String()
 	if !strings.Contains(s, "compute/gpu") || !strings.Contains(s, "total") || !strings.Contains(s, "10ms") {
@@ -229,5 +226,47 @@ func TestDefaultMulti(t *testing.T) {
 	}
 	if DefaultMulti(0).Devices() != 1 {
 		t.Error("zero-GPU multi platform wrong")
+	}
+}
+
+func TestStaticSharesSumTo100(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		mp := DefaultMulti(n)
+		shares := mp.StaticShares()
+		if len(shares) != mp.Devices() {
+			t.Fatalf("n=%d: %d shares for %d devices", n, len(shares), mp.Devices())
+		}
+		if err := core.Partition(shares).Validate(); err != nil {
+			t.Errorf("n=%d: StaticShares() = %v: %v", n, shares, err)
+		}
+		// Faster devices get larger shares: GPU 0 has the most cores.
+		if shares[1] <= shares[0] {
+			t.Errorf("n=%d: GPU0 share %v not above CPU share %v", n, shares[1], shares[0])
+		}
+	}
+}
+
+func TestMultiPlatformSignature(t *testing.T) {
+	a, b := DefaultMulti(2), DefaultMulti(2)
+	if a.Signature() != b.Signature() {
+		t.Error("equal inventories have different signatures")
+	}
+	if a.Signature() == DefaultMulti(3).Signature() {
+		t.Error("different device counts share a signature")
+	}
+	if a.Signature() == "" {
+		t.Error("empty signature")
+	}
+}
+
+func TestMultiPlatformDevice(t *testing.T) {
+	mp := DefaultMulti(2)
+	if mp.Device(0) != mp.CPU {
+		t.Error("Device(0) is not the CPU")
+	}
+	for i, g := range mp.GPUs {
+		if mp.Device(i+1) != g {
+			t.Errorf("Device(%d) is not GPUs[%d]", i+1, i)
+		}
 	}
 }

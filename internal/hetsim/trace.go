@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -26,37 +25,23 @@ type TraceEntry struct {
 
 // Trace accumulates the simulated timeline of one heterogeneous run:
 // each workload's Run result carries its own, phase by phase and
-// device by device. The zero value is ready to use.
-//
-// All methods are safe for concurrent use. Direct reads of Entries are
-// only safe once all writers have finished; concurrent readers should
-// use Snapshot.
+// device by device. The zero value is ready to use. A Trace belongs to
+// the one run that fills it, so it is not safe for concurrent use.
 type Trace struct {
-	mu      sync.Mutex
 	Entries []TraceEntry
 }
 
 // Add records a phase.
 func (t *Trace) Add(phase, device string, d time.Duration) {
-	t.mu.Lock()
 	t.Entries = append(t.Entries, TraceEntry{Phase: phase, Device: device, Duration: d})
-	t.mu.Unlock()
-}
-
-// Snapshot returns a copy of the entries recorded so far.
-func (t *Trace) Snapshot() []TraceEntry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]TraceEntry(nil), t.Entries...)
 }
 
 // String renders the trace as an aligned per-phase summary.
 func (t *Trace) String() string {
-	entries := t.Snapshot()
 	totals := map[string]time.Duration{}
 	order := []string{}
 	var grand time.Duration
-	for _, e := range entries {
+	for _, e := range t.Entries {
 		key := e.Phase + "/" + e.Device
 		if _, ok := totals[key]; !ok {
 			order = append(order, key)

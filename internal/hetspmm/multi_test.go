@@ -162,25 +162,33 @@ func TestMultiRaceEstimate(t *testing.T) {
 }
 
 // TestParallelMultiSpmmDeterminism — the multi-device estimation is
-// bit-identical at any parallelism (runs under -race in CI).
+// bit-identical at any parallelism, at 3 and 4 devices over several
+// seeds. Its sample evaluations are cheap profile lookups, so the many
+// small race-then-fine windows recycle the parallel engine's pooled
+// batches back to back while pool workers still hold older ones; CI
+// repeats it under -race for that reason.
 func TestParallelMultiSpmmDeterminism(t *testing.T) {
-	w := testMultiWorkload(t, 2, 512, 7000, 53)
-	cfg := func(par int) core.Config {
-		return core.Config{Seed: 31, Repeats: 2, Parallelism: par, Searcher: core.RaceThenFine{Window: 6}}
-	}
-	seq, err := core.EstimatePartition(context.Background(), w, cfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := core.EstimatePartition(context.Background(), w, cfg(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("P=1 %+v != P=8 %+v", seq, par)
-	}
-	if err := seq.Partition.Validate(); err != nil {
-		t.Errorf("estimated partition %v: %v", seq.Partition, err)
+	for gpus := 2; gpus <= 3; gpus++ {
+		w := testMultiWorkload(t, gpus, 512, 7000, 53)
+		for seed := uint64(31); seed < 35; seed++ {
+			cfg := func(par int) core.Config {
+				return core.Config{Seed: seed, Repeats: 3, Parallelism: par, Searcher: core.RaceThenFine{Window: 4}}
+			}
+			seq, err := core.EstimatePartition(context.Background(), w, cfg(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := core.EstimatePartition(context.Background(), w, cfg(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(seq, par) {
+				t.Errorf("%d devices, seed %d: P=1 %+v != P=8 %+v", gpus+1, seed, seq, par)
+			}
+			if err := seq.Partition.Validate(); err != nil {
+				t.Errorf("%d devices, seed %d: estimated partition %v: %v", gpus+1, seed, seq.Partition, err)
+			}
+		}
 	}
 }
 
