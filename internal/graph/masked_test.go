@@ -187,6 +187,8 @@ func TestShiloachVishkinRangeMatchesReference(t *testing.T) {
 // data[0] picks n, data[1..3] the bound and the range ends, data[4]
 // the worker count, and the remaining byte pairs the edges. FromCSR
 // symmetrizes, sorts and deduplicates the adjacency, as for an upload.
+// It also holds ParallelCPUPrefixInto's returned cross-part count to
+// CrossPartPrefix on the same prefix and worker count.
 func FuzzMaskedCCMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 1, 0})
@@ -224,11 +226,17 @@ func FuzzMaskedCCMatchesReference(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("n %d bound %d: DFSPrefixInto %+v, DFSRef %+v", n, bound, got, want)
 		}
-		ParallelCPUPrefixInto(g.RowPtr, g.Adj, split, bound, workers, &got, new(CCScratch))
+		crossArcs := ParallelCPUPrefixInto(g.RowPtr, g.Adj, split, bound, workers, &got, new(CCScratch))
 		ParallelCPURef(prefix, workers, &want, new(CCScratch))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("n %d bound %d workers %d: ParallelCPUPrefixInto %+v, ParallelCPURef %+v",
 				n, bound, workers, got, want)
+		}
+		// The labelled run's cross-part count and the structure-only
+		// count both feed the CPU merge charge.
+		if c := CrossPartPrefix(g.RowPtr, g.Adj, split, bound, workers); c != crossArcs {
+			t.Fatalf("n %d bound %d workers %d: CrossPartPrefix %d, ParallelCPUPrefixInto %d",
+				n, bound, workers, c, crossArcs)
 		}
 		ShiloachVishkinRangeInto(g.RowPtr, g.Adj, splitAt(g, lo), lo, hi, &got, new(CCScratch))
 		ShiloachVishkinRef(rangeSubgraph(g, lo, hi), &want, new(CCScratch))

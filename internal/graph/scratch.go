@@ -145,7 +145,7 @@ func DFSPrefixInto(rowPtr []int64, adj []int32, split []int32, n int, res *CCRes
 func ParallelCPUPrefixInto(rowPtr []int64, adj []int32, split []int32, n, workers int, res *CCResult, s *CCScratch) (crossArcs int64) {
 	if workers <= 1 || n < 2*workers {
 		DFSPrefixInto(rowPtr, adj, split, n, res, s)
-		return crossPartPrefix(rowPtr, adj, split, n, workers)
+		return CrossPartPrefix(rowPtr, adj, split, n, workers)
 	}
 	labels := s.labelsFor(n)
 	for v := range labels {
@@ -230,11 +230,15 @@ func ParallelCPUPrefixInto(rowPtr []int64, adj []int32, split []int32, n, worker
 	return crossArcs
 }
 
-// crossPartPrefix counts the prefix subgraph's cross-part arcs under a
+// CrossPartPrefix counts the prefix subgraph's cross-part arcs under a
 // workers-way contiguous decomposition — the same per-part boundary
-// searches as ParallelCPUPrefixInto's merge pass. It backs the DFS
-// fallback path, where no merge pass runs to count them.
-func crossPartPrefix(rowPtr []int64, adj []int32, split []int32, n, workers int) int64 {
+// searches as ParallelCPUPrefixInto's merge pass, and the same count it
+// returns — from the CSR structure alone, with no labels. The
+// heterogeneous CC cost model charges its CPU merge from this count, so
+// a time-only run calls it in place of the whole prefix kernel; it also
+// backs ParallelCPUPrefixInto's DFS fallback, where no merge pass runs
+// to count them.
+func CrossPartPrefix(rowPtr []int64, adj []int32, split []int32, n, workers int) int64 {
 	if workers <= 1 {
 		// One part spans [0, n) and every prefix arc points below n
 		// by the split-index contract, so nothing crosses.

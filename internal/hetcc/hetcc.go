@@ -12,13 +12,18 @@
 // one contiguous vertex range per device; the CPU+GPU run is the
 // two-device case of the same runner.
 //
-// All algorithms execute for real; the package charges simulated time
-// for each phase through the hetsim device models using the work the
-// algorithms actually performed (arcs scanned, SV rounds, bytes
-// moved). The sampling adapter (Workload) plugs the whole thing into
-// the core partitioning framework at every device count: it is a
-// partition workload, and its scalar threshold t is the two-device
-// partition {t, 100 - t}.
+// The package charges simulated time for each phase through the hetsim
+// device models using the work computed on the real graph (arcs
+// scanned, SV rounds, bytes moved). The clock reads those counters,
+// not the component labels: Run executes every kernel and returns the
+// labels, while an evaluation (Workload.EvaluatePartition) runs
+// time-only. It counts the CPU prefix's cross-part arcs from the graph
+// structure instead of running the DFS, and skips the label copies and
+// the cross-edge merge; Shiloach–Vishkin still runs for its round and
+// edge counts. Both return the same duration. The sampling adapter
+// (Workload) plugs the whole thing into the core partitioning
+// framework at every device count: it is a partition workload, and
+// its scalar threshold t is the two-device partition {t, 100 - t}.
 package hetcc
 
 import (
@@ -78,12 +83,15 @@ type Result struct {
 // percentage of vertices assigned to platform device i (device 0 is
 // the CPU; on a CPU+GPU platform p is {t, 100 - t} for threshold t).
 // Malformed vectors are a *core.PartitionError, never renormalized.
+// Run is the labelled run: it executes every kernel and merges the
+// labelings, though Time depends only on the kernels' counters, so
+// Workload.EvaluatePartition returns the same Time without labels.
 // Each call uses its own working memory, so the returned Result is
 // independently owned; the sampling adapters evaluate on pooled
 // scratch instead.
 func (a *Algorithm) Run(g *graph.Graph, p core.Partition) (*Result, error) {
 	res := &Result{}
-	if err := a.runInto(g, p, res, new(splitScratch)); err != nil {
+	if err := a.runInto(g, p, res, new(splitScratch), true); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -91,7 +99,9 @@ func (a *Algorithm) Run(g *graph.Graph, p core.Partition) (*Result, error) {
 
 // runInto executes Algorithm 1 on the shared runner, drawing every
 // buffer from s; res is fully overwritten and aliases s afterwards.
-func (a *Algorithm) runInto(g *graph.Graph, p core.Partition, res *Result, s *splitScratch) error {
+// Without labelled it is a time-only run: every field but Labels and
+// Components is set, those two are left zero.
+func (a *Algorithm) runInto(g *graph.Graph, p core.Partition, res *Result, s *splitScratch, labelled bool) error {
 	if g == nil {
 		return fmt.Errorf("hetcc: nil graph")
 	}
@@ -106,7 +116,7 @@ func (a *Algorithm) runInto(g *graph.Graph, p core.Partition, res *Result, s *sp
 		s.cuts = append(s.cuts, min(int(float64(g.N)*acc/100), g.N))
 	}
 	s.cuts = append(s.cuts, g.N)
-	res.Labels, res.Components, res.Time = s.run(g, a)
+	res.Labels, res.Components, res.Time = s.run(g, a, labelled)
 	res.Trace.Entries = s.trace
 	res.DeviceTimes = s.deviceTimes
 	res.CPUTime, res.GPUTime = s.deviceTimes[0], s.deviceTimes[1]
@@ -116,12 +126,14 @@ func (a *Algorithm) runInto(g *graph.Graph, p core.Partition, res *Result, s *sp
 
 // evaluate returns the simulated duration of a run at partition p,
 // checking a run scratch out of the shared pool — which is what makes
-// the evaluation loop allocation-free in the steady state.
+// the evaluation loop allocation-free in the steady state. It is a
+// time-only run: the clock reads the kernels' counters, not their
+// labels, so the duration equals Run's without computing any label.
 func (a *Algorithm) evaluate(g *graph.Graph, p core.Partition) (time.Duration, error) {
 	s := scratchPool.Get().(*splitScratch)
 	defer scratchPool.Put(s)
 	var res Result
-	if err := a.runInto(g, p, &res, s); err != nil {
+	if err := a.runInto(g, p, &res, s, false); err != nil {
 		return 0, err
 	}
 	return res.Time, nil
@@ -133,8 +145,10 @@ func (a *Algorithm) evaluate(g *graph.Graph, p core.Partition) (time.Duration, e
 // stealing), so the DFS work is charged as near-fully-parallel over
 // the total arc count cpuArcs; the cross-part label merge is a
 // half-sequential union–find pass over the crossPart part-crossing
-// arcs, which graph.ParallelCPUPrefixInto returns from the boundary
-// searches its merge pass performs anyway. The duration is identical
+// arcs. A labelled run takes that count from
+// graph.ParallelCPUPrefixInto, whose merge pass finds it anyway; a
+// time-only run counts it with graph.CrossPartPrefix from the
+// structure alone, without the DFS. The duration is identical
 // to charging the materialized prefix subgraph (same arc count,
 // cross-part count and degree CV, with the CV computed in
 // stats.MomentsOf float order).

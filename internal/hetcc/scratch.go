@@ -161,10 +161,11 @@ func mergeLabelsInto(labels []int32, cross []graph.Edge, s *splitScratch) int {
 }
 
 // run executes heterogeneous CC on g with the vertex ranges in s.cuts,
-// one per device of a's platform, and returns the global labels, the
-// component count and the simulated wall-clock time. The per-device phase
-// durations are left in s.deviceTimes, the cross edges in s.cross and
-// the phase timeline in s.trace.
+// one per device of a's platform, and returns the simulated wall-clock
+// time; with labelled set it also returns the global labels and the
+// component count. The per-device phase durations are left in
+// s.deviceTimes, the cross edges in s.cross and the phase timeline in
+// s.trace.
 //
 // Every device reads the original CSR through the split indexes: the
 // CPU runs its prefix with graph.ParallelCPUPrefixInto, each
@@ -172,7 +173,16 @@ func mergeLabelsInto(labels []int32, cross []graph.Edge, s *splitScratch) int {
 // cost models charge the work those kernels actually performed —
 // durations identical to materializing every range subgraph. The
 // cross-edge merge runs on the first accelerator (Algorithm 1 line 9).
-func (s *splitScratch) run(g *graph.Graph, a *Algorithm) (labels []int32, components int, total time.Duration) {
+//
+// The clock reads counters, never labels: the CPU charge needs the
+// prefix's split index, arc count and cross-part arc count, the
+// accelerator charges the Shiloach–Vishkin rounds and edges visited,
+// and the merge charge the cross-edge count. So a time-only run
+// (labelled false) takes the cross-part count from
+// graph.CrossPartPrefix instead of running the prefix kernel, and
+// skips the label copies and the cross-edge merge; Shiloach–Vishkin
+// still runs for its counters. Both modes return the same duration.
+func (s *splitScratch) run(g *graph.Graph, a *Algorithm, labelled bool) (labels []int32, components int, total time.Duration) {
 	nDev := len(s.cuts) - 1
 	cpu, accs, link, threads := a.Platform.CPU, a.Platform.GPUs, a.Platform.Link, a.Platform.CPU.Spec.Cores
 	s.trace = s.trace[:0]
@@ -197,15 +207,20 @@ func (s *splitScratch) run(g *graph.Graph, a *Algorithm) (labels []int32, compon
 		s.deviceTimes = make([]time.Duration, nDev)
 	}
 	s.deviceTimes = s.deviceTimes[:nDev]
-	s.labels = growInt32(s.labels, g.N)
-	labels = s.labels
 	rp, adj := g.RowPtr, g.Adj
 
 	nCPU := s.cuts[1]
-	crossArcs := graph.ParallelCPUPrefixInto(rp, adj, s.upper, nCPU, threads, &s.res, &s.cc)
+	var crossArcs int64
+	if labelled {
+		s.labels = growInt32(s.labels, g.N)
+		labels = s.labels
+		crossArcs = graph.ParallelCPUPrefixInto(rp, adj, s.upper, nCPU, threads, &s.res, &s.cc)
+		copy(labels, s.res.Labels)
+	} else {
+		crossArcs = graph.CrossPartPrefix(rp, adj, s.upper, nCPU, threads)
+	}
 	cpuTime := ccCPUTimeSplit(cpu, threads, s.upper, nCPU, s.arcs[0], crossArcs)
 	s.addTrace(hetsim.PhaseCompute, "cpu", cpuTime)
-	copy(labels, s.res.Labels)
 	s.deviceTimes[0] = cpuTime
 	wall := hetsim.Overlap(0, cpuTime)
 
@@ -216,16 +231,20 @@ func (s *splitScratch) run(g *graph.Graph, a *Algorithm) (labels []int32, compon
 		compute := ccGPUTimeRange(dev, s.lower, s.upper, lo, hi, s.arcs[i+1], &s.res)
 		s.addTrace(hetsim.PhaseTransfer, "link", transferIn)
 		s.addTrace(hetsim.PhaseCompute, accelName(len(accs), i), compute)
-		base := int32(lo)
-		for v, l := range s.res.Labels {
-			labels[lo+v] = l + base
+		if labelled {
+			base := int32(lo)
+			for v, l := range s.res.Labels {
+				labels[lo+v] = l + base
+			}
 		}
 		s.deviceTimes[i+1] = transferIn + compute
 		wall = hetsim.Overlap(wall, transferIn+compute)
 	}
 
 	// --- Merge: cross edges unify the labelings -------------------------
-	components = mergeLabelsInto(labels, s.cross, s)
+	if labelled {
+		components = mergeLabelsInto(labels, s.cross, s)
+	}
 	mergeTime := accs[0].Time(hetsim.Kernel{
 		Name:             "merge",
 		Ops:              12 * int64(len(s.cross)), // finds + union per edge

@@ -69,9 +69,12 @@ func (w *Workload) Graph() *graph.Graph { return w.g }
 // Devices implements core.PartitionWorkload.
 func (w *Workload) Devices() int { return w.alg.Platform.Devices() }
 
-// EvaluatePartition implements core.PartitionWorkload: one full
+// EvaluatePartition implements core.PartitionWorkload: one
 // heterogeneous CC run at partition p, returning its simulated
-// duration. It is safe for concurrent use — the graph is treated as
+// duration. The run is time-only: the clock reads the kernels' work
+// counters, not the component labels, so it skips the CPU prefix DFS,
+// the label copies and the cross-edge merge, and returns Run's Time
+// exactly. It is safe for concurrent use — the graph is treated as
 // immutable and each call checks a private run scratch (split indexes,
 // frontiers, labels, union-find state) out of a shared pool — so
 // parallel searches (core.WithParallelism) may call it from many
