@@ -113,7 +113,8 @@ func (b *imageBatch) Sample(ctx context.Context, r *xrand.Rand) (core.Workload, 
 	if k < 1 {
 		k = 1
 	}
-	idx := r.SampleInts(len(b.pixels), k)
+	var subset xrand.Subset
+	idx := subset.Draw(r, len(b.pixels), k)
 	sub := &imageBatch{name: b.name + "-sample", platform: b.platform}
 	for _, i := range idx {
 		sub.pixels = append(sub.pixels, b.pixels[i])

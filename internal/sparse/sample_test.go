@@ -205,8 +205,9 @@ func TestScaleFreeRowSampleDegreeScaling(t *testing.T) {
 	rows := make([]int32, 0, n*deg)
 	cols := make([]int32, 0, n*deg)
 	rng := xrand.New(11)
+	var subset xrand.Subset
 	for i := 0; i < n; i++ {
-		for _, c := range rng.SampleInts(n, deg) {
+		for _, c := range subset.Draw(rng, n, deg) {
 			rows = append(rows, int32(i))
 			cols = append(cols, int32(c))
 		}
@@ -301,8 +302,8 @@ func TestSamplersDeterministic(t *testing.T) {
 // by row.
 func uniformSubmatrixRef(r *xrand.Rand, a *CSR, sampleRows, sampleCols int) *CSR {
 	sampleRows, sampleCols = min(sampleRows, a.Rows), min(sampleCols, a.Cols)
-	rows := r.SampleInts(a.Rows, sampleRows)
-	cols := r.SampleInts(a.Cols, sampleCols)
+	rows := new(xrand.Subset).Draw(r, a.Rows, sampleRows)
+	cols := new(xrand.Subset).Draw(r, a.Cols, sampleCols)
 	colMap := make([]int32, a.Cols)
 	for i := range colMap {
 		colMap[i] = -1
@@ -342,7 +343,7 @@ func scaleFreeRowSampleRef(r *xrand.Rand, a *CSR, cfg ScaleFreeSampleConfig) *CS
 	if exp == 0 {
 		exp = 0.5
 	}
-	rows := r.SampleInts(a.Rows, sr)
+	rows := new(xrand.Subset).Draw(r, a.Rows, sr)
 	out := &CSR{Rows: sr, Cols: sr, RowPtr: make([]int64, sr+1)}
 	seen := make(map[int32]struct{}, 64)
 	var sorter rowSorter
@@ -356,7 +357,7 @@ func scaleFreeRowSampleRef(r *xrand.Rand, a *CSR, cfg ScaleFreeSampleConfig) *CS
 		for c := range seen {
 			delete(seen, c)
 		}
-		for _, k := range r.SampleInts(d, keep) {
+		for _, k := range new(xrand.Subset).Draw(r, d, keep) {
 			nc := int32(r.Intn(sr))
 			for tries := 0; tries < 4; tries++ {
 				if _, dup := seen[nc]; !dup {

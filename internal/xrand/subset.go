@@ -22,8 +22,8 @@ type Subset struct {
 
 // Draw returns k distinct integers drawn uniformly from [0, n), in
 // ascending order. It makes the same generator calls in the same
-// order as SampleInts always has (SampleInts is one call of a fresh
-// Subset), so a seed selects the same set. It panics if k > n, if
+// order as the map-based sampler it replaced, so a seed selects the
+// same set whether the Subset is fresh or reused. It panics if k > n, if
 // either is negative, or if n exceeds math.MaxInt32 (the index range
 // of every matrix and graph in this repository); k == 0 returns nil.
 //
@@ -95,12 +95,4 @@ func (s *Subset) Draw(r *Rand, n, k int) []int {
 	}
 	s.out = out
 	return out
-}
-
-// SampleInts returns k distinct integers drawn uniformly from [0, n),
-// in ascending order, in a slice the caller owns. It panics if k > n
-// or either is negative. A caller that draws repeatedly should keep a
-// Subset instead, which reuses its buffers.
-func (r *Rand) SampleInts(n, k int) []int {
-	return new(Subset).Draw(r, n, k)
 }

@@ -116,21 +116,26 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSampleIntsProperties(t *testing.T) {
+// TestSubsetProperties checks that a draw is k distinct values of
+// [0, n) in ascending order, from a fresh Subset and from one reused
+// across every draw of the run.
+func TestSubsetProperties(t *testing.T) {
+	var reused Subset
 	f := func(seed uint64, nRaw, kRaw uint16) bool {
 		n := int(nRaw%2000) + 1
 		k := int(kRaw) % (n + 1)
-		r := New(seed)
-		s := r.SampleInts(n, k)
-		if len(s) != k {
-			return false
-		}
-		for i, v := range s {
-			if v < 0 || v >= n {
+		for _, s := range []*Subset{new(Subset), &reused} {
+			d := s.Draw(New(seed), n, k)
+			if len(d) != k {
 				return false
 			}
-			if i > 0 && s[i-1] >= v { // strictly ascending => distinct
-				return false
+			for i, v := range d {
+				if v < 0 || v >= n {
+					return false
+				}
+				if i > 0 && d[i-1] >= v { // strictly ascending => distinct
+					return false
+				}
 			}
 		}
 		return true
@@ -140,13 +145,14 @@ func TestSampleIntsProperties(t *testing.T) {
 	}
 }
 
-func TestSampleIntsCoverage(t *testing.T) {
+func TestSubsetCoverage(t *testing.T) {
 	// Every element should be selected at least occasionally.
 	r := New(8)
+	var s Subset
 	const n = 50
 	hits := make([]int, n)
 	for trial := 0; trial < 2000; trial++ {
-		for _, v := range r.SampleInts(n, 5) {
+		for _, v := range s.Draw(r, n, 5) {
 			hits[v]++
 		}
 	}
@@ -157,25 +163,26 @@ func TestSampleIntsCoverage(t *testing.T) {
 	}
 }
 
-func TestSampleIntsEdges(t *testing.T) {
+func TestSubsetEdges(t *testing.T) {
 	r := New(9)
-	if got := r.SampleInts(10, 0); got != nil {
-		t.Fatalf("SampleInts(10,0) = %v, want nil", got)
+	var s Subset
+	if got := s.Draw(r, 10, 0); got != nil {
+		t.Fatalf("Draw(10,0) = %v, want nil", got)
 	}
-	full := r.SampleInts(10, 10)
+	full := s.Draw(r, 10, 10)
 	for i, v := range full {
 		if v != i {
-			t.Fatalf("SampleInts(10,10) = %v, want identity", full)
+			t.Fatalf("Draw(10,10) = %v, want identity", full)
 		}
 	}
 	for _, c := range [][2]int{{3, 4}, {math.MaxInt32 + 1, 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("SampleInts(%d,%d) did not panic", c[0], c[1])
+					t.Fatalf("Draw(%d,%d) did not panic", c[0], c[1])
 				}
 			}()
-			r.SampleInts(c[0], c[1])
+			s.Draw(r, c[0], c[1])
 		}()
 	}
 }
@@ -358,27 +365,28 @@ func BenchmarkZipfLarge(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkSampleIntsSqrtN(b *testing.B) {
+func BenchmarkSubsetSqrtN(b *testing.B) {
 	r := New(1)
+	var s Subset
 	const n = 1 << 20
 	k := 1024
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = r.SampleInts(n, k)
+		_ = s.Draw(r, n, k)
 	}
 }
 
-// BenchmarkSampleIntsQuarterN draws the SpMM sampler's n/4 rows out of
-// a served-size replica, the Fisher-Yates path: once through
-// SampleInts, which pays for a fresh identity buffer per draw, and
-// once through a reused Subset, which restores only what it touched.
-func BenchmarkSampleIntsQuarterN(b *testing.B) {
+// BenchmarkSubsetQuarterN draws the SpMM sampler's n/4 rows out of a
+// served-size replica, the Fisher-Yates path: once through a fresh
+// Subset per draw, which pays for a new identity buffer each time, and
+// once through a reused Subset, which rewrites its buffer in place.
+func BenchmarkSubsetQuarterN(b *testing.B) {
 	const n = 100_000
 	b.Run("fresh", func(b *testing.B) {
 		r := New(1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = r.SampleInts(n, n/4)
+			_ = new(Subset).Draw(r, n, n/4)
 		}
 	})
 	b.Run("reused", func(b *testing.B) {
@@ -391,8 +399,9 @@ func BenchmarkSampleIntsQuarterN(b *testing.B) {
 	})
 }
 
-// sampleIntsRef is SampleInts as it was before the bitset scan and
-// slices.Sort: the same draws, sorted by insertionSortInts.
+// sampleIntsRef is the map-based sampler Subset replaced, as it was
+// before the bitset scan and slices.Sort: the same draws, sorted by
+// insertionSortInts.
 func sampleIntsRef(r *Rand, n, k int) []int {
 	if k == 0 {
 		return nil
@@ -424,11 +433,11 @@ func sampleIntsRef(r *Rand, n, k int) []int {
 	return out
 }
 
-// TestSampleIntsMatchesReference pins SampleInts to the pre-bitset
-// implementation: the same sorted set for the same seed, and the same
-// generator state afterwards, over both paths, k = 0, k = n and the
-// k*8 < n boundary.
-func TestSampleIntsMatchesReference(t *testing.T) {
+// TestFreshSubsetMatchesReference pins a fresh Subset's draw to the
+// pre-bitset implementation: the same sorted set for the same seed,
+// and the same generator state afterwards, over both paths, k = 0,
+// k = n and the k*8 < n boundary.
+func TestFreshSubsetMatchesReference(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 8, 9, 63, 64, 65, 100, 129, 1000, 4099, 20000} {
 		ks := map[int]bool{0: true, n: true, n / 2: true}
 		for _, k := range []int{1, n - 1, n/8 - 1, n / 8, n/8 + 1, (n + 7) / 8} { // k*8 < n boundary
@@ -438,18 +447,8 @@ func TestSampleIntsMatchesReference(t *testing.T) {
 		}
 		for k := range ks {
 			for seed := uint64(1); seed <= 16; seed++ {
-				a, b := New(seed), New(seed)
-				got, want := a.SampleInts(n, k), sampleIntsRef(b, n, k)
-				if len(got) != len(want) {
-					t.Fatalf("n=%d k=%d seed=%d: %d values, reference %d", n, k, seed, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d k=%d seed=%d: value %d = %d, reference %d", n, k, seed, i, got[i], want[i])
-					}
-				}
-				if a.Uint64() != b.Uint64() {
-					t.Fatalf("n=%d k=%d seed=%d: generator state diverged", n, k, seed)
+				if err := checkSubsetDraw(new(Subset), seed, n, k); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
@@ -521,7 +520,7 @@ func FuzzSubsetMatchesReference(f *testing.F) {
 	})
 }
 
-// insertionSortInts is the hand-rolled sort SampleInts used before
+// insertionSortInts is the hand-rolled sort the sampler used before
 // slices.Sort, kept as sampleIntsRef's sort (TestInsertionSortInts
 // checks it).
 func insertionSortInts(a []int) {
