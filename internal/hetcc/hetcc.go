@@ -126,9 +126,8 @@ func (a *Algorithm) runInto(g *graph.Graph, p core.Partition, res *Result, s *sp
 
 // evaluate returns the simulated duration of a run at partition p,
 // checking a run scratch out of the shared pool — which is what makes
-// the evaluation loop allocation-free in the steady state. It is a
-// time-only run: the clock reads the kernels' counters, not their
-// labels, so the duration equals Run's without computing any label.
+// the evaluation loop allocation-free in the steady state. The run is
+// time-only (see splitScratch.run); its duration equals Run's.
 func (a *Algorithm) evaluate(g *graph.Graph, p core.Partition) (time.Duration, error) {
 	s := scratchPool.Get().(*splitScratch)
 	defer scratchPool.Put(s)
