@@ -118,17 +118,14 @@ func BenchmarkKernels(b *testing.B) {
 		add("split-grid", name, ref, tuned)
 
 		// --- connected-components kernel --------------------------------
-		// The service's evaluations run one CC kernel: Shiloach–Vishkin
-		// on each accelerator's range, read from the original CSR
-		// through a split index, here on the range [n/2, n) (the
-		// reference runs on the materialized part). Their CPU prefix is
-		// time-only: graph.CrossPartPrefix counts its cross-part arcs
-		// and no prefix kernel runs, so ParallelCPUPrefixInto and
-		// DFSPrefixInto, which only Run reaches, are held to their
-		// references by the golden suite, the allocation pin and the
-		// fuzz target, not timed here. The part and the split index are
-		// built outside the timing, as the runner builds them once per
-		// partition.
+		// The service's time-only evaluations run one CC kernel:
+		// Shiloach–Vishkin on each accelerator's range, read from the
+		// original CSR through a split index, here on the range [n/2, n);
+		// the reference runs on the materialized part. The CPU prefix
+		// kernels run only in hetcc.Run, so the golden suite, the
+		// allocation pin and the fuzz target hold them, not this gate.
+		// The part and the split index are built outside the timing, as
+		// the runner builds them once per partition.
 		n := g.N
 		half := splitIndex(g, n/2)
 		gpuPart := rangeGraph(g, n/2, n)
