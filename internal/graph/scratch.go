@@ -1,5 +1,7 @@
 package graph
 
+import "math/bits"
+
 // CCScratch is the reusable working memory of one in-flight connected-
 // components kernel. The kernels (DFSPrefixInto, ParallelCPUPrefixInto,
 // ShiloachVishkinRangeInto and the frozen references) draw every
@@ -457,7 +459,19 @@ func shiloachVishkinRun(n int, res *CCResult, s *CCScratch) {
 	}
 	s.active = active[:0]
 	res.Labels = parent
-	res.Components = CanonicalizeMinLabelsCountInto(parent, s.minOfFor(n))
+	// The labels need no canonicalizing pass: every component ends as
+	// one star, and parent[v] <= v makes its root the minimum vertex.
+	// The roots are then exactly the components, and the last jump pass
+	// left them in the bitmap (jumping never changes the root set), so
+	// a popcount counts them. A graph with no arcs ran no round: every
+	// vertex is its own component.
+	if res.Rounds == 0 {
+		res.Components = n
+		return
+	}
+	for _, w := range roots {
+		res.Components += bits.OnesCount64(w)
+	}
 }
 
 // CanonicalizeMinLabelsCountInto rewrites labels so each component is
