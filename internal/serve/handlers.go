@@ -517,8 +517,7 @@ func (s *Server) search(ctx context.Context, req *request, w any, meta storeMeta
 		if err != nil {
 			return nil, fmt.Errorf("estimating %s: %w", pw.Name(), err)
 		}
-		runTime, err := s.evaluate(ctx, pw, "partition", est.Partition.String(),
-			func() (time.Duration, error) { return pw.EvaluatePartition(est.Partition) })
+		runTime, err := s.evaluate(ctx, req, pw, 0, est.Partition)
 		if err != nil {
 			return nil, err
 		}
@@ -533,8 +532,7 @@ func (s *Server) search(ctx context.Context, req *request, w any, meta storeMeta
 		if err != nil {
 			return nil, fmt.Errorf("estimating %s: %w", cw.Name(), err)
 		}
-		runTime, err := s.evaluate(ctx, cw, "threshold", fmt.Sprintf("%.2f", est.Threshold),
-			func() (time.Duration, error) { return cw.Evaluate(est.Threshold) })
+		runTime, err := s.evaluate(ctx, req, cw, est.Threshold, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -561,22 +559,69 @@ func (s *Server) search(ctx context.Context, req *request, w any, meta storeMeta
 	return &resp, nil
 }
 
-// evaluate runs w's final full-input evaluation at the estimate (at,
-// recorded on the span as attr) under an "evaluate" span.
-func (s *Server) evaluate(ctx context.Context, w interface{ Name() string }, attr, at string, eval func() (time.Duration, error)) (time.Duration, error) {
+// evaluate runs one full-input evaluation of w, the workload built for
+// req, through evaluateMemo under an "evaluate" span: at the partition
+// p when it is non-nil, at the threshold t otherwise.
+func (s *Server) evaluate(ctx context.Context, req *request, w any, t float64, p core.Partition) (time.Duration, error) {
 	_, espan := obs.StartSpan(ctx, "evaluate")
 	defer espan.Finish()
-	s.metrics.EvalStarted()
-	runTime, err := eval()
-	s.metrics.EvalDone()
+	attr, at := "partition", ""
+	if p != nil {
+		at = p.String()
+	} else {
+		attr, at = "threshold", fmt.Sprintf("%.2f", t)
+	}
+	espan.SetAttr(attr, at)
+	runTime, memo, err := s.evaluateMemo(req, w, t, p)
+	espan.SetAttr("memo", memo)
 	if err != nil {
-		err = fmt.Errorf("evaluating %s at %s: %w", w.Name(), at, err)
+		err = fmt.Errorf("evaluating %s at %s: %w", w.(interface{ Name() string }).Name(), at, err)
 		espan.RecordError(err)
 		return 0, err
 	}
-	espan.SetAttr(attr, at)
 	espan.SetAttr("simulated_run", runTime.String())
 	return runTime, nil
+}
+
+// evaluateMemo is every full-input evaluation hetserve makes — the
+// final one at the estimate, the store's probe points and the
+// background re-estimate — at the partition p when it is non-nil, at
+// the threshold t otherwise. It reports the memo outcome: hit, miss or
+// bypass.
+//
+// A dataset workload's evaluations are memoized in the build cache,
+// keyed by the workload and the exact vector ({t, 100 − t} for a
+// threshold, which is how the cc and spmm workloads evaluate it). A
+// hit runs nothing, so it counts in neither the in-flight gauge nor
+// the evaluations total. Uploads bypass the build cache, and so the
+// memo.
+func (s *Server) evaluateMemo(req *request, w any, t float64, p core.Partition) (runTime time.Duration, memo string, err error) {
+	memo = "bypass"
+	var key string
+	if req.body == nil {
+		if p != nil {
+			key = p.String()
+		} else {
+			key = core.Partition{t, 100 - t}.String()
+		}
+		if d, ok := s.builds.evaluation(w, key); ok {
+			s.metrics.EvalMemoHits.Inc()
+			return d, "hit", nil
+		}
+		s.metrics.EvalMemoMisses.Inc()
+		memo = "miss"
+	}
+	s.metrics.EvalStarted()
+	if p != nil {
+		runTime, err = w.(core.PartitionWorkload).EvaluatePartition(p)
+	} else {
+		runTime, err = w.(core.Workload).Evaluate(t)
+	}
+	s.metrics.EvalDone()
+	if err == nil && req.body == nil {
+		s.builds.remember(w, key, runTime)
+	}
+	return runTime, memo, err
 }
 
 // newResponse is the answer body every computed estimate shares —

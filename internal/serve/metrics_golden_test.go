@@ -63,6 +63,9 @@ func recordEveryFamily(t *testing.T, s *Server) {
 	}
 	m.EvalDone()
 	m.EvalDone()
+	m.EvalMemoHits.Inc()
+	m.EvalMemoHits.Inc()
+	m.EvalMemoMisses.Inc()
 
 	// Cache capacity 1: the second Put evicts the first.
 	s.cache.Put("a", 1)

@@ -171,9 +171,9 @@ func (s *Server) probeTransfer(ctx context.Context, req *request, cw core.Sample
 			span.RecordError(err)
 			return nil, false, err
 		}
-		s.metrics.EvalStarted()
-		d, err := cw.Evaluate(p)
-		s.metrics.EvalDone()
+		// No evaluate span per point: three spans would cost a probe
+		// about 45 allocations, a tenth of a batch item's.
+		d, _, err := s.evaluateMemo(req, cw, p, nil)
 		if err != nil {
 			err = fmt.Errorf("probing %s at %.2f: %w", cw.Name(), p, err)
 			span.RecordError(err)
@@ -282,7 +282,8 @@ func (s *Server) reestimate(ctx context.Context, workload, dataset, storeKey str
 	}
 	defer s.pool.Release()
 
-	w, err := s.buildWorkload(ctx, &request{workload: workload, input: dataset})
+	req := &request{workload: workload, input: dataset}
+	w, err := s.buildWorkload(ctx, req)
 	if err != nil {
 		return err
 	}
@@ -301,9 +302,7 @@ func (s *Server) reestimate(ctx context.Context, workload, dataset, storeKey str
 	if err != nil {
 		return err
 	}
-	s.metrics.EvalStarted()
-	runTime, err := cw.Evaluate(est.Threshold)
-	s.metrics.EvalDone()
+	runTime, err := s.evaluate(ctx, req, cw, est.Threshold, nil)
 	if err != nil {
 		return err
 	}
