@@ -103,45 +103,35 @@ func loadGraph(dataset, mtxPath string) (*graph.Graph, string, error) {
 	return g, d.Name, err
 }
 
-// load builds the named workload over the dataset or the -mtx file and
-// picks the searcher its estimates use (nil: the pipeline default). It
-// runs on the CPU+GPU platform, or with mp on mp's devices; cc and spmm
-// are then also partition workloads (core.SampledPartition).
-func load(workload, dataset, mtxPath string, mp *hetsim.MultiPlatform) (core.Sampled, core.Searcher, error) {
-	platform := hetsim.Default()
-	switch {
-	case workload == "cc":
+// load builds the named workload over the dataset or the -mtx file on
+// platform p and picks the searcher its estimates use (nil: the
+// pipeline default). cc and spmm are also partition workloads
+// (core.SampledPartition) on any number of devices; scalefree is a
+// two-device study.
+func load(workload, dataset, mtxPath string, p *hetsim.Platform) (core.Sampled, core.Searcher, error) {
+	switch workload {
+	case "cc":
 		g, name, err := loadGraph(dataset, mtxPath)
 		if err != nil {
 			return nil, nil, err
 		}
-		alg := hetcc.NewAlgorithm(platform)
-		if mp != nil {
-			alg = hetcc.NewMultiAlgorithm(mp)
-		}
-		return hetcc.NewWorkload(name, g, alg), nil, nil
-	case workload == "spmm":
+		return hetcc.NewWorkload(name, g, hetcc.NewAlgorithm(p)), nil, nil
+	case "spmm":
 		m, name, err := loadMatrix(dataset, mtxPath)
 		if err != nil {
 			return nil, nil, err
 		}
-		alg := hetspmm.NewAlgorithm(platform)
-		if mp != nil {
-			alg = hetspmm.NewMultiAlgorithm(mp)
-		}
-		w, err := hetspmm.NewWorkload(name, m, alg)
+		w, err := hetspmm.NewWorkload(name, m, hetspmm.NewAlgorithm(p))
 		if err != nil {
 			return nil, nil, err
 		}
 		return w, core.RaceThenFine{Window: 4}, nil
-	case mp != nil:
-		return nil, nil, fmt.Errorf("workload %q does not support partition vectors (want cc or spmm)", workload)
-	case workload == "scalefree":
+	case "scalefree":
 		m, name, err := loadMatrix(dataset, mtxPath)
 		if err != nil {
 			return nil, nil, err
 		}
-		w, err := hetscale.NewWorkload(name, m, hetscale.NewAlgorithm(platform))
+		w, err := hetscale.NewWorkload(name, m, hetscale.NewAlgorithm(p))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -163,7 +153,10 @@ func runPartition(workload, dataset, mtxPath string, devices int, seed uint64, r
 	if err != nil {
 		return err
 	}
-	w := sw.(core.SampledPartition)
+	w, ok := sw.(core.SampledPartition)
+	if !ok {
+		return fmt.Errorf("workload %q does not support partition vectors (want cc or spmm)", workload)
+	}
 	cfg := core.Config{Searcher: searcher, Seed: seed, Repeats: repeats, Parallelism: parallelism}
 
 	start := time.Now()
@@ -207,7 +200,7 @@ func runPartition(workload, dataset, mtxPath string, devices int, seed uint64, r
 }
 
 func run(workload, dataset, mtxPath string, seed uint64, repeats, parallelism int, skipExh bool) error {
-	w, searcher, err := load(workload, dataset, mtxPath, nil)
+	w, searcher, err := load(workload, dataset, mtxPath, hetsim.Default())
 	if err != nil {
 		return err
 	}

@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	static := 100 * platform.StaticCPUShare()
+	static := platform.StaticShares()[0]
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "strategy\tthreshold\tsimulated time\tnote")

@@ -96,7 +96,7 @@ func (b *imageBatch) Evaluate(t float64) (time.Duration, error) {
 			cv = math.Sqrt(variance) / mean
 		}
 	}
-	gpu := b.platform.GPU.Time(hetsim.Kernel{
+	gpu := b.platform.GPUs[0].Time(hetsim.Kernel{
 		Ops: 40 * gpuPx, Bytes: 4 * gpuPx, ParallelFraction: 1, IrregularityCV: cv,
 	})
 	gpu += b.platform.Link.Transfer(4 * gpuPx)

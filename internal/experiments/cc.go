@@ -46,7 +46,7 @@ func ccCase(name string, w *hetcc.Workload, alg *hetcc.Algorithm, o Options) (Ca
 			}
 			return r.Time, nil
 		},
-		static: 100 * o.Platform.StaticCPUShare(),
+		static: o.Platform.StaticShares()[0],
 	})
 }
 

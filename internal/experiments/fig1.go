@@ -41,7 +41,7 @@ var Fig1Sizes = []int{1024, 2048, 4096, 8192}
 func Fig1(opts Options) (*Fig1Result, error) {
 	o := opts.withDefaults()
 	alg := hetdense.NewAlgorithm(o.Platform)
-	static := 100 * o.Platform.StaticCPUShare()
+	static := o.Platform.StaticShares()[0]
 	rows, err := forEach(Fig1Sizes, func(n int) (Fig1Row, error) {
 		w, err := hetdense.NewWorkload(fmt.Sprintf("mat.%d", n), n, alg)
 		if err != nil {

@@ -62,7 +62,7 @@ func scaleFreeCase(name string, w *hetscale.Workload, o Options) (CaseRow, error
 // staticDensityThreshold finds the density threshold assigning the
 // NaiveStatic work share to the CPU via bisection over the profile.
 func staticDensityThreshold(w *hetscale.Workload, o Options) float64 {
-	share := o.Platform.StaticCPUShare()
+	share := o.Platform.StaticShares()[0] / 100
 	_, hi := w.ThresholdRange()
 	p := w.Profile()
 	total := float64(p.TotalWork())

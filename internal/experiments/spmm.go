@@ -50,7 +50,7 @@ func spmmCase(name string, w *hetspmm.Workload, o Options) (CaseRow, error) {
 		fig:      "fig5",
 		searcher: spmmSearcher(),
 		naive:    func() (time.Duration, error) { return w.Evaluate(0) },
-		static:   100 * o.Platform.StaticCPUShare(),
+		static:   o.Platform.StaticShares()[0],
 	})
 }
 

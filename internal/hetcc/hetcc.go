@@ -40,23 +40,20 @@ import (
 // a CPU and one or more accelerators. Phase I divides G_CPU across
 // every CPU core (the paper's c threads).
 type Algorithm struct {
-	Platform *hetsim.MultiPlatform
+	Platform *hetsim.Platform
 }
 
-// NewAlgorithm returns an Algorithm on the given CPU+GPU platform: the
-// two-device case of NewMultiAlgorithm.
-func NewAlgorithm(p *hetsim.Platform) *Algorithm {
-	return NewMultiAlgorithm(&hetsim.MultiPlatform{CPU: p.CPU, GPUs: []*hetsim.Device{p.GPU}, Link: p.Link})
-}
+// NewAlgorithm returns an Algorithm on a CPU plus one or more
+// accelerators — on the CPU+GPU pair, or the paper's Section II
+// extension: the vertex set is split into one contiguous range per
+// device by a vector of share percentages, each device finds the
+// components of its subgraph concurrently, and all cross edges merge
+// the labelings.
+func NewAlgorithm(p *hetsim.Platform) *Algorithm { return &Algorithm{Platform: p} }
 
-// NewMultiAlgorithm returns an Algorithm on a CPU plus several
-// accelerators — the paper's Section II extension: the vertex set is
-// split into one contiguous range per device by a vector of share
-// percentages, each device finds the components of its subgraph
-// concurrently, and all cross edges merge the labelings.
-func NewMultiAlgorithm(p *hetsim.MultiPlatform) *Algorithm {
-	return &Algorithm{Platform: p}
-}
+// NewMultiAlgorithm is NewAlgorithm, named for a platform with several
+// accelerators: one Algorithm serves every device count.
+func NewMultiAlgorithm(p *hetsim.Platform) *Algorithm { return NewAlgorithm(p) }
 
 // Result is the outcome of one heterogeneous CC run.
 type Result struct {

@@ -136,8 +136,8 @@ func TestCostModelSplitEquivalence(t *testing.T) {
 				}
 				var svRes graph.CCResult
 				graph.ShiloachVishkinRangeInto(g.RowPtr, g.Adj, s.split, nCPU, g.N, &svRes, new(graph.CCScratch))
-				got := ccGPUTimeSplit(plat.GPU, g, s.split, nCPU, s.gpuArcs, &svRes)
-				want := ccGPUTime(plat.GPU, &s.gGPU, &svRes)
+				got := ccGPUTimeSplit(plat.GPUs[0], g, s.split, nCPU, s.gpuArcs, &svRes)
+				want := ccGPUTime(plat.GPUs[0], &s.gGPU, &svRes)
 				if got != want {
 					t.Fatalf("nCPU %d: ccGPUTimeSplit = %v, ccGPUTime = %v", nCPU, got, want)
 				}

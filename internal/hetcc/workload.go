@@ -49,13 +49,13 @@ var (
 )
 
 // NewWorkload wraps graph g for partition estimation on alg's platform;
-// a CPU+GPU Algorithm (NewAlgorithm) gives the paper's threshold.
+// a one-GPU platform gives the paper's threshold.
 func NewWorkload(name string, g *graph.Graph, alg *Algorithm) *Workload {
 	return &Workload{name: name, g: g, alg: alg}
 }
 
-// NewMultiWorkload is NewWorkload, named for an N-device Algorithm
-// (NewMultiAlgorithm): one Workload serves every device count.
+// NewMultiWorkload is NewWorkload, named for a platform with several
+// accelerators: one Workload serves every device count.
 func NewMultiWorkload(name string, g *graph.Graph, alg *Algorithm) *Workload {
 	return NewWorkload(name, g, alg)
 }

@@ -35,7 +35,9 @@ type Algorithm struct {
 	Platform *hetsim.Platform
 }
 
-// NewAlgorithm returns an Algorithm on the given platform.
+// NewAlgorithm returns an Algorithm on the given platform. The
+// algorithm is a two-device one: it runs on the CPU and GPUs[0] and
+// leaves any further accelerator idle.
 func NewAlgorithm(p *hetsim.Platform) *Algorithm {
 	return &Algorithm{Platform: p}
 }
@@ -62,7 +64,7 @@ func (a *Algorithm) timeParts(n, m, k int, t float64) (cpuT, gpuT time.Duration)
 		// the two rather than their sum.
 		moved := int64(n-splitRow)*int64(m) + int64(m)*int64(k) + int64(n-splitRow)*int64(k)
 		transfer := a.Platform.Link.Transfer(bytesPerElem * moved)
-		compute := a.Platform.GPU.Time(hetsim.Kernel{
+		compute := a.Platform.GPUs[0].Time(hetsim.Kernel{
 			Name:             "gemm-gpu",
 			Ops:              opsPerFlop * gpuFlops,
 			Bytes:            bytesPerFlop * gpuFlops,

@@ -38,7 +38,7 @@ func TestOptimumNearFLOPSRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static := 100 * alg.Platform.StaticCPUShare()
+	static := alg.Platform.StaticShares()[0]
 	if math.Abs(best.Best-static) > 12 {
 		t.Errorf("dense optimum %v far from FLOPS split %v", best.Best, static)
 	}

@@ -57,7 +57,9 @@ type Algorithm struct {
 	Platform *hetsim.Platform
 }
 
-// NewAlgorithm returns an Algorithm on the given platform.
+// NewAlgorithm returns an Algorithm on the given platform. The
+// algorithm is a two-device one: it runs on the CPU and GPUs[0] and
+// leaves any further accelerator idle.
 func NewAlgorithm(p *hetsim.Platform) *Algorithm {
 	return &Algorithm{Platform: p}
 }
@@ -264,7 +266,7 @@ func (a *Algorithm) timeParts(p *Profile, t float64) (phase1, cpuT, gpuT, combin
 		if t > cutoff {
 			spill = p.loadPrefix[p.denseCount(cutoff)] - p.loadPrefix[dense]
 		}
-		gpuT = a.Platform.GPU.Time(hetsim.Kernel{
+		gpuT = a.Platform.GPUs[0].Time(hetsim.Kernel{
 			Name:             "hh-gpu",
 			Ops:              gpuOpsPerFlop*(gpuFlops+(spillFactor-1)*spill) + 32*int64(gpuRows),
 			Bytes:            gpuBytesPerFlop * (gpuFlops + (spillFactor-1)*spill),

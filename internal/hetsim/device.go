@@ -168,11 +168,27 @@ func (l *Link) Transfer(n int64) time.Duration {
 	return l.Latency + time.Duration(float64(n)/l.Bandwidth*float64(time.Second))
 }
 
-// Platform bundles the two devices and their interconnect.
+// Platform is a CPU plus one or more accelerators sharing one
+// interconnect. The paper's CPU+GPU pair is the one-GPU case; with
+// more GPUs the partition threshold becomes a vector (the paper's
+// "other heterogeneous computing platforms" extension).
 type Platform struct {
 	CPU  *Device
-	GPU  *Device
+	GPUs []*Device
 	Link *Link
+}
+
+// Devices returns 1 + len(GPUs).
+func (p *Platform) Devices() int { return 1 + len(p.GPUs) }
+
+// Device returns device i in partition order: index 0 is the CPU,
+// index i >= 1 is GPUs[i-1]. Partition share i of a core.Partition
+// always refers to this ordering.
+func (p *Platform) Device(i int) *Device {
+	if i == 0 {
+		return p.CPU
+	}
+	return p.GPUs[i-1]
 }
 
 // Signature returns a compact identity string for the platform's
@@ -180,6 +196,7 @@ type Platform struct {
 // with every entry: a threshold estimated on one platform does not
 // silently transfer to another — a signature mismatch at lookup time
 // is treated as drift (warm-start only, background re-estimation).
+// Device order matters, because partition shares are positional.
 func (p *Platform) Signature() string {
 	dev := func(d *Device) string {
 		s := d.Spec
@@ -187,69 +204,23 @@ func (p *Platform) Signature() string {
 			s.Name, s.Cores, s.CoreRate, s.MemBandwidth,
 			s.DivergencePenalty, s.RandomAccessPenalty, s.LaunchLatency.Nanoseconds())
 	}
-	return fmt.Sprintf("cpu{%s}gpu{%s}link{%.4g:%d}",
-		dev(p.CPU), dev(p.GPU), p.Link.Bandwidth, p.Link.Latency.Nanoseconds())
-}
-
-// Overlap returns the wall-clock time of two device phases running
-// concurrently (the heterogeneous algorithms overlap CPU and GPU
-// computation and wait for both).
-func Overlap(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
+	sig := fmt.Sprintf("cpu{%s}", dev(p.CPU))
+	for _, g := range p.GPUs {
+		sig += fmt.Sprintf("gpu{%s}", dev(g))
 	}
-	return b
-}
-
-// FLOPSRatio returns the GPU:CPU ratio of peak regular throughput,
-// the quantity the NaiveStatic baseline divides work by ("partitioning
-// of the input graph between the CPU and the GPU based on the FLOPS
-// ratio").
-func (p *Platform) FLOPSRatio() float64 {
-	cpu := float64(p.CPU.Spec.Cores) * p.CPU.Spec.CoreRate
-	gpu := float64(p.GPU.Spec.Cores) * p.GPU.Spec.CoreRate
-	return gpu / cpu
-}
-
-// StaticCPUShare returns the fraction of work NaiveStatic assigns to
-// the CPU: cpuFLOPS / (cpuFLOPS + gpuFLOPS).
-func (p *Platform) StaticCPUShare() float64 {
-	r := p.FLOPSRatio()
-	return 1 / (1 + r)
-}
-
-// MultiPlatform is a CPU plus several accelerators sharing one
-// interconnect — the paper's "other heterogeneous computing platforms"
-// extension, where the partition threshold becomes a vector.
-type MultiPlatform struct {
-	CPU  *Device
-	GPUs []*Device
-	Link *Link
-}
-
-// Devices returns 1 + len(GPUs).
-func (p *MultiPlatform) Devices() int { return 1 + len(p.GPUs) }
-
-// Device returns device i in partition order: index 0 is the CPU,
-// index i >= 1 is GPUs[i-1]. Partition share i of a core.Partition
-// always refers to this ordering.
-func (p *MultiPlatform) Device(i int) *Device {
-	if i == 0 {
-		return p.CPU
-	}
-	return p.GPUs[i-1]
+	return sig + fmt.Sprintf("link{%.4g:%d}", p.Link.Bandwidth, p.Link.Latency.Nanoseconds())
 }
 
 // flops returns a device's peak regular throughput.
 func flops(d *Device) float64 { return float64(d.Spec.Cores) * d.Spec.CoreRate }
 
 // StaticShares returns the NaiveStatic partition vector: each device's
-// share of the input is proportional to its peak FLOPS, the
-// N-device generalization of the paper's FLOPS-ratio split (for one
-// GPU it reduces to [100·StaticCPUShare, 100·(1-StaticCPUShare)]).
-// The last device absorbs the rounding remainder so the shares sum to
-// 100 exactly.
-func (p *MultiPlatform) StaticShares() []float64 {
+// share of the input is proportional to its peak FLOPS ("partitioning
+// of the input graph between the CPU and the GPU based on the FLOPS
+// ratio"), so StaticShares()[0] is NaiveStatic's CPU threshold. The
+// last device absorbs the rounding remainder so the shares sum to 100
+// exactly.
+func (p *Platform) StaticShares() []float64 {
 	n := p.Devices()
 	var total float64
 	for i := 0; i < n; i++ {
@@ -265,21 +236,14 @@ func (p *MultiPlatform) StaticShares() []float64 {
 	return shares
 }
 
-// Signature returns a compact identity string for the multi-device
-// platform, in the spirit of Platform.Signature: device order matters,
-// because partition shares are positional.
-func (p *MultiPlatform) Signature() string {
-	dev := func(d *Device) string {
-		s := d.Spec
-		return fmt.Sprintf("%s:%dx%.4g:mb%.4g:dp%.3g:rp%.3g:ll%d",
-			s.Name, s.Cores, s.CoreRate, s.MemBandwidth,
-			s.DivergencePenalty, s.RandomAccessPenalty, s.LaunchLatency.Nanoseconds())
+// Overlap returns the wall-clock time of two device phases running
+// concurrently (the heterogeneous algorithms overlap CPU and GPU
+// computation and wait for both).
+func Overlap(a, b time.Duration) time.Duration {
+	if a > b {
+		return a
 	}
-	sig := fmt.Sprintf("cpu{%s}", dev(p.CPU))
-	for _, g := range p.GPUs {
-		sig += fmt.Sprintf("gpu{%s}", dev(g))
-	}
-	return sig + fmt.Sprintf("link{%.4g:%d}", p.Link.Bandwidth, p.Link.Latency.Nanoseconds())
+	return b
 }
 
 // DefaultMulti returns the Default platform's CPU and link with n
@@ -287,18 +251,19 @@ func (p *MultiPlatform) Signature() string {
 // runs at 60% of the previous one's core count (an older or
 // power-capped sibling card), which keeps the optimal share vector
 // asymmetric and therefore worth searching for.
-func DefaultMulti(n int) *MultiPlatform {
-	base := Default()
-	mp := &MultiPlatform{CPU: base.CPU, Link: base.Link}
-	cores := base.GPU.Spec.Cores
-	for i := 0; i < n; i++ {
-		spec := base.GPU.Spec
+func DefaultMulti(n int) *Platform {
+	p := Default()
+	base := p.GPUs[0].Spec
+	p.GPUs = make([]*Device, n)
+	cores := base.Cores
+	for i := range p.GPUs {
+		spec := base
 		spec.Cores = cores
 		spec.Name = fmt.Sprintf("%s-%d", spec.Name, i)
-		mp.GPUs = append(mp.GPUs, &Device{Spec: spec})
+		p.GPUs[i] = &Device{Spec: spec}
 		cores = cores * 3 / 5
 	}
-	return mp
+	return p
 }
 
 // Default returns a platform calibrated to resemble the paper's
@@ -339,8 +304,8 @@ func Default() *Platform {
 		RandomAccessPenalty: 0.8,
 	}}
 	return &Platform{
-		CPU: cpu,
-		GPU: gpu,
+		CPU:  cpu,
+		GPUs: []*Device{gpu},
 		Link: &Link{
 			Latency:   0,
 			Bandwidth: 8e9,

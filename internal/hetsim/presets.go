@@ -19,18 +19,18 @@ func Preset(name string) (*Platform, error) {
 		// A GTX-750-class card: fewer cores, less bandwidth, same
 		// PCIe. The CPU deserves a much larger share.
 		p := Default()
-		p.GPU.Spec.Name = "entry-gpu"
-		p.GPU.Spec.Cores = 640
-		p.GPU.Spec.MemBandwidth = 80e9
+		p.GPUs[0].Spec.Name = "entry-gpu"
+		p.GPUs[0].Spec.Cores = 640
+		p.GPUs[0].Spec.MemBandwidth = 80e9
 		return p, nil
 	case "hbm-gpu":
 		// A P100-class card: more cores, HBM bandwidth, NVLink-class
 		// interconnect. The CPU share shrinks.
 		p := Default()
-		p.GPU.Spec.Name = "hbm-gpu"
-		p.GPU.Spec.Cores = 3584
-		p.GPU.Spec.CoreRate = 300e6
-		p.GPU.Spec.MemBandwidth = 700e9
+		p.GPUs[0].Spec.Name = "hbm-gpu"
+		p.GPUs[0].Spec.Cores = 3584
+		p.GPUs[0].Spec.CoreRate = 300e6
+		p.GPUs[0].Spec.MemBandwidth = 700e9
 		p.Link.Bandwidth = 40e9
 		return p, nil
 	case "big-cpu":

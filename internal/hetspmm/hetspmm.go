@@ -61,23 +61,19 @@ const (
 // Algorithm holds the execution configuration for heterogeneous SpMM
 // on a CPU and one or more accelerators.
 type Algorithm struct {
-	Platform *hetsim.MultiPlatform
+	Platform *hetsim.Platform
 }
 
-// NewAlgorithm returns an Algorithm on the given CPU+GPU platform: the
-// two-device case of NewMultiAlgorithm.
-func NewAlgorithm(p *hetsim.Platform) *Algorithm {
-	return NewMultiAlgorithm(&hetsim.MultiPlatform{CPU: p.CPU, GPUs: []*hetsim.Device{p.GPU}, Link: p.Link})
-}
-
-// NewMultiAlgorithm returns an Algorithm on a CPU plus several
+// NewAlgorithm returns an Algorithm on a CPU plus one or more
 // accelerators. The row space of A is cut into one contiguous block
 // per device by a core.Partition of the work volume (not the row
 // count), located by binary searches on the profile's prefix sums —
-// the machinery the two-device split uses, applied once per cut.
-func NewMultiAlgorithm(p *hetsim.MultiPlatform) *Algorithm {
-	return &Algorithm{Platform: p}
-}
+// one binary search per cut.
+func NewAlgorithm(p *hetsim.Platform) *Algorithm { return &Algorithm{Platform: p} }
+
+// NewMultiAlgorithm is NewAlgorithm, named for a platform with several
+// accelerators: one Algorithm serves every device count.
+func NewMultiAlgorithm(p *hetsim.Platform) *Algorithm { return NewAlgorithm(p) }
 
 // Result is the outcome of one heterogeneous SpMM run.
 type Result struct {

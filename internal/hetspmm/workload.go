@@ -48,8 +48,7 @@ var (
 
 // NewWorkload profiles A×A and wraps it for partition estimation on
 // alg's platform, which needs at least one accelerator and at most
-// MaxDevices devices; a CPU+GPU Algorithm (NewAlgorithm) gives the
-// paper's split.
+// MaxDevices devices; a one-GPU platform gives the paper's split.
 func NewWorkload(name string, a *sparse.CSR, alg *Algorithm) (*Workload, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("hetspmm: A must be square to form A×A, got %dx%d", a.Rows, a.Cols)
@@ -64,8 +63,8 @@ func NewWorkload(name string, a *sparse.CSR, alg *Algorithm) (*Workload, error) 
 	return &Workload{name: name, alg: alg, prof: prof}, nil
 }
 
-// NewMultiWorkload is NewWorkload, named for an N-device Algorithm
-// (NewMultiAlgorithm): one Workload serves every device count.
+// NewMultiWorkload is NewWorkload, named for a platform with several
+// accelerators: one Workload serves every device count.
 func NewMultiWorkload(name string, a *sparse.CSR, alg *Algorithm) (*Workload, error) {
 	return NewWorkload(name, a, alg)
 }

@@ -286,7 +286,7 @@ func (s *Server) coarseEvent(req *request, meta storeMeta, n store.Neighbor) bat
 		Seed:      req.seed,
 		Repeats:   req.repeats,
 		Searcher:  "naive-static(coarse)",
-		Threshold: 100 * s.platform.StaticCPUShare(),
+		Threshold: req.platform.StaticShares()[0],
 	}
 	if meta.hit {
 		coarse.Searcher = "store-warm(coarse)"

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -9,12 +9,12 @@ import (
 	"repro/internal/hetsim"
 )
 
-// buildCache holds constructed dataset workloads keyed by (platform,
+// buildCache holds constructed dataset workloads keyed by (device count,
 // workload, dataset). Building a Table II replica workload re-parses
 // the dataset and reconstructs the graph/matrix plus its profile —
 // real milliseconds the result-cache LRU pays again on every miss over
 // the same input. The population is bounded by construction (named
-// datasets × workload kinds × one platform per server), so entries
+// datasets × workload kinds × one platform per device count), so entries
 // live for the life of the server; uploads are never cached here —
 // their population is unbounded and their bytes are request-scoped.
 //
@@ -55,19 +55,14 @@ func newBuildCache() *buildCache {
 	return &buildCache{m: make(map[string]any), evals: make(map[evalKey]time.Duration)}
 }
 
-// buildKey identifies one constructed dataset workload. A scalar
-// workload is keyed by the platform's device names, so servers sharing
-// a cache could never conflate calibrations (the algorithm wrappers
-// embed the platform). An N-device partition workload is keyed by the
-// inventory's signature, which embeds every device's calibration plus
-// the link, so inventories of different size or speed never collide —
-// and never collide with scalar entries, whose keys have no signature
-// braces.
-func buildKey(platform *hetsim.Platform, mp *hetsim.MultiPlatform, workload, dataset string) string {
-	if mp != nil {
-		return strings.Join([]string{mp.Signature(), workload, dataset}, "|")
-	}
-	return strings.Join([]string{platform.CPU.Spec.Name, platform.GPU.Spec.Name, workload, dataset}, "|")
+// buildKey identifies one constructed dataset workload on platform p
+// by p's device count. Each build cache belongs to one Server, which
+// holds exactly one platform per device count (the pair for scalar and
+// two-device requests, one inventory for each N >= 3), so the count
+// names the platform; scalar and two-device requests share the pair's
+// builds.
+func buildKey(p *hetsim.Platform, workload, dataset string) string {
+	return strconv.Itoa(p.Devices()) + "|" + workload + "|" + dataset
 }
 
 // get returns the cached workload for key, or builds it. Concurrent

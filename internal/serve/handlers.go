@@ -345,10 +345,10 @@ func (s *Server) shedFallback(h http.Header, req *request) (*EstimateResponse, b
 		}
 		if req.devices > 0 {
 			resp.Devices = req.devices
-			resp.Partition = s.naiveStaticPartition(req)
+			resp.Partition = core.Partition(req.platform.StaticShares())
 			resp.NaiveStaticPartition = resp.Partition
 		} else {
-			resp.Threshold = 100 * s.platform.StaticCPUShare()
+			resp.Threshold = req.platform.StaticShares()[0]
 		}
 	}
 	resp.Degraded = true
@@ -525,7 +525,7 @@ func (s *Server) search(ctx context.Context, req *request, w any, meta storeMeta
 		resp.Devices = req.devices
 		resp.Partition = est.Partition
 		resp.SamplePartition = est.SamplePartition
-		resp.NaiveStaticPartition = s.naiveStaticPartition(req)
+		resp.NaiveStaticPartition = core.Partition(req.platform.StaticShares())
 	} else {
 		cw := w.(core.Sampled)
 		est, err := core.EstimateThreshold(ctx, cw, cfg)
@@ -650,16 +650,6 @@ func newResponse(req *request, repeats, evals int, sample, identify, run time.Du
 	return resp
 }
 
-// naiveStaticPartition is the FLOPS-ratio share vector for a partition
-// request — the NaiveStatic baseline generalized to N devices.
-func (s *Server) naiveStaticPartition(req *request) core.Partition {
-	if req.mp != nil {
-		return core.Partition(req.mp.StaticShares())
-	}
-	cpu := 100 * s.platform.StaticCPUShare()
-	return core.Partition{cpu, 100 - cpu}
-}
-
 // buildWorkload constructs the request's workload from an uploaded
 // MatrixMarket body or a named dataset, under a "workload.build" span
 // (parsing + profiling a large upload is real time a whole-request
@@ -673,7 +663,7 @@ func (s *Server) buildWorkload(ctx context.Context, req *request) (any, error) {
 	defer span.Finish()
 	span.SetAttr("workload", req.workload)
 	span.SetAttr("input", req.input)
-	if req.mp != nil {
+	if req.devices >= 3 {
 		span.SetAttr("devices", strconv.Itoa(req.devices))
 	}
 	w, err := s.build(span, req)
@@ -698,7 +688,7 @@ func (s *Server) build(span *obs.Span, req *request) (any, error) {
 		if err != nil {
 			return nil, badRequest("building matrix: %v", err)
 		}
-		w, err := newWorkload(s.platform, req.mp, req.workload, req.input, upload{m})
+		w, err := newWorkload(req.platform, req.workload, req.input, upload{m})
 		if err != nil {
 			return nil, badRequest("%v", err)
 		}
@@ -713,12 +703,12 @@ func (s *Server) build(span *obs.Span, req *request) (any, error) {
 	// is fixed, so re-parsing the same graph/matrix on every result-
 	// cache miss is pure waste. Concurrent misses coalesce into one
 	// build; followers count as hits.
-	w, hit, err := s.builds.get(buildKey(s.platform, req.mp, req.workload, req.input), func() (any, error) {
+	w, hit, err := s.builds.get(buildKey(req.platform, req.workload, req.input), func() (any, error) {
 		d, err := datasets.ByName(req.input)
 		if err != nil {
 			return nil, err
 		}
-		return newWorkload(s.platform, req.mp, req.workload, d.Name, d)
+		return newWorkload(req.platform, req.workload, d.Name, d)
 	})
 	if err != nil {
 		return nil, badRequest("%v", err)

@@ -36,11 +36,11 @@ func (f freshWorkloads) get(t *testing.T, s *Server, workload, dataset string, d
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mp *hetsim.MultiPlatform
+	p := s.platform
 	if devices >= 3 {
-		mp = hetsim.DefaultMulti(devices - 1)
+		p = hetsim.DefaultMulti(devices - 1)
 	}
-	w, err := newWorkload(s.platform, mp, workload, d.Name, d)
+	w, err := newWorkload(p, workload, d.Name, d)
 	if err != nil {
 		t.Fatal(err)
 	}

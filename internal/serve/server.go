@@ -59,15 +59,13 @@ type Config struct {
 	// MaxTimeout caps the per-request deadline; requests may ask for
 	// less via ?timeout=. <= 0 means DefaultMaxTimeout.
 	MaxTimeout time.Duration
-	// Platform is the simulated device pair; nil means hetsim.Default.
-	Platform *hetsim.Platform
 	// MultiPlatform is the device inventory for N-device partition
 	// requests (?devices=N with N ≥ 3). When set, its device count is
-	// the only N ≥ 3 the server answers for; when nil, a default CPU +
-	// (N-1) GPU cascade (hetsim.DefaultMulti) is built per request.
-	// Two-device partition requests always run on Platform, whose
-	// workloads are two-device partition workloads.
-	MultiPlatform *hetsim.MultiPlatform
+	// the only N ≥ 3 the server answers for; when nil, the default CPU
+	// + (N-1) GPU cascade (hetsim.DefaultMulti) answers each N. Scalar
+	// and two-device requests always run on the device pair
+	// hetsim.Default.
+	MultiPlatform *hetsim.Platform
 	// Logger receives structured log records (request lines, pipeline
 	// errors) with trace/request IDs attached from the context; nil
 	// discards them.
@@ -128,8 +126,12 @@ const (
 // Server is the hetserve HTTP daemon: estimation handlers plus the
 // pool, cache, metrics, span sink and logger they share.
 type Server struct {
-	cfg       Config
+	cfg Config
+	// platform is the device pair; cascades[n] is the default n-device
+	// inventory for 3 <= n <= MaxEstimateDevices, built once (nil when
+	// Config.MultiPlatform is set).
 	platform  *hetsim.Platform
+	cascades  [MaxEstimateDevices + 1]*hetsim.Platform
 	pool      *Pool
 	admission *resilience.Admission
 	cache     *LRU
@@ -171,7 +173,7 @@ func New(cfg Config) *Server {
 	metrics := NewMetrics()
 	s := &Server{
 		cfg:       cfg,
-		platform:  cfg.Platform,
+		platform:  hetsim.Default(),
 		pool:      NewPool(cfg.Workers),
 		admission: resilience.NewAdmission(cfg.AdmissionLimit, queue),
 		cache:     NewLRU(cfg.CacheSize),
@@ -181,8 +183,10 @@ func New(cfg Config) *Server {
 		logger:    cfg.Logger,
 		mux:       http.NewServeMux(),
 	}
-	if s.platform == nil {
-		s.platform = hetsim.Default()
+	if cfg.MultiPlatform == nil {
+		for n := 3; n <= MaxEstimateDevices; n++ {
+			s.cascades[n] = hetsim.DefaultMulti(n - 1)
+		}
 	}
 	s.store = cfg.Store
 	s.platformSig = s.platform.Signature()

@@ -282,7 +282,7 @@ func (s *Server) reestimate(ctx context.Context, workload, dataset, storeKey str
 	}
 	defer s.pool.Release()
 
-	req := &request{workload: workload, input: dataset}
+	req := &request{workload: workload, input: dataset, platform: s.platform}
 	w, err := s.buildWorkload(ctx, req)
 	if err != nil {
 		return err

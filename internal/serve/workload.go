@@ -44,10 +44,11 @@ type request struct {
 	seed     uint64
 	repeats  int
 	// devices is 0 for the scalar threshold, N >= 2 for an N-device
-	// partition, and picks the search path; mp is the inventory for
-	// N >= 3 (two devices run on the pair platform's workload).
-	devices int
-	mp      *hetsim.MultiPlatform
+	// partition, and picks the search path. platform is never nil: the
+	// device pair for scalar and two-device requests, the inventory for
+	// N >= 3.
+	devices  int
+	platform *hetsim.Platform
 	// input is the reported name; key the input identity the result
 	// cache, the store and hetgate's ring all key by (batch.InputKey).
 	input, key string
@@ -74,16 +75,16 @@ func (s *Server) resolve(req *request, searcher, dataset string) error {
 	if req.searcher, err = searcherFor(req.workload, searcher); err != nil {
 		return badRequest("%v", err)
 	}
+	req.platform = s.platform
 	if req.devices > 0 {
 		if req.workload == WorkloadScaleFree {
 			return badRequest("workload %q does not support partition vectors (want %s or %s)",
 				req.workload, WorkloadCC, WorkloadSpMM)
 		}
-		// devices == 2 runs the pair platform's workload, which is a
-		// two-device partition workload, so it needs no multi-platform
-		// inventory.
+		// devices == 2 runs on the pair, whose workload is a
+		// two-device partition workload.
 		if req.devices >= 3 {
-			if req.mp, err = s.multiPlatform(req.devices); err != nil {
+			if req.platform, err = s.multiPlatform(req.devices); err != nil {
 				return err
 			}
 		}
@@ -112,19 +113,18 @@ func (s *Server) resolve(req *request, searcher, dataset string) error {
 func (req *request) cost() int64 { return partitionSearchCost(req.searcher, req.repeats, req.devices) }
 
 // multiPlatform resolves the device inventory for an N-device
-// partition request. A configured inventory wins — then its device
-// count is the only one the server answers for — otherwise the default
-// CPU + (N-1) GPU cascade is built on demand (construction is a few
-// struct literals; the build cache keys workloads by the inventory's
-// signature, so equal inventories share builds).
-func (s *Server) multiPlatform(devices int) (*hetsim.MultiPlatform, error) {
-	if s.cfg.MultiPlatform != nil {
-		if n := s.cfg.MultiPlatform.Devices(); n != devices {
+// partition request, 3 <= N <= MaxEstimateDevices. A configured
+// inventory wins — then its device count is the only one the server
+// answers for — otherwise the default CPU + (N-1) GPU cascade that New
+// built.
+func (s *Server) multiPlatform(devices int) (*hetsim.Platform, error) {
+	if mp := s.cfg.MultiPlatform; mp != nil {
+		if n := mp.Devices(); n != devices {
 			return nil, badRequest("devices=%d does not match the configured inventory (%d devices)", devices, n)
 		}
-		return s.cfg.MultiPlatform, nil
+		return mp, nil
 	}
-	return hetsim.DefaultMulti(devices - 1), nil
+	return s.cascades[devices], nil
 }
 
 // source is a workload's input, as a graph (cc) or a sparsity pattern
@@ -140,41 +140,31 @@ type upload struct{ m *sparse.CSR }
 func (u upload) Graph() (*graph.Graph, error)  { return graph.FromCSR(u.m) }
 func (u upload) Pattern() (*sparse.CSR, error) { return u.m, nil }
 
-// newWorkload constructs the named workload over src on the platform
-// pair, or with an inventory on its N devices. cc and spmm build one
-// workload type at every device count (core.Sampled and
-// core.SampledPartition); the scale-free study is inherently
-// two-device. No served cost model reads a matrix value, so patterns
-// suffice.
-func newWorkload(platform *hetsim.Platform, mp *hetsim.MultiPlatform, workload, name string, src source) (any, error) {
-	switch {
-	case workload == WorkloadCC:
+// newWorkload constructs the named workload over src on platform p.
+// cc and spmm build one workload type at every device count
+// (core.Sampled and core.SampledPartition); the scale-free study is
+// inherently two-device, and resolve sends it the pair only. No served
+// cost model reads a matrix value, so patterns suffice.
+func newWorkload(p *hetsim.Platform, workload, name string, src source) (any, error) {
+	switch workload {
+	case WorkloadCC:
 		g, err := src.Graph()
 		if err != nil {
 			return nil, err
 		}
-		if mp != nil {
-			return hetcc.NewMultiWorkload(name, g, hetcc.NewMultiAlgorithm(mp)), nil
-		}
-		return hetcc.NewWorkload(name, g, hetcc.NewAlgorithm(platform)), nil
-	case workload == WorkloadSpMM:
+		return hetcc.NewWorkload(name, g, hetcc.NewAlgorithm(p)), nil
+	case WorkloadSpMM:
 		m, err := src.Pattern()
 		if err != nil {
 			return nil, err
 		}
-		if mp != nil {
-			return hetspmm.NewMultiWorkload(name, m, hetspmm.NewMultiAlgorithm(mp))
-		}
-		return hetspmm.NewWorkload(name, m, hetspmm.NewAlgorithm(platform))
-	case workload == WorkloadScaleFree && mp == nil:
+		return hetspmm.NewWorkload(name, m, hetspmm.NewAlgorithm(p))
+	case WorkloadScaleFree:
 		m, err := src.Pattern()
 		if err != nil {
 			return nil, err
 		}
-		return hetscale.NewWorkload(name, m, hetscale.NewAlgorithm(platform))
-	case mp != nil:
-		return nil, fmt.Errorf("workload %q does not support partition vectors (want %s or %s)",
-			workload, WorkloadCC, WorkloadSpMM)
+		return hetscale.NewWorkload(name, m, hetscale.NewAlgorithm(p))
 	default:
 		return nil, fmt.Errorf("unknown workload %q (want %s, %s or %s)",
 			workload, WorkloadCC, WorkloadSpMM, WorkloadScaleFree)
