@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"strconv"
 	"sync"
@@ -19,8 +20,7 @@ const DefaultSinkCapacity = 2048
 // request-latency buckets the registries use.
 var stageBuckets = []float64{1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-// SpanRecord is one finished span as stored by the Sink and rendered
-// at /debug/spans.
+// SpanRecord is one finished span as rendered at /debug/spans.
 type SpanRecord struct {
 	TraceID    string            `json:"trace_id"`
 	SpanID     string            `json:"span_id"`
@@ -41,12 +41,14 @@ type TraceRecord struct {
 
 // Sink collects finished spans into a bounded ring buffer (oldest
 // evicted first) and profiles them: every span's duration feeds a
-// per-stage histogram keyed by span name. It is safe for concurrent
-// use.
+// per-stage histogram keyed by span name. The ring keeps the finished
+// spans themselves, which are immutable, and renders them as
+// SpanRecords only when read, so a span nobody reads costs no
+// rendering. It is safe for concurrent use.
 type Sink struct {
 	mu     sync.Mutex
 	cap    int
-	ring   []SpanRecord // ring[next] is the next write slot once full
+	ring   []*Span // ring[next] is the next write slot once full
 	next   int
 	total  uint64 // spans ever observed; total - len(ring) were evicted
 	stages *Vec[Histogram]
@@ -68,31 +70,14 @@ func (r *Registry) Stages(name string) *Vec[Histogram] {
 	return r.HistogramVec(name, "Span duration by pipeline stage.", stageBuckets, "stage")
 }
 
-// Observe records a finished span. Called by Span.Finish.
+// Observe records a finished span, which no one may change afterwards.
+// Called by Span.Finish.
 func (k *Sink) Observe(sp *Span) {
-	rec := SpanRecord{
-		TraceID:    sp.TraceID.String(),
-		SpanID:     sp.SpanID.String(),
-		Service:    sp.Service,
-		Name:       sp.Name,
-		Start:      sp.Start,
-		DurationMS: float64(sp.Duration().Microseconds()) / 1e3,
-		Error:      sp.Err,
-	}
-	if sp.Parent.IsValid() {
-		rec.ParentID = sp.Parent.String()
-	}
-	if len(sp.Attrs) > 0 {
-		rec.Attrs = make(map[string]string, len(sp.Attrs))
-		for a, v := range sp.Attrs {
-			rec.Attrs[a] = v
-		}
-	}
 	k.mu.Lock()
 	if len(k.ring) < k.cap {
-		k.ring = append(k.ring, rec)
+		k.ring = append(k.ring, sp)
 	} else {
-		k.ring[k.next] = rec
+		k.ring[k.next] = sp
 		k.next = (k.next + 1) % k.cap
 	}
 	k.total++
@@ -113,11 +98,33 @@ func (k *Sink) Stats() (stored int, total uint64) {
 // Spans returns the stored spans, oldest first.
 func (k *Sink) Spans() []SpanRecord {
 	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make([]SpanRecord, 0, len(k.ring))
-	out = append(out, k.ring[k.next:]...)
-	out = append(out, k.ring[:k.next]...)
+	spans := make([]*Span, 0, len(k.ring))
+	spans = append(spans, k.ring[k.next:]...)
+	spans = append(spans, k.ring[:k.next]...)
+	k.mu.Unlock()
+	out := make([]SpanRecord, len(spans))
+	for i, sp := range spans {
+		out[i] = record(sp)
+	}
 	return out
+}
+
+// record renders a finished span; the record owns its attrs map.
+func record(sp *Span) SpanRecord {
+	rec := SpanRecord{
+		TraceID:    sp.TraceID.String(),
+		SpanID:     sp.SpanID.String(),
+		Service:    sp.Service,
+		Name:       sp.Name,
+		Start:      sp.Start,
+		DurationMS: float64(sp.Duration().Microseconds()) / 1e3,
+		Error:      sp.Err,
+		Attrs:      maps.Clone(sp.Attrs),
+	}
+	if sp.Parent.IsValid() {
+		rec.ParentID = sp.Parent.String()
+	}
+	return rec
 }
 
 // Traces groups the stored spans by trace, most recently started trace

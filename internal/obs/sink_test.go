@@ -127,3 +127,44 @@ func TestSinkHandlerJSON(t *testing.T) {
 		t.Errorf("bad limit: status %d, want 400", rr.Code)
 	}
 }
+
+// TestSinkFinishWhileServing finishes spans with attributes while
+// another goroutine reads /debug/spans; run with -race this checks that
+// rendering at read time only reads finished spans.
+func TestSinkFinishWhileServing(t *testing.T) {
+	sink := NewSink(32, NewRegistry().Stages("test_stage_seconds"))
+	ctx := WithScope(context.Background(), Scope{Service: "test", Sink: sink})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			sctx, root := StartSpan(ctx, "http.estimate")
+			_, child := StartSpan(sctx, "pipeline")
+			child.SetAttr("repeat", "0")
+			child.Finish()
+			root.SetAttr("status", "200")
+			root.Finish()
+			root.SetAttr("status", "500") // ignored: a finished span is immutable
+		}
+	}()
+	for served := 0; ; served++ {
+		select {
+		case <-done:
+			if served == 0 {
+				t.Log("no read overlapped the writer")
+			}
+			for _, sp := range sink.Spans() {
+				if sp.Name == "http.estimate" && sp.Attrs["status"] != "200" {
+					t.Fatalf("finished span changed: %+v", sp)
+				}
+			}
+			return
+		default:
+		}
+		rr := httptest.NewRecorder()
+		sink.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/spans", nil))
+		if rr.Code != 200 {
+			t.Fatalf("status %d", rr.Code)
+		}
+	}
+}

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/*.prom from the current code")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens from the current code")
 
 // TestStageGolden pins the stage-histogram family a Sink feeds, byte
 // for byte, on spans of fixed duration: one in the lowest bucket, one

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -62,8 +61,10 @@ func NewSpanID() SpanID {
 // cache/pool/pipeline-stage spans inside the estimation core.
 //
 // A span is owned by the goroutine that started it; SetAttr,
-// RecordError and End are not safe for concurrent use on one span
-// (distinct spans are independent). All methods tolerate a nil
+// RecordError and Finish are not safe for concurrent use on one span
+// (distinct spans are independent). A finished span is immutable:
+// its sink keeps it and renders it only when read, so SetAttr and
+// RecordError after Finish are ignored. All methods tolerate a nil
 // receiver, so instrumented code needs no "is tracing on?" branches.
 type Span struct {
 	TraceID TraceID
@@ -77,13 +78,12 @@ type Span struct {
 	Attrs   map[string]string
 
 	sink  *Sink
-	ended bool
-	mu    sync.Mutex // guards ended (End may race a timeout path)
+	ended atomic.Bool
 }
 
 // SetAttr records a key/value annotation on the span.
 func (s *Span) SetAttr(key, value string) {
-	if s == nil {
+	if s == nil || s.ended.Load() {
 		return
 	}
 	if s.Attrs == nil {
@@ -94,7 +94,7 @@ func (s *Span) SetAttr(key, value string) {
 
 // RecordError marks the span failed. A nil error is ignored.
 func (s *Span) RecordError(err error) {
-	if s == nil || err == nil {
+	if s == nil || err == nil || s.ended.Load() {
 		return
 	}
 	s.Err = err.Error()
@@ -103,16 +103,9 @@ func (s *Span) RecordError(err error) {
 // Finish closes the span and records it into its sink. Idempotent:
 // only the first call records.
 func (s *Span) Finish() {
-	if s == nil {
+	if s == nil || s.ended.Swap(true) {
 		return
 	}
-	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
-		return
-	}
-	s.ended = true
-	s.mu.Unlock()
 	s.End = time.Now()
 	if s.sink != nil {
 		s.sink.Observe(s)
