@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/hetsim"
+	"repro/internal/mmio"
 	"repro/internal/sparse"
 	"repro/internal/store"
 )
@@ -374,6 +375,67 @@ func TestStoreFeatureHintHeader(t *testing.T) {
 	}
 	if respB["features"] != respA["features"] {
 		t.Errorf("hinted features not echoed: got %v", respB["features"])
+	}
+}
+
+// TestStoreIgnoresClientFeatures — a client cannot choose the
+// features the server stores or answers with: an upload sent with
+// another input's features in an X-Het-Features header is answered,
+// and recorded in the store, under the features of its own body, and
+// the response carries no features header.
+func TestStoreIgnoresClientFeatures(t *testing.T) {
+	a := genMTX(t, 3000, 30000, 10)
+	b := genMTX(t, 3000, 30000, 11)
+	coo, err := mmio.ReadStructure(bytes.NewReader(b), DefaultMaxUpload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := sparse.FromCOO(coo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantB := store.FromCSR(mb).String()
+
+	st, err := store.Open(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := storeServer(t, st, Config{})
+	respA, _ := postMTXResp(t, ts.URL+estimateURL, a)
+	if respA["features"] == wantB {
+		t.Fatal("a and b share features; the test cannot tell them apart")
+	}
+
+	req, err := http.NewRequest(http.MethodPost, ts.URL+estimateURL, bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Het-Features", respA["features"].(string))
+	r, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("POST with a features header = %d\n%s", r.StatusCode, raw)
+	}
+	var respB map[string]any
+	if err := json.Unmarshal(raw, &respB); err != nil {
+		t.Fatal(err)
+	}
+	if respB["features"] != wantB {
+		t.Errorf("response features = %v, want b's own %s", respB["features"], wantB)
+	}
+	e, ok := st.Get(WorkloadSpMM, batch.InputKey("", b))
+	if !ok {
+		t.Fatal("b has no store entry")
+	}
+	if got := e.Features.String(); got != wantB {
+		t.Errorf("stored features for b = %s, want b's own %s", got, wantB)
+	}
+	if h := r.Header.Get("X-Het-Features"); h != "" {
+		t.Errorf("response carries X-Het-Features = %q, want none", h)
 	}
 }
 
