@@ -71,8 +71,7 @@ func main() {
 		faultsSeed = flag.Int64("faults-seed", 1, "seed for the fault-injection RNG (same seed + traffic = same faults)")
 		admission  = flag.Int64("admission", 0, "embedded backends: admission capacity in evaluation-cost units (0 = default)")
 		admissionQ = flag.Int("admission-queue", 0, "embedded backends: requests that may wait for admission before a 429 shed (0 = default, negative = never queue)")
-		degrade    = flag.Bool("degrade", false, "embedded backends: serve stale/fallback answers (marked degraded) instead of 429 on shed")
-		staleAfter = flag.Duration("stale-after", 0, "embedded backends: cache age after which entries are served stale while revalidating (0 = never)")
+		degrade    = flag.Bool("degrade", false, "embedded backends: serve cached/fallback answers (marked degraded) instead of 429 on shed")
 		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 		pprofFlag  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	)
@@ -87,7 +86,7 @@ func main() {
 		workers: *workers, parallelism: *par, cacheSize: *cacheSize, verbose: *verbose,
 		seed: *seed, faults: *faults, faultsSeed: *faultsSeed,
 		admission: *admission, admissionQueue: *admissionQ,
-		degrade: *degrade, staleAfter: *staleAfter,
+		degrade: *degrade,
 		logJSON: *logJSON, pprof: *pprofFlag,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "hetgate:", err)
@@ -113,7 +112,6 @@ type config struct {
 	admission           int64
 	admissionQueue      int
 	degrade             bool
-	staleAfter          time.Duration
 	logJSON, pprof      bool
 }
 
@@ -151,7 +149,6 @@ func run(c config) error {
 			AdmissionLimit: c.admission,
 			AdmissionQueue: c.admissionQueue,
 			DegradeOnShed:  c.degrade,
-			StaleAfter:     c.staleAfter,
 			Logger:         obs.NewLogger(os.Stderr, "hetserve", level, c.logJSON),
 			EnablePprof:    c.pprof,
 		})

@@ -11,9 +11,9 @@
 //
 // With -features, hetgen prints each matrix's structural feature
 // vector (the hetstore transfer key: rows, nnz, per-row work moments,
-// bandwidth) in the X-Het-Features wire form instead of writing files —
-// the printed line can be sent as a request header to pre-steer a
-// hetserve threshold-store lookup.
+// bandwidth) instead of writing files, as a diagnostic: it is the
+// vector hetserve measures and reports in an answer's "features"
+// field.
 package main
 
 import (
@@ -37,7 +37,7 @@ func main() {
 		n        = flag.Int("n", 10000, "custom generation: rows")
 		nnz      = flag.Int("nnz", 100000, "custom generation: nonzero target")
 		seed     = flag.Uint64("seed", 42, "custom generation: seed")
-		features = flag.Bool("features", false, "print structural feature vectors (X-Het-Features wire form) instead of writing files")
+		features = flag.Bool("features", false, "print structural feature vectors (as hetserve reports them) instead of writing files")
 	)
 	flag.Parse()
 

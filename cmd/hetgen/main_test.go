@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/mmio"
 	"repro/internal/store"
 )
@@ -45,7 +46,8 @@ func TestRunCustomClass(t *testing.T) {
 }
 
 func TestRunFeatures(t *testing.T) {
-	// -features prints the wire-form vector and writes no files.
+	// -features prints the vector store.Features.String renders and
+	// writes no files.
 	dir := t.TempDir()
 	var buf bytes.Buffer
 	if err := run(&buf, dir, "qcd5_4", "", 0, 0, 0, true); err != nil {
@@ -56,12 +58,16 @@ func TestRunFeatures(t *testing.T) {
 	if !ok || name != "qcd5_4" {
 		t.Fatalf("features line = %q, want name<TAB>vector", line)
 	}
-	f, err := store.ParseFeatures(wire)
+	d, err := datasets.ByName("qcd5_4")
 	if err != nil {
-		t.Fatalf("printed vector does not round-trip: %v", err)
+		t.Fatal(err)
 	}
-	if f.Rows == 0 || f.NNZ == 0 {
-		t.Errorf("degenerate features: %+v", f)
+	m, err := d.Matrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := store.FromCSR(m).String(); wire != want {
+		t.Errorf("printed vector = %s, want %s", wire, want)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "qcd5_4.mtx")); !os.IsNotExist(err) {
 		t.Error("-features wrote a matrix file")

@@ -36,7 +36,7 @@
 // Overload protection: -admission caps the total estimated evaluation
 // cost in flight, -admission-queue bounds the LIFO wait stack in front
 // of it; beyond both, requests are shed with 429 + Retry-After, or —
-// with -degrade — answered from a stale cache entry or the static
+// with -degrade — answered from a cache entry or the static
 // fallback threshold, marked "degraded":true. -faults injects
 // deterministic latency/errors/stalls for chaos testing (see
 // internal/resilience).
@@ -81,8 +81,7 @@ func main() {
 		gpus       = flag.Int("gpus", 0, "pin the partition-request inventory to CPU + N GPUs (0 = default cascade per ?devices=)")
 		admission  = flag.Int64("admission", 0, "admission capacity in evaluation-cost units (0 = default)")
 		admissionQ = flag.Int("admission-queue", 0, "requests that may wait for admission before shedding with 429 (0 = default, negative = never queue)")
-		degrade    = flag.Bool("degrade", false, "on shed, serve a stale cache entry or static-fallback threshold (marked degraded) instead of 429")
-		staleAfter = flag.Duration("stale-after", 0, "age after which cache entries are served stale while revalidating in the background (0 = never)")
+		degrade    = flag.Bool("degrade", false, "on shed, serve a cache entry or static-fallback threshold (marked degraded) instead of 429")
 		useStore   = flag.Bool("store", false, "enable the structure-keyed threshold store (cross-input transfer)")
 		storePath  = flag.String("store-path", "", "persist the threshold store as JSONL at this path (empty = in-memory)")
 		storeRad   = flag.Float64("store-radius", 0, "nearest-neighbor acceptance distance over normalized features (0 = default)")
@@ -118,7 +117,6 @@ func main() {
 		AdmissionLimit: *admission,
 		AdmissionQueue: *admissionQ,
 		DegradeOnShed:  *degrade,
-		StaleAfter:     *staleAfter,
 		Faults:         inject,
 		FaultBackend:   *faultIdx,
 		EnablePprof:    *pprof,

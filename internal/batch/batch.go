@@ -58,10 +58,6 @@ type Item struct {
 	Searcher string `json:"searcher,omitempty"`
 	Seed     uint64 `json:"seed,omitempty"`
 	Repeats  int    `json:"repeats,omitempty"`
-	// Features is an optional structural-feature hint in
-	// store.Features wire form, forwarded per item exactly as the
-	// X-Het-Features header is on single requests.
-	Features string `json:"features,omitempty"`
 
 	// Body is an uploaded MatrixMarket matrix (multipart jobs only);
 	// never serialized into the manifest.
@@ -397,7 +393,7 @@ func EncodeRequest(items []Item) (body []byte, contentType string, err error) {
 		}
 	}
 	// The manifest rides along even for pure uploads: it carries the
-	// per-item parameters (workload, seed, searcher, features hint).
+	// per-item parameters (workload, seed, searcher, repeats).
 	mb, err := json.Marshal(manifest{Items: items})
 	if err != nil {
 		return nil, "", err

@@ -25,8 +25,10 @@ func postReq(t *testing.T, contentType string, body []byte) *http.Request {
 }
 
 func TestParseManifest(t *testing.T) {
+	// Item a carries a field Item does not have (manifests once carried
+	// a client's features this way); unknown fields are ignored.
 	body := []byte(`{"items":[
-		{"name":"a","workload":"spmm","dataset":"qcd5_4","repeats":2},
+		{"name":"a","workload":"spmm","dataset":"qcd5_4","repeats":2,"features":"1,1,1,1,1,1,1,1"},
 		{"name":"b","workload":"cc","dataset":"amazon0312","searcher":"coarse2","seed":7}
 	]}`)
 	job, err := ParseRequest(postReq(t, "application/json", body), 0, 0)

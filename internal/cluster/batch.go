@@ -327,7 +327,7 @@ func (g *Gateway) rescueItem(ctx context.Context, it batch.Item, hedged bool, me
 		method = http.MethodGet
 		q.Set("dataset", it.Dataset)
 	}
-	res, err := g.forward(ctx, method, q.Encode(), it.Body, it.Key(), it.Features)
+	res, err := g.forward(ctx, method, q.Encode(), it.Body, it.Key())
 	if err == nil && res.status == http.StatusOK {
 		merge.emit(batch.Event{Type: batch.EventRefined, Item: it.Name,
 			Estimate: res.body, Backend: res.backend, Hedged: hedged, Degraded: res.degraded})

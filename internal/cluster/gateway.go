@@ -342,7 +342,7 @@ func (g *Gateway) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		if !br.Allow() {
 			continue
 		}
-		res, err := g.do(ctx, b, http.MethodGet, "/datasets", "", nil, "")
+		res, err := g.do(ctx, b, http.MethodGet, "/datasets", "", nil)
 		if err == nil {
 			writeUpstream(w, res)
 			return
@@ -362,9 +362,8 @@ type upstreamResult struct {
 	degraded    bool
 	// storeMode is the backend's X-Hetserve-Store header ("skip" or
 	// "warm") when the answer came through the threshold-store transfer
-	// path; features is the structural feature vector it computed.
+	// path.
 	storeMode string
-	features  string
 }
 
 func writeUpstream(w http.ResponseWriter, res *upstreamResult) {
@@ -377,9 +376,6 @@ func writeUpstream(w http.ResponseWriter, res *upstreamResult) {
 	}
 	if res.storeMode != "" {
 		w.Header().Set(serve.StoreHeader, res.storeMode)
-	}
-	if res.features != "" {
-		w.Header().Set(serve.FeaturesHeader, res.features)
 	}
 	w.WriteHeader(res.status)
 	w.Write(res.body)
@@ -440,11 +436,6 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// parameter, so the flight key adds the canonicalized query string.
 	flightKey := key + "|" + canonicalQuery(q)
 
-	// A client that already knows the input's structural features may
-	// hint them along; the hint rides to the backend, where it saves
-	// the feature scan and steers the threshold-store lookup.
-	features := r.Header.Get(serve.FeaturesHeader)
-
 	v, err, leader := g.flight.Do(flightKey, func() (any, error) {
 		// Detached context: the upstream call outlives any single
 		// waiter, so one impatient client cannot fail the whole herd.
@@ -454,7 +445,7 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		ctx, sp := obs.StartSpan(ctx, "forward")
 		sp.SetAttr("key", key)
-		res, err := g.forward(ctx, r.Method, r.URL.RawQuery, body, key, features)
+		res, err := g.forward(ctx, r.Method, r.URL.RawQuery, body, key)
 		if err != nil {
 			sp.RecordError(err)
 		} else {
@@ -513,7 +504,7 @@ func canonicalQuery(q url.Values) string {
 // forward walks key's replica chain: try the owner, hedge to the next
 // replica if the attempt is slow, and on failure back off (with full
 // jitter) and retry the next candidate, up to MaxAttempts attempts.
-func (g *Gateway) forward(ctx context.Context, method, rawQuery string, body []byte, key, features string) (*upstreamResult, error) {
+func (g *Gateway) forward(ctx context.Context, method, rawQuery string, body []byte, key string) (*upstreamResult, error) {
 	order := g.ring.Replicas(key, g.ring.Len())
 	if len(order) == 0 {
 		return nil, errNoBackendAvailable
@@ -555,7 +546,7 @@ func (g *Gateway) forward(ctx context.Context, method, rawQuery string, body []b
 			lastErr = errNoBackendAvailable
 			continue
 		}
-		res, err := g.tryHedged(ctx, backend, pick, method, rawQuery, body, features)
+		res, err := g.tryHedged(ctx, backend, pick, method, rawQuery, body)
 		if err == nil {
 			return res, nil
 		}
@@ -594,7 +585,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // tryHedged runs one attempt against primary; if HedgeDelay passes
 // with no reply, the same request is fired at the next admissible
 // replica and the first success wins. The loser is cancelled.
-func (g *Gateway) tryHedged(ctx context.Context, primary string, pick func() (string, bool), method, rawQuery string, body []byte, features string) (*upstreamResult, error) {
+func (g *Gateway) tryHedged(ctx context.Context, primary string, pick func() (string, bool), method, rawQuery string, body []byte) (*upstreamResult, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -605,7 +596,7 @@ func (g *Gateway) tryHedged(ctx context.Context, primary string, pick func() (st
 	results := make(chan outcome, 2)
 	launch := func(backend string) {
 		go func() {
-			res, err := g.do(ctx, backend, method, "/estimate", rawQuery, body, features)
+			res, err := g.do(ctx, backend, method, "/estimate", rawQuery, body)
 			results <- outcome{res, err}
 		}()
 	}
@@ -652,7 +643,7 @@ func (g *Gateway) tryHedged(ctx context.Context, primary string, pick func() (st
 // held against the backend. The remaining ctx budget is stamped on the
 // request as X-Deadline-Ms, so each retry or hedge hands the backend a
 // naturally smaller budget and late work is cancelled server-side.
-func (g *Gateway) do(ctx context.Context, backend, method, path, rawQuery string, body []byte, features string) (*upstreamResult, error) {
+func (g *Gateway) do(ctx context.Context, backend, method, path, rawQuery string, body []byte) (*upstreamResult, error) {
 	u := backend + path
 	if rawQuery != "" {
 		u += "?" + rawQuery
@@ -678,9 +669,6 @@ func (g *Gateway) do(ctx context.Context, backend, method, path, rawQuery string
 	obs.Inject(ctx, req.Header)
 	if rem, ok := resilience.Remaining(ctx); ok {
 		resilience.SetBudget(req.Header, rem)
-	}
-	if features != "" {
-		req.Header.Set(serve.FeaturesHeader, features)
 	}
 	start := time.Now()
 	resp, err := g.client.Do(req)
@@ -727,7 +715,7 @@ func (g *Gateway) do(ctx context.Context, backend, method, path, rawQuery string
 		backend:     backend,
 	}
 	if resp.Header.Get(serve.DegradedHeader) != "" {
-		// A degraded answer (stale cache or static fallback served under
+		// A degraded answer (cached or static fallback served under
 		// shed) still counts as success, but separately — the chaos gate
 		// asserts degraded responses are not hidden inside the success
 		// rate.
@@ -735,7 +723,6 @@ func (g *Gateway) do(ctx context.Context, backend, method, path, rawQuery string
 		g.metrics.Degraded(backend)
 		sp.SetAttr("degraded", "true")
 	}
-	res.features = resp.Header.Get(serve.FeaturesHeader)
 	if mode := resp.Header.Get(serve.StoreHeader); mode != "" {
 		// The backend answered through its threshold store — a verified
 		// skip or a warm-started search — so the gateway can report

@@ -31,7 +31,7 @@ type Metrics struct {
 	Retries, Hedges, Coalesced *obs.Counter
 
 	// Backend backpressure: 429 answers and degraded-but-usable answers
-	// (stale cache entry or static-fallback threshold served under
+	// (cache entry or static-fallback threshold served under
 	// shed), in total and by backend.
 	shed, degraded                   *obs.Counter
 	shedByBackend, degradedByBackend *obs.Vec[obs.Counter]

@@ -109,57 +109,6 @@ func TestChaosWarmStoreServesWhileShedding(t *testing.T) {
 	}
 }
 
-// TestGatewayForwardsFeatureHint — a features header on the client
-// request rides through the gateway to the backend, steering the store
-// lookup; the backend's computed features ride back to the client.
-func TestGatewayForwardsFeatureHint(t *testing.T) {
-	st, err := store.Open(store.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, g, ts := startChaosCluster(t, 2, serve.Config{
-		Workers:   4,
-		CacheSize: 64,
-		Store:     st,
-	}, nil)
-
-	const q = "/estimate?workload=spmm&searcher=exhaustive&repeats=1"
-	a := genMTX(t, 3000, 30000, 10)
-	b := genMTX(t, 3000, 30000, 11)
-
-	resp, err := http.Post(ts.URL+q, "text/plain", bytes.NewReader(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	feats := resp.Header.Get(serve.FeaturesHeader)
-	resp.Body.Close()
-	if feats == "" {
-		t.Fatal("gateway response missing features header")
-	}
-
-	req, err := http.NewRequest(http.MethodPost, ts.URL+q, bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(serve.FeaturesHeader, feats)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("hinted request = %d\n%s", resp.StatusCode, raw)
-	}
-	if got := resp.Header.Get(serve.StoreHeader); got != "warm" {
-		t.Errorf("%s = %q, want \"warm\" (hint must land the lookup on a's entry)", serve.StoreHeader, got)
-	}
-	if storeTransfers(g, "warm") == 0 {
-		t.Error("gateway counted no warm transfers")
-	}
-}
-
 // storeTransfers sums the gateway's store-transfer counter for mode
 // over its backends.
 func storeTransfers(g *Gateway, mode string) (n uint64) {

@@ -24,7 +24,7 @@ import (
 // than failing the job.
 func (s *Server) resolveItem(src batch.Item) (*request, error) {
 	req := &request{item: src.Name, workload: src.Workload, seed: src.Seed, repeats: src.Repeats,
-		body: src.Body, features: src.Features}
+		body: src.Body}
 	if req.seed == 0 {
 		req.seed = defaultSeed
 	}

@@ -58,11 +58,8 @@ type EstimateResponse struct {
 	// Coalesced reports whether this answer was computed by an
 	// identical concurrent request's pipeline run (singleflight).
 	Coalesced bool `json:"coalesced"`
-	// Stale reports a cache entry older than Config.StaleAfter, served
-	// immediately while a background revalidation refreshes it.
-	Stale bool `json:"stale,omitempty"`
 	// Degraded marks a graceful-degradation answer: the request was
-	// shed under overload and answered from a stale cache entry or the
+	// shed under overload and answered from a cache entry or the
 	// NaiveStatic fallback instead of a fresh pipeline run.
 	Degraded bool `json:"degraded,omitempty"`
 
@@ -79,8 +76,9 @@ type EstimateResponse struct {
 	// StoreNeighbor/StoreDistance identify the matched entry.
 	StoreNeighbor string  `json:"store_neighbor,omitempty"`
 	StoreDistance float64 `json:"store_distance,omitempty"`
-	// Features is the input's structural feature vector in wire form
-	// (see store.ParseFeatures); present when the store is enabled.
+	// Features is the structural feature vector the server measured on
+	// the input, in store.Features.String form; present when the store
+	// is enabled.
 	Features string `json:"features,omitempty"`
 
 	// WallMS is the server-side handling time of this request.
@@ -90,19 +88,6 @@ type EstimateResponse struct {
 // DegradedHeader marks degraded responses so the gateway (and clients)
 // can count them without parsing the JSON body.
 const DegradedHeader = "X-Hetserve-Degraded"
-
-// cacheEntry is what the result cache stores: the response plus its
-// birth time, which drives the stale-while-revalidate policy.
-type cacheEntry struct {
-	resp EstimateResponse
-	at   time.Time
-}
-
-// stale reports whether a cache entry born at "at" has outlived
-// Config.StaleAfter (0 disables staleness).
-func (s *Server) stale(at time.Time) bool {
-	return s.cfg.StaleAfter > 0 && time.Since(at) > s.cfg.StaleAfter
-}
 
 type httpError struct {
 	code int
@@ -155,13 +140,7 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, workload strin
 		return nil, &httpError{code: http.StatusMethodNotAllowed, err: fmt.Errorf("method %s not allowed", r.Method)}
 	}
 	q := r.URL.Query()
-	req := &request{
-		workload: workload, seed: defaultSeed, repeats: defaultRepeats,
-		// A client (or gateway) that already knows the upload's
-		// structural features may send them along; the hint only steers
-		// the store lookup, so a malformed header is ignored.
-		features: r.Header.Get(FeaturesHeader),
-	}
+	req := &request{workload: workload, seed: defaultSeed, repeats: defaultRepeats}
 	if v := q.Get("seed"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
@@ -273,25 +252,16 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, workload strin
 }
 
 // cached answers req from the result cache, marking the copy cached.
-// An entry older than Config.StaleAfter is served all the same, marked
-// stale, while a background revalidation refreshes it: the refresh
-// goes through the same singleflight and admission gates as a
-// foreground miss, so a thundering herd of stale hits buys exactly one
-// pipeline run — and none at all under overload.
+// Every answer is a deterministic function of the request's
+// parameters, so an entry never needs refreshing.
 func (s *Server) cached(req *request) (EstimateResponse, bool) {
 	v, hit := s.cache.Get(req.cacheKey)
 	if !hit {
 		return EstimateResponse{}, false
 	}
-	e := v.(cacheEntry)
-	resp := e.resp // copy; Cached/Stale/WallMS are per-request
+	resp := v.(EstimateResponse) // copy; Cached/WallMS are per-request
 	resp.Cached = true
 	s.metrics.CacheHits.Inc()
-	if s.stale(e.at) {
-		s.metrics.StaleServed.Inc()
-		resp.Stale = true
-		s.revalidate(req)
-	}
 	return resp, true
 }
 
@@ -300,9 +270,6 @@ func (s *Server) cached(req *request) (EstimateResponse, bool) {
 // bodies. Only freshly computed answers are stamped: a cached copy of
 // a transferred response did not transfer anything this time.
 func (s *Server) stampStoreHeaders(w http.ResponseWriter, resp *EstimateResponse) {
-	if resp.Features != "" {
-		w.Header().Set(FeaturesHeader, resp.Features)
-	}
 	if resp.Cached || resp.Coalesced {
 		return
 	}
@@ -314,8 +281,7 @@ func (s *Server) stampStoreHeaders(w http.ResponseWriter, resp *EstimateResponse
 }
 
 // shedFallback builds the graceful-degradation answer for a shed
-// request or batch item: a (possibly stale) cache entry when one
-// exists, otherwise — when Config.DegradeOnShed allows — the
+// request or batch item: a cache entry when one exists, otherwise — when Config.DegradeOnShed allows — the
 // platform's NaiveStatic threshold. Both are marked "degraded":true;
 // h, when non-nil, gets the header that lets the gateway count
 // degraded answers without parsing bodies.
@@ -325,13 +291,11 @@ func (s *Server) shedFallback(h http.Header, req *request) (*EstimateResponse, b
 	}
 	var resp EstimateResponse
 	if v, ok := s.cache.Get(req.cacheKey); ok {
-		// Only a stale entry can reach here — a fresh one was served
-		// before admission — but any cached estimate beats a static
-		// guess.
-		e := v.(cacheEntry)
-		resp = e.resp
+		// An entry reaches here only when it landed between this
+		// request's cache lookup and its shed, but any cached estimate
+		// beats a static guess.
+		resp = v.(EstimateResponse)
 		resp.Cached = true
-		resp.Stale = s.stale(e.at)
 	} else {
 		// NaiveStatic: the paper's static-split baseline — the
 		// platform's relative device speeds decide the split, no
@@ -359,31 +323,7 @@ func (s *Server) shedFallback(h http.Header, req *request) (*EstimateResponse, b
 	return &resp, true
 }
 
-// revalidate refreshes a stale cache entry off the request path. The
-// background run is bounded by MaxTimeout, coalesces with any
-// in-flight run for the same key, and passes through admission — so
-// revalidation never competes unboundedly with foreground traffic.
-func (s *Server) revalidate(req *request) {
-	bg := *req
-	bg.features = "" // the hint belonged to the foreground request
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaxTimeout)
-		defer cancel()
-		_, err, _ := s.flight.Do(bg.cacheKey, func() (any, error) {
-			s.metrics.CacheMisses.Inc()
-			return s.run(ctx, &bg, nil)
-		})
-		if err != nil && !errors.Is(err, resilience.ErrOverloaded) {
-			s.logger.Warn("stale revalidation failed",
-				slog.String("workload", bg.workload),
-				slog.String("input", bg.input),
-				slog.Any("err", err))
-		}
-	}()
-}
-
-// run answers one cache miss — of a single request, a stale
-// revalidation or a batch item: build the workload, consult the
+// run answers one cache miss — of a single request or a batch item: build the workload, consult the
 // threshold store, then either accept a probe-verified transfer or run
 // a (possibly warm-started) search, and cache the answer.
 //
@@ -555,7 +495,7 @@ func (s *Server) search(ctx context.Context, req *request, w any, meta storeMeta
 			s.store.Put(req.workload, req.key, s.platformSig, meta.features, est.Threshold, int64(runTime))
 		}
 	}
-	s.cache.Put(req.cacheKey, cacheEntry{resp: resp, at: time.Now()})
+	s.cache.Put(req.cacheKey, resp)
 	return &resp, nil
 }
 

@@ -32,10 +32,9 @@ type Metrics struct {
 	BuildHits, BuildMisses            *obs.Counter
 
 	// Overload-protection accounting (internal/resilience): requests
-	// shed by admission control, degraded fallback answers, stale
-	// cache entries served while revalidating, and requests that
-	// exceeded their (propagated) deadline.
-	Shed, Degraded, StaleServed, DeadlineExceeded *obs.Counter
+	// shed by admission control, degraded fallback answers, and
+	// requests that exceeded their (propagated) deadline.
+	Shed, Degraded, DeadlineExceeded *obs.Counter
 
 	// Batch (/estimate-batch) accounting: jobs started, items carried
 	// by those jobs, jobs rejected before any work (bad manifest or
@@ -99,7 +98,6 @@ func NewMetrics() *Metrics {
 	m.BuildMisses = r.Counter("hetserve_workload_build_misses_total", "Workload constructions that parsed and profiled the input.")
 	m.Shed = r.Counter("hetserve_shed_total", "Requests shed by admission control (429 or degraded fallback).")
 	m.Degraded = r.Counter("hetserve_degraded_total", "Graceful-degradation answers served in place of shed requests.")
-	m.StaleServed = r.Counter("hetserve_stale_served_total", "Stale cache entries served while revalidating in the background.")
 	m.DeadlineExceeded = r.Counter("hetserve_deadline_exceeded_total", "Requests that ran out of their (propagated) deadline budget.")
 	m.BatchJobs = r.Counter("hetserve_batch_jobs_total", "Accepted /estimate-batch jobs.")
 	m.BatchItems = r.Counter("hetserve_batch_items_total", "Items carried by accepted batch jobs.")
@@ -190,9 +188,13 @@ func (m *Metrics) BuildCounts() (hits, misses uint64) {
 	return m.BuildHits.Value(), m.BuildMisses.Value()
 }
 
-// ResilienceCounts returns the shed/degraded/stale/deadline totals.
-func (m *Metrics) ResilienceCounts() (shed, degraded, staleServed, deadlineExceeded uint64) {
-	return m.Shed.Value(), m.Degraded.Value(), m.StaleServed.Value(), m.DeadlineExceeded.Value()
+// ResilienceCounts returns the shed/degraded/deadline totals. The
+// third result, once the count of stale cache entries served, is
+// always 0: cache entries never go stale, since every answer is a
+// deterministic function of its request. It stays so callers that
+// read four results keep compiling.
+func (m *Metrics) ResilienceCounts() (shed, degraded, _, deadlineExceeded uint64) {
+	return m.Shed.Value(), m.Degraded.Value(), 0, m.DeadlineExceeded.Value()
 }
 
 // StoreCounts returns the store counter totals.

@@ -39,7 +39,6 @@ func recordEveryFamily(t *testing.T, s *Server) {
 	m.Shed.Inc()
 	m.Degraded.Inc()
 	m.Degraded.Inc()
-	m.StaleServed.Inc()
 	m.DeadlineExceeded.Inc()
 	m.BatchJob(8)
 	m.BatchJob(3)

@@ -104,17 +104,17 @@ func TestDegradedFallback(t *testing.T) {
 // TestShedFallbackPrefersCache — a shed with any cache entry for the
 // key serves that entry (marked degraded) instead of the static guess.
 func TestShedFallbackPrefersCache(t *testing.T) {
-	s := New(Config{CacheSize: 8, DegradeOnShed: true, StaleAfter: time.Nanosecond, Logger: testLogger(t)})
+	s := New(Config{CacheSize: 8, DegradeOnShed: true, Logger: testLogger(t)})
 	want := EstimateResponse{Workload: "spmm", Input: "cant", Searcher: "race+fine", Threshold: 37.5}
-	s.cache.Put("k", cacheEntry{resp: want, at: time.Now().Add(-time.Second)})
+	s.cache.Put("k", want)
 
 	rec := httptest.NewRecorder()
 	resp, ok := s.shedFallback(rec.Header(), &request{cacheKey: "k", workload: "spmm", input: "cant", seed: 42})
 	if !ok {
 		t.Fatal("shedFallback declined with a cache entry present")
 	}
-	if !resp.Degraded || !resp.Cached || !resp.Stale {
-		t.Errorf("flags = degraded:%v cached:%v stale:%v, want all true", resp.Degraded, resp.Cached, resp.Stale)
+	if !resp.Degraded || !resp.Cached {
+		t.Errorf("flags = degraded:%v cached:%v, want both true", resp.Degraded, resp.Cached)
 	}
 	if resp.Threshold != want.Threshold || resp.Searcher != want.Searcher {
 		t.Errorf("served %+v, want the cached entry", resp)
@@ -237,45 +237,6 @@ func TestDeadlineHeaderBoundsWork(t *testing.T) {
 	}
 }
 
-// TestStaleWhileRevalidate — an aged cache entry is served immediately
-// (stale:true) while a background refresh replaces it.
-func TestStaleWhileRevalidate(t *testing.T) {
-	cfg := Config{CacheSize: 8, StaleAfter: 50 * time.Millisecond, Logger: testLogger(t)}
-	s := New(cfg)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-
-	const q = "/estimate?workload=spmm&dataset=cant&seed=11&repeats=1"
-	first := getJSON(t, ts.URL+q, 200)
-	if first["cached"] == true {
-		t.Fatal("first answer claimed to be cached")
-	}
-
-	time.Sleep(60 * time.Millisecond)
-	stale := getJSON(t, ts.URL+q, 200)
-	if stale["cached"] != true || stale["stale"] != true {
-		t.Fatalf("aged entry: cached=%v stale=%v, want both true", stale["cached"], stale["stale"])
-	}
-	_, _, staleServed, _ := s.Metrics().ResilienceCounts()
-	if staleServed == 0 {
-		t.Error("stale_served counter did not move")
-	}
-
-	// The background revalidation lands soon; once it does, the same
-	// request is a fresh (non-stale) cache hit again.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		out := getJSON(t, ts.URL+q, 200)
-		if out["cached"] == true && out["stale"] != true {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("revalidation never refreshed the cache entry")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestMetricsExposeResilienceCounters — the chaos smoke test greps
 // /metrics for these names, so they must render even at zero.
 func TestMetricsExposeResilienceCounters(t *testing.T) {
@@ -289,7 +250,6 @@ func TestMetricsExposeResilienceCounters(t *testing.T) {
 	for _, name := range []string{
 		"hetserve_shed_total",
 		"hetserve_degraded_total",
-		"hetserve_stale_served_total",
 		"hetserve_deadline_exceeded_total",
 		"hetserve_admission_queue_depth",
 		"hetserve_admission_cost_in_flight",

@@ -11,7 +11,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/store"
@@ -153,12 +152,6 @@ func TestResponsesGolden(t *testing.T) {
 		{Name: "u6", Workload: "spmm", Searcher: "exhaustive", Repeats: 1, Body: genMTX(t, 3000, 30000, 36)},
 		{Name: "ds", Workload: "cc", Dataset: "qcd5_4", Repeats: 1},
 	})
-
-	_, url = g.server("stale", Config{Workers: 2, StaleAfter: time.Nanosecond})
-	g.batch("stale batch fresh", url, []batch.Item{{Name: "x", Workload: "spmm", Dataset: "consph", Repeats: 1}})
-	g.batch("stale batch hit", url, []batch.Item{{Name: "x", Workload: "spmm", Dataset: "consph", Repeats: 1}})
-	g.get("stale fresh", url+"/estimate?workload=spmm&dataset=cant&seed=11&repeats=1")
-	g.get("stale hit", url+"/estimate?workload=spmm&dataset=cant&seed=11&repeats=1")
 
 	s, url := g.server("degraded", Config{Workers: 2, DegradeOnShed: true, AdmissionLimit: 1, AdmissionQueue: -1})
 	if err := s.Admission().Acquire(context.Background(), 1); err != nil {

@@ -88,14 +88,10 @@ type Config struct {
 	// entirely (every over-capacity request sheds immediately).
 	AdmissionQueue int
 	// DegradeOnShed serves a degraded answer instead of 429 when a
-	// request is shed: a stale cache entry when one exists, otherwise
+	// request is shed: a cache entry when one exists, otherwise
 	// the platform's NaiveStatic threshold, both marked
 	// "degraded":true.
 	DegradeOnShed bool
-	// StaleAfter ages result-cache entries: an entry older than this is
-	// served immediately (marked "stale":true) while a background
-	// revalidation refreshes it. <= 0 means entries never go stale.
-	StaleAfter time.Duration
 	// Faults wraps the HTTP handler with server-side fault injection
 	// (chaos testing); nil disables.
 	Faults *resilience.Faults

@@ -21,14 +21,6 @@ import (
 // transfer, "warm" for a warm-started search.
 const StoreHeader = "X-Hetserve-Store"
 
-// FeaturesHeader carries an input's structural feature vector in
-// store.Features wire form. On responses hetserve stamps the features
-// it computed; on requests it is an advisory hint (a client or
-// gateway that already knows the features of an upload saves the
-// server the recomputation — the hint only steers the store lookup,
-// never the estimate itself).
-const FeaturesHeader = "X-Het-Features"
-
 // storeMeta accumulates what the transfer path learned about a
 // request, to be folded into the response.
 type storeMeta struct {
@@ -43,17 +35,10 @@ type storeMeta struct {
 	warmSeed float64
 }
 
-// featuresOf returns the structural features of a built workload,
-// preferring a well-formed advisory hint (store.Features wire form; a
-// malformed one is ignored). Dataset features are cached: the replica
-// population is fixed, so the O(nnz) scan runs once per (workload,
-// dataset).
-func (s *Server) featuresOf(workload, storeKey string, cw core.Sampled, hint string) (store.Features, bool) {
-	if hint != "" {
-		if f, err := store.ParseFeatures(hint); err == nil {
-			return f, true
-		}
-	}
+// featuresOf returns the structural features of a built workload.
+// Dataset features are cached: the replica population is fixed, so the
+// O(nnz) scan runs once per (workload, dataset).
+func (s *Server) featuresOf(workload, storeKey string, cw core.Sampled) (store.Features, bool) {
 	cacheable := strings.HasPrefix(storeKey, "dataset:")
 	fkey := workload + "|" + storeKey
 	if cacheable {
@@ -80,7 +65,7 @@ func (s *Server) featuresOf(workload, storeKey string, cw core.Sampled, hint str
 // neighbor, under its own span. It returns the prepared transfer
 // state; a miss leaves meta.hit false.
 func (s *Server) storeLookup(ctx context.Context, req *request, cw core.Sampled) (meta storeMeta, n store.Neighbor) {
-	f, ok := s.featuresOf(req.workload, req.key, cw, req.features)
+	f, ok := s.featuresOf(req.workload, req.key, cw)
 	if !ok {
 		return meta, n
 	}
@@ -210,7 +195,7 @@ func (s *Server) probeTransfer(ctx context.Context, req *request, cw core.Sample
 	resp.StoreNeighbor = meta.neighbor
 	resp.StoreDistance = meta.distance
 	resp.Features = meta.features.String()
-	s.cache.Put(req.cacheKey, cacheEntry{resp: resp, at: time.Now()})
+	s.cache.Put(req.cacheKey, resp)
 	return &resp, true, nil
 }
 
@@ -220,10 +205,7 @@ func (s *Server) probeTransfer(ctx context.Context, req *request, cw core.Sample
 // one that ran into the window's edge suggests the true optimum lies
 // outside, which counts against the neighbor.
 func (s *Server) observeWarmOutcome(workload string, n store.Neighbor, meta storeMeta, est *core.Estimate) {
-	win := meta.warm.Window
-	if win <= 0 {
-		win = core.DefaultWarmWindow
-	}
+	const win = core.DefaultWarmWindow
 	interior := est.SampleThreshold > meta.warmSeed-win && est.SampleThreshold < meta.warmSeed+win
 	if s.store.Observe(workload, n.Entry.Key, interior) {
 		// Confidence fell below the floor: refresh in the background.
@@ -288,7 +270,7 @@ func (s *Server) reestimate(ctx context.Context, workload, dataset, storeKey str
 		return err
 	}
 	cw := w.(core.Sampled)
-	f, ok := s.featuresOf(workload, storeKey, cw, "")
+	f, ok := s.featuresOf(workload, storeKey, cw)
 	if !ok {
 		return fmt.Errorf("workload %s exposes no features", workload)
 	}

@@ -333,51 +333,6 @@ func TestStoreProbeFitsWhereColdSheds(t *testing.T) {
 	}
 }
 
-// TestStoreFeatureHintHeader — a request carrying the features header
-// skips the server-side feature scan but still lands the same
-// transfer; the response echoes the features it used.
-func TestStoreFeatureHintHeader(t *testing.T) {
-	a := genMTX(t, 3000, 30000, 10)
-	b := genMTX(t, 3000, 30000, 11)
-
-	st, err := store.Open(store.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts := storeServer(t, st, Config{})
-	respA, hdrA := postMTXResp(t, ts.URL+estimateURL, a)
-	if hdrA.Get(FeaturesHeader) == "" {
-		t.Fatal("response missing features header")
-	}
-
-	req, err := http.NewRequest(http.MethodPost, ts.URL+estimateURL, bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hint with a's features: close enough to a's entry that the
-	// lookup must still hit.
-	req.Header.Set(FeaturesHeader, respA["features"].(string))
-	r, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(r.Body)
-	r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("hinted POST = %d\n%s", r.StatusCode, raw)
-	}
-	var respB map[string]any
-	if err := json.Unmarshal(raw, &respB); err != nil {
-		t.Fatal(err)
-	}
-	if respB["store_hit"] != true {
-		t.Errorf("hinted request missed the store: %v", respB["store_hit"])
-	}
-	if respB["features"] != respA["features"] {
-		t.Errorf("hinted features not echoed: got %v", respB["features"])
-	}
-}
-
 // TestStoreIgnoresClientFeatures — a client cannot choose the
 // features the server stores or answers with: an upload sent with
 // another input's features in an X-Het-Features header is answered,

@@ -55,9 +55,6 @@ type request struct {
 	// body is an uploaded MatrixMarket matrix; nil names a dataset.
 	body     []byte
 	cacheKey string
-	// features is the client's advisory structural-feature hint in
-	// store.Features wire form; it only steers the store lookup.
-	features string
 	// item names the batch item; empty on single requests.
 	item string
 }

@@ -14,7 +14,6 @@
 package store
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -163,9 +162,9 @@ func (f Features) Distance(g Features) float64 {
 	return math.Sqrt(s)
 }
 
-// String renders the features in the versioned wire form carried by
-// the X-Het-Features header: a comma-separated list led by the format
-// version.
+// String renders the features as a comma-separated list led by a
+// format version, the form hetserve reports in an answer's "features"
+// field.
 func (f Features) String() string {
 	return strings.Join([]string{
 		"1",
@@ -177,27 +176,4 @@ func (f Features) String() string {
 		strconv.FormatFloat(f.MaxShare, 'g', 9, 64),
 		strconv.FormatFloat(f.Bandwidth, 'g', 9, 64),
 	}, ",")
-}
-
-// ParseFeatures parses the wire form produced by String.
-func ParseFeatures(s string) (Features, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 8 || parts[0] != "1" {
-		return Features{}, fmt.Errorf("store: malformed features %q", s)
-	}
-	var f Features
-	var err error
-	if f.Rows, err = strconv.Atoi(parts[1]); err != nil {
-		return Features{}, fmt.Errorf("store: bad rows in %q", s)
-	}
-	if f.NNZ, err = strconv.Atoi(parts[2]); err != nil {
-		return Features{}, fmt.Errorf("store: bad nnz in %q", s)
-	}
-	fs := []*float64{&f.MeanWork, &f.WorkCV, &f.WorkSkew, &f.MaxShare, &f.Bandwidth}
-	for i, p := range fs {
-		if *p, err = strconv.ParseFloat(parts[3+i], 64); err != nil {
-			return Features{}, fmt.Errorf("store: bad field %d in %q", 3+i, s)
-		}
-	}
-	return f, nil
 }

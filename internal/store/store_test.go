@@ -384,21 +384,6 @@ func TestFeaturesRoundTripAndSimilarity(t *testing.T) {
 		t.Errorf("power-law features not skewed: %+v", fa)
 	}
 
-	// Wire round-trip.
-	parsed, err := ParseFeatures(fa.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := fa.Distance(parsed); d > 1e-6 {
-		t.Errorf("wire round-trip moved features by %v", d)
-	}
-	if _, err := ParseFeatures("2,1,1,1,1,1,1,1"); err == nil {
-		t.Error("unknown version accepted")
-	}
-	if _, err := ParseFeatures("garbage"); err == nil {
-		t.Error("garbage accepted")
-	}
-
 	// Structural similarity: another power-law draw sits close; a
 	// banded matrix of the same size sits far.
 	b, err := sparse.Generate(sparse.GenConfig{Class: sparse.ClassPowerLaw, Rows: 2200, NNZ: 22000, Seed: 8})
