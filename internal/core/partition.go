@@ -42,15 +42,13 @@ const DefaultWarmWindow = 8
 // transferred threshold is a *full-input* threshold; each repeat maps
 // it back into the sample's threshold space (via InverseExtrapolator
 // when the workload implements it, identity otherwise), then sweeps
-// only [seed-Window, seed+Window] intersected with the sample range.
+// only [seed-DefaultWarmWindow, seed+DefaultWarmWindow] intersected
+// with the sample range.
 // An empty intersection falls back to the full range — a bad transfer
 // costs nothing but the warm window's evaluations.
 type WarmStart struct {
 	// Threshold is the transferred full-input threshold.
 	Threshold float64
-	// Window is the half-width of the narrowed window; <= 0 selects
-	// DefaultWarmWindow.
-	Window float64
 }
 
 // InverseExtrapolator is implemented by workloads whose Extrapolate
@@ -68,11 +66,7 @@ func warmWindow(w Sampled, ws *WarmStart, lo, hi float64) (float64, float64) {
 	if inv, ok := w.(InverseExtrapolator); ok {
 		seed = inv.InverseExtrapolate(seed)
 	}
-	win := ws.Window
-	if win <= 0 {
-		win = DefaultWarmWindow
-	}
-	nlo, nhi := seed-win, seed+win
+	nlo, nhi := seed-DefaultWarmWindow, seed+DefaultWarmWindow
 	if nlo < lo {
 		nlo = lo
 	}

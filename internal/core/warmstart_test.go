@@ -28,7 +28,7 @@ func TestWarmStartMatchesColdEstimateWithFewerEvals(t *testing.T) {
 	}
 	warm, err := EstimateThreshold(context.Background(), mk(), Config{
 		Searcher:  Exhaustive{},
-		WarmStart: &WarmStart{Threshold: 39, Window: 5},
+		WarmStart: &WarmStart{Threshold: 39},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestWarmStartWindowOutsideRangeFallsBack(t *testing.T) {
 	// optimum.
 	est, err := EstimateThreshold(context.Background(), w, Config{
 		Searcher:  Exhaustive{},
-		WarmStart: &WarmStart{Threshold: 500, Window: 5},
+		WarmStart: &WarmStart{Threshold: 500},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestWarmStartUsesInverseExtrapolation(t *testing.T) {
 	}}}
 	est, err := EstimateThreshold(context.Background(), w, Config{
 		Searcher:  Exhaustive{},
-		WarmStart: &WarmStart{Threshold: 74, Window: 3},
+		WarmStart: &WarmStart{Threshold: 74},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +76,9 @@ func TestWarmStartUsesInverseExtrapolation(t *testing.T) {
 	if est.Threshold != 74 {
 		t.Errorf("threshold = %v, want 74", est.Threshold)
 	}
-	// Window [34, 40]: exhaustive unit stride = 7 evals per repeat.
-	if est.Evals != 7 {
-		t.Errorf("evals = %d, want 7 (window [34, 40])", est.Evals)
+	// Window [29, 45]: exhaustive unit stride = 17 evals per repeat.
+	if est.Evals != 17 {
+		t.Errorf("evals = %d, want 17 (window [29, 45])", est.Evals)
 	}
 }
 
@@ -89,16 +89,14 @@ func TestWarmWindowGeometry(t *testing.T) {
 		lo, hi         float64
 		wantLo, wantHi float64
 	}{
-		// Interior seed: symmetric window.
-		{WarmStart{Threshold: 50, Window: 5}, 0, 100, 45, 55},
+		// Interior seed: symmetric window of DefaultWarmWindow (8).
+		{WarmStart{Threshold: 50}, 0, 100, 42, 58},
 		// Seed near the edge: clamped, not shifted.
-		{WarmStart{Threshold: 2, Window: 5}, 0, 100, 0, 7},
-		{WarmStart{Threshold: 99, Window: 5}, 0, 100, 94, 100},
-		// Zero window selects the default half-width.
-		{WarmStart{Threshold: 50}, 0, 100, 50 - DefaultWarmWindow, 50 + DefaultWarmWindow},
+		{WarmStart{Threshold: 2}, 0, 100, 0, 10},
+		{WarmStart{Threshold: 99}, 0, 100, 91, 100},
 		// Window entirely outside the range: full-range fallback.
-		{WarmStart{Threshold: -20, Window: 5}, 0, 100, 0, 100},
-		{WarmStart{Threshold: 200, Window: 5}, 0, 100, 0, 100},
+		{WarmStart{Threshold: -20}, 0, 100, 0, 100},
+		{WarmStart{Threshold: 200}, 0, 100, 0, 100},
 	}
 	for _, c := range cases {
 		lo, hi := warmWindow(w, &c.ws, c.lo, c.hi)
