@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -296,19 +297,56 @@ func TestFaultyShardShedsOnlyItsItems(t *testing.T) {
 // TestDeadlineCarvingAcrossBatchFanout — the client's propagated
 // budget flows gateway → sub-batch → per-item carve: an oversized item
 // runs out of its slice and reports deadline_exceeded while its cheap
-// siblings, wherever the ring placed them, still refine. CI runs this
-// under -race.
+// siblings, wherever the ring placed them, still refine. As in serve's
+// TestDeadlineHeaderBoundsWork, the budget is calibrated on the host:
+// each item is first timed alone, so a faster or slower host cannot
+// flip either verdict. CI runs this under -race.
 func TestDeadlineCarvingAcrossBatchFanout(t *testing.T) {
 	scfg := serve.Config{Workers: 2, CacheSize: 64, AdmissionLimit: 100000}
 	_, _, ts := startChaosCluster(t, 2, scfg, nil)
 
-	items := []batch.Item{
-		{Name: "f1", Workload: "spmm", Searcher: "race", Repeats: 1, Body: genMTX(t, 200, 800, 2)},
-		{Name: "f2", Workload: "spmm", Searcher: "race", Repeats: 1, Body: genMTX(t, 200, 800, 3)},
-		{Name: "slow", Workload: "spmm", Searcher: "exhaustive", Repeats: 99, Body: genMTX(t, 60000, 1200000, 1)},
+	slowBody := genMTX(t, 60000, 1200000, 1)
+	items := func(seed uint64) []batch.Item {
+		return []batch.Item{
+			{Name: "f1", Workload: "spmm", Searcher: "race", Repeats: 1, Seed: seed, Body: genMTX(t, 200, 800, 2)},
+			{Name: "f2", Workload: "spmm", Searcher: "race", Repeats: 1, Seed: seed, Body: genMTX(t, 200, 800, 3)},
+			{Name: "slow", Workload: "spmm", Searcher: "exhaustive", Repeats: 99, Seed: seed, Body: slowBody},
+		}
 	}
-	status, events := postBatchGW(t, ts.URL, items, map[string]string{
-		resilience.DeadlineHeader: "600",
+	// timeAlone runs one item as a job of its own, with no budget, and
+	// returns the job's wall time: the item's parse, build and search,
+	// all of which its carved slice must cover. Calibration uses another
+	// seed than the timed job, so the result cache cannot answer it.
+	timeAlone := func(it batch.Item) time.Duration {
+		t.Helper()
+		start := time.Now()
+		status, events := postBatchGW(t, ts.URL, []batch.Item{it}, nil)
+		elapsed := time.Since(start)
+		if status != http.StatusOK {
+			t.Fatalf("calibrating %q: status = %d\n%+v", it.Name, status, events)
+		}
+		if term, _ := terminalsByItem(t, events); term[it.Name].Type != batch.EventRefined {
+			t.Fatalf("calibrating %q: terminal = %+v, want refined", it.Name, term[it.Name])
+		}
+		return elapsed
+	}
+	calib := items(1)
+	sibling := max(timeAlone(calib[0]), timeAlone(calib[1]))
+	slowAlone := timeAlone(calib[2])
+
+	// Each backend runs its items in manifest order, re-carving the
+	// remaining budget before each, so the slow item's slice is at most
+	// the whole budget and a sibling's at least a third of it. The
+	// siblings' slices must also absorb a loaded host's scheduling
+	// delays, which do not shrink with the work.
+	budget := slowAlone / 3
+	if budget/3 < 4*sibling || budget/3 < 4*resilience.MinBudget {
+		t.Fatalf("no budget separates the items: slow item alone %v, sibling %v", slowAlone, sibling)
+	}
+	t.Logf("slow item alone %v, sibling %v: job budget %v", slowAlone, sibling, budget)
+
+	status, events := postBatchGW(t, ts.URL, items(2), map[string]string{
+		resilience.DeadlineHeader: strconv.FormatInt(budget.Milliseconds(), 10),
 	})
 	if status != http.StatusOK {
 		t.Fatalf("status = %d\n%+v", status, events)
@@ -320,7 +358,7 @@ func TestDeadlineCarvingAcrossBatchFanout(t *testing.T) {
 		t.Fatal("slow item has no terminal event")
 	}
 	if slow.Type != batch.EventError || slow.Code != batch.CodeDeadline {
-		t.Errorf("slow item terminal = %+v, want deadline_exceeded", slow)
+		t.Errorf("slow item terminal = %+v, want deadline_exceeded (budget %v, slow item alone %v)", slow, budget, slowAlone)
 	}
 	for _, name := range []string{"f1", "f2"} {
 		e, ok := term[name]
@@ -328,7 +366,8 @@ func TestDeadlineCarvingAcrossBatchFanout(t *testing.T) {
 			t.Fatalf("sibling %q has no terminal event", name)
 		}
 		if e.Type != batch.EventRefined {
-			t.Errorf("sibling %q terminal = %+v, want refined — one item's budget must not starve its siblings", name, e)
+			t.Errorf("sibling %q terminal = %+v, want refined — one item's budget must not starve its siblings (budget %v, sibling alone %v)",
+				name, e, budget, sibling)
 		}
 	}
 }
