@@ -361,8 +361,8 @@ type upstreamResult struct {
 	backend     string
 	degraded    bool
 	// storeMode is the backend's X-Hetserve-Store header ("skip" or
-	// "warm") when the answer came through the threshold-store transfer
-	// path.
+	// "warm") when the answer came through the threshold-store
+	// transfer path.
 	storeMode string
 }
 

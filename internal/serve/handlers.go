@@ -281,8 +281,9 @@ func (s *Server) stampStoreHeaders(w http.ResponseWriter, resp *EstimateResponse
 }
 
 // shedFallback builds the graceful-degradation answer for a shed
-// request or batch item: a cache entry when one exists, otherwise — when Config.DegradeOnShed allows — the
-// platform's NaiveStatic threshold. Both are marked "degraded":true;
+// request or batch item: a cache entry when one exists, otherwise —
+// when Config.DegradeOnShed allows — the platform's NaiveStatic
+// threshold. Both are marked "degraded":true;
 // h, when non-nil, gets the header that lets the gateway count
 // degraded answers without parsing bodies.
 func (s *Server) shedFallback(h http.Header, req *request) (*EstimateResponse, bool) {
@@ -323,9 +324,10 @@ func (s *Server) shedFallback(h http.Header, req *request) (*EstimateResponse, b
 	return &resp, true
 }
 
-// run answers one cache miss — of a single request or a batch item: build the workload, consult the
-// threshold store, then either accept a probe-verified transfer or run
-// a (possibly warm-started) search, and cache the answer.
+// run answers one cache miss — of a single request or a batch item:
+// build the workload, consult the threshold store, then either accept
+// a probe-verified transfer or run a (possibly warm-started) search,
+// and cache the answer.
 //
 // The store's features-to-threshold transfer is scalar, so N-device
 // requests bypass it: a partition warm-started from a scalar neighbor

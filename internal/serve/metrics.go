@@ -189,10 +189,10 @@ func (m *Metrics) BuildCounts() (hits, misses uint64) {
 }
 
 // ResilienceCounts returns the shed/degraded/deadline totals. The
-// third result, once the count of stale cache entries served, is
-// always 0: cache entries never go stale, since every answer is a
-// deterministic function of its request. It stays so callers that
-// read four results keep compiling.
+// third result is always 0: it counted stale cache entries, and cache
+// entries never go stale because every answer is a deterministic
+// function of its request. It stays because the benchmark reads four
+// results.
 func (m *Metrics) ResilienceCounts() (shed, degraded, _, deadlineExceeded uint64) {
 	return m.Shed.Value(), m.Degraded.Value(), 0, m.DeadlineExceeded.Value()
 }
