@@ -162,15 +162,29 @@ func newEvalTracker(ctx context.Context, w Workload) *evalTracker {
 	return e
 }
 
-// release returns the tracker to the pool. Only result() calls it —
-// error paths abandon the tracker to the garbage collector, which
-// keeps the invariant that a pooled tracker is always clean.
-func (e *evalTracker) release() {
+// trackerRetainMax bounds what trackerPool keeps: a tracker whose
+// search committed more evaluations is dropped instead of pooled. A Go
+// map never shrinks and clearing one costs its capacity, so without the
+// bound one long sweep (an Exhaustive over scale-free's [0, MaxDegree]
+// range commits thousands) would leave a grown memo that every later
+// search on that tracker clears again, however few points it visits.
+const trackerRetainMax = 512
+
+// release returns the tracker to the pool, or drops it when its search
+// outgrew trackerRetainMax; it reports whether the tracker was pooled,
+// for the retention test. Only result() calls it — error paths abandon
+// the tracker to the garbage collector, which keeps the invariant that
+// a pooled tracker is always clean.
+func (e *evalTracker) release() bool {
+	if len(e.seen) > trackerRetainMax {
+		return false
+	}
 	clear(e.seen)
 	e.curveBuf = e.res.Curve[:0]
 	e.ctx, e.w = nil, nil
 	e.res = SearchResult{}
 	trackerPool.Put(e)
+	return true
 }
 
 // key buckets a threshold at micropercent resolution. math.Round keeps

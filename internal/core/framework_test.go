@@ -415,6 +415,25 @@ func TestEvalKeyResolution(t *testing.T) {
 	}
 }
 
+// TestTrackerRetention pins the pool-retention bound: a tracker whose
+// search committed at most trackerRetainMax evaluations is pooled, one
+// that committed more (an 8,001-point sweep, say) is dropped, so no
+// later search clears a memo a long sweep grew.
+func TestTrackerRetention(t *testing.T) {
+	for _, c := range []struct {
+		evals  int
+		pooled bool
+	}{{101, true}, {trackerRetainMax, true}, {trackerRetainMax + 1, false}, {8001, false}} {
+		e := newEvalTracker(context.Background(), &vWorkload{})
+		for i := range c.evals {
+			e.commit(float64(i), time.Duration(i))
+		}
+		if got := e.release(); got != c.pooled {
+			t.Errorf("%d evaluations: pooled = %v, want %v", c.evals, got, c.pooled)
+		}
+	}
+}
+
 // TestExhaustiveSubMillipercentGrid: with the old millipercent memo,
 // a sweep at step 0.0002 collapsed to 2 distinct evaluations.
 func TestExhaustiveSubMillipercentGrid(t *testing.T) {
