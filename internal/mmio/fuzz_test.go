@@ -91,6 +91,9 @@ func FuzzReadParity(f *testing.F) {
 	// over-limit bodies
 	f.Add([]byte(paritySeedHeader+"2 2 2\n1 1 1.5\n2 2 2.5\n"), int64(60))
 	f.Add([]byte(paritySeedHeader+"2 2 2\n1 1 1.5\n2 2 2.5\n"), int64(10))
+	for _, s := range runSeeds() {
+		f.Add([]byte(s.body), s.limit)
+	}
 	f.Fuzz(func(t *testing.T, body []byte, limit int64) {
 		// Map the limit onto "none" or 1..len+16 so limits at, just
 		// under and just over the body length all come up.
@@ -135,6 +138,9 @@ func FuzzReadStructureParity(f *testing.F) {
 	for _, v := range []string{"+", "-", "e5", "E-05", "+e1", ".e1", "e"} {
 		f.Add([]byte(paritySeedHeader+"2 2 1\n1 1 "+v+"\t1\n"), int64(0))
 	}
+	for _, s := range runSeeds() {
+		f.Add([]byte(s.body), s.limit)
+	}
 	f.Fuzz(func(t *testing.T, body []byte, limit int64) {
 		if limit > 0 {
 			limit = 1 + (limit-1)%(int64(len(body))+16)
@@ -148,6 +154,138 @@ func FuzzReadStructureParity(f *testing.F) {
 			t.Fatalf("limit %d, body %q: %s", limit, body, msg)
 		}
 	})
+}
+
+// readWindow is the size of the parser's read buffer: the run scanner
+// parses the complete lines it holds, and the line across its end goes
+// through the line reader.
+const readWindow = 1 << 16
+
+// runBreaks are lines that end a run of plain entries: each other
+// shape the scanner must leave to the line reader, with the number of
+// entries it holds.
+var runBreaks = []struct {
+	line    string
+	entries int
+}{
+	{"% a comment\n", 0},
+	{"\n", 0},
+	{"   \n", 0},
+	{"1 2 1.5\r\n", 1},
+	{"1\t2\t1.5\n", 1},
+	{"1 2\t1.5\n", 1},
+	{" 1 2 1.5\n", 1},
+	{"1  2 1.5\n", 1},
+	{"1 2 1.5 \n", 1},
+	{"0000000000000000001 2 1.5\n", 1},
+	{"1 0000000000000000002 1.5\n", 1},
+	{"18446744073709551617 2 1.5\n", 1},
+	{"1\u00a02 1.5\n", 1},
+	{"1 2\u00851.5\n", 1},
+	{"1 2 1.5\u00a0\n", 1},
+	{"1 2 1e300\n", 1},
+	{"1 2 0x1p-2\n", 1},
+	{"1 2 -Inf\n", 1},
+	{"1 2 1e400\n", 1},
+	{"1 2 +1.\n", 1},
+	{"1 9 1.5\n", 1},
+	{"0 2 1.5\n", 1},
+	{"1 2 1.5 7\n", 1},
+}
+
+// plainEntry is the k-th filler entry "i j 1.5" ("i j" when not
+// valued), its row index zero-padded to width digits.
+func plainEntry(k int, valued bool, width int) string {
+	if valued {
+		return fmt.Sprintf("%0*d %d 1.5\n", width, k%8+1, k/8%8+1)
+	}
+	return fmt.Sprintf("%0*d %d\n", width, k%8+1, k/8%8+1)
+}
+
+// runBody returns a body over 64 KiB of filler entries, nnz of them
+// counting odd's entries, in which the line odd starts at byte offset
+// at. The filler line before odd is padded so that it ends there.
+func runBody(header, odd string, oddEntries, at int) string {
+	valued := !strings.Contains(header, "pattern")
+	short := len(plainEntry(0, valued, 1))
+	nnz := (readWindow + 4096) / short
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s8 8 %d\n", header, nnz)
+	k := 0
+	for ; at-b.Len() >= 2*short; k++ {
+		b.WriteString(plainEntry(k, valued, 1))
+	}
+	if pad := at - b.Len(); pad > 0 {
+		b.WriteString(plainEntry(k, valued, pad-short+1))
+		k++
+	}
+	if b.Len() != at {
+		panic(fmt.Sprintf("runBody: odd line at %d, want %d", b.Len(), at))
+	}
+	b.WriteString(odd)
+	for k += oddEntries; k < nnz; k++ {
+		b.WriteString(plainEntry(k, valued, 1))
+	}
+	return b.String()
+}
+
+type runSeed struct {
+	body  string
+	limit int64
+}
+
+// runSeeds are the bodies that hold the run scanner to the reference
+// where it starts and stops: every run break placed mid-window, ending
+// just before the read buffer's end, across it and starting on it, in
+// general real bodies; a few in symmetric, integer and pattern bodies;
+// the nnz-th entry ending mid-window before garbage; and byte limits
+// that cut a plain run inside and across the window.
+func runSeeds() []runSeed {
+	const general = "%%MatrixMarket matrix coordinate real general\n"
+	var seeds []runSeed
+	for _, r := range runBreaks {
+		for _, at := range []int{readWindow / 2, readWindow - len(r.line), readWindow - len(r.line)/2, readWindow} {
+			seeds = append(seeds, runSeed{runBody(general, r.line, r.entries, at), 0})
+		}
+	}
+	for _, header := range []string{
+		"%%MatrixMarket matrix coordinate real symmetric\n",
+		"%%MatrixMarket matrix coordinate integer general\n",
+	} {
+		for _, at := range []int{readWindow - 3, readWindow} {
+			seeds = append(seeds, runSeed{runBody(header, "% c\n", 0, at), 0})
+			seeds = append(seeds, runSeed{runBody(header, "3 2\t7\n", 1, at), 0})
+		}
+	}
+	const pattern = "%%MatrixMarket matrix coordinate pattern general\n"
+	for _, r := range []struct {
+		line    string
+		entries int
+	}{{"3 2 x\n", 1}, {"3 2\r\n", 1}, {"3\t2\n", 1}, {"3 2 \n", 1}, {"% c\n", 0}} {
+		for _, at := range []int{readWindow - len(r.line), readWindow - 2, readWindow} {
+			seeds = append(seeds, runSeed{runBody(pattern, r.line, r.entries, at), 0})
+		}
+	}
+	// The nnz-th entry ends mid-window, in the first window and in a
+	// later one; nothing after it is read, though more plain entries
+	// follow before the garbage.
+	for _, nnz := range []int{4000, 9000} {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s8 8 %d\n", general, nnz)
+		for k := range nnz + 100 {
+			b.WriteString(plainEntry(k, true, 1))
+		}
+		b.WriteString("garbage \x00\xff\n")
+		b.WriteString(strings.Repeat("x y z\n", readWindow/6))
+		seeds = append(seeds, runSeed{b.String(), 0})
+	}
+	// Limits inside a plain run, in the first window, on its end and
+	// in a later window.
+	body := runBody(general, "", 0, readWindow/2)
+	for _, limit := range []int64{readWindow / 2, readWindow - 1, readWindow, readWindow + 3, int64(len(body)) - 5} {
+		seeds = append(seeds, runSeed{body, limit})
+	}
+	return seeds
 }
 
 // parityDiff describes how a parse result differs from the
