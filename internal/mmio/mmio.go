@@ -18,9 +18,11 @@ package mmio
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"strconv"
 	"strings"
@@ -294,6 +296,9 @@ func readCoordinate(lines *lineReader, sizeLine string, field Field, sym Symmetr
 	}
 
 	for k := 0; k < nnz; k++ {
+		if k += scanRun(lines.br, c, nnz-k, keepVals); k == nnz {
+			break
+		}
 		line, err := lines.next()
 		if err != nil {
 			return nil, fmt.Errorf("mmio: entry %d of %d: %w", k+1, nnz, err)
@@ -310,6 +315,87 @@ func readCoordinate(lines *lineReader, sizeLine string, field Field, sym Symmetr
 		}
 	}
 	return c, nil
+}
+
+// scanRun appends to c, straight from the bytes br already holds, the
+// entries of the complete lines at the front of its buffer that have
+// the plain shape "row SP col [SP value] LF", and returns how many it
+// appended, at most max. The indexes are unsigned decimals of at most
+// 18 digits inside c's bounds. Unless keepVals is set the value must
+// be a plain decimal, checked without conversion; otherwise it is an
+// ASCII token converted as scanEntry converts it. The run stops before
+// the first line of any other shape and before a line the buffer holds
+// only in part. lineReader.next and scanEntry read that line, so every
+// error, every line that strings.Fields would split differently, and
+// every partial final line keep the path they have always taken.
+func scanRun(br *bufio.Reader, c *COO, max int, keepVals bool) int {
+	buf, _ := br.Peek(br.Buffered())
+	valued := c.Field != Pattern
+	keep := keepVals && valued
+	colEnd := byte('\n')
+	if valued {
+		colEnd = ' '
+	}
+	pos, n := 0, 0
+	for ; n < max; n++ {
+		i, p := runIndex(buf, pos, ' ', c.Rows)
+		if p == 0 {
+			break
+		}
+		j, p := runIndex(buf, p, colEnd, c.Cols)
+		if p == 0 {
+			break
+		}
+		var v float64
+		if valued {
+			if p, v = runValue(buf, p, keepVals); p == 0 {
+				break
+			}
+		}
+		appendEntry(c, int32(i-1), int32(j-1), v, keep)
+		if c.Symmetry == Symmetric && i != j {
+			appendEntry(c, int32(j-1), int32(i-1), v, keep)
+		}
+		pos = p
+	}
+	br.Discard(pos) // pos <= Buffered: cannot fail
+	return n
+}
+
+// runIndex parses the index at buf[p:]: 1 to 18 digits, a value in
+// [1, max], then the byte end. It returns the index and the position
+// after end, or q == 0 when buf[p:] does not start that way.
+func runIndex(buf []byte, p int, end byte, max int) (n, q int) {
+	for q = p; q < len(buf) && buf[q]-'0' < 10; q++ {
+		n = n*10 + int(buf[q]-'0')
+	}
+	if q == p || q-p > 18 || q == len(buf) || buf[q] != end || n < 1 || n > max {
+		return 0, 0
+	}
+	return n, q + 1
+}
+
+// runValue parses the value token at buf[p:], ended by LF. It returns
+// the position after the LF and, when keepVals is set, the value; q ==
+// 0 when the token is not plain or not ended by LF.
+func runValue(buf []byte, p int, keepVals bool) (q int, v float64) {
+	b := buf[p:]
+	if !keepVals {
+		k := plainDecimalLen(b)
+		if k == 0 || k == len(b) || b[k] != '\n' {
+			return 0, 0
+		}
+		return p + k + 1, 0
+	}
+	tok, ok := asciiToken(b)
+	if k := len(tok); !ok || k == 0 || k == len(b) || b[k] != '\n' {
+		return 0, 0
+	}
+	v, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		return 0, 0
+	}
+	return p + len(tok) + 1, v
 }
 
 // scanEntry parses a coordinate entry in place when it has the plain
@@ -357,28 +443,34 @@ const maxPlainIntDigits = 200
 // nan, hex, underscores, longer exponents or integer parts, non-ASCII
 // bytes) is for ParseFloat to judge.
 func plainDecimal(b []byte) bool {
+	k := plainDecimalLen(b)
+	return k > 0 && (k == len(b) || asciiSpace[b[k]])
+}
+
+// plainDecimalLen returns the length of the plain decimal token at the
+// start of b, or 0 when b does not start with one; the token's end is
+// for the caller to check.
+func plainDecimalLen(b []byte) int {
 	k := 0
 	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
 		k++
 	}
 	intStart := k
-	for k < len(b) && '0' <= b[k] && b[k] <= '9' {
+	for k < len(b) && b[k]-'0' < 10 {
 		k++
 	}
 	digits := k - intStart
 	if digits > maxPlainIntDigits {
-		return false
+		return 0
 	}
 	if k < len(b) && b[k] == '.' {
 		k++
 		fracStart := k
-		for k < len(b) && '0' <= b[k] && b[k] <= '9' {
-			k++
-		}
+		k = skipDigits(b, k)
 		digits += k - fracStart
 	}
 	if digits == 0 {
-		return false
+		return 0
 	}
 	if k < len(b) && (b[k] == 'e' || b[k] == 'E') {
 		k++
@@ -386,14 +478,40 @@ func plainDecimal(b []byte) bool {
 			k++
 		}
 		expStart := k
-		for k < len(b) && '0' <= b[k] && b[k] <= '9' {
+		for k < len(b) && b[k]-'0' < 10 {
 			k++
 		}
 		if n := k - expStart; n < 1 || n > 2 {
-			return false
+			return 0
 		}
 	}
-	return k == len(b) || asciiSpace[b[k]]
+	return k
+}
+
+// skipDigits returns the index of the first byte of b at or after k
+// that is not an ASCII digit. It tests eight bytes at a time, so the
+// long fractions writers print ("%.17g") cost a few word tests rather
+// than a branch per digit.
+func skipDigits(b []byte, k int) int {
+	for ; k+8 <= len(b); k += 8 {
+		if m := nonDigits(binary.LittleEndian.Uint64(b[k:])); m != 0 {
+			return k + bits.TrailingZeros64(m)>>3
+		}
+	}
+	for k < len(b) && b[k]-'0' < 10 {
+		k++
+	}
+	return k
+}
+
+// nonDigits returns the 8 bytes of x, first byte lowest, with the high
+// bit set in each that is not an ASCII digit and clear in each that
+// is. A digit's high nibble is 3 and its low nibble plus 6 stays below
+// 16; no step carries from one byte into the next.
+func nonDigits(x uint64) uint64 {
+	const lo, hi, low7 = 0x0f0f0f0f0f0f0f0f, 0xf0f0f0f0f0f0f0f0, 0x7f7f7f7f7f7f7f7f
+	m := (x&hi ^ 0x3030303030303030) | ((x&lo + 0x0606060606060606) & 0x1010101010101010)
+	return ((m&low7 + low7) | m) &^ low7
 }
 
 // scanIndex parses the unsigned decimal index at the start of b and

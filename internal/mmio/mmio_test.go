@@ -363,31 +363,87 @@ func TestReadLongLines(t *testing.T) {
 	}
 }
 
-// BenchmarkRead parses a ~6 MB real-general body (250k entries) with
-// the in-place scanner, with the structure read hetserve runs on
-// uploads (values checked, not kept) and with the frozen string-line
-// reference.
+// TestSkipDigits places every byte value at every position of a run
+// of digits long enough for the word-at-a-time test and checks that
+// skipDigits stops exactly at the first non-digit.
+func TestSkipDigits(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		for at := 0; at <= 20; at++ {
+			b := []byte(strings.Repeat("0123456789", 2))
+			if at < len(b) {
+				b[at] = byte(c)
+			}
+			want := at
+			if '0' <= c && c <= '9' || at == len(b) {
+				want = len(b)
+			}
+			for from := 0; from <= min(at, 3); from++ {
+				if got := skipDigits(b, from); got != want {
+					t.Fatalf("byte %#x at %d, from %d: skipDigits = %d, want %d", c, at, from, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkRead parses two real-general bodies with the in-place
+// scanner, with the structure read hetserve runs on uploads (values
+// checked, not kept) and with the frozen string-line reference:
+// "random" holds 250k entries in random order (~6 MB), "upload" has
+// the shape of the large upload-cold bodies, 20k rows and 200k entries
+// written row-major with ascending columns and values in (0, 1], as
+// mmio.Write emits a generated matrix (~6 MB).
 func BenchmarkRead(b *testing.B) {
+	for _, body := range []struct {
+		name string
+		data []byte
+	}{{"random", randomBody()}, {"upload", uploadBody()}} {
+		for _, p := range []struct {
+			name  string
+			parse func(io.Reader, int64) (*COO, error)
+		}{{"scanner", ReadLimited}, {"structure", ReadStructure}, {"reference", refReadLimited}} {
+			b.Run(body.name+"/"+p.name, func(b *testing.B) {
+				b.SetBytes(int64(len(body.data)))
+				b.ReportAllocs()
+				for range b.N {
+					if _, err := p.parse(bytes.NewReader(body.data), 64<<20); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// lcg steps a 64-bit linear congruential generator.
+func lcg(x uint64) uint64 { return x*6364136223846793005 + 1442695040888963407 }
+
+func randomBody() []byte {
 	var buf bytes.Buffer
 	buf.WriteString("%%MatrixMarket matrix coordinate real general\n20000 20000 250000\n")
 	x := uint64(1)
 	for k := 0; k < 250000; k++ {
-		x = x*6364136223846793005 + 1442695040888963407
+		x = lcg(x)
 		fmt.Fprintf(&buf, "%d %d %.17g\n", x>>48%20000+1, x>>32%20000+1, float64(x>>11)/(1<<53)-0.5)
 	}
-	body := buf.Bytes()
-	for _, p := range []struct {
-		name  string
-		parse func(io.Reader, int64) (*COO, error)
-	}{{"scanner", ReadLimited}, {"structure", ReadStructure}, {"reference", refReadLimited}} {
-		b.Run(p.name, func(b *testing.B) {
-			b.SetBytes(int64(len(body)))
-			b.ReportAllocs()
-			for range b.N {
-				if _, err := p.parse(bytes.NewReader(body), 64<<20); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	return buf.Bytes()
+}
+
+// uploadBody gives each of 20k rows ten entries: the columns ascend
+// from a random start by random steps of 1 to 200.
+func uploadBody() []byte {
+	const rows, perRow = 20000, 10
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n", rows, rows, rows*perRow)
+	x := uint64(1)
+	for i := 1; i <= rows; i++ {
+		x = lcg(x)
+		j := int(x>>40%(rows-perRow*200)) + 1
+		for range perRow {
+			x = lcg(x)
+			fmt.Fprintf(&buf, "%d %d %.17g\n", i, j, 1-float64(x>>11)/(1<<53))
+			j += int(x>>32%200) + 1
+		}
 	}
+	return buf.Bytes()
 }
