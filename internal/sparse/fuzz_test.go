@@ -6,9 +6,13 @@ package sparse
 // explores further.
 
 import (
+	"cmp"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 // fuzzCSR decodes a byte string into a small CSR: the first two bytes
@@ -95,4 +99,87 @@ func FuzzSplitRowByWorkMatchesReference(f *testing.F) {
 			t.Fatalf("SplitRowByWorkPrefix(%v, %v) = %d, reference %d", load, frac, got, want)
 		}
 	})
+}
+
+// FuzzFromTripletsOrderInvariant holds the CSR build to one answer
+// whatever order the triplets arrive in: built row-major with
+// ascending columns (the copy path when no entry repeats), in the
+// order the fuzzer gave, and shuffled, the matrices must be bitwise
+// equal. The first byte picks the shape, the second whether repeated
+// entries are dropped (so the row-major build takes the copy path) and
+// whether the matrix is a pattern, and seeds the shuffle. Values are
+// quarters of small integers, so duplicate sums are exact in any order.
+func FuzzFromTripletsOrderInvariant(f *testing.F) {
+	f.Add([]byte{0x45, 1, 0, 1, 9, 1, 2, 9, 2, 3, 9, 3, 0, 9})
+	f.Add([]byte{0x45, 0, 0, 1, 9, 0, 1, 7, 2, 3, 9, 0, 1, 200})
+	f.Add([]byte{0x21, 3, 5, 5, 1, 0, 0, 2, 5, 0, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		rows, cols := int(data[0]&7)+1, int(data[0]>>3)+1
+		unique, pattern := data[1]&1 != 0, data[1]&2 != 0
+		type triplet struct {
+			r, c int32
+			v    float64
+		}
+		var ts []triplet
+		seen := map[[2]int32]bool{}
+		for rest := data[2:]; len(rest) >= 3; rest = rest[3:] {
+			r, c := int32(int(rest[0])%rows), int32(int(rest[1])%cols)
+			if unique && seen[[2]int32{r, c}] {
+				continue
+			}
+			seen[[2]int32{r, c}] = true
+			ts = append(ts, triplet{r, c, float64(int(rest[2])-128) / 4})
+		}
+		build := func(ts []triplet) *CSR {
+			ri, ci := make([]int32, len(ts)), make([]int32, len(ts))
+			var vs []float64
+			if !pattern {
+				vs = make([]float64, len(ts))
+			}
+			for k, e := range ts {
+				ri[k], ci[k] = e.r, e.c
+				if vs != nil {
+					vs[k] = e.v
+				}
+			}
+			m, err := FromTriplets(rows, cols, ri, ci, vs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		rowMajor := slices.Clone(ts)
+		slices.SortStableFunc(rowMajor, func(a, b triplet) int {
+			return cmp.Or(cmp.Compare(a.r, b.r), cmp.Compare(a.c, b.c))
+		})
+		shuffled := slices.Clone(ts)
+		r := xrand.New(uint64(data[1]))
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+		want := build(rowMajor)
+		if err := want.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for name, order := range map[string][]triplet{"given": ts, "shuffled": shuffled} {
+			if got := build(order); !bitwiseEqual(got, want) {
+				t.Fatalf("%s order: %+v, row-major %+v", name, got, want)
+			}
+		}
+	})
+}
+
+// bitwiseEqual is Equal with values compared bit for bit.
+func bitwiseEqual(a, b *CSR) bool {
+	if !a.Equal(b) {
+		return false
+	}
+	for k := range a.Vals {
+		if math.Float64bits(a.Vals[k]) != math.Float64bits(b.Vals[k]) {
+			return false
+		}
+	}
+	return true
 }
