@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/mmio"
 	"repro/internal/xrand"
 )
 
@@ -82,14 +83,28 @@ func BenchmarkScaleFreeRowSample(b *testing.B) {
 	}
 }
 
-// BenchmarkFromTriplets measures the CSR builder on shuffled input.
+// BenchmarkFromTriplets measures the CSR builder on row-major input,
+// which it copies, and on the same triplets shuffled, which it sorts.
 func BenchmarkFromTriplets(b *testing.B) {
 	a := benchMatrix(b, ClassUniform, 10000, 300000)
 	coo := a.ToCOO()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FromTriplets(coo.Rows, coo.Cols, coo.RowIdx, coo.ColIdx, coo.Vals); err != nil {
-			b.Fatal(err)
-		}
+	shuffled := a.ToCOO()
+	xrand.New(2).Shuffle(len(shuffled.RowIdx), func(i, j int) {
+		shuffled.RowIdx[i], shuffled.RowIdx[j] = shuffled.RowIdx[j], shuffled.RowIdx[i]
+		shuffled.ColIdx[i], shuffled.ColIdx[j] = shuffled.ColIdx[j], shuffled.ColIdx[i]
+		shuffled.Vals[i], shuffled.Vals[j] = shuffled.Vals[j], shuffled.Vals[i]
+	})
+	for _, in := range []struct {
+		name string
+		coo  *mmio.COO
+	}{{"row-major", coo}, {"shuffled", shuffled}} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := FromCOO(in.coo); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
