@@ -73,7 +73,7 @@ func NewMetrics() *Metrics {
 	m.Hedges = r.Counter("hetgate_hedges_total", "Hedged requests fired at fallback replicas.")
 	m.Coalesced = r.Counter("hetgate_coalesced_total", "Requests coalesced into an identical in-flight upstream call.")
 	m.shed = r.Counter("hetgate_shed_total", "Requests shed (HTTP 429) by backends.")
-	m.degraded = r.Counter("hetgate_degraded_total", "Degraded-but-usable answers (stale or fallback) from backends.")
+	m.degraded = r.Counter("hetgate_degraded_total", "Degraded-but-usable answers (cached or static fallback under shed) from backends.")
 	m.DeadlineExceeded = r.Counter("hetgate_deadline_exceeded_total", "Client requests that exhausted their deadline budget.")
 	m.shedByBackend = r.CounterVec("hetgate_shed_by_backend_total", "Requests shed (HTTP 429), by backend.", "backend")
 	m.degradedByBackend = r.CounterVec("hetgate_degraded_by_backend_total", "Degraded answers, by backend.", "backend")
