@@ -37,9 +37,9 @@
 // cost in flight, -admission-queue bounds the LIFO wait stack in front
 // of it; beyond both, requests are shed with 429 + Retry-After, or —
 // with -degrade — answered from a cache entry or the static
-// fallback threshold, marked "degraded":true. -faults injects
-// deterministic latency/errors/stalls for chaos testing (see
-// internal/resilience).
+// fallback threshold, marked "degraded":true. Chaos tests inject
+// faults at the gateway (hetgate -faults), which wraps every call to
+// its backends, health probes included.
 //
 // Example:
 //
@@ -63,7 +63,6 @@ import (
 
 	"repro/internal/hetsim"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/serve"
 	"repro/internal/store"
 )
@@ -85,21 +84,14 @@ func main() {
 		useStore   = flag.Bool("store", false, "enable the structure-keyed threshold store (cross-input transfer)")
 		storePath  = flag.String("store-path", "", "persist the threshold store as JSONL at this path (empty = in-memory)")
 		storeRad   = flag.Float64("store-radius", 0, "nearest-neighbor acceptance distance over normalized features (0 = default)")
-		faults     = flag.String("faults", "", "fault-injection rules, e.g. 'latency=200ms;errors=0.3' (chaos testing; empty disables)")
-		faultsSeed = flag.Int64("faults-seed", 1, "seed for the fault-injection RNG (same seed + traffic = same faults)")
-		faultIdx   = flag.Int("fault-backend", 0, "this replica's backend index for fault-rule matching")
 		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 		pprof      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	)
 	flag.Parse()
 
-	inject, err := resilience.ParseFaults(*faults, *faultsSeed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hetserve:", err)
-		os.Exit(1)
-	}
 	var st *store.Store
 	if *useStore || *storePath != "" {
+		var err error
 		st, err = store.Open(store.Config{Path: *storePath, Radius: *storeRad})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hetserve: opening threshold store:", err)
@@ -117,8 +109,6 @@ func main() {
 		AdmissionLimit: *admission,
 		AdmissionQueue: *admissionQ,
 		DegradeOnShed:  *degrade,
-		Faults:         inject,
-		FaultBackend:   *faultIdx,
 		EnablePprof:    *pprof,
 		Store:          st,
 	}
@@ -186,7 +176,6 @@ func run(addr string, cfg serve.Config, logJSON bool) error {
 			slog.Int64("admission", s.Admission().Limit()),
 			slog.Bool("degrade", cfg.DegradeOnShed),
 			slog.Bool("store", s.Store() != nil),
-			slog.Bool("faults", cfg.Faults != nil),
 			slog.Bool("pprof", cfg.EnablePprof))
 		errc <- srv.ListenAndServe()
 	}()

@@ -193,9 +193,9 @@ func (p *Platform) Device(i int) *Device {
 
 // Signature returns a compact identity string for the platform's
 // performance-relevant configuration. The threshold store records it
-// with every entry: a threshold estimated on one platform does not
-// silently transfer to another — a signature mismatch at lookup time
-// is treated as drift (warm-start only, background re-estimation).
+// with every entry, and a lookup matches only entries whose signature
+// equals its own: a threshold estimated on one platform never
+// transfers to another.
 // Device order matters, because partition shares are positional.
 func (p *Platform) Signature() string {
 	dev := func(d *Device) string {

@@ -273,8 +273,8 @@ func TestMultiPlatformDevice(t *testing.T) {
 
 // TestPlatformSignaturesPinned holds the platform signatures to their
 // literal strings. The threshold store writes the signature into every
-// entry and treats a mismatch as drift, so a changed string would
-// silently demote every stored entry to warm-start only.
+// entry and matches only entries of its own signature, so a changed
+// string would silently hide every stored entry from lookups.
 func TestPlatformSignaturesPinned(t *testing.T) {
 	const (
 		cpu  = "cpu{xeon-e5-2650:20x2.4e+09:mb8e+10:dp0.1:rp0.3:ll0}"

@@ -26,15 +26,14 @@ type Rule struct {
 	// into the cluster's backend list (the order of -backends /
 	// -embedded). Negative matches every backend.
 	Backend int
-	// Path restricts the rule to one URL path ("" matches all). The
-	// chaos jobs usually leave this empty so health probes are faulted
-	// too — a stalling backend stalls its /healthz as well.
+	// Path restricts the rule to one exact URL path ("" matches all).
+	// The chaos jobs usually leave this empty so health probes are
+	// faulted too — a stalling backend stalls its /healthz as well.
 	Path string
-	// Latency is added before the request is forwarded (transport) or
-	// handled (handler).
+	// Latency is added before the request is forwarded.
 	Latency time.Duration
 	// ErrorRate is the probability ∈ [0, 1] of failing the request
-	// outright: a transport error client-side, a 500 server-side.
+	// outright with a transport error.
 	ErrorRate float64
 	// StallRate is the probability of holding the request for Stall
 	// before failing it — the "backend accepted the connection and went
@@ -105,7 +104,8 @@ func NewFaults(seed int64, rules ...Rule) *Faults {
 //
 // Fields: backend=<index|*>, path=</path>, latency=<dur>,
 // errors=<0..1>, stalls=<0..1>, stall=<dur>, drip=<bytes>,
-// drip-delay=<dur>. An empty spec returns (nil, nil) — no injector.
+// drip-delay=<dur>. Indexes, durations and drip sizes must not be
+// negative. An empty spec returns (nil, nil) — no injector.
 func ParseFaults(spec string, seed int64) (*Faults, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -133,14 +133,14 @@ func ParseFaults(spec string, seed int64) (*Faults, error) {
 			case "backend":
 				if v == "*" {
 					r.Backend = -1
-				} else if r.Backend, err = strconv.Atoi(v); err != nil {
-					return nil, fmt.Errorf("resilience: bad backend %q: %v", v, err)
+				} else if r.Backend, err = strconv.Atoi(v); err != nil || r.Backend < 0 {
+					return nil, fmt.Errorf("resilience: bad backend %q (want an index or *)", v)
 				}
 			case "path":
 				r.Path = v
 			case "latency":
-				if r.Latency, err = time.ParseDuration(v); err != nil {
-					return nil, fmt.Errorf("resilience: bad latency %q: %v", v, err)
+				if r.Latency, err = parseDuration(k, v); err != nil {
+					return nil, err
 				}
 			case "errors":
 				if r.ErrorRate, err = parseRate(v); err != nil {
@@ -151,16 +151,16 @@ func ParseFaults(spec string, seed int64) (*Faults, error) {
 					return nil, err
 				}
 			case "stall":
-				if r.Stall, err = time.ParseDuration(v); err != nil {
-					return nil, fmt.Errorf("resilience: bad stall %q: %v", v, err)
+				if r.Stall, err = parseDuration(k, v); err != nil {
+					return nil, err
 				}
 			case "drip":
 				if r.DripBytes, err = strconv.Atoi(v); err != nil || r.DripBytes < 0 {
 					return nil, fmt.Errorf("resilience: bad drip %q", v)
 				}
 			case "drip-delay":
-				if r.DripDelay, err = time.ParseDuration(v); err != nil {
-					return nil, fmt.Errorf("resilience: bad drip-delay %q: %v", v, err)
+				if r.DripDelay, err = parseDuration(k, v); err != nil {
+					return nil, err
 				}
 			default:
 				return nil, fmt.Errorf("resilience: unknown fault field %q", k)
@@ -174,12 +174,25 @@ func ParseFaults(spec string, seed int64) (*Faults, error) {
 	return NewFaults(seed, rules...), nil
 }
 
+// parseRate accepts a probability in [0, 1]; NaN is outside it.
 func parseRate(v string) (float64, error) {
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil || f < 0 || f > 1 {
+	if err != nil || !(f >= 0 && f <= 1) {
 		return 0, fmt.Errorf("resilience: bad rate %q (want 0..1)", v)
 	}
 	return f, nil
+}
+
+// parseDuration accepts a non-negative duration for field k.
+func parseDuration(k, v string) (time.Duration, error) {
+	d, err := time.ParseDuration(v)
+	if err != nil {
+		return 0, fmt.Errorf("resilience: bad %s %q: %v", k, v, err)
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("resilience: bad %s %q (must not be negative)", k, v)
+	}
+	return d, nil
 }
 
 // Counts snapshots how many times each fault kind has fired.
@@ -329,65 +342,3 @@ func (d *dripReader) Read(p []byte) (int, error) {
 }
 
 func (d *dripReader) Close() error { return d.rc.Close() }
-
-// Handler wraps next with fault injection on the server side, as
-// backend index backend. Injected errors answer 500 with a body that
-// names the injection, so chaos failures are distinguishable in logs.
-func (f *Faults) Handler(backend int, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		d := f.decide(backend, r.URL.Path)
-		ctx := r.Context()
-		if err := delay(ctx, d.latency); err != nil {
-			return // client gone; nothing to write
-		}
-		if d.stall > 0 {
-			if delay(ctx, d.stall) == nil {
-				http.Error(w, "injected stall", http.StatusInternalServerError)
-			}
-			return
-		}
-		if d.fail {
-			http.Error(w, "injected fault", http.StatusInternalServerError)
-			return
-		}
-		if d.drip > 0 {
-			w = &dripWriter{ctx: ctx, ResponseWriter: w, chunk: d.drip, gap: d.dripGap}
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// dripWriter throttles response writes to chunk bytes per gap.
-type dripWriter struct {
-	http.ResponseWriter
-	ctx   context.Context
-	chunk int
-	gap   time.Duration
-	wrote bool
-}
-
-func (d *dripWriter) Write(p []byte) (int, error) {
-	total := 0
-	for len(p) > 0 {
-		if d.wrote {
-			if err := delay(d.ctx, d.gap); err != nil {
-				return total, err
-			}
-		}
-		d.wrote = true
-		n := d.chunk
-		if n > len(p) {
-			n = len(p)
-		}
-		c, err := d.ResponseWriter.Write(p[:n])
-		total += c
-		if err != nil {
-			return total, err
-		}
-		if f, ok := d.ResponseWriter.(http.Flusher); ok {
-			f.Flush()
-		}
-		p = p[n:]
-	}
-	return total, nil
-}

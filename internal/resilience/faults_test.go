@@ -42,13 +42,20 @@ func TestParseFaults(t *testing.T) {
 
 func TestParseFaultsErrors(t *testing.T) {
 	for _, spec := range []string{
-		"latency",        // no value
-		"latency=banana", // bad duration
-		"errors=1.5",     // rate out of range
-		"errors=-0.1",    // negative rate
-		"backend=x",      // bad index
-		"drip=-4",        // negative chunk
-		"frobnicate=1",   // unknown key
+		"latency",         // no value
+		"latency=banana",  // bad duration
+		"errors=1.5",      // rate out of range
+		"errors=-0.1",     // negative rate
+		"errors=NaN",      // not a number: the rule would never fire
+		"stalls=nan",      // likewise
+		"errors=+Inf",     // infinite rate
+		"backend=x",       // bad index
+		"backend=-7",      // negative index would fault every backend
+		"latency=-1s",     // negative latency
+		"stall=-5ms",      // negative stall
+		"drip-delay=-1ms", // negative drip delay
+		"drip=-4",         // negative chunk
+		"frobnicate=1",    // unknown key
 	} {
 		if _, err := ParseFaults(spec, 1); err == nil {
 			t.Errorf("ParseFaults(%q) accepted, want error", spec)
@@ -165,31 +172,6 @@ func TestFaultTransportLatencyAndDrip(t *testing.T) {
 	}
 }
 
-func TestFaultHandlerInjects(t *testing.T) {
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "fine")
-	})
-	f := NewFaults(1, Rule{Backend: 2, ErrorRate: 1})
-	h := f.Handler(2, inner)
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/estimate", nil))
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("code = %d, want 500", rec.Code)
-	}
-	if !strings.Contains(rec.Body.String(), "injected fault") {
-		t.Fatalf("body = %q", rec.Body.String())
-	}
-
-	// Same injector as a different backend index: untouched.
-	h = f.Handler(0, inner)
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/estimate", nil))
-	if rec.Code != http.StatusOK || rec.Body.String() != "fine" {
-		t.Fatalf("clean backend: %d %q", rec.Code, rec.Body.String())
-	}
-}
-
 func TestErrInjectedUnwraps(t *testing.T) {
 	f := NewFaults(1, Rule{Backend: -1, ErrorRate: 1})
 	client := &http.Client{Transport: f.Transport(nil, nil)}
@@ -197,4 +179,23 @@ func TestErrInjectedUnwraps(t *testing.T) {
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected in chain", err)
 	}
+}
+
+// FuzzParseFaults holds ParseFaults to its contract on any flag value:
+// it never panics, and every rule it accepts has rates in [0, 1], a
+// backend index of at least -1 (every backend), and non-negative
+// durations and drip size. Its seeds are in testdata/fuzz.
+func FuzzParseFaults(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		fs, err := ParseFaults(spec, 1)
+		if err != nil || fs == nil {
+			return
+		}
+		for i, r := range fs.rules {
+			if !(r.ErrorRate >= 0 && r.ErrorRate <= 1) || !(r.StallRate >= 0 && r.StallRate <= 1) ||
+				r.Backend < -1 || r.Latency < 0 || r.Stall < 0 || r.DripDelay < 0 || r.DripBytes < 0 {
+				t.Fatalf("ParseFaults(%q) accepted rule %d = %+v", spec, i, r)
+			}
+		}
+	})
 }

@@ -1,7 +1,8 @@
 // Package resilience is the serving stack's overload-protection and
 // fault-injection layer.
 //
-// Three concerns live here, shared by hetserve and hetgate:
+// Three concerns live here. hetserve and hetgate share the first two;
+// the third is hetgate's:
 //
 //   - Admission: a cost-aware admission controller in front of the
 //     estimation worker pool. Requests declare an estimated cost
@@ -21,12 +22,13 @@
 //     evaluations, so late work is cancelled rather than computed and
 //     discarded.
 //
-//   - Fault injection: Faults wraps backend transports and handlers
-//     and injects latency, errors, stalls and slow-drip bodies by
-//     rule. The rule set is parsed from a flag string and every random
-//     decision comes from a seeded RNG, so a chaos run is reproducible
-//     the same way cluster.Config.Seed makes backoff schedules
-//     reproducible.
+//   - Fault injection: Faults wraps the gateway's transport to its
+//     backends, health probes included, and injects latency, errors,
+//     stalls and slow-drip bodies by rule. It is the only injection
+//     site: backends themselves never fault. The rule set is parsed
+//     from hetgate's -faults flag and every random decision comes from
+//     a seeded RNG, so a chaos run is reproducible the same way
+//     cluster.Config.Seed makes backoff schedules reproducible.
 //
 // Everything is standard library, like the rest of the serving stack.
 package resilience

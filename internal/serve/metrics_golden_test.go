@@ -56,7 +56,6 @@ func recordEveryFamily(t *testing.T, s *Server) {
 	m.StoreProbes.Inc()
 	m.StoreProbes.Inc()
 	m.StoreRejects.Inc()
-	m.StoreReestimates.Inc()
 	for i := 0; i < 3; i++ {
 		m.EvalStarted()
 	}

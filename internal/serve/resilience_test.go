@@ -260,22 +260,3 @@ func TestMetricsExposeResilienceCounters(t *testing.T) {
 		}
 	}
 }
-
-// TestServerFaultInjection — a Config.Faults handler wrap turns the
-// whole replica chaotic, health endpoint included.
-func TestServerFaultInjection(t *testing.T) {
-	faults := resilience.NewFaults(3, resilience.Rule{Backend: 0, ErrorRate: 1})
-	ts := newTestServer(t, Config{Faults: faults, FaultBackend: 0})
-
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("faulted /healthz = %d, want 500", resp.StatusCode)
-	}
-	if faults.Counts()["error"] == 0 {
-		t.Error("fault counter did not move")
-	}
-}

@@ -92,11 +92,6 @@ type Config struct {
 	// the platform's NaiveStatic threshold, both marked
 	// "degraded":true.
 	DegradeOnShed bool
-	// Faults wraps the HTTP handler with server-side fault injection
-	// (chaos testing); nil disables.
-	Faults *resilience.Faults
-	// FaultBackend is this replica's index for fault-rule matching.
-	FaultBackend int
 
 	// Store is the structure-keyed threshold store (hetstore); nil
 	// disables cross-input transfer. The store may be shared by many
@@ -137,12 +132,10 @@ type Server struct {
 	sink      *obs.Sink
 	logger    *slog.Logger
 	mux       *http.ServeMux
-	handler   http.Handler
 
 	// Threshold-store state (nil store disables the transfer path).
 	store       *store.Store
 	platformSig string
-	reestimates flight.Group
 	featMu      sync.Mutex
 	feats       map[string]store.Features
 }
@@ -211,18 +204,11 @@ func New(cfg Config) *Server {
 	if cfg.EnablePprof {
 		obs.RegisterPprof(s.mux)
 	}
-	s.handler = s.mux
-	if cfg.Faults != nil {
-		// Faults wrap the whole mux, health checks included: a stalled
-		// backend stalls its /healthz too, which is exactly what the
-		// gateway's prober and breakers must cope with.
-		s.handler = cfg.Faults.Handler(cfg.FaultBackend, s.mux)
-	}
 	return s
 }
 
 // Handler returns the daemon's HTTP handler.
-func (s *Server) Handler() http.Handler { return s.handler }
+func (s *Server) Handler() http.Handler { return s.mux }
 
 // Metrics exposes the registry (tests and the CLI's shutdown summary).
 func (s *Server) Metrics() *Metrics { return s.metrics }

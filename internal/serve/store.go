@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"strconv"
 	"strings"
 	"time"
@@ -80,7 +79,6 @@ func (s *Server) storeLookup(ctx context.Context, req *request, cw core.Sampled)
 	s.metrics.StoreHits.Inc()
 	span.SetAttr("neighbor", n.Entry.Key)
 	span.SetAttr("distance", fmt.Sprintf("%.4f", n.Distance))
-	span.SetAttr("drifted", strconv.FormatBool(n.Drifted))
 	meta.hit = true
 	meta.neighbor = n.Entry.Key
 	meta.distance = n.Distance
@@ -175,9 +173,7 @@ func (s *Server) probeTransfer(ctx context.Context, req *request, cw core.Sample
 	if !s.store.AcceptProbe(int64(costs[0]), others...) {
 		span.SetAttr("accepted", "false")
 		s.metrics.StoreRejects.Inc()
-		if s.store.Observe(req.workload, n.Entry.Key, false) {
-			s.scheduleReestimate(req.workload, n.Entry.Key)
-		}
+		s.store.Observe(req.workload, n.Entry.Key, false)
 		return nil, false, nil
 	}
 	span.SetAttr("accepted", "true")
@@ -207,91 +203,5 @@ func (s *Server) probeTransfer(ctx context.Context, req *request, cw core.Sample
 func (s *Server) observeWarmOutcome(workload string, n store.Neighbor, meta storeMeta, est *core.Estimate) {
 	const win = core.DefaultWarmWindow
 	interior := est.SampleThreshold > meta.warmSeed-win && est.SampleThreshold < meta.warmSeed+win
-	if s.store.Observe(workload, n.Entry.Key, interior) {
-		// Confidence fell below the floor: refresh in the background.
-		s.scheduleReestimate(workload, n.Entry.Key)
-	}
+	s.store.Observe(workload, n.Entry.Key, interior)
 }
-
-// scheduleReestimate refreshes a store entry's threshold in the
-// background: a full (cold) pipeline run through the same admission
-// and pool gates as foreground traffic, at low priority — under load
-// the admission queue sheds it silently and the entry waits for a
-// quieter moment. Only dataset-backed entries can re-estimate (upload
-// bodies are not retained). Concurrent requests for the same entry
-// coalesce.
-func (s *Server) scheduleReestimate(workload, storeKey string) {
-	name, ok := strings.CutPrefix(storeKey, "dataset:")
-	if !ok {
-		return
-	}
-	flightKey := "reestimate|" + workload + "|" + storeKey
-	go func() {
-		_, _, _ = s.reestimates.Do(flightKey, func() (any, error) {
-			s.metrics.StoreReestimates.Inc()
-			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaxTimeout)
-			defer cancel()
-			err := s.reestimate(ctx, workload, name, storeKey)
-			if err != nil && !errors.Is(err, resilience.ErrOverloaded) {
-				s.logger.Warn("store re-estimation failed",
-					slog.String("workload", workload),
-					slog.String("input", storeKey),
-					slog.Any("err", err))
-			}
-			return nil, nil
-		})
-	}()
-}
-
-// reestimate runs one background refresh: cold search with the
-// workload's default searcher, then a store update with the verified
-// threshold.
-func (s *Server) reestimate(ctx context.Context, workload, dataset, storeKey string) error {
-	searcher, err := searcherFor(workload, "")
-	if err != nil {
-		return err
-	}
-	cost := searchCost(searcher, 1)
-	if err := s.admission.Acquire(ctx, cost); err != nil {
-		if errors.Is(err, resilience.ErrOverloaded) {
-			s.metrics.Shed.Inc()
-		}
-		return err
-	}
-	defer s.admission.Release(cost)
-	if err := s.pool.Acquire(ctx); err != nil {
-		return err
-	}
-	defer s.pool.Release()
-
-	req := &request{workload: workload, input: dataset, platform: s.platform}
-	w, err := s.buildWorkload(ctx, req)
-	if err != nil {
-		return err
-	}
-	cw := w.(core.Sampled)
-	f, ok := s.featuresOf(workload, storeKey, cw)
-	if !ok {
-		return fmt.Errorf("workload %s exposes no features", workload)
-	}
-	ctx = core.WithEvalObserver(ctx, s.metrics)
-	est, err := core.EstimateThreshold(ctx, cw, core.Config{
-		Searcher:    searcher,
-		Seed:        reestimateSeed,
-		Repeats:     1,
-		Parallelism: s.cfg.Parallelism,
-	})
-	if err != nil {
-		return err
-	}
-	runTime, err := s.evaluate(ctx, req, cw, est.Threshold, nil)
-	if err != nil {
-		return err
-	}
-	s.store.Put(workload, storeKey, s.platformSig, f, est.Threshold, int64(runTime))
-	return nil
-}
-
-// reestimateSeed is the fixed seed background refreshes use, so
-// re-estimated entries are reproducible across replicas.
-const reestimateSeed = 1

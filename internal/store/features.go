@@ -8,9 +8,11 @@
 // threshold), and later requests whose features fall within a tunable
 // radius of a stored neighbor either warm-start the Identify sweep
 // around the neighbor's threshold or skip Identify entirely behind a
-// cheap verification probe. Per-entry confidence grows on verified
-// transfers, decays on probe rejections and platform drift, and drives
-// background re-estimation when it falls too low.
+// cheap verification probe. Every entry is a verified answer for its
+// own input on the platform that computed it, and only lookups from
+// that platform see it. Per-entry confidence grows on verified
+// transfers, decays on probe rejections and on warm searches that run
+// into the window's edge, and gates the skip.
 package store
 
 import (

@@ -28,9 +28,6 @@ const (
 	// probe allows: cost(T) must be within (1+tol) of the best of
 	// the probed grid points.
 	DefaultProbeTolerance = 0.05
-	// DefaultReestimateBelow is the confidence floor under which a
-	// background re-estimation is requested.
-	DefaultReestimateBelow = 0.35
 	// DefaultMaxEntries bounds the store before eviction kicks in.
 	DefaultMaxEntries = 4096
 	// initialConfidence is assigned to freshly inserted entries.
@@ -38,9 +35,6 @@ const (
 	// acceptBoost / rejectFactor move confidence on probe outcomes.
 	acceptBoost  = 0.05
 	rejectFactor = 0.5
-	// driftFactor decays confidence when an entry is consulted from
-	// a platform other than the one it was estimated on.
-	driftFactor = 0.7
 )
 
 // Entry is one stored threshold: the structural features of an input,
@@ -54,8 +48,9 @@ type Entry struct {
 	// across workloads.
 	Workload string `json:"workload"`
 	// Platform is the signature of the platform the threshold was
-	// estimated on (hetsim.Platform.Signature). A mismatch at lookup
-	// time is drift: the entry still warm-starts, but cannot skip.
+	// estimated on (hetsim.Platform.Signature). Lookup matches only
+	// entries of the caller's own platform: a threshold depends on the
+	// platform as much as on the input.
 	Platform string `json:"platform"`
 	// Features is the structural fingerprint lookup is keyed on.
 	Features Features `json:"features"`
@@ -64,7 +59,7 @@ type Entry struct {
 	// CostNS is the verified full-input cost at Threshold.
 	CostNS int64 `json:"cost_ns"`
 	// Confidence in (0, 1]: grows on verified transfers, decays on
-	// probe rejections and platform drift.
+	// probe rejections and on warm searches that hit the window edge.
 	Confidence float64 `json:"confidence"`
 	// Transfers counts successful transfers out of this entry.
 	Transfers int64 `json:"transfers"`
@@ -83,10 +78,6 @@ func (e *Entry) score() float64 {
 type Neighbor struct {
 	Entry    Entry
 	Distance float64
-	// Drifted reports that the entry was estimated on a different
-	// platform signature: transfer may warm-start but must not skip,
-	// and background re-estimation should refresh the entry.
-	Drifted bool
 }
 
 // Config tunes a Store. Zero values select the defaults above.
@@ -101,9 +92,6 @@ type Config struct {
 	SkipConfidence float64
 	// ProbeTolerance is the verification probe's relative slack.
 	ProbeTolerance float64
-	// ReestimateBelow is the confidence floor that requests
-	// background re-estimation.
-	ReestimateBelow float64
 	// Now overrides the clock (tests); nil uses time.Now.
 	Now func() int64
 }
@@ -120,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeTolerance <= 0 {
 		c.ProbeTolerance = DefaultProbeTolerance
-	}
-	if c.ReestimateBelow <= 0 {
-		c.ReestimateBelow = DefaultReestimateBelow
 	}
 	if c.Now == nil {
 		c.Now = func() int64 { return time.Now().Unix() }
@@ -223,18 +208,6 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Radius returns the configured acceptance distance.
-func (s *Store) Radius() float64 { return s.cfg.Radius }
-
-// SkipConfidence returns the configured skip gate.
-func (s *Store) SkipConfidence() float64 { return s.cfg.SkipConfidence }
-
-// ProbeTolerance returns the configured probe slack.
-func (s *Store) ProbeTolerance() float64 { return s.cfg.ProbeTolerance }
-
-// ReestimateBelow returns the configured re-estimation floor.
-func (s *Store) ReestimateBelow() float64 { return s.cfg.ReestimateBelow }
-
 // Put inserts or refreshes the entry for (workload, key). A fresh
 // estimate resets confidence: the threshold was just verified against
 // a real Identify run.
@@ -259,18 +232,19 @@ func (s *Store) Put(workload, key, platform string, f Features, threshold float6
 	s.evictLocked()
 }
 
-// Lookup returns the nearest stored neighbor of f for the workload
-// within the configured radius. Equal distances break toward the
+// Lookup returns the nearest stored neighbor of f for the workload on
+// the platform within the configured radius. Entries estimated on
+// another platform never match. Equal distances break toward the
 // lexicographically smallest key, so lookups are deterministic. The
 // caller's own entry (sameKey) is excluded: transfer is only
-// interesting across inputs.
+// interesting across inputs. Lookup never writes.
 func (s *Store) Lookup(workload, platform, sameKey string, f Features) (Neighbor, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var best *Entry
 	bestD := math.Inf(1)
 	for _, e := range s.entries {
-		if e.Workload != workload || e.Key == sameKey {
+		if e.Workload != workload || e.Platform != platform || e.Key == sameKey {
 			continue
 		}
 		d := f.Distance(e.Features)
@@ -281,23 +255,13 @@ func (s *Store) Lookup(workload, platform, sameKey string, f Features) (Neighbor
 	if best == nil || bestD > s.cfg.Radius {
 		return Neighbor{}, false
 	}
-	n := Neighbor{Entry: *best, Distance: bestD, Drifted: best.Platform != platform}
-	if n.Drifted {
-		// Consulting a stale-platform entry decays it: repeated
-		// drift hits sink below the re-estimation floor.
-		best.Confidence *= driftFactor
-		best.UpdatedUnix = s.cfg.Now()
-		s.appendLocked(best)
-		n.Entry = *best
-	}
-	return n, true
+	return Neighbor{Entry: *best, Distance: bestD}, true
 }
 
-// CanSkip reports whether the neighbor is trusted enough to skip
-// Identify entirely (subject to a verification probe): high
-// confidence, no platform drift.
+// CanSkip reports whether the neighbor is confident enough to skip
+// Identify entirely (subject to a verification probe).
 func (s *Store) CanSkip(n Neighbor) bool {
-	return !n.Drifted && n.Entry.Confidence >= s.cfg.SkipConfidence
+	return n.Entry.Confidence >= s.cfg.SkipConfidence
 }
 
 // AcceptProbe applies the verification rule: the transferred
@@ -319,15 +283,13 @@ func (s *Store) AcceptProbe(costAt int64, others ...int64) bool {
 
 // Observe records a probe outcome for the entry behind a transfer.
 // Accepting nudges confidence up and counts a transfer; rejecting
-// halves it. The return reports whether confidence has fallen below
-// the re-estimation floor (the caller should schedule a background
-// refresh).
-func (s *Store) Observe(workload, key string, accepted bool) (reestimate bool) {
+// halves it.
+func (s *Store) Observe(workload, key string, accepted bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[entryID(workload, key)]
 	if !ok {
-		return false
+		return
 	}
 	if accepted {
 		e.Confidence += acceptBoost
@@ -340,7 +302,6 @@ func (s *Store) Observe(workload, key string, accepted bool) (reestimate bool) {
 	}
 	e.UpdatedUnix = s.cfg.Now()
 	s.appendLocked(e)
-	return e.Confidence < s.cfg.ReestimateBelow
 }
 
 // Get returns a copy of the entry for (workload, key).

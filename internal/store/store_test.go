@@ -171,9 +171,6 @@ func TestLookupNearestAndRadius(t *testing.T) {
 	if n.Entry.Key != "dataset:near" {
 		t.Errorf("nearest = %q, want dataset:near", n.Entry.Key)
 	}
-	if n.Drifted {
-		t.Error("same platform should not be drifted")
-	}
 	// Beyond the radius: no hit.
 	if _, ok := s.Lookup("spmm", "p", "upload:q", feat(0.0)); ok {
 		t.Error("distant query should miss")
@@ -274,64 +271,65 @@ func TestProbeAcceptRejectBoundaries(t *testing.T) {
 	}
 }
 
-func TestDriftForcesReestimation(t *testing.T) {
-	s, _ := Open(testConfig(""))
-	s.Put("spmm", "dataset:a", "plat-old", feat(0.5), 42, 1e6)
-
-	// A platform change shows up as Drifted lookups that decay
-	// confidence until it crosses the re-estimation floor.
-	var drifted bool
-	for i := 0; i < 10; i++ {
-		n, ok := s.Lookup("spmm", "plat-new", "upload:q", feat(0.5))
-		if !ok {
-			t.Fatal("expected hit")
-		}
-		if !n.Drifted {
-			t.Fatal("platform mismatch not flagged as drift")
-		}
-		if s.CanSkip(n) {
-			t.Fatal("drifted entry must not skip Identify")
-		}
-		e, _ := s.Get("spmm", "dataset:a")
-		if e.Confidence < s.ReestimateBelow() {
-			drifted = true
-			break
-		}
+// logSize pushes the append buffer to disk, without compacting, and
+// returns the log's size.
+func logSize(t *testing.T, s *Store, path string) int64 {
+	t.Helper()
+	s.mu.Lock()
+	err := s.appendW.Flush()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !drifted {
-		t.Error("confidence never crossed the re-estimation floor under drift")
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Re-estimation on the new platform restores skip eligibility.
-	s.Put("spmm", "dataset:a", "plat-new", feat(0.5), 45, 1.1e6)
-	s.Observe("spmm", "dataset:a", true)
-	s.Observe("spmm", "dataset:a", true)
-	s.Observe("spmm", "dataset:a", true)
-	n, ok := s.Lookup("spmm", "plat-new", "upload:q", feat(0.5))
-	if !ok || n.Drifted {
-		t.Fatalf("refreshed entry should match cleanly: ok=%v drifted=%v", ok, n.Drifted)
-	}
-	if !s.CanSkip(n) {
-		t.Errorf("refreshed confident entry should skip (conf %v)", n.Entry.Confidence)
-	}
+	return fi.Size()
 }
 
-func TestObserveReestimateSignal(t *testing.T) {
-	s, _ := Open(testConfig(""))
-	s.Put("spmm", "dataset:a", "p", feat(0.5), 42, 1e6)
-	// 0.5 → 0.25 (below 0.35 floor) on first rejection.
-	if !s.Observe("spmm", "dataset:a", false) {
-		t.Error("rejection below floor should request re-estimation")
+// TestLookupMatchesOnlyOwnPlatform — an entry answers only lookups
+// from the platform that computed it, and a lookup never writes: a
+// miss from another platform leaves the entry and the log as they
+// were, while a confident entry of the caller's own platform may skip.
+func TestLookupMatchesOnlyOwnPlatform(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	s, err := Open(testConfig(path))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Accepts climb back above the floor.
+	defer s.Close()
+	s.Put("spmm", "dataset:a", "plat-old", feat(0.5), 42, 1e6)
+	before, _ := s.Get("spmm", "dataset:a")
+	size := logSize(t, s, path)
+
 	for i := 0; i < 3; i++ {
-		s.Observe("spmm", "dataset:a", true)
+		if n, ok := s.Lookup("spmm", "plat-new", "upload:q", feat(0.5)); ok {
+			t.Fatalf("lookup from another platform hit %+v", n.Entry)
+		}
 	}
-	if s.Observe("spmm", "dataset:a", true) {
-		t.Error("confident entry should not request re-estimation")
+	if after, _ := s.Get("spmm", "dataset:a"); after != before {
+		t.Errorf("a missed lookup changed the entry: %+v → %+v", before, after)
 	}
-	if s.Observe("spmm", "missing", false) {
-		t.Error("unknown key should not request re-estimation")
+	if got := logSize(t, s, path); got != size {
+		t.Errorf("log grew from %d to %d bytes on lookups", size, got)
+	}
+
+	// The platform's own estimate, once confident, may skip.
+	s.Put("spmm", "dataset:b", "plat-new", feat(0.5), 45, 1.1e6)
+	s.Observe("spmm", "dataset:b", true)
+	s.Observe("spmm", "dataset:b", true)
+	s.Observe("spmm", "dataset:b", true)
+	size = logSize(t, s, path)
+	n, ok := s.Lookup("spmm", "plat-new", "upload:q", feat(0.5))
+	if !ok || n.Entry.Key != "dataset:b" {
+		t.Fatalf("own-platform lookup = %+v, %v; want dataset:b", n.Entry, ok)
+	}
+	if !s.CanSkip(n) {
+		t.Errorf("confident own-platform entry should skip (conf %v)", n.Entry.Confidence)
+	}
+	if got := logSize(t, s, path); got != size {
+		t.Errorf("log grew from %d to %d bytes on a hit", size, got)
 	}
 }
 
