@@ -20,9 +20,8 @@
 // client budget) are bounded by that budget too, and shed with 504
 // when the budget cannot fit any work.
 //
-// Device inventory: partition requests with devices ≥ 3 run on a
-// default CPU + (N-1) GPU cascade; -gpus N pins the inventory to CPU +
-// N GPUs instead, and then devices must equal N+1.
+// Device inventory: partition requests with devices ≥ 3 run on the
+// default CPU + (N-1) GPU cascade.
 //
 // Threshold store: -store enables the structure-keyed threshold store
 // (hetstore) — estimates are keyed by the input's structural feature
@@ -61,7 +60,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/hetsim"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -77,7 +75,6 @@ func main() {
 		batchItems = flag.Int("batch-max-items", 0, "max items per /estimate-batch job (0 = default)")
 		batchBytes = flag.Int64("batch-max-bytes", 0, "max /estimate-batch body bytes, manifest + uploads together (0 = max-upload)")
 		timeout    = flag.Duration("timeout", serve.DefaultMaxTimeout, "per-request deadline cap")
-		gpus       = flag.Int("gpus", 0, "pin the partition-request inventory to CPU + N GPUs (0 = default cascade per ?devices=)")
 		admission  = flag.Int64("admission", 0, "admission capacity in evaluation-cost units (0 = default)")
 		admissionQ = flag.Int("admission-queue", 0, "requests that may wait for admission before shedding with 429 (0 = default, negative = never queue)")
 		degrade    = flag.Bool("degrade", false, "on shed, serve a cache entry or static-fallback threshold (marked degraded) instead of 429")
@@ -111,13 +108,6 @@ func main() {
 		DegradeOnShed:  *degrade,
 		EnablePprof:    *pprof,
 		Store:          st,
-	}
-	if *gpus > 0 {
-		if *gpus+1 > serve.MaxEstimateDevices {
-			fmt.Fprintf(os.Stderr, "hetserve: -gpus %d exceeds the %d-device cap\n", *gpus, serve.MaxEstimateDevices)
-			os.Exit(1)
-		}
-		cfg.MultiPlatform = hetsim.DefaultMulti(*gpus)
 	}
 	if err := run(*addr, cfg, *logJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "hetserve:", err)

@@ -72,9 +72,6 @@ type Config struct {
 	// MaxBodyBytes caps client POST bodies; <= 0 means
 	// serve.DefaultMaxUpload.
 	MaxBodyBytes int64
-	// Client is the upstream HTTP client; nil means a dedicated
-	// http.Client with sane pooling.
-	Client *http.Client
 	// Logger receives structured log records (request lines, probe
 	// failures, upstream errors) with trace/request IDs attached from
 	// the context; nil discards them.
@@ -163,16 +160,12 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:      cfg,
 		ring:     NewRing(cfg.VNodes),
-		client:   cfg.Client,
 		breakers: make(map[string]*Breaker),
 		metrics:  metrics,
 		sink:     obs.NewSink(cfg.SpanCapacity, metrics.stages),
 		logger:   cfg.Logger,
 		mux:      http.NewServeMux(),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-	}
-	if g.client == nil {
-		g.client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
 	}
 	backendIndex := make(map[string]int, len(cfg.Backends))
 	for i, b := range cfg.Backends {
@@ -184,20 +177,19 @@ func New(cfg Config) (*Gateway, error) {
 		g.breakers[u] = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 		backendIndex[hostKey(u)] = i
 	}
+	var transport http.RoundTripper = &http.Transport{MaxIdleConnsPerHost: 16}
 	if cfg.Faults != nil {
-		// Wrap a copy of the client so a caller-supplied Client is not
-		// mutated. Fault rules address backends by their position in
+		// Fault rules address backends by their position in
 		// cfg.Backends; requests to anything else (never the case today)
 		// match only backend=* rules.
-		wrapped := *g.client
-		wrapped.Transport = cfg.Faults.Transport(g.client.Transport, func(r *http.Request) int {
+		transport = cfg.Faults.Transport(transport, func(r *http.Request) int {
 			if i, ok := backendIndex[r.URL.Scheme+"://"+r.URL.Host]; ok {
 				return i
 			}
 			return -1
 		})
-		g.client = &wrapped
 	}
+	g.client = &http.Client{Transport: transport}
 	g.metrics.breakerStates = g.BreakerStates
 	// The proxied routes get the full middleware (request IDs, gateway
 	// spans, request log lines); /healthz and /metrics stay bare so
@@ -218,7 +210,7 @@ func New(cfg Config) (*Gateway, error) {
 // Handler returns the gateway's HTTP handler.
 func (g *Gateway) Handler() http.Handler { return g.mux }
 
-// Metrics exposes the registry (tests and the CLI's bench mode).
+// Metrics exposes the registry (tests and the bench ledger).
 func (g *Gateway) Metrics() *Metrics { return g.metrics }
 
 // Sink exposes the span sink (tests, trace assertions).

@@ -3,6 +3,7 @@ package resilience
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -37,9 +38,9 @@ func SetBudget(h http.Header, remaining time.Duration) {
 }
 
 // Budget reads the propagated budget from h. ok is false when the
-// header is absent; a present but malformed or non-positive value is an
-// error so a garbled header fails loudly instead of silently removing
-// the deadline.
+// header is absent; a present but malformed, non-positive or
+// duration-overflowing value is an error so a garbled header fails
+// loudly instead of silently removing or shrinking the deadline.
 func Budget(h http.Header) (budget time.Duration, ok bool, err error) {
 	v := h.Get(DeadlineHeader)
 	if v == "" {
@@ -51,6 +52,9 @@ func Budget(h http.Header) (budget time.Duration, ok bool, err error) {
 	}
 	if ms <= 0 {
 		return 0, false, fmt.Errorf("resilience: %s %q must be positive", DeadlineHeader, v)
+	}
+	if ms > math.MaxInt64/int64(time.Millisecond) {
+		return 0, false, fmt.Errorf("resilience: bad %s %q: overflows a duration", DeadlineHeader, v)
 	}
 	return time.Duration(ms) * time.Millisecond, true, nil
 }

@@ -3,6 +3,7 @@ package resilience
 import (
 	"context"
 	"net/http"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -44,13 +45,33 @@ func TestBudgetAbsent(t *testing.T) {
 }
 
 func TestBudgetMalformed(t *testing.T) {
-	for _, v := range []string{"abc", "-5", "0", "1.5"} {
+	// The last two parse as int64 but overflow a time.Duration in
+	// milliseconds: they once wrapped to 448µs and -1ms.
+	for _, v := range []string{"abc", "-5", "0", "1.5", "18446744073710", "9223372036854775807"} {
 		h := make(http.Header)
 		h.Set(DeadlineHeader, v)
 		if _, _, err := Budget(h); err == nil {
 			t.Errorf("Budget(%q) accepted, want error", v)
 		}
 	}
+}
+
+// FuzzBudget checks Budget on arbitrary X-Deadline-Ms values: it never
+// panics, and every budget it accepts is at least 1ms and exactly the
+// header's milliseconds. Its seeds are in testdata/fuzz.
+func FuzzBudget(f *testing.F) {
+	f.Fuzz(func(t *testing.T, v string) {
+		h := make(http.Header)
+		h.Set(DeadlineHeader, v)
+		budget, ok, err := Budget(h)
+		if err != nil || !ok {
+			return
+		}
+		ms, perr := strconv.ParseInt(v, 10, 64)
+		if perr != nil || budget < time.Millisecond || budget%time.Millisecond != 0 || budget.Milliseconds() != ms {
+			t.Fatalf("Budget(%q) = %v, want %s milliseconds", v, budget, v)
+		}
+	})
 }
 
 func TestShaveBudget(t *testing.T) {

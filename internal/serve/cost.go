@@ -2,30 +2,6 @@ package serve
 
 import "repro/internal/core"
 
-// probeCost is the admission cost of a store-transfer verification
-// probe: three full-input evaluations (threshold ± one grid step).
-// Deliberately tiny next to any search cost — under overload the probe
-// fits where a fresh Identify would shed, which is what lets a warm
-// store keep serving degraded traffic.
-const probeCost = 3
-
-// warmSearchCost scales searchCost down for a warm-started search,
-// whose Identify window is 2×DefaultWarmWindow wide instead of the full
-// [0, 100] span. Clamped above probeCost so a warm search is never
-// admitted cheaper than the probe it fell back from, and never above
-// the cold cost.
-func warmSearchCost(s core.Searcher, repeats int) int64 {
-	cold := searchCost(s, repeats)
-	warm := cold * int64(2*core.DefaultWarmWindow) / 100
-	if warm <= probeCost {
-		warm = probeCost + 1
-	}
-	if warm > cold {
-		warm = cold
-	}
-	return warm
-}
-
 // simplexCostRounds is the coordinate-descent round count the
 // admission estimate assumes for N ≥ 3 partition searches: one
 // improving pass plus a confirming pass is the common case, and a

@@ -219,6 +219,12 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, workload strin
 	// leader's outcome, deadline included; that is the usual
 	// singleflight trade and estimation results are request-agnostic.
 	v, err, leader := s.flight.Do(req.cacheKey, func() (any, error) {
+		// An earlier flight for this key may have finished between the
+		// lookup above and this call: answer from the entry it left
+		// instead of running the pipeline again.
+		if resp, ok := s.cached(req); ok {
+			return &resp, nil
+		}
 		s.metrics.CacheMisses.Inc()
 		// Anchored at arrival, not here: with a propagated budget this
 		// server must give up strictly before its caller does, even when
@@ -329,34 +335,25 @@ func (s *Server) shedFallback(h http.Header, req *request) (*EstimateResponse, b
 // a probe-verified transfer or run a (possibly warm-started) search,
 // and cache the answer.
 //
+// A single request is gated in one order before anything is built:
+// admission at its cold cost (grid points × repeats), which bounds the
+// total estimated cost in flight and sheds instead of queuing
+// unboundedly, then a worker slot. A store hit is charged the same
+// cost, and gives it back as soon as its probe accepts the transfer. A batch item (emit
+// non-nil) takes neither — its job already holds aggregate admission
+// at its items' cold costs and the worker slot — and emits a coarse
+// event before the search.
+//
 // The store's features-to-threshold transfer is scalar, so N-device
 // requests bypass it: a partition warm-started from a scalar neighbor
-// would not be one. Without the store in play, admission comes first —
-// it bounds the total estimated cost (grid points × repeats) in flight
-// and sheds instead of queuing unboundedly — then a worker slot. With
-// it, the worker slot comes first — it bounds builds and probes as
-// well as searches — and admission is charged per path after the
-// lookup: probeCost for a verified transfer, a window-scaled cost for
-// a warm-started search, the full cost for a cold run; a store hit
-// therefore consumes no admission capacity beyond its probe, which is
-// what lets a warm store keep answering while admission sheds fresh
-// Identify work. A batch item (emit non-nil) takes neither — its job
-// already holds aggregate admission and the worker slot — and emits a
-// coarse event before the search.
+// would not be one.
 func (s *Server) run(ctx context.Context, req *request, emit func(batch.Event)) (*EstimateResponse, error) {
-	st := s.store
-	if req.devices > 0 {
-		st = nil
-	}
-	admitted := emit != nil
-	if !admitted {
-		if st == nil {
-			release, err := s.admit(ctx, req.cost())
-			if err != nil {
-				return nil, err
-			}
-			defer release()
+	if emit == nil {
+		release, err := s.admit(ctx, req.cost())
+		if err != nil {
+			return nil, err
 		}
+		defer release()
 		if err := s.acquireWorker(ctx); err != nil {
 			return nil, err
 		}
@@ -371,32 +368,21 @@ func (s *Server) run(ctx context.Context, req *request, emit func(batch.Event)) 
 		meta storeMeta
 		n    store.Neighbor
 	)
-	if st != nil {
+	if s.store != nil && req.devices == 0 {
 		meta, n = s.storeLookup(ctx, req, w.(core.Sampled))
 	}
 	if emit != nil {
 		emit(s.coarseEvent(req, meta, n))
 	}
-	if meta.hit && st.CanSkip(n) {
-		resp, ok, err := s.probeTransfer(ctx, req, w.(core.Sampled), n, meta, admitted)
+	if meta.hit && s.store.CanSkip(n) {
+		resp, ok, err := s.probeTransfer(ctx, req, w.(core.Sampled), n, meta)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
 			return resp, nil
 		}
-		// Probe rejected or shed: fall through to the warm path.
-	}
-	if st != nil && !admitted {
-		cost := req.cost()
-		if meta.warm != nil {
-			cost = warmSearchCost(req.searcher, req.repeats)
-		}
-		release, err := s.admit(ctx, cost)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
+		// Probe rejected: fall through to the warm path.
 	}
 	return s.search(ctx, req, w, meta, n)
 }
@@ -526,10 +512,9 @@ func (s *Server) evaluate(ctx context.Context, req *request, w any, t float64, p
 }
 
 // evaluateMemo is every full-input evaluation hetserve makes — the
-// final one at the estimate, the store's probe points and the
-// background re-estimate — at the partition p when it is non-nil, at
-// the threshold t otherwise. It reports the memo outcome: hit, miss or
-// bypass.
+// final one at the estimate and the store's probe points — at the
+// partition p when it is non-nil, at the threshold t otherwise. It
+// reports the memo outcome: hit, miss or bypass.
 //
 // A dataset workload's evaluations are memoized in the build cache,
 // keyed by the workload and the exact vector ({t, 100 − t} for a

@@ -99,7 +99,8 @@ func TestEstimatePartitionTwoDeviceParity(t *testing.T) {
 	}
 }
 
-// TestEstimatePartitionUpload — POST bodies work with ?devices= too.
+// TestEstimatePartitionUpload — POST bodies work with ?devices= too,
+// and answer with the default cascade's NaiveStatic vector.
 func TestEstimatePartitionUpload(t *testing.T) {
 	ts := newTestServer(t, Config{CacheSize: 8})
 	mtx := genMTX(t, 600, 4000, 21)
@@ -110,6 +111,10 @@ func TestEstimatePartitionUpload(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Errorf("partition %v invalid: %v", p, err)
+	}
+	static := asPartition(t, out, "naive_static_partition")
+	if want := core.Partition(hetsim.DefaultMulti(3).StaticShares()); static.String() != want.String() {
+		t.Errorf("naive static = %v, want the 4-device cascade's %v", static, want)
 	}
 }
 
@@ -131,25 +136,6 @@ func TestEstimatePartitionRejections(t *testing.T) {
 			t.Errorf("%s: no error body", tc.q)
 		}
 	}
-}
-
-// TestEstimatePartitionConfiguredInventory — a server configured with a
-// fixed multi-platform only answers for its own device count.
-func TestEstimatePartitionConfiguredInventory(t *testing.T) {
-	mp := hetsim.DefaultMulti(3) // 4 devices
-	ts := newTestServer(t, Config{CacheSize: 8, MultiPlatform: mp})
-	out := getJSON(t, ts.URL+"/estimate?workload=cc&dataset=cant&devices=4&repeats=1", 200)
-	if p := asPartition(t, out, "partition"); len(p) != 4 {
-		t.Errorf("partition = %v, want 4 shares", p)
-	}
-	static := asPartition(t, out, "naive_static_partition")
-	want := core.Partition(mp.StaticShares())
-	if static.String() != want.String() {
-		t.Errorf("naive static = %v, want the configured inventory's %v", static, want)
-	}
-	getJSON(t, ts.URL+"/estimate?workload=cc&dataset=cant&devices=3&repeats=1", 400)
-	// devices=2 bypasses the inventory (pair platform) and still works.
-	getJSON(t, ts.URL+"/estimate?workload=cc&dataset=cant&devices=2&repeats=1", 200)
 }
 
 // TestPartitionSearchCost — the admission estimate scales with the
@@ -181,27 +167,27 @@ func TestPartitionQueryCanonical(t *testing.T) {
 }
 
 // TestAdmissionCosts pins the admission cost of each served searcher
-// cold, at three devices and warm-started.
+// cold and at three devices.
 func TestAdmissionCosts(t *testing.T) {
 	for _, tc := range []struct {
-		searcher                  string
-		one, three, d3, warmThree int64
+		searcher       string
+		one, three, d3 int64
 	}{
-		{"exhaustive", 101, 303, 1818, 48},
-		{"coarse-to-fine", 30, 90, 540, 14},
-		{"race", 10, 30, 180, 4},
-		{"gradient", 16, 48, 288, 7},
+		{"exhaustive", 101, 303, 1818},
+		{"coarse-to-fine", 30, 90, 540},
+		{"race", 10, 30, 180},
+		{"gradient", 16, 48, 288},
 	} {
 		s, err := searcherFor(WorkloadSpMM, tc.searcher)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := [4]int64{
+		got := [3]int64{
 			partitionSearchCost(s, 1, 0), partitionSearchCost(s, 3, 0),
-			partitionSearchCost(s, 3, 3), warmSearchCost(s, 3),
+			partitionSearchCost(s, 3, 3),
 		}
-		if want := [4]int64{tc.one, tc.three, tc.d3, tc.warmThree}; got != want {
-			t.Errorf("%s: costs (repeats 1, repeats 3, devices=3, warm) = %v, want %v", tc.searcher, got, want)
+		if want := [3]int64{tc.one, tc.three, tc.d3}; got != want {
+			t.Errorf("%s: costs (repeats 1, repeats 3, devices=3) = %v, want %v", tc.searcher, got, want)
 		}
 	}
 }

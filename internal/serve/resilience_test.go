@@ -125,8 +125,8 @@ func TestShedFallbackPrefersCache(t *testing.T) {
 }
 
 // TestDeadlineHeaderTooSmall — a propagated budget below MinBudget
-// fails fast with 504 and counts deadline_exceeded; a malformed value
-// is a 400.
+// fails fast with 504 and counts deadline_exceeded; a malformed or
+// overflowing value is a 400.
 func TestDeadlineHeaderTooSmall(t *testing.T) {
 	cfg := Config{Logger: testLogger(t)}
 	s := New(cfg)
@@ -149,14 +149,18 @@ func TestDeadlineHeaderTooSmall(t *testing.T) {
 		t.Error("deadline_exceeded counter did not move")
 	}
 
-	req.Header.Set(resilience.DeadlineHeader, "banana")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed header: status = %d, want 400", resp.StatusCode)
+	// 18446744073710ms overflows a time.Duration; it once wrapped to
+	// 448µs and was answered 504.
+	for _, v := range []string{"banana", "18446744073710"} {
+		req.Header.Set(resilience.DeadlineHeader, v)
+		resp, err = http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("malformed header %q: status = %d, want 400", v, resp.StatusCode)
+		}
 	}
 }
 

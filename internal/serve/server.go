@@ -59,13 +59,6 @@ type Config struct {
 	// MaxTimeout caps the per-request deadline; requests may ask for
 	// less via ?timeout=. <= 0 means DefaultMaxTimeout.
 	MaxTimeout time.Duration
-	// MultiPlatform is the device inventory for N-device partition
-	// requests (?devices=N with N ≥ 3). When set, its device count is
-	// the only N ≥ 3 the server answers for; when nil, the default CPU
-	// + (N-1) GPU cascade (hetsim.DefaultMulti) answers each N. Scalar
-	// and two-device requests always run on the device pair
-	// hetsim.Default.
-	MultiPlatform *hetsim.Platform
 	// Logger receives structured log records (request lines, pipeline
 	// errors) with trace/request IDs attached from the context; nil
 	// discards them.
@@ -119,8 +112,7 @@ const (
 type Server struct {
 	cfg Config
 	// platform is the device pair; cascades[n] is the default n-device
-	// inventory for 3 <= n <= MaxEstimateDevices, built once (nil when
-	// Config.MultiPlatform is set).
+	// inventory for 3 <= n <= MaxEstimateDevices, built once.
 	platform  *hetsim.Platform
 	cascades  [MaxEstimateDevices + 1]*hetsim.Platform
 	pool      *Pool
@@ -172,10 +164,8 @@ func New(cfg Config) *Server {
 		logger:    cfg.Logger,
 		mux:       http.NewServeMux(),
 	}
-	if cfg.MultiPlatform == nil {
-		for n := 3; n <= MaxEstimateDevices; n++ {
-			s.cascades[n] = hetsim.DefaultMulti(n - 1)
-		}
+	for n := 3; n <= MaxEstimateDevices; n++ {
+		s.cascades[n] = hetsim.DefaultMulti(n - 1)
 	}
 	s.store = cfg.Store
 	s.platformSig = s.platform.Signature()

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -10,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/store"
 )
 
@@ -101,33 +99,14 @@ func thresholdRange(cw core.Sampled) (lo, hi float64) {
 
 // probeTransfer verifies a transferred threshold with a cheap probe:
 // full-input evaluations at the threshold and one grid step to either
-// side, admitted at probeCost (not the full search cost — under
-// overload the probe fits where a fresh Identify would shed). The
-// transfer is accepted when the threshold's cost is within the store's
-// tolerance of the best probed point. Returns (resp, true) on accept;
-// (nil, false) means the caller should fall back to the warm path.
-// Only context/evaluation failures surface as errors. admitted callers
-// (batch items, whose job already holds aggregate admission) skip the
-// probe's own admission so one item is never charged twice.
-func (s *Server) probeTransfer(ctx context.Context, req *request, cw core.Sampled, n store.Neighbor, meta storeMeta, admitted bool) (*EstimateResponse, bool, error) {
+// side. The transfer is accepted when the threshold's cost is within
+// the store's tolerance of the best probed point. Returns (resp, true)
+// on accept; (nil, false) means the caller should fall back to the
+// warm path. Only context/evaluation failures surface as errors. The
+// caller holds admission and a worker slot, as for any search.
+func (s *Server) probeTransfer(ctx context.Context, req *request, cw core.Sampled, n store.Neighbor, meta storeMeta) (*EstimateResponse, bool, error) {
 	_, span := obs.StartSpan(ctx, "store.probe")
 	defer span.Finish()
-	if !admitted {
-		err := s.admission.Acquire(ctx, probeCost)
-		if err != nil {
-			if errors.Is(err, resilience.ErrOverloaded) {
-				// The probe itself was shed: fall through to the warm
-				// path, whose full-cost admission resolves the overload
-				// honestly (shed → degrade upstream).
-				span.SetAttr("shed", "true")
-				return nil, false, nil
-			}
-			span.RecordError(err)
-			return nil, false, fmt.Errorf("waiting for probe admission: %w", err)
-		}
-		defer s.admission.Release(probeCost)
-	}
-
 	s.metrics.StoreProbes.Inc()
 	lo, hi := thresholdRange(cw)
 	t := n.Entry.Threshold

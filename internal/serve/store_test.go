@@ -12,7 +12,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/batch"
 	"repro/internal/hetsim"
@@ -280,46 +282,86 @@ func TestStoreProbeRejectFallsBackAndDecays(t *testing.T) {
 	}
 }
 
-// TestStoreProbeFitsWhereColdSheds — the admission contract of the
-// ISSUE: a store hit must not consume admission capacity beyond its
-// probe. With almost all admission units held, a verified transfer
-// (cost 3) still answers 200 while a fresh cold estimate sheds 429.
-func TestStoreProbeFitsWhereColdSheds(t *testing.T) {
-	a := genMTX(t, 3000, 30000, 6)
-	b := genMTX(t, 3000, 30000, 7)
-	c := genMTX(t, 400, 2000, 8) // structurally distant: misses the store
+// overloadAnswer is one response of storeMissesUnderOverload.
+type overloadAnswer struct {
+	code     int
+	degraded bool
+	took     time.Duration
+}
 
-	st, err := store.Open(store.Config{SkipConfidence: 0.45})
+// storeMissesUnderOverload posts four distinct uploads at once to a
+// store-enabled server with one worker, an admission limit of 200 and
+// a wait stack of one, while every admission unit is held, and returns
+// each answer. A miss is admitted before it takes the worker, so the
+// stack bounds the misses: one waits out its 2 s timeout and the rest
+// are shed as they arrive.
+func storeMissesUnderOverload(t *testing.T, degrade bool) []overloadAnswer {
+	st, err := store.Open(store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, ts := storeServer(t, st, Config{
+		Workers:        1,
 		AdmissionLimit: 200,
-		AdmissionQueue: -1, // shed immediately, never queue
+		AdmissionQueue: 1,
+		DegradeOnShed:  degrade,
 	})
-	// Seed the store while admission is still free.
-	postMTX(t, ts.URL+estimateURL, a, http.StatusOK)
-
-	// Hold all but 4 units: a probe (3) fits, a cold sweep (102) does
-	// not.
-	if err := s.Admission().Acquire(context.Background(), 196); err != nil {
+	if err := s.Admission().Acquire(context.Background(), 200); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Admission().Release(196)
+	defer s.Admission().Release(200)
 
-	resp, _ := postMTXResp(t, ts.URL+estimateURL, b)
-	if resp["store_transferred"] != true {
-		t.Errorf("store hit under overload: transferred=%v, want true", resp["store_transferred"])
+	answers := make([]overloadAnswer, 4)
+	var wg sync.WaitGroup
+	for i := range answers {
+		body := genMTX(t, 400, 2000, uint64(20+i))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			r, err := http.Post(ts.URL+estimateURL+"&timeout=2s", "text/plain", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, r.Body)
+			r.Body.Close()
+			answers[i] = overloadAnswer{r.StatusCode, r.Header.Get(DegradedHeader) != "", time.Since(start)}
+		}()
 	}
+	wg.Wait()
+	return answers
+}
 
-	r, err := http.Post(ts.URL+estimateURL, "text/plain", bytes.NewReader(c))
-	if err != nil {
-		t.Fatal(err)
+// TestStoreMissShedsUnderOverload — the store does not switch shedding
+// off: with every admission unit held, at least three of four
+// concurrent store-enabled misses are answered 429 within a second
+// instead of queueing for the worker until their deadline.
+func TestStoreMissShedsUnderOverload(t *testing.T) {
+	answers := storeMissesUnderOverload(t, false)
+	shed := 0
+	for _, a := range answers {
+		if a.code == http.StatusTooManyRequests && a.took < time.Second {
+			shed++
+		}
 	}
-	io.Copy(io.Discard, r.Body)
-	r.Body.Close()
-	if r.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("cold request under overload = %d, want 429", r.StatusCode)
+	if shed < 3 {
+		t.Errorf("%d of 4 misses shed within 1s, want at least 3: %+v", shed, answers)
+	}
+}
+
+// TestStoreMissDegradesUnderOverload — with DegradeOnShed the same
+// shed misses are answered 200, marked degraded, within a second.
+func TestStoreMissDegradesUnderOverload(t *testing.T) {
+	answers := storeMissesUnderOverload(t, true)
+	degraded := 0
+	for _, a := range answers {
+		if a.code == http.StatusOK && a.degraded && a.took < time.Second {
+			degraded++
+		}
+	}
+	if degraded < 3 {
+		t.Errorf("%d of 4 misses degraded within 1s, want at least 3: %+v", degraded, answers)
 	}
 }
 

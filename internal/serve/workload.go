@@ -81,9 +81,7 @@ func (s *Server) resolve(req *request, searcher, dataset string) error {
 		// devices == 2 runs on the pair, whose workload is a
 		// two-device partition workload.
 		if req.devices >= 3 {
-			if req.platform, err = s.multiPlatform(req.devices); err != nil {
-				return err
-			}
+			req.platform = s.cascades[req.devices]
 		}
 	}
 	switch {
@@ -108,21 +106,6 @@ func (s *Server) resolve(req *request, searcher, dataset string) error {
 
 // cost is the admission cost of req's cold search.
 func (req *request) cost() int64 { return partitionSearchCost(req.searcher, req.repeats, req.devices) }
-
-// multiPlatform resolves the device inventory for an N-device
-// partition request, 3 <= N <= MaxEstimateDevices. A configured
-// inventory wins — then its device count is the only one the server
-// answers for — otherwise the default CPU + (N-1) GPU cascade that New
-// built.
-func (s *Server) multiPlatform(devices int) (*hetsim.Platform, error) {
-	if mp := s.cfg.MultiPlatform; mp != nil {
-		if n := mp.Devices(); n != devices {
-			return nil, badRequest("devices=%d does not match the configured inventory (%d devices)", devices, n)
-		}
-		return mp, nil
-	}
-	return s.cascades[devices], nil
-}
 
 // source is a workload's input, as a graph (cc) or a sparsity pattern
 // (spmm, scalefree). datasets.Dataset is one; upload is the other.
