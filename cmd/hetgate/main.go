@@ -5,7 +5,7 @@
 //
 // Endpoints mirror hetserve:
 //
-//	GET/POST /estimate        sharded, retried, hedged, coalesced
+//	GET/POST /estimate        sharded, retried, coalesced
 //	POST     /estimate-batch  items split by ring placement, streamed back merged
 //	GET      /datasets        proxied from any live replica
 //	GET      /healthz         gateway health (503 when every breaker is open)
@@ -56,16 +56,15 @@ func main() {
 		attempts   = flag.Int("attempts", cluster.DefaultMaxAttempts, "max tries per request across backends")
 		retryBase  = flag.Duration("retry-base", cluster.DefaultRetryBase, "base backoff between retries (grows exponentially, full jitter)")
 		retryMax   = flag.Duration("retry-max", cluster.DefaultRetryMax, "backoff cap")
-		hedge      = flag.Duration("hedge", cluster.DefaultHedgeDelay, "delay before hedging to the next replica (negative disables)")
 		healthIvl  = flag.Duration("health-interval", cluster.DefaultHealthInterval, "/healthz probe period")
 		brkThresh  = flag.Int("breaker-threshold", cluster.DefaultBreakerThreshold, "consecutive failures before a breaker opens")
 		brkCool    = flag.Duration("breaker-cooldown", cluster.DefaultBreakerCooldown, "open-breaker hold time before a half-open probe")
-		upTimeout  = flag.Duration("upstream-timeout", cluster.DefaultUpstreamTimeout, "end-to-end bound on one upstream call (retries and hedges included)")
+		upTimeout  = flag.Duration("upstream-timeout", cluster.DefaultUpstreamTimeout, "end-to-end bound on one upstream call or batch job (retries included); a hung backend's requests end here")
 		maxUpload  = flag.Int64("max-upload", serve.DefaultMaxUpload, "max POST body bytes")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "workers per embedded backend")
 		par        = flag.Int("parallelism", 1, "concurrent threshold evaluations per pipeline in embedded backends (0 = GOMAXPROCS)")
 		cacheSize  = flag.Int("cache", serve.DefaultCacheSize, "result-cache capacity per embedded backend")
-		verbose    = flag.Bool("v", false, "log retries, hedges and breaker transitions")
+		verbose    = flag.Bool("v", false, "log retries and breaker transitions")
 		seed       = flag.Int64("seed", cluster.DefaultSeed, "seed for the retry-jitter RNG (reproducible backoff schedules)")
 		faults     = flag.String("faults", "", "fault-injection rules on upstream calls, e.g. 'backend=1;latency=200ms;errors=0.3' (chaos testing; empty disables)")
 		faultsSeed = flag.Int64("faults-seed", 1, "seed for the fault-injection RNG (same seed + traffic = same faults)")
@@ -80,7 +79,7 @@ func main() {
 	if err := run(config{
 		addr: *addr, backends: *backends, embedded: *embedded,
 		vnodes: *vnodes, attempts: *attempts,
-		retryBase: *retryBase, retryMax: *retryMax, hedge: *hedge,
+		retryBase: *retryBase, retryMax: *retryMax,
 		healthIvl: *healthIvl, brkThresh: *brkThresh, brkCool: *brkCool,
 		upTimeout: *upTimeout, maxUpload: *maxUpload,
 		workers: *workers, parallelism: *par, cacheSize: *cacheSize, verbose: *verbose,
@@ -99,7 +98,7 @@ type config struct {
 	embedded            int
 	vnodes, attempts    int
 	retryBase, retryMax time.Duration
-	hedge, healthIvl    time.Duration
+	healthIvl           time.Duration
 	brkThresh           int
 	brkCool, upTimeout  time.Duration
 	maxUpload           int64
@@ -168,7 +167,6 @@ func run(c config) error {
 		MaxAttempts:      c.attempts,
 		RetryBase:        c.retryBase,
 		RetryMax:         c.retryMax,
-		HedgeDelay:       c.hedge,
 		HealthInterval:   c.healthIvl,
 		BreakerThreshold: c.brkThresh,
 		BreakerCooldown:  c.brkCool,
@@ -212,10 +210,9 @@ func run(c config) error {
 		return err
 	case <-ctx.Done():
 	}
-	retries, hedges, coalesced := g.Metrics().Counts()
+	retries, _, coalesced := g.Metrics().Counts()
 	logger.Info("shutting down",
 		slog.Uint64("retries", retries),
-		slog.Uint64("hedges", hedges),
 		slog.Uint64("coalesced", coalesced))
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

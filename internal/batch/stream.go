@@ -67,9 +67,6 @@ type Event struct {
 	// Backend is gateway provenance: which backend produced the event.
 	// Empty on direct hetserve responses.
 	Backend string `json:"backend,omitempty"`
-	// Hedged marks events recovered by a per-item hedge after the
-	// item's original sub-batch stalled or died.
-	Hedged bool `json:"hedged,omitempty"`
 	// Summary is the job trailer payload (summary events only).
 	Summary *Summary `json:"summary,omitempty"`
 }

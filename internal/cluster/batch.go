@@ -28,11 +28,14 @@ import (
 // sub-batch — one admission, one build-cache scope over there.
 //
 // Gather: sub-batch NDJSON streams are merged in arrival order, each
-// event stamped with backend provenance. Items are independent: a
-// straggler is hedged individually through the single-item path, and
-// a dead shard degrades only its own items — first its coarse answer
-// if one arrived, else an explicit backend_failed marker — while the
-// other shards' refined results stream on untouched.
+// event stamped with backend provenance. Items are independent: when
+// a shard's stream dies, each of its unfinished items is rescued
+// through the single-item path, and one that still cannot be answered
+// degrades alone — first its coarse answer if one arrived, else an
+// explicit backend_failed marker — while the other shards' refined
+// results stream on untouched. A slow shard is left to finish: an
+// item's estimate is deterministic, so a second run could only repeat
+// it. A shard that hangs is cut at the upstream timeout.
 func (g *Gateway) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ctx := r.Context()
@@ -118,8 +121,8 @@ func (g *Gateway) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	msp.SetAttr("shards", strconv.Itoa(len(shards)))
 	// Once every item has its terminal event the job is answered; a
 	// short grace lets healthy shards flush their summary trailers,
-	// then any still-open stream (a stalled shard whose items were all
-	// hedged away) is cut loose instead of holding the response until
+	// then any still-open stream (a shard that answered every item but
+	// never closed) is cut loose instead of holding the response until
 	// the upstream timeout.
 	go func() {
 		select {
@@ -169,8 +172,8 @@ func (g *Gateway) placeItem(it batch.Item) (string, bool) {
 }
 
 // runSubBatch forwards one sub-batch to its backend, relays its event
-// stream into the merge, hedges stragglers item-by-item, and rescues
-// whatever the shard left unterminated when its stream dies.
+// stream into the merge, and rescues whatever the shard left
+// unterminated when its stream ends.
 func (g *Gateway) runSubBatch(ctx context.Context, backend string, items []batch.Item, rawQuery string, budgetAt time.Time, merge *batchMerge) {
 	g.metrics.FanoutSubBatches.With(backend).Inc()
 	ctx, sp := obs.StartSpan(ctx, "upstream")
@@ -179,24 +182,10 @@ func (g *Gateway) runSubBatch(ctx context.Context, backend string, items []batch
 	sp.SetAttr("items", strconv.Itoa(len(items)))
 	defer sp.Finish()
 
-	// Rescues launched while the stream is still alive must land before
-	// the job summary does.
-	var rescues sync.WaitGroup
-	defer rescues.Wait()
-	rescue := func(it batch.Item, hedged bool) {
-		rescues.Add(1)
-		go func() {
-			defer rescues.Done()
-			g.rescueItem(ctx, it, hedged, merge)
-		}()
-	}
-	rescueRemaining := func() {
-		for _, it := range items {
-			if !merge.settled(it.Name) {
-				rescue(it, false)
-			}
-		}
-	}
+	// Anything the shard never terminated — a failed POST, stream
+	// death, a truncated response, a backend bug — is rescued item by
+	// item once the stream ends.
+	defer g.rescueRemaining(ctx, items, merge)
 
 	resp, err := g.postSubBatch(ctx, backend, items, rawQuery, budgetAt)
 	if err != nil {
@@ -206,23 +195,11 @@ func (g *Gateway) runSubBatch(ctx context.Context, backend string, items []batch
 		}
 		g.logger.Warn("sub-batch failed; rescuing items",
 			slog.String("backend", backend), slog.Int("items", len(items)), slog.Any("err", err))
-		rescueRemaining()
 		return
 	}
 	defer resp.Body.Close()
 
-	streamErr := batch.ReadEvents(newStragglerReader(ctx, resp.Body, g.cfg.HedgeDelay, func() {
-		// The stream has gone quiet past the hedge delay: hedge the
-		// oldest unterminated item individually. The first terminal
-		// event per item wins; the merge drops the loser.
-		for _, it := range items {
-			if !merge.settled(it.Name) && merge.markHedged(it.Name) {
-				g.metrics.FanoutHedges.Inc()
-				rescue(it, true)
-				return
-			}
-		}
-	}), func(e batch.Event) error {
+	streamErr := batch.ReadEvents(resp.Body, func(e batch.Event) error {
 		if e.Type == batch.EventSummary {
 			if e.Summary != nil {
 				merge.addSubSummary(*e.Summary)
@@ -251,9 +228,6 @@ func (g *Gateway) runSubBatch(ctx context.Context, backend string, items []batch
 	} else {
 		g.breaker(backend).Record(true)
 	}
-	// Anything the shard never terminated — stream death, a truncated
-	// response, a backend bug — is rescued item by item.
-	rescueRemaining()
 }
 
 // postSubBatch performs the sub-batch POST and returns the open
@@ -300,12 +274,30 @@ func (g *Gateway) postSubBatch(ctx context.Context, backend string, items []batc
 	return resp, nil
 }
 
+// rescueRemaining rescues, concurrently, every item that has no
+// terminal event yet, and returns once each has one, so the rescues
+// land before the job summary does.
+func (g *Gateway) rescueRemaining(ctx context.Context, items []batch.Item, merge *batchMerge) {
+	var wg sync.WaitGroup
+	for _, it := range items {
+		if merge.settled(it.Name) {
+			continue
+		}
+		wg.Add(1)
+		go func(it batch.Item) {
+			defer wg.Done()
+			g.rescueItem(ctx, it, merge)
+		}(it)
+	}
+	wg.Wait()
+}
+
 // rescueItem re-runs one item through the single-item path — the full
-// forward machinery with its own retries and hedging — and emits its
-// terminal event if the item is still unsettled. When the rescue also
+// forward machinery with its own retries — and emits its terminal
+// event if the item is still unsettled. When the rescue also
 // fails, the item degrades: its coarse answer if the shard delivered
 // one before dying, an explicit backend_failed marker otherwise.
-func (g *Gateway) rescueItem(ctx context.Context, it batch.Item, hedged bool, merge *batchMerge) {
+func (g *Gateway) rescueItem(ctx context.Context, it batch.Item, merge *batchMerge) {
 	if merge.settled(it.Name) {
 		return
 	}
@@ -330,7 +322,7 @@ func (g *Gateway) rescueItem(ctx context.Context, it batch.Item, hedged bool, me
 	res, err := g.forward(ctx, method, q.Encode(), it.Body, it.Key())
 	if err == nil && res.status == http.StatusOK {
 		merge.emit(batch.Event{Type: batch.EventRefined, Item: it.Name,
-			Estimate: res.body, Backend: res.backend, Hedged: hedged, Degraded: res.degraded})
+			Estimate: res.body, Backend: res.backend, Degraded: res.degraded})
 		return
 	}
 	if err == nil {
@@ -340,12 +332,12 @@ func (g *Gateway) rescueItem(ctx context.Context, it batch.Item, hedged bool, me
 		g.metrics.FanoutDegraded.Inc()
 		merge.emit(batch.Event{Type: batch.EventRefined, Item: it.Name,
 			Estimate: coarse.Estimate, Backend: coarse.Backend,
-			Degraded: true, Hedged: hedged, Code: batch.CodeBackendFailed})
+			Degraded: true, Code: batch.CodeBackendFailed})
 		return
 	}
 	g.metrics.FanoutDegraded.Inc()
 	merge.emit(batch.Event{Type: batch.EventError, Item: it.Name,
-		Code: batch.CodeBackendFailed, Error: err.Error(), Hedged: hedged})
+		Code: batch.CodeBackendFailed, Error: err.Error()})
 }
 
 // summaryGrace is how long the gather waits, after the last item's
@@ -360,7 +352,6 @@ type batchMerge struct {
 	mu        sync.Mutex
 	w         *batch.Writer
 	terminal  map[string]bool
-	hedged    map[string]bool
 	coarse    map[string]batch.Event
 	summary   batch.Summary
 	completed chan struct{} // closed when every item has a terminal event
@@ -370,7 +361,6 @@ func newBatchMerge(w *batch.Writer, items int) *batchMerge {
 	return &batchMerge{
 		w:         w,
 		terminal:  make(map[string]bool, items),
-		hedged:    make(map[string]bool, items),
 		coarse:    make(map[string]batch.Event, items),
 		summary:   batch.Summary{Items: items},
 		completed: make(chan struct{}),
@@ -378,8 +368,8 @@ func newBatchMerge(w *batch.Writer, items int) *batchMerge {
 }
 
 // emit forwards one item event, deduplicating terminals: once an item
-// has its terminal event, later events for it (a losing hedge, a
-// revived shard) are dropped.
+// has its terminal event, later events for it (a shard repeating
+// itself) are dropped.
 func (m *batchMerge) emit(e batch.Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -415,18 +405,6 @@ func (m *batchMerge) settled(name string) bool {
 	return m.terminal[name]
 }
 
-// markHedged claims the item's single straggler hedge; false when it
-// was already claimed.
-func (m *batchMerge) markHedged(name string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.hedged[name] {
-		return false
-	}
-	m.hedged[name] = true
-	return true
-}
-
 // coarseOf returns the item's coarse event, if one arrived before its
 // shard failed.
 func (m *batchMerge) coarseOf(name string) (batch.Event, bool) {
@@ -453,57 +431,4 @@ func (m *batchMerge) finish(start time.Time) {
 	s := m.summary
 	m.mu.Unlock()
 	_ = m.w.Emit(batch.Event{Type: batch.EventSummary, Summary: &s})
-}
-
-// stragglerReader wraps a shard's response body: whenever more than
-// hedgeDelay passes with no bytes arriving, onStall fires (from a
-// watchdog goroutine) so the gateway can hedge the stalled item while
-// the read continues. A zero or negative delay disables the watchdog.
-type stragglerReader struct {
-	r     io.Reader
-	done  chan struct{}
-	close sync.Once
-	mu    sync.Mutex
-	last  time.Time
-}
-
-func newStragglerReader(ctx context.Context, r io.Reader, hedgeDelay time.Duration, onStall func()) io.Reader {
-	sr := &stragglerReader{r: r, done: make(chan struct{}), last: time.Now()}
-	if hedgeDelay > 0 {
-		go sr.watch(ctx, hedgeDelay, onStall)
-	}
-	return sr
-}
-
-func (s *stragglerReader) Read(p []byte) (int, error) {
-	n, err := s.r.Read(p)
-	if n > 0 {
-		s.mu.Lock()
-		s.last = time.Now()
-		s.mu.Unlock()
-	}
-	if err != nil {
-		s.close.Do(func() { close(s.done) })
-	}
-	return n, err
-}
-
-func (s *stragglerReader) watch(ctx context.Context, delay time.Duration, onStall func()) {
-	t := time.NewTicker(delay)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			s.mu.Lock()
-			stalled := time.Since(s.last) >= delay
-			s.mu.Unlock()
-			if stalled {
-				onStall()
-			}
-		}
-	}
 }

@@ -3,13 +3,14 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -156,7 +157,7 @@ func TestBatchFanoutScatterGather(t *testing.T) {
 		t.Errorf("fanout degraded = %d, want 0", degraded)
 	}
 
-	// The fan-out metrics render even at zero — CI greps for the hedge
+	// The fan-out metrics render even at zero — CI reads the degraded
 	// counter by name.
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -166,7 +167,7 @@ func TestBatchFanoutScatterGather(t *testing.T) {
 	page, _ := io.ReadAll(mresp.Body)
 	for _, want := range []string{
 		"hetgate_fanout_batches_total 1",
-		"hetgate_fanout_hedges_total 0",
+		"hetgate_fanout_degraded_total 0",
 		"hetgate_fanout_subbatches_total",
 	} {
 		if !strings.Contains(string(page), want) {
@@ -372,66 +373,55 @@ func TestDeadlineCarvingAcrossBatchFanout(t *testing.T) {
 	}
 }
 
-// TestBatchStragglerHedgeRescuesItem — per-item hedging: a shard that
-// accepts its sub-batch and then stalls mid-stream gets its item
-// hedged individually through the single-item path, which answers from
-// a healthy replica while the job is still running.
-func TestBatchStragglerHedgeRescuesItem(t *testing.T) {
-	// A healthy real backend...
+// TestBatchStalledShardDegradesToCoarse — a shard that accepts its
+// sub-batch, emits a coarse event and then hangs is cut at the
+// upstream timeout: its item is answered by that coarse event, marked
+// degraded with backend_failed, while an item on a healthy shard
+// refines cleanly.
+func TestBatchStalledShardDegradesToCoarse(t *testing.T) {
 	e, err := StartEmbedded(1, serve.Config{Workers: 2, CacheSize: 16, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Close)
+	healthy := e.URLs()[0]
 
-	// ...and a stalling one: it opens the batch stream, emits one
-	// coarse event, then sits on the connection until cancelled. Its
-	// single-item /estimate stalls the same way, so the rescue's own
-	// hedge must hop to the healthy replica.
-	var stallItem struct {
-		mu   sync.Mutex
-		name string
-	}
 	stop := make(chan struct{})
-	// Draining the body before blocking matters: with unread body bytes
-	// the server's background read can't detect the client hanging up,
-	// and the handler would outlive its caller.
-	wait := func(r *http.Request) {
+	stall := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			fmt.Fprintln(w, "ok")
+			return
+		}
+		if r.URL.Path == "/estimate-batch" {
+			job, err := batch.ParseRequest(r, batch.DefaultMaxItems, 1<<20)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			bw := batch.NewWriter(w, batch.ModeNDJSON)
+			bw.Start(w)
+			for _, it := range job.Items {
+				bw.Emit(batch.Event{Type: batch.EventCoarse, Item: it.Name,
+					Estimate: []byte(`{"searcher":"naive-static(coarse)","threshold":50}`)})
+			}
+		}
+		// Drain the body before blocking: with unread body bytes the
+		// server cannot notice the client hanging up, and the handler
+		// would outlive its caller.
 		io.Copy(io.Discard, r.Body)
 		select {
 		case <-r.Context().Done():
 		case <-stop:
 		}
-	}
-	stall := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/healthz":
-			fmt.Fprintln(w, "ok")
-		case "/estimate-batch":
-			stallItem.mu.Lock()
-			name := stallItem.name
-			stallItem.mu.Unlock()
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			fmt.Fprintf(w, `{"type":"coarse","item":%q,"estimate":{"searcher":"naive-static(coarse)","threshold":50}}`+"\n", name)
-			if f, ok := w.(http.Flusher); ok {
-				f.Flush()
-			}
-			wait(r)
-		default:
-			wait(r)
-		}
 	}))
 	t.Cleanup(stall.Close)
 	t.Cleanup(func() { close(stop) }) // runs before stall.Close (LIFO)
 
+	const timeout = 500 * time.Millisecond
 	g, err := New(Config{
-		Backends:        []string{stall.URL, e.URLs()[0]},
+		Backends:        []string{stall.URL, healthy},
 		HealthInterval:  time.Hour, // no prober traffic; breakers stay closed
-		MaxAttempts:     2,
-		RetryBase:       5 * time.Millisecond,
-		RetryMax:        10 * time.Millisecond,
-		HedgeDelay:      100 * time.Millisecond,
-		UpstreamTimeout: 10 * time.Second,
+		UpstreamTimeout: timeout,
 		Logger:          testLogger(t),
 	})
 	if err != nil {
@@ -440,50 +430,124 @@ func TestBatchStragglerHedgeRescuesItem(t *testing.T) {
 	ts := httptest.NewServer(g.Handler())
 	t.Cleanup(ts.Close)
 
-	// Find an upload the ring places on the stalling backend.
-	var item batch.Item
-	for seed := uint64(1); ; seed++ {
+	// One upload the ring places on each backend.
+	placed := make(map[string]batch.Item)
+	for seed := uint64(1); len(placed) < 2; seed++ {
 		if seed > 200 {
-			t.Fatal("no seed placed an item on the stalling backend")
+			t.Fatalf("200 uploads placed only on %v", placed)
 		}
-		it := batch.Item{Name: "x", Workload: "spmm", Searcher: "race", Repeats: 1,
-			Body: genMTX(t, 200, 800, seed)}
-		if b, ok := g.placeItem(it); ok && b == stall.URL {
-			item = it
-			break
+		it := batch.Item{Workload: "spmm", Searcher: "race", Repeats: 1, Body: genMTX(t, 200, 800, seed)}
+		if b, ok := g.placeItem(it); ok && placed[b].Body == nil {
+			it.Name = fmt.Sprintf("seed%d", seed)
+			placed[b] = it
 		}
 	}
-	stallItem.mu.Lock()
-	stallItem.name = item.Name
-	stallItem.mu.Unlock()
+	stalled, fine := placed[stall.URL], placed[healthy]
 
 	start := time.Now()
-	status, events := postBatchGW(t, ts.URL, []batch.Item{item}, nil)
+	status, events := postBatchGW(t, ts.URL, []batch.Item{stalled, fine}, nil)
+	elapsed := time.Since(start)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d\n%+v", status, events)
 	}
 	term, sum := terminalsByItem(t, events)
-	e2, ok := term[item.Name]
-	if !ok {
-		t.Fatal("item has no terminal event")
+
+	got := term[stalled.Name]
+	if got.Type != batch.EventRefined || !got.Degraded || got.Code != batch.CodeBackendFailed {
+		t.Errorf("stalled item terminal = %+v, want refined, degraded, %s", got, batch.CodeBackendFailed)
 	}
-	if e2.Type != batch.EventRefined || e2.Degraded {
-		t.Fatalf("terminal = %+v, want clean refined from the hedge", e2)
+	var est struct {
+		Searcher  string  `json:"searcher"`
+		Threshold float64 `json:"threshold"`
 	}
-	if !e2.Hedged {
-		t.Error("terminal event not marked hedged")
+	if err := json.Unmarshal(got.Estimate, &est); err != nil || est.Searcher != "naive-static(coarse)" || est.Threshold != 50 {
+		t.Errorf("stalled item estimate = %s (%v), want the shard's coarse estimate", got.Estimate, err)
 	}
-	if e2.Backend != e.URLs()[0] {
-		t.Errorf("terminal backend = %s, want the healthy replica %s", e2.Backend, e.URLs()[0])
+	if got.Backend != stall.URL {
+		t.Errorf("stalled item backend = %s, want the stalled shard %s", got.Backend, stall.URL)
 	}
-	if sum.Completed != 1 {
-		t.Errorf("summary completed = %d, want 1", sum.Completed)
+	if e := term[fine.Name]; e.Type != batch.EventRefined || e.Degraded || e.Backend != healthy {
+		t.Errorf("healthy item terminal = %+v, want clean refined from %s", e, healthy)
 	}
-	// The hedge, not the 10s upstream timeout, must have answered.
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("job took %v; the straggler hedge should answer in well under a second", elapsed)
+	if sum.Completed != 2 || sum.Degraded != 1 {
+		t.Errorf("summary = %+v, want 2 completed, 1 degraded", sum)
 	}
-	if g.Metrics().FanoutHedges.Value() == 0 {
-		t.Error("hetgate_fanout_hedges_total did not move")
+	if n := g.Metrics().FanoutDegraded.Value(); n != 1 {
+		t.Errorf("hetgate_fanout_degraded_total = %d, want 1", n)
+	}
+	// The upstream timeout, not a second run of the item, ends the job.
+	if elapsed < timeout || elapsed > timeout+2*time.Second {
+		t.Errorf("job took %v, want it to end near the %v upstream timeout", elapsed, timeout)
+	}
+}
+
+// TestBatchSlowShardRunsItemsOnce — a healthy shard that streams each
+// item 400 ms apart is left to finish: none of its items is re-sent
+// through the single-item path under the default Config.
+func TestBatchSlowShardRunsItemsOnce(t *testing.T) {
+	var singles atomic.Int64
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz":
+			fmt.Fprintln(w, "ok")
+		case "/estimate-batch":
+			job, err := batch.ParseRequest(r, batch.DefaultMaxItems, 1<<20)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			bw := batch.NewWriter(w, batch.ModeNDJSON)
+			bw.Start(w)
+			for _, it := range job.Items {
+				select {
+				case <-time.After(400 * time.Millisecond):
+				case <-r.Context().Done():
+					return
+				}
+				bw.Emit(batch.Event{Type: batch.EventRefined, Item: it.Name, Estimate: []byte(`{"threshold":50}`)})
+			}
+			bw.Emit(batch.Event{Type: batch.EventSummary, Summary: &batch.Summary{
+				Items: len(job.Items), Completed: len(job.Items), Admissions: 1}})
+			bw.Close()
+		default:
+			singles.Add(1)
+			io.Copy(io.Discard, r.Body)
+			select {
+			case <-time.After(400 * time.Millisecond):
+			case <-r.Context().Done():
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprint(w, `{"threshold":50}`)
+		}
+	}))
+	t.Cleanup(shard.Close)
+
+	g, err := New(Config{Backends: []string{shard.URL}, Logger: testLogger(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(g.Handler())
+	t.Cleanup(ts.Close)
+
+	var items []batch.Item
+	for _, ds := range []string{"cant", "qcd5_4", "rma10", "pdb1HYS"} {
+		items = append(items, batch.Item{Name: ds, Dataset: ds, Workload: "spmm", Repeats: 1})
+	}
+	status, events := postBatchGW(t, ts.URL, items, nil)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d\n%+v", status, events)
+	}
+	term, sum := terminalsByItem(t, events)
+	for _, it := range items {
+		if e := term[it.Name]; e.Type != batch.EventRefined || e.Degraded {
+			t.Errorf("item %q terminal = %+v, want clean refined", it.Name, e)
+		}
+	}
+	if sum.Completed != len(items) {
+		t.Errorf("summary completed = %d, want %d", sum.Completed, len(items))
+	}
+	if n := singles.Load(); n != 0 {
+		t.Errorf("the shard saw %d single-item requests while it streamed the batch, want 0", n)
 	}
 }

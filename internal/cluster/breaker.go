@@ -144,8 +144,9 @@ func (b *Breaker) RecordShed() {
 }
 
 // Release returns an admitted request's probe slot without recording
-// an outcome — used when the request was abandoned (e.g. cancelled by
-// a winning hedge), which says nothing about the backend's health.
+// an outcome — used when the caller abandoned the request (its
+// deadline passed or its client went away), which says nothing about
+// the backend's health.
 // Without it a half-open breaker whose probe was cancelled would
 // reject traffic forever.
 func (b *Breaker) Release() {

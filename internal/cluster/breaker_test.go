@@ -110,7 +110,7 @@ func TestBreakerReleaseFreesProbeSlot(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("no probe admitted after cooldown")
 	}
-	// The probe was abandoned (e.g. cancelled by a winning hedge):
+	// The probe was abandoned (e.g. its caller's deadline passed):
 	// without Release the breaker would reject traffic forever.
 	b.Release()
 	if !b.Allow() {

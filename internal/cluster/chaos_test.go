@@ -40,7 +40,6 @@ func startChaosCluster(t *testing.T, k int, scfg serve.Config, mut func(*Config)
 		MaxAttempts:      4,
 		RetryBase:        10 * time.Millisecond,
 		RetryMax:         50 * time.Millisecond,
-		HedgeDelay:       -1,
 		Logger:           testLogger(t),
 	}
 	if mut != nil {

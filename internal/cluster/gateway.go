@@ -30,7 +30,6 @@ const (
 	DefaultMaxAttempts     = 3
 	DefaultRetryBase       = 25 * time.Millisecond
 	DefaultRetryMax        = time.Second
-	DefaultHedgeDelay      = 250 * time.Millisecond
 	DefaultUpstreamTimeout = 90 * time.Second
 	// maxUpstreamResponse caps buffered upstream bodies; estimation
 	// answers are small JSON, so 8 MiB is generous.
@@ -62,12 +61,8 @@ type Config struct {
 	// attempts (full jitter); <= 0 means the defaults.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// HedgeDelay is how long to wait on a replica before firing the
-	// same request at the next one; 0 means DefaultHedgeDelay,
-	// negative disables hedging.
-	HedgeDelay time.Duration
 	// UpstreamTimeout bounds one coalesced upstream call end to end
-	// (all retries and hedges); <= 0 means DefaultUpstreamTimeout.
+	// (all retries included); <= 0 means DefaultUpstreamTimeout.
 	UpstreamTimeout time.Duration
 	// MaxBodyBytes caps client POST bodies; <= 0 means
 	// serve.DefaultMaxUpload.
@@ -100,9 +95,12 @@ var errNoBackendAvailable = errors.New("no backend available (all circuit breake
 
 // Gateway fronts N hetserve replicas: it shards /estimate by input
 // fingerprint on a consistent-hash ring, guards each backend with a
-// circuit breaker fed by traffic and health probes, retries with
-// backoff+jitter, hedges slow requests to the next replica, and
-// coalesces identical concurrent requests into one upstream call.
+// circuit breaker fed by traffic and health probes, retries failed
+// attempts on the next replica with backoff+jitter, and coalesces
+// identical concurrent requests into one upstream call. A slow answer
+// is waited for, never duplicated: an estimate is a deterministic
+// function of its input, so a second replica could only compute it
+// again.
 type Gateway struct {
 	cfg    Config
 	ring   *Ring
@@ -140,9 +138,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = DefaultRetryMax
-	}
-	if cfg.HedgeDelay == 0 {
-		cfg.HedgeDelay = DefaultHedgeDelay
 	}
 	if cfg.UpstreamTimeout <= 0 {
 		cfg.UpstreamTimeout = DefaultUpstreamTimeout
@@ -410,19 +405,8 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		body = b
 	}
 
-	// The routing key is the same input identity hetserve keys its LRU
-	// by, so a given input always lands on the replica whose cache
-	// already holds it.
 	q := r.URL.Query()
-	key := batch.InputKey(q.Get("dataset"), body)
-	// Partition-vector requests (?devices=N) join the routing key: the
-	// backend builds and caches a different workload per device count,
-	// so pinning each (input, devices) pair to its own replica chain
-	// keeps both the result LRU and the build cache hot — scalar and
-	// partition traffic over the same input shard independently.
-	if d := q.Get("devices"); d != "" {
-		key += "|devices=" + d
-	}
+	key := routingKey(q, body)
 
 	// Coalescing must distinguish requests that differ in any estimation
 	// parameter, so the flight key adds the canonicalized query string.
@@ -471,6 +455,26 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	writeUpstream(w, res)
 }
 
+// routingKey is the same input identity hetserve keys its LRU by, so
+// a given input always lands on the replica whose cache already holds
+// it. Partition-vector requests (?devices=N) join the key: the backend
+// builds and caches a different workload per device count, so pinning
+// each (input, devices) pair to its own replica chain keeps both the
+// result LRU and the build cache hot — scalar and partition traffic
+// over the same input shard independently. The count is keyed as the
+// integer hetserve parses (02 and +2 are 2); a value that does not
+// parse stays raw, and the backend answers it 400.
+func routingKey(q url.Values, body []byte) string {
+	key := batch.InputKey(q.Get("dataset"), body)
+	if d := q.Get("devices"); d != "" {
+		if n, err := strconv.Atoi(d); err == nil {
+			d = strconv.Itoa(n)
+		}
+		key += "|devices=" + d
+	}
+	return key
+}
+
 // canonicalQuery renders query parameters in sorted order so two
 // requests that differ only in parameter order share a flight key.
 func canonicalQuery(q url.Values) string {
@@ -493,9 +497,9 @@ func canonicalQuery(q url.Values) string {
 	return sb.String()
 }
 
-// forward walks key's replica chain: try the owner, hedge to the next
-// replica if the attempt is slow, and on failure back off (with full
-// jitter) and retry the next candidate, up to MaxAttempts attempts.
+// forward walks key's replica chain: try the owner, and on failure
+// back off (with full jitter) and retry the next candidate, up to
+// MaxAttempts attempts.
 func (g *Gateway) forward(ctx context.Context, method, rawQuery string, body []byte, key string) (*upstreamResult, error) {
 	order := g.ring.Replicas(key, g.ring.Len())
 	if len(order) == 0 {
@@ -538,7 +542,7 @@ func (g *Gateway) forward(ctx context.Context, method, rawQuery string, body []b
 			lastErr = errNoBackendAvailable
 			continue
 		}
-		res, err := g.tryHedged(ctx, backend, pick, method, rawQuery, body)
+		res, err := g.do(ctx, backend, method, "/estimate", rawQuery, body)
 		if err == nil {
 			return res, nil
 		}
@@ -574,66 +578,12 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// tryHedged runs one attempt against primary; if HedgeDelay passes
-// with no reply, the same request is fired at the next admissible
-// replica and the first success wins. The loser is cancelled.
-func (g *Gateway) tryHedged(ctx context.Context, primary string, pick func() (string, bool), method, rawQuery string, body []byte) (*upstreamResult, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type outcome struct {
-		res *upstreamResult
-		err error
-	}
-	results := make(chan outcome, 2)
-	launch := func(backend string) {
-		go func() {
-			res, err := g.do(ctx, backend, method, "/estimate", rawQuery, body)
-			results <- outcome{res, err}
-		}()
-	}
-	launch(primary)
-	inFlight := 1
-
-	var hedgeC <-chan time.Time
-	if g.cfg.HedgeDelay > 0 {
-		t := time.NewTimer(g.cfg.HedgeDelay)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	var lastErr error
-	for {
-		select {
-		case out := <-results:
-			inFlight--
-			if out.err == nil {
-				return out.res, nil
-			}
-			lastErr = out.err
-			if inFlight == 0 {
-				return nil, lastErr
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if b, ok := pick(); ok {
-				g.metrics.Hedges.Inc()
-				obs.SpanFromContext(ctx).SetAttr("hedged", "true")
-				launch(b)
-				inFlight++
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
 // do performs one upstream HTTP call and feeds the backend's breaker:
 // transport errors, 5xx answers and 429 sheds count as failures,
 // everything else (including other 4xx — the backend is healthy, the
-// request is bad) as success. Cancellation by a winning hedge is not
-// held against the backend. The remaining ctx budget is stamped on the
-// request as X-Deadline-Ms, so each retry or hedge hands the backend a
+// request is bad) as success. A call cut short by the caller's context
+// is not held against the backend. The remaining ctx budget is stamped
+// on the request as X-Deadline-Ms, so each retry hands the backend a
 // naturally smaller budget and late work is cancelled server-side.
 func (g *Gateway) do(ctx context.Context, backend, method, path, rawQuery string, body []byte) (*upstreamResult, error) {
 	u := backend + path

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,7 +74,6 @@ func startCluster(t *testing.T, k int, mut func(*Config)) (*Embedded, *Gateway, 
 		MaxAttempts:      4,
 		RetryBase:        10 * time.Millisecond,
 		RetryMax:         50 * time.Millisecond,
-		HedgeDelay:       -1, // deterministic routing; hedging has its own test
 		Logger:           testLogger(t),
 	}
 	if mut != nil {
@@ -278,7 +278,7 @@ func TestGatewayFailover(t *testing.T) {
 	}
 }
 
-// fakeBackend is a scriptable upstream for hedging/retry tests.
+// fakeBackend is a scriptable upstream for forwarding/retry tests.
 type fakeBackend struct {
 	ts    *httptest.Server
 	delay atomic.Int64 // nanoseconds before answering /estimate
@@ -327,7 +327,6 @@ func newFakeGateway(t *testing.T, mut func(*Config), fakes ...*fakeBackend) (*Ga
 		MaxAttempts:      3,
 		RetryBase:        time.Millisecond,
 		RetryMax:         5 * time.Millisecond,
-		HedgeDelay:       -1,
 		Logger:           testLogger(t),
 	}
 	if mut != nil {
@@ -353,32 +352,63 @@ func getBody(t *testing.T, url string) (int, string, http.Header) {
 	return resp.StatusCode, string(b), resp.Header
 }
 
-func TestGatewayHedgesSlowBackend(t *testing.T) {
+// TestGatewayForwardsSlowRequestOnce — an estimate is deterministic, so
+// a slow answer is waited for, never duplicated: two replicas that each
+// take 400 ms see exactly one upstream request between them under the
+// default Config.
+func TestGatewayForwardsSlowRequestOnce(t *testing.T) {
 	a, b := newFakeBackend(t), newFakeBackend(t)
-	g, ts := newFakeGateway(t, func(c *Config) {
-		c.HedgeDelay = 25 * time.Millisecond
-	}, a, b)
+	for _, f := range []*fakeBackend{a, b} {
+		f.delay.Store(int64(400 * time.Millisecond))
+	}
+	g, err := New(Config{Backends: []string{a.ts.URL, b.ts.URL}, Logger: testLogger(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(g.Handler())
+	t.Cleanup(ts.Close)
 
-	// Make whichever replica owns the key slow; the hedge must win on
-	// the other one well before the owner answers.
-	byURL := map[string]*fakeBackend{a.ts.URL: a, b.ts.URL: b}
-	owner, _ := g.ring.Pick("dataset:cant")
-	byURL[owner].delay.Store(int64(2 * time.Second))
-
-	start := time.Now()
-	code, body, hdr := getBody(t, ts.URL+"/estimate?dataset=cant")
-	elapsed := time.Since(start)
+	code, body, _ := getBody(t, ts.URL+"/estimate?dataset=cant")
 	if code != 200 {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	if got := hdr.Get("X-Hetgate-Backend"); got == owner {
-		t.Errorf("answer came from the slow owner %s; hedge never won", got)
+	if hits := a.hits.Load() + b.hits.Load(); hits != 1 {
+		t.Errorf("backends saw %d requests for one slow estimate, want 1", hits)
 	}
-	if elapsed > time.Second {
-		t.Errorf("hedged request took %v; hedge did not short-circuit the slow owner", elapsed)
-	}
-	if _, hedges, _ := g.Metrics().Counts(); hedges != 1 {
-		t.Errorf("hedges = %d, want 1", hedges)
+}
+
+// TestGatewayRoutesDevicesByParsedCount — ?devices spellings hetserve
+// parses to one count share one routing key, so they land on the shard
+// whose cache holds that count; a value that does not parse is keyed
+// raw and still forwarded (the backend answers it 400).
+func TestGatewayRoutesDevicesByParsedCount(t *testing.T) {
+	g, ts := newFakeGateway(t, nil, newFakeBackend(t), newFakeBackend(t), newFakeBackend(t))
+	input := batch.InputKey("cant", nil)
+	for _, tc := range []struct{ devices, key string }{
+		{"", input},
+		{"2", input + "|devices=2"},
+		{"02", input + "|devices=2"},
+		{"+2", input + "|devices=2"},
+		{"3", input + "|devices=3"},
+		{"003", input + "|devices=3"},
+		{"two", input + "|devices=two"},
+		{"2.0", input + "|devices=2.0"},
+	} {
+		q := url.Values{"dataset": {"cant"}}
+		if tc.devices != "" {
+			q.Set("devices", tc.devices)
+		}
+		if got := routingKey(q, nil); got != tc.key {
+			t.Errorf("devices=%q: routing key %q, want %q", tc.devices, got, tc.key)
+		}
+		want, _ := g.ring.Pick(tc.key)
+		code, body, hdr := getBody(t, ts.URL+"/estimate?"+q.Encode())
+		if code != 200 {
+			t.Fatalf("devices=%q: status %d: %s", tc.devices, code, body)
+		}
+		if got := hdr.Get("X-Hetgate-Backend"); got != want {
+			t.Errorf("devices=%q: forwarded to %s, ring places %q on %s", tc.devices, got, tc.key, want)
+		}
 	}
 }
 
@@ -455,7 +485,6 @@ func TestGatewayDatasetsProxyAndMetrics(t *testing.T) {
 		"hetgate_upstream_requests_total{backend=",
 		"hetgate_breaker_state{backend=",
 		"hetgate_retries_total 0",
-		"hetgate_hedges_total 0",
 		"hetgate_upstream_duration_seconds_bucket",
 		"hetgate_health_probes_total{backend=",
 	} {

@@ -25,10 +25,10 @@ type Metrics struct {
 	upstream *obs.Vec[obs.Counter]   // backend, code ("err" for transport failures)
 	latency  *obs.Vec[obs.Histogram] // backend
 
-	// Retries counts retry rounds (attempts after the first), Hedges
-	// hedged requests fired at a fallback replica, and Coalesced client
-	// requests answered by another in-flight identical request.
-	Retries, Hedges, Coalesced *obs.Counter
+	// Retries counts retry rounds (attempts after the first) and
+	// Coalesced client requests answered by another in-flight identical
+	// request.
+	Retries, Coalesced *obs.Counter
 
 	// Backend backpressure: 429 answers and degraded-but-usable answers
 	// (cache entry or static-fallback threshold served under
@@ -37,16 +37,14 @@ type Metrics struct {
 	shedByBackend, degradedByBackend *obs.Vec[obs.Counter]
 
 	// DeadlineExceeded counts client requests that exhausted their
-	// deadline budget across all retries and hedges.
+	// deadline budget across all retries.
 	DeadlineExceeded *obs.Counter
 
 	// Scatter-gather batch fan-out: jobs and their items, sub-batches
-	// forwarded by backend, straggler items hedged through the
-	// single-item path, and items answered degraded (their coarse event,
-	// or an error marker) after their shard failed.
-	FanoutJobs, FanoutItems      *obs.Counter
-	FanoutHedges, FanoutDegraded *obs.Counter
-	FanoutSubBatches             *obs.Vec[obs.Counter] // backend
+	// forwarded by backend, and items answered degraded (their coarse
+	// event, or an error marker) after their shard failed.
+	FanoutJobs, FanoutItems, FanoutDegraded *obs.Counter
+	FanoutSubBatches                        *obs.Vec[obs.Counter] // backend
 
 	// StoreTransfers counts answers whose threshold came through the
 	// hetstore transfer path, by backend and mode: "skip" for a
@@ -70,7 +68,6 @@ func NewMetrics() *Metrics {
 	m := &Metrics{reg: r, started: time.Now()}
 	m.upstream = r.CounterVec("hetgate_upstream_requests_total", "Requests proxied to backends.", "backend", "code")
 	m.Retries = r.Counter("hetgate_retries_total", "Retry rounds after a failed attempt.")
-	m.Hedges = r.Counter("hetgate_hedges_total", "Hedged requests fired at fallback replicas.")
 	m.Coalesced = r.Counter("hetgate_coalesced_total", "Requests coalesced into an identical in-flight upstream call.")
 	m.shed = r.Counter("hetgate_shed_total", "Requests shed (HTTP 429) by backends.")
 	m.degraded = r.Counter("hetgate_degraded_total", "Degraded-but-usable answers (cached or static fallback under shed) from backends.")
@@ -79,7 +76,6 @@ func NewMetrics() *Metrics {
 	m.degradedByBackend = r.CounterVec("hetgate_degraded_by_backend_total", "Degraded answers, by backend.", "backend")
 	m.FanoutJobs = r.Counter("hetgate_fanout_batches_total", "Batch jobs scattered across the ring.")
 	m.FanoutItems = r.Counter("hetgate_fanout_items_total", "Items across all fanned-out batch jobs.")
-	m.FanoutHedges = r.Counter("hetgate_fanout_hedges_total", "Straggler batch items hedged individually through the single-item path.")
 	m.FanoutDegraded = r.Counter("hetgate_fanout_degraded_total", "Batch items answered degraded after their shard failed.")
 	m.FanoutSubBatches = r.CounterVec("hetgate_fanout_subbatches_total", "Sub-batches forwarded, by backend.", "backend")
 	m.StoreTransfers = r.CounterVec("hetgate_store_transfers_total", "Threshold-store transfers observed on backend answers, by mode (skip = probe-verified, warm = warm-started search).", "backend", "mode")
@@ -134,9 +130,11 @@ func (m *Metrics) FanoutJob(items int) {
 	m.FanoutItems.Add(uint64(items))
 }
 
-// Counts returns the retry/hedge/coalesce totals.
+// Counts returns the retry and coalesce totals. The second result, the
+// hedge count of a gateway that no longer hedges, is always 0; it stays
+// because the bench ledger reads three results.
 func (m *Metrics) Counts() (retries, hedges, coalesced uint64) {
-	return m.Retries.Value(), m.Hedges.Value(), m.Coalesced.Value()
+	return m.Retries.Value(), 0, m.Coalesced.Value()
 }
 
 // ResilienceCounts returns the shed/degraded/deadline totals summed

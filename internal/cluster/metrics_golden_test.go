@@ -34,8 +34,6 @@ func TestMetricsGolden(t *testing.T) {
 	m.Upstream(b, 0, 30*time.Second)
 	m.Upstream(c, 504, 1500*time.Millisecond)
 	m.Retries.Inc()
-	m.Hedges.Inc()
-	m.Hedges.Inc()
 	m.Coalesced.Inc()
 	m.Probes.With(a, "ok").Inc()
 	m.Probes.With(a, "ok").Inc()
@@ -53,7 +51,6 @@ func TestMetricsGolden(t *testing.T) {
 	m.FanoutSubBatches.With(a).Inc()
 	m.FanoutSubBatches.With(a).Inc()
 	m.FanoutSubBatches.With(c).Inc()
-	m.FanoutHedges.Inc()
 	m.FanoutDegraded.Inc()
 	m.DeadlineExceeded.Inc()
 

@@ -8,9 +8,10 @@
 // ~1/N of the key space. Each backend is guarded by a three-state
 // circuit breaker fed by both live traffic and a periodic /healthz
 // prober; failed requests are retried on the next ring replica with
-// exponential backoff and jitter, and slow ones are hedged to a second
-// replica. Identical concurrent requests coalesce gateway-side into a
-// single upstream call.
+// exponential backoff and jitter, while slow ones are waited for: an
+// estimate is deterministic, so a second replica could only repeat it.
+// Identical concurrent requests coalesce gateway-side into a single
+// upstream call.
 package cluster
 
 import (
@@ -114,8 +115,8 @@ func (r *Ring) Len() int {
 
 // Replicas returns up to n distinct backends for key, starting at the
 // owner and continuing around the ring. The order is stable for a
-// given membership, so retries and hedges walk the same fallback chain
-// every time.
+// given membership, so retries walk the same fallback chain every
+// time.
 func (r *Ring) Replicas(key string, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

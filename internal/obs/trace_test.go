@@ -37,11 +37,44 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",  // all-zero trace id
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",  // all-zero parent id
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-001", // bad flags length
+		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // non-hex version
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz",  // non-hex flags
+		"0A-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // uppercase version
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",  // uppercase trace id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01",  // uppercase parent id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0A",  // uppercase flags
 	} {
 		if _, _, err := ParseTraceparent(bad); err == nil {
 			t.Errorf("ParseTraceparent(%q): want error, got nil", bad)
 		}
 	}
+}
+
+// FuzzParseTraceparent holds the traceparent reader to W3C
+// trace-context on any header value: no panic, and an accepted value
+// has two lowercase hex digits of version and of flags, and trace and
+// span IDs that are its own lowercase fields and re-format to the same
+// IDs.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, v string) {
+		trace, span, err := ParseTraceparent(v)
+		if err != nil {
+			return
+		}
+		parts := strings.Split(strings.TrimSpace(v), "-")
+		for _, field := range []string{parts[0], parts[3]} {
+			if len(field) != 2 || strings.Trim(field, "0123456789abcdef") != "" {
+				t.Fatalf("ParseTraceparent(%q) accepted version/flags %q, want two lowercase hex digits", v, field)
+			}
+		}
+		if parts[1] != trace.String() || parts[2] != span.String() {
+			t.Fatalf("ParseTraceparent(%q) = (%s, %s), not its own trace and parent fields", v, trace, span)
+		}
+		gotTrace, gotSpan, err := ParseTraceparent(FormatTraceparent(trace, span))
+		if err != nil || gotTrace != trace || gotSpan != span {
+			t.Fatalf("ParseTraceparent(%q) = (%s, %s), re-formatted parses to (%s, %s, %v)", v, trace, span, gotTrace, gotSpan, err)
+		}
+	})
 }
 
 func TestStartSpanNesting(t *testing.T) {

@@ -25,8 +25,9 @@ func FormatTraceparent(trace TraceID, span SpanID) string {
 	return fmt.Sprintf("00-%s-%s-01", trace, span)
 }
 
-// ParseTraceparent parses a version-00 traceparent header value. It
-// rejects malformed fields and all-zero IDs, per the spec.
+// ParseTraceparent parses a version-00 traceparent header value. Per
+// W3C trace-context every field is lowercase hex of a fixed width, the
+// version is not ff, and neither ID is all zeros.
 func ParseTraceparent(v string) (TraceID, SpanID, error) {
 	var trace TraceID
 	var span SpanID
@@ -34,24 +35,21 @@ func ParseTraceparent(v string) (TraceID, SpanID, error) {
 	if len(parts) != 4 {
 		return trace, span, fmt.Errorf("obs: traceparent %q: want 4 dash-separated fields, got %d", v, len(parts))
 	}
-	if len(parts[0]) != 2 || parts[0] == "ff" {
+	if !isLowerHex(parts[0], 2) || parts[0] == "ff" {
 		return trace, span, fmt.Errorf("obs: traceparent %q: bad version %q", v, parts[0])
 	}
-	if len(parts[1]) != 32 {
-		return trace, span, fmt.Errorf("obs: traceparent %q: trace-id must be 32 hex digits", v)
+	if !isLowerHex(parts[1], 32) {
+		return trace, span, fmt.Errorf("obs: traceparent %q: trace-id must be 32 lowercase hex digits", v)
 	}
-	if _, err := hex.Decode(trace[:], []byte(parts[1])); err != nil {
-		return trace, span, fmt.Errorf("obs: traceparent %q: trace-id: %v", v, err)
+	if !isLowerHex(parts[2], 16) {
+		return trace, span, fmt.Errorf("obs: traceparent %q: parent-id must be 16 lowercase hex digits", v)
 	}
-	if len(parts[2]) != 16 {
-		return trace, span, fmt.Errorf("obs: traceparent %q: parent-id must be 16 hex digits", v)
-	}
-	if _, err := hex.Decode(span[:], []byte(parts[2])); err != nil {
-		return trace, span, fmt.Errorf("obs: traceparent %q: parent-id: %v", v, err)
-	}
-	if len(parts[3]) != 2 {
+	if !isLowerHex(parts[3], 2) {
 		return trace, span, fmt.Errorf("obs: traceparent %q: bad flags %q", v, parts[3])
 	}
+	// Both IDs passed isLowerHex, so neither decode can fail.
+	_, _ = hex.Decode(trace[:], []byte(parts[1]))
+	_, _ = hex.Decode(span[:], []byte(parts[2]))
 	if !trace.IsValid() {
 		return trace, span, fmt.Errorf("obs: traceparent %q: all-zero trace-id", v)
 	}
@@ -59,6 +57,19 @@ func ParseTraceparent(v string) (TraceID, SpanID, error) {
 		return trace, span, fmt.Errorf("obs: traceparent %q: all-zero parent-id", v)
 	}
 	return trace, span, nil
+}
+
+// isLowerHex reports whether s is exactly n lowercase hex digits.
+func isLowerHex(s string, n int) bool {
+	if len(s) != n {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Inject writes the context's trace identity (traceparent, from the

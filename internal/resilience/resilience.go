@@ -16,7 +16,7 @@
 //   - Deadline propagation: an X-Deadline-Ms header carries the
 //     remaining time budget from the gateway to its backends. hetgate
 //     derives the budget from its client-facing timeout, shrinks it as
-//     retry and hedge attempts consume wall-clock, and hetserve
+//     retry attempts consume wall-clock, and hetserve
 //     tightens its per-request context to the propagated budget — the
 //     core searchers observe that context between threshold
 //     evaluations, so late work is cancelled rather than computed and
