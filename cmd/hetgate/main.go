@@ -15,6 +15,10 @@
 // -embedded K, which starts K in-process hetserve replicas on loopback
 // — the full cluster in one binary, handy for development and CI.
 //
+// A backend at admission capacity sheds with 429 (-admission sets the
+// capacity of embedded ones); hetgate counts the shed and retries the
+// request on the next replica.
+//
 // Examples:
 //
 //	hetserve -addr :8081 & hetserve -addr :8082 &
@@ -69,8 +73,6 @@ func main() {
 		faults     = flag.String("faults", "", "fault-injection rules on upstream calls, e.g. 'backend=1;latency=200ms;errors=0.3' (chaos testing; empty disables)")
 		faultsSeed = flag.Int64("faults-seed", 1, "seed for the fault-injection RNG (same seed + traffic = same faults)")
 		admission  = flag.Int64("admission", 0, "embedded backends: admission capacity in evaluation-cost units (0 = default)")
-		admissionQ = flag.Int("admission-queue", 0, "embedded backends: requests that may wait for admission before a 429 shed (0 = default, negative = never queue)")
-		degrade    = flag.Bool("degrade", false, "embedded backends: serve cached/fallback answers (marked degraded) instead of 429 on shed")
 		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 		pprofFlag  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	)
@@ -84,9 +86,8 @@ func main() {
 		upTimeout: *upTimeout, maxUpload: *maxUpload,
 		workers: *workers, parallelism: *par, cacheSize: *cacheSize, verbose: *verbose,
 		seed: *seed, faults: *faults, faultsSeed: *faultsSeed,
-		admission: *admission, admissionQueue: *admissionQ,
-		degrade: *degrade,
-		logJSON: *logJSON, pprof: *pprofFlag,
+		admission: *admission,
+		logJSON:   *logJSON, pprof: *pprofFlag,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "hetgate:", err)
 		os.Exit(1)
@@ -109,8 +110,6 @@ type config struct {
 	faults              string
 	faultsSeed          int64
 	admission           int64
-	admissionQueue      int
-	degrade             bool
 	logJSON, pprof      bool
 }
 
@@ -146,8 +145,6 @@ func run(c config) error {
 			CacheSize:      c.cacheSize,
 			MaxUploadBytes: c.maxUpload,
 			AdmissionLimit: c.admission,
-			AdmissionQueue: c.admissionQueue,
-			DegradeOnShed:  c.degrade,
 			Logger:         obs.NewLogger(os.Stderr, "hetserve", level, c.logJSON),
 			EnablePprof:    c.pprof,
 		})

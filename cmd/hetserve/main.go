@@ -33,12 +33,10 @@
 // distance.
 //
 // Overload protection: -admission caps the total estimated evaluation
-// cost in flight, -admission-queue bounds the LIFO wait stack in front
-// of it; beyond both, requests are shed with 429 + Retry-After, or —
-// with -degrade — answered from a cache entry or the static
-// fallback threshold, marked "degraded":true. Chaos tests inject
-// faults at the gateway (hetgate -faults), which wraps every call to
-// its backends, health probes included.
+// cost in flight. A request whose cost does not fit is shed at once
+// with 429 and Retry-After: 1; an admitted one waits FIFO for one of
+// -workers. Chaos tests inject faults at the gateway (hetgate -faults),
+// which wraps every call to its backends, health probes included.
 //
 // Example:
 //
@@ -76,8 +74,6 @@ func main() {
 		batchBytes = flag.Int64("batch-max-bytes", 0, "max /estimate-batch body bytes, manifest + uploads together (0 = max-upload)")
 		timeout    = flag.Duration("timeout", serve.DefaultMaxTimeout, "per-request deadline cap")
 		admission  = flag.Int64("admission", 0, "admission capacity in evaluation-cost units (0 = default)")
-		admissionQ = flag.Int("admission-queue", 0, "requests that may wait for admission before shedding with 429 (0 = default, negative = never queue)")
-		degrade    = flag.Bool("degrade", false, "on shed, serve a cache entry or static-fallback threshold (marked degraded) instead of 429")
 		useStore   = flag.Bool("store", false, "enable the structure-keyed threshold store (cross-input transfer)")
 		storePath  = flag.String("store-path", "", "persist the threshold store as JSONL at this path (empty = in-memory)")
 		storeRad   = flag.Float64("store-radius", 0, "nearest-neighbor acceptance distance over normalized features (0 = default)")
@@ -104,8 +100,6 @@ func main() {
 		BatchMaxBytes:  *batchBytes,
 		MaxTimeout:     *timeout,
 		AdmissionLimit: *admission,
-		AdmissionQueue: *admissionQ,
-		DegradeOnShed:  *degrade,
 		EnablePprof:    *pprof,
 		Store:          st,
 	}
@@ -164,7 +158,6 @@ func run(addr string, cfg serve.Config, logJSON bool) error {
 			slog.Int("workers", cfg.Workers),
 			slog.Int("cache", cfg.CacheSize),
 			slog.Int64("admission", s.Admission().Limit()),
-			slog.Bool("degrade", cfg.DegradeOnShed),
 			slog.Bool("store", s.Store() != nil),
 			slog.Bool("pprof", cfg.EnablePprof))
 		errc <- srv.ListenAndServe()
@@ -175,11 +168,10 @@ func run(addr string, cfg serve.Config, logJSON bool) error {
 		return err
 	case <-ctx.Done():
 	}
-	shed, degraded, _, deadlines := s.Metrics().ResilienceCounts()
+	shed, _, _, deadlines := s.Metrics().ResilienceCounts()
 	logger.Info("shutting down",
 		slog.Float64("cache_hit_ratio", s.Metrics().CacheHitRatio()),
 		slog.Uint64("shed", shed),
-		slog.Uint64("degraded", degraded),
 		slog.Uint64("deadline_exceeded", deadlines))
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

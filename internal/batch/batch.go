@@ -30,10 +30,12 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Limits bound one batch job so a single oversized request cannot
-// starve the admission queue behind it.
+// take the whole admission capacity.
 const (
 	// DefaultMaxItems is the per-job item ceiling when the daemon
 	// leaves it unset.
@@ -365,6 +367,12 @@ func validate(job *Job, maxItems int) error {
 	for _, it := range job.Items {
 		if it.Name == "" {
 			return badJob("bad_manifest", "item without a name")
+		}
+		// A name rides in a multipart header and a JSON manifest when
+		// hetgate forwards the item, and neither carries control
+		// characters or invalid UTF-8 through unchanged.
+		if !utf8.ValidString(it.Name) || strings.ContainsFunc(it.Name, unicode.IsControl) {
+			return badJob("bad_manifest", "item name %q is not printable UTF-8", it.Name)
 		}
 		if seen[it.Name] {
 			return badJob("duplicate_item", "duplicate item name %q", it.Name)

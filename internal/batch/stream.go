@@ -31,7 +31,7 @@ const (
 // Item error codes carried on EventError.
 const (
 	// CodeShed: admission could not fit the item; it was dropped from
-	// the job's LIFO tail (the batch analogue of a 429).
+	// the job's tail (the batch analogue of a 429).
 	CodeShed = "shed"
 	// CodeDeadline: the item's carved budget expired before its sweep
 	// finished.
@@ -62,7 +62,8 @@ type Event struct {
 	// Error is the human-readable failure detail for error events.
 	Error string `json:"error,omitempty"`
 	// Degraded marks a terminal event whose payload is a fallback
-	// (static split under shed/failure) rather than a refined sweep.
+	// (the coarse static split after its shard failed) rather than a
+	// refined sweep.
 	Degraded bool `json:"degraded,omitempty"`
 	// Backend is gateway provenance: which backend produced the event.
 	// Empty on direct hetserve responses.

@@ -322,7 +322,7 @@ func (g *Gateway) rescueItem(ctx context.Context, it batch.Item, merge *batchMer
 	res, err := g.forward(ctx, method, q.Encode(), it.Body, it.Key())
 	if err == nil && res.status == http.StatusOK {
 		merge.emit(batch.Event{Type: batch.EventRefined, Item: it.Name,
-			Estimate: res.body, Backend: res.backend, Degraded: res.degraded})
+			Estimate: res.body, Backend: res.backend})
 		return
 	}
 	if err == nil {

@@ -181,7 +181,7 @@ func TestBatchFanoutScatterGather(t *testing.T) {
 // shard's items refine untouched, and the sheds feed the breaker's
 // shed streak (backpressure) rather than opening it as failures would.
 func TestFaultyShardShedsOnlyItsItems(t *testing.T) {
-	scfg := serve.Config{Workers: 2, CacheSize: 64, AdmissionLimit: 101, AdmissionQueue: -1}
+	scfg := serve.Config{Workers: 2, CacheSize: 64, AdmissionLimit: 101}
 	e, g, ts := startChaosCluster(t, 3, scfg, nil)
 
 	// Enough small items that at least two backends get some.

@@ -18,8 +18,8 @@ import (
 )
 
 // startChaosCluster is startCluster with control over the backend
-// serve.Config — chaos tests need admission limits and degrade modes
-// the happy-path tests don't.
+// serve.Config — chaos tests need admission limits the happy-path
+// tests don't.
 func startChaosCluster(t *testing.T, k int, scfg serve.Config, mut func(*Config)) (*Embedded, *Gateway, *httptest.Server) {
 	t.Helper()
 	if scfg.Logger == nil {
@@ -61,8 +61,7 @@ func startChaosCluster(t *testing.T, k int, scfg serve.Config, mut func(*Config)
 
 // TestChaosGatewaySurvivesFaultyBackend is the acceptance scenario: 3
 // embedded backends, deterministic faults (30% errors + 200ms latency)
-// on one of them, and the gateway's retries keep client success ≥ 90%
-// with degraded answers counted separately from successes.
+// on one of them, and the gateway's retries keep client success ≥ 90%.
 func TestChaosGatewaySurvivesFaultyBackend(t *testing.T) {
 	// Path-scoped to /estimate: faulting /healthz too would let the
 	// prober open backend 1's breaker and route traffic away, which
@@ -101,7 +100,7 @@ func TestChaosGatewaySurvivesFaultyBackend(t *testing.T) {
 		bodies = append(bodies, b)
 	}
 
-	var ok, degraded atomic.Int64
+	var ok atomic.Int64
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, 8)
 	for i := 0; i < requests; i++ {
@@ -121,9 +120,6 @@ func TestChaosGatewaySurvivesFaultyBackend(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
 				ok.Add(1)
-				if resp.Header.Get(serve.DegradedHeader) != "" {
-					degraded.Add(1)
-				}
 			}
 		}(i)
 	}
@@ -135,12 +131,7 @@ func TestChaosGatewaySurvivesFaultyBackend(t *testing.T) {
 	if rate := float64(ok.Load()) / requests; rate < 0.90 {
 		t.Errorf("success rate %.2f, want >= 0.90 (retries should absorb a 30%%-faulty backend)", rate)
 	}
-	// No backend runs in degrade mode here, so degraded answers must be
-	// zero — and in any case they are tracked apart from successes.
-	shed, degradedGW, _ := g.Metrics().ResilienceCounts()
-	if degradedGW != uint64(degraded.Load()) {
-		t.Errorf("gateway degraded counter %d != observed degraded headers %d", degradedGW, degraded.Load())
-	}
+	shed, _ := g.Metrics().ResilienceCounts()
 	if shed != 0 {
 		t.Errorf("shed = %d, want 0 (no admission pressure in this scenario)", shed)
 	}
@@ -238,7 +229,7 @@ func TestChaosDeadlinePropagation(t *testing.T) {
 // sheds and keeps trying other replicas.
 func TestChaosShedsInsteadOfQueueing(t *testing.T) {
 	e, g, ts := startChaosCluster(t, 3,
-		serve.Config{Workers: 1, CacheSize: 64, AdmissionLimit: 1, AdmissionQueue: -1}, nil)
+		serve.Config{Workers: 1, CacheSize: 64, AdmissionLimit: 1}, nil)
 
 	const requests = 12
 	bodies := make([][]byte, requests)
@@ -272,7 +263,7 @@ func TestChaosShedsInsteadOfQueueing(t *testing.T) {
 	if backendShed == 0 {
 		t.Error("backends never shed; admission pressure did not materialize")
 	}
-	gwShed, _, _ := g.Metrics().ResilienceCounts()
+	gwShed, _ := g.Metrics().ResilienceCounts()
 	if gwShed == 0 {
 		t.Error("gateway did not count any 429 sheds")
 	}
@@ -281,73 +272,6 @@ func TestChaosShedsInsteadOfQueueing(t *testing.T) {
 	// take far longer than this.
 	if elapsed > 60*time.Second {
 		t.Errorf("burst took %v; sheds should be immediate, not queued", elapsed)
-	}
-}
-
-// TestChaosDegradedAnswersUnderOverload — with -degrade, saturation
-// turns into degraded 200s (stale or static fallback), counted apart
-// from clean successes on the gateway.
-func TestChaosDegradedAnswersUnderOverload(t *testing.T) {
-	e, g, ts := startChaosCluster(t, 3,
-		serve.Config{Workers: 1, CacheSize: 64, AdmissionLimit: 1, AdmissionQueue: -1, DegradeOnShed: true}, nil)
-
-	const requests = 12
-	bodies := make([][]byte, requests)
-	for i := range bodies {
-		bodies[i] = genMTX(t, 2000, 40000, uint64(800+i))
-	}
-	var ok, degraded atomic.Int64
-	post := func(bodies [][]byte) {
-		var wg sync.WaitGroup
-		for _, body := range bodies {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				resp, err := http.Post(ts.URL+"/estimate?workload=spmm&repeats=1", "text/plain", bytes.NewReader(body))
-				if err != nil {
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					ok.Add(1)
-					if resp.Header.Get(serve.DegradedHeader) != "" {
-						degraded.Add(1)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	// Saturate every backend before any upload is sent: the test holds
-	// each one's single admission slot, so the first half of the
-	// uploads is shed whatever the timing. Left to overlap on their
-	// own, the 11-90 ms uploads sometimes never met on a backend and
-	// nothing was shed. The slots are freed before the second half, so
-	// its first arrival on a backend runs a real estimate.
-	for i := range 3 {
-		if err := e.Server(i).Admission().Acquire(context.Background(), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	post(bodies[:requests/2])
-	for i := range 3 {
-		e.Server(i).Admission().Release(1)
-	}
-	post(bodies[requests/2:])
-
-	if ok.Load() != requests {
-		t.Errorf("successes = %d, want %d (degrade mode answers every shed)", ok.Load(), requests)
-	}
-	if degraded.Load() == 0 {
-		t.Error("no degraded answers; saturation should have forced some")
-	}
-	if degraded.Load() == requests {
-		t.Error("every answer degraded; at least the first per backend should be a real estimate")
-	}
-	_, gwDegraded, _ := g.Metrics().ResilienceCounts()
-	if gwDegraded != uint64(degraded.Load()) {
-		t.Errorf("gateway degraded counter %d != degraded headers seen %d", gwDegraded, degraded.Load())
 	}
 }
 
@@ -363,7 +287,6 @@ func TestGatewayMetricsExposeResilienceCounters(t *testing.T) {
 	resp.Body.Close()
 	for _, name := range []string{
 		"hetgate_shed_total",
-		"hetgate_degraded_total",
 		"hetgate_deadline_exceeded_total",
 	} {
 		if !bytes.Contains(body, []byte(name)) {

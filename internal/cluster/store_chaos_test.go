@@ -35,7 +35,6 @@ func TestChaosStoreTransferShedsUnderOverload(t *testing.T) {
 		CacheSize:      64,
 		Store:          st,
 		AdmissionLimit: 200,
-		AdmissionQueue: -1, // shed immediately, never queue
 	}, nil)
 
 	const q = "/estimate?workload=spmm&searcher=exhaustive&repeats=1"
@@ -99,7 +98,7 @@ func TestChaosStoreTransferShedsUnderOverload(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Errorf("similar request under overload = %d, want 502 (all replicas shed)", resp.StatusCode)
 	}
-	shed, _, _ := g.Metrics().ResilienceCounts()
+	shed, _ := g.Metrics().ResilienceCounts()
 	if shed == 0 {
 		t.Error("gateway observed no sheds")
 	}

@@ -4,126 +4,72 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 )
 
-// ErrOverloaded is returned by Admission.Acquire when the wait stack is
-// full: the server is saturated and the request should be shed (HTTP
-// 429) rather than queued. Callers may downgrade to a cached or
-// fallback answer instead of failing outright.
-var ErrOverloaded = errors.New("resilience: admission queue full, request shed")
+// ErrOverloaded is returned by Admission.Acquire when the request's
+// cost does not fit the controller's free capacity: the server is
+// saturated and the request is shed (HTTP 429) rather than queued.
+var ErrOverloaded = errors.New("resilience: admission at capacity, request shed")
 
-// Admission defaults.
-const (
-	// DefaultAdmissionLimit is the total estimation cost (grid points ×
-	// repeats) admitted concurrently when Config leaves it unset.
-	DefaultAdmissionLimit = 4096
-	// DefaultAdmissionQueue is the wait-stack depth.
-	DefaultAdmissionQueue = 64
-)
+// DefaultAdmissionLimit is the total estimation cost (grid points ×
+// repeats) admitted concurrently when Config leaves it unset. The
+// worker pool's wait, bounded in these units, is the one queue in
+// front of the pipeline: 12,288 is the smallest multiple of 1,024 at
+// which the overload driver (internal/serve/overload_test.go) answers
+// the cold-datasets mix at 1× load within a point of the cost-weighted
+// goodput the 64-deep wait stack it replaced bought.
+const DefaultAdmissionLimit = 12288
 
 // Admission is a cost-aware admission controller: a counting semaphore
 // measured in estimation-cost units (one unit ≈ one threshold
-// evaluation) with a small bounded wait stack in front of it.
-//
-// Under overload the stack is served LIFO — the most recently arrived
-// waiter is admitted first, because its client is the one most likely
-// to still be waiting; the oldest waiters are the ones whose deadlines
-// are closest to expiry, and serving them first would spend capacity
-// computing answers nobody reads (the adaptive-LIFO argument from the
-// Facebook/SRE queueing literature). When the stack itself is full,
-// Acquire sheds immediately with ErrOverloaded so the queue never grows
-// without bound.
+// evaluation). Acquire admits or sheds and never blocks.
 type Admission struct {
-	limit    int64
-	maxQueue int
+	limit int64
 
 	mu       sync.Mutex
-	inFlight int64     // cost units currently admitted
-	waiters  []*waiter // stack: last element is the newest
+	inFlight int64 // cost units currently admitted
 	shed     uint64
 	admitted uint64
 }
 
-type waiter struct {
-	cost  int64
-	ready chan struct{}
-	gone  bool // abandoned by its context; skip when draining
-}
-
 // NewAdmission returns a controller admitting at most limit cost units
-// at once with a wait stack of maxQueue entries. limit <= 0 means
-// DefaultAdmissionLimit; maxQueue < 0 means DefaultAdmissionQueue
-// (maxQueue == 0 is honored: every over-capacity request sheds).
-func NewAdmission(limit int64, maxQueue int) *Admission {
+// at once; limit <= 0 means DefaultAdmissionLimit.
+func NewAdmission(limit int64) *Admission {
 	if limit <= 0 {
 		limit = DefaultAdmissionLimit
 	}
-	if maxQueue < 0 {
-		maxQueue = DefaultAdmissionQueue
-	}
-	return &Admission{limit: limit, maxQueue: maxQueue}
+	return &Admission{limit: limit}
 }
 
-// Acquire admits cost units, waiting (LIFO) when the controller is at
-// capacity. It returns ErrOverloaded when the wait stack is full and
-// ctx.Err() when the caller's deadline expires while queued. Cost is
-// clamped to [1, limit] so one expensive request can always run alone
-// rather than deadlocking the controller.
+// Acquire admits cost units when they fit the free capacity and
+// returns ErrOverloaded otherwise, or ctx.Err() when the caller's
+// context is already done. Cost is clamped to [1, limit] so one
+// expensive request can always run alone.
 func (a *Admission) Acquire(ctx context.Context, cost int64) error {
 	cost = a.clamp(cost)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	a.mu.Lock()
-	if a.inFlight+cost <= a.limit {
-		a.inFlight += cost
-		a.admitted++
-		a.mu.Unlock()
-		return nil
-	}
-	if len(a.liveWaitersLocked()) >= a.maxQueue {
+	defer a.mu.Unlock()
+	if a.inFlight+cost > a.limit {
 		a.shed++
-		a.mu.Unlock()
 		return ErrOverloaded
 	}
-	w := &waiter{cost: cost, ready: make(chan struct{})}
-	a.waiters = append(a.waiters, w)
-	a.mu.Unlock()
-
-	select {
-	case <-w.ready:
-		return nil
-	case <-ctx.Done():
-		a.mu.Lock()
-		select {
-		case <-w.ready:
-			// Admitted in the race window before we could withdraw:
-			// keep the slot and let the caller proceed — its deferred
-			// Release balances the books either way.
-			a.mu.Unlock()
-			return nil
-		default:
-			w.gone = true
-			a.mu.Unlock()
-			return ctx.Err()
-		}
-	}
+	a.inFlight += cost
+	a.admitted++
+	return nil
 }
 
 // AcquireBatch admits a batch job's per-item costs as one aggregate
-// acquisition. It admits the longest prefix of costs that fits the
-// controller's free capacity right now and sheds the rest — the
-// batch analogue of the LIFO stack shedding its newest arrivals: the
-// job keeps its head items and drops its tail instead of being 429'd
-// whole. When nothing fits immediately, the call falls back to a
-// blocking Acquire of the first item's cost, so a batch arriving
-// behind a burst queues like any single request rather than starving.
+// acquisition: the longest prefix of costs that fits the free capacity
+// now, shedding the rest, so the job keeps its head items and drops
+// its tail instead of being 429'd whole.
 //
 // It returns how many items were admitted (always a prefix) and the
-// total cost actually admitted; the caller must Release exactly that
-// total when the job finishes. err is non-nil only when not even one
-// item could be admitted: ErrOverloaded or the context's error.
+// total cost admitted; the caller must Release exactly that total when
+// the job finishes. err is non-nil only when not even one item could
+// be admitted: ErrOverloaded or the context's error.
 func (a *Admission) AcquireBatch(ctx context.Context, costs []int64) (admitted int, total int64, err error) {
 	if len(costs) == 0 {
 		return 0, 0, nil
@@ -132,6 +78,7 @@ func (a *Admission) AcquireBatch(ctx context.Context, costs []int64) (admitted i
 		return 0, 0, err
 	}
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	for _, c := range costs {
 		c = a.clamp(c)
 		if a.inFlight+c > a.limit {
@@ -141,54 +88,23 @@ func (a *Admission) AcquireBatch(ctx context.Context, costs []int64) (admitted i
 		total += c
 		admitted++
 	}
-	if admitted > 0 {
-		a.admitted++
-		a.shed += uint64(len(costs) - admitted)
-		a.mu.Unlock()
-		return admitted, total, nil
+	a.shed += uint64(len(costs) - admitted)
+	if admitted == 0 {
+		return 0, 0, ErrOverloaded
 	}
-	a.mu.Unlock()
-	// At capacity: queue for the head item alone. The tail is shed
-	// either way — by the time the head is admitted the backlog that
-	// blocked it has first claim on whatever freed up.
-	c0 := a.clamp(costs[0])
-	if err := a.Acquire(ctx, c0); err != nil {
-		return 0, 0, err
-	}
-	a.mu.Lock()
-	a.shed += uint64(len(costs) - 1)
-	a.mu.Unlock()
-	return 1, c0, nil
+	a.admitted++
+	return admitted, total, nil
 }
 
-// Release returns cost units admitted by Acquire and drains the wait
-// stack newest-first while capacity lasts.
+// Release returns cost units admitted by Acquire or AcquireBatch.
 func (a *Admission) Release(cost int64) {
 	cost = a.clamp(cost)
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.inFlight -= cost
 	if a.inFlight < 0 {
 		a.inFlight = 0
 	}
-	// Serve the stack from the top. Abandoned waiters are discarded as
-	// they surface; a live waiter that does not fit stops the drain —
-	// strict LIFO keeps the admission order predictable and the next
-	// Release resumes exactly here.
-	for len(a.waiters) > 0 {
-		w := a.waiters[len(a.waiters)-1]
-		if w.gone {
-			a.waiters = a.waiters[:len(a.waiters)-1]
-			continue
-		}
-		if a.inFlight+w.cost > a.limit {
-			break
-		}
-		a.waiters = a.waiters[:len(a.waiters)-1]
-		a.inFlight += w.cost
-		a.admitted++
-		close(w.ready)
-	}
-	a.mu.Unlock()
 }
 
 func (a *Admission) clamp(cost int64) int64 {
@@ -201,27 +117,6 @@ func (a *Admission) clamp(cost int64) int64 {
 	return cost
 }
 
-// liveWaitersLocked compacts abandoned waiters out of the stack and
-// returns the survivors. Callers hold a.mu.
-func (a *Admission) liveWaitersLocked() []*waiter {
-	live := a.waiters[:0]
-	for _, w := range a.waiters {
-		if !w.gone {
-			live = append(live, w)
-		}
-	}
-	a.waiters = live
-	return live
-}
-
-// Depth returns the number of requests currently waiting (the
-// queue-depth gauge).
-func (a *Admission) Depth() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.liveWaitersLocked())
-}
-
 // InFlight returns the cost units currently admitted.
 func (a *Admission) InFlight() int64 {
 	a.mu.Lock()
@@ -232,8 +127,8 @@ func (a *Admission) InFlight() int64 {
 // Limit returns the configured capacity in cost units.
 func (a *Admission) Limit() int64 { return a.limit }
 
-// Shed returns the lifetime count of requests rejected with
-// ErrOverloaded.
+// Shed returns the lifetime count of requests (and batch items)
+// rejected with ErrOverloaded.
 func (a *Admission) Shed() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -245,16 +140,4 @@ func (a *Admission) Admitted() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.admitted
-}
-
-// RetryAfter suggests a Retry-After value for a shed response: one
-// second per queued request ahead of the caller, floored at one — a
-// coarse hint that scales backpressure with the backlog without
-// leaking internals.
-func (a *Admission) RetryAfter() time.Duration {
-	d := a.Depth()
-	if d < 1 {
-		d = 1
-	}
-	return time.Duration(d) * time.Second
 }

@@ -3,13 +3,11 @@ package resilience
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
-	"time"
 )
 
 func TestAdmissionFastPath(t *testing.T) {
-	a := NewAdmission(10, 2)
+	a := NewAdmission(10)
 	if err := a.Acquire(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +28,7 @@ func TestAdmissionFastPath(t *testing.T) {
 }
 
 func TestAdmissionShedsWhenQueueFull(t *testing.T) {
-	a := NewAdmission(1, 0) // capacity 1, no queue
+	a := NewAdmission(1)
 	if err := a.Acquire(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -47,79 +45,8 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 	}
 }
 
-// TestAdmissionLIFO parks three waiters and confirms releases admit
-// them newest-first.
-func TestAdmissionLIFO(t *testing.T) {
-	a := NewAdmission(1, 3)
-	if err := a.Acquire(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-
-	var (
-		mu    sync.Mutex
-		order []int
-		wg    sync.WaitGroup
-	)
-	admit := make(chan struct{}, 3)
-	for i := 0; i < 3; i++ {
-		// Enqueue strictly one at a time so stack order is 0,1,2.
-		wg.Add(1)
-		i := i
-		started := make(chan struct{})
-		go func() {
-			defer wg.Done()
-			close(started)
-			if err := a.Acquire(context.Background(), 1); err != nil {
-				t.Errorf("waiter %d: %v", i, err)
-				return
-			}
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-			admit <- struct{}{}
-		}()
-		<-started
-		waitForDepth(t, a, i+1)
-	}
-
-	for i := 0; i < 3; i++ {
-		a.Release(1)
-		<-admit
-	}
-	wg.Wait()
-	want := []int{2, 1, 0}
-	mu.Lock()
-	defer mu.Unlock()
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("admission order %v, want %v (LIFO)", order, want)
-		}
-	}
-}
-
-func TestAdmissionWaiterHonorsContext(t *testing.T) {
-	a := NewAdmission(1, 2)
-	if err := a.Acquire(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	err := a.Acquire(ctx, 1)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("queued Acquire = %v, want DeadlineExceeded", err)
-	}
-	if got := a.Depth(); got != 0 {
-		t.Fatalf("Depth after abandoned waiter = %d, want 0", got)
-	}
-	// The abandoned waiter must not consume the capacity freed later.
-	a.Release(1)
-	if err := a.Acquire(context.Background(), 1); err != nil {
-		t.Fatalf("capacity leaked to abandoned waiter: %v", err)
-	}
-}
-
 func TestAdmissionCostClamped(t *testing.T) {
-	a := NewAdmission(8, 1)
+	a := NewAdmission(8)
 	// A request dearer than the whole capacity still runs (alone).
 	if err := a.Acquire(context.Background(), 1000); err != nil {
 		t.Fatal(err)
@@ -140,33 +67,24 @@ func TestAdmissionCostClamped(t *testing.T) {
 	}
 }
 
-func TestAdmissionRetryAfterScalesWithBacklog(t *testing.T) {
-	a := NewAdmission(1, 4)
-	if got := a.RetryAfter(); got != time.Second {
-		t.Fatalf("idle RetryAfter = %v, want 1s", got)
+// TestAdmissionBatchAdmitsPrefix — AcquireBatch admits the longest
+// prefix that fits and sheds the tail; when not even the head fits it
+// sheds the whole job at once instead of waiting.
+func TestAdmissionBatchAdmitsPrefix(t *testing.T) {
+	a := NewAdmission(10)
+	n, total, err := a.AcquireBatch(context.Background(), []int64{4, 5, 3, 1})
+	if err != nil || n != 2 || total != 9 {
+		t.Fatalf("AcquireBatch = %d, %d, %v; want 2, 9, nil", n, total, err)
 	}
-	if err := a.Acquire(context.Background(), 1); err != nil {
-		t.Fatal(err)
+	if got := a.Shed(); got != 2 {
+		t.Fatalf("Shed = %d, want 2 (the tail)", got)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for i := 0; i < 2; i++ {
-		go a.Acquire(ctx, 1) //nolint:errcheck — cancelled at test end
+	n, total, err = a.AcquireBatch(context.Background(), []int64{2, 1})
+	if !errors.Is(err, ErrOverloaded) || n != 0 || total != 0 {
+		t.Fatalf("AcquireBatch at capacity = %d, %d, %v; want 0, 0, ErrOverloaded", n, total, err)
 	}
-	waitForDepth(t, a, 2)
-	if got := a.RetryAfter(); got != 2*time.Second {
-		t.Fatalf("RetryAfter with 2 queued = %v, want 2s", got)
-	}
-	cancel()
-}
-
-func waitForDepth(t *testing.T, a *Admission, want int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for a.Depth() != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("Depth = %d, want %d", a.Depth(), want)
-		}
-		time.Sleep(time.Millisecond)
+	a.Release(9)
+	if got := a.InFlight(); got != 0 {
+		t.Fatalf("InFlight = %d, want 0", got)
 	}
 }

@@ -7,11 +7,10 @@
 //   - Admission: a cost-aware admission controller in front of the
 //     estimation worker pool. Requests declare an estimated cost
 //     (grid size × repeats for an Identify search); the controller
-//     bounds the total cost in flight and keeps a small bounded wait
-//     stack that is served LIFO under overload — the newest waiter is
-//     the one whose client is most likely still listening. When the
-//     stack is full the request is shed immediately (ErrOverloaded →
-//     HTTP 429 + Retry-After) instead of queuing unboundedly.
+//     bounds the total cost in flight and admits or sheds, never
+//     waiting: a request whose cost does not fit is shed at once
+//     (ErrOverloaded → HTTP 429 + Retry-After: 1). The worker pool's
+//     wait, bounded in cost units, is the one queue.
 //
 //   - Deadline propagation: an X-Deadline-Ms header carries the
 //     remaining time budget from the gateway to its backends. hetgate

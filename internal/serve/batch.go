@@ -190,17 +190,11 @@ func (s *Server) runBatch(jobCtx context.Context, bw *batch.Writer, reqs []*requ
 		}
 	}
 
-	// The LIFO tail that admission could not fit: degrade or shed per
-	// item, never 429 the whole job.
+	// The tail that admission could not fit sheds per item; the job is
+	// never 429'd whole.
 	for _, req := range pending[admitted:] {
 		summary.Shed++
 		s.metrics.BatchOutcomes.With("shed").Inc()
-		if resp, ok := s.shedFallback(nil, req); ok {
-			summary.Degraded++
-			emit(batch.Event{Type: batch.EventRefined, Item: req.item, Degraded: true,
-				Code: batch.CodeShed, Estimate: marshalEstimate(*resp)})
-			continue
-		}
 		emit(batch.Event{Type: batch.EventError, Item: req.item, Code: batch.CodeShed,
 			Error: "admission at capacity: item shed from batch tail"})
 	}

@@ -224,14 +224,13 @@ func TestBatchDeadlineCarving(t *testing.T) {
 }
 
 // TestBatchPartialAdmissionShedsTail — with admission capacity for only
-// the head item, the tail is shed per item (LIFO-tail semantics) while
-// the head still completes; the whole job is never 429'd.
+// the head item, the tail is shed per item while the head still
+// completes; the whole job is never 429'd.
 func TestBatchPartialAdmissionShedsTail(t *testing.T) {
 	cfg := Config{Workers: 2, CacheSize: 64}
 	// race(repeats=1) costs 10; exhaustive(repeats=1) costs 101,
 	// clamped to the limit 15 — so the head fits and the tail cannot.
 	cfg.AdmissionLimit = 15
-	cfg.AdmissionQueue = -1
 	cfg.Logger = testLogger(t)
 	s := New(cfg)
 	ts := newHTTPServer(t, s)
@@ -255,32 +254,6 @@ func TestBatchPartialAdmissionShedsTail(t *testing.T) {
 	}
 	if sum.Shed != 1 || sum.Completed != 1 {
 		t.Errorf("summary = %+v", sum)
-	}
-
-	// With DegradeOnShed the shed tail degrades to the static split
-	// instead of erroring.
-	cfg.DegradeOnShed = true
-	s2 := New(cfg)
-	ts2 := newHTTPServer(t, s2)
-	code, events = postBatch(t, ts2.URL, "application/json", "", manifestBody(t, items))
-	if code != http.StatusOK {
-		t.Fatalf("degraded status = %d", code)
-	}
-	byItem, sum = eventsByItem(events)
-	tailEvs = byItem["tail"]
-	term := tailEvs[len(tailEvs)-1]
-	if term.Type != batch.EventRefined || !term.Degraded || term.Code != batch.CodeShed {
-		t.Fatalf("degraded tail terminal = %+v, want degraded refined with shed code", term)
-	}
-	var est EstimateResponse
-	if err := json.Unmarshal(term.Estimate, &est); err != nil {
-		t.Fatal(err)
-	}
-	if !est.Degraded || est.Searcher != "naive-static(fallback)" {
-		t.Errorf("degraded estimate = %+v", est)
-	}
-	if sum.Degraded != 1 {
-		t.Errorf("summary degraded = %d, want 1", sum.Degraded)
 	}
 }
 

@@ -58,9 +58,8 @@ type EstimateResponse struct {
 	// Coalesced reports whether this answer was computed by an
 	// identical concurrent request's pipeline run (singleflight).
 	Coalesced bool `json:"coalesced"`
-	// Degraded marks a graceful-degradation answer: the request was
-	// shed under overload and answered from a cache entry or the
-	// NaiveStatic fallback instead of a fresh pipeline run.
+	// Degraded is never set: a shed request gets a 429, not a
+	// fallback answer. The field stays because the benchmark checks it.
 	Degraded bool `json:"degraded,omitempty"`
 
 	// StoreHit reports that the threshold store held a structurally
@@ -84,10 +83,6 @@ type EstimateResponse struct {
 	// WallMS is the server-side handling time of this request.
 	WallMS float64 `json:"wall_ms"`
 }
-
-// DegradedHeader marks degraded responses so the gateway (and clients)
-// can count them without parsing the JSON body.
-const DegradedHeader = "X-Hetserve-Degraded"
 
 type httpError struct {
 	code int
@@ -235,13 +230,9 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, workload strin
 	})
 	if err != nil {
 		if errors.Is(err, resilience.ErrOverloaded) {
-			if resp, ok := s.shedFallback(w.Header(), req); ok {
-				return resp, nil
-			}
-			// No degraded answer available: shed honestly with
-			// backpressure advice scaled to the backlog.
-			w.Header().Set("Retry-After",
-				strconv.Itoa(int(s.admission.RetryAfter().Round(time.Second).Seconds())))
+			// Admission never queues, so capacity frees as soon as any
+			// admitted request finishes: one second is backoff enough.
+			w.Header().Set("Retry-After", "1")
 		}
 		return nil, err
 	}
@@ -286,50 +277,6 @@ func (s *Server) stampStoreHeaders(w http.ResponseWriter, resp *EstimateResponse
 	}
 }
 
-// shedFallback builds the graceful-degradation answer for a shed
-// request or batch item: a cache entry when one exists, otherwise —
-// when Config.DegradeOnShed allows — the platform's NaiveStatic
-// threshold. Both are marked "degraded":true;
-// h, when non-nil, gets the header that lets the gateway count
-// degraded answers without parsing bodies.
-func (s *Server) shedFallback(h http.Header, req *request) (*EstimateResponse, bool) {
-	if !s.cfg.DegradeOnShed {
-		return nil, false
-	}
-	var resp EstimateResponse
-	if v, ok := s.cache.Get(req.cacheKey); ok {
-		// An entry reaches here only when it landed between this
-		// request's cache lookup and its shed, but any cached estimate
-		// beats a static guess.
-		resp = v.(EstimateResponse)
-		resp.Cached = true
-	} else {
-		// NaiveStatic: the paper's static-split baseline — the
-		// platform's relative device speeds decide the split, no
-		// sampling at all. Crude, but O(1) and always available. For a
-		// partition request the fallback is the FLOPS-ratio vector.
-		resp = EstimateResponse{
-			Workload: req.workload,
-			Input:    req.input,
-			Searcher: "naive-static(fallback)",
-			Seed:     req.seed,
-		}
-		if req.devices > 0 {
-			resp.Devices = req.devices
-			resp.Partition = core.Partition(req.platform.StaticShares())
-			resp.NaiveStaticPartition = resp.Partition
-		} else {
-			resp.Threshold = req.platform.StaticShares()[0]
-		}
-	}
-	resp.Degraded = true
-	s.metrics.Degraded.Inc()
-	if h != nil {
-		h.Set(DegradedHeader, "true")
-	}
-	return &resp, true
-}
-
 // run answers one cache miss — of a single request or a batch item:
 // build the workload, consult the threshold store, then either accept
 // a probe-verified transfer or run a (possibly warm-started) search,
@@ -337,8 +284,8 @@ func (s *Server) shedFallback(h http.Header, req *request) (*EstimateResponse, b
 //
 // A single request is gated in one order before anything is built:
 // admission at its cold cost (grid points × repeats), which bounds the
-// total estimated cost in flight and sheds instead of queuing
-// unboundedly, then a worker slot. A store hit is charged the same
+// total estimated cost in flight and sheds at once when the cost does
+// not fit, then a worker slot. A store hit is charged the same
 // cost, and gives it back as soon as its probe accepts the transfer. A batch item (emit
 // non-nil) takes neither — its job already holds aggregate admission
 // at its items' cold costs and the worker slot — and emits a coarse

@@ -32,9 +32,9 @@ type Metrics struct {
 	BuildHits, BuildMisses            *obs.Counter
 
 	// Overload-protection accounting (internal/resilience): requests
-	// shed by admission control, degraded fallback answers, and
-	// requests that exceeded their (propagated) deadline.
-	Shed, Degraded, DeadlineExceeded *obs.Counter
+	// shed by admission control and requests that exceeded their
+	// (propagated) deadline.
+	Shed, DeadlineExceeded *obs.Counter
 
 	// Batch (/estimate-batch) accounting: jobs started, items carried
 	// by those jobs, jobs rejected before any work (bad manifest or
@@ -74,9 +74,8 @@ type Metrics struct {
 // AdmissionStats is a point-in-time snapshot of the admission
 // controller, rendered at /metrics.
 type AdmissionStats struct {
-	QueueDepth int
-	CostInUse  int64
-	CostLimit  int64
+	CostInUse int64
+	CostLimit int64
 }
 
 // NewMetrics returns a registry with every hetserve family registered,
@@ -95,8 +94,7 @@ func NewMetrics() *Metrics {
 		fromCallback(&m.cacheStats, func(c CacheStats) float64 { return float64(c.Evictions) }))
 	m.BuildHits = r.Counter("hetserve_workload_build_hits_total", "Workload constructions served from the build cache.")
 	m.BuildMisses = r.Counter("hetserve_workload_build_misses_total", "Workload constructions that parsed and profiled the input.")
-	m.Shed = r.Counter("hetserve_shed_total", "Requests shed by admission control (429 or degraded fallback).")
-	m.Degraded = r.Counter("hetserve_degraded_total", "Graceful-degradation answers served in place of shed requests.")
+	m.Shed = r.Counter("hetserve_shed_total", "Requests shed by admission control with 429.")
 	m.DeadlineExceeded = r.Counter("hetserve_deadline_exceeded_total", "Requests that ran out of their (propagated) deadline budget.")
 	m.BatchJobs = r.Counter("hetserve_batch_jobs_total", "Accepted /estimate-batch jobs.")
 	m.BatchItems = r.Counter("hetserve_batch_items_total", "Items carried by accepted batch jobs.")
@@ -109,8 +107,6 @@ func NewMetrics() *Metrics {
 	m.StoreRejects = r.Counter("hetserve_store_rejects_total", "Probes that rejected the transferred threshold.")
 	r.GaugeFunc("hetserve_store_entries", "Threshold-store entries currently held.", nil,
 		fromCallback(&m.storeStats, func(n int) float64 { return float64(n) }))
-	r.GaugeFunc("hetserve_admission_queue_depth", "Requests waiting for admission.", nil,
-		fromCallback(&m.admissionStats, func(a AdmissionStats) float64 { return float64(a.QueueDepth) }))
 	r.GaugeFunc("hetserve_admission_cost_in_flight", "Estimated evaluation cost currently admitted.", nil,
 		fromCallback(&m.admissionStats, func(a AdmissionStats) float64 { return float64(a.CostInUse) }))
 	r.GaugeFunc("hetserve_admission_cost_limit", "Admission capacity in evaluation-cost units.", nil,
@@ -186,13 +182,13 @@ func (m *Metrics) BuildCounts() (hits, misses uint64) {
 	return m.BuildHits.Value(), m.BuildMisses.Value()
 }
 
-// ResilienceCounts returns the shed/degraded/deadline totals. The
-// third result is always 0: it counted stale cache entries, and cache
-// entries never go stale because every answer is a deterministic
-// function of its request. It stays because the benchmark reads four
-// results.
-func (m *Metrics) ResilienceCounts() (shed, degraded, _, deadlineExceeded uint64) {
-	return m.Shed.Value(), m.Degraded.Value(), 0, m.DeadlineExceeded.Value()
+// ResilienceCounts returns the shed and deadline totals. The second
+// and third results are always 0: they counted degraded answers, which
+// a shed request no longer gets, and stale cache entries, which never
+// exist because every answer is a deterministic function of its
+// request. They stay because the benchmark reads four results.
+func (m *Metrics) ResilienceCounts() (shed, _, _, deadlineExceeded uint64) {
+	return m.Shed.Value(), 0, 0, m.DeadlineExceeded.Value()
 }
 
 // StoreCounts returns the store counter totals. The sixth result is

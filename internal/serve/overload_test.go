@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -30,9 +28,8 @@ import (
 // per µs, and the load factor scales the arrival rate against it. A
 // request admitted at its cost waits FIFO for a worker; it times out
 // when its deadline passes while it waits, or while it runs (the
-// pipeline observes its context between evaluations). A blocked
-// Acquire parks on a goroutine, and the driver waits on its return or
-// on Depth before it advances the clock.
+// pipeline observes its context between evaluations). Acquire admits
+// or sheds and never blocks, so the driver calls it inline.
 const (
 	overloadWorkers  = 2
 	overloadUnitUS   = 50
@@ -80,7 +77,7 @@ type overloadTally struct {
 // the p99 of answered requests in ms.
 func (o *overloadTally) row() string {
 	n := float64(o.arrivals)
-	sort.Slice(o.latencies, func(i, j int) bool { return o.latencies[i] < o.latencies[j] })
+	slices.Sort(o.latencies)
 	var p99 int64
 	if len(o.latencies) > 0 {
 		p99 = o.latencies[(len(o.latencies)*99+99)/100-1]
@@ -91,8 +88,7 @@ func (o *overloadTally) row() string {
 }
 
 const (
-	simParked = iota
-	simQueued
+	simQueued = iota
 	simRunning
 	simDone
 )
@@ -102,8 +98,6 @@ type simJob struct {
 	arrive, deadline int64
 	state            int
 	timedOut         bool
-	cancel           context.CancelFunc
-	done             chan error
 }
 
 const (
@@ -118,21 +112,51 @@ type simEvent struct {
 	job     *simJob
 }
 
+// simEvents is a binary min-heap of events ordered by time, then by
+// the order they were pushed.
 type simEvents []simEvent
 
-func (h simEvents) Len() int { return len(h) }
-func (h simEvents) Less(i, j int) bool {
+func (h simEvents) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h simEvents) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *simEvents) Push(x any)   { *h = append(*h, x.(simEvent)) }
-func (h *simEvents) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	*h = old[:len(old)-1]
+
+func (h *simEvents) push(e simEvent) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+func (h *simEvents) pop() simEvent {
+	q := *h
+	e := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < n && q.less(l, m) {
+			m = l
+		}
+		if r < n && q.less(r, m) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
 	return e
 }
 
@@ -144,7 +168,6 @@ type overloadSim struct {
 	tally    *overloadTally
 	events   simEvents
 	seq      int64
-	stack    []*simJob // parked waiters, oldest first (mirrors the wait stack)
 	queue    []*simJob // admitted, waiting for a worker, FIFO
 	busy     int
 	now      int64
@@ -153,7 +176,7 @@ type overloadSim struct {
 
 func (s *overloadSim) push(at int64, kind int, j *simJob) {
 	s.seq++
-	heap.Push(&s.events, simEvent{at: at, seq: s.seq, kind: kind, job: j})
+	s.events.push(simEvent{at: at, seq: s.seq, kind: kind, job: j})
 }
 
 // simulateOverload runs overloadArrivals arrivals of seed at load
@@ -175,8 +198,8 @@ func simulateOverload(t *testing.T, adm *resilience.Admission, costs []int64, lo
 	cost, gap := next()
 	s.push(gap, evArrive, &simJob{cost: cost})
 	arrivals := 1
-	for s.events.Len() > 0 {
-		e := heap.Pop(&s.events).(simEvent)
+	for len(s.events) > 0 {
+		e := s.events.pop()
 		s.now = e.at
 		j := e.job
 		switch e.kind {
@@ -201,90 +224,30 @@ func simulateOverload(t *testing.T, adm *resilience.Admission, costs []int64, lo
 				tally.latencies = append(tally.latencies, s.now-j.arrive)
 			}
 			s.start()
-			s.release(j.cost)
+			s.adm.Release(j.cost)
 		case evExpire:
-			switch j.state {
-			case simParked:
-				j.cancel()
-				if err := s.wait(j); !errors.Is(err, context.Canceled) {
-					t.Fatalf("expired waiter's Acquire = %v, want context.Canceled", err)
-				}
-				for i, w := range s.stack {
-					if w == j {
-						s.stack = append(s.stack[:i], s.stack[i+1:]...)
-						break
-					}
-				}
+			if j.state == simQueued {
 				j.state = simDone
 				tally.timedOut++
-			case simQueued:
-				j.state = simDone
-				tally.timedOut++
-				s.release(j.cost)
+				s.adm.Release(j.cost)
 			}
 		}
 	}
-	if len(s.stack) != 0 || s.adm.InFlight() != 0 {
-		t.Fatalf("run ended with %d parked waiters and %d units in flight", len(s.stack), s.adm.InFlight())
+	if s.adm.InFlight() != 0 {
+		t.Fatalf("run ended with %d units in flight", s.adm.InFlight())
 	}
 }
 
-// acquire admits j or sheds it; a blocked Acquire parks on a goroutine
-// until a Release admits it or its deadline cancels it.
+// acquire admits j into the pool's queue or sheds it.
 func (s *overloadSim) acquire(j *simJob) {
-	ctx, cancel := context.WithCancel(context.Background())
-	j.cancel, j.done = cancel, make(chan error, 1)
-	go func() { j.done <- s.adm.Acquire(ctx, j.cost) }()
-	for {
-		select {
-		case err := <-j.done:
-			cancel()
-			switch {
-			case err == nil:
-				s.enqueue(j)
-			case errors.Is(err, resilience.ErrOverloaded):
-				j.state = simDone
-				s.tally.shed++
-			default:
-				s.t.Fatalf("Acquire = %v", err)
-			}
-			return
-		default:
-		}
-		if s.adm.Depth() > len(s.stack) {
-			j.state = simParked
-			s.stack = append(s.stack, j)
-			s.push(j.deadline, evExpire, j)
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
-// release returns cost units and hands the waiters the Release
-// admitted — the top of the stack — to the pool, newest first.
-func (s *overloadSim) release(cost int64) {
-	before := len(s.stack)
-	s.adm.Release(cost)
-	k := before - s.adm.Depth()
-	for i := 0; i < k; i++ {
-		j := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		if err := s.wait(j); err != nil {
-			s.t.Fatalf("admitted waiter's Acquire = %v", err)
-		}
-		j.cancel()
+	switch err := s.adm.Acquire(context.Background(), j.cost); {
+	case err == nil:
 		s.enqueue(j)
-	}
-}
-
-func (s *overloadSim) wait(j *simJob) error {
-	select {
-	case err := <-j.done:
-		return err
-	case <-time.After(10 * time.Second):
-		s.t.Fatal("parked Acquire did not return")
-		return nil
+	case errors.Is(err, resilience.ErrOverloaded):
+		j.state = simDone
+		s.tally.shed++
+	default:
+		s.t.Fatalf("Acquire = %v", err)
 	}
 }
 
@@ -314,42 +277,43 @@ func (s *overloadSim) start() {
 	}
 }
 
-// overloadTable runs every load × deadline arm over overloadSeeds with
-// a fresh controller per seed and returns the table rows.
-func overloadTable(t *testing.T, costs []int64, limit int64, queue int) []string {
+// overloadRows runs every deadline × load arm over overloadSeeds, with
+// a fresh controller of the given limit per seed, and returns the
+// table rows: deadline, load, answered share, cost-weighted goodput,
+// shed and timeout ratios, and the p99 of answered requests in ms.
+func overloadRows(t *testing.T, limit int64) []string {
+	costs := overloadCosts(t)
 	var rows []string
 	for _, d := range overloadDeadlines {
 		for _, load := range overloadLoads {
 			var tally overloadTally
 			for _, seed := range overloadSeeds {
-				simulateOverload(t, resilience.NewAdmission(limit, queue), costs, load, d, seed, &tally)
+				simulateOverload(t, resilience.NewAdmission(limit), costs, load, d, seed, &tally)
 			}
-			rows = append(rows, fmt.Sprintf("| %d | %d | %g× | %v | %s |", limit, queue, load, d, tally.row()))
+			rows = append(rows, fmt.Sprintf("%v | %g× | %s", d, load, tally.row()))
 		}
 	}
 	return rows
 }
 
-// TestOverloadDriver runs the driver with the wait stack on (64) and
-// off, and a limit sweep of the stack-off arm at 1× load.
+// TestOverloadDriver pins the admit-or-shed design's rows at the
+// default admission limit. The wait stack it replaced, and the limit
+// it was sized against, are compared in EXPERIMENTS.md ("Admit or
+// shed").
 func TestOverloadDriver(t *testing.T) {
-	if testing.Short() {
-		t.Skip("overload driver: -short")
+	want := []string{
+		"1m0s | 0.5× | 1.0000 | 1.0000 | 0.0000 | 0.0000 | 49.0",
+		"1m0s | 1× | 0.9922 | 0.9837 | 0.0078 | 0.0000 | 293.6",
+		"1m0s | 1.5× | 0.8314 | 0.6660 | 0.1686 | 0.0000 | 311.4",
+		"1m0s | 3× | 0.6351 | 0.3339 | 0.3649 | 0.0000 | 315.2",
+		"1s | 0.5× | 1.0000 | 1.0000 | 0.0000 | 0.0000 | 49.0",
+		"1s | 1× | 0.9922 | 0.9837 | 0.0078 | 0.0000 | 293.6",
+		"1s | 1.5× | 0.8314 | 0.6660 | 0.1686 | 0.0000 | 311.4",
+		"1s | 3× | 0.6351 | 0.3339 | 0.3649 | 0.0000 | 315.2",
 	}
-	costs := overloadCosts(t)
-	var rows []string
-	rows = append(rows, overloadTable(t, costs, resilience.DefaultAdmissionLimit, resilience.DefaultAdmissionQueue)...)
-	rows = append(rows, overloadTable(t, costs, resilience.DefaultAdmissionLimit, 0)...)
-	t.Logf("limit | queue | load | deadline | answered | goodput | shed | timeout | p99 ms\n%s", strings.Join(rows, "\n"))
-	var sweep []string
-	for limit := int64(resilience.DefaultAdmissionLimit); limit <= 16384; limit += 1024 {
-		for _, d := range overloadDeadlines {
-			var tally overloadTally
-			for _, seed := range overloadSeeds {
-				simulateOverload(t, resilience.NewAdmission(limit, 0), costs, 1, d, seed, &tally)
-			}
-			sweep = append(sweep, fmt.Sprintf("| %d | 0 | 1× | %v | %s |", limit, d, tally.row()))
-		}
+	got := overloadRows(t, resilience.DefaultAdmissionLimit)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("overload rows (deadline | load | answered | goodput | shed | timeout | p99 ms):\n%s\nwant:\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	t.Logf("stack-off limit sweep at 1×:\n%s", strings.Join(sweep, "\n"))
 }

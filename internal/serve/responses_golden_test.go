@@ -25,8 +25,8 @@ var (
 )
 
 // goldenScript records a scripted conversation with one or more
-// servers: every request, its status, the transfer/degrade headers and
-// the body with wall_ms and request_id masked.
+// servers: every request, its status, the transfer header and the body
+// with wall_ms and request_id masked.
 type goldenScript struct {
 	t *testing.T
 	b strings.Builder
@@ -60,8 +60,8 @@ func (g *goldenScript) record(label string, req *http.Request) {
 	if err != nil {
 		g.t.Fatal(err)
 	}
-	fmt.Fprintf(&g.b, "--- %s\nstatus=%d store=%q degraded=%q\n%s\n", label, resp.StatusCode,
-		resp.Header.Get(StoreHeader), resp.Header.Get(DegradedHeader),
+	fmt.Fprintf(&g.b, "--- %s\nstatus=%d store=%q\n%s\n", label, resp.StatusCode,
+		resp.Header.Get(StoreHeader),
 		bytes.TrimRight(requestID.ReplaceAll(wallMS.ReplaceAll(body, []byte("${1}<masked>")), []byte("${1}<masked>")), "\n"))
 }
 
@@ -101,7 +101,7 @@ func (g *goldenScript) batch(label, url string, items []batch.Item) {
 // TestResponsesGolden pins hetserve's answers byte for byte across
 // every miss path: scalar and N-device estimates, uploads, the
 // threshold store's cold → warm → skip progression, stale hits, and
-// degraded answers, through both /estimate and /estimate-batch. No
+// shed requests, through both /estimate and /estimate-batch. No
 // input is requested through both endpoints. -update rewrites the
 // file from the current code.
 func TestResponsesGolden(t *testing.T) {
@@ -153,15 +153,15 @@ func TestResponsesGolden(t *testing.T) {
 		{Name: "ds", Workload: "cc", Dataset: "qcd5_4", Repeats: 1},
 	})
 
-	s, url := g.server("degraded", Config{Workers: 2, DegradeOnShed: true, AdmissionLimit: 1, AdmissionQueue: -1})
+	s, url := g.server("shed", Config{Workers: 2, AdmissionLimit: 1})
 	if err := s.Admission().Acquire(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Admission().Release(1) })
-	g.get("degraded scalar", url+"/estimate?workload=spmm&dataset=cant&repeats=1")
-	g.get("degraded devices=3", url+"/estimate?workload=cc&dataset=cant&devices=3")
-	g.get("degraded devices=2", url+"/estimate?workload=spmm&dataset=qcd5_4&devices=2")
-	g.batch("degraded batch", url, []batch.Item{
+	g.get("shed scalar", url+"/estimate?workload=spmm&dataset=cant&repeats=1")
+	g.get("shed devices=3", url+"/estimate?workload=cc&dataset=cant&devices=3")
+	g.get("shed devices=2", url+"/estimate?workload=spmm&dataset=qcd5_4&devices=2")
+	g.batch("shed batch", url, []batch.Item{
 		{Name: "d1", Workload: "cc", Dataset: "consph", Repeats: 1},
 		{Name: "d2", Workload: "spmm", Dataset: "shipsec1"},
 	})

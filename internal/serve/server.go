@@ -73,18 +73,10 @@ type Config struct {
 	// AdmissionLimit bounds the total estimated cost (grid points ×
 	// repeats) of pipeline runs in flight; <= 0 means
 	// resilience.DefaultAdmissionLimit. A request dearer than the whole
-	// limit still runs, alone.
+	// limit still runs, alone. A request whose cost does not fit the
+	// free capacity is shed with 429 at once; the worker pool's wait,
+	// bounded by this limit, is the one queue.
 	AdmissionLimit int64
-	// AdmissionQueue bounds requests waiting for admission; beyond it
-	// requests are shed with 429. 0 means
-	// resilience.DefaultAdmissionQueue; negative disables queuing
-	// entirely (every over-capacity request sheds immediately).
-	AdmissionQueue int
-	// DegradeOnShed serves a degraded answer instead of 429 when a
-	// request is shed: a cache entry when one exists, otherwise
-	// the platform's NaiveStatic threshold, both marked
-	// "degraded":true.
-	DegradeOnShed bool
 
 	// Store is the structure-keyed threshold store (hetstore); nil
 	// disables cross-input transfer. The store may be shared by many
@@ -93,7 +85,8 @@ type Config struct {
 
 	// BatchMaxItems caps items per /estimate-batch job; <= 0 means
 	// batch.DefaultMaxItems. Oversized jobs are rejected with a
-	// structured 413 so one job cannot starve the admission queue.
+	// structured 413 so one job cannot take the whole admission
+	// capacity.
 	BatchMaxItems int
 	// BatchMaxBytes caps an /estimate-batch request body (manifest +
 	// uploads together); <= 0 means MaxUploadBytes.
@@ -143,20 +136,12 @@ func New(cfg Config) *Server {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
 	}
-	// The admission queue sits in front of the worker pool: 0 keeps the
-	// package default, negative means "shed instead of queuing at all".
-	queue := cfg.AdmissionQueue
-	if queue == 0 {
-		queue = resilience.DefaultAdmissionQueue
-	} else if queue < 0 {
-		queue = 0
-	}
 	metrics := NewMetrics()
 	s := &Server{
 		cfg:       cfg,
 		platform:  hetsim.Default(),
 		pool:      NewPool(cfg.Workers),
-		admission: resilience.NewAdmission(cfg.AdmissionLimit, queue),
+		admission: resilience.NewAdmission(cfg.AdmissionLimit),
 		cache:     NewLRU(cfg.CacheSize),
 		builds:    newBuildCache(),
 		metrics:   metrics,
@@ -176,9 +161,8 @@ func New(cfg Config) *Server {
 	s.metrics.SetCacheStats(s.cache.Stats)
 	s.metrics.SetAdmissionStats(func() AdmissionStats {
 		return AdmissionStats{
-			QueueDepth: s.admission.Depth(),
-			CostInUse:  s.admission.InFlight(),
-			CostLimit:  s.admission.Limit(),
+			CostInUse: s.admission.InFlight(),
+			CostLimit: s.admission.Limit(),
 		}
 	})
 	// The estimation routes get the full middleware (request IDs,
@@ -254,7 +238,7 @@ func (s *Server) requestTimeout(r *http.Request) (time.Duration, error) {
 	if ok {
 		// Shave a safety margin so this server's deadline fires before
 		// its caller's: the caller then receives a real 504 it can retry
-		// or degrade on, instead of abandoning a connection mid-answer.
+		// on, instead of abandoning a connection mid-answer.
 		budget = resilience.ShaveBudget(budget)
 		if budget < resilience.MinBudget {
 			// The caller's budget cannot fit even one evaluation:

@@ -282,36 +282,28 @@ func TestStoreProbeRejectFallsBackAndDecays(t *testing.T) {
 	}
 }
 
-// overloadAnswer is one response of storeMissesUnderOverload.
-type overloadAnswer struct {
-	code     int
-	degraded bool
-	took     time.Duration
-}
-
-// storeMissesUnderOverload posts four distinct uploads at once to a
-// store-enabled server with one worker, an admission limit of 200 and
-// a wait stack of one, while every admission unit is held, and returns
-// each answer. A miss is admitted before it takes the worker, so the
-// stack bounds the misses: one waits out its 2 s timeout and the rest
-// are shed as they arrive.
-func storeMissesUnderOverload(t *testing.T, degrade bool) []overloadAnswer {
+// TestStoreMissShedsUnderOverload — the store does not switch shedding
+// off: four distinct uploads posted at once to a store-enabled server
+// with one worker, while every admission unit is held, are answered —
+// at least three of them — 429 within a second instead of queueing
+// for the worker until their deadline. A miss is admitted before it
+// takes the worker, so admission sheds it as it arrives.
+func TestStoreMissShedsUnderOverload(t *testing.T) {
 	st, err := store.Open(store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ts := storeServer(t, st, Config{
-		Workers:        1,
-		AdmissionLimit: 200,
-		AdmissionQueue: 1,
-		DegradeOnShed:  degrade,
-	})
+	s, ts := storeServer(t, st, Config{Workers: 1, AdmissionLimit: 200})
 	if err := s.Admission().Acquire(context.Background(), 200); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Admission().Release(200)
 
-	answers := make([]overloadAnswer, 4)
+	type answer struct {
+		code int
+		took time.Duration
+	}
+	answers := make([]answer, 4)
 	var wg sync.WaitGroup
 	for i := range answers {
 		body := genMTX(t, 400, 2000, uint64(20+i))
@@ -326,19 +318,10 @@ func storeMissesUnderOverload(t *testing.T, degrade bool) []overloadAnswer {
 			}
 			io.Copy(io.Discard, r.Body)
 			r.Body.Close()
-			answers[i] = overloadAnswer{r.StatusCode, r.Header.Get(DegradedHeader) != "", time.Since(start)}
+			answers[i] = answer{r.StatusCode, time.Since(start)}
 		}()
 	}
 	wg.Wait()
-	return answers
-}
-
-// TestStoreMissShedsUnderOverload — the store does not switch shedding
-// off: with every admission unit held, at least three of four
-// concurrent store-enabled misses are answered 429 within a second
-// instead of queueing for the worker until their deadline.
-func TestStoreMissShedsUnderOverload(t *testing.T) {
-	answers := storeMissesUnderOverload(t, false)
 	shed := 0
 	for _, a := range answers {
 		if a.code == http.StatusTooManyRequests && a.took < time.Second {
@@ -347,21 +330,6 @@ func TestStoreMissShedsUnderOverload(t *testing.T) {
 	}
 	if shed < 3 {
 		t.Errorf("%d of 4 misses shed within 1s, want at least 3: %+v", shed, answers)
-	}
-}
-
-// TestStoreMissDegradesUnderOverload — with DegradeOnShed the same
-// shed misses are answered 200, marked degraded, within a second.
-func TestStoreMissDegradesUnderOverload(t *testing.T) {
-	answers := storeMissesUnderOverload(t, true)
-	degraded := 0
-	for _, a := range answers {
-		if a.code == http.StatusOK && a.degraded && a.took < time.Second {
-			degraded++
-		}
-	}
-	if degraded < 3 {
-		t.Errorf("%d of 4 misses degraded within 1s, want at least 3: %+v", degraded, answers)
 	}
 }
 

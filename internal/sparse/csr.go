@@ -169,30 +169,39 @@ type coo struct {
 
 // FromTriplets builds a CSR matrix from 0-based coordinate data.
 // Duplicate entries are summed (or collapsed for pattern input).
-// vals may be nil for a pattern matrix.
+// vals may be nil for a pattern matrix. The CSR never shares storage
+// with the inputs.
 func FromTriplets(rows, cols int, rowIdx, colIdx []int32, vals []float64) (*CSR, error) {
+	if err := checkTriplets(rows, cols, rowIdx, colIdx, vals); err != nil {
+		return nil, err
+	}
+	return fromTripletsUnchecked(rows, cols, rowIdx, colIdx, vals, false), nil
+}
+
+func checkTriplets(rows, cols int, rowIdx, colIdx []int32, vals []float64) error {
 	if len(rowIdx) != len(colIdx) {
-		return nil, fmt.Errorf("sparse: %d row indices, %d col indices", len(rowIdx), len(colIdx))
+		return fmt.Errorf("sparse: %d row indices, %d col indices", len(rowIdx), len(colIdx))
 	}
 	if vals != nil && len(vals) != len(rowIdx) {
-		return nil, fmt.Errorf("sparse: %d values for %d triplets", len(vals), len(rowIdx))
+		return fmt.Errorf("sparse: %d values for %d triplets", len(vals), len(rowIdx))
 	}
 	for k := range rowIdx {
 		if rowIdx[k] < 0 || int(rowIdx[k]) >= rows || colIdx[k] < 0 || int(colIdx[k]) >= cols {
-			return nil, fmt.Errorf("sparse: triplet %d at (%d,%d) outside %dx%d",
+			return fmt.Errorf("sparse: triplet %d at (%d,%d) outside %dx%d",
 				k, rowIdx[k], colIdx[k], rows, cols)
 		}
 	}
-	return fromTripletsUnchecked(rows, cols, rowIdx, colIdx, vals), nil
+	return nil
 }
 
 // fromTripletsUnchecked is the common builder core: two-pass counting
 // sort by row, then per-row sort by column with duplicate merging.
 // Triplets that already arrive row-major with strictly ascending
 // columns in each row, as mmio.Write and most writers emit them, are
-// the CSR arrays already: they are copied as they are, which gives the
-// same matrix as sorting them would.
-func fromTripletsUnchecked(rows, cols int, rowIdx, colIdx []int32, vals []float64) *CSR {
+// the CSR arrays already: they are copied as they are, or with adopt
+// the CSR takes colIdx and vals themselves, which gives the same
+// matrix as sorting them would.
+func fromTripletsUnchecked(rows, cols int, rowIdx, colIdx []int32, vals []float64, adopt bool) *CSR {
 	nnz := len(rowIdx)
 	rowPtr := make([]int64, rows+1)
 	sorted := true
@@ -204,6 +213,13 @@ func fromTripletsUnchecked(rows, cols int, rowIdx, colIdx []int32, vals []float6
 	}
 	for i := 0; i < rows; i++ {
 		rowPtr[i+1] += rowPtr[i]
+	}
+	if sorted && adopt {
+		m := &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx[:nnz:nnz]}
+		if vals != nil {
+			m.Vals = vals[:nnz:nnz]
+		}
+		return m
 	}
 	ci := make([]int32, nnz)
 	var vv []float64
@@ -298,9 +314,15 @@ func (s *rowSorter) Swap(i, j int) {
 	s.v[i], s.v[j] = s.v[j], s.v[i]
 }
 
-// FromCOO converts an mmio coordinate matrix to CSR.
+// FromCOO converts an mmio coordinate matrix to CSR. When c's
+// triplets are row-major with strictly ascending columns in each row,
+// the CSR adopts c.ColIdx and c.Vals instead of copying them, so the
+// two share those arrays: callers drop c, or leave both unmodified.
 func FromCOO(c *mmio.COO) (*CSR, error) {
-	return FromTriplets(c.Rows, c.Cols, c.RowIdx, c.ColIdx, c.Vals)
+	if err := checkTriplets(c.Rows, c.Cols, c.RowIdx, c.ColIdx, c.Vals); err != nil {
+		return nil, err
+	}
+	return fromTripletsUnchecked(c.Rows, c.Cols, c.RowIdx, c.ColIdx, c.Vals, true), nil
 }
 
 // ToCOO converts the matrix to mmio coordinate form for writing.

@@ -142,7 +142,7 @@ func genUniform(r *xrand.Rand, c GenConfig) *CSR {
 			rowIdx = append(rowIdx, int32(i))
 		}
 	}
-	return withRandomValues(r, fromTripletsUnchecked(c.Rows, c.Cols, rowIdx, colIdx, nil))
+	return withRandomValues(r, fromTripletsUnchecked(c.Rows, c.Cols, rowIdx, colIdx, nil, false))
 }
 
 func genFEM(r *xrand.Rand, c GenConfig) *CSR {
@@ -209,7 +209,7 @@ func genFEM(r *xrand.Rand, c GenConfig) *CSR {
 			colIdx = append(colIdx, col)
 		}
 	}
-	return withRandomValues(r, fromTripletsUnchecked(c.Rows, c.Cols, rowIdx, colIdx, nil))
+	return withRandomValues(r, fromTripletsUnchecked(c.Rows, c.Cols, rowIdx, colIdx, nil, false))
 }
 
 func genPowerLaw(r *xrand.Rand, c GenConfig) *CSR {
@@ -241,7 +241,7 @@ func genPowerLaw(r *xrand.Rand, c GenConfig) *CSR {
 			rowIdx = append(rowIdx, row)
 		}
 	}
-	return withRandomValues(r, fromTripletsUnchecked(c.Rows, c.Cols, rowIdx, colIdx, nil))
+	return withRandomValues(r, fromTripletsUnchecked(c.Rows, c.Cols, rowIdx, colIdx, nil, false))
 }
 
 // sortDescInts sorts a in descending order.
@@ -299,7 +299,7 @@ func genRoad(r *xrand.Rand, c GenConfig) *CSR {
 		rowIdx = append(rowIdx, e.u, e.v)
 		colIdx = append(colIdx, e.v, e.u)
 	}
-	m := fromTripletsUnchecked(n, n, rowIdx, colIdx, nil)
+	m := fromTripletsUnchecked(n, n, rowIdx, colIdx, nil, false)
 	if m.Cols < c.Cols {
 		m.Cols = c.Cols
 	}

@@ -138,7 +138,8 @@ type Store struct {
 }
 
 // Open loads (or creates) a store. A missing snapshot file is not an
-// error; a corrupt line is skipped rather than failing the boot.
+// error; a corrupt line is skipped rather than failing the boot. A
+// radius that is NaN or infinite is an error.
 //
 // A crash can leave the log's last record torn, without its newline.
 // Open cuts such a tail off before the first append, so a new record
@@ -146,6 +147,11 @@ type Store struct {
 // replay. A tail that is a whole record and lacks only its newline is
 // kept and terminated instead.
 func Open(cfg Config) (*Store, error) {
+	// A NaN radius fails every "bestD > Radius" test and +Inf passes
+	// none, so either would transfer from any neighbor at any distance.
+	if math.IsNaN(cfg.Radius) || math.IsInf(cfg.Radius, 0) {
+		return nil, fmt.Errorf("store: radius %v is not a finite distance", cfg.Radius)
+	}
 	s := &Store{cfg: cfg.withDefaults(), entries: make(map[string]*Entry)}
 	if s.cfg.Path == "" {
 		return s, nil

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -178,6 +179,34 @@ func TestLookupNearestAndRadius(t *testing.T) {
 	// The query's own key never matches itself.
 	if n, ok := s.Lookup("spmm", "p", "dataset:near", feat(0.50)); ok && n.Entry.Key == "dataset:near" {
 		t.Error("lookup returned the caller's own entry")
+	}
+}
+
+// TestOpenRejectsNonFiniteRadius — a NaN or infinite radius is a boot
+// error; a NaN would otherwise pass every neighbor at any distance.
+func TestOpenRejectsNonFiniteRadius(t *testing.T) {
+	for _, tc := range []struct {
+		radius float64
+		ok     bool
+	}{
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{0.3, true},
+	} {
+		cfg := testConfig("")
+		cfg.Radius = tc.radius
+		s, err := Open(cfg)
+		if (err == nil) != tc.ok {
+			t.Errorf("Open(Radius: %v) error = %v, want ok %v", tc.radius, err, tc.ok)
+			continue
+		}
+		if tc.ok {
+			s.Put("spmm", "dataset:far", "p", feat(0.9), 40, 1e6)
+			if _, hit := s.Lookup("spmm", "p", "upload:q", feat(0.0)); hit {
+				t.Errorf("Radius %v: a neighbor far beyond the radius transferred", tc.radius)
+			}
+		}
 	}
 }
 
